@@ -1,9 +1,10 @@
 // Estimator kernel microbench: adjacency-list matvec vs the frozen CSR
-// kernel, per-probe serial Lanczos quadrature vs the fused ApplyBatch path
-// (ISSUE 8's tentpole). Reports GFLOP-equivalent throughput (2 * nnz
-// flops per matvec) and bit-identity checksums — the batched path must
-// reproduce the serial results exactly, so a drifting checksum here means
-// the determinism contract broke, not that a tolerance moved.
+// kernel, then a full trace estimate through single-lane quadrature calls
+// vs the lane-blocked kernel every connectivity estimate uses. Reports
+// GFLOP-equivalent throughput (2 * nnz flops per matvec) and bit-identity
+// checksums — both trace estimates must agree exactly, so a drifting
+// checksum here means the determinism contract broke (the bench exits 1),
+// not that a tolerance moved.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "gen/datasets.h"
 #include "linalg/csr_matrix.h"
 #include "linalg/hutchinson.h"
+#include "linalg/lanczos.h"
 #include "linalg/rng.h"
 #include "linalg/sparse_matrix.h"
 
@@ -27,10 +29,10 @@ double Gflops(double matvecs, double nnz, double seconds) {
 
 int main() {
   ctbus::bench::PrintHeader(
-      "estimator matvec kernel (adjacency list vs frozen CSR, serial vs "
-      "batched probes)",
-      "Section 5.1: the Lanczos matvec dominates trace estimation; the "
-      "batch path shares one matrix traversal across all probes");
+      "estimator kernel (adjacency list vs frozen CSR matvec; single-lane "
+      "vs lane-blocked quadrature)",
+      "Section 5.1: Hutchinson probes x Lanczos quadrature is the whole "
+      "cost of a connectivity estimate");
   const double scale = ctbus::bench::GetScale();
   const ctbus::gen::Dataset city = ctbus::gen::MakeChicagoLike(scale);
   ctbus::bench::PrintDataset(city);
@@ -112,44 +114,48 @@ int main() {
                      Gflops(matvecs, nnz, batch_seconds), "higher");
   }
 
-  // Full trace estimate: per-probe serial quadrature vs the fused batch.
+  // Full trace estimate: single-lane kernel calls (one probe at a time)
+  // vs the lane-blocked kernel (4 probes interleaved per block).
   {
-    double serial_sum = 0.0;
-    const Stopwatch serial_timer;
+    double single_sum = 0.0;
+    const Stopwatch single_timer;
     for (int r = 0; r < est_rounds; ++r) {
-      serial_sum =
-          ctbus::linalg::EstimateTraceExpWithProbes(adjacency, probe_vectors,
-                                                    steps);
+      double acc = 0.0;
+      for (const auto& v : probe_vectors) {
+        acc += ctbus::linalg::LanczosExpQuadrature(adjacency, v, steps);
+      }
+      single_sum = acc / static_cast<double>(probes);
     }
-    const double serial_seconds = serial_timer.Seconds();
+    const double single_seconds = single_timer.Seconds();
 
-    double batched_sum = 0.0;
-    const Stopwatch batched_timer;
+    double blocked_sum = 0.0;
+    const Stopwatch blocked_timer;
     for (int r = 0; r < est_rounds; ++r) {
-      batched_sum =
-          ctbus::linalg::EstimateTraceExpBatched(csr, probe_vectors, steps);
+      blocked_sum = ctbus::linalg::EstimateTraceExpWithProbes(
+          adjacency, probe_vectors, steps);
     }
-    const double batched_seconds = batched_timer.Seconds();
+    const double blocked_seconds = blocked_timer.Seconds();
 
-    const bool identical = serial_sum == batched_sum;
+    const bool identical = single_sum == blocked_sum;
+    const double speedup =
+        blocked_seconds > 0.0 ? single_seconds / blocked_seconds : 0.0;
     std::printf("-- trace estimate (probes=%d, steps=%d, %d rounds) --\n",
                 probes, steps, est_rounds);
-    std::printf("serial per-probe: %.4fs\n", serial_seconds);
-    std::printf("fused batch:      %.4fs  speedup=%.2fx  "
-                "bit-identical=%s\n\n",
-                batched_seconds,
-                batched_seconds > 0.0 ? serial_seconds / batched_seconds : 0.0,
-                identical ? "yes" : "NO");
-    report.AddMetric("estimate_serial_seconds", serial_seconds, "lower");
-    report.AddMetric("estimate_batched_seconds", batched_seconds, "lower");
-    report.AddMetric(
-        "estimate_batched_speedup",
-        batched_seconds > 0.0 ? serial_seconds / batched_seconds : 0.0,
-        "higher");
-    report.AddMetric("estimate_bit_identical", identical ? 1.0 : 0.0,
-                     "higher");
-    report.AddChecksum("trace_estimate", serial_sum);
-    report.AddChecksum("trace_estimate_batched", batched_sum);
+    std::printf("single-lane:  %.4fs\n", single_seconds);
+    std::printf("lane-blocked: %.4fs  speedup=%.2fx  bit-identical=%s\n\n",
+                blocked_seconds, speedup, identical ? "yes" : "NO");
+    if (!identical) {
+      std::fprintf(stderr,
+                   "FATAL: lane-blocked trace estimate differs from the "
+                   "single-lane one\n");
+      return 1;
+    }
+    report.AddMetric("estimate_single_lane_seconds", single_seconds, "lower");
+    report.AddMetric("estimate_lane_blocked_seconds", blocked_seconds,
+                     "lower");
+    report.AddMetric("estimate_lane_blocked_speedup", speedup, "higher");
+    report.AddChecksum("trace_estimate", single_sum);
+    report.AddChecksum("trace_estimate_lane_blocked", blocked_sum);
   }
 
   report.WriteIfRequested();

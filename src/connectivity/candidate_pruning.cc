@@ -17,8 +17,8 @@ namespace {
 const double kCosh1m1 = std::cosh(1.0) - 1.0;
 const double kSinh1 = std::sinh(1.0);
 
-// Quadrature lanes per ApplyBatch pass. Caps the SoA scratch at
-// kQuadChunk * n doubles regardless of how many candidates are screened.
+// Probe vectors per LanczosExpQuadratureBatch call. Caps the probe scratch
+// at kQuadChunk * n doubles regardless of how many candidates are screened.
 constexpr int kQuadChunk = 64;
 
 }  // namespace

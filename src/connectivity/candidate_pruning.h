@@ -62,9 +62,9 @@ class CandidateScreen {
 
   /// Batched EdgeBound over candidate endpoint pairs: result[i] ==
   /// EdgeBound(edges[i]) bit for bit (the polarization quadratures run
-  /// through LanczosExpQuadratureBatch, whose lanes reproduce the serial
-  /// kernel exactly), but the matrix is traversed once per Lanczos step
-  /// per chunk instead of once per candidate.
+  /// through LanczosExpQuadratureBatch, whose lanes reproduce the
+  /// single-lane kernel exactly), with four candidates interleaved per
+  /// kernel pass.
   std::vector<double> EdgeBounds(
       const std::vector<std::pair<int, int>>& edges) const;
 

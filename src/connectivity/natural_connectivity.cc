@@ -56,13 +56,6 @@ double ConnectivityEstimator::EstimateTraceExp(const linalg::MatVec& a) const {
   return linalg::EstimateTraceExpWithProbes(a, probes_, lanczos_steps_);
 }
 
-double ConnectivityEstimator::EstimateTraceExp(
-    const linalg::SymmetricSparseMatrix& a) const {
-  assert(a.dim() == dim_);
-  scratch_.AssignFrom(a);
-  return linalg::EstimateTraceExpBatched(scratch_, probes_, lanczos_steps_);
-}
-
 double ConnectivityEstimator::LogOverDim(double trace) const {
   // The stochastic estimate of a positive trace can in principle come out
   // non-positive for adversarial probe draws; clamp to a tiny value so the
@@ -71,12 +64,6 @@ double ConnectivityEstimator::LogOverDim(double trace) const {
 }
 
 double ConnectivityEstimator::Estimate(const linalg::MatVec& a) const {
-  if (dim_ == 0) return -std::numeric_limits<double>::infinity();
-  return LogOverDim(EstimateTraceExp(a));
-}
-
-double ConnectivityEstimator::Estimate(
-    const linalg::SymmetricSparseMatrix& a) const {
   if (dim_ == 0) return -std::numeric_limits<double>::infinity();
   return LogOverDim(EstimateTraceExp(a));
 }

@@ -5,7 +5,10 @@
 // The reusable ConnectivityEstimator pins its Gaussian probes at
 // construction, making estimates deterministic and — crucially — giving
 // common random numbers across matrices so connectivity *increments* can be
-// resolved well below the single-estimate noise floor.
+// resolved well below the single-estimate noise floor. Every estimate runs
+// on the adjacency matrix as-is through linalg's one lane-blocked
+// quadrature kernel (LanczosExpQuadratureBatch): freezing into a CSR copy
+// first measured slower, since the matvec is not where the time goes.
 #ifndef CTBUS_CONNECTIVITY_NATURAL_CONNECTIVITY_H_
 #define CTBUS_CONNECTIVITY_NATURAL_CONNECTIVITY_H_
 
@@ -13,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "linalg/csr_matrix.h"
 #include "linalg/matvec.h"
 #include "linalg/sparse_matrix.h"
 
@@ -46,10 +48,8 @@ double NaturalConnectivityEstimate(const linalg::SymmetricSparseMatrix& a,
                                    const EstimatorOptions& options);
 
 /// Reusable estimator with a fixed probe set for a fixed dimension.
-///
-/// Not thread-safe: the sparse-matrix overloads reuse an internal CSR
-/// scratch buffer. The precompute engine already builds one estimator per
-/// shard, which is exactly the right granularity.
+/// Immutable after construction, so one estimator may serve any number of
+/// threads at once.
 class ConnectivityEstimator {
  public:
   /// Throws std::invalid_argument unless options.probes >= 1 and
@@ -60,19 +60,9 @@ class ConnectivityEstimator {
   /// Estimates lambda(A). `a` must have dimension dim().
   double Estimate(const linalg::MatVec& a) const;
 
-  /// Estimates tr(e^A) without the log/normalization.
+  /// Estimates tr(e^A) without the log/normalization: every pinned probe
+  /// through linalg::EstimateTraceExpWithProbes.
   double EstimateTraceExp(const linalg::MatVec& a) const;
-
-  /// Fast path for the concrete adjacency matrix: freezes `a` into a
-  /// reused CSR scratch (linalg::CsrMatrix) and runs all probes through
-  /// the fused batched quadrature. Bit-identical to the MatVec overload —
-  /// Freeze preserves entry order and each probe lane keeps its own FP
-  /// accumulation order — just faster: one matrix traversal per Lanczos
-  /// step feeds every probe.
-  double Estimate(const linalg::SymmetricSparseMatrix& a) const;
-
-  /// tr(e^A) via the same CSR + batched-probe fast path.
-  double EstimateTraceExp(const linalg::SymmetricSparseMatrix& a) const;
 
   int dim() const { return dim_; }
   int probes() const { return static_cast<int>(probes_.size()); }
@@ -86,7 +76,7 @@ class ConnectivityEstimator {
   /// Approximate resident footprint in bytes — dominated by the pinned
   /// probe vectors (probes() x dim() doubles). Deterministic, O(1).
   std::size_t ApproxBytes() const {
-    return sizeof(ConnectivityEstimator) + scratch_.ApproxBytes() +
+    return sizeof(ConnectivityEstimator) +
            probes_.size() * (sizeof(std::vector<double>) +
                              static_cast<std::size_t>(dim_) * sizeof(double));
   }
@@ -97,10 +87,6 @@ class ConnectivityEstimator {
   int dim_;
   int lanczos_steps_;
   std::vector<std::vector<double>> probes_;
-  // CSR scratch reused across Estimate(SymmetricSparseMatrix) calls so the
-  // per-candidate freeze does not reallocate. Mutable because freezing is
-  // an implementation detail of a logically-const estimate.
-  mutable linalg::CsrMatrix scratch_;
 };
 
 }  // namespace ctbus::connectivity

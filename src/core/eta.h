@@ -11,9 +11,9 @@
 //  * kOnline (ETA): the connectivity increment of every evaluated extension
 //    is estimated on the spot with the shared Lanczos+Hutchinson estimator.
 //    With CtBusOptions::eta_threads > 1 the per-frontier estimates fan out
-//    over a persistent WorkerPool — one evaluation unit (estimator clone +
-//    private scratch adjacency) per worker slot, reduced in serial order —
-//    so results are bit-identical at any thread count.
+//    over a persistent WorkerPool — one private scratch adjacency per
+//    worker slot, all sharing the context's immutable estimator, reduced
+//    in serial order — so results are bit-identical at any thread count.
 //  * kPrecomputed (ETA-Pre): the objective is linear in the edges via the
 //    integrated ranking L_e (Equation 11); no estimator calls during the
 //    search. The winner's true connectivity is re-estimated once at the end.

@@ -453,20 +453,17 @@ double PlanningContext::OnlineConnectivityIncrementOnSlot(
     int slot, const std::vector<int>& path_edges) const {
   assert(slot >= 0 &&
          slot < static_cast<int>(online_eval_units_.size()));
-  std::unique_ptr<OnlineEvalUnit>& unit = online_eval_units_[slot];
-  if (unit == nullptr) {
-    // First use of this slot: clone the estimator (same options => same
-    // pinned probes as the shared one) and copy the base adjacency (same
-    // deterministic construction => same row layout). No re-estimate of
-    // base_lambda_ is needed — the clone would reproduce it bit-for-bit.
-    unit = std::make_unique<OnlineEvalUnit>();
-    unit->estimator = std::make_unique<connectivity::ConnectivityEstimator>(
-        transit_->num_stops(), options_.online_estimator);
-    unit->scratch_adjacency = transit_->AdjacencyMatrix();
+  std::unique_ptr<linalg::SymmetricSparseMatrix>& scratch =
+      online_eval_units_[slot];
+  if (scratch == nullptr) {
+    // First use of this slot: copy the base adjacency (same deterministic
+    // construction => same row layout). The estimator is immutable, so
+    // every slot shares the context's.
+    scratch = std::make_unique<linalg::SymmetricSparseMatrix>(
+        transit_->AdjacencyMatrix());
   }
-  return EstimateIncrementWith(precompute_->universe, *unit->estimator,
-                               &unit->scratch_adjacency, base_lambda_,
-                               path_edges);
+  return EstimateIncrementWith(precompute_->universe, *estimator_,
+                               scratch.get(), base_lambda_, path_edges);
 }
 
 void PlanningContext::ReserveOnlineEvalSlots(int n) const {
@@ -477,7 +474,7 @@ void PlanningContext::ReserveOnlineEvalSlots(int n) const {
 
 int PlanningContext::num_online_eval_units_built() const {
   int built = 0;
-  for (const auto& unit : online_eval_units_) built += unit != nullptr;
+  for (const auto& scratch : online_eval_units_) built += scratch != nullptr;
   return built;
 }
 
@@ -490,11 +487,9 @@ std::size_t PlanningContext::ApproxBytes() const {
                       scratch_adjacency_.ApproxBytes() +
                       top_eigenvalues_.size() * sizeof(double) +
                       online_eval_units_.size() *
-                          sizeof(std::unique_ptr<OnlineEvalUnit>);
-  for (const auto& unit : online_eval_units_) {
-    if (unit == nullptr) continue;
-    bytes += sizeof(OnlineEvalUnit) + unit->estimator->ApproxBytes() +
-             unit->scratch_adjacency.ApproxBytes();
+                          sizeof(std::unique_ptr<linalg::SymmetricSparseMatrix>);
+  for (const auto& scratch : online_eval_units_) {
+    if (scratch != nullptr) bytes += scratch->ApproxBytes();
   }
   return bytes;
 }

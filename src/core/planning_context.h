@@ -222,21 +222,21 @@ class PlanningContext {
   double OnlineConnectivityIncrement(const std::vector<int>& path_edges) const;
 
   /// OnlineConnectivityIncrement evaluated on worker slot `slot`'s private
-  /// evaluation unit — an estimator clone pinned to the same probe seed
-  /// plus a private scratch adjacency — constructed lazily on the slot's
-  /// first use. Bit-identical to OnlineConnectivityIncrement: the clone
-  /// draws the same probes, and Set/Remove cycles restore the adjacency's
-  /// row layout exactly, so every evaluation sees the base layout plus its
-  /// own path edges regardless of which unit runs it. Distinct slots may
-  /// run concurrently (ETA's frontier workers key slots off stable
-  /// WorkerPool shard ids); a single slot must never be shared by two
-  /// threads at once. Requires ReserveOnlineEvalSlots(slot + 1) first.
+  /// scratch adjacency, copied lazily on the slot's first use; every slot
+  /// shares the context's (immutable) estimator. Bit-identical to
+  /// OnlineConnectivityIncrement: Set/Remove cycles restore the
+  /// adjacency's row layout exactly, so every evaluation sees the base
+  /// layout plus its own path edges regardless of which slot runs it.
+  /// Distinct slots may run concurrently (ETA's frontier workers key slots
+  /// off stable WorkerPool shard ids); a single slot must never be shared
+  /// by two threads at once. Requires ReserveOnlineEvalSlots(slot + 1)
+  /// first.
   double OnlineConnectivityIncrementOnSlot(
       int slot, const std::vector<int>& path_edges) const;
 
-  /// Ensures evaluation slots [0, n) exist (units stay empty until first
+  /// Ensures evaluation slots [0, n) exist (slots stay empty until first
   /// use, so unused slots cost one null pointer). NOT thread-safe — call
-  /// from the search thread before forking workers. The units are
+  /// from the search thread before forking workers. The slots are
   /// per-context scratch state like scratch_adjacency_: they never enter
   /// the shared Precompute, which is why CtBusOptions::eta_threads stays
   /// out of the precompute cache key (service/precompute_cache.h).
@@ -260,13 +260,6 @@ class PlanningContext {
  private:
   PlanningContext() = default;
 
-  /// One worker slot's private online-evaluation state; see
-  /// OnlineConnectivityIncrementOnSlot.
-  struct OnlineEvalUnit {
-    std::unique_ptr<connectivity::ConnectivityEstimator> estimator;
-    linalg::SymmetricSparseMatrix scratch_adjacency;
-  };
-
   const graph::RoadNetwork* road_ = nullptr;
   const graph::TransitNetwork* transit_ = nullptr;
   CtBusOptions options_;
@@ -276,11 +269,13 @@ class PlanningContext {
   demand::RankedList objective_list_;
   std::unique_ptr<connectivity::ConnectivityEstimator> estimator_;
   mutable linalg::SymmetricSparseMatrix scratch_adjacency_;
-  /// Lazily-built per-worker evaluation units (indexed by worker slot).
+  /// Lazily-built per-worker scratch adjacencies (indexed by worker slot;
+  /// see OnlineConnectivityIncrementOnSlot).
   /// The vector itself is only resized by ReserveOnlineEvalSlots; each
   /// element is owned by exactly one worker slot, so concurrent slots
   /// never race.
-  mutable std::vector<std::unique_ptr<OnlineEvalUnit>> online_eval_units_;
+  mutable std::vector<std::unique_ptr<linalg::SymmetricSparseMatrix>>
+      online_eval_units_;
   double base_lambda_ = 0.0;
   std::vector<double> top_eigenvalues_;
   double d_max_ = 1.0;

@@ -1,20 +1,19 @@
-// Frozen CSR (compressed sparse row) kernel for the estimator hot path.
+// Frozen CSR (compressed sparse row) copy of a SymmetricSparseMatrix.
 //
-// SymmetricSparseMatrix is optimized for the add/remove edge cycles of the
-// CT-Bus search; its per-row std::vector storage costs one pointer chase
-// per row on every matvec. CsrMatrix is the frozen counterpart: three
-// contiguous arrays (row_ptr / col / value) built by
+// Three contiguous arrays (row_ptr / col / value) built by
 // SymmetricSparseMatrix::Freeze(), traversed by a blocked, unrolled Apply
-// and a multi-RHS ApplyBatch that feeds every Hutchinson probe from ONE
-// matrix traversal (the Lanczos matvec is memory-bandwidth-bound, so
-// sharing the traversal across probes is the dominant win).
+// and a multi-RHS ApplyBatch. The connectivity estimator no longer uses
+// it: freezing per estimate plus a wide lane-outermost batch measured
+// slower than running the quadrature kernel on the adjacency lists
+// directly, because the matvec is a minor share of an estimate's time.
+// CsrMatrix remains only for CandidateScreen, bench_matvec and the
+// serving benchmark's kernel rows.
 //
 // Determinism contract: Freeze preserves the per-row entry order of the
 // source matrix, Apply accumulates each row in that order through a single
 // dependency chain, and ApplyBatch keeps each lane's accumulation in its
 // own register — so CSR results are bit-identical to the adjacency-list
-// Apply, lane by lane. This is what lets the batched estimator path swap
-// in under the serving layer's bit-identity guarantees.
+// Apply, lane by lane.
 #ifndef CTBUS_LINALG_CSR_MATRIX_H_
 #define CTBUS_LINALG_CSR_MATRIX_H_
 
@@ -35,9 +34,7 @@ class CsrMatrix : public MatVec {
   /// Builds a CSR copy of `a`, preserving per-row entry order.
   static CsrMatrix FromSparse(const SymmetricSparseMatrix& a);
 
-  /// Re-freezes `a` into this matrix, reusing existing capacity (the
-  /// estimator fast path freezes once per Estimate call, so the arrays are
-  /// recycled instead of reallocated).
+  /// Re-freezes `a` into this matrix, reusing existing capacity.
   void AssignFrom(const SymmetricSparseMatrix& a);
 
   int dim() const override { return n_; }

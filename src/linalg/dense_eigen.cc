@@ -184,14 +184,21 @@ void Tql2(std::vector<double>* d_inout, std::vector<double>* e_inout,
   }
 }
 
+// Permutation that sorts `values` ascending. Every eigenvalue ordering in
+// this file goes through this one comparator, so TridiagonalExpQuadrature
+// sums its terms in exactly the order TridiagonalEigen returns them.
+std::vector<int> AscendingOrder(const std::vector<double>& values) {
+  std::vector<int> order(values.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](int a, int b) { return values[a] < values[b]; });
+  return order;
+}
+
 // Sorts eigenvalues ascending, permuting eigenvector columns to match.
 void SortAscending(std::vector<double>* values, DenseMatrix* vectors) {
   const int n = static_cast<int>(values->size());
-  std::vector<int> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return (*values)[a] < (*values)[b];
-  });
+  const std::vector<int> order = AscendingOrder(*values);
   std::vector<double> sorted_values(n);
   for (int j = 0; j < n; ++j) sorted_values[j] = (*values)[order[j]];
   if (vectors != nullptr && vectors->rows() > 0) {
@@ -204,6 +211,18 @@ void SortAscending(std::vector<double>* values, DenseMatrix* vectors) {
     *vectors = std::move(sorted);
   }
   *values = std::move(sorted_values);
+}
+
+// Loads the tridiagonal (diag, off) into Tql2's input layout: the
+// subdiagonal goes in e[1..n-1], ahead of Tql2's internal shift.
+void LoadTridiagonal(const std::vector<double>& diag,
+                     const std::vector<double>& off, std::vector<double>* d,
+                     std::vector<double>* e) {
+  const int n = static_cast<int>(diag.size());
+  assert(static_cast<int>(off.size()) == (n > 0 ? n - 1 : 0));
+  *d = diag;
+  e->assign(n, 0.0);
+  for (int i = 1; i < n; ++i) (*e)[i] = off[i - 1];
 }
 
 }  // namespace
@@ -234,13 +253,11 @@ SymmetricEigenResult TridiagonalEigen(const std::vector<double>& diag,
                                       const std::vector<double>& off,
                                       bool compute_vectors) {
   const int n = static_cast<int>(diag.size());
-  assert(static_cast<int>(off.size()) == (n > 0 ? n - 1 : 0));
   SymmetricEigenResult result;
   if (n == 0) return result;
-  std::vector<double> d = diag;
-  // Tql2 expects the subdiagonal in e[1..n-1] before its internal shift.
-  std::vector<double> e(n, 0.0);
-  for (int i = 1; i < n; ++i) e[i] = off[i - 1];
+  std::vector<double> d;
+  std::vector<double> e;
+  LoadTridiagonal(diag, off, &d, &e);
   DenseMatrix v;
   if (compute_vectors) v = DenseMatrix::Identity(n);
   Tql2(&d, &e, compute_vectors ? &v : nullptr);
@@ -249,6 +266,26 @@ SymmetricEigenResult TridiagonalEigen(const std::vector<double>& diag,
   SortAscending(&result.eigenvalues,
                 compute_vectors ? &result.eigenvectors : nullptr);
   return result;
+}
+
+double TridiagonalExpQuadrature(const std::vector<double>& diag,
+                                const std::vector<double>& off) {
+  const int n = static_cast<int>(diag.size());
+  if (n == 0) return 0.0;
+  std::vector<double> d;
+  std::vector<double> e;
+  LoadTridiagonal(diag, off, &d, &e);
+  // Row 0 of the identity: Tql2 rotates each eigenvector row on its own
+  // (the rotation coefficients depend only on d and e), so this 1 x n
+  // matrix ends up holding exactly row 0 of TridiagonalEigen's Z.
+  DenseMatrix z0(1, n);
+  z0.Set(0, 0, 1.0);
+  Tql2(&d, &e, &z0);
+  double quad = 0.0;
+  for (const int j : AscendingOrder(d)) {
+    quad += std::exp(d[j]) * z0.At(0, j) * z0.At(0, j);
+  }
+  return quad;
 }
 
 }  // namespace ctbus::linalg

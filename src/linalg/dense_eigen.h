@@ -36,6 +36,16 @@ SymmetricEigenResult TridiagonalEigen(const std::vector<double>& diag,
                                       const std::vector<double>& off,
                                       bool compute_vectors);
 
+/// Gauss quadrature weight e1^T exp(T) e1 of the symmetric tridiagonal
+/// T = tridiag(diag, off): sum_j exp(theta_j) * z_0j^2 over T's
+/// eigenpairs, summed in ascending-theta order. Golub-Welsch: only the
+/// first row of the eigenvector matrix is rotated, so this costs O(n^2)
+/// instead of TridiagonalEigen's O(n^3) plus a dense column sort, yet is
+/// bit-identical to summing TridiagonalEigen(diag, off, true)'s output.
+/// Returns 0 for an empty T. This is the Lanczos quadrature's last step.
+double TridiagonalExpQuadrature(const std::vector<double>& diag,
+                                const std::vector<double>& off);
+
 }  // namespace ctbus::linalg
 
 #endif  // CTBUS_LINALG_DENSE_EIGEN_H_

@@ -30,8 +30,8 @@ double EstimateTraceExpWithProbes(
         "EstimateTraceExpWithProbes: empty probe set (0/0 average)");
   }
   double acc = 0.0;
-  for (const auto& v : probes) {
-    acc += LanczosExpQuadrature(a, v, steps);
+  for (const double q : LanczosExpQuadratureBatch(a, probes, steps)) {
+    acc += q;
   }
   return acc / static_cast<double>(probes.size());
 }
@@ -39,17 +39,7 @@ double EstimateTraceExpWithProbes(
 double EstimateTraceExpBatched(
     const MatVec& a, const std::vector<std::vector<double>>& probes,
     int steps) {
-  if (probes.empty()) {
-    throw std::invalid_argument(
-        "EstimateTraceExpBatched: empty probe set (0/0 average)");
-  }
-  const std::vector<double> quads =
-      LanczosExpQuadratureBatch(a, probes, steps);
-  // Same left-to-right accumulation as the serial estimator; each quad is
-  // bit-identical, so the average is too.
-  double acc = 0.0;
-  for (const double q : quads) acc += q;
-  return acc / static_cast<double>(probes.size());
+  return EstimateTraceExpWithProbes(a, probes, steps);
 }
 
 }  // namespace ctbus::linalg

@@ -30,17 +30,16 @@ std::vector<std::vector<double>> MakeGaussianProbes(int dim, int probes,
 /// silent 0/0 NaN that poisons every cached Precompute entry built from it).
 double EstimateTraceExp(const MatVec& a, int probes, int steps, Rng* rng);
 
-/// Same estimator but with caller-supplied probes (common random numbers).
-/// Throws std::invalid_argument if `probes` is empty (same 0/0 hazard).
+/// Same estimator but with caller-supplied probes (common random numbers):
+/// all probes through one LanczosExpQuadratureBatch call, quadratures
+/// summed in probe order. Throws std::invalid_argument if `probes` is
+/// empty (same 0/0 hazard).
 double EstimateTraceExpWithProbes(
     const MatVec& a, const std::vector<std::vector<double>>& probes,
     int steps);
 
-/// Bit-identical to EstimateTraceExpWithProbes, but runs every probe
-/// through one LanczosExpQuadratureBatch call so each Lanczos step makes a
-/// single fused traversal of the matrix (see MatVec::ApplyBatch) instead
-/// of one traversal per probe. Throws std::invalid_argument on empty
-/// `probes`.
+/// Forwards to EstimateTraceExpWithProbes. There is one quadrature kernel;
+/// this name stays for callers written against the former batched route.
 double EstimateTraceExpBatched(
     const MatVec& a, const std::vector<std::vector<double>>& probes,
     int steps);

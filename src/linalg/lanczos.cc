@@ -1,6 +1,7 @@
 #include "linalg/lanczos.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -102,134 +103,179 @@ std::vector<double> LanczosExpApply(const MatVec& a,
   return s;
 }
 
+namespace {
+
+// Probes per lane block of the quadrature kernel. The kernel's time is in
+// the strictly ordered per-lane dot/norm reductions, not in the matvec;
+// interleaving kLanes independent probes gives that many independent
+// dependency chains per pass. 8 lanes measure no faster than 4.
+constexpr int kLanes = 4;
+
+// Per-call scratch of the quadrature kernel, sized for one full block and
+// reused by every block of the call.
+struct QuadratureWorkspace {
+  QuadratureWorkspace(int n, int steps)
+      : v(static_cast<std::size_t>(n) * kLanes),
+        w(v.size()),
+        v_prev(v.size()) {
+    for (int l = 0; l < kLanes; ++l) {
+      alpha[l].reserve(steps);
+      beta[l].reserve(steps);
+    }
+  }
+
+  // Lane-interleaved Lanczos vectors: lane l of element i lives at
+  // [i * L + l] for a block of L lanes (MatVec::ApplyBatch's layout).
+  std::vector<double> v;
+  std::vector<double> w;
+  std::vector<double> v_prev;
+  std::array<std::vector<double>, kLanes> alpha;
+  std::array<std::vector<double>, kLanes> beta;
+};
+
+// Lanczos quadrature for the L probes starting at probes[0], written to
+// out[0..L). Lane l follows LanczosTridiagonalize's FP sequence exactly:
+// every element-wise op matches Axpy/Scale, and every reduction walks
+// i = 0..n-1 in one chain per lane, as Dot/Norm2 do. A lane that is zero
+// or breaks down drops out alone; its vectors are zeroed so the shared
+// passes keep computing on finite values.
+template <int L>
+void QuadratureBlock(const MatVec& a, const std::vector<double>* const* probes,
+                     int steps, QuadratureWorkspace* ws, double* out) {
+  const int n = a.dim();
+  double* v = ws->v.data();
+  double* w = ws->w.data();
+  double* v_prev = ws->v_prev.data();
+  double v_norm[L] = {};
+  double scale[L] = {};
+  double alpha[L] = {};
+  double beta_prev[L] = {};
+  bool active[L] = {};
+  int num_active = 0;
+
+  for (int l = 0; l < L; ++l) {
+    assert(static_cast<int>(probes[l]->size()) == n);
+  }
+  for (int i = 0; i < n; ++i) {
+    for (int l = 0; l < L; ++l) {
+      const double x = (*probes[l])[i];
+      v[i * L + l] = x;
+      v_norm[l] += x * x;
+    }
+  }
+  for (int l = 0; l < L; ++l) {
+    v_norm[l] = std::sqrt(v_norm[l]);
+    active[l] = v_norm[l] != 0.0;
+    num_active += active[l];
+    scale[l] = active[l] ? 1.0 / v_norm[l] : 0.0;
+    ws->alpha[l].clear();
+    ws->beta[l].clear();
+  }
+  for (int i = 0; i < n; ++i) {
+    for (int l = 0; l < L; ++l) v[i * L + l] *= scale[l];
+  }
+
+  for (int j = 0; j < steps && num_active > 0; ++j) {
+    // w = A v and alpha = Dot(w, v).
+    a.ApplyBatch(v, L, w);
+    for (int l = 0; l < L; ++l) alpha[l] = 0.0;
+    for (int i = 0; i < n; ++i) {
+      for (int l = 0; l < L; ++l) alpha[l] += w[i * L + l] * v[i * L + l];
+    }
+    // w = (w - alpha v) - beta_prev v_prev and beta = Norm2(w), per element
+    // in Axpy, Axpy, Norm2 order.
+    double beta[L] = {};
+    if (j == 0) {
+      for (int i = 0; i < n; ++i) {
+        for (int l = 0; l < L; ++l) {
+          double x = w[i * L + l];
+          x += (-alpha[l]) * v[i * L + l];
+          w[i * L + l] = x;
+          beta[l] += x * x;
+        }
+      }
+    } else {
+      for (int i = 0; i < n; ++i) {
+        for (int l = 0; l < L; ++l) {
+          double x = w[i * L + l];
+          x += (-alpha[l]) * v[i * L + l];
+          x += (-beta_prev[l]) * v_prev[i * L + l];
+          w[i * L + l] = x;
+          beta[l] += x * x;
+        }
+      }
+    }
+    for (int l = 0; l < L; ++l) {
+      beta[l] = std::sqrt(beta[l]);
+      if (active[l]) {
+        ws->alpha[l].push_back(alpha[l]);
+        if (j + 1 < steps && !(beta[l] < kBreakdownTol)) {
+          ws->beta[l].push_back(beta[l]);
+        } else {
+          // Last step, or an invariant subspace: this lane's T is done.
+          active[l] = false;
+          --num_active;
+        }
+      }
+      scale[l] = active[l] ? 1.0 / beta[l] : 0.0;
+      beta_prev[l] = active[l] ? beta[l] : 0.0;
+    }
+    if (j + 1 == steps) break;
+    // v_prev <- v, v <- w / beta; the old v_prev becomes the next w.
+    std::swap(v_prev, v);
+    std::swap(v, w);
+    for (int i = 0; i < n; ++i) {
+      for (int l = 0; l < L; ++l) v[i * L + l] *= scale[l];
+    }
+  }
+
+  for (int l = 0; l < L; ++l) {
+    out[l] = v_norm[l] == 0.0
+                 ? 0.0
+                 : v_norm[l] * v_norm[l] *
+                       TridiagonalExpQuadrature(ws->alpha[l], ws->beta[l]);
+  }
+}
+
+// Runs `count` probes through the kernel in blocks of kLanes; the last
+// block is narrower.
+void QuadratureBlocks(const MatVec& a,
+                      const std::vector<double>* const* probes, int count,
+                      int steps, double* out) {
+  if (count == 0) return;
+  assert(steps >= 1);
+  QuadratureWorkspace ws(a.dim(), steps);
+  static_assert(kLanes == 4, "the switch below dispatches widths 1..4");
+  for (int first = 0; first < count; first += kLanes) {
+    const std::vector<double>* const* block = probes + first;
+    double* block_out = out + first;
+    switch (std::min(kLanes, count - first)) {
+      case 1: QuadratureBlock<1>(a, block, steps, &ws, block_out); break;
+      case 2: QuadratureBlock<2>(a, block, steps, &ws, block_out); break;
+      case 3: QuadratureBlock<3>(a, block, steps, &ws, block_out); break;
+      default: QuadratureBlock<kLanes>(a, block, steps, &ws, block_out);
+    }
+  }
+}
+
+}  // namespace
+
 double LanczosExpQuadrature(const MatVec& a, const std::vector<double>& v,
                             int steps) {
-  const double v_norm = Norm2(v);
-  if (v_norm == 0.0) return 0.0;
-
-  LanczosOptions options;
-  options.steps = steps;
-  const LanczosResult lanczos = LanczosTridiagonalize(a, v, options);
-  const int t = static_cast<int>(lanczos.alpha.size());
-
-  const SymmetricEigenResult tri =
-      TridiagonalEigen(lanczos.alpha, lanczos.beta, /*compute_vectors=*/true);
+  const std::vector<double>* probe = &v;
   double quad = 0.0;
-  for (int j = 0; j < t; ++j) {
-    const double z0 = tri.eigenvectors.At(0, j);
-    quad += std::exp(tri.eigenvalues[j]) * z0 * z0;
-  }
-  return v_norm * v_norm * quad;
+  QuadratureBlocks(a, &probe, 1, steps, &quad);
+  return quad;
 }
 
 std::vector<double> LanczosExpQuadratureBatch(
     const MatVec& a, const std::vector<std::vector<double>>& vs, int steps) {
-  const int n = a.dim();
-  const int batch = static_cast<int>(vs.size());
-  std::vector<double> results(batch, 0.0);
-  if (batch == 0) return results;
-  assert(steps >= 1);
-
-  // SoA lane state: element (i, b) of V/W/V_prev lives at [i * batch + b].
-  // Every per-lane reduction below walks i = 0..n-1 exactly like the
-  // serial Dot/Norm2/Axpy/Scale kernels, so each lane's FP sequence is
-  // identical to a standalone LanczosExpQuadrature run on that probe.
-  std::vector<double> vcur(static_cast<std::size_t>(n) * batch, 0.0);
-  std::vector<double> w(static_cast<std::size_t>(n) * batch, 0.0);
-  std::vector<double> v_prev(static_cast<std::size_t>(n) * batch, 0.0);
-  std::vector<char> active(batch, 1);
-  std::vector<double> v_norm(batch, 0.0);
-  std::vector<std::vector<double>> alphas(batch);
-  std::vector<std::vector<double>> betas(batch);
-  std::vector<double> beta_prev(batch, 0.0);
-
-  int num_active = batch;
-  for (int b = 0; b < batch; ++b) {
-    assert(static_cast<int>(vs[b].size()) == n);
-    for (int i = 0; i < n; ++i) vcur[static_cast<std::size_t>(i) * batch + b] = vs[b][i];
-    // v_norm = Norm2(v): serial code computes it twice (once in the
-    // quadrature wrapper, once inside Normalize) on identical inputs;
-    // the value is the same either way.
-    double acc = 0.0;
-    for (int i = 0; i < n; ++i) {
-      const double x = vcur[static_cast<std::size_t>(i) * batch + b];
-      acc += x * x;
-    }
-    v_norm[b] = std::sqrt(acc);
-    if (v_norm[b] == 0.0) {
-      // Serial path returns 0.0 without tridiagonalizing.
-      active[b] = 0;
-      --num_active;
-      continue;
-    }
-    const double inv = 1.0 / v_norm[b];
-    for (int i = 0; i < n; ++i) vcur[static_cast<std::size_t>(i) * batch + b] *= inv;
-  }
-
-  for (int j = 0; j < steps && num_active > 0; ++j) {
-    // One fused traversal feeds every lane (inactive lanes' outputs are
-    // simply ignored; their vectors stay finite, so no spurious FP traps).
-    a.ApplyBatch(vcur.data(), batch, w.data());
-    for (int b = 0; b < batch; ++b) {
-      if (!active[b]) continue;
-      // alpha = Dot(w, v)
-      double alpha = 0.0;
-      for (int i = 0; i < n; ++i) {
-        const std::size_t at = static_cast<std::size_t>(i) * batch + b;
-        alpha += w[at] * vcur[at];
-      }
-      alphas[b].push_back(alpha);
-      // w <- w - alpha v  (Axpy(-alpha, v, &w))
-      for (int i = 0; i < n; ++i) {
-        const std::size_t at = static_cast<std::size_t>(i) * batch + b;
-        w[at] += (-alpha) * vcur[at];
-      }
-      if (j > 0) {
-        for (int i = 0; i < n; ++i) {
-          const std::size_t at = static_cast<std::size_t>(i) * batch + b;
-          w[at] += (-beta_prev[b]) * v_prev[at];
-        }
-      }
-      double beta_acc = 0.0;
-      for (int i = 0; i < n; ++i) {
-        const double x = w[static_cast<std::size_t>(i) * batch + b];
-        beta_acc += x * x;
-      }
-      const double beta = std::sqrt(beta_acc);
-      if (j + 1 == steps) {
-        active[b] = 0;
-        --num_active;
-        continue;
-      }
-      if (beta < kBreakdownTol) {
-        // Invariant subspace: this lane's T is exact; stop extending it.
-        active[b] = 0;
-        --num_active;
-        continue;
-      }
-      betas[b].push_back(beta);
-      const double inv = 1.0 / beta;
-      for (int i = 0; i < n; ++i) {
-        const std::size_t at = static_cast<std::size_t>(i) * batch + b;
-        v_prev[at] = vcur[at];
-        vcur[at] = w[at] * inv;
-      }
-      beta_prev[b] = beta;
-    }
-  }
-
-  for (int b = 0; b < batch; ++b) {
-    if (v_norm[b] == 0.0) continue;
-    const SymmetricEigenResult tri =
-        TridiagonalEigen(alphas[b], betas[b], /*compute_vectors=*/true);
-    const int t = static_cast<int>(alphas[b].size());
-    double quad = 0.0;
-    for (int j = 0; j < t; ++j) {
-      const double z0 = tri.eigenvectors.At(0, j);
-      quad += std::exp(tri.eigenvalues[j]) * z0 * z0;
-    }
-    results[b] = v_norm[b] * v_norm[b] * quad;
-  }
+  std::vector<const std::vector<double>*> probes;
+  probes.reserve(vs.size());
+  for (const auto& v : vs) probes.push_back(&v);
+  std::vector<double> results(vs.size(), 0.0);
+  QuadratureBlocks(a, probes.data(), static_cast<int>(vs.size()), steps,
+                   results.data());
   return results;
 }
 

@@ -52,17 +52,22 @@ std::vector<double> LanczosExpApply(const MatVec& a,
 /// Approximates the quadratic form v^T exp(A) v by Lanczos quadrature:
 ///   ||v||^2 * (e1^T exp(T) e1).
 /// This never materializes the basis, so it costs O(steps * nnz) time and
-/// O(n) memory — the inner kernel of the trace estimator.
+/// O(n) memory. It is the single-lane call of LanczosExpQuadratureBatch.
 double LanczosExpQuadrature(const MatVec& a, const std::vector<double>& v,
                             int steps);
 
-/// Batched Lanczos quadrature: result[b] == LanczosExpQuadrature(a, vs[b],
-/// steps) bit for bit. All lanes advance in lockstep through a single
-/// MatVec::ApplyBatch per iteration, so the matrix is traversed once per
-/// step instead of once per probe; each lane keeps its own alpha/beta
-/// recurrence and drops out independently on breakdown, and every scalar
-/// reduction walks elements in the same order as the serial kernels, so
-/// the per-lane FP sequence is unchanged.
+/// The quadrature kernel behind every connectivity estimate:
+/// result[b] = vs[b]^T exp(A) vs[b] by `steps`-step Lanczos quadrature,
+/// bit-identical to running LanczosTridiagonalize on vs[b] and summing
+/// TridiagonalEigen's first-row weights. Probes run in blocks of four
+/// lanes stored interleaved (MatVec::ApplyBatch's layout). Each step
+/// makes lane-innermost passes: the matvec, the alpha dots, one fused
+/// axpy/axpy/norm pass and one scaling pass. The time goes into the
+/// strictly ordered per-lane reductions rather than the matvec, so
+/// interleaving gives each pass four independent dependency chains; every
+/// lane keeps the serial per-element and reduction order, and drops out
+/// on its own at a zero probe or a breakdown. T's weight comes from
+/// TridiagonalExpQuadrature.
 std::vector<double> LanczosExpQuadratureBatch(
     const MatVec& a, const std::vector<std::vector<double>>& vs, int steps);
 

@@ -20,13 +20,13 @@ class MatVec {
   virtual void Apply(const std::vector<double>& x,
                      std::vector<double>* y) const = 0;
 
-  /// Computes Y = A X for `batch` right-hand sides stored SoA-interleaved:
+  /// Computes Y = A X for `batch` right-hand sides stored interleaved:
   /// element (i, b) lives at x[i * batch + b] (and likewise in y). Each
-  /// lane's result is bit-identical to a single-vector Apply of that lane:
-  /// the default implementation literally unpacks one lane at a time, and
-  /// overrides (CsrMatrix) keep every lane's accumulation in its own
-  /// register so the per-lane FP order is unchanged while the matrix is
-  /// traversed once for all lanes.
+  /// lane's result is bit-identical to a single-vector Apply of that lane.
+  /// The default implementation unpacks one lane at a time; overrides
+  /// (SymmetricSparseMatrix, CsrMatrix) walk the matrix once with the lane
+  /// loop innermost, each lane accumulating in its own chain. The Lanczos
+  /// quadrature kernel calls this with its 4-lane blocks.
   virtual void ApplyBatch(const double* x, int batch, double* y) const {
     std::vector<double> lane_x(dim());
     std::vector<double> lane_y(dim());

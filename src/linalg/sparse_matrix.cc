@@ -33,6 +33,23 @@ void ValidateOffDiagonal(const char* op, int u, int v, int dim) {
   }
 }
 
+// ApplyBatch over lanes [first, first + L) of a batch of `stride` lanes.
+template <int L>
+void ApplyLanes(const std::vector<std::vector<SymmetricSparseMatrix::Entry>>&
+                    rows,
+                const double* x, int stride, int first, double* y) {
+  const int n = static_cast<int>(rows.size());
+  for (int i = 0; i < n; ++i) {
+    double acc[L] = {};
+    for (const SymmetricSparseMatrix::Entry& e : rows[i]) {
+      const double* xs = x + static_cast<std::size_t>(e.col) * stride + first;
+      for (int l = 0; l < L; ++l) acc[l] += e.value * xs[l];
+    }
+    double* ys = y + static_cast<std::size_t>(i) * stride + first;
+    for (int l = 0; l < L; ++l) ys[l] = acc[l];
+  }
+}
+
 }  // namespace
 
 int SymmetricSparseMatrix::FindInRow(int row, int col) const {
@@ -98,6 +115,18 @@ void SymmetricSparseMatrix::Apply(const std::vector<double>& x,
     double acc = 0.0;
     for (const Entry& e : rows_[i]) acc += e.value * x[e.col];
     (*y)[i] = acc;
+  }
+}
+
+void SymmetricSparseMatrix::ApplyBatch(const double* x, int batch,
+                                       double* y) const {
+  for (int first = 0; first < batch; first += 4) {
+    switch (std::min(4, batch - first)) {
+      case 1: ApplyLanes<1>(rows_, x, batch, first, y); break;
+      case 2: ApplyLanes<2>(rows_, x, batch, first, y); break;
+      case 3: ApplyLanes<3>(rows_, x, batch, first, y); break;
+      default: ApplyLanes<4>(rows_, x, batch, first, y);
+    }
   }
 }
 

@@ -67,9 +67,15 @@ class SymmetricSparseMatrix : public MatVec {
   void Apply(const std::vector<double>& x,
              std::vector<double>* y) const override;
 
-  /// Freezes the current contents into a contiguous CSR matrix for the
-  /// estimator hot path. Per-row entry order is preserved, so CSR matvec
-  /// results are bit-identical to Apply on this matrix.
+  /// Y = A X for `batch` lane-interleaved right-hand sides (see
+  /// MatVec::ApplyBatch for the layout), lanes innermost: each stored
+  /// entry feeds up to four lanes, and each lane accumulates its row in
+  /// stored entry order, so every lane is bit-identical to Apply.
+  void ApplyBatch(const double* x, int batch, double* y) const override;
+
+  /// Freezes the current contents into a contiguous CSR matrix (see
+  /// csr_matrix.h for its remaining users). Per-row entry order is
+  /// preserved, so CSR matvec results are bit-identical to Apply.
   CsrMatrix Freeze() const;
 
   /// Cheap upper bound on the spectral norm: max over rows of the row sum of

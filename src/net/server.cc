@@ -268,11 +268,14 @@ void Server::WriterLoop(Connection* connection) {
       pending = std::move(connection->pending.front());
       connection->pending.pop_front();
     }
-    const ResponseFrame response = ResolvePending(&pending);
+    ResponseFrame response = ResolvePending(&pending);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       pending.received)
             .count();
+    // Receive -> encode time on the wire; outside ResponseChecksum's
+    // scope, so timing never moves a checksum.
+    response.server_seconds = seconds;
     instruments_.latency->Record(seconds);
     LogRequest(*connection, response, seconds);
     const std::vector<std::uint8_t> frame = EncodeResponseFrame(response);

@@ -1,10 +1,11 @@
 // The determinism contract of parallel frontier expansion: RunEta in
 // SearchMode::kOnline must produce bit-identical results at any
 // CtBusOptions::eta_threads setting, for both expansion variants
-// (best-neighbor and ETA-AN). Each worker slot owns an estimator clone
-// pinned to the same probe seed plus a private scratch adjacency, and the
-// candidate reduce replays the serial scan order, so threading must not
-// move a single bit (see core/eta.h and docs/ARCHITECTURE.md).
+// (best-neighbor and ETA-AN). Each worker slot owns a private scratch
+// adjacency and shares the context's immutable estimator (same pinned
+// probes), and the candidate reduce replays the serial scan order, so
+// threading must not move a single bit (see core/eta.h and
+// docs/ARCHITECTURE.md).
 #include <gtest/gtest.h>
 
 #include <memory>

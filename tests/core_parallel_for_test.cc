@@ -123,7 +123,7 @@ TEST(WorkerPoolTest, PartitionMatchesParallelForAcrossRepeatedRuns) {
 
 TEST(WorkerPoolTest, StableShardToThreadMapping) {
   // Shard s must always land on the same thread, so per-slot scratch
-  // (estimator clones, adjacency copies) is never shared across threads.
+  // (adjacency copies) is never shared across threads.
   WorkerPool pool(4);
   std::vector<std::thread::id> owner(4);
   pool.Run(4, [&](int shard, int /*begin*/, int /*end*/) {

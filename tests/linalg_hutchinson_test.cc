@@ -8,8 +8,10 @@
 
 #include "linalg/dense_eigen.h"
 #include "linalg/dense_matrix.h"
+#include "linalg/lanczos.h"
 #include "linalg/rng.h"
 #include "linalg/sparse_matrix.h"
+#include "linalg/vector_ops.h"
 
 namespace ctbus::linalg {
 namespace {
@@ -142,18 +144,75 @@ TEST(HutchinsonTest, RejectsNonPositiveProbeCount) {
   EXPECT_THROW(EstimateTraceExpBatched(a, {}, 5), std::invalid_argument);
 }
 
-TEST(HutchinsonTest, BatchedEstimateBitIdenticalToSerial) {
-  // The fused-ApplyBatch path must reproduce the serial per-probe path
-  // exactly — it backs the estimator swap under the serving layer's
-  // bit-identity guarantees.
+// The estimate as the per-probe serial path computes it: each probe's
+// Lanczos recurrence and full tridiagonal eigendecomposition, quadratures
+// summed in probe order.
+double ReferenceTraceExp(const MatVec& a,
+                         const std::vector<std::vector<double>>& probes,
+                         int steps) {
+  double acc = 0.0;
+  for (const auto& v : probes) {
+    const double v_norm = Norm2(v);
+    if (v_norm == 0.0) continue;
+    LanczosOptions options;
+    options.steps = steps;
+    const LanczosResult lanczos = LanczosTridiagonalize(a, v, options);
+    const SymmetricEigenResult tri = TridiagonalEigen(
+        lanczos.alpha, lanczos.beta, /*compute_vectors=*/true);
+    double quad = 0.0;
+    for (std::size_t j = 0; j < tri.eigenvalues.size(); ++j) {
+      const double z0 = tri.eigenvectors.At(0, static_cast<int>(j));
+      quad += std::exp(tri.eigenvalues[j]) * z0 * z0;
+    }
+    acc += v_norm * v_norm * quad;
+  }
+  return acc / static_cast<double>(probes.size());
+}
+
+TEST(HutchinsonTest, EstimateBitIdenticalToPerProbeReference) {
+  // Both entry points run the lane-blocked kernel; across probe counts
+  // that fill, straddle and undershoot its 4-lane blocks, the estimate
+  // must equal the per-probe serial reference exactly.
   Rng rng(46);
   const auto a = RandomGraph(70, 4.0, &rng);
-  for (int probes : {1, 8, 40}) {
+  for (int probes : {1, 3, 4, 5, 8, 50}) {
     Rng probe_rng(900 + probes);
     const auto vs = MakeGaussianProbes(a.dim(), probes, &probe_rng);
-    EXPECT_EQ(EstimateTraceExpBatched(a, vs, 10),
-              EstimateTraceExpWithProbes(a, vs, 10));
+    const double reference = ReferenceTraceExp(a, vs, 10);
+    EXPECT_EQ(EstimateTraceExpWithProbes(a, vs, 10), reference)
+        << "probes=" << probes;
+    EXPECT_EQ(EstimateTraceExpBatched(a, vs, 10), reference)
+        << "probes=" << probes;
   }
+}
+
+TEST(HutchinsonTest, EstimateBitIdenticalWithZeroProbeAndBreakdown) {
+  // A zero probe, and a graph whose isolated vertices and tiny components
+  // break lanes down early, inside otherwise healthy blocks.
+  SymmetricSparseMatrix a(12);
+  a.Set(0, 1, 1.0);
+  a.Set(1, 2, 1.0);
+  a.Set(3, 4, 1.0);
+  a.Set(5, 6, 1.0);
+  a.Set(6, 7, 1.0);
+  a.Set(7, 8, 1.0);
+  Rng probe_rng(47);
+  auto vs = MakeGaussianProbes(a.dim(), 6, &probe_rng);
+  vs[2].assign(12, 0.0);
+  vs[4].assign(12, 0.0);
+  vs[4][10] = 1.5;  // vertex 10 is isolated
+  EXPECT_EQ(EstimateTraceExpWithProbes(a, vs, 10),
+            ReferenceTraceExp(a, vs, 10));
+}
+
+TEST(HutchinsonTest, EstimateBitIdenticalOnDenseOperator) {
+  // DenseMatrix runs MatVec's default ApplyBatch.
+  Rng rng(48);
+  const DenseMatrix dense = DenseMatrix::FromSparse(RandomGraph(25, 4.0, &rng));
+  Rng probe_rng(49);
+  const auto vs = MakeGaussianProbes(dense.dim(), 7, &probe_rng);
+  EXPECT_EQ(EstimateTraceExpWithProbes(dense, vs, 8),
+            ReferenceTraceExp(dense, vs, 8));
 }
 
 class HutchinsonSweepTest : public ::testing::TestWithParam<int> {};

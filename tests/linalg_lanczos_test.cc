@@ -274,29 +274,58 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(20, 40, 80),
                        ::testing::Values(2.0, 4.0, 8.0)));
 
-TEST(LanczosBatchTest, QuadratureBatchBitIdenticalToSerial) {
-  // The contract of LanczosExpQuadratureBatch: result[b] equals the
-  // serial quadrature bit for bit, for every batch size (including ones
-  // crossing the internal 32-lane blocking boundary).
-  for (int batch : {1, 2, 5, 31, 32, 33, 50}) {
-    Rng rng(700 + batch);
-    const int n = 60;
-    const auto a = RandomGraph(n, 4.0, &rng);
-    std::vector<std::vector<double>> vs(batch, std::vector<double>(n));
+// The quadrature as the per-probe serial path computes it: Lanczos
+// recurrence, full tridiagonal eigendecomposition, then the first-row
+// weights summed in ascending eigenvalue order. The lane-blocked kernel
+// must reproduce this bit for bit.
+double ReferenceQuadrature(const MatVec& a, const std::vector<double>& v,
+                           int steps) {
+  const double v_norm = Norm2(v);
+  if (v_norm == 0.0) return 0.0;
+  LanczosOptions options;
+  options.steps = steps;
+  const LanczosResult lanczos = LanczosTridiagonalize(a, v, options);
+  const SymmetricEigenResult tri =
+      TridiagonalEigen(lanczos.alpha, lanczos.beta, /*compute_vectors=*/true);
+  double quad = 0.0;
+  for (std::size_t j = 0; j < tri.eigenvalues.size(); ++j) {
+    const double z0 = tri.eigenvectors.At(0, static_cast<int>(j));
+    quad += std::exp(tri.eigenvalues[j]) * z0 * z0;
+  }
+  return v_norm * v_norm * quad;
+}
+
+// Batch, single-lane call and reference agree exactly on every probe.
+void ExpectMatchesReference(const MatVec& a,
+                            const std::vector<std::vector<double>>& vs,
+                            int steps) {
+  const std::vector<double> batched = LanczosExpQuadratureBatch(a, vs, steps);
+  ASSERT_EQ(batched.size(), vs.size());
+  for (std::size_t b = 0; b < vs.size(); ++b) {
+    const double reference = ReferenceQuadrature(a, vs[b], steps);
+    EXPECT_EQ(batched[b], reference) << "lane " << b << " of " << vs.size();
+    EXPECT_EQ(LanczosExpQuadrature(a, vs[b], steps), reference)
+        << "lane " << b;
+  }
+}
+
+TEST(LanczosBatchTest, QuadratureBatchBitIdenticalToReference) {
+  // Probe counts below, at and across the 4-lane block width, so full
+  // and partial final blocks are both exercised.
+  for (int probes : {1, 3, 4, 5, 8, 50}) {
+    SCOPED_TRACE(probes);
+    Rng rng(700 + probes);
+    const auto a = RandomGraph(60, 4.0, &rng);
+    std::vector<std::vector<double>> vs(probes, std::vector<double>(60));
     for (auto& v : vs) FillGaussian(&rng, &v);
-    const auto batched = LanczosExpQuadratureBatch(a, vs, 10);
-    ASSERT_EQ(batched.size(), vs.size());
-    for (int b = 0; b < batch; ++b) {
-      EXPECT_EQ(batched[b], LanczosExpQuadrature(a, vs[b], 10))
-          << "batch=" << batch << " lane=" << b;
-    }
+    ExpectMatchesReference(a, vs, 10);
   }
 }
 
 TEST(LanczosBatchTest, QuadratureBatchHandlesDegenerateLanes) {
-  // Zero-norm lanes and early-breakdown lanes (a probe supported on an
-  // isolated vertex hits an invariant subspace immediately) must drop out
-  // per lane without disturbing their neighbors.
+  // A zero probe and a probe that breaks down at once (supported on an
+  // isolated vertex) share blocks with healthy probes; each must drop out
+  // on its own without disturbing its neighbours.
   Rng rng(55);
   SymmetricSparseMatrix a(20);
   for (int i = 0; i < 15; ++i) {
@@ -305,28 +334,65 @@ TEST(LanczosBatchTest, QuadratureBatchHandlesDegenerateLanes) {
     if (u != v) a.Set(u, v, 1.0);
   }
   // Vertex 19 stays isolated.
-  std::vector<std::vector<double>> vs;
-  vs.emplace_back(20, 0.0);  // zero vector lane
   std::vector<double> isolated(20, 0.0);
-  isolated[19] = 2.0;  // breakdown lane: A e_19 = 0
-  vs.push_back(isolated);
-  std::vector<double> dense(20);
-  FillGaussian(&rng, &dense);
-  vs.push_back(dense);
-  const auto batched = LanczosExpQuadratureBatch(a, vs, 8);
-  ASSERT_EQ(batched.size(), 3u);
-  for (int b = 0; b < 3; ++b) {
-    EXPECT_EQ(batched[b], LanczosExpQuadrature(a, vs[b], 8)) << "lane " << b;
+  isolated[19] = 2.0;  // A e_19 = 0
+  std::vector<std::vector<double>> vs;
+  for (int b = 0; b < 7; ++b) {
+    std::vector<double> dense(20);
+    FillGaussian(&rng, &dense);
+    vs.push_back(dense);
   }
-  EXPECT_EQ(batched[0], 0.0);
+  vs[1].assign(20, 0.0);
+  vs[2] = isolated;
+  vs[5] = isolated;
+  ExpectMatchesReference(a, vs, 8);
+  const auto batched = LanczosExpQuadratureBatch(a, vs, 8);
+  EXPECT_EQ(batched[1], 0.0);
   // e_19 is an eigenvector with eigenvalue 0: quadrature is exact,
   // ||v||^2 e^0 = 4.
-  EXPECT_NEAR(batched[1], 4.0, 1e-12);
+  EXPECT_NEAR(batched[2], 4.0, 1e-12);
+}
+
+TEST(LanczosBatchTest, QuadratureBatchBreakdownOnDisconnectedAndTinyGraphs) {
+  // Two triangles plus a path: probes supported on one small component
+  // exhaust their Krylov space after a few steps while their lane-mates
+  // run on; and on a 3-vertex graph n < steps breaks every lane down.
+  SymmetricSparseMatrix a(9);
+  a.Set(0, 1, 1.0);
+  a.Set(1, 2, 1.0);
+  a.Set(2, 0, 1.0);
+  a.Set(3, 4, 1.0);
+  a.Set(4, 5, 1.0);
+  a.Set(5, 3, 1.0);
+  a.Set(6, 7, 1.0);
+  a.Set(7, 8, 1.0);
+  Rng rng(91);
+  std::vector<std::vector<double>> vs(6, std::vector<double>(9));
+  for (auto& v : vs) FillGaussian(&rng, &v);
+  for (int i = 3; i < 9; ++i) vs[1][i] = 0.0;  // triangle {0, 1, 2} only
+  for (int i = 0; i < 6; ++i) vs[4][i] = 0.0;  // path {6, 7, 8} only
+  ExpectMatchesReference(a, vs, 10);
+
+  SymmetricSparseMatrix tiny(3);
+  tiny.Set(0, 1, 1.0);
+  tiny.Set(1, 2, 0.5);
+  std::vector<std::vector<double>> tiny_vs(5, std::vector<double>(3));
+  for (auto& v : tiny_vs) FillGaussian(&rng, &v);
+  ExpectMatchesReference(tiny, tiny_vs, 10);
+}
+
+TEST(LanczosBatchTest, QuadratureBatchOnDenseOperator) {
+  // DenseMatrix has no ApplyBatch override: the kernel must hold its
+  // contract on MatVec's default lane-by-lane ApplyBatch too.
+  Rng rng(67);
+  const DenseMatrix dense = DenseMatrix::FromSparse(RandomGraph(30, 4.0, &rng));
+  std::vector<std::vector<double>> vs(6, std::vector<double>(30));
+  for (auto& v : vs) FillGaussian(&rng, &v);
+  ExpectMatchesReference(dense, vs, 9);
 }
 
 TEST(LanczosBatchTest, QuadratureBatchMatchesAcrossCsrAndAdjacency) {
-  // The batch contract composes with the CSR determinism contract: the
-  // frozen matrix feeds identical bits through either entry point.
+  // The frozen CSR copy feeds identical bits through the kernel.
   Rng rng(66);
   const int n = 45;
   const auto a = RandomGraph(n, 4.0, &rng);
@@ -337,8 +403,66 @@ TEST(LanczosBatchTest, QuadratureBatchMatchesAcrossCsrAndAdjacency) {
   const auto via_csr = LanczosExpQuadratureBatch(csr, vs, 9);
   for (std::size_t b = 0; b < vs.size(); ++b) {
     EXPECT_EQ(via_adj[b], via_csr[b]);
-    EXPECT_EQ(via_csr[b], LanczosExpQuadrature(a, vs[b], 9));
+    EXPECT_EQ(via_csr[b], ReferenceQuadrature(a, vs[b], 9));
   }
+}
+
+// Sum of exp(theta) * z0^2 over TridiagonalEigen's full output.
+double FullEigenExpQuadrature(const std::vector<double>& diag,
+                              const std::vector<double>& off) {
+  const SymmetricEigenResult tri =
+      TridiagonalEigen(diag, off, /*compute_vectors=*/true);
+  double quad = 0.0;
+  for (std::size_t j = 0; j < tri.eigenvalues.size(); ++j) {
+    const double z0 = tri.eigenvectors.At(0, static_cast<int>(j));
+    quad += std::exp(tri.eigenvalues[j]) * z0 * z0;
+  }
+  return quad;
+}
+
+TEST(TridiagonalExpQuadratureTest, BitIdenticalToFullEigenSum) {
+  Rng rng(808);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = 1 + static_cast<int>(rng.NextIndex(14));
+    std::vector<double> diag(n);
+    std::vector<double> off(n - 1);
+    for (double& d : diag) d = rng.NextGaussian();
+    for (double& e : off) e = rng.NextDouble(0.0, 2.0);
+    EXPECT_EQ(TridiagonalExpQuadrature(diag, off),
+              FullEigenExpQuadrature(diag, off))
+        << "trial " << trial << " n=" << n;
+  }
+}
+
+TEST(TridiagonalExpQuadratureTest, RepeatedEigenvaluesTieBreakIdentically) {
+  // Zero couplings split T into blocks with equal eigenvalues, so the
+  // ascending sort sees exact ties (the last case also takes std::sort past
+  // its small-input insertion sort); the quadrature must still equal
+  // TridiagonalEigen's sum bit for bit.
+  std::vector<double> long_diag;
+  std::vector<double> long_off;
+  for (int i = 0; i < 40; ++i) {
+    long_diag.push_back(i % 4 == 2 ? 3.0 : 1.0);
+    if (i > 0) long_off.push_back(i % 3 == 0 ? 0.0 : 0.7);
+  }
+  const std::vector<std::vector<double>> diags = {
+      {1.0, 1.0, 1.0, 1.0},
+      {0.5, 2.0, 0.5, 2.0, 0.5},
+      {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+      {1.0, 1.0, 3.0, 1.0, 1.0, 3.0, 1.0, 1.0},
+      long_diag};
+  const std::vector<std::vector<double>> offs = {
+      {0.0, 0.0, 0.0},
+      {0.0, 0.0, 0.0, 0.0},
+      {1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0},
+      {0.7, 0.0, 0.0, 0.7, 0.0, 0.0, 0.7},
+      long_off};
+  for (std::size_t c = 0; c < diags.size(); ++c) {
+    EXPECT_EQ(TridiagonalExpQuadrature(diags[c], offs[c]),
+              FullEigenExpQuadrature(diags[c], offs[c]))
+        << "case " << c;
+  }
+  EXPECT_EQ(TridiagonalExpQuadrature({}, {}), 0.0);
 }
 
 TEST(LanczosTest, DenseTraceExpSanity) {

@@ -146,5 +146,34 @@ TEST(SparseMatrixTest, DenseFromSparseRoundTrip) {
   EXPECT_DOUBLE_EQ(d.At(2, 2), 0.0);
 }
 
+TEST(SparseMatrixTest, ApplyBatchBitIdenticalToApplyPerLane) {
+  // Lane-interleaved batches of every width up to two full 4-lane chunks
+  // plus a partial one: lane b must equal Apply on lane b bit for bit.
+  Rng rng(31);
+  const int n = 40;
+  SymmetricSparseMatrix m(n);
+  for (int e = 0; e < 90; ++e) {
+    const int u = static_cast<int>(rng.NextIndex(n));
+    const int v = static_cast<int>(rng.NextIndex(n));
+    if (u != v) m.Set(u, v, rng.NextDouble(-2.0, 2.0));
+  }
+  for (int batch = 1; batch <= 9; ++batch) {
+    std::vector<double> x(static_cast<std::size_t>(n) * batch);
+    for (double& value : x) value = rng.NextGaussian();
+    std::vector<double> y(x.size());
+    m.ApplyBatch(x.data(), batch, y.data());
+    for (int b = 0; b < batch; ++b) {
+      std::vector<double> lane_x(n);
+      std::vector<double> lane_y(n);
+      for (int i = 0; i < n; ++i) lane_x[i] = x[i * batch + b];
+      m.Apply(lane_x, &lane_y);
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(y[i * batch + b], lane_y[i])
+            << "batch=" << batch << " lane=" << b << " row=" << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ctbus::linalg

@@ -91,6 +91,29 @@ TEST(NetServer, ServerMediatedResultsBitIdenticalToDirectSubmit) {
   EXPECT_EQ(loopback->server->CounterValue(obs::kNetFramesMalformed), 0u);
 }
 
+TEST(NetServer, OkResponseCarriesServerSeconds) {
+  // server_seconds spans receive -> response encode, so it is positive and
+  // covers the service queue wait reported next to it. It sits outside
+  // ResponseChecksum, so setting it moves no checksum.
+  std::string error;
+  LoopbackOptions options;
+  options.preset = "midtown";
+  auto loopback = StartLoopbackServer(options, &error);
+  ASSERT_NE(loopback, nullptr) << error;
+  Client client;
+  ASSERT_TRUE(client.Connect(loopback->port(), &error)) << error;
+  const PlanRequest request = CheapRequest(loopback->dataset);
+  ResponseFrame wire;
+  ASSERT_TRUE(client.Call(WireRequest(1, request), &wire, &error)) << error;
+  ASSERT_EQ(wire.status, ResponseStatus::kOk);
+  EXPECT_GT(wire.server_seconds, 0.0);
+  EXPECT_GE(wire.server_seconds, wire.queue_seconds);
+  ResponseFrame untimed = wire;
+  untimed.server_seconds = 0.0;
+  EXPECT_EQ(ResponseChecksum(untimed), ResponseChecksum(wire));
+  client.Close();
+}
+
 TEST(NetServer, QuotaRejectIsImmediateAndCounted) {
   ServiceOptions service_options;
   service_options.num_threads = 1;
