@@ -3,9 +3,7 @@
 // bit-identity checks against the serial run; (2) warm-start derivation
 // across a snapshot commit (DerivePrecompute) versus a from-scratch
 // RunPrecompute, reporting the fraction of candidates recomputed and the
-// agreement with from-scratch for both estimator paths; (3) the Lemma 3/4
-// candidate screen (ISSUE 8) versus the full Delta(e) loop, reporting the
-// pruned fraction and survivor bit-identity.
+// agreement with from-scratch for both estimator paths.
 //
 // Acceptance targets (ISSUE 2): >= 2-core Delta(e) speedup > 1 when the
 // host has >= 2 cores, warm-start recompute fraction < 20% after a small
@@ -174,64 +172,6 @@ void WarmStartSection(ctbus::gen::Dataset city,
                     "lower");
 }
 
-void PruningSection(const ctbus::gen::Dataset& city,
-                    ctbus::core::CtBusOptions options,
-                    ctbus::bench::BenchReport* report) {
-  std::printf("-- candidate pruning (Lemma 3/4 screen, keep_rank=%d) --\n",
-              options.prune_keep_rank);
-  options.precompute_threads = 0;  // hardware concurrency
-
-  options.prune_candidates = false;
-  const Stopwatch off_timer;
-  const ctbus::core::Precompute off =
-      ctbus::core::PlanningContext::RunPrecompute(city.road, city.transit,
-                                                  options);
-  const double off_seconds = off_timer.Seconds();
-
-  options.prune_candidates = true;
-  const Stopwatch on_timer;
-  const ctbus::core::Precompute on =
-      ctbus::core::PlanningContext::RunPrecompute(city.road, city.transit,
-                                                  options);
-  const double on_seconds = on_timer.Seconds();
-
-  const int candidates = on.universe.num_new_edges();
-  const double pruned_fraction =
-      candidates > 0
-          ? static_cast<double>(on.stats.num_increments_pruned) / candidates
-          : 0.0;
-  // Survivors (entries the screen did not prune) must be bit-identical to
-  // the unpruned run; pruned entries hold the screen bound instead.
-  bool survivors_identical = on.increments.size() == off.increments.size();
-  if (survivors_identical) {
-    for (std::size_t e = 0; e < on.increments.size(); ++e) {
-      if (!on.IsPruned(static_cast<int>(e)) &&
-          on.increments[e] != off.increments[e]) {
-        survivors_identical = false;
-        break;
-      }
-    }
-  }
-  std::printf("pruning off: %.3fs (delta(e) %.3fs)  candidates=%d\n",
-              off_seconds, off.stats.increments_seconds, candidates);
-  std::printf("pruning on:  %.3fs (delta(e) %.3fs)  estimated=%d  "
-              "pruned=%d (%.1f%%)  speedup=%.2fx\n",
-              on_seconds, on.stats.increments_seconds,
-              on.stats.num_increments_estimated, on.stats.num_increments_pruned,
-              100.0 * pruned_fraction,
-              on_seconds > 0.0 ? off_seconds / on_seconds : 0.0);
-  std::printf("survivors bit-identical=%s\n\n",
-              survivors_identical ? "yes" : "NO");
-  report->AddMetric("prune_off_delta_seconds", off.stats.increments_seconds,
-                    "lower");
-  report->AddMetric("prune_on_delta_seconds", on.stats.increments_seconds,
-                    "lower");
-  report->AddMetric("pruned_fraction", pruned_fraction, "higher");
-  report->AddMetric("prune_survivors_bit_identical",
-                    survivors_identical ? 1.0 : 0.0, "higher");
-  report->AddChecksum("prune_off_increments", Checksum(off.increments));
-}
-
 }  // namespace
 
 int main() {
@@ -264,11 +204,6 @@ int main() {
     perturbation.use_perturbation_precompute = true;
     WarmStartSection(ctbus::gen::MakeChicagoLike(scale), perturbation,
                      "perturbation", &report);
-  }
-
-  {
-    const ctbus::gen::Dataset city = ctbus::gen::MakeChicagoLike(scale);
-    PruningSection(city, ctbus::bench::BenchOptions(), &report);
   }
   report.WriteIfRequested();
   return 0;

@@ -49,9 +49,10 @@ struct CtBusOptions {
 
   /// Worker threads for the Delta(e) pre-computation loop (the dominant
   /// Table 4 cost). 1 = serial; 0 or negative = hardware concurrency. The
-  /// result is bit-identical at any thread count (each shard owns its
-  /// estimator and scratch adjacency; see docs/PRECOMPUTE.md), so this knob
-  /// is deliberately NOT part of the precompute cache key.
+  /// result is bit-identical at any thread count (the shards share one
+  /// immutable estimator and each owns a scratch adjacency; see
+  /// docs/PRECOMPUTE.md), so this knob is deliberately NOT part of the
+  /// precompute cache key.
   /// ctbus-lint: key-exempt(bit-identical at any thread count — keying would fragment the cache)
   int precompute_threads = 1;
 
@@ -60,35 +61,15 @@ struct CtBusOptions {
   /// dominant per-query cost of SearchMode::kOnline (ETA-Pre ranks
   /// neighbors by L_e and never forks). 1 = serial, exactly the classic
   /// loop; 0 or negative = hardware concurrency. Results are bit-identical
-  /// at any setting: each worker slot lazily clones the online estimator
-  /// (same pinned probe seed => same probes) with a private scratch
-  /// adjacency (see PlanningContext::OnlineConnectivityIncrementOnSlot),
-  /// and candidates are reduced in serial order (argmax, lowest index wins
-  /// ties). Like precompute_threads, this knob is therefore deliberately
-  /// NOT part of the serving layer's precompute cache key or batch key
+  /// at any setting: every worker slot shares the context's immutable
+  /// online estimator and lazily copies a private scratch adjacency (see
+  /// PlanningContext::OnlineConnectivityIncrementOnSlot), and candidates
+  /// are reduced in serial order (argmax, lowest index wins ties). Like
+  /// precompute_threads, this knob is therefore deliberately NOT part of
+  /// the serving layer's precompute cache key or batch key
   /// (service/precompute_cache.h).
   /// ctbus-lint: key-exempt(bit-identical at any thread count — keying would fragment the cache)
   int eta_threads = 1;
-
-  /// Prune the Delta(e) precompute loop with the Lemma 3/4-style
-  /// per-candidate screen (connectivity/candidate_pruning.h): candidates
-  /// whose bounded increment cannot reach the prune_keep_rank-th largest
-  /// estimated increment are skipped, and the bound is stored in place of
-  /// the estimate (flagged in Precompute::pruned). Surviving candidates'
-  /// estimates are bit-identical to an unpruned run; pruned entries hold a
-  /// (larger) upper bound, so the stored table itself differs — which is
-  /// why this flag and prune_keep_rank ARE part of the precompute cache
-  /// key, unlike the thread knobs. Off by default: the golden-trace gate
-  /// replays byte-exact planner checksums. Stochastic path only (the
-  /// perturbation model is already O(m) per edge). See docs/PRECOMPUTE.md.
-  bool prune_candidates = false;
-
-  /// With prune_candidates: how many top candidates (by screen bound, and
-  /// independently by demand) are always estimated, and the rank whose
-  /// estimated value forms the pruning cutoff. Larger = safer + slower.
-  /// Deliberately independent of k so the precompute stays sweepable
-  /// across k / w / Tn / sn.
-  int prune_keep_rank = 128;
 
   /// Use the first-order perturbation model for Delta(e) pre-computation
   /// instead of per-edge stochastic trace estimation: one top-eigenpair

@@ -45,8 +45,8 @@ inline int ResolveThreadCount(int requested) {
 /// shards: shard s covers [s*n/S, (s+1)*n/S) — every index exactly once,
 /// shards within 1 of equal size. The calling thread executes shard 0 and
 /// pool thread s-1 executes shard s, so shard ids are stable across Runs
-/// and a caller may key long-lived per-shard scratch state (estimator
-/// clones, scratch matrices) off them. Exceptions thrown by shards are
+/// and a caller may key long-lived per-shard scratch state (such as
+/// scratch matrices) off them. Exceptions thrown by shards are
 /// captured; after every shard finished, the lowest shard id's exception
 /// is rethrown on the calling thread.
 ///

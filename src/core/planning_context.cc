@@ -4,13 +4,10 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <unordered_map>
 #include <utility>
 
 #include "connectivity/bounds.h"
-#include "connectivity/candidate_pruning.h"
 #include "connectivity/edge_increment.h"
 #include "connectivity/perturbation.h"
 #include "core/parallel_for.h"
@@ -23,31 +20,25 @@ namespace ctbus::core {
 namespace {
 
 /// Delta(e) via one stochastic trace estimate per edge, for the universe
-/// edges listed in `todo`, sharded over `num_threads` workers. Each shard
-/// owns a fresh adjacency copy and a fresh estimator; the estimator pins
-/// its probes from options.precompute_estimator.seed at construction, so
-/// every shard sees the same common random numbers and each edge's result
-/// is independent of sharding — bit-identical to a serial run.
+/// edges listed in `todo`, sharded over `num_threads` workers. One
+/// immutable estimator, its probes pinned from
+/// options.precompute_estimator.seed, serves the base estimate and every
+/// shard, so all edges see the same common random numbers; each shard owns
+/// only a fresh scratch adjacency. Each edge's result is therefore
+/// independent of sharding — bit-identical to a serial run.
 void ComputeStochasticIncrements(const graph::TransitNetwork& transit,
                                  const CtBusOptions& options,
                                  const EdgeUniverse& universe,
                                  const std::vector<int>& todo,
                                  int num_threads,
                                  std::vector<double>* increments) {
-  // The base estimate is shard-independent (deterministic, pinned probes):
-  // compute it once instead of once per shard.
-  const double base = [&] {
-    const linalg::SymmetricSparseMatrix adjacency = transit.AdjacencyMatrix();
-    const connectivity::ConnectivityEstimator estimator(
-        transit.num_stops(), options.precompute_estimator);
-    return estimator.Estimate(adjacency);
-  }();
+  const connectivity::ConnectivityEstimator estimator(
+      transit.num_stops(), options.precompute_estimator);
+  const double base = estimator.Estimate(transit.AdjacencyMatrix());
   ParallelFor(static_cast<int>(todo.size()), num_threads,
               [&](int /*shard*/, int begin, int end) {
                 linalg::SymmetricSparseMatrix adjacency =
                     transit.AdjacencyMatrix();
-                const connectivity::ConnectivityEstimator estimator(
-                    transit.num_stops(), options.precompute_estimator);
                 for (int i = begin; i < end; ++i) {
                   const PlannableEdge& edge = universe.edge(todo[i]);
                   (*increments)[todo[i]] = std::max(
@@ -118,9 +109,7 @@ std::vector<int> NewEdgeIds(const EdgeUniverse& universe) {
   return ids;
 }
 
-/// Runs the configured Delta(e) pass for `todo` and accumulates the stats
-/// (the pruning screen runs two passes per precompute, so the counters
-/// add up rather than overwrite).
+/// Runs the configured Delta(e) pass for `todo` and records its stats.
 void RunIncrementPass(const graph::TransitNetwork& transit,
                       const CtBusOptions& options,
                       const EdgeUniverse& universe,
@@ -136,126 +125,8 @@ void RunIncrementPass(const graph::TransitNetwork& transit,
     ComputeStochasticIncrements(transit, options, universe, todo, threads,
                                 &pre->increments);
   }
-  pre->stats.num_increments_recomputed += static_cast<int>(todo.size());
-  pre->stats.threads_used = std::max(pre->stats.threads_used, threads);
-}
-
-/// True when the Lemma 3/4 candidate screen applies: the stochastic path
-/// with CtBusOptions::prune_candidates set (the perturbation model is
-/// already O(m) per candidate — nothing worth skipping).
-bool PruningActive(const CtBusOptions& options) {
-  return options.prune_candidates && !options.use_perturbation_precompute;
-}
-
-/// Screened Delta(e) pass (see docs/PRECOMPUTE.md, "Candidate pruning").
-/// `todo` lists the universe ids to resolve; `filled[e]` marks is_new
-/// edges whose increments[] already hold a final *estimate* (warm-start
-/// carries) and may therefore anchor the cutoff. Two phases:
-///   1. Estimate the top prune_keep_rank candidates by screen bound plus
-///      the top prune_keep_rank by demand (the seeding signal). The
-///      prune_keep_rank-th largest value among these estimates and the
-///      carried ones is the cutoff c.
-///   2. Estimate every remaining candidate whose bound exceeds c; the
-///      rest store their bound with pruned[e] = 1 — a value <= c, so it
-///      cannot displace any top-keep_rank estimate in the ranked lists.
-/// Estimates are per-edge independent (fresh scratch adjacency, pinned
-/// probes), so survivors are bit-identical to an unpruned run.
-void PruneAndEstimateIncrements(const graph::TransitNetwork& transit,
-                                const CtBusOptions& options,
-                                const EdgeUniverse& universe,
-                                const std::vector<int>& todo,
-                                const std::vector<char>& filled,
-                                Precompute* pre) {
-  if (todo.empty()) return;
-  const int keep = std::max(1, options.prune_keep_rank);
-  const std::size_t count = todo.size();
-
-  // The screen shares the estimator's own baseline lambda(G): bounds and
-  // estimates must be measured against the same base for the cutoff
-  // comparison to be meaningful.
-  const linalg::SymmetricSparseMatrix adjacency = transit.AdjacencyMatrix();
-  const connectivity::ConnectivityEstimator estimator(
-      transit.num_stops(), options.precompute_estimator);
-  const double base_lambda = estimator.Estimate(adjacency);
-  const connectivity::CandidateScreen screen =
-      connectivity::CandidateScreen::Build(
-          adjacency, base_lambda, options.precompute_estimator.lanczos_steps,
-          options.precompute_estimator.seed ^ 0xc2b2ae3d27d4eb4fULL);
-
-  std::vector<std::pair<int, int>> endpoints;
-  endpoints.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const PlannableEdge& edge = universe.edge(todo[i]);
-    endpoints.emplace_back(edge.u, edge.v);
-  }
-  const std::vector<double> bounds = screen.EdgeBounds(endpoints);
-
-  // Phase 1 selection: indices into `todo`, deterministic order (value
-  // descending, universe id ascending on ties).
-  std::vector<int> by_bound(count);
-  std::vector<int> by_demand(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    by_bound[i] = static_cast<int>(i);
-    by_demand[i] = static_cast<int>(i);
-  }
-  std::sort(by_bound.begin(), by_bound.end(), [&](int a, int b) {
-    if (bounds[a] != bounds[b]) return bounds[a] > bounds[b];
-    return todo[a] < todo[b];
-  });
-  std::sort(by_demand.begin(), by_demand.end(), [&](int a, int b) {
-    const double da = universe.edge(todo[a]).demand;
-    const double db = universe.edge(todo[b]).demand;
-    if (da != db) return da > db;
-    return todo[a] < todo[b];
-  });
-  std::vector<char> in_phase1(count, 0);
-  for (std::size_t r = 0; r < count && r < static_cast<std::size_t>(keep);
-       ++r) {
-    in_phase1[by_bound[r]] = 1;
-    in_phase1[by_demand[r]] = 1;
-  }
-  std::vector<int> phase1;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (in_phase1[i]) phase1.push_back(todo[i]);
-  }
-  RunIncrementPass(transit, options, universe, phase1, pre);
-
-  // Cutoff: the keep-th largest known-final estimate (phase-1 results
-  // plus warm-start carries). With fewer than `keep` estimates in hand,
-  // nothing can be ruled out and everything is estimated.
-  std::vector<double> known;
-  known.reserve(phase1.size());
-  for (int e : phase1) known.push_back(pre->increments[e]);
-  if (!filled.empty()) {
-    for (int e = 0; e < universe.num_edges(); ++e) {
-      if (filled[e]) known.push_back(pre->increments[e]);
-    }
-  }
-  double cutoff = -std::numeric_limits<double>::infinity();
-  if (static_cast<int>(known.size()) >= keep) {
-    std::nth_element(known.begin(), known.begin() + (keep - 1), known.end(),
-                     std::greater<double>());
-    cutoff = known[keep - 1];
-  }
-
-  // Phase 2: survivors vs pruned.
-  std::vector<int> phase2;
-  int num_pruned = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (in_phase1[i]) continue;
-    if (bounds[i] > cutoff) {
-      phase2.push_back(todo[i]);
-    } else {
-      pre->increments[todo[i]] = bounds[i];
-      pre->pruned[todo[i]] = 1;
-      ++num_pruned;
-    }
-  }
-  RunIncrementPass(transit, options, universe, phase2, pre);
-
-  pre->stats.num_increments_estimated +=
-      static_cast<int>(phase1.size() + phase2.size());
-  pre->stats.num_increments_pruned += num_pruned;
+  pre->stats.num_increments_recomputed = static_cast<int>(todo.size());
+  pre->stats.threads_used = threads;
 }
 
 }  // namespace
@@ -280,14 +151,8 @@ Precompute PlanningContext::RunPrecompute(
   // Sharded over options.precompute_threads; bit-identical to serial.
   stopwatch.Reset();
   pre.increments.assign(pre.universe.num_edges(), 0.0);
-  if (PruningActive(options)) {
-    pre.pruned.assign(pre.universe.num_edges(), 0);
-    PruneAndEstimateIncrements(transit, options, pre.universe,
-                               NewEdgeIds(pre.universe), /*filled=*/{}, &pre);
-  } else {
-    RunIncrementPass(transit, options, pre.universe, NewEdgeIds(pre.universe),
-                     &pre);
-  }
+  RunIncrementPass(transit, options, pre.universe, NewEdgeIds(pre.universe),
+                   &pre);
   pre.stats.increments_seconds = stopwatch.Seconds();
   return pre;
 }
@@ -324,18 +189,9 @@ Precompute PlanningContext::DerivePrecompute(const graph::RoadNetwork& road,
     // added edges at zeroth order); carry the rest over from the donor.
     // Recomputed values are bit-identical to from-scratch; carried values
     // differ only by the second-order interaction with the added edges.
-    // With pruning on, carried entries also keep the donor's pruned flag,
-    // and the touched set goes through the same screen as a from-scratch
-    // run (carried estimates — not carried bounds — anchor the cutoff).
-    const bool pruning = PruningActive(options);
-    if (pruning) pre.pruned.assign(pre.universe.num_edges(), 0);
     std::vector<char> touched(transit.num_stops(), 0);
     for (int s : delta.touched_stops) touched[s] = 1;
-    struct Carried {
-      double increment = 0.0;
-      char pruned = 0;
-    };
-    std::unordered_map<std::uint64_t, Carried> prev_increment;
+    std::unordered_map<std::uint64_t, double> prev_increment;
     prev_increment.reserve(prev.universe.num_new_edges());
     const auto pair_key = [](int u, int v) {
       return (static_cast<std::uint64_t>(u) << 32) |
@@ -344,13 +200,9 @@ Precompute PlanningContext::DerivePrecompute(const graph::RoadNetwork& road,
     for (int e = 0; e < prev.universe.num_edges(); ++e) {
       const PlannableEdge& edge = prev.universe.edge(e);
       if (!edge.is_new) continue;
-      prev_increment.emplace(
-          pair_key(edge.u, edge.v),
-          Carried{prev.increments[e],
-                  static_cast<char>(prev.IsPruned(e) ? 1 : 0)});
+      prev_increment.emplace(pair_key(edge.u, edge.v), prev.increments[e]);
     }
     std::vector<int> todo;
-    std::vector<char> filled(pruning ? pre.universe.num_edges() : 0, 0);
     int carried = 0;
     for (int e = 0; e < pre.universe.num_edges(); ++e) {
       const PlannableEdge& edge = pre.universe.edge(e);
@@ -361,20 +213,11 @@ Precompute PlanningContext::DerivePrecompute(const graph::RoadNetwork& road,
       if (it == prev_increment.end()) {
         todo.push_back(e);  // touched, or (defensively) unknown to the donor
       } else {
-        pre.increments[e] = it->second.increment;
-        if (pruning) {
-          pre.pruned[e] = it->second.pruned;
-          filled[e] = it->second.pruned ? 0 : 1;
-        }
+        pre.increments[e] = it->second;
         ++carried;
       }
     }
-    if (pruning) {
-      PruneAndEstimateIncrements(transit, options, pre.universe, todo, filled,
-                                 &pre);
-    } else {
-      RunIncrementPass(transit, options, pre.universe, todo, &pre);
-    }
+    RunIncrementPass(transit, options, pre.universe, todo, &pre);
     pre.stats.num_increments_carried = carried;
   }
   pre.stats.increments_seconds = stopwatch.Seconds();

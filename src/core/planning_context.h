@@ -40,12 +40,6 @@ struct PrecomputeStats {
   int num_increments_recomputed = 0;
   /// Delta(e) values carried over verbatim from the donor precompute.
   int num_increments_carried = 0;
-  /// With CtBusOptions::prune_candidates: candidates actually estimated
-  /// (survivors of the screen, plus the always-estimated keep sets) vs
-  /// candidates whose stored value is the screen's upper bound instead.
-  /// Both 0 when pruning is off.
-  int num_increments_estimated = 0;
-  int num_increments_pruned = 0;
   /// Shards actually used for the Delta(e) loop (after clamping
   /// CtBusOptions::precompute_threads to the amount of work).
   int threads_used = 1;
@@ -76,25 +70,14 @@ struct SnapshotDelta {
 struct Precompute {
   EdgeUniverse universe;
   std::vector<double> increments;
-  /// Per universe edge, 1 if increments[e] holds the candidate screen's
-  /// upper bound instead of an estimate (CtBusOptions::prune_candidates).
-  /// Empty when pruning was off — every stored value is then an estimate
-  /// (or 0 for existing edges).
-  std::vector<char> pruned;
   PrecomputeStats stats;
-
-  /// True if increments[e] is a pruning bound rather than an estimate.
-  bool IsPruned(int e) const {
-    return !pruned.empty() && pruned[static_cast<std::size_t>(e)] != 0;
-  }
 
   /// Approximate resident footprint in bytes (universe + Delta(e) table).
   /// This is the unit the serving layer's byte-budgeted PrecomputeCache
   /// charges per entry. Deterministic; O(universe edges).
   std::size_t ApproxBytes() const {
     return sizeof(Precompute) - sizeof(EdgeUniverse) +
-           universe.ApproxBytes() + increments.size() * sizeof(double) +
-           pruned.size() * sizeof(char);
+           universe.ApproxBytes() + increments.size() * sizeof(double);
   }
 };
 
@@ -102,10 +85,10 @@ class PlanningContext {
  public:
   /// Runs only the expensive pre-computation phases. The Delta(e) loop is
   /// sharded over options.precompute_threads workers (1 = serial, <= 0 =
-  /// hardware concurrency); each shard owns its estimator and scratch
-  /// adjacency, so the result is bit-identical at any thread count for
-  /// both estimator paths. Thread-safe for concurrent callers (shares
-  /// nothing but its const inputs).
+  /// hardware concurrency); the shards share one immutable estimator and
+  /// each owns only a scratch adjacency, so the result is bit-identical at
+  /// any thread count for both estimator paths. Thread-safe for concurrent
+  /// callers (shares nothing but its const inputs).
   static Precompute RunPrecompute(const graph::RoadNetwork& road,
                                   const graph::TransitNetwork& transit,
                                   const CtBusOptions& options);
@@ -149,8 +132,9 @@ class PlanningContext {
   /// place. This is the hot path of the serving layer's cache hits: the
   /// Precompute is immutable, so any number of contexts (on any threads)
   /// may share one instance; each context only adds mutable state of its
-  /// own (scratch adjacency, estimator), which is what makes a *context*
-  /// single-threaded while the *precompute* is freely shared.
+  /// own (the scratch adjacencies; its estimator is immutable), which is
+  /// what makes a *context* single-threaded while the *precompute* is
+  /// freely shared.
   static PlanningContext BuildWithPrecompute(
       const graph::RoadNetwork& road, const graph::TransitNetwork& transit,
       const CtBusOptions& options,

@@ -516,12 +516,6 @@ void EncodePrecomputeBody(const core::Precompute& precompute,
   EncodeUniverseBody(precompute.universe, out);
   AppendU32(out, static_cast<std::uint32_t>(precompute.increments.size()));
   for (double inc : precompute.increments) AppendF64(out, inc);
-  AppendU8(out, precompute.pruned.empty() ? 0 : 1);
-  if (!precompute.pruned.empty()) {
-    for (char p : precompute.pruned) {
-      AppendU8(out, static_cast<std::uint8_t>(p));
-    }
-  }
   const auto& stats = precompute.stats;
   AppendF64(out, stats.universe_seconds);
   AppendF64(out, stats.increments_seconds);
@@ -530,8 +524,6 @@ void EncodePrecomputeBody(const core::Precompute& precompute,
   AppendI32(out, stats.derivation_depth);
   AppendI32(out, stats.num_increments_recomputed);
   AppendI32(out, stats.num_increments_carried);
-  AppendI32(out, stats.num_increments_estimated);
-  AppendI32(out, stats.num_increments_pruned);
   AppendI32(out, stats.threads_used);
 }
 
@@ -550,19 +542,6 @@ bool DecodePrecomputeBody(SnapshotReader* reader, core::Precompute* out) {
     if (!reader->ReadFiniteF64("increment", &inc)) return false;
     precompute.increments.push_back(inc);
   }
-  bool has_pruned = false;
-  if (!reader->ReadBool("has_pruned", &has_pruned)) return false;
-  if (has_pruned) {
-    // The pruned table, when present, must cover every universe edge —
-    // the count rides on the universe's, already byte-bounded above.
-    precompute.pruned.reserve(num_increments);
-    for (std::uint32_t i = 0; i < num_increments; ++i) {
-      std::uint8_t p = 0;
-      if (!reader->ReadU8("pruned_bit", &p)) return false;
-      if (p > 1) return reader->Fail("pruned_bit", "flag byte not 0 or 1");
-      precompute.pruned.push_back(static_cast<char>(p));
-    }
-  }
   auto& stats = precompute.stats;
   if (!reader->ReadFiniteF64("stats_universe_seconds",
                              &stats.universe_seconds) ||
@@ -574,9 +553,6 @@ bool DecodePrecomputeBody(SnapshotReader* reader, core::Precompute* out) {
       !reader->ReadI32("stats_recomputed",
                        &stats.num_increments_recomputed) ||
       !reader->ReadI32("stats_carried", &stats.num_increments_carried) ||
-      !reader->ReadI32("stats_estimated",
-                       &stats.num_increments_estimated) ||
-      !reader->ReadI32("stats_pruned", &stats.num_increments_pruned) ||
       !reader->ReadI32("stats_threads_used", &stats.threads_used)) {
     return false;
   }
@@ -618,8 +594,6 @@ void EncodeProvenanceBody(const PrecomputeProvenance& provenance,
   AppendU64(out, provenance.seed);
   AppendI32(out, provenance.probe_kind);
   AppendU8(out, provenance.use_perturbation ? 1 : 0);
-  AppendU8(out, provenance.prune_candidates ? 1 : 0);
-  AppendI32(out, provenance.prune_keep_rank);
 }
 
 bool DecodeProvenanceBody(SnapshotReader* reader,
@@ -631,10 +605,7 @@ bool DecodeProvenanceBody(SnapshotReader* reader,
       !reader->ReadU64("provenance_seed", &p.seed) ||
       !reader->ReadI32("provenance_probe_kind", &p.probe_kind) ||
       !reader->ReadBool("provenance_use_perturbation",
-                        &p.use_perturbation) ||
-      !reader->ReadBool("provenance_prune_candidates",
-                        &p.prune_candidates) ||
-      !reader->ReadI32("provenance_prune_keep_rank", &p.prune_keep_rank)) {
+                        &p.use_perturbation)) {
     return false;
   }
   *out = p;
@@ -792,26 +763,20 @@ bool PrecomputeProvenance::operator==(
   return tau == other.tau && probes == other.probes &&
          lanczos_steps == other.lanczos_steps && seed == other.seed &&
          probe_kind == other.probe_kind &&
-         use_perturbation == other.use_perturbation &&
-         prune_candidates == other.prune_candidates &&
-         prune_keep_rank == other.prune_keep_rank;
+         use_perturbation == other.use_perturbation;
 }
 
 PrecomputeProvenance MakeProvenance(const core::CtBusOptions& options) {
   PrecomputeProvenance p;
-  // Same normalization as service::MakePrecomputeKey: signed zero folded
-  // (so -0.0 and 0.0 serialize to one byte pattern) and the pruning knobs
-  // neutralized when inert — equal keys must mean equal files.
+  // Same normalization as service::MakePrecomputeKey: signed zero folded,
+  // so -0.0 and 0.0 serialize to one byte pattern — equal keys must mean
+  // equal files.
   p.tau = options.tau == 0.0 ? 0.0 : options.tau;
   p.probes = options.precompute_estimator.probes;
   p.lanczos_steps = options.precompute_estimator.lanczos_steps;
   p.seed = options.precompute_estimator.seed;
   p.probe_kind = static_cast<int>(options.precompute_estimator.probe_kind);
   p.use_perturbation = options.use_perturbation_precompute;
-  p.prune_candidates =
-      options.prune_candidates && !options.use_perturbation_precompute;
-  p.prune_keep_rank =
-      p.prune_candidates ? std::max(1, options.prune_keep_rank) : 0;
   return p;
 }
 

@@ -1,7 +1,7 @@
 // Checksummed binary snapshots: the millisecond cold-start path. A CTBS
 // file carries a whole city — road network, transit network, and
-// optionally the Delta(e) precompute (universe + increments + PR 8 pruned
-// bits) and the aggregated demand ranking — in a versioned, section-tagged,
+// optionally the Delta(e) precompute (universe + increments + stats) and
+// the aggregated demand ranking — in a versioned, section-tagged,
 // length-prefixed container, so a process restart loads in milliseconds
 // instead of re-parsing TSV text and re-running all-pairs Dijkstras.
 //
@@ -53,7 +53,7 @@ namespace ctbus::io {
 inline constexpr std::uint32_t kSnapshotMagic = 0x53425443u;
 /// Bumped on any layout change; loaders reject every other value (a stale
 /// format is a diagnostic for Load, and a plain miss for the cache spill).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 /// Hard bound on the section table, checked before it is walked.
 inline constexpr std::uint32_t kMaxSnapshotSections = 16;
 
@@ -72,14 +72,12 @@ struct PrecomputeProvenance {
   std::uint64_t seed = 0;
   int probe_kind = 0;
   bool use_perturbation = false;
-  bool prune_candidates = false;
-  int prune_keep_rank = 0;
 
   bool operator==(const PrecomputeProvenance& other) const;
 };
 
 /// Extracts the provenance of `options`, with the same normalization as
-/// service::MakePrecomputeKey (signed-zero tau, inert keep_rank -> 0).
+/// service::MakePrecomputeKey (signed-zero tau).
 PrecomputeProvenance MakeProvenance(const core::CtBusOptions& options);
 
 /// One city snapshot: networks always, precompute + demand optionally.

@@ -6,8 +6,8 @@
 // it: freezing per estimate plus a wide lane-outermost batch measured
 // slower than running the quadrature kernel on the adjacency lists
 // directly, because the matvec is a minor share of an estimate's time.
-// CsrMatrix remains only for CandidateScreen, bench_matvec and the
-// serving benchmark's kernel rows.
+// CsrMatrix remains only for bench_matvec and the serving benchmark's
+// kernel rows.
 //
 // Determinism contract: Freeze preserves the per-row entry order of the
 // source matrix, Apply accumulates each row in that order through a single

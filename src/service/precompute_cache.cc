@@ -24,8 +24,6 @@ io::PrecomputeProvenance ProvenanceOf(const PrecomputeKey& key) {
   p.seed = key.seed;
   p.probe_kind = key.probe_kind;
   p.use_perturbation = key.use_perturbation;
-  p.prune_candidates = key.prune_candidates;
-  p.prune_keep_rank = key.prune_keep_rank;
   return p;
 }
 
@@ -36,9 +34,7 @@ bool PrecomputeKey::operator==(const PrecomputeKey& other) const {
          snapshot_version == other.snapshot_version && tau == other.tau &&
          probes == other.probes && lanczos_steps == other.lanczos_steps &&
          seed == other.seed && probe_kind == other.probe_kind &&
-         use_perturbation == other.use_perturbation &&
-         prune_candidates == other.prune_candidates &&
-         prune_keep_rank == other.prune_keep_rank;
+         use_perturbation == other.use_perturbation;
 }
 
 PrecomputeKey MakePrecomputeKey(const std::string& dataset,
@@ -63,13 +59,6 @@ PrecomputeKey MakePrecomputeKey(const std::string& dataset,
   key.seed = options.precompute_estimator.seed;
   key.probe_kind = static_cast<int>(options.precompute_estimator.probe_kind);
   key.use_perturbation = options.use_perturbation_precompute;
-  // The screen only runs on the stochastic path, and keep_rank is inert
-  // when pruning is off — normalize both so equal-output requests share
-  // one key (and one request batch).
-  key.prune_candidates =
-      options.prune_candidates && !options.use_perturbation_precompute;
-  key.prune_keep_rank =
-      key.prune_candidates ? std::max(1, options.prune_keep_rank) : 0;
   return key;
 }
 
@@ -85,8 +74,6 @@ std::size_t PrecomputeKeyHash::operator()(const PrecomputeKey& key) const {
   h = mix(h, std::hash<std::uint64_t>()(key.seed));
   h = mix(h, static_cast<std::size_t>(key.probe_kind));
   h = mix(h, key.use_perturbation ? 1u : 2u);
-  h = mix(h, key.prune_candidates ? 1u : 2u);
-  h = mix(h, static_cast<std::size_t>(key.prune_keep_rank));
   return h;
 }
 

@@ -68,11 +68,6 @@ namespace ctbus::service {
 /// deliberately NOT key fields: both are bit-identical at any setting, so
 /// including them would only fragment the cache — and the batch grouping —
 /// across requests that provably produce the same precompute and plans.
-/// The pruning knobs (prune_candidates, prune_keep_rank) ARE key fields:
-/// pruned entries store an upper bound instead of an estimate, so the
-/// table's bytes depend on them (docs/PRECOMPUTE.md). keep_rank is
-/// normalized to 0 when pruning is off, so every non-pruning request maps
-/// to one key regardless of its (inert) keep_rank setting.
 /// tau is stored with signed zero normalized away (MakePrecomputeKey), so
 /// equal keys always hash equally.
 struct PrecomputeKey {
@@ -84,8 +79,6 @@ struct PrecomputeKey {
   std::uint64_t seed = 0;
   int probe_kind = 0;
   bool use_perturbation = false;
-  bool prune_candidates = false;
-  int prune_keep_rank = 0;
 
   bool operator==(const PrecomputeKey& other) const;
 };

@@ -1,8 +1,8 @@
 // Binary snapshot tests (src/io/snapshot.h): bit-identical round trips
-// against text-loaded originals (networks, universe, precompute with PR 8
-// pruned bits, demand ranking, inactive routes), byte-stable re-encoding
-// gated by a committed fixture (tests/data/grid.ctbs), the malformed-file
-// corpus (truncation at every section boundary, bad magic/version, flipped
+// against text-loaded originals (networks, universe, a derived precompute
+// with non-default stats, demand ranking, inactive routes), byte-stable
+// re-encoding gated by a committed fixture (tests/data/grid.ctbs), the
+// malformed-file corpus (truncation at every section boundary, bad magic/version, flipped
 // checksum byte, oversized section length, trailing garbage — every
 // failure names its section, Load never returns a partial object), and
 // the PrecomputeCacheEntry spill-record container.
@@ -119,12 +119,18 @@ TEST(SnapshotObjectsTest, TransitNetworkRoundTripsInactiveRoutes) {
 TEST(SnapshotObjectsTest, PrecomputeRoundTripsBitIdentically) {
   const graph::RoadNetwork road = GridRoad();
   const graph::TransitNetwork transit = GridTransit();
-  core::CtBusOptions options = GridOptions();
-  options.prune_candidates = true;  // exercise the PR 8 pruned bits
-  options.prune_keep_rank = 8;
-  const core::Precompute precompute =
+  const core::CtBusOptions options = GridOptions();
+  // A derived precompute exercises the non-default stats fields: stop 0
+  // marked touched recomputes its candidates and carries the rest.
+  const core::Precompute scratch =
       core::PlanningContext::RunPrecompute(road, transit, options);
-  ASSERT_FALSE(precompute.pruned.empty());
+  core::SnapshotDelta delta;
+  delta.touched_stops = {0};
+  const core::Precompute precompute = core::PlanningContext::DerivePrecompute(
+      road, transit, options, scratch, delta);
+  ASSERT_TRUE(precompute.stats.derived);
+  ASSERT_EQ(precompute.stats.derivation_depth, 1);
+  ASSERT_GT(precompute.stats.num_increments_carried, 0);
 
   std::vector<std::uint8_t> bytes;
   EncodePrecompute(precompute, &bytes);
@@ -137,10 +143,12 @@ TEST(SnapshotObjectsTest, PrecomputeRoundTripsBitIdentically) {
             precompute.universe.num_new_edges());
   EXPECT_EQ(decoded.universe.num_stops(), precompute.universe.num_stops());
   EXPECT_EQ(decoded.increments, precompute.increments);
-  EXPECT_EQ(decoded.pruned, precompute.pruned);
-  EXPECT_EQ(decoded.stats.derived, precompute.stats.derived);
-  EXPECT_EQ(decoded.stats.num_increments_pruned,
-            precompute.stats.num_increments_pruned);
+  EXPECT_TRUE(decoded.stats.derived);
+  EXPECT_EQ(decoded.stats.derivation_depth, 1);
+  EXPECT_EQ(decoded.stats.num_increments_recomputed,
+            precompute.stats.num_increments_recomputed);
+  EXPECT_EQ(decoded.stats.num_increments_carried,
+            precompute.stats.num_increments_carried);
   for (int s = 0; s < precompute.universe.num_stops(); ++s) {
     EXPECT_EQ(decoded.universe.IncidentEdges(s),
               precompute.universe.IncidentEdges(s));

@@ -184,6 +184,37 @@ TEST(PrecomputeCacheSpillTest, CorruptOrStaleFilesAreMissesNotErrors) {
   EXPECT_EQ(calls, 1) << "corrupt spill file must fall through to compute";
   EXPECT_FALSE(was_hit);
   EXPECT_EQ(cache.stats().spill_loads, 0u);
+
+  // A record that is valid in every byte except its header's format
+  // version, patched back to 1 (a spill file left by an older build).
+  io::PrecomputeCacheEntry entry;
+  entry.dataset = "grid";
+  entry.snapshot_version = 1;
+  entry.provenance = io::MakeProvenance(options);
+  entry.precompute = core::PlanningContext::RunPrecompute(
+      networks.road, networks.transit, options);
+  std::vector<std::uint8_t> bytes = io::EncodePrecomputeCacheEntry(entry);
+  io::PrecomputeCacheEntry decoded;
+  std::string error;
+  ASSERT_TRUE(io::DecodePrecomputeCacheEntry(bytes.data(), bytes.size(),
+                                             &decoded, &error))
+      << error;
+  bytes[4] = 1;
+  bytes[5] = 0;
+  bytes[6] = 0;
+  bytes[7] = 0;
+  const std::string stale_dir = FreshSpillDir("spill_stale_version");
+  PrecomputeCache stale(/*capacity=*/4, /*max_bytes=*/0, stale_dir);
+  ASSERT_TRUE(io::WriteFileBytes(stale.SpillPath(key), bytes, &error))
+      << error;
+  calls = 0;
+  was_hit = true;
+  ASSERT_NE(stale.GetOrCompute(key, ComputeFor(networks, options, &calls),
+                               &was_hit),
+            nullptr);
+  EXPECT_EQ(calls, 1) << "a stale format version must fall through to compute";
+  EXPECT_FALSE(was_hit);
+  EXPECT_EQ(stale.stats().spill_loads, 0u);
 }
 
 TEST(PrecomputeCacheSpillTest, WrongKeyOnDiskIsAMiss) {

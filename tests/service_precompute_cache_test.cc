@@ -261,52 +261,6 @@ TEST(PrecomputeCacheTest, ThreadCountKnobsStayOutOfTheKey) {
   EXPECT_EQ(PrecomputeKeyHash()(a), PrecomputeKeyHash()(b));
 }
 
-TEST(PrecomputeCacheTest, PruningKnobsAreKeyFields) {
-  // Pruned entries store a bound instead of an estimate, so the stored
-  // table depends on (prune_candidates, prune_keep_rank) — unlike the
-  // thread knobs, these must split the cache.
-  core::CtBusOptions plain;
-  core::CtBusOptions pruning;
-  pruning.prune_candidates = true;
-  const PrecomputeKey a = MakePrecomputeKey("a", 1, plain);
-  const PrecomputeKey b = MakePrecomputeKey("a", 1, pruning);
-  EXPECT_FALSE(a == b);
-
-  core::CtBusOptions other_rank = pruning;
-  other_rank.prune_keep_rank = 64;
-  EXPECT_FALSE(MakePrecomputeKey("a", 1, pruning) ==
-               MakePrecomputeKey("a", 1, other_rank));
-}
-
-TEST(PrecomputeCacheTest, InertPruneKnobsAreNormalizedOutOfTheKey) {
-  // With pruning off, keep_rank is inert; with the perturbation path,
-  // pruning itself is inert. Both normalize away so equal-output requests
-  // share one entry.
-  core::CtBusOptions a;
-  a.prune_keep_rank = 16;
-  core::CtBusOptions b;
-  b.prune_keep_rank = 512;
-  const PrecomputeKey ka = MakePrecomputeKey("a", 1, a);
-  const PrecomputeKey kb = MakePrecomputeKey("a", 1, b);
-  EXPECT_TRUE(ka == kb);
-  EXPECT_EQ(PrecomputeKeyHash()(ka), PrecomputeKeyHash()(kb));
-  EXPECT_EQ(ka.prune_keep_rank, 0);
-
-  core::CtBusOptions perturb;
-  perturb.use_perturbation_precompute = true;
-  perturb.prune_candidates = true;
-  perturb.prune_keep_rank = 99;
-  const PrecomputeKey kp = MakePrecomputeKey("a", 1, perturb);
-  EXPECT_FALSE(kp.prune_candidates);
-  EXPECT_EQ(kp.prune_keep_rank, 0);
-
-  // A non-positive keep rank normalizes to the engine's floor of 1.
-  core::CtBusOptions floor;
-  floor.prune_candidates = true;
-  floor.prune_keep_rank = -5;
-  EXPECT_EQ(MakePrecomputeKey("a", 1, floor).prune_keep_rank, 1);
-}
-
 TEST(PrecomputeCacheTest, WaiterSeesMissComputeExceptionAndEntryIsErased) {
   PrecomputeCache cache(4);
   const PrecomputeKey key = Key("a", 1);

@@ -11,7 +11,7 @@
 //         (--preset NAME [--scale X] | --road R.tsv --transit T.tsv
 //          [--trips TRIPS.csv])
 //         [--with-precompute [--tau M] [--probes N] [--lanczos-steps N]
-//          [--seed N] [--perturbation] [--prune [--keep-rank N]]
+//          [--seed N] [--perturbation]
 //          [--with-demand]]
 //
 //   Inspect — print the section table (tag, bytes, checksum, ok):
@@ -213,10 +213,6 @@ BuildArgs ParseBuildArgs(int argc, char** argv) {
           static_cast<std::uint64_t>(int_value(0));
     } else if (flag == "--perturbation") {
       args.options.use_perturbation_precompute = true;
-    } else if (flag == "--prune") {
-      args.options.prune_candidates = true;
-    } else if (flag == "--keep-rank") {
-      args.options.prune_keep_rank = int_value(1);
     } else {
       Die("unknown build flag " + flag);
     }
