@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "linalg/matvec.h"
@@ -37,6 +38,16 @@ struct EstimatorOptions {
   int lanczos_steps = 10;
   std::uint64_t seed = 1;
   ProbeKind probe_kind = ProbeKind::kGaussian;
+
+  /// Field-wise equality: two estimators built from equal options on one
+  /// dimension pin the same probes, so they return the same bits.
+  friend bool operator==(const EstimatorOptions& a, const EstimatorOptions& b) {
+    return std::tie(a.probes, a.lanczos_steps, a.seed, a.probe_kind) ==
+           std::tie(b.probes, b.lanczos_steps, b.seed, b.probe_kind);
+  }
+  friend bool operator!=(const EstimatorOptions& a, const EstimatorOptions& b) {
+    return !(a == b);
+  }
 };
 
 /// Exact natural connectivity via full eigendecomposition, O(n^3).

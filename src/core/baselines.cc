@@ -14,15 +14,15 @@ namespace ctbus::core {
 
 PlanResult RunVkTsp(const PlanningContext* context) {
   // The baseline is Algorithm 1 with w = 1 and new edges only
-  // (Section 7.2.1). A sibling context is derived from the caller's
-  // pre-computation (same universe and Delta(e)); only the weight and the
-  // edge restriction change.
+  // (Section 7.2.1). A sibling context is built over the caller's shared
+  // base (same universe, Delta(e), ranked lists L_d/L_lambda and base
+  // lambda), so only the per-request part — L_e under the new weight and a
+  // scratch adjacency — is rebuilt.
   CtBusOptions options = context->options();
   options.w = 1.0;
   options.new_edges_only = true;
-  PlanningContext baseline_context = PlanningContext::BuildWithPrecompute(
-      context->road(), context->transit(), options,
-      context->SharePrecompute());
+  PlanningContext baseline_context =
+      PlanningContext::Build(context->base(), options);
   PlanResult result = RunEta(&baseline_context, SearchMode::kPrecomputed);
   // Score the baseline's route under the caller's objective (the paper's
   // Table 6 reports all methods under the same weighted objective).

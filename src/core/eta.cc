@@ -331,8 +331,12 @@ class EtaSearch {
   std::priority_queue<QueueEntry> queue_;
   PlanResult result_;
   double best_objective_ = 0.0;
+  /// Lemma 4's connectivity term of UpperBound; only kOnline reads it, so
+  /// only kOnline pays for its eigenvalue run.
   const double lambda_increment_bound_ =
-      ctx_->PathConnectivityIncrementBound(options_.k);
+      mode_ == SearchMode::kOnline
+          ? ctx_->PathConnectivityIncrementBound(options_.k)
+          : 0.0;
 };
 
 }  // namespace

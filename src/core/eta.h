@@ -12,7 +12,7 @@
 //    is estimated on the spot with the shared Lanczos+Hutchinson estimator.
 //    With CtBusOptions::eta_threads > 1 the per-frontier estimates fan out
 //    over a persistent WorkerPool — one private scratch adjacency per
-//    worker slot, all sharing the context's immutable estimator, reduced
+//    worker slot, all sharing the base's immutable estimator, reduced
 //    in serial order — so results are bit-identical at any thread count.
 //  * kPrecomputed (ETA-Pre): the objective is linear in the edges via the
 //    integrated ranking L_e (Equation 11); no estimator calls during the

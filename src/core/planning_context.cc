@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
@@ -231,6 +232,34 @@ PlanningContext PlanningContext::Build(const graph::RoadNetwork& road,
                              RunPrecompute(road, transit, options));
 }
 
+PlanningBase::PlanningBase(
+    const graph::RoadNetwork& road, const graph::TransitNetwork& transit,
+    const connectivity::EstimatorOptions& online_estimator,
+    std::shared_ptr<const Precompute> precompute)
+    : road_(&road),
+      transit_(&transit),
+      precompute_(std::move(precompute)),
+      online_estimator_(online_estimator),
+      estimator_(transit.num_stops(), online_estimator),
+      base_lambda_(estimator_.Estimate(transit.AdjacencyMatrix())),
+      demand_list_(precompute_->universe.DemandScores()),
+      increment_list_(precompute_->increments) {}
+
+std::shared_ptr<const PlanningBase> PlanningBase::Build(
+    const graph::RoadNetwork& road, const graph::TransitNetwork& transit,
+    const connectivity::EstimatorOptions& online_estimator,
+    std::shared_ptr<const Precompute> precompute) {
+  return std::shared_ptr<const PlanningBase>(
+      new PlanningBase(road, transit, online_estimator, std::move(precompute)));
+}
+
+std::size_t PlanningBase::ApproxBytes() const {
+  return sizeof(PlanningBase) + precompute_->ApproxBytes() +
+         estimator_.ApproxBytes() - sizeof(connectivity::ConnectivityEstimator) +
+         demand_list_.ApproxBytes() - sizeof(demand::RankedList) +
+         increment_list_.ApproxBytes() - sizeof(demand::RankedList);
+}
+
 PlanningContext PlanningContext::BuildWithPrecompute(
     const graph::RoadNetwork& road, const graph::TransitNetwork& transit,
     const CtBusOptions& options, Precompute precompute) {
@@ -243,41 +272,45 @@ PlanningContext PlanningContext::BuildWithPrecompute(
     const graph::RoadNetwork& road, const graph::TransitNetwork& transit,
     const CtBusOptions& options,
     std::shared_ptr<const Precompute> precompute) {
+  return Build(PlanningBase::Build(road, transit, options.online_estimator,
+                                   std::move(precompute)),
+               options);
+}
+
+PlanningContext PlanningContext::Build(
+    std::shared_ptr<const PlanningBase> base, const CtBusOptions& options) {
+  if (options.online_estimator != base->online_estimator()) {
+    throw std::invalid_argument(
+        "PlanningContext::Build: options.online_estimator differs from the "
+        "base's online estimator");
+  }
   PlanningContext ctx;
-  ctx.road_ = &road;
-  ctx.transit_ = &transit;
+  ctx.base_ = std::move(base);
   ctx.options_ = options;
-  ctx.precompute_ = std::move(precompute);
-  const EdgeUniverse& universe = ctx.precompute_->universe;
-  const std::vector<double>& increments = ctx.precompute_->increments;
+  ctx.scratch_adjacency_ = ctx.transit().AdjacencyMatrix();
 
-  // Shared estimator + base connectivity.
-  ctx.scratch_adjacency_ = transit.AdjacencyMatrix();
-  ctx.estimator_ = std::make_unique<connectivity::ConnectivityEstimator>(
-      transit.num_stops(), options.online_estimator);
-  ctx.base_lambda_ = ctx.estimator_->Estimate(ctx.scratch_adjacency_);
-
-  // Ranked lists and Equation 12 normalization.
-  ctx.demand_list_ = demand::RankedList(universe.DemandScores());
-  ctx.increment_list_ = demand::RankedList(increments);
-  ctx.d_max_ = std::max(ctx.demand_list_.TopSum(options.k), 1e-12);
-  ctx.lambda_max_ = std::max(ctx.increment_list_.TopSum(options.k), 1e-12);
+  // Equation 12 normalization over the base's ranked lists.
+  ctx.d_max_ = std::max(ctx.demand_list().TopSum(options.k), 1e-12);
+  ctx.lambda_max_ = std::max(ctx.increment_list().TopSum(options.k), 1e-12);
 
   // Integrated per-edge objective scores L_e (Equation 11).
+  const EdgeUniverse& universe = ctx.universe();
+  const std::vector<double>& increments = ctx.increments();
   std::vector<double> objective_scores(universe.num_edges());
   for (int e = 0; e < universe.num_edges(); ++e) {
     objective_scores[e] =
         ctx.Objective(universe.edge(e).demand, increments[e]);
   }
   ctx.objective_list_ = demand::RankedList(std::move(objective_scores));
-
-  // Top eigenvalues for the Lemma 3/4 bounds.
-  const int needed = std::max(2 * options.k, 2);
-  linalg::Rng eig_rng(options.online_estimator.seed ^ 0x9e3779b9ULL);
-  ctx.top_eigenvalues_ = linalg::TopEigenvalues(
-      ctx.scratch_adjacency_, std::min(needed, transit.num_stops()),
-      std::min(transit.num_stops(), needed + 30), &eig_rng);
   return ctx;
+}
+
+std::vector<double> PlanningContext::top_eigenvalues() const {
+  const int n = transit().num_stops();
+  const int needed = std::max(2 * options_.k, 2);
+  linalg::Rng eig_rng(options_.online_estimator.seed ^ 0x9e3779b9ULL);
+  return linalg::TopEigenvalues(scratch_adjacency_, std::min(needed, n),
+                                std::min(n, needed + 30), &eig_rng);
 }
 
 double PlanningContext::Objective(double demand,
@@ -288,8 +321,8 @@ double PlanningContext::Objective(double demand,
 
 double PlanningContext::OnlineConnectivityIncrement(
     const std::vector<int>& path_edges) const {
-  return EstimateIncrementWith(precompute_->universe, *estimator_,
-                               &scratch_adjacency_, base_lambda_, path_edges);
+  return EstimateIncrementWith(universe(), estimator(), &scratch_adjacency_,
+                               base_lambda(), path_edges);
 }
 
 double PlanningContext::OnlineConnectivityIncrementOnSlot(
@@ -301,12 +334,12 @@ double PlanningContext::OnlineConnectivityIncrementOnSlot(
   if (scratch == nullptr) {
     // First use of this slot: copy the base adjacency (same deterministic
     // construction => same row layout). The estimator is immutable, so
-    // every slot shares the context's.
+    // every slot shares the base's.
     scratch = std::make_unique<linalg::SymmetricSparseMatrix>(
-        transit_->AdjacencyMatrix());
+        transit().AdjacencyMatrix());
   }
-  return EstimateIncrementWith(precompute_->universe, *estimator_,
-                               scratch.get(), base_lambda_, path_edges);
+  return EstimateIncrementWith(universe(), estimator(), scratch.get(),
+                               base_lambda(), path_edges);
 }
 
 void PlanningContext::ReserveOnlineEvalSlots(int n) const {
@@ -322,13 +355,9 @@ int PlanningContext::num_online_eval_units_built() const {
 }
 
 std::size_t PlanningContext::ApproxBytes() const {
-  std::size_t bytes = sizeof(PlanningContext) + precompute_->ApproxBytes() +
-                      demand_list_.ApproxBytes() +
-                      increment_list_.ApproxBytes() +
+  std::size_t bytes = sizeof(PlanningContext) + base_->ApproxBytes() +
                       objective_list_.ApproxBytes() +
-                      estimator_->ApproxBytes() +
                       scratch_adjacency_.ApproxBytes() +
-                      top_eigenvalues_.size() * sizeof(double) +
                       online_eval_units_.size() *
                           sizeof(std::unique_ptr<linalg::SymmetricSparseMatrix>);
   for (const auto& scratch : online_eval_units_) {
@@ -340,14 +369,15 @@ std::size_t PlanningContext::ApproxBytes() const {
 double PlanningContext::LinearConnectivityIncrement(
     const std::vector<int>& path_edges) const {
   double total = 0.0;
-  for (int e : path_edges) total += precompute_->increments[e];
+  const std::vector<double>& delta = increments();
+  for (int e : path_edges) total += delta[e];
   return total;
 }
 
 double PlanningContext::PathConnectivityIncrementBound(int k) const {
   const double bound = connectivity::PathUpperBound(
-      base_lambda_, top_eigenvalues_, k, transit_->num_stops());
-  return bound - base_lambda_;
+      base_lambda(), top_eigenvalues(), k, transit().num_stops());
+  return bound - base_lambda();
 }
 
 }  // namespace ctbus::core

@@ -1,8 +1,12 @@
-// Everything the planners need, assembled once per (dataset, options):
-// the plannable-edge universe, the Delta(e) pre-computation, the three
-// ranked lists (L_d, L_lambda, L_e), the shared connectivity estimator with
-// its base-network estimate, the top eigenvalues feeding the Lemma 3/4
-// bounds, and the Equation 12 normalization constants.
+// Everything the planners need, in two layers. PlanningBase is the
+// request-invariant part, built once per (snapshot, precompute, online
+// estimator) and shared immutably: the plannable-edge universe and Delta(e)
+// pre-computation, the ranked lists L_d and L_lambda, and the online
+// connectivity estimator with its base-network estimate. PlanningContext
+// is the thin per-request part over a shared base: the options, the
+// Equation 12 normalization constants, the integrated ranking L_e and the
+// scratch adjacencies the online estimates mutate. The top eigenvalues
+// behind the Lemma 4 bound are computed on demand, only by online ETA.
 #ifndef CTBUS_CORE_PLANNING_CONTEXT_H_
 #define CTBUS_CORE_PLANNING_CONTEXT_H_
 
@@ -81,6 +85,61 @@ struct Precompute {
   }
 };
 
+/// The request-invariant planning state over one (road, transit,
+/// precompute, online estimator): everything a context reads that does not
+/// depend on k, w, Tn or sn. Immutable once built, so one instance may back
+/// any number of contexts on any threads; the serving layer keeps one per
+/// worker and rebuilds it only when the snapshot, the precompute or the
+/// online estimator changes (service/planning_service.h).
+class PlanningBase {
+ public:
+  /// Estimates lambda(G_r) with the online estimator and sorts L_d and
+  /// L_lambda. `road` and `transit` must outlive the base; `precompute`
+  /// must have been produced for the same (road, transit, tau).
+  static std::shared_ptr<const PlanningBase> Build(
+      const graph::RoadNetwork& road, const graph::TransitNetwork& transit,
+      const connectivity::EstimatorOptions& online_estimator,
+      std::shared_ptr<const Precompute> precompute);
+
+  const graph::RoadNetwork& road() const { return *road_; }
+  const graph::TransitNetwork& transit() const { return *transit_; }
+  const std::shared_ptr<const Precompute>& precompute() const {
+    return precompute_;
+  }
+  const connectivity::EstimatorOptions& online_estimator() const {
+    return online_estimator_;
+  }
+  /// The shared (common-random-numbers) online estimator.
+  const connectivity::ConnectivityEstimator& estimator() const {
+    return estimator_;
+  }
+  /// lambda(G_r) as seen by the online estimator.
+  double base_lambda() const { return base_lambda_; }
+  /// L_d and L_lambda over universe edge ids.
+  const demand::RankedList& demand_list() const { return demand_list_; }
+  const demand::RankedList& increment_list() const { return increment_list_; }
+
+  /// Approximate resident footprint in bytes: the ranked lists, the
+  /// estimator's probes and the (possibly shared) precompute it holds
+  /// alive.
+  std::size_t ApproxBytes() const;
+
+ private:
+  PlanningBase(const graph::RoadNetwork& road,
+               const graph::TransitNetwork& transit,
+               const connectivity::EstimatorOptions& online_estimator,
+               std::shared_ptr<const Precompute> precompute);
+
+  const graph::RoadNetwork* road_;
+  const graph::TransitNetwork* transit_;
+  std::shared_ptr<const Precompute> precompute_;
+  connectivity::EstimatorOptions online_estimator_;
+  connectivity::ConnectivityEstimator estimator_;
+  double base_lambda_;
+  demand::RankedList demand_list_;
+  demand::RankedList increment_list_;
+};
+
 class PlanningContext {
  public:
   /// Runs only the expensive pre-computation phases. The Delta(e) loop is
@@ -120,39 +179,57 @@ class PlanningContext {
                                const graph::TransitNetwork& transit,
                                const CtBusOptions& options);
 
+  /// Builds the per-request part over a shared base: the normalization
+  /// constants, L_e and a scratch adjacency, O(universe edges) plus one
+  /// adjacency copy. This is the hot path of the serving layer, whose
+  /// workers reuse one base across requests. Any number of contexts (on
+  /// any threads) may share one base; each context only adds mutable
+  /// state of its own (the scratch adjacencies), which is what makes a
+  /// *context* single-threaded while the *base* is freely shared. Throws
+  /// std::invalid_argument unless options.online_estimator equals
+  /// base->online_estimator().
+  static PlanningContext Build(std::shared_ptr<const PlanningBase> base,
+                               const CtBusOptions& options);
+
   /// Builds a context around an existing pre-computation (moved in).
   /// The precompute must have been produced for the same (road, transit,
-  /// tau); only k / w / Tn / sn / estimator seeds may differ.
+  /// tau); only k / w / Tn / sn / estimator seeds may differ. Same as
+  /// Build(PlanningBase::Build(...), options).
   static PlanningContext BuildWithPrecompute(
       const graph::RoadNetwork& road, const graph::TransitNetwork& transit,
       const CtBusOptions& options, Precompute precompute);
 
-  /// Shares an existing pre-computation without copying it — the context
-  /// keeps the shared_ptr alive and reads the universe / increments in
-  /// place. This is the hot path of the serving layer's cache hits: the
-  /// Precompute is immutable, so any number of contexts (on any threads)
-  /// may share one instance; each context only adds mutable state of its
-  /// own (the scratch adjacencies; its estimator is immutable), which is
-  /// what makes a *context* single-threaded while the *precompute* is
-  /// freely shared.
+  /// Shares an existing pre-computation without copying it, building a
+  /// fresh base around it: Build(PlanningBase::Build(...), options).
+  /// Callers planning many requests over one precompute should build the
+  /// base once and call Build(base, options) instead.
   static PlanningContext BuildWithPrecompute(
       const graph::RoadNetwork& road, const graph::TransitNetwork& transit,
       const CtBusOptions& options,
       std::shared_ptr<const Precompute> precompute);
 
-  const graph::RoadNetwork& road() const { return *road_; }
-  const graph::TransitNetwork& transit() const { return *transit_; }
+  /// The shared request-invariant state this context reads through.
+  const std::shared_ptr<const PlanningBase>& base() const { return base_; }
+
+  const graph::RoadNetwork& road() const { return base_->road(); }
+  const graph::TransitNetwork& transit() const { return base_->transit(); }
   const CtBusOptions& options() const { return options_; }
-  const EdgeUniverse& universe() const { return precompute_->universe; }
+  const EdgeUniverse& universe() const {
+    return base_->precompute()->universe;
+  }
 
   /// L_d, L_lambda, L_e over universe edge ids.
-  const demand::RankedList& demand_list() const { return demand_list_; }
-  const demand::RankedList& increment_list() const { return increment_list_; }
+  const demand::RankedList& demand_list() const {
+    return base_->demand_list();
+  }
+  const demand::RankedList& increment_list() const {
+    return base_->increment_list();
+  }
   const demand::RankedList& objective_list() const { return objective_list_; }
 
   /// Delta(e) per universe edge (0 for existing edges).
   const std::vector<double>& increments() const {
-    return precompute_->increments;
+    return base_->precompute()->increments;
   }
 
   /// Normalization constants of Equation 12.
@@ -160,38 +237,38 @@ class PlanningContext {
   double lambda_max() const { return lambda_max_; }
 
   /// lambda(G_r) as seen by the shared estimator.
-  double base_lambda() const { return base_lambda_; }
+  double base_lambda() const { return base_->base_lambda(); }
 
   /// The shared (common-random-numbers) estimator.
   const connectivity::ConnectivityEstimator& estimator() const {
-    return *estimator_;
+    return base_->estimator();
   }
 
   /// Top eigenvalues of the base adjacency (descending), enough for the
-  /// Lemma 3/4 bounds at the configured k.
-  const std::vector<double>& top_eigenvalues() const {
-    return top_eigenvalues_;
-  }
+  /// Lemma 3/4 bounds at options().k. Computed on every call (a 2k + 30
+  /// step Lanczos run seeded from the online estimator) on the context's
+  /// scratch adjacency, so it shares OnlineConnectivityIncrement's
+  /// threading rule.
+  std::vector<double> top_eigenvalues() const;
 
   const PrecomputeStats& precompute_stats() const {
-    return precompute_->stats;
+    return base_->precompute()->stats;
   }
 
   /// Approximate resident footprint in bytes of this context's own state
-  /// plus the (possibly shared) precompute it holds alive: ranked lists,
-  /// estimator probes, scratch adjacency, eigenvalues, and the precompute
-  /// tables. Contexts sharing one precompute each report its bytes — the
-  /// serving layer accounts the shared copy once, via the cache.
+  /// (L_e, the scratch adjacencies) plus the base it holds alive.
+  /// Contexts sharing one base each report its bytes — the serving layer
+  /// accounts the shared precompute once, via the cache.
   std::size_t ApproxBytes() const;
 
   /// Copies out this context's pre-computation for reuse in sibling
   /// contexts (different k / w / Tn / sn over the same networks). Prefer
   /// SharePrecompute when a copy is not required.
-  Precompute ExportPrecompute() const { return *precompute_; }
+  Precompute ExportPrecompute() const { return *base_->precompute(); }
 
   /// Shares this context's pre-computation without copying.
   std::shared_ptr<const Precompute> SharePrecompute() const {
-    return precompute_;
+    return base_->precompute();
   }
 
   /// Normalized objective (Equation 3) from raw demand and connectivity
@@ -199,15 +276,16 @@ class PlanningContext {
   double Objective(double demand, double connectivity_increment) const;
 
   /// Online connectivity increment of a path's *new* edges, evaluated with
-  /// the shared estimator against the base network (the Lanczos call on
-  /// lines 10/13 of Algorithm 1). Const but NOT thread-safe per context:
-  /// it mutates and restores the internal scratch matrix, so concurrent
-  /// planners must each own a context (see service/planning_service.h).
+  /// the base's shared estimator against the base network (the Lanczos
+  /// call on lines 10/13 of Algorithm 1). Const but NOT thread-safe per
+  /// context: it mutates and restores the context's scratch matrix, so
+  /// concurrent planners must each own a context — contexts over one
+  /// shared base are fine (see service/planning_service.h).
   double OnlineConnectivityIncrement(const std::vector<int>& path_edges) const;
 
   /// OnlineConnectivityIncrement evaluated on worker slot `slot`'s private
   /// scratch adjacency, copied lazily on the slot's first use; every slot
-  /// shares the context's (immutable) estimator. Bit-identical to
+  /// shares the base's (immutable) estimator. Bit-identical to
   /// OnlineConnectivityIncrement: Set/Remove cycles restore the
   /// adjacency's row layout exactly, so every evaluation sees the base
   /// layout plus its own path edges regardless of which slot runs it.
@@ -238,20 +316,16 @@ class PlanningContext {
   double LinearConnectivityIncrement(const std::vector<int>& path_edges) const;
 
   /// Upper bound on the connectivity increment of any path completed to at
-  /// most k edges (Lemma 4, normalized to an increment).
+  /// most k edges (Lemma 4, normalized to an increment). Runs
+  /// top_eigenvalues(), so it costs one Lanczos eigenvalue run per call.
   double PathConnectivityIncrementBound(int k) const;
 
  private:
   PlanningContext() = default;
 
-  const graph::RoadNetwork* road_ = nullptr;
-  const graph::TransitNetwork* transit_ = nullptr;
+  std::shared_ptr<const PlanningBase> base_;
   CtBusOptions options_;
-  std::shared_ptr<const Precompute> precompute_;
-  demand::RankedList demand_list_;
-  demand::RankedList increment_list_;
   demand::RankedList objective_list_;
-  std::unique_ptr<connectivity::ConnectivityEstimator> estimator_;
   mutable linalg::SymmetricSparseMatrix scratch_adjacency_;
   /// Lazily-built per-worker scratch adjacencies (indexed by worker slot;
   /// see OnlineConnectivityIncrementOnSlot).
@@ -260,8 +334,6 @@ class PlanningContext {
   /// never race.
   mutable std::vector<std::unique_ptr<linalg::SymmetricSparseMatrix>>
       online_eval_units_;
-  double base_lambda_ = 0.0;
-  std::vector<double> top_eigenvalues_;
   double d_max_ = 1.0;
   double lambda_max_ = 1.0;
 };

@@ -615,6 +615,7 @@ void PlanningService::Shutdown() {
 }
 
 void PlanningService::WorkerLoop(Shard* shard, int worker_id) {
+  BaseMemo memo;
   for (;;) {
     std::vector<Task> batch;
     double assembly_start = 0.0;
@@ -653,7 +654,7 @@ void PlanningService::WorkerLoop(Shard* shard, int worker_id) {
     } else {
       shard->not_full.NotifyOne();
     }
-    ExecuteBatch(shard, std::move(batch), worker_id);
+    ExecuteBatch(shard, std::move(batch), worker_id, &memo);
   }
 }
 
@@ -689,7 +690,7 @@ std::vector<PlanningService::Task> PlanningService::NextBatchLocked(
 }
 
 void PlanningService::ExecuteBatch(Shard* shard, std::vector<Task> batch,
-                                   int worker_id) {
+                                   int worker_id, BaseMemo* memo) {
   const auto pickup_time = std::chrono::steady_clock::now();
   if (batch.size() > 1) {
     if (metrics_enabled_) {
@@ -794,15 +795,26 @@ void PlanningService::ExecuteBatch(Shard* shard, std::vector<Task> batch,
       result.stats.precompute_seconds = i == 0 ? precompute_seconds : 0.0;
       result.stats.precompute = precompute->stats;
 
-      // Private context per request: queries share the immutable snapshot
-      // and the const precompute (by shared_ptr, no copy), never the
-      // mutable search scratch.
+      // Private context per request over the worker's memoized base:
+      // queries share the immutable snapshot, precompute and base (by
+      // shared_ptr, no copy), never the mutable search scratch. The base
+      // is rebuilt only when one of its inputs changed; shared_ptr
+      // identity is exact here because the memo keeps the old snapshot
+      // and precompute alive, so their addresses cannot be reused.
       double phase_start = traced ? trace_.Now() : 0.0;
       Stopwatch phase_timer;
+      const connectivity::EstimatorOptions& online =
+          task.request.options.online_estimator;
+      if (memo->base == nullptr || memo->snapshot != snapshot ||
+          memo->base->precompute() != precompute ||
+          memo->base->online_estimator() != online) {
+        memo->base.reset();  // never hold two bases at once
+        memo->snapshot = snapshot;
+        memo->base = core::PlanningBase::Build(
+            *snapshot->road, *snapshot->transit, online, precompute);
+      }
       core::PlanningContext context =
-          core::PlanningContext::BuildWithPrecompute(
-              *snapshot->road, *snapshot->transit, task.request.options,
-              precompute);
+          core::PlanningContext::Build(memo->base, task.request.options);
       result.stats.context_seconds = phase_timer.Seconds();
       if (traced) {
         obs::Span span;

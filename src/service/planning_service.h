@@ -8,7 +8,8 @@
 //   highest-priority request and, for sweep traffic, gathers every queued
 //   request with the same batch key into one batch -> resolve snapshot
 //   (SnapshotStore) once per batch -> fetch/compute precompute
-//   (PrecomputeCache) once per batch -> build a private PlanningContext
+//   (PrecomputeCache) once per batch -> reuse or rebuild the worker's
+//   memoized core::PlanningBase -> build a private PlanningContext over it
 //   per request -> run the requested planner -> fulfill each future with
 //   PlanResult + stats.
 //
@@ -60,12 +61,20 @@
 // off by default and costs one branch when off; neither metrics nor
 // tracing ever changes a planning result.
 //
-// Every worker builds its own PlanningContext, so queries never share
+// Every request gets its own PlanningContext, so queries never share
 // mutable state: results are bit-identical to running the same requests
 // serially (the estimators are deterministic by construction). Snapshots
 // are held via shared_ptr for the duration of a query, so commits can
 // advance the city underneath without blocking or corrupting in-flight
 // work.
+//
+// Base memo: each worker keeps the last core::PlanningBase it built (the
+// request-invariant base lambda and ranked lists L_d / L_lambda) together
+// with the snapshot it points into, and reuses it while the snapshot, the
+// precompute and the online estimator options all match. The memo pins at
+// most one snapshot and one precompute per worker until that worker
+// serves a request that needs another, beyond the byte budgets and
+// retention policy below; it never changes a result.
 #ifndef CTBUS_SERVICE_PLANNING_SERVICE_H_
 #define CTBUS_SERVICE_PLANNING_SERVICE_H_
 
@@ -456,6 +465,17 @@ class PlanningService {
     std::uint64_t pinned_version = 0;
   };
 
+  /// One worker's memo of the request-invariant planning state it built
+  /// last (core::PlanningBase). Owned by WorkerLoop and touched only by
+  /// its worker, so it needs no lock. `snapshot` is held because the
+  /// base's road and transit pointers point into it; the base holds its
+  /// precompute. A memo therefore pins at most one snapshot and one
+  /// precompute per worker beyond what the store and cache retain.
+  struct BaseMemo {
+    SnapshotPtr snapshot;
+    std::shared_ptr<const core::PlanningBase> base;
+  };
+
   void WorkerLoop(Shard* shard, int worker_id) CTBUS_EXCLUDES(shard->mu);
   void CommitLoop() CTBUS_EXCLUDES(commit_mu_);
   /// Dequeues the next batch from `shard` (caller holds shard->mu):
@@ -463,9 +483,11 @@ class PlanningService {
   /// queued sweep task sharing its batch key (up to max_batch_size_).
   std::vector<Task> NextBatchLocked(Shard* shard) CTBUS_REQUIRES(shard->mu);
   /// Resolves snapshot + precompute once, then plans every task of the
-  /// batch with a private context, fulfilling each task's promise.
-  void ExecuteBatch(Shard* shard, std::vector<Task> batch, int worker_id)
-      CTBUS_EXCLUDES(shard->mu);
+  /// batch with a private context over the worker's memoized base
+  /// (rebuilt into `memo` when the snapshot, precompute or online
+  /// estimator differs), fulfilling each task's promise.
+  void ExecuteBatch(Shard* shard, std::vector<Task> batch, int worker_id,
+                    BaseMemo* memo) CTBUS_EXCLUDES(shard->mu);
   std::uint64_t CommitNow(const ServiceResult& result);
   std::shared_ptr<SnapshotStore> Store(const std::string& dataset) const
       CTBUS_EXCLUDES(datasets_mu_);

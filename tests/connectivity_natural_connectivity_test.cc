@@ -1,6 +1,7 @@
 #include "connectivity/natural_connectivity.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -99,6 +100,31 @@ TEST(NaturalConnectivityTest, DifferentSeedsDifferentEstimates) {
   o2.seed = 2;
   EXPECT_NE(NaturalConnectivityEstimate(a, o1),
             NaturalConnectivityEstimate(a, o2));
+}
+
+TEST(NaturalConnectivityTest, OptionsEqualityCoversEveryFieldOfTheResult) {
+  // operator== is what keys shared estimator state (the serving layer's
+  // per-worker planning base), so every field it compares must be one
+  // that changes an estimate, and every such field must be compared.
+  linalg::Rng rng(13);
+  const auto a = RandomGraph(60, 4.0, &rng);
+  const EstimatorOptions base;
+  EXPECT_TRUE(base == EstimatorOptions{});
+  EXPECT_FALSE(base != EstimatorOptions{});
+  const double base_estimate = ConnectivityEstimator(a.dim(), base).Estimate(a);
+
+  std::vector<EstimatorOptions> variants(4, base);
+  variants[0].probes = 20;
+  variants[1].lanczos_steps = 6;
+  variants[2].seed = 2;
+  variants[3].probe_kind = ProbeKind::kRademacher;
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    EXPECT_FALSE(variants[i] == base) << "field " << i;
+    EXPECT_TRUE(variants[i] != base) << "field " << i;
+    EXPECT_NE(ConnectivityEstimator(a.dim(), variants[i]).Estimate(a),
+              base_estimate)
+        << "field " << i;
+  }
 }
 
 TEST(NaturalConnectivityTest, EstimatorAccessors) {

@@ -2,15 +2,19 @@
 // SearchMode::kOnline must produce bit-identical results at any
 // CtBusOptions::eta_threads setting, for both expansion variants
 // (best-neighbor and ETA-AN). Each worker slot owns a private scratch
-// adjacency and shares the context's immutable estimator (same pinned
+// adjacency and shares the base's immutable estimator (same pinned
 // probes), and the candidate reduce replays the serial scan order, so
 // threading must not move a single bit (see core/eta.h and
-// docs/ARCHITECTURE.md).
+// docs/ARCHITECTURE.md). The same holds across searches: contexts over
+// one shared PlanningBase, planning on concurrent threads, must match
+// per-request builds run serially.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 #include <vector>
 
+#include "core/baselines.h"
 #include "core/eta.h"
 #include "core/planning_context.h"
 #include "gen/datasets.h"
@@ -127,6 +131,43 @@ TEST_P(EtaParallelTest, PrecomputedModeNeverForks) {
   EXPECT_EQ(parallel.slots_reserved, 0);
   EXPECT_EQ(parallel.units_built, 0);
   ExpectResultsIdentical(parallel.result, serial.result, /*threads=*/8);
+}
+
+TEST_P(EtaParallelTest, ConcurrentContextsOverOneBaseMatchSerial) {
+  // Contexts over one shared PlanningBase only add private scratch, so
+  // four threads planning at once (online ETA itself forking two frontier
+  // workers) must reproduce per-request builds run one after another.
+  CtBusOptions options = TestOptions(GetParam());
+  options.eta_threads = 2;
+  const auto plan_all = [](const PlanningContext& ctx) {
+    return std::vector<PlanResult>{RunEta(&ctx, SearchMode::kOnline),
+                                   RunEta(&ctx, SearchMode::kPrecomputed),
+                                   RunVkTsp(&ctx)};
+  };
+  const std::vector<PlanResult> serial =
+      plan_all(PlanningContext::BuildWithPrecompute(
+          dataset_->road, dataset_->transit, options, *precompute_));
+
+  const std::shared_ptr<const PlanningBase> base = PlanningBase::Build(
+      dataset_->road, dataset_->transit, options.online_estimator,
+      *precompute_);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<PlanResult>> concurrent(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      concurrent[t] = plan_all(PlanningContext::Build(base, options));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(concurrent[t].size(), serial.size());
+    for (std::size_t p = 0; p < serial.size(); ++p) {
+      SCOPED_TRACE(::testing::Message() << "thread " << t << " planner " << p);
+      ExpectResultsIdentical(concurrent[t][p], serial[p], /*threads=*/2);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BothExpansionVariants, EtaParallelTest,

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "connectivity/natural_connectivity.h"
+#include "core/baselines.h"
+#include "core/eta.h"
 #include "gen/datasets.h"
 
 namespace ctbus::core {
@@ -169,11 +174,102 @@ TEST_F(PlanningContextTest, PrecomputeStatsPopulated) {
 }
 
 TEST_F(PlanningContextTest, TopEigenvaluesDescending) {
-  const auto& top = context_->top_eigenvalues();
+  const std::vector<double> top = context_->top_eigenvalues();
   ASSERT_FALSE(top.empty());
   for (std::size_t i = 0; i + 1 < top.size(); ++i) {
     EXPECT_GE(top[i], top[i + 1] - 1e-9);
   }
+}
+
+/// The first three new edges by Delta(e) rank: a fixed route whose online
+/// increment exercises the scratch adjacency.
+std::vector<int> TopNewEdges(const PlanningContext& context) {
+  std::vector<int> edges;
+  for (int rank = 0; rank < context.increment_list().size(); ++rank) {
+    const int e = context.increment_list().EdgeAtRank(rank);
+    if (context.universe().edge(e).is_new) edges.push_back(e);
+    if (edges.size() == 3) break;
+  }
+  return edges;
+}
+
+/// Exact equality on purpose, doubles included: a context over a shared
+/// base must reproduce a per-request build to the last bit.
+void ExpectPlansIdentical(const PlanResult& a, const PlanResult& b) {
+  ASSERT_EQ(a.found, b.found);
+  EXPECT_EQ(a.path.edges(), b.path.edges());
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.connectivity_increment, b.connectivity_increment);
+  EXPECT_EQ(a.iterations, b.iterations);
+}
+
+TEST_F(PlanningContextTest, SharedBaseIsBitIdenticalToPerRequestBuild) {
+  const std::shared_ptr<const Precompute> precompute =
+      context_->SharePrecompute();
+  const std::shared_ptr<const PlanningBase> base = PlanningBase::Build(
+      dataset_->road, dataset_->transit, FastOptions().online_estimator,
+      precompute);
+  const std::vector<int> route = TopNewEdges(*context_);
+  ASSERT_FALSE(route.empty());
+  for (int k : {4, 8, 12}) {
+    for (double w : {0.3, 0.7}) {
+      SCOPED_TRACE(::testing::Message() << "k=" << k << " w=" << w);
+      CtBusOptions options = FastOptions();
+      options.k = k;
+      options.w = w;
+      const PlanningContext shared = PlanningContext::Build(base, options);
+      const PlanningContext fresh = PlanningContext::BuildWithPrecompute(
+          dataset_->road, dataset_->transit, options, precompute);
+      EXPECT_EQ(shared.base(), base);
+      EXPECT_EQ(shared.base_lambda(), fresh.base_lambda());
+      EXPECT_EQ(shared.d_max(), fresh.d_max());
+      EXPECT_EQ(shared.lambda_max(), fresh.lambda_max());
+      for (int e = 0; e < shared.universe().num_edges(); ++e) {
+        ASSERT_EQ(shared.objective_list().ValueOf(e),
+                  fresh.objective_list().ValueOf(e))
+            << "edge " << e;
+      }
+      EXPECT_EQ(shared.top_eigenvalues(), fresh.top_eigenvalues());
+      EXPECT_EQ(shared.PathConnectivityIncrementBound(k),
+                fresh.PathConnectivityIncrementBound(k));
+      EXPECT_EQ(shared.OnlineConnectivityIncrement(route),
+                fresh.OnlineConnectivityIncrement(route));
+    }
+  }
+}
+
+TEST_F(PlanningContextTest, PlannersAreBitIdenticalOnSharedBase) {
+  CtBusOptions options = FastOptions();
+  options.max_iterations = 40;  // online search is the expensive mode
+  const std::shared_ptr<const PlanningBase> base = PlanningBase::Build(
+      dataset_->road, dataset_->transit, options.online_estimator,
+      context_->SharePrecompute());
+  const PlanningContext shared = PlanningContext::Build(base, options);
+  const PlanningContext fresh = PlanningContext::BuildWithPrecompute(
+      dataset_->road, dataset_->transit, options, context_->SharePrecompute());
+  for (SearchMode mode : {SearchMode::kOnline, SearchMode::kPrecomputed}) {
+    const PlanResult a = RunEta(&shared, mode);
+    ASSERT_TRUE(a.found);
+    ExpectPlansIdentical(a, RunEta(&fresh, mode));
+  }
+  const PlanResult a = RunVkTsp(&shared);
+  ASSERT_TRUE(a.found);
+  ExpectPlansIdentical(a, RunVkTsp(&fresh));
+}
+
+TEST_F(PlanningContextTest, BaseRejectsAnotherOnlineEstimator) {
+  const std::shared_ptr<const PlanningBase> base = PlanningBase::Build(
+      dataset_->road, dataset_->transit, FastOptions().online_estimator,
+      context_->SharePrecompute());
+  CtBusOptions options = FastOptions();
+  options.online_estimator.seed += 1;
+  EXPECT_THROW(PlanningContext::Build(base, options), std::invalid_argument);
+}
+
+TEST_F(PlanningContextTest, ContextBytesIncludeItsBase) {
+  const std::shared_ptr<const PlanningBase>& base = context_->base();
+  EXPECT_GT(base->ApproxBytes(), context_->SharePrecompute()->ApproxBytes());
+  EXPECT_GT(context_->ApproxBytes(), base->ApproxBytes());
 }
 
 }  // namespace

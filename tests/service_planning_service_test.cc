@@ -190,6 +190,85 @@ TEST(PlanningServiceTest, SequentialCommitsFromOneSnapshotStack) {
             v1->transit->num_active_routes() + 2);
 }
 
+TEST(PlanningServiceTest, WorkerBaseMemoNeverServesStaleState) {
+  // One worker, so every request runs through the same base memo. The
+  // online seed alternates (memo misses on the estimator) and a commit
+  // lands midway (misses on the snapshot, then an explicit-version request
+  // back on v1). Warm start is off so each version's precompute is the
+  // from-scratch one the in-process reference builds.
+  ServiceOptions service_options;
+  service_options.num_threads = 1;
+  service_options.warm_start_precompute = false;
+  PlanningService service(service_options);
+  service.RegisterPreset("midtown");
+
+  const auto request_for = [](std::uint64_t online_seed,
+                              core::Planner planner,
+                              std::uint64_t version) {
+    PlanRequest request = MidtownRequest(planner);
+    request.options.online_estimator.seed = online_seed;
+    request.snapshot_version = version;  // 0 = latest
+    return request;
+  };
+  const auto expect_matches_in_process = [&](const ServiceResult& result) {
+    const SnapshotPtr snapshot =
+        service.Snapshot("midtown", result.stats.snapshot_version);
+    ASSERT_NE(snapshot, nullptr);
+    const core::CtBusOptions& options = result.request.options;
+    core::PlanningContext context = core::PlanningContext::BuildWithPrecompute(
+        *snapshot->road, *snapshot->transit, options,
+        core::PlanningContext::RunPrecompute(*snapshot->road,
+                                             *snapshot->transit, options));
+    core::PlanResult expected;
+    switch (result.request.planner) {
+      case core::Planner::kEta:
+        expected = core::RunEta(&context, core::SearchMode::kOnline);
+        break;
+      case core::Planner::kEtaPre:
+        expected = core::RunEta(&context, core::SearchMode::kPrecomputed);
+        break;
+      case core::Planner::kVkTsp:
+        expected = core::RunVkTsp(&context);
+        break;
+    }
+    ExpectBitIdentical(result.plan, expected);
+  };
+
+  std::vector<ServiceResult> v1_results;
+  for (std::uint64_t seed : {1, 2, 1, 2}) {
+    v1_results.push_back(
+        service.Plan(request_for(seed, core::Planner::kEtaPre, 0)));
+  }
+  v1_results.push_back(service.Plan(request_for(2, core::Planner::kEta, 0)));
+  for (const ServiceResult& result : v1_results) {
+    EXPECT_EQ(result.stats.snapshot_version, 1u);
+    expect_matches_in_process(result);
+  }
+  // Online seeds 1 and 2 share a precompute but not a base: the estimator
+  // alone distinguishes them, so their connectivity numbers differ.
+  EXPECT_NE(v1_results[0].plan.connectivity_increment,
+            v1_results[1].plan.connectivity_increment);
+
+  ASSERT_TRUE(v1_results[0].plan.found);
+  EXPECT_EQ(service.CommitAsync(v1_results[0]).get(), 2u);
+
+  std::vector<ServiceResult> after;
+  after.push_back(service.Plan(request_for(2, core::Planner::kEtaPre, 0)));
+  after.push_back(service.Plan(request_for(2, core::Planner::kVkTsp, 0)));
+  after.push_back(service.Plan(request_for(1, core::Planner::kEtaPre, 0)));
+  after.push_back(service.Plan(request_for(1, core::Planner::kEtaPre, 1)));
+  after.push_back(service.Plan(request_for(1, core::Planner::kEtaPre, 0)));
+  const std::vector<std::uint64_t> versions = {2, 2, 2, 1, 2};
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "post-commit request " << i);
+    EXPECT_EQ(after[i].stats.snapshot_version, versions[i]);
+    expect_matches_in_process(after[i]);
+  }
+  // A stale v1 base would replay the committed route; v2 plans past it.
+  EXPECT_NE(after[2].plan.path.stops(), after[3].plan.path.stops());
+  ExpectBitIdentical(after[3].plan, v1_results[2].plan);
+}
+
 TEST(PlanningServiceTest, UnknownDatasetAndVersionFail) {
   PlanningService service(ServiceOptions{});
   service.RegisterPreset("midtown");

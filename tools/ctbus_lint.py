@@ -420,6 +420,7 @@ APPROX_BYTES_OWNERS = (
     ("src/demand/ranked_list.h", "RankedList"),
     ("src/core/edge_universe.h", "EdgeUniverse"),
     ("src/core/planning_context.h", "Precompute"),
+    ("src/core/planning_context.h", "PlanningBase"),
     ("src/core/planning_context.h", "PlanningContext"),
     ("src/service/snapshot_store.h", "SnapshotStore"),
 )
