@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <utility>
+
+#include "io/bytes.h"
 
 namespace ctbus::io {
 namespace {
@@ -28,209 +30,6 @@ std::string TagToAscii(std::uint32_t tag) {
   return s;
 }
 
-// ------------------------------------------------------------ writing ----
-
-void AppendU8(std::vector<std::uint8_t>* out, std::uint8_t v) {
-  out->push_back(v);
-}
-
-void AppendU16(std::vector<std::uint8_t>* out, std::uint16_t v) {
-  out->push_back(static_cast<std::uint8_t>(v & 0xff));
-  out->push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void AppendU32(std::vector<std::uint8_t>* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void AppendU64(std::vector<std::uint8_t>* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void AppendI32(std::vector<std::uint8_t>* out, std::int32_t v) {
-  AppendU32(out, static_cast<std::uint32_t>(v));
-}
-
-void AppendI64(std::vector<std::uint8_t>* out, std::int64_t v) {
-  AppendU64(out, static_cast<std::uint64_t>(v));
-}
-
-void AppendF64(std::vector<std::uint8_t>* out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  AppendU64(out, bits);
-}
-
-void AppendString(std::vector<std::uint8_t>* out, const std::string& s) {
-  AppendU16(out, static_cast<std::uint16_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-void AppendIntList(std::vector<std::uint8_t>* out,
-                   const std::vector<int>& values) {
-  AppendU32(out, static_cast<std::uint32_t>(values.size()));
-  for (int v : values) AppendI32(out, static_cast<std::int32_t>(v));
-}
-
-// ------------------------------------------------------------ reading ----
-
-/// Strict bounded cursor over one section payload (net/frame.cc's
-/// PayloadReader with a section-name prefix): every Read* checks the
-/// remaining bytes, list counts are validated against the bytes actually
-/// present BEFORE any allocation, and the first failure is recorded as
-/// "<prefix>field <name> at offset <n>: <reason>"; later reads fail too,
-/// so call sites chain reads and check once.
-class SnapshotReader {
- public:
-  SnapshotReader(const std::uint8_t* data, std::size_t size,
-                 std::string prefix)
-      : data_(data), size_(size), prefix_(std::move(prefix)) {}
-
-  bool ok() const { return error_.empty(); }
-  const std::string& error() const { return error_; }
-
-  bool ReadU8(const char* field, std::uint8_t* out) {
-    if (!Require(field, 1)) return false;
-    *out = data_[offset_++];
-    return true;
-  }
-
-  bool ReadU32(const char* field, std::uint32_t* out) {
-    if (!Require(field, 4)) return false;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[offset_ + i]) << (8 * i);
-    }
-    offset_ += 4;
-    *out = v;
-    return true;
-  }
-
-  bool ReadU64(const char* field, std::uint64_t* out) {
-    if (!Require(field, 8)) return false;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[offset_ + i]) << (8 * i);
-    }
-    offset_ += 8;
-    *out = v;
-    return true;
-  }
-
-  bool ReadI32(const char* field, std::int32_t* out) {
-    std::uint32_t raw = 0;
-    if (!ReadU32(field, &raw)) return false;
-    *out = static_cast<std::int32_t>(raw);
-    return true;
-  }
-
-  bool ReadI64(const char* field, std::int64_t* out) {
-    std::uint64_t raw = 0;
-    if (!ReadU64(field, &raw)) return false;
-    *out = static_cast<std::int64_t>(raw);
-    return true;
-  }
-
-  bool ReadF64(const char* field, double* out) {
-    std::uint64_t bits = 0;
-    if (!ReadU64(field, &bits)) return false;
-    std::memcpy(out, &bits, sizeof(*out));
-    return true;
-  }
-
-  /// Finite-only double: NaN/Inf from disk must never reach the planner
-  /// (lengths feed Dijkstra orderings, increments feed objective math).
-  bool ReadFiniteF64(const char* field, double* out) {
-    if (!ReadF64(field, out)) return false;
-    if (!std::isfinite(*out)) return Fail(field, "non-finite value");
-    return true;
-  }
-
-  bool ReadBool(const char* field, bool* out) {
-    std::uint8_t v = 0;
-    if (!ReadU8(field, &v)) return false;
-    if (v > 1) return Fail(field, "flag byte not 0 or 1");
-    *out = v != 0;
-    return true;
-  }
-
-  bool ReadString(const char* field, std::size_t max_bytes,
-                  std::string* out) {
-    std::uint16_t length16 = 0;
-    if (!Require(field, 2)) return false;
-    length16 = static_cast<std::uint16_t>(data_[offset_] |
-                                          (data_[offset_ + 1] << 8));
-    offset_ += 2;
-    if (length16 > max_bytes) return Fail(field, "length above bound");
-    if (!Require(field, length16)) return false;
-    out->assign(reinterpret_cast<const char*>(data_ + offset_), length16);
-    offset_ += length16;
-    return true;
-  }
-
-  /// Reads a u32 element count for elements of `element_bytes` each,
-  /// validating the byte requirement against the real payload BEFORE the
-  /// caller allocates: a declared count the payload cannot possibly hold
-  /// fails here, so a corrupt length can never drive an allocation.
-  bool ReadCount(const char* field, std::size_t element_bytes,
-                 std::uint32_t* out) {
-    if (!ReadU32(field, out)) return false;
-    if (!Require(field, static_cast<std::size_t>(*out) * element_bytes)) {
-      return false;
-    }
-    return true;
-  }
-
-  bool ReadIntList(const char* field, std::vector<int>* out) {
-    std::uint32_t count = 0;
-    if (!ReadCount(field, 4, &count)) return false;
-    out->clear();
-    out->reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::int32_t v = 0;
-      ReadI32(field, &v);
-      out->push_back(static_cast<int>(v));
-    }
-    return ok();
-  }
-
-  /// The whole payload must be consumed: trailing bytes mean a framing
-  /// bug (or smuggled data) and are rejected like any bad field.
-  bool ExpectEnd() {
-    if (!ok()) return false;
-    if (offset_ != size_) {
-      return Fail("payload", "trailing bytes after last field");
-    }
-    return true;
-  }
-
-  bool Fail(const char* field, const std::string& reason) {
-    if (error_.empty()) {
-      error_ = prefix_ + "field " + field + " at offset " +
-               std::to_string(offset_) + ": " + reason;
-    }
-    return false;
-  }
-
- private:
-  bool Require(const char* field, std::size_t bytes) {
-    if (!ok()) return false;
-    if (size_ - offset_ < bytes) return Fail(field, "truncated payload");
-    return true;
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::string prefix_;
-  std::size_t offset_ = 0;
-  std::string error_;
-};
-
 // -------------------------------------------------------- object bodies ----
 // Encode*/Decode* pairs over an ongoing buffer/reader, shared by the
 // standalone object API and the section payloads of the containers.
@@ -251,7 +50,7 @@ void EncodeGraphBody(const graph::Graph& graph,
   }
 }
 
-bool DecodeGraphBody(SnapshotReader* reader, graph::Graph* out) {
+bool DecodeGraphBody(ByteReader* reader, graph::Graph* out) {
   std::uint32_t num_vertices = 0;
   if (!reader->ReadCount("num_vertices", 16, &num_vertices)) return false;
   graph::Graph graph;
@@ -292,7 +91,7 @@ void EncodeRoadBody(const graph::RoadNetwork& road,
   }
 }
 
-bool DecodeRoadBody(SnapshotReader* reader, graph::RoadNetwork* out) {
+bool DecodeRoadBody(ByteReader* reader, graph::RoadNetwork* out) {
   graph::Graph graph;
   if (!DecodeGraphBody(reader, &graph)) return false;
   std::uint32_t num_counts = 0;
@@ -342,7 +141,7 @@ void EncodeTransitBody(const graph::TransitNetwork& transit,
   }
 }
 
-bool DecodeTransitBody(SnapshotReader* reader, graph::TransitNetwork* out) {
+bool DecodeTransitBody(ByteReader* reader, graph::TransitNetwork* out) {
   std::uint32_t num_stops = 0;
   if (!reader->ReadCount("num_stops", 20, &num_stops)) return false;
   graph::TransitNetwork transit;
@@ -443,7 +242,7 @@ void EncodeUniverseBody(const core::EdgeUniverse& universe,
   }
 }
 
-bool DecodeUniverseBody(SnapshotReader* reader, core::EdgeUniverse* out) {
+bool DecodeUniverseBody(ByteReader* reader, core::EdgeUniverse* out) {
   std::uint32_t num_stops = 0;
   if (!reader->ReadCount("universe_num_stops", 0, &num_stops)) return false;
   std::uint32_t num_edges = 0;
@@ -527,7 +326,7 @@ void EncodePrecomputeBody(const core::Precompute& precompute,
   AppendI32(out, stats.threads_used);
 }
 
-bool DecodePrecomputeBody(SnapshotReader* reader, core::Precompute* out) {
+bool DecodePrecomputeBody(ByteReader* reader, core::Precompute* out) {
   core::Precompute precompute;
   if (!DecodeUniverseBody(reader, &precompute.universe)) return false;
   std::uint32_t num_increments = 0;
@@ -572,7 +371,7 @@ void EncodeRankedListBody(const demand::RankedList& list,
   for (int e = 0; e < list.size(); ++e) AppendF64(out, list.ValueOf(e));
 }
 
-bool DecodeRankedListBody(SnapshotReader* reader, demand::RankedList* out) {
+bool DecodeRankedListBody(ByteReader* reader, demand::RankedList* out) {
   std::uint32_t count = 0;
   if (!reader->ReadCount("num_scores", 8, &count)) return false;
   std::vector<double> scores;
@@ -596,7 +395,7 @@ void EncodeProvenanceBody(const PrecomputeProvenance& provenance,
   AppendU8(out, provenance.use_perturbation ? 1 : 0);
 }
 
-bool DecodeProvenanceBody(SnapshotReader* reader,
+bool DecodeProvenanceBody(ByteReader* reader,
                           PrecomputeProvenance* out) {
   PrecomputeProvenance p;
   if (!reader->ReadFiniteF64("provenance_tau", &p.tau) ||
@@ -631,7 +430,7 @@ std::vector<std::uint8_t> EncodeContainer(
   for (const SectionBlob& s : sections) {
     AppendU32(&out, s.tag);
     AppendU64(&out, static_cast<std::uint64_t>(s.payload.size()));
-    AppendU64(&out, SnapshotChecksum(s.payload.data(), s.payload.size()));
+    AppendU64(&out, Fnv1a64(s.payload.data(), s.payload.size()));
   }
   for (const SectionBlob& s : sections) {
     out.insert(out.end(), s.payload.begin(), s.payload.end());
@@ -657,7 +456,7 @@ bool FailContainer(std::string* error, const std::string& message) {
 /// decode enforces them before touching a payload).
 bool ParseContainer(const std::uint8_t* data, std::size_t size,
                     std::vector<SectionView>* out, std::string* error) {
-  SnapshotReader header(data, std::min<std::size_t>(size, 12), "header: ");
+  ByteReader header(data, std::min<std::size_t>(size, 12), "header: ");
   std::uint32_t magic = 0;
   std::uint32_t version = 0;
   std::uint32_t num_sections = 0;
@@ -680,7 +479,7 @@ bool ParseContainer(const std::uint8_t* data, std::size_t size,
   if (size - 12 < table_bytes) {
     return FailContainer(error, "header: truncated section table");
   }
-  SnapshotReader table(data + 12, table_bytes, "section table: ");
+  ByteReader table(data + 12, table_bytes, "section table: ");
   std::vector<SectionView> sections;
   sections.reserve(num_sections);
   std::size_t payload_offset = 12 + table_bytes;
@@ -718,7 +517,7 @@ bool ParseContainer(const std::uint8_t* data, std::size_t size,
 /// Checksum gate: verified over the raw payload BEFORE any decode of it,
 /// so no corrupt section ever drives an allocation or a partial object.
 bool VerifySectionChecksum(const SectionView& section, std::string* error) {
-  if (SnapshotChecksum(section.data, section.size) != section.checksum) {
+  if (Fnv1a64(section.data, section.size) != section.checksum) {
     return FailContainer(error, "section " + TagToAscii(section.tag) +
                                     ": checksum mismatch");
   }
@@ -728,7 +527,7 @@ bool VerifySectionChecksum(const SectionView& section, std::string* error) {
 bool DecodeSection(const SectionView& section, graph::RoadNetwork* out,
                    std::string* error) {
   if (!VerifySectionChecksum(section, error)) return false;
-  SnapshotReader reader(section.data, section.size, "section ROAD: ");
+  ByteReader reader(section.data, section.size, "section ROAD: ");
   if (!DecodeRoadBody(&reader, out) || !reader.ExpectEnd()) {
     return FailContainer(error, reader.error());
   }
@@ -738,7 +537,7 @@ bool DecodeSection(const SectionView& section, graph::RoadNetwork* out,
 bool DecodeSection(const SectionView& section, graph::TransitNetwork* out,
                    std::string* error) {
   if (!VerifySectionChecksum(section, error)) return false;
-  SnapshotReader reader(section.data, section.size, "section TRNS: ");
+  ByteReader reader(section.data, section.size, "section TRNS: ");
   if (!DecodeTransitBody(&reader, out) || !reader.ExpectEnd()) {
     return FailContainer(error, reader.error());
   }
@@ -749,15 +548,6 @@ bool DecodeSection(const SectionView& section, graph::TransitNetwork* out,
 
 // ------------------------------------------------------------- public ----
 
-std::uint64_t SnapshotChecksum(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a-64 offset basis
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 1099511628211ULL;  // FNV-1a-64 prime
-  }
-  return hash;
-}
-
 bool PrecomputeProvenance::operator==(
     const PrecomputeProvenance& other) const {
   return tau == other.tau && probes == other.probes &&
@@ -767,10 +557,14 @@ bool PrecomputeProvenance::operator==(
 }
 
 PrecomputeProvenance MakeProvenance(const core::CtBusOptions& options) {
+  // A NaN key never equals itself (every cache lookup would miss), and a
+  // file carrying it fails its own verify. A throw, not an assert, so it
+  // holds in NDEBUG builds too.
+  if (std::isnan(options.tau)) {
+    throw std::invalid_argument("MakeProvenance: tau must not be NaN");
+  }
   PrecomputeProvenance p;
-  // Same normalization as service::MakePrecomputeKey: signed zero folded,
-  // so -0.0 and 0.0 serialize to one byte pattern — equal keys must mean
-  // equal files.
+  // Signed zero folded: equal keys must serialize and hash alike.
   p.tau = options.tau == 0.0 ? 0.0 : options.tau;
   p.probes = options.precompute_estimator.probes;
   p.lanczos_steps = options.precompute_estimator.lanczos_steps;
@@ -785,7 +579,7 @@ std::uint64_t NetworkFingerprint(const graph::RoadNetwork& road,
   std::vector<std::uint8_t> bytes;
   EncodeRoadBody(road, &bytes);
   EncodeTransitBody(transit, &bytes);
-  return SnapshotChecksum(bytes.data(), bytes.size());
+  return Fnv1a64(bytes.data(), bytes.size());
 }
 
 std::uint64_t StableSpillHash(const std::string& dataset,
@@ -795,7 +589,7 @@ std::uint64_t StableSpillHash(const std::string& dataset,
   AppendString(&bytes, dataset);
   AppendU64(&bytes, snapshot_version);
   EncodeProvenanceBody(provenance, &bytes);
-  return SnapshotChecksum(bytes.data(), bytes.size());
+  return Fnv1a64(bytes.data(), bytes.size());
 }
 
 // Standalone object pairs: encode appends the body; decode wraps the whole
@@ -806,7 +600,7 @@ std::uint64_t StableSpillHash(const std::string& dataset,
   }                                                                         \
   bool Decode##Name(const std::uint8_t* data, std::size_t size, Type* out, \
                     std::string* error) {                                   \
-    SnapshotReader reader(data, size, "");                                  \
+    ByteReader reader(data, size);                                          \
     Type value;                                                             \
     if (!Decode##Body(&reader, &value) || !reader.ExpectEnd()) {            \
       if (error != nullptr) *error = reader.error();                        \
@@ -816,7 +610,6 @@ std::uint64_t StableSpillHash(const std::string& dataset,
     return true;                                                            \
   }
 
-CTBUS_SNAPSHOT_OBJECT_API(Graph, graph::Graph, GraphBody)
 CTBUS_SNAPSHOT_OBJECT_API(RoadNetwork, graph::RoadNetwork, RoadBody)
 CTBUS_SNAPSHOT_OBJECT_API(TransitNetwork, graph::TransitNetwork, TransitBody)
 CTBUS_SNAPSHOT_OBJECT_API(EdgeUniverse, core::EdgeUniverse, UniverseBody)
@@ -902,7 +695,7 @@ bool DecodeSnapshot(const std::uint8_t* data, std::size_t size,
 
   if (const SectionView* prec = find(kTagPrecompute)) {
     if (!VerifySectionChecksum(*prec, error)) return false;
-    SnapshotReader reader(prec->data, prec->size, "section PREC: ");
+    ByteReader reader(prec->data, prec->size, "section PREC: ");
     if (!DecodeProvenanceBody(&reader, &snapshot.provenance) ||
         !DecodePrecomputeBody(&reader, &snapshot.precompute) ||
         !reader.ExpectEnd()) {
@@ -937,7 +730,7 @@ bool DecodeSnapshot(const std::uint8_t* data, std::size_t size,
           error, "section DMND: demand ranking requires a PREC section");
     }
     if (!VerifySectionChecksum(*dmnd, error)) return false;
-    SnapshotReader reader(dmnd->data, dmnd->size, "section DMND: ");
+    ByteReader reader(dmnd->data, dmnd->size, "section DMND: ");
     if (!DecodeRankedListBody(&reader, &snapshot.demand) ||
         !reader.ExpectEnd()) {
       return FailContainer(error, reader.error());
@@ -999,7 +792,7 @@ bool DecodePrecomputeCacheEntry(const std::uint8_t* data, std::size_t size,
   if (!VerifySectionChecksum(sections[1], error)) return false;
   PrecomputeCacheEntry entry;
   {
-    SnapshotReader reader(sections[0].data, sections[0].size,
+    ByteReader reader(sections[0].data, sections[0].size,
                           "section SKEY: ");
     if (!reader.ReadString("dataset", kMaxDatasetName, &entry.dataset) ||
         !reader.ReadU64("snapshot_version", &entry.snapshot_version) ||
@@ -1011,7 +804,7 @@ bool DecodePrecomputeCacheEntry(const std::uint8_t* data, std::size_t size,
     }
   }
   {
-    SnapshotReader reader(sections[1].data, sections[1].size,
+    ByteReader reader(sections[1].data, sections[1].size,
                           "section PREC: ");
     if (!DecodePrecomputeBody(&reader, &entry.precompute) ||
         !reader.ExpectEnd()) {
@@ -1053,7 +846,7 @@ std::optional<std::vector<SnapshotSectionInfo>> InspectSnapshot(
     info.payload_bytes = section.size;
     info.checksum = section.checksum;
     info.checksum_ok =
-        SnapshotChecksum(section.data, section.size) == section.checksum;
+        Fnv1a64(section.data, section.size) == section.checksum;
     infos.push_back(std::move(info));
   }
   return infos;

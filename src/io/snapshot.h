@@ -12,14 +12,14 @@
 //   per section: u32 tag, u64 payload bytes, u64 FNV-1a-64 checksum
 //   section payloads, in table order, back to back — no trailing bytes.
 //
-// Decode discipline (mirrors net/frame.cc): the section table is bounds-
-// checked against the real file size before anything else; each section's
-// checksum is verified over its raw payload BEFORE the payload is decoded,
-// so a corrupt section can never drive an allocation; every field read
-// goes through a strict bounded cursor that rejects truncation, oversized
-// list counts, and trailing bytes, and names the failing section + field +
-// offset in its diagnostic. Load never returns a partial object: on any
-// failure the output is untouched.
+// Decode discipline (shared with net/frame.cc): the section table is
+// bounds-checked against the real file size before anything else; each
+// section's checksum is verified over its raw payload BEFORE the payload
+// is decoded, so a corrupt section can never drive an allocation; every
+// field read goes through io::ByteReader (io/bytes.h), which rejects
+// truncation, oversized list counts, and trailing bytes, and names the
+// failing section + field + offset. Load never returns a partial
+// object: on any failure the output is untouched.
 //
 // Byte stability: encoding iterates container state in dense id order, so
 // encoding the same in-memory objects always produces the same bytes, and
@@ -51,20 +51,16 @@ namespace ctbus::io {
 
 /// "CTBS" as a little-endian u32.
 inline constexpr std::uint32_t kSnapshotMagic = 0x53425443u;
-/// Bumped on any layout change; loaders reject every other value (a stale
-/// format is a diagnostic for Load, and a plain miss for the cache spill).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+/// Bumped on any layout or checksum change; loaders reject every other
+/// value (stale formats: a diagnostic for Load, a plain miss for the spill).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 /// Hard bound on the section table, checked before it is walked.
 inline constexpr std::uint32_t kMaxSnapshotSections = 16;
 
-/// FNV-1a-64 over a byte range — the per-section checksum. Same constants
-/// as net::Fnv1a64; duplicated here because io sits below the net layer.
-std::uint64_t SnapshotChecksum(const std::uint8_t* data, std::size_t size);
-
-/// The CtBusOptions fields a Delta(e) precompute's output depends on —
-/// exactly the option fields of service::PrecomputeKey (budgets and thread
-/// knobs stay out, as in-memory). Stored next to every serialized
-/// precompute so a loader can tell whether a file answers its question.
+/// The CtBusOptions fields a Delta(e) precompute's output depends on, as
+/// embedded in service::PrecomputeKey (budgets and thread knobs stay out).
+/// Stored next to every serialized precompute so a loader can tell
+/// whether a file answers its question.
 struct PrecomputeProvenance {
   double tau = 0.0;
   int probes = 0;
@@ -76,8 +72,8 @@ struct PrecomputeProvenance {
   bool operator==(const PrecomputeProvenance& other) const;
 };
 
-/// Extracts the provenance of `options`, with the same normalization as
-/// service::MakePrecomputeKey (signed-zero tau).
+/// The one normalizer of the precompute identity: folds signed-zero tau,
+/// throws std::invalid_argument on a NaN tau.
 PrecomputeProvenance MakeProvenance(const core::CtBusOptions& options);
 
 /// One city snapshot: networks always, precompute + demand optionally.
@@ -122,10 +118,6 @@ std::uint64_t StableSpillHash(const std::string& dataset,
 // byte form; Decode consumes the WHOLE buffer (trailing bytes are an
 // error), writes *out only on success, and reports failures as
 // "field <name> at offset <n>: <reason>" through *error.
-
-void EncodeGraph(const graph::Graph& graph, std::vector<std::uint8_t>* out);
-bool DecodeGraph(const std::uint8_t* data, std::size_t size,
-                 graph::Graph* out, std::string* error);
 
 void EncodeRoadNetwork(const graph::RoadNetwork& road,
                        std::vector<std::uint8_t>* out);

@@ -1,189 +1,10 @@
 #include "net/frame.h"
 
 #include <cmath>
-#include <cstring>
-#include <limits>
+
+#include "io/bytes.h"
 
 namespace ctbus::net {
-namespace {
-
-// ------------------------------------------------------------ writing ----
-
-void AppendU8(std::vector<std::uint8_t>* out, std::uint8_t v) {
-  out->push_back(v);
-}
-
-void AppendU16(std::vector<std::uint8_t>* out, std::uint16_t v) {
-  out->push_back(static_cast<std::uint8_t>(v & 0xff));
-  out->push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void AppendU32(std::vector<std::uint8_t>* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void AppendU64(std::vector<std::uint8_t>* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void AppendI32(std::vector<std::uint8_t>* out, std::int32_t v) {
-  AppendU32(out, static_cast<std::uint32_t>(v));
-}
-
-void AppendF64(std::vector<std::uint8_t>* out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  AppendU64(out, bits);
-}
-
-void AppendString(std::vector<std::uint8_t>* out, const std::string& s) {
-  AppendU16(out, static_cast<std::uint16_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-void AppendIntList(std::vector<std::uint8_t>* out,
-                   const std::vector<int>& values) {
-  AppendU32(out, static_cast<std::uint32_t>(values.size()));
-  for (int v : values) AppendI32(out, static_cast<std::int32_t>(v));
-}
-
-// ------------------------------------------------------------ reading ----
-
-/// Strict bounded cursor over one payload: every Read* checks the
-/// remaining bytes and records a "field <name>: reason" diagnostic on
-/// the first failure; once failed, every later read fails too, so call
-/// sites can chain reads and check once.
-class PayloadReader {
- public:
-  PayloadReader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  bool ok() const { return error_.empty(); }
-  const std::string& error() const { return error_; }
-  std::size_t offset() const { return offset_; }
-
-  bool ReadU8(const char* field, std::uint8_t* out) {
-    if (!Require(field, 1)) return false;
-    *out = data_[offset_++];
-    return true;
-  }
-
-  bool ReadU16(const char* field, std::uint16_t* out) {
-    if (!Require(field, 2)) return false;
-    *out = static_cast<std::uint16_t>(data_[offset_] |
-                                      (data_[offset_ + 1] << 8));
-    offset_ += 2;
-    return true;
-  }
-
-  bool ReadU32(const char* field, std::uint32_t* out) {
-    if (!Require(field, 4)) return false;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[offset_ + i]) << (8 * i);
-    }
-    offset_ += 4;
-    *out = v;
-    return true;
-  }
-
-  bool ReadU64(const char* field, std::uint64_t* out) {
-    if (!Require(field, 8)) return false;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[offset_ + i]) << (8 * i);
-    }
-    offset_ += 8;
-    *out = v;
-    return true;
-  }
-
-  bool ReadI32(const char* field, std::int32_t* out) {
-    std::uint32_t raw = 0;
-    if (!ReadU32(field, &raw)) return false;
-    *out = static_cast<std::int32_t>(raw);
-    return true;
-  }
-
-  bool ReadF64(const char* field, double* out) {
-    std::uint64_t bits = 0;
-    if (!ReadU64(field, &bits)) return false;
-    std::memcpy(out, &bits, sizeof(*out));
-    return true;
-  }
-
-  /// Finite-only double: NaN/Inf from the wire must never reach the
-  /// planner (tau feeds an assert-guarded cache key, w feeds Equation 3).
-  bool ReadFiniteF64(const char* field, double* out) {
-    if (!ReadF64(field, out)) return false;
-    if (!std::isfinite(*out)) return Fail(field, "non-finite value");
-    return true;
-  }
-
-  bool ReadString(const char* field, std::size_t max_bytes,
-                  std::string* out) {
-    std::uint16_t length = 0;
-    if (!ReadU16(field, &length)) return false;
-    if (length > max_bytes) return Fail(field, "length above bound");
-    if (!Require(field, length)) return false;
-    out->assign(reinterpret_cast<const char*>(data_ + offset_), length);
-    offset_ += length;
-    return true;
-  }
-
-  bool ReadIntList(const char* field, std::size_t max_elements,
-                   std::vector<int>* out) {
-    std::uint32_t count = 0;
-    if (!ReadU32(field, &count)) return false;
-    if (count > max_elements) return Fail(field, "element count above bound");
-    // Bounded before allocation: count was validated against max_elements,
-    // and the byte requirement is re-checked against the real payload.
-    if (!Require(field, static_cast<std::size_t>(count) * 4)) return false;
-    out->clear();
-    out->reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::int32_t v = 0;
-      ReadI32(field, &v);
-      out->push_back(static_cast<int>(v));
-    }
-    return ok();
-  }
-
-  /// The whole payload must be consumed: trailing bytes mean a framing
-  /// bug (or smuggled data) and are rejected like any bad field.
-  bool ExpectEnd() {
-    if (!ok()) return false;
-    if (offset_ != size_) {
-      return Fail("payload", "trailing bytes after last field");
-    }
-    return true;
-  }
-
-  bool Fail(const char* field, const char* reason) {
-    if (error_.empty()) {
-      error_ = std::string("field ") + field + " at offset " +
-               std::to_string(offset_) + ": " + reason;
-    }
-    return false;
-  }
-
- private:
-  bool Require(const char* field, std::size_t bytes) {
-    if (!ok()) return false;
-    if (size_ - offset_ < bytes) return Fail(field, "truncated payload");
-    return true;
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t offset_ = 0;
-  std::string error_;
-};
 
 // ----------------------------------------------- options (de)coding ----
 
@@ -205,6 +26,61 @@ void UnpackFlags(std::uint8_t flags, core::CtBusOptions* options) {
   options->new_edges_only = (flags & (1u << 4)) != 0;
 }
 
+const char* EstimatorRangeError(
+    const connectivity::EstimatorOptions& estimator) {
+  if (estimator.probes < 1 || estimator.probes > 100000) {
+    return "probes out of [1, 100000]";
+  }
+  if (estimator.lanczos_steps < 1 || estimator.lanczos_steps > 10000) {
+    return "lanczos_steps out of [1, 10000]";
+  }
+  const int kind = static_cast<int>(estimator.probe_kind);
+  if (kind < 0 ||
+      kind > static_cast<int>(connectivity::ProbeKind::kRademacher)) {
+    return "unknown probe kind";
+  }
+  return nullptr;
+}
+
+const char* RequestOptionsError(const core::CtBusOptions& options,
+                                const char** field) {
+  const char* online = EstimatorRangeError(options.online_estimator);
+  const char* precompute = EstimatorRangeError(options.precompute_estimator);
+  const struct {
+    const char* field;
+    bool bad;
+    const char* reason;
+  } checks[] = {
+      {"k", options.k < 1 || options.k > 1000000, "out of [1, 1000000]"},
+      {"w", !(options.w >= 0.0 && options.w <= 1.0), "out of [0, 1]"},
+      {"tau", !std::isfinite(options.tau), "non-finite value"},
+      {"tau", options.tau < 0.0, "negative"},
+      {"max_turns", options.max_turns < 0, "negative"},
+      {"seed_count", options.seed_count < 0, "negative"},
+      {"max_iterations", options.max_iterations < 1, "non-positive"},
+      {"online_estimator", online != nullptr, online},
+      {"precompute_estimator", precompute != nullptr, precompute},
+  };
+  for (const auto& check : checks) {
+    if (check.bad) {
+      *field = check.field;
+      return check.reason;
+    }
+  }
+  return nullptr;
+}
+
+namespace {
+
+using io::AppendF64;
+using io::AppendI32;
+using io::AppendIntList;
+using io::AppendString;
+using io::AppendU16;
+using io::AppendU32;
+using io::AppendU64;
+using io::AppendU8;
+
 void AppendEstimator(std::vector<std::uint8_t>* out,
                      const connectivity::EstimatorOptions& estimator) {
   AppendI32(out, estimator.probes);
@@ -213,30 +89,19 @@ void AppendEstimator(std::vector<std::uint8_t>* out,
   AppendU8(out, static_cast<std::uint8_t>(estimator.probe_kind));
 }
 
-bool ReadEstimator(PayloadReader* reader, const char* field,
+bool ReadEstimator(io::ByteReader* reader, const char* field,
                    connectivity::EstimatorOptions* estimator) {
-  std::int32_t probes = 0;
-  std::int32_t lanczos_steps = 0;
   std::uint8_t probe_kind = 0;
-  if (!reader->ReadI32(field, &probes) ||
-      !reader->ReadI32(field, &lanczos_steps) ||
+  if (!reader->ReadI32(field, &estimator->probes) ||
+      !reader->ReadI32(field, &estimator->lanczos_steps) ||
       !reader->ReadU64(field, &estimator->seed) ||
       !reader->ReadU8(field, &probe_kind)) {
     return false;
   }
-  if (probes < 1 || probes > 100000) {
-    return reader->Fail(field, "probes out of [1, 100000]");
-  }
-  if (lanczos_steps < 1 || lanczos_steps > 10000) {
-    return reader->Fail(field, "lanczos_steps out of [1, 10000]");
-  }
-  if (probe_kind >
-      static_cast<std::uint8_t>(connectivity::ProbeKind::kRademacher)) {
-    return reader->Fail(field, "unknown probe kind");
-  }
-  estimator->probes = probes;
-  estimator->lanczos_steps = lanczos_steps;
   estimator->probe_kind = static_cast<connectivity::ProbeKind>(probe_kind);
+  if (const char* reason = EstimatorRangeError(*estimator)) {
+    return reader->Fail(field, reason);
+  }
   return true;
 }
 
@@ -283,30 +148,12 @@ std::vector<std::uint8_t> WrapFrame(FrameType type,
   AppendU16(&frame, kProtocolVersion);
   AppendU16(&frame, static_cast<std::uint16_t>(type));
   AppendU32(&frame, static_cast<std::uint32_t>(payload.size()));
-  AppendU32(&frame, Fnv1a32(payload.data(), payload.size()));
+  AppendU32(&frame, io::Fnv1a32(payload.data(), payload.size()));
   frame.insert(frame.end(), payload.begin(), payload.end());
   return frame;
 }
 
 }  // namespace
-
-std::uint32_t Fnv1a32(const std::uint8_t* data, std::size_t size) {
-  std::uint32_t hash = 0x811c9dc5u;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x01000193u;
-  }
-  return hash;
-}
-
-std::uint64_t Fnv1a64(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
 
 const char* ResponseStatusName(ResponseStatus status) {
   switch (status) {
@@ -327,7 +174,7 @@ const char* ResponseStatusName(ResponseStatus status) {
 std::uint64_t ResponseChecksum(const ResponseFrame& response) {
   std::vector<std::uint8_t> canonical;
   AppendDeterministicResponse(&canonical, response);
-  return Fnv1a64(canonical.data(), canonical.size());
+  return io::Fnv1a64(canonical.data(), canonical.size());
 }
 
 std::vector<std::uint8_t> EncodeRequestFrame(const RequestFrame& request) {
@@ -349,7 +196,7 @@ std::vector<std::uint8_t> EncodeResponseFrame(const ResponseFrame& response) {
 
 bool DecodeFrameHeader(const std::uint8_t* data, std::size_t size,
                        FrameHeader* header, std::string* error) {
-  PayloadReader reader(data, size);
+  io::ByteReader reader(data, size);
   std::uint16_t type = 0;
   if (!reader.ReadU32("magic", &header->magic) ||
       !reader.ReadU16("version", &header->version) ||
@@ -391,7 +238,7 @@ bool DecodeFrameHeader(const std::uint8_t* data, std::size_t size,
 
 bool DecodeRequestPayload(const std::uint8_t* data, std::size_t size,
                           RequestFrame* request, std::string* error) {
-  PayloadReader reader(data, size);
+  io::ByteReader reader(data, size);
   service::PlanRequest& plan = request->request;
   core::CtBusOptions& options = plan.options;
   options = core::CtBusOptions();  // server-side defaults for off-wire knobs
@@ -416,6 +263,7 @@ bool DecodeRequestPayload(const std::uint8_t* data, std::size_t size,
                     &options.precompute_estimator) &&
       reader.ReadU8("flags", &flags) && reader.ExpectEnd();
   if (ok) {
+    const char* field = nullptr;
     if (plan.dataset.empty()) {
       ok = reader.Fail("dataset", "empty dataset name");
     } else if (priority > static_cast<std::uint8_t>(
@@ -423,18 +271,8 @@ bool DecodeRequestPayload(const std::uint8_t* data, std::size_t size,
       ok = reader.Fail("priority", "unknown priority");
     } else if (planner > static_cast<std::uint8_t>(core::Planner::kVkTsp)) {
       ok = reader.Fail("planner", "unknown planner");
-    } else if (options.k < 1 || options.k > 1000000) {
-      ok = reader.Fail("k", "out of [1, 1000000]");
-    } else if (options.w < 0.0 || options.w > 1.0) {
-      ok = reader.Fail("w", "out of [0, 1]");
-    } else if (options.tau < 0.0) {
-      ok = reader.Fail("tau", "negative");
-    } else if (options.max_turns < 0) {
-      ok = reader.Fail("max_turns", "negative");
-    } else if (options.seed_count < 0) {
-      ok = reader.Fail("seed_count", "negative");
-    } else if (options.max_iterations < 1) {
-      ok = reader.Fail("max_iterations", "non-positive");
+    } else if (const char* reason = RequestOptionsError(options, &field)) {
+      ok = reader.Fail(field, reason);
     }
   }
   if (!ok) {
@@ -449,15 +287,15 @@ bool DecodeRequestPayload(const std::uint8_t* data, std::size_t size,
 
 bool DecodeResponsePayload(const std::uint8_t* data, std::size_t size,
                            ResponseFrame* response, std::string* error) {
-  PayloadReader reader(data, size);
+  io::ByteReader reader(data, size);
   std::uint8_t status = 0;
   std::uint8_t found = 0;
   std::uint8_t cache_hit = 0;
   bool ok =
       reader.ReadU8("status", &status) && reader.ReadU8("found", &found) &&
       reader.ReadU64("snapshot_version", &response->snapshot_version) &&
-      reader.ReadIntList("edges", kMaxRouteElements, &response->edges) &&
-      reader.ReadIntList("stops", kMaxRouteElements, &response->stops) &&
+      reader.ReadIntList("edges", &response->edges, kMaxRouteElements) &&
+      reader.ReadIntList("stops", &response->stops, kMaxRouteElements) &&
       reader.ReadF64("objective", &response->objective) &&
       reader.ReadF64("demand", &response->demand) &&
       reader.ReadF64("connectivity_increment",

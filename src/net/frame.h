@@ -12,6 +12,7 @@
 //       12     4  payload checksum (FNV-1a 32-bit over the payload)
 //       16   ...  payload
 //
+// Frames are encoded and decoded with io/bytes.h (checksum: io::Fnv1a32).
 // Decode discipline mirrors io/parse.h: every read is bounded against
 // the declared payload, the whole payload must be consumed, every
 // numeric field is validated against explicit bounds (no NaN smuggled
@@ -69,11 +70,6 @@ struct FrameHeader {
   std::uint32_t payload_bytes = 0;
   std::uint32_t payload_checksum = 0;
 };
-
-/// FNV-1a hashes (checksum of choice: tiny, dependency-free, and good
-/// enough to catch corruption — this is an integrity check, not crypto).
-std::uint32_t Fnv1a32(const std::uint8_t* data, std::size_t size);
-std::uint64_t Fnv1a64(const std::uint8_t* data, std::size_t size);
 
 /// One planning request on the wire.
 struct RequestFrame {
@@ -157,6 +153,19 @@ bool DecodeRequestPayload(const std::uint8_t* data, std::size_t size,
                           RequestFrame* request, std::string* error);
 bool DecodeResponsePayload(const std::uint8_t* data, std::size_t size,
                            ResponseFrame* response, std::string* error);
+
+/// The request contract of the wire decoder and the trace reader, so any
+/// request the server accepts can be recorded and replayed. Each returns
+/// nullptr when in range, else the reason; RequestOptionsError checks
+/// the wire-visible CtBusOptions and sets *field to the first bad one.
+const char* EstimatorRangeError(
+    const connectivity::EstimatorOptions& estimator);
+const char* RequestOptionsError(const core::CtBusOptions& options,
+                                const char** field);
+
+/// The one-byte encoding of the boolean CtBusOptions, in frames and traces.
+std::uint8_t PackFlags(const core::CtBusOptions& options);
+void UnpackFlags(std::uint8_t flags, core::CtBusOptions* options);
 
 /// Builds a response from an executed service result (status kOk) —
 /// the single place the ServiceResult -> wire mapping lives, used by the

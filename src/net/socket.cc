@@ -9,6 +9,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "io/bytes.h"
+
 namespace ctbus::net {
 namespace {
 
@@ -179,7 +181,8 @@ bool ReadFrame(Socket* socket, FrameHeader* header,
       !socket->RecvAll(payload->data(), payload->size(), error)) {
     return false;
   }
-  const std::uint32_t checksum = Fnv1a32(payload->data(), payload->size());
+  const std::uint32_t checksum =
+      io::Fnv1a32(payload->data(), payload->size());
   if (checksum != header->payload_checksum) {
     if (error != nullptr) {
       *error = "payload checksum mismatch (declared " +

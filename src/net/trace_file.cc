@@ -45,24 +45,6 @@ std::string DoubleToken(double value) {
   return out.str();
 }
 
-std::uint8_t PackTraceFlags(const core::CtBusOptions& options) {
-  std::uint8_t flags = 0;
-  if (options.use_perturbation_precompute) flags |= 1u << 0;
-  if (options.best_neighbor_only) flags |= 1u << 1;
-  if (options.use_domination_table) flags |= 1u << 2;
-  if (options.seed_all_edges) flags |= 1u << 3;
-  if (options.new_edges_only) flags |= 1u << 4;
-  return flags;
-}
-
-void UnpackTraceFlags(std::uint8_t flags, core::CtBusOptions* options) {
-  options->use_perturbation_precompute = (flags & (1u << 0)) != 0;
-  options->best_neighbor_only = (flags & (1u << 1)) != 0;
-  options->use_domination_table = (flags & (1u << 2)) != 0;
-  options->seed_all_edges = (flags & (1u << 3)) != 0;
-  options->new_edges_only = (flags & (1u << 4)) != 0;
-}
-
 /// Strict token cursor over one record line: every Take* consumes one
 /// whitespace-separated token and validates it whole (io::Parse*), with
 /// the field name in the diagnostic.
@@ -82,7 +64,9 @@ class LineTokens {
     return true;
   }
 
-  bool TakeInt(const char* field, int* out, int min_value, int max_value) {
+  bool TakeInt(const char* field, int* out,
+               int min_value = std::numeric_limits<int>::min(),
+               int max_value = std::numeric_limits<int>::max()) {
     std::string token;
     if (!Next(field, &token)) return false;
     if (!io::ParseInt(token, out)) {
@@ -145,18 +129,13 @@ class LineTokens {
 
 bool ParseEstimatorTokens(LineTokens* tokens, const char* which,
                           connectivity::EstimatorOptions* estimator) {
-  int probes = 0;
-  int lanczos = 0;
   int kind = 0;
-  if (!tokens->TakeInt(which, &probes, 1, 100000) ||
-      !tokens->TakeInt(which, &lanczos, 1, 10000) ||
+  if (!tokens->TakeInt(which, &estimator->probes) ||
+      !tokens->TakeInt(which, &estimator->lanczos_steps) ||
       !tokens->TakeHexU64(which, &estimator->seed) ||
-      !tokens->TakeInt(which, &kind, 0,
-                       static_cast<int>(connectivity::ProbeKind::kRademacher))) {
+      !tokens->TakeInt(which, &kind)) {
     return false;
   }
-  estimator->probes = probes;
-  estimator->lanczos_steps = lanczos;
   estimator->probe_kind = static_cast<connectivity::ProbeKind>(kind);
   return true;
 }
@@ -190,7 +169,7 @@ bool WriteTraceFile(const std::string& path, const TraceFile& trace,
         << options.max_iterations;
     WriteEstimatorTokens(out, options.online_estimator);
     WriteEstimatorTokens(out, options.precompute_estimator);
-    out << ' ' << static_cast<int>(PackTraceFlags(options)) << ' '
+    out << ' ' << static_cast<int>(PackFlags(options)) << ' '
         << static_cast<int>(record.status) << ' '
         << HexU64(record.response_checksum) << '\n';
   }
@@ -280,28 +259,24 @@ bool ReadTraceFile(const std::string& path, TraceFile* trace,
     record.request.dataset = trace->dataset;
     core::CtBusOptions& options = record.request.options;
     options = core::CtBusOptions();
-    int deadline_ms = 0;
+    std::uint64_t deadline_ms = 0;
     int priority = 0;
     int planner = 0;
     int flags = 0;
     int status = 0;
     bool record_ok =
         t.TakeDouble("offset_seconds", &record.offset_seconds) &&
-        t.TakeInt("deadline_ms", &deadline_ms, 0,
-                  std::numeric_limits<int>::max()) &&
+        t.TakeU64("deadline_ms", &deadline_ms) &&
         t.TakeInt("priority", &priority, 0,
                   static_cast<int>(service::Priority::kSweep)) &&
         t.TakeInt("planner", &planner, 0,
                   static_cast<int>(core::Planner::kVkTsp)) &&
         t.TakeU64("snapshot_version", &record.request.snapshot_version) &&
-        t.TakeInt("k", &options.k, 1, 1000000) &&
-        t.TakeDouble("w", &options.w) &&
+        t.TakeInt("k", &options.k) && t.TakeDouble("w", &options.w) &&
         t.TakeDouble("tau", &options.tau) &&
-        t.TakeInt("max_turns", &options.max_turns, 0, 1000000) &&
-        t.TakeInt("seed_count", &options.seed_count, 0,
-                  std::numeric_limits<int>::max()) &&
-        t.TakeInt("max_iterations", &options.max_iterations, 1,
-                  std::numeric_limits<int>::max()) &&
+        t.TakeInt("max_turns", &options.max_turns) &&
+        t.TakeInt("seed_count", &options.seed_count) &&
+        t.TakeInt("max_iterations", &options.max_iterations) &&
         ParseEstimatorTokens(&t, "online_estimator",
                              &options.online_estimator) &&
         ParseEstimatorTokens(&t, "precompute_estimator",
@@ -311,10 +286,15 @@ bool ReadTraceFile(const std::string& path, TraceFile* trace,
                   static_cast<int>(ResponseStatus::kError)) &&
         t.TakeHexU64("checksum", &record.response_checksum) &&
         t.ExpectEnd();
-    if (record_ok &&
-        (record.offset_seconds < 0.0 || options.w < 0.0 ||
-         options.w > 1.0 || options.tau < 0.0)) {
-      record_ok = t.Fail("record", "field value out of range");
+    if (record_ok) {
+      const char* field = nullptr;
+      if (record.offset_seconds < 0.0) {
+        record_ok = t.Fail("offset_seconds", "negative");
+      } else if (deadline_ms > std::numeric_limits<std::uint32_t>::max()) {
+        record_ok = t.Fail("deadline_ms", "above the u32 wire range");
+      } else if (const char* reason = RequestOptionsError(options, &field)) {
+        record_ok = t.Fail(field, reason);
+      }
     }
     if (!record_ok) {
       if (error != nullptr) {
@@ -326,7 +306,7 @@ bool ReadTraceFile(const std::string& path, TraceFile* trace,
     record.request.priority = static_cast<service::Priority>(priority);
     record.request.planner = static_cast<core::Planner>(planner);
     record.status = static_cast<ResponseStatus>(status);
-    UnpackTraceFlags(static_cast<std::uint8_t>(flags), &options);
+    UnpackFlags(static_cast<std::uint8_t>(flags), &options);
     trace->records.push_back(std::move(record));
   }
   if (declared_records >= 0 &&

@@ -1,65 +1,22 @@
 #include "service/precompute_cache.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <stdexcept>
 #include <utility>
-
-#include "io/snapshot.h"
 
 namespace ctbus::service {
 
-namespace {
-
-/// The PrecomputeKey's option fields as spill-file provenance. Field for
-/// field: PrecomputeKey already stores them normalized (MakePrecomputeKey),
-/// matching io::MakeProvenance's normalization of raw options.
-io::PrecomputeProvenance ProvenanceOf(const PrecomputeKey& key) {
-  io::PrecomputeProvenance p;
-  p.tau = key.tau;
-  p.probes = key.probes;
-  p.lanczos_steps = key.lanczos_steps;
-  p.seed = key.seed;
-  p.probe_kind = key.probe_kind;
-  p.use_perturbation = key.use_perturbation;
-  return p;
-}
-
-}  // namespace
-
 bool PrecomputeKey::operator==(const PrecomputeKey& other) const {
   return dataset == other.dataset &&
-         snapshot_version == other.snapshot_version && tau == other.tau &&
-         probes == other.probes && lanczos_steps == other.lanczos_steps &&
-         seed == other.seed && probe_kind == other.probe_kind &&
-         use_perturbation == other.use_perturbation;
+         snapshot_version == other.snapshot_version &&
+         provenance == other.provenance;
 }
 
 PrecomputeKey MakePrecomputeKey(const std::string& dataset,
                                 std::uint64_t snapshot_version,
                                 const core::CtBusOptions& options) {
-  PrecomputeKey key;
-  key.dataset = dataset;
-  key.snapshot_version = snapshot_version;
-  // operator== on doubles treats -0.0 and 0.0 as equal, but std::hash
-  // <double> may not, which would break the unordered_map invariant
-  // (equal keys hashing to different buckets). Normalize signed zero so
-  // both spellings produce one key. NaN breaks the invariant the other
-  // way around (a NaN key would not even equal itself, so every lookup
-  // would miss and insert a fresh entry); reject it at runtime — an
-  // assert would vanish in NDEBUG builds and let the cache silently leak.
-  if (std::isnan(options.tau)) {
-    throw std::invalid_argument("MakePrecomputeKey: tau must not be NaN");
-  }
-  key.tau = options.tau == 0.0 ? 0.0 : options.tau;
-  key.probes = options.precompute_estimator.probes;
-  key.lanczos_steps = options.precompute_estimator.lanczos_steps;
-  key.seed = options.precompute_estimator.seed;
-  key.probe_kind = static_cast<int>(options.precompute_estimator.probe_kind);
-  key.use_perturbation = options.use_perturbation_precompute;
-  return key;
+  return {dataset, snapshot_version, io::MakeProvenance(options)};
 }
 
 std::size_t PrecomputeKeyHash::operator()(const PrecomputeKey& key) const {
@@ -68,12 +25,12 @@ std::size_t PrecomputeKeyHash::operator()(const PrecomputeKey& key) const {
   };
   std::size_t h = std::hash<std::string>()(key.dataset);
   h = mix(h, std::hash<std::uint64_t>()(key.snapshot_version));
-  h = mix(h, std::hash<double>()(key.tau));
-  h = mix(h, static_cast<std::size_t>(key.probes));
-  h = mix(h, static_cast<std::size_t>(key.lanczos_steps));
-  h = mix(h, std::hash<std::uint64_t>()(key.seed));
-  h = mix(h, static_cast<std::size_t>(key.probe_kind));
-  h = mix(h, key.use_perturbation ? 1u : 2u);
+  h = mix(h, std::hash<double>()(key.provenance.tau));
+  h = mix(h, static_cast<std::size_t>(key.provenance.probes));
+  h = mix(h, static_cast<std::size_t>(key.provenance.lanczos_steps));
+  h = mix(h, std::hash<std::uint64_t>()(key.provenance.seed));
+  h = mix(h, static_cast<std::size_t>(key.provenance.probe_kind));
+  h = mix(h, key.provenance.use_perturbation ? 1u : 2u);
   return h;
 }
 
@@ -104,7 +61,7 @@ PrecomputeCache::~PrecomputeCache() {
 
 std::string PrecomputeCache::SpillPath(const PrecomputeKey& key) const {
   const std::uint64_t hash = io::StableSpillHash(
-      key.dataset, key.snapshot_version, ProvenanceOf(key));
+      key.dataset, key.snapshot_version, key.provenance);
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(hash));
@@ -117,7 +74,7 @@ PrecomputeCache::PrecomputePtr PrecomputeCache::TryLoadSpill(
   if (!entry.has_value()) return nullptr;  // absent/corrupt/stale = miss
   if (entry->dataset != key.dataset ||
       entry->snapshot_version != key.snapshot_version ||
-      !(entry->provenance == ProvenanceOf(key))) {
+      !(entry->provenance == key.provenance)) {
     return nullptr;  // filename collision or foreign file: wrong key = miss
   }
   if (fingerprint != 0 && entry->network_fingerprint != 0 &&
@@ -143,7 +100,7 @@ void PrecomputeCache::DrainPendingSpills() {
     entry.dataset = spill.key.dataset;
     entry.snapshot_version = spill.key.snapshot_version;
     entry.network_fingerprint = spill.fingerprint;
-    entry.provenance = ProvenanceOf(spill.key);
+    entry.provenance = spill.key.provenance;
     entry.precompute = *spill.value;
     if (io::SavePrecomputeCacheEntry(entry, SpillPath(spill.key))) ++saved;
   }

@@ -56,6 +56,7 @@
 #include "core/options.h"
 #include "core/planning_context.h"
 #include "core/thread_annotations.h"
+#include "io/snapshot.h"
 
 namespace ctbus::service {
 
@@ -68,22 +69,17 @@ namespace ctbus::service {
 /// deliberately NOT key fields: both are bit-identical at any setting, so
 /// including them would only fragment the cache — and the batch grouping —
 /// across requests that provably produce the same precompute and plans.
-/// tau is stored with signed zero normalized away (MakePrecomputeKey), so
-/// equal keys always hash equally.
+/// The option fields are the io::PrecomputeProvenance every spill file
+/// records, normalized once by io::MakeProvenance.
 struct PrecomputeKey {
   std::string dataset;
   std::uint64_t snapshot_version = 0;
-  double tau = 0.0;
-  int probes = 0;
-  int lanczos_steps = 0;
-  std::uint64_t seed = 0;
-  int probe_kind = 0;
-  bool use_perturbation = false;
+  io::PrecomputeProvenance provenance;
 
   bool operator==(const PrecomputeKey& other) const;
 };
 
-/// Extracts the precompute-relevant fields of `options`.
+/// Throws std::invalid_argument on a NaN tau (see io::MakeProvenance).
 PrecomputeKey MakePrecomputeKey(const std::string& dataset,
                                 std::uint64_t snapshot_version,
                                 const core::CtBusOptions& options);

@@ -17,6 +17,7 @@
 #include "core/options.h"
 #include "core/planning_context.h"
 #include "demand/ranked_list.h"
+#include "io/bytes.h"
 #include "io/network_io.h"
 
 #ifndef CTBUS_TEST_DATA_DIR
@@ -365,25 +366,15 @@ TEST(SnapshotCorruptionTest, OversizedListCountInsideSectionIsBounded) {
   std::vector<std::uint8_t> transit_payload;
   EncodeTransitNetwork(transit, &transit_payload);
   std::vector<std::uint8_t> file;
-  const auto u32 = [&](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      file.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  const auto u64 = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      file.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  u32(kSnapshotMagic);
-  u32(kSnapshotFormatVersion);
-  u32(2);
-  u32(0x44414F52u);  // "ROAD"
-  u64(road_payload.size());
-  u64(SnapshotChecksum(road_payload.data(), road_payload.size()));
-  u32(0x534E5254u);  // "TRNS"
-  u64(transit_payload.size());
-  u64(SnapshotChecksum(transit_payload.data(), transit_payload.size()));
+  AppendU32(&file, kSnapshotMagic);
+  AppendU32(&file, kSnapshotFormatVersion);
+  AppendU32(&file, 2);
+  AppendU32(&file, 0x44414F52u);  // "ROAD"
+  AppendU64(&file, road_payload.size());
+  AppendU64(&file, Fnv1a64(road_payload.data(), road_payload.size()));
+  AppendU32(&file, 0x534E5254u);  // "TRNS"
+  AppendU64(&file, transit_payload.size());
+  AppendU64(&file, Fnv1a64(transit_payload.data(), transit_payload.size()));
   file.insert(file.end(), road_payload.begin(), road_payload.end());
   file.insert(file.end(), transit_payload.begin(), transit_payload.end());
   ExpectRejected(std::move(file), "section ROAD");

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "net/loadgen.h"
@@ -193,6 +194,34 @@ TEST(NetReplay, BustedLatencyBudgetFailsTheReplay) {
   EXPECT_EQ(report.checksum_mismatches, 0u);
   ASSERT_FALSE(report.violations.empty());
   EXPECT_NE(report.violations.front().find("over budget"), std::string::npos);
+}
+
+// Frames and traces share one request contract: any request the wire
+// decoder accepts must survive a trace round trip unchanged.
+TEST(NetReplay, EveryWireAcceptedRequestRoundTripsThroughATrace) {
+  RequestFrame sent;
+  sent.deadline_ms = 0xfffffff0u;
+  sent.request.dataset = "grid";
+  sent.request.options.max_turns = 1000001;
+  const std::vector<std::uint8_t> wire = EncodeRequestFrame(sent);
+  TraceFile trace{"grid", {TraceRecord()}};
+  RequestFrame decoded;
+  std::string error;
+  ASSERT_TRUE(DecodeRequestPayload(wire.data() + kHeaderBytes,
+                                   wire.size() - kHeaderBytes, &decoded,
+                                   &error))
+      << error;
+  trace.records[0].deadline_ms = decoded.deadline_ms;
+  trace.records[0].request = decoded.request;
+  const std::string path = ::testing::TempDir() + "net_replay_contract.trace";
+  ASSERT_TRUE(WriteTraceFile(path, trace, &error)) << error;
+  ASSERT_TRUE(ReadTraceFile(path, &trace, &error)) << error;
+  std::remove(path.c_str());
+  ASSERT_EQ(trace.records.size(), 1u);
+  RequestFrame replayed;
+  replayed.deadline_ms = trace.records[0].deadline_ms;
+  replayed.request = trace.records[0].request;
+  EXPECT_EQ(EncodeRequestFrame(replayed), wire);
 }
 
 TEST(NetReplay, MalformedTraceFilesRejectedWithDiagnostics) {

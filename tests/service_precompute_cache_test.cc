@@ -211,13 +211,13 @@ TEST(PrecomputeCacheTest, ClearEmptiesTheCache) {
 
 TEST(PrecomputeCacheTest, NegativeZeroTauIsTheSameKey) {
   // operator== on doubles treats -0.0 == 0.0, so the hash must agree too
-  // (the unordered_map invariant); MakePrecomputeKey normalizes the sign
+  // (the unordered_map invariant); io::MakeProvenance normalizes the sign
   // away. Regression: a -0.0 tau could silently duplicate cache entries.
   const PrecomputeKey plus = Key("a", 1, /*tau=*/0.0);
   const PrecomputeKey minus = Key("a", 1, /*tau=*/-0.0);
   EXPECT_TRUE(plus == minus);
   EXPECT_EQ(PrecomputeKeyHash()(plus), PrecomputeKeyHash()(minus));
-  EXPECT_FALSE(std::signbit(minus.tau));  // stored normalized
+  EXPECT_FALSE(std::signbit(minus.provenance.tau));  // stored normalized
 
   PrecomputeCache cache(4);
   int computes = 0;

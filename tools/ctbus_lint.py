@@ -7,7 +7,7 @@ correctness contract documented in docs/ARCHITECTURE.md:
   key-completeness  Every field of core::CtBusOptions,
                     service::ServiceOptions and
                     service::DatasetDescriptor either feeds
-                    MakePrecomputeKey (referenced as `options.<field>`
+                    MakeProvenance (referenced as `options.<field>`
                     in its body) or carries an explicit
                     `ctbus-lint: key-exempt(<reason>)` annotation in
                     the comment block above (or trailing on) its
@@ -264,8 +264,9 @@ OPTION_STRUCTS = (
     # computes to, and every field must say so in writing.
     ("src/service/dataset_catalog.h", "DatasetDescriptor"),
 )
-KEY_FUNCTION_FILE = "src/service/precompute_cache.cc"
-KEY_FUNCTION_RE = r"\bMakePrecomputeKey\s*\([^)]*\)\s*"
+# The one normalizer of the precompute identity (MakePrecomputeKey uses it).
+KEY_FUNCTION_FILE = "src/io/snapshot.cc"
+KEY_FUNCTION_RE = r"\bPrecomputeProvenance\s+MakeProvenance\s*\([^)]*\)\s*"
 
 
 def check_key_completeness(root):
@@ -274,7 +275,7 @@ def check_key_completeness(root):
     if not os.path.exists(key_path):
         findings.append(Finding(
             KEY_FUNCTION_FILE, 1, "key-completeness",
-            "MakePrecomputeKey source not found — update ctbus_lint.py "
+            "MakeProvenance source not found — update ctbus_lint.py "
             "if the cache key moved"))
         return findings
     with open(key_path, encoding="utf-8") as handle:
@@ -283,7 +284,7 @@ def check_key_completeness(root):
     if body is None:
         findings.append(Finding(
             KEY_FUNCTION_FILE, 1, "key-completeness",
-            "MakePrecomputeKey definition not found"))
+            "MakeProvenance definition not found"))
         return findings
     keyed = set(re.findall(r"\boptions\.(\w+)", body))
 
@@ -304,7 +305,7 @@ def check_key_completeness(root):
             continue
         struct_body, start_line = extracted
         for name, line_no, exempt in struct_fields(struct_body, start_line):
-            # Only CtBusOptions can feed MakePrecomputeKey; ServiceOptions
+            # Only CtBusOptions can feed MakeProvenance; ServiceOptions
             # fields are keyed only via exemption (none reach the planner).
             is_keyed = struct_name == "CtBusOptions" and name in keyed
             if is_keyed:
@@ -313,7 +314,7 @@ def check_key_completeness(root):
                 findings.append(Finding(
                     rel_path, line_no, "key-completeness",
                     f"{struct_name}::{name} is neither referenced in "
-                    f"MakePrecomputeKey nor annotated "
+                    f"MakeProvenance nor annotated "
                     f"'ctbus-lint: key-exempt(<reason>)' — a knob that "
                     f"changes the precompute but skips the key corrupts "
                     f"the cache"))
@@ -558,11 +559,10 @@ struct DatasetDescriptor {
 """
 
 FIXTURE_KEY_CC = """\
-PrecomputeKey MakePrecomputeKey(const std::string& dataset,
-                                const core::CtBusOptions& options) {
-  PrecomputeKey key;
-  key.tau = options.tau;
-  return key;
+PrecomputeProvenance MakeProvenance(const core::CtBusOptions& options) {
+  PrecomputeProvenance p;
+  p.tau = options.tau;
+  return p;
 }
 """
 
@@ -661,7 +661,7 @@ def self_check():
         "src/core/options.h": FIXTURE_OPTIONS_CLEAN,
         "src/service/planning_service.h": FIXTURE_SERVICE_OPTIONS,
         "src/service/dataset_catalog.h": FIXTURE_DATASET_CATALOG_CLEAN,
-        "src/service/precompute_cache.cc": FIXTURE_KEY_CC,
+        "src/io/snapshot.cc": FIXTURE_KEY_CC,
         "src/graph/graph.h": FIXTURE_APPROX_BYTES_OK,
     }
 

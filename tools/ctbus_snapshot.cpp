@@ -23,6 +23,7 @@
 // Exit codes: 0 ok, 1 build/verify failure (corrupt, truncated, stale
 // format, checksum mismatch — the diagnostic names the failing section),
 // 2 usage. CI injects a flipped byte and requires `verify` to exit 1.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -181,7 +182,10 @@ BuildArgs ParseBuildArgs(int argc, char** argv) {
     auto double_value = [&](double min_value) {
       const std::string token = value();
       double parsed = 0.0;
-      if (!ctbus::io::ParseDouble(token, &parsed) || parsed < min_value) {
+      // NaN compares false against min_value, so finiteness is checked
+      // explicitly: a NaN tau would bake a file its own verify rejects.
+      if (!ctbus::io::ParseDouble(token, &parsed) || !std::isfinite(parsed) ||
+          parsed < min_value) {
         Die("flag " + flag + ": bad value \"" + token + "\"");
       }
       return parsed;
