@@ -1,7 +1,7 @@
 // Online ETA frontier-expansion scaling: per-query latency of
 // SearchMode::kOnline versus CtBusOptions::eta_threads, with bit-identity
-// checks against the serial run. The frontier's per-neighbor Lanczos
-// estimates (Algorithm 1 lines 7-16) dominate an online query, so this is
+// checks against the serial run. The frontier's per-neighbor local trace
+// increments (Algorithm 1 lines 7-16) dominate an online query, so this is
 // the knob that makes interactive what-if latency track core count the way
 // bench_precompute_scaling shows for the Table-4 loop.
 //
@@ -107,7 +107,7 @@ void EtaScalingSection(const ctbus::gen::Dataset& city,
 int main() {
   ctbus::bench::PrintHeader(
       "online ETA frontier scaling (eta_threads)",
-      "Table 7 / Figure 9: per-neighbor Lanczos estimates dominate online "
+      "Table 7 / Figure 9: per-neighbor connectivity terms dominate online "
       "ETA query time");
   const double scale = ctbus::bench::GetScale();
   const ctbus::gen::Dataset city = ctbus::gen::MakeChicagoLike(scale);

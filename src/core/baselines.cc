@@ -16,8 +16,8 @@ PlanResult RunVkTsp(const PlanningContext* context) {
   // The baseline is Algorithm 1 with w = 1 and new edges only
   // (Section 7.2.1). A sibling context is built over the caller's shared
   // base (same universe, Delta(e), ranked lists L_d/L_lambda and base
-  // lambda), so only the per-request part — L_e under the new weight and a
-  // scratch adjacency — is rebuilt.
+  // lambda), so only the per-request part — L_e under the new weight — is
+  // rebuilt.
   CtBusOptions options = context->options();
   options.w = 1.0;
   options.new_edges_only = true;

@@ -1,9 +1,9 @@
 #include "core/eta.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <utility>
 
@@ -20,6 +20,10 @@ struct QueueEntry {
   double objective = 0.0;
   CandidatePath path;
   demand::BoundState bound_state;
+  /// kOnline: Delta tr(e^A) of the path's new edges, carried along the
+  /// search by adding each chosen extension's term. Empty for a seed until
+  /// its first expansion (seeds are scored linearly, lines 18-27).
+  std::optional<double> trace_increment;
 
   bool operator<(const QueueEntry& other) const {
     return upper_bound < other.upper_bound;  // max-heap on O_up
@@ -40,15 +44,12 @@ class EtaSearch {
                                            : &ctx->objective_list(),
                options_.k) {
     // Frontier evaluation forks only in kOnline mode, where each candidate
-    // costs one Lanczos estimate; ETA-Pre's ranked-list lookups would be
-    // swamped by any synchronization. eta_threads <= 1 keeps today's
-    // serial loop with no pool and no evaluation units at all.
+    // costs one local eigensolve pair; ETA-Pre's ranked-list lookups would
+    // be swamped by any synchronization. eta_threads <= 1 keeps the serial
+    // loop with no pool at all.
     if (mode_ == SearchMode::kOnline) {
       const int threads = ResolveThreadCount(options_.eta_threads);
-      if (threads > 1) {
-        ctx_->ReserveOnlineEvalSlots(threads);
-        pool_ = std::make_unique<WorkerPool>(threads);
-      }
+      if (threads > 1) pool_ = std::make_unique<WorkerPool>(threads);
     }
   }
 
@@ -81,18 +82,16 @@ class EtaSearch {
   }
 
  private:
-  // Objective of a candidate path under the active mode.
-  double Evaluate(const CandidatePath& path) {
-    if (mode_ == SearchMode::kPrecomputed) {
-      return ctx_->Objective(path.demand(),
-                             ctx_->LinearConnectivityIncrement(path.edges()));
-    }
-    return ctx_->Objective(path.demand(),
-                           ctx_->OnlineConnectivityIncrement(path.edges()));
+  // Objective of a queue entry under the active mode. kOnline reads the
+  // carried trace increment, so line 13 costs no solve.
+  double Evaluate(const QueueEntry& entry) const {
+    if (mode_ == SearchMode::kPrecomputed) return EvaluateLinear(entry.path);
+    return ctx_->Objective(entry.path.demand(),
+                           ctx_->ConnectivityFromTrace(*entry.trace_increment));
   }
 
   // Linearized objective (used for seeds in both modes; for online mode the
-  // seed increments are themselves Lanczos-estimated during pre-computation).
+  // seed increments are themselves estimated during pre-computation).
   double EvaluateLinear(const CandidatePath& path) const {
     return ctx_->Objective(path.demand(),
                            ctx_->LinearConnectivityIncrement(path.edges()));
@@ -156,32 +155,43 @@ class EtaSearch {
     return result;
   }
 
+  // A seed enters the queue linearly scored; kOnline computes its trace
+  // increment (one local solve) on its first expansion.
+  void EnsureTraceIncrement(QueueEntry* entry) const {
+    if (mode_ == SearchMode::kOnline && !entry->trace_increment) {
+      entry->trace_increment = ctx_->TraceIncrement(entry->path.edges());
+    }
+  }
+
+  // Extends `entry` at `at_stop` by the best feasible edge (line 10),
+  // carrying its bound state and, in kOnline mode, its trace term. Returns
+  // false if no edge is feasible.
+  bool ExtendByBest(QueueEntry* entry, int at_stop) {
+    double trace_term = 0.0;
+    const int edge = BestExtension(*entry, at_stop, &trace_term);
+    if (edge < 0) return false;
+    entry->path.Extend(ctx_->universe(), ctx_->transit(), edge, at_stop);
+    entry->bound_state = bound_.Append(entry->bound_state, edge);
+    if (entry->trace_increment) *entry->trace_increment += trace_term;
+    return true;
+  }
+
   // Lines 7-16: pick the best beginning edge `be` and ending edge `ee` by
   // objective, extend both ends, evaluate, and re-enqueue.
   void ExpandBestNeighbor(QueueEntry entry) {
+    EnsureTraceIncrement(&entry);
     // Best extension at the end (respecting the k-edge budget).
-    int best_end = -1;
+    bool extended = false;
     if (entry.path.num_edges() < options_.k) {
-      best_end = BestExtension(entry.path, entry.path.end_stop());
-      if (best_end >= 0) {
-        entry.path.Extend(ctx_->universe(), ctx_->transit(), best_end,
-                          entry.path.end_stop());
-        entry.bound_state = bound_.Append(entry.bound_state, best_end);
-      }
+      extended = ExtendByBest(&entry, entry.path.end_stop());
     }
     // Best extension at the beginning (re-validated against the grown path).
-    int best_begin = -1;
     if (entry.path.num_edges() < options_.k) {
-      best_begin = BestExtension(entry.path, entry.path.begin_stop());
-      if (best_begin >= 0) {
-        entry.path.Extend(ctx_->universe(), ctx_->transit(), best_begin,
-                          entry.path.begin_stop());
-        entry.bound_state = bound_.Append(entry.bound_state, best_begin);
-      }
+      extended = ExtendByBest(&entry, entry.path.begin_stop()) || extended;
     }
-    if (best_end < 0 && best_begin < 0) return;  // dead end
+    if (!extended) return;  // dead end
 
-    entry.objective = Evaluate(entry.path);  // Line 13
+    entry.objective = Evaluate(entry);  // Line 13
     MaybeUpdateBest(entry.path, entry.objective);
     FurtherExpansion(std::move(entry));
   }
@@ -205,15 +215,17 @@ class EtaSearch {
   // end-extension can produce — would lose paths whose other edge is not
   // itself seeded.
   // See EtaAllNeighborsTest.ExpandsBeginSideOfSingleEdgeSeeds.
-  void ExpandAllNeighbors(const QueueEntry& entry) {
+  void ExpandAllNeighbors(QueueEntry entry) {
+    EnsureTraceIncrement(&entry);
     for (const int at_stop :
          {entry.path.end_stop(), entry.path.begin_stop()}) {
       const std::vector<int> extensions =
           FeasibleExtensions(entry.path, at_stop);
       std::vector<CandidatePath> children;
       std::vector<double> objectives;
-      EvaluateExtensions(entry.path, at_stop, extensions, &children,
-                         &objectives);
+      std::vector<double> trace_terms;
+      EvaluateExtensions(entry, at_stop, extensions, &children, &objectives,
+                         &trace_terms);
       // The pruning pass stays serial and in candidate order: objectives
       // never depend on the incumbent, so evaluating them up front (and,
       // with a pool, concurrently) leaves best_objective_'s evolution —
@@ -224,6 +236,9 @@ class EtaSearch {
         child.path = std::move(children[i]);
         child.bound_state = bound_.Append(entry.bound_state, extensions[i]);
         child.objective = objectives[i];
+        if (entry.trace_increment) {
+          child.trace_increment = *entry.trace_increment + trace_terms[i];
+        }
         MaybeUpdateBest(child.path, child.objective);
         FurtherExpansion(std::move(child));
       }
@@ -231,10 +246,12 @@ class EtaSearch {
   }
 
   // Returns the feasible extension edge with the highest resulting
-  // objective, or -1. Ties go to the earliest feasible candidate, matching
-  // the serial scan order at any eta_threads setting.
-  int BestExtension(const CandidatePath& path, int at_stop) {
-    const std::vector<int> extensions = FeasibleExtensions(path, at_stop);
+  // objective, or -1, and (kOnline) its trace term in `trace_term`. Ties go
+  // to the earliest feasible candidate, matching the serial scan order at
+  // any eta_threads setting.
+  int BestExtension(const QueueEntry& entry, int at_stop,
+                    double* trace_term) {
+    const std::vector<int> extensions = FeasibleExtensions(entry.path, at_stop);
     if (extensions.empty()) return -1;
     if (mode_ == SearchMode::kPrecomputed) {
       // Section 6.2: rank neighbors directly by L_e.
@@ -247,49 +264,58 @@ class EtaSearch {
       }
       return extensions[best];
     }
-    // Line 10: one Lanczos estimate per neighbor, fanned over the pool.
+    // Line 10: one local trace increment per neighbor, fanned over the pool.
     std::vector<double> values;
-    EvaluateExtensions(path, at_stop, extensions, /*children=*/nullptr,
-                       &values);
+    std::vector<double> terms;
+    EvaluateExtensions(entry, at_stop, extensions, /*children=*/nullptr,
+                       &values, &terms);
     int best = 0;
     for (std::size_t i = 1; i < values.size(); ++i) {
       if (values[i] > values[best]) best = static_cast<int>(i);
     }
+    *trace_term = terms[best];
     return extensions[best];
   }
 
-  // Objectives of `path` extended by each edge of `extensions` at
+  // Objectives of `entry`'s path extended by each edge of `extensions` at
   // `at_stop`, written into `objectives` (and the extended paths into
-  // `children`, when requested). With a pool (kOnline, eta_threads > 1)
-  // the evaluations fan out over stable worker-slot ids; each slot's
-  // evaluation unit is bit-identical to the shared serial path (see
-  // PlanningContext::OnlineConnectivityIncrementOnSlot), and every result
-  // lands in its own index, so the output does not depend on eta_threads.
-  void EvaluateExtensions(const CandidatePath& path, int at_stop,
+  // `children`, when requested). kOnline scores each candidate e as
+  // Objective(demand + d(e), ConnectivityFromTrace(Delta tr(P) +
+  // Delta tr(e | P))) and writes the terms Delta tr(e | P) into
+  // `trace_terms`. With a pool (kOnline, eta_threads > 1) the evaluations
+  // fan out over the workers; each is a pure function of (base, path, edge)
+  // landing in its own index, so the output does not depend on eta_threads.
+  void EvaluateExtensions(const QueueEntry& entry, int at_stop,
                           const std::vector<int>& extensions,
                           std::vector<CandidatePath>* children,
-                          std::vector<double>* objectives) {
+                          std::vector<double>* objectives,
+                          std::vector<double>* trace_terms) {
     const int n = static_cast<int>(extensions.size());
     objectives->resize(n);
+    trace_terms->assign(n, 0.0);
     if (children != nullptr) children->resize(n);
-    const auto evaluate_one = [&](int slot, int i) {
-      CandidatePath extended = path;
+    const auto evaluate_one = [&](int i) {
+      CandidatePath extended = entry.path;
       extended.Extend(ctx_->universe(), ctx_->transit(), extensions[i],
                       at_stop);
-      (*objectives)[i] =
-          slot >= 0
-              ? ctx_->Objective(extended.demand(),
-                                ctx_->OnlineConnectivityIncrementOnSlot(
-                                    slot, extended.edges()))
-              : Evaluate(extended);  // Line 10/13 on the shared scratch
+      if (mode_ == SearchMode::kPrecomputed) {
+        (*objectives)[i] = EvaluateLinear(extended);
+      } else {
+        (*trace_terms)[i] =
+            ctx_->EdgeTraceIncrement(entry.path.edges(), extensions[i]);
+        (*objectives)[i] = ctx_->Objective(
+            extended.demand(),
+            ctx_->ConnectivityFromTrace(*entry.trace_increment +
+                                        (*trace_terms)[i]));
+      }
       if (children != nullptr) (*children)[i] = std::move(extended);
     };
     if (pool_ != nullptr && n > 1) {
-      pool_->Run(n, [&](int shard, int begin, int end) {
-        for (int i = begin; i < end; ++i) evaluate_one(shard, i);
+      pool_->Run(n, [&](int /*shard*/, int begin, int end) {
+        for (int i = begin; i < end; ++i) evaluate_one(i);
       });
     } else {
-      for (int i = 0; i < n; ++i) evaluate_one(/*slot=*/-1, i);
+      for (int i = 0; i < n; ++i) evaluate_one(i);
     }
   }
 
@@ -308,9 +334,10 @@ class EtaSearch {
     queue_.push(std::move(entry));
   }
 
-  // Re-estimate the winner's connectivity online (both modes report the
-  // Lanczos-estimated increment, as the paper does for ETA-Pre's last
-  // point in Figure 9).
+  // Re-evaluate the winner's connectivity from scratch (both modes report
+  // the online increment, as the paper does for ETA-Pre's last point in
+  // Figure 9), so the reported value is a pure function of (snapshot,
+  // route), not of the order the search grew the route in.
   void FinalizeResult() {
     if (!result_.found) return;
     result_.demand = result_.path.demand();

@@ -8,12 +8,15 @@
 // still beats the incumbent and it survives the domination table.
 //
 // Two evaluation modes:
-//  * kOnline (ETA): the connectivity increment of every evaluated extension
-//    is estimated on the spot with the shared Lanczos+Hutchinson estimator.
-//    With CtBusOptions::eta_threads > 1 the per-frontier estimates fan out
-//    over a persistent WorkerPool — one private scratch adjacency per
-//    worker slot, all sharing the base's immutable estimator, reduced
-//    in serial order — so results are bit-identical at any thread count.
+//  * kOnline (ETA): every queue entry carries Delta tr(P), the change in
+//    tr(e^A) its path's new edges make. A candidate extension e costs one
+//    exact local increment Delta tr(e | P) on the radius-3 ball around e
+//    (connectivity/local_increment.h), scored as
+//    log1p((Delta tr(P) + Delta tr(e | P)) / tr_0); the chosen edge's term
+//    is added to the entry, so re-evaluating the extended path is free.
+//    With CtBusOptions::eta_threads > 1 the per-frontier terms fan out over
+//    a persistent WorkerPool and are reduced in serial order, so results
+//    are bit-identical at any thread count.
 //  * kPrecomputed (ETA-Pre): the objective is linear in the edges via the
 //    integrated ranking L_e (Equation 11); no estimator calls during the
 //    search. The winner's true connectivity is re-estimated once at the end.
@@ -29,7 +32,7 @@
 namespace ctbus::core {
 
 enum class SearchMode {
-  kOnline,      // ETA: Lanczos evaluation per candidate
+  kOnline,      // ETA: local trace increment per candidate
   kPrecomputed  // ETA-Pre: linearized objective via L_e
 };
 
@@ -41,8 +44,11 @@ struct PlanResult {
   double objective = 0.0;
   /// Raw commuting demand O_d(mu).
   double demand = 0.0;
-  /// Raw connectivity increment O_lambda(mu), re-estimated online for the
-  /// final path in both modes.
+  /// Raw connectivity increment O_lambda(mu) of the final path,
+  /// re-evaluated in both modes with
+  /// PlanningContext::OnlineConnectivityIncrement (exact local trace
+  /// increments telescoped in path order), so it is a pure function of
+  /// (snapshot, route).
   double connectivity_increment = 0.0;
   /// Iterations executed (polls surviving the termination check).
   int iterations = 0;
@@ -52,12 +58,8 @@ struct PlanResult {
   std::vector<std::pair<int, double>> trace;
 };
 
-/// Runs the search over a prepared context. The context is mutated only
-/// through its scratch state — the shared scratch adjacency (restored
-/// after every estimate) and, in kOnline mode with eta_threads > 1, the
-/// lazily-built per-worker evaluation units — so a const context suffices,
-/// but one context must not serve two concurrent searches (the search owns
-/// the context's worker slots for its duration).
+/// Runs the search over a prepared context. The search only reads the
+/// context, so any number of searches may share one at once.
 PlanResult RunEta(const PlanningContext* context, SearchMode mode);
 
 }  // namespace ctbus::core

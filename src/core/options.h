@@ -57,14 +57,14 @@ struct CtBusOptions {
   int precompute_threads = 1;
 
   /// Worker threads for ETA's online frontier evaluation — the
-  /// per-neighbor Lanczos estimates on lines 7-16 of Algorithm 1, the
-  /// dominant per-query cost of SearchMode::kOnline (ETA-Pre ranks
+  /// per-neighbor local trace increments on lines 7-16 of Algorithm 1,
+  /// the dominant per-query cost of SearchMode::kOnline (ETA-Pre ranks
   /// neighbors by L_e and never forks). 1 = serial, exactly the classic
   /// loop; 0 or negative = hardware concurrency. Results are bit-identical
-  /// at any setting: every worker slot shares the context's immutable
-  /// online estimator and lazily copies a private scratch adjacency (see
-  /// PlanningContext::OnlineConnectivityIncrementOnSlot), and candidates
-  /// are reduced in serial order (argmax, lowest index wins ties). Like
+  /// at any setting: every term is a pure function of the base adjacency,
+  /// the path and the edge (see PlanningContext::EdgeTraceIncrement), and
+  /// candidates are reduced in serial order (argmax, lowest index wins
+  /// ties). Like
   /// precompute_threads, this knob is therefore deliberately NOT part of
   /// the serving layer's precompute cache key or batch key
   /// (service/precompute_cache.h).

@@ -1,7 +1,6 @@
 #include "core/planning_context.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -10,6 +9,7 @@
 
 #include "connectivity/bounds.h"
 #include "connectivity/edge_increment.h"
+#include "connectivity/local_increment.h"
 #include "connectivity/perturbation.h"
 #include "core/parallel_for.h"
 #include "core/timing.h"
@@ -74,30 +74,16 @@ void ComputePerturbationIncrements(const graph::TransitNetwork& transit,
               });
 }
 
-/// The add-estimate-restore cycle behind every online increment: stage the
-/// path's new edges into `scratch`, estimate, and remove them again. The
-/// staged entries always sit at the tails of their rows, so Remove's
-/// swap-with-last only ever shuffles staged entries among themselves and
-/// the pre-call row layout is restored exactly — which is what keeps
-/// evaluations bit-identical across the shared scratch and every
-/// per-worker clone (same layout -> same summation order).
-double EstimateIncrementWith(
-    const EdgeUniverse& universe,
-    const connectivity::ConnectivityEstimator& estimator,
-    linalg::SymmetricSparseMatrix* scratch, double base_lambda,
-    const std::vector<int>& path_edges) {
-  std::vector<std::pair<int, int>> added;
+/// Stop pairs of the path's new edges, in path order: the overlay the local
+/// kernel stages on the base adjacency.
+std::vector<std::pair<int, int>> NewStopPairs(
+    const EdgeUniverse& universe, const std::vector<int>& path_edges) {
+  std::vector<std::pair<int, int>> pairs;
   for (int e : path_edges) {
     const PlannableEdge& edge = universe.edge(e);
-    if (!edge.is_new) continue;
-    if (scratch->Contains(edge.u, edge.v)) continue;
-    scratch->Set(edge.u, edge.v, 1.0);
-    added.emplace_back(edge.u, edge.v);
+    if (edge.is_new) pairs.emplace_back(edge.u, edge.v);
   }
-  if (added.empty()) return 0.0;
-  const double lambda_after = estimator.Estimate(*scratch);
-  for (const auto& [u, v] : added) scratch->Remove(u, v);
-  return lambda_after - base_lambda;
+  return pairs;
 }
 
 /// Universe ids of every candidate (is_new) edge, in id order.
@@ -241,7 +227,8 @@ PlanningBase::PlanningBase(
       precompute_(std::move(precompute)),
       online_estimator_(online_estimator),
       estimator_(transit.num_stops(), online_estimator),
-      base_lambda_(estimator_.Estimate(transit.AdjacencyMatrix())),
+      adjacency_(transit.AdjacencyMatrix()),
+      base_lambda_(estimator_.Estimate(adjacency_)),
       demand_list_(precompute_->universe.DemandScores()),
       increment_list_(precompute_->increments) {}
 
@@ -256,6 +243,7 @@ std::shared_ptr<const PlanningBase> PlanningBase::Build(
 std::size_t PlanningBase::ApproxBytes() const {
   return sizeof(PlanningBase) + precompute_->ApproxBytes() +
          estimator_.ApproxBytes() - sizeof(connectivity::ConnectivityEstimator) +
+         adjacency_.ApproxBytes() - sizeof(linalg::SymmetricSparseMatrix) +
          demand_list_.ApproxBytes() - sizeof(demand::RankedList) +
          increment_list_.ApproxBytes() - sizeof(demand::RankedList);
 }
@@ -287,7 +275,6 @@ PlanningContext PlanningContext::Build(
   PlanningContext ctx;
   ctx.base_ = std::move(base);
   ctx.options_ = options;
-  ctx.scratch_adjacency_ = ctx.transit().AdjacencyMatrix();
 
   // Equation 12 normalization over the base's ranked lists.
   ctx.d_max_ = std::max(ctx.demand_list().TopSum(options.k), 1e-12);
@@ -309,7 +296,7 @@ std::vector<double> PlanningContext::top_eigenvalues() const {
   const int n = transit().num_stops();
   const int needed = std::max(2 * options_.k, 2);
   linalg::Rng eig_rng(options_.online_estimator.seed ^ 0x9e3779b9ULL);
-  return linalg::TopEigenvalues(scratch_adjacency_, std::min(needed, n),
+  return linalg::TopEigenvalues(base_->adjacency(), std::min(needed, n),
                                 std::min(n, needed + 30), &eig_rng);
 }
 
@@ -319,51 +306,39 @@ double PlanningContext::Objective(double demand,
          (1.0 - options_.w) * connectivity_increment / lambda_max_;
 }
 
+double PlanningContext::TraceIncrement(
+    const std::vector<int>& path_edges) const {
+  std::vector<std::pair<int, int>> staged;
+  double total = 0.0;
+  for (const auto& [u, v] : NewStopPairs(universe(), path_edges)) {
+    total += connectivity::LocalTraceIncrement(base_->adjacency(), staged,
+                                               u, v);
+    staged.emplace_back(u, v);
+  }
+  return total;
+}
+
+double PlanningContext::EdgeTraceIncrement(const std::vector<int>& path_edges,
+                                           int edge) const {
+  const PlannableEdge& e = universe().edge(edge);
+  if (!e.is_new) return 0.0;
+  return connectivity::LocalTraceIncrement(
+      base_->adjacency(), NewStopPairs(universe(), path_edges), e.u, e.v);
+}
+
+double PlanningContext::ConnectivityFromTrace(double trace_increment) const {
+  const double base_trace = transit().num_stops() * std::exp(base_lambda());
+  return std::log1p(trace_increment / base_trace);
+}
+
 double PlanningContext::OnlineConnectivityIncrement(
     const std::vector<int>& path_edges) const {
-  return EstimateIncrementWith(universe(), estimator(), &scratch_adjacency_,
-                               base_lambda(), path_edges);
-}
-
-double PlanningContext::OnlineConnectivityIncrementOnSlot(
-    int slot, const std::vector<int>& path_edges) const {
-  assert(slot >= 0 &&
-         slot < static_cast<int>(online_eval_units_.size()));
-  std::unique_ptr<linalg::SymmetricSparseMatrix>& scratch =
-      online_eval_units_[slot];
-  if (scratch == nullptr) {
-    // First use of this slot: copy the base adjacency (same deterministic
-    // construction => same row layout). The estimator is immutable, so
-    // every slot shares the base's.
-    scratch = std::make_unique<linalg::SymmetricSparseMatrix>(
-        transit().AdjacencyMatrix());
-  }
-  return EstimateIncrementWith(universe(), estimator(), scratch.get(),
-                               base_lambda(), path_edges);
-}
-
-void PlanningContext::ReserveOnlineEvalSlots(int n) const {
-  if (n > static_cast<int>(online_eval_units_.size())) {
-    online_eval_units_.resize(n);
-  }
-}
-
-int PlanningContext::num_online_eval_units_built() const {
-  int built = 0;
-  for (const auto& scratch : online_eval_units_) built += scratch != nullptr;
-  return built;
+  return ConnectivityFromTrace(TraceIncrement(path_edges));
 }
 
 std::size_t PlanningContext::ApproxBytes() const {
-  std::size_t bytes = sizeof(PlanningContext) + base_->ApproxBytes() +
-                      objective_list_.ApproxBytes() +
-                      scratch_adjacency_.ApproxBytes() +
-                      online_eval_units_.size() *
-                          sizeof(std::unique_ptr<linalg::SymmetricSparseMatrix>);
-  for (const auto& scratch : online_eval_units_) {
-    if (scratch != nullptr) bytes += scratch->ApproxBytes();
-  }
-  return bytes;
+  return sizeof(PlanningContext) + base_->ApproxBytes() +
+         objective_list_.ApproxBytes();
 }
 
 double PlanningContext::LinearConnectivityIncrement(

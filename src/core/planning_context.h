@@ -1,12 +1,14 @@
 // Everything the planners need, in two layers. PlanningBase is the
 // request-invariant part, built once per (snapshot, precompute, online
 // estimator) and shared immutably: the plannable-edge universe and Delta(e)
-// pre-computation, the ranked lists L_d and L_lambda, and the online
-// connectivity estimator with its base-network estimate. PlanningContext
-// is the thin per-request part over a shared base: the options, the
-// Equation 12 normalization constants, the integrated ranking L_e and the
-// scratch adjacencies the online estimates mutate. The top eigenvalues
-// behind the Lemma 4 bound are computed on demand, only by online ETA.
+// pre-computation, the ranked lists L_d and L_lambda, the base adjacency
+// and the online estimator's base-network estimate. PlanningContext is the
+// thin per-request part over a shared base: the options, the Equation 12
+// normalization constants and the integrated ranking L_e. It holds no
+// mutable state: online increments are exact local trace increments read
+// off the base's adjacency (connectivity/local_increment.h), so one
+// context may serve any number of threads. The top eigenvalues behind the
+// Lemma 4 bound are computed on demand, only by online ETA.
 #ifndef CTBUS_CORE_PLANNING_CONTEXT_H_
 #define CTBUS_CORE_PLANNING_CONTEXT_H_
 
@@ -113,15 +115,20 @@ class PlanningBase {
   const connectivity::ConnectivityEstimator& estimator() const {
     return estimator_;
   }
+  /// The transit network's adjacency matrix, built once. Every online
+  /// increment and the Lemma 4 eigenvalues read it; nothing writes it.
+  const linalg::SymmetricSparseMatrix& adjacency() const {
+    return adjacency_;
+  }
   /// lambda(G_r) as seen by the online estimator.
   double base_lambda() const { return base_lambda_; }
   /// L_d and L_lambda over universe edge ids.
   const demand::RankedList& demand_list() const { return demand_list_; }
   const demand::RankedList& increment_list() const { return increment_list_; }
 
-  /// Approximate resident footprint in bytes: the ranked lists, the
-  /// estimator's probes and the (possibly shared) precompute it holds
-  /// alive.
+  /// Approximate resident footprint in bytes: the adjacency, the ranked
+  /// lists, the estimator's probes and the (possibly shared) precompute it
+  /// holds alive.
   std::size_t ApproxBytes() const;
 
  private:
@@ -135,6 +142,7 @@ class PlanningBase {
   std::shared_ptr<const Precompute> precompute_;
   connectivity::EstimatorOptions online_estimator_;
   connectivity::ConnectivityEstimator estimator_;
+  linalg::SymmetricSparseMatrix adjacency_;
   double base_lambda_;
   demand::RankedList demand_list_;
   demand::RankedList increment_list_;
@@ -180,14 +188,11 @@ class PlanningContext {
                                const CtBusOptions& options);
 
   /// Builds the per-request part over a shared base: the normalization
-  /// constants, L_e and a scratch adjacency, O(universe edges) plus one
-  /// adjacency copy. This is the hot path of the serving layer, whose
-  /// workers reuse one base across requests. Any number of contexts (on
-  /// any threads) may share one base; each context only adds mutable
-  /// state of its own (the scratch adjacencies), which is what makes a
-  /// *context* single-threaded while the *base* is freely shared. Throws
-  /// std::invalid_argument unless options.online_estimator equals
-  /// base->online_estimator().
+  /// constants and L_e, O(universe edges). This is the hot path of the
+  /// serving layer, whose workers reuse one base across requests. Any
+  /// number of contexts (on any threads) may share one base, and a context
+  /// is itself immutable once built. Throws std::invalid_argument unless
+  /// options.online_estimator equals base->online_estimator().
   static PlanningContext Build(std::shared_ptr<const PlanningBase> base,
                                const CtBusOptions& options);
 
@@ -246,9 +251,8 @@ class PlanningContext {
 
   /// Top eigenvalues of the base adjacency (descending), enough for the
   /// Lemma 3/4 bounds at options().k. Computed on every call (a 2k + 30
-  /// step Lanczos run seeded from the online estimator) on the context's
-  /// scratch adjacency, so it shares OnlineConnectivityIncrement's
-  /// threading rule.
+  /// step Lanczos run seeded from the online estimator) on the base's
+  /// adjacency; thread-safe.
   std::vector<double> top_eigenvalues() const;
 
   const PrecomputeStats& precompute_stats() const {
@@ -256,7 +260,7 @@ class PlanningContext {
   }
 
   /// Approximate resident footprint in bytes of this context's own state
-  /// (L_e, the scratch adjacencies) plus the base it holds alive.
+  /// (L_e) plus the base it holds alive.
   /// Contexts sharing one base each report its bytes — the serving layer
   /// accounts the shared precompute once, via the cache.
   std::size_t ApproxBytes() const;
@@ -275,41 +279,30 @@ class PlanningContext {
   /// increment.
   double Objective(double demand, double connectivity_increment) const;
 
-  /// Online connectivity increment of a path's *new* edges, evaluated with
-  /// the base's shared estimator against the base network (the Lanczos
-  /// call on lines 10/13 of Algorithm 1). Const but NOT thread-safe per
-  /// context: it mutates and restores the context's scratch matrix, so
-  /// concurrent planners must each own a context — contexts over one
-  /// shared base are fine (see service/planning_service.h).
+  /// Delta tr(e^A) of a path's *new* edges: the exact local increment of
+  /// each new edge (connectivity::LocalTraceIncrement on the base
+  /// adjacency), telescoped in path order with the path's earlier new
+  /// edges staged. Existing and repeated edges add 0. Thread-safe.
+  double TraceIncrement(const std::vector<int>& path_edges) const;
+
+  /// Delta tr(e^A) of adding universe edge `edge` to the network that
+  /// already holds the new edges of `path_edges`: the one telescoped term
+  /// ETA pays per frontier candidate. 0 unless `edge` is new and not
+  /// already on the path. Thread-safe.
+  double EdgeTraceIncrement(const std::vector<int>& path_edges,
+                            int edge) const;
+
+  /// Connectivity increment lambda(G + P) - lambda(G) of a path whose new
+  /// edges change tr(e^A) by `trace_increment`:
+  /// log1p(trace_increment / tr_0), with tr_0 = n * exp(base_lambda()) the
+  /// online estimator's base trace.
+  double ConnectivityFromTrace(double trace_increment) const;
+
+  /// Online connectivity increment of a path's *new* edges against the
+  /// base network (lines 10/13 of Algorithm 1):
+  /// ConnectivityFromTrace(TraceIncrement(path_edges)). A pure function of
+  /// (base, path), thread-safe.
   double OnlineConnectivityIncrement(const std::vector<int>& path_edges) const;
-
-  /// OnlineConnectivityIncrement evaluated on worker slot `slot`'s private
-  /// scratch adjacency, copied lazily on the slot's first use; every slot
-  /// shares the base's (immutable) estimator. Bit-identical to
-  /// OnlineConnectivityIncrement: Set/Remove cycles restore the
-  /// adjacency's row layout exactly, so every evaluation sees the base
-  /// layout plus its own path edges regardless of which slot runs it.
-  /// Distinct slots may run concurrently (ETA's frontier workers key slots
-  /// off stable WorkerPool shard ids); a single slot must never be shared
-  /// by two threads at once. Requires ReserveOnlineEvalSlots(slot + 1)
-  /// first.
-  double OnlineConnectivityIncrementOnSlot(
-      int slot, const std::vector<int>& path_edges) const;
-
-  /// Ensures evaluation slots [0, n) exist (slots stay empty until first
-  /// use, so unused slots cost one null pointer). NOT thread-safe — call
-  /// from the search thread before forking workers. The slots are
-  /// per-context scratch state like scratch_adjacency_: they never enter
-  /// the shared Precompute, which is why CtBusOptions::eta_threads stays
-  /// out of the precompute cache key (service/precompute_cache.h).
-  void ReserveOnlineEvalSlots(int n) const;
-
-  /// Slots currently reserved, and how many were actually materialized by
-  /// a first use. For tests and introspection.
-  int num_online_eval_slots() const {
-    return static_cast<int>(online_eval_units_.size());
-  }
-  int num_online_eval_units_built() const;
 
   /// Linearized connectivity increment: sum of Delta(e) over the path's
   /// edges (ETA-Pre's surrogate).
@@ -326,14 +319,6 @@ class PlanningContext {
   std::shared_ptr<const PlanningBase> base_;
   CtBusOptions options_;
   demand::RankedList objective_list_;
-  mutable linalg::SymmetricSparseMatrix scratch_adjacency_;
-  /// Lazily-built per-worker scratch adjacencies (indexed by worker slot;
-  /// see OnlineConnectivityIncrementOnSlot).
-  /// The vector itself is only resized by ReserveOnlineEvalSlots; each
-  /// element is owned by exactly one worker slot, so concurrent slots
-  /// never race.
-  mutable std::vector<std::unique_ptr<linalg::SymmetricSparseMatrix>>
-      online_eval_units_;
   double d_max_ = 1.0;
   double lambda_max_ = 1.0;
 };

@@ -1,11 +1,10 @@
 // The determinism contract of parallel frontier expansion: RunEta in
 // SearchMode::kOnline must produce bit-identical results at any
 // CtBusOptions::eta_threads setting, for both expansion variants
-// (best-neighbor and ETA-AN). Each worker slot owns a private scratch
-// adjacency and shares the base's immutable estimator (same pinned
-// probes), and the candidate reduce replays the serial scan order, so
-// threading must not move a single bit (see core/eta.h and
-// docs/ARCHITECTURE.md). The same holds across searches: contexts over
+// (best-neighbor and ETA-AN). Every frontier candidate's trace term is a
+// pure function of (base adjacency, path, edge), and the candidate reduce
+// replays the serial scan order, so threading must not move a single bit
+// (see core/eta.h and docs/ARCHITECTURE.md). The same holds across searches: contexts over
 // one shared PlanningBase, planning on concurrent threads, must match
 // per-request builds run serially.
 #include <gtest/gtest.h>
@@ -36,8 +35,8 @@ CtBusOptions TestOptions(bool best_neighbor_only) {
   return options;
 }
 
-/// Exact equality on purpose, doubles included: per-slot evaluation units
-/// must reproduce the shared serial scratch to the last bit.
+/// Exact equality on purpose, doubles included: a parallel frontier must
+/// reproduce the serial one to the last bit.
 void ExpectResultsIdentical(const PlanResult& a, const PlanResult& b,
                             int threads) {
   ASSERT_EQ(a.found, b.found) << "threads=" << threads;
@@ -50,14 +49,6 @@ void ExpectResultsIdentical(const PlanResult& a, const PlanResult& b,
   EXPECT_EQ(a.iterations, b.iterations) << "threads=" << threads;
   EXPECT_EQ(a.trace, b.trace) << "threads=" << threads;
 }
-
-/// A plan plus the context's worker-slot bookkeeping (the context itself
-/// does not outlive the run; its default constructor is private).
-struct RunOutcome {
-  PlanResult result;
-  int slots_reserved = 0;
-  int units_built = 0;
-};
 
 class EtaParallelTest : public ::testing::TestWithParam<bool> {
  protected:
@@ -77,16 +68,12 @@ class EtaParallelTest : public ::testing::TestWithParam<bool> {
     dataset_ = nullptr;
   }
 
-  static RunOutcome Run(CtBusOptions options, int eta_threads,
+  static PlanResult Run(CtBusOptions options, int eta_threads,
                         SearchMode mode = SearchMode::kOnline) {
     options.eta_threads = eta_threads;
     const PlanningContext ctx = PlanningContext::BuildWithPrecompute(
         dataset_->road, dataset_->transit, options, *precompute_);
-    RunOutcome out;
-    out.result = RunEta(&ctx, mode);
-    out.slots_reserved = ctx.num_online_eval_slots();
-    out.units_built = ctx.num_online_eval_units_built();
-    return out;
+    return RunEta(&ctx, mode);
   }
 
   static gen::Dataset* dataset_;
@@ -98,44 +85,34 @@ std::shared_ptr<const Precompute>* EtaParallelTest::precompute_ = nullptr;
 
 TEST_P(EtaParallelTest, AnyThreadCountIsBitIdenticalToSerial) {
   const CtBusOptions options = TestOptions(GetParam());
-  const RunOutcome serial = Run(options, /*eta_threads=*/1);
-  ASSERT_TRUE(serial.result.found);
-  // The serial fast path must not even reserve worker slots.
-  EXPECT_EQ(serial.slots_reserved, 0);
-
+  const PlanResult serial = Run(options, /*eta_threads=*/1);
+  ASSERT_TRUE(serial.found);
   for (int threads : {2, 3, 8}) {
-    const RunOutcome parallel = Run(options, threads);
-    ExpectResultsIdentical(parallel.result, serial.result, threads);
-    EXPECT_EQ(parallel.slots_reserved, threads);
-    // The frontier fan-out really ran: the caller's slot and at least one
-    // pool thread's slot were materialized by first use.
-    EXPECT_GE(parallel.units_built, 2) << "threads=" << threads;
+    ExpectResultsIdentical(Run(options, threads), serial, threads);
   }
 }
 
 TEST_P(EtaParallelTest, HardwareConcurrencySettingIsBitIdenticalToSerial) {
   const CtBusOptions options = TestOptions(GetParam());
-  const RunOutcome serial = Run(options, /*eta_threads=*/1);
-  const RunOutcome hw = Run(options, /*eta_threads=*/0);
-  ExpectResultsIdentical(hw.result, serial.result, /*threads=*/0);
+  const PlanResult serial = Run(options, /*eta_threads=*/1);
+  const PlanResult hw = Run(options, /*eta_threads=*/0);
+  ExpectResultsIdentical(hw, serial, /*threads=*/0);
 }
 
 TEST_P(EtaParallelTest, PrecomputedModeNeverForks) {
   // ETA-Pre evaluates ranked-list lookups; eta_threads must be inert
-  // there (no slots reserved, identical results).
+  // there (identical results).
   const CtBusOptions options = TestOptions(GetParam());
-  const RunOutcome serial = Run(options, /*eta_threads=*/1,
+  const PlanResult serial = Run(options, /*eta_threads=*/1,
                                 SearchMode::kPrecomputed);
-  const RunOutcome parallel = Run(options, /*eta_threads=*/8,
+  const PlanResult parallel = Run(options, /*eta_threads=*/8,
                                   SearchMode::kPrecomputed);
-  EXPECT_EQ(parallel.slots_reserved, 0);
-  EXPECT_EQ(parallel.units_built, 0);
-  ExpectResultsIdentical(parallel.result, serial.result, /*threads=*/8);
+  ExpectResultsIdentical(parallel, serial, /*threads=*/8);
 }
 
 TEST_P(EtaParallelTest, ConcurrentContextsOverOneBaseMatchSerial) {
-  // Contexts over one shared PlanningBase only add private scratch, so
-  // four threads planning at once (online ETA itself forking two frontier
+  // Contexts over one shared PlanningBase hold no mutable state, so four
+  // threads planning at once (online ETA itself forking two frontier
   // workers) must reproduce per-request builds run one after another.
   CtBusOptions options = TestOptions(GetParam());
   options.eta_threads = 2;

@@ -1,13 +1,21 @@
 #include "core/eta.h"
 
+#include <cmath>
+#include <string>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
 
+#include "connectivity/natural_connectivity.h"
 #include "gen/datasets.h"
 #include "graph/graph.h"
 #include "graph/road_network.h"
 #include "graph/transit_network.h"
+#include "io/network_io.h"
+
+#ifndef CTBUS_TEST_DATA_DIR
+#define CTBUS_TEST_DATA_DIR "tests/data"
+#endif
 
 namespace ctbus::core {
 namespace {
@@ -298,6 +306,53 @@ TEST_F(EtaTest, WeightZeroMaximizesConnectivityOnly) {
               result.connectivity_increment / ctx.lambda_max(), 1e-9);
   // A pure-connectivity route must contain new edges.
   EXPECT_GT(result.path.num_new_edges(), 0);
+}
+
+double ExactTraceExp(const linalg::SymmetricSparseMatrix& a) {
+  return a.dim() * std::exp(connectivity::NaturalConnectivityExact(a));
+}
+
+// The golden trace (tests/data/golden_grid.trace) plans the grid fixture
+// at the default tau of 500 m, and its stops are 800 m apart, so it has no
+// candidate edges and cannot see the connectivity term. At tau = 900 m it
+// can: both modes must report the route's increment as
+// log1p(exact Delta tr / tr_0), with Delta tr from dense eigensolves and
+// tr_0 the online estimator's base trace, within the local-increment
+// kernel test's telescoped tolerance (2e-5 of tr(e^A)).
+TEST(EtaGridFixtureTest, ReportedIncrementMatchesDenseExactAtTau900) {
+  const std::string dir = CTBUS_TEST_DATA_DIR;
+  const auto road = io::LoadRoadNetwork(dir + "/grid_road.tsv");
+  const auto transit = io::LoadTransitNetwork(dir + "/grid_transit.tsv");
+  ASSERT_TRUE(road.has_value());
+  ASSERT_TRUE(transit.has_value());
+  CtBusOptions options = FastOptions();
+  options.k = 6;
+  options.tau = 900.0;
+  options.w = 0.3;
+  const auto ctx = PlanningContext::Build(*road, *transit, options);
+  ASSERT_GT(ctx.universe().num_new_edges(), 0);
+
+  const linalg::SymmetricSparseMatrix base = transit->AdjacencyMatrix();
+  const double base_trace = ExactTraceExp(base);
+  const double anchor = transit->num_stops() * std::exp(ctx.base_lambda());
+  for (const SearchMode mode : {SearchMode::kOnline, SearchMode::kPrecomputed}) {
+    SCOPED_TRACE(mode == SearchMode::kOnline ? "online" : "precomputed");
+    const PlanResult result = RunEta(&ctx, mode);
+    ExpectFeasible(ctx, result);
+    ASSERT_GT(result.path.num_new_edges(), 0);
+    linalg::SymmetricSparseMatrix with = base;
+    for (int e : result.path.edges()) {
+      const PlannableEdge& edge = ctx.universe().edge(e);
+      if (edge.is_new) with.Set(edge.u, edge.v, 1.0);
+    }
+    const double exact_trace_increment = ExactTraceExp(with) - base_trace;
+    EXPECT_NEAR(result.connectivity_increment,
+                std::log1p(exact_trace_increment / anchor),
+                2e-5 * base_trace / anchor);
+    EXPECT_NEAR(result.objective,
+                ctx.Objective(result.demand, result.connectivity_increment),
+                1e-12);
+  }
 }
 
 }  // namespace

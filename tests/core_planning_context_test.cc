@@ -123,7 +123,7 @@ TEST_F(PlanningContextTest, OnlineIncrementPositiveForNewEdges) {
   EXPECT_GT(context_->OnlineConnectivityIncrement(new_edges), 0.0);
 }
 
-TEST_F(PlanningContextTest, OnlineIncrementRestoresScratchState) {
+TEST_F(PlanningContextTest, OnlineIncrementIsRepeatable) {
   std::vector<int> new_edges;
   for (int e = 0; e < context_->universe().num_edges(); ++e) {
     if (context_->universe().edge(e).is_new) {
@@ -182,7 +182,7 @@ TEST_F(PlanningContextTest, TopEigenvaluesDescending) {
 }
 
 /// The first three new edges by Delta(e) rank: a fixed route whose online
-/// increment exercises the scratch adjacency.
+/// increment telescopes over three local terms.
 std::vector<int> TopNewEdges(const PlanningContext& context) {
   std::vector<int> edges;
   for (int rank = 0; rank < context.increment_list().size(); ++rank) {
