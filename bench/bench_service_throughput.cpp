@@ -1,25 +1,24 @@
 // Serving-layer throughput: queries/sec of the sharded PlanningService
 // over the ChicagoLike preset, with a warmed precompute cache
-// (steady-state serving, not cold start). Three sections:
+// (steady-state serving, not cold start). Sections:
 //
 //   1. pool scaling   — queries/sec per worker-pool size
-//   2. batching       — same-key sweep backlog drained with batching
-//                       on vs off (one precompute resolution per batch
-//                       vs one cache lookup per request)
-//   3. sharding       — two datasets served by one shared shard's worth
+//   2. sharding       — two datasets served by one shared shard's worth
 //                       of traffic vs per-dataset shards, plus proof that
 //                       a saturated hot shard cannot starve a cold one
-//   4. memory         — steady-state ApproxBytes totals and eviction /
+//   3. memory         — steady-state ApproxBytes totals and eviction /
 //                       prune counts under a sweep flood with a tight
 //                       cache byte budget and keep-latest-2 retention
-//   6. front door     — the same serving layer behind the framed-TCP
+//   4. metrics        — registry + tracing on vs off: overhead, and
+//                       identical checksums
+//   5. front door     — the same serving layer behind the framed-TCP
 //                       server, driven by the net/loadgen record/replay
 //                       engine; emits its own BENCH_server_throughput
 //                       report and fails on checksum drift or a busted
 //                       latency budget
 //
 // Identical checksums across configurations certify that concurrency,
-// batching, sharding, and memory budgets leave results bit-identical to
+// sharding, and memory budgets leave results bit-identical to
 // serial execution.
 //
 // Environment knobs:
@@ -132,38 +131,6 @@ double MeasureThroughput(const ctbus::gen::Dataset& city, int num_threads,
   return num_requests / seconds;
 }
 
-/// Drains a pre-queued same-key sweep backlog with the given batch limit
-/// (1 = batching off) through one worker and a COLD, DISABLED cache, so
-/// every precompute the service runs is real work. Returns queries/sec.
-double MeasureBatching(const ctbus::gen::Dataset& city,
-                       std::size_t max_batch_size, int num_requests,
-                       double* check_sum, std::uint64_t* batches) {
-  ServiceOptions service_options;
-  service_options.num_threads = 1;
-  service_options.cache_capacity = 0;  // only batching can amortize
-  service_options.max_batch_size = max_batch_size;
-  service_options.start_paused = true;
-  service_options.queue_capacity = static_cast<std::size_t>(num_requests);
-  PlanningService service(service_options);
-  service.RegisterDataset(city.name, city.road, city.transit);
-
-  std::vector<std::future<ServiceResult>> futures;
-  futures.reserve(num_requests);
-  for (int i = 0; i < num_requests; ++i) {
-    futures.push_back(service.Submit(MakeRequest(city.name, Priority::kSweep)));
-  }
-  ctbus::bench::Stopwatch timer;
-  service.Start();
-  double sum = 0.0;
-  for (auto& future : futures) {
-    sum += future.get().plan.objective;
-  }
-  const double seconds = timer.Seconds();
-  if (check_sum != nullptr) *check_sum = sum;
-  if (batches != nullptr) *batches = service.service_stats().batches;
-  return num_requests / seconds;
-}
-
 /// Serves `num_requests` split across `datasets`, one worker per shard,
 /// warmed caches. Returns queries/sec.
 double MeasureSharding(const std::vector<ctbus::gen::Dataset>& datasets,
@@ -260,7 +227,7 @@ void MeasureMemoryGovernance(const ctbus::gen::Dataset& city, int rounds,
 int main() {
   ctbus::bench::PrintHeader(
       "service throughput",
-      "serving layer (not in the paper): pool scaling, batching, sharding");
+      "serving layer (not in the paper): pool scaling, sharding");
   const int num_requests = static_cast<int>(
       ctbus::bench::GetEnvDouble("CTBUS_SERVICE_REQUESTS", 24));
   const ctbus::gen::Dataset city =
@@ -292,31 +259,7 @@ int main() {
     std::printf("note: 1-CPU host — multi-thread speedups need >= 2 cores.\n");
   }
 
-  // ---- 2. batching -----------------------------------------------------
-  // Cold, disabled cache: without batching every request pays a full
-  // precompute; with batching one resolution feeds each same-key batch.
-  std::printf("\n-- batching (same-key sweep backlog, cache disabled) --\n");
-  std::printf("%10s %12s %10s %8s %10s\n", "batch max", "queries/s",
-              "speedup", "batches", "checksum");
-  const int batch_requests = std::min(num_requests, 12);
-  double unbatched_qps = 0.0;
-  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{4},
-                                      std::size_t{12}}) {
-    double check_sum = 0.0;
-    std::uint64_t batches = 0;
-    const double qps = MeasureBatching(city, max_batch, batch_requests,
-                                       &check_sum, &batches);
-    if (max_batch == 1) unbatched_qps = qps;
-    std::printf("%10zu %12.2f %9.2fx %8llu %10.4f\n", max_batch, qps,
-                unbatched_qps > 0.0 ? qps / unbatched_qps : 1.0,
-                static_cast<unsigned long long>(batches), check_sum);
-    report.AddMetric("batching_qps_max_" + std::to_string(max_batch), qps,
-                     "higher");
-    report.AddChecksum("batching_max_" + std::to_string(max_batch),
-                       check_sum);
-  }
-
-  // ---- 3. sharding -----------------------------------------------------
+  // ---- 2. sharding -----------------------------------------------------
   // Two cities, one worker per shard: interleaved traffic is served by
   // independent pools with independent queues (a saturated shard cannot
   // starve the other even on a shared machine).
@@ -338,15 +281,15 @@ int main() {
   report.AddMetric("sharding_qps_dual", dual_qps, "higher");
   report.AddChecksum("sharding_single", single_sum);
 
-  // ---- 4. memory governance --------------------------------------------
+  // ---- 3. memory governance --------------------------------------------
   // Steady-state footprint under a sweep flood + commit loop with tight
   // budgets: bytes stay flat, evictions/prunes pay for it, results don't
-  // change (budgets are not part of any cache or batch key).
+  // change (budgets are not part of the cache key).
   std::printf("\n-- memory governance (tight budgets, sweep flood) --\n");
   MeasureMemoryGovernance(city, /*rounds=*/4,
                           /*requests_per_round=*/std::min(num_requests, 8));
 
-  // ---- 5. metrics overhead ---------------------------------------------
+  // ---- 4. metrics overhead ---------------------------------------------
   // Same workload with the metrics registry + tracing fully on vs fully
   // off: the record path is relaxed atomics, so the target is < 2%
   // overhead — and checksums MUST match exactly (observability never
@@ -376,7 +319,7 @@ int main() {
   report.AddChecksum("metrics_off", off_sum);
   report.AddChecksum("metrics_on", on_sum);
 
-  // ---- 6. front door ---------------------------------------------------
+  // ---- 5. front door ---------------------------------------------------
   // The serving layer behind the framed-TCP front door: record a mixed
   // interactive/sweep workload over loopback (sequential, uncontended),
   // then replay it at 8x over 2 connections. The replay contract —

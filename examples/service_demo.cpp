@@ -39,9 +39,9 @@ int main() {
       service.num_threads());
 
   // 3. A what-if sweep: 2 route lengths x 3 demand/connectivity weights,
-  //    all submitted at sweep priority against one pinned snapshot. Cells
-  //    sharing the precompute key execute as batches, and the whole sweep
-  //    costs one precompute.
+  //    all submitted at sweep priority against one pinned snapshot. Every
+  //    cell shares the precompute key, so the whole sweep costs one
+  //    precompute: the first cell misses the cache, the rest hit it.
   ctbus::service::SweepSpec spec;
   spec.dataset = "midtown";
   spec.base.k = 8;

@@ -19,8 +19,8 @@ struct CtBusOptions {
   /// Straight-line distance threshold tau between neighbor stops for
   /// candidate new edges, meters (the paper fixes 0.5 km). Together with
   /// precompute_estimator and use_perturbation_precompute, tau determines
-  /// the precompute output — the serving layer keys its cache AND its
-  /// request batches on exactly these fields (service/precompute_cache.h),
+  /// the precompute output — the serving layer keys its precompute cache
+  /// on exactly these fields (service/precompute_cache.h),
   /// while k / w / max_turns / seed_count / planner stay sweepable for free.
   double tau = 500.0;
 
@@ -66,8 +66,7 @@ struct CtBusOptions {
   /// candidates are reduced in serial order (argmax, lowest index wins
   /// ties). Like
   /// precompute_threads, this knob is therefore deliberately NOT part of
-  /// the serving layer's precompute cache key or batch key
-  /// (service/precompute_cache.h).
+  /// the serving layer's precompute cache key (service/precompute_cache.h).
   /// ctbus-lint: key-exempt(bit-identical at any thread count — keying would fragment the cache)
   int eta_threads = 1;
 

@@ -336,7 +336,6 @@ ResponseFrame MakeOkResponse(std::uint64_t request_id,
   response.iterations = result.plan.iterations;
   response.queue_seconds = result.stats.queue_seconds;
   response.cache_hit = result.stats.precompute_cache_hit;
-  response.batch_size = static_cast<std::uint32_t>(result.stats.batch_size);
   return response;
 }
 

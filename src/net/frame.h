@@ -26,7 +26,7 @@
 // Response payloads have two sections: a DETERMINISTIC section (status,
 // plan content, resolved snapshot version — everything that must be
 // bit-identical when the same request replays against the same dataset)
-// and a nondeterministic tail (server-side timings, cache/batch info).
+// and a nondeterministic tail (server-side timings, cache info).
 // ResponseChecksum hashes ONLY the deterministic section, which is what
 // the record/replay harness (net/trace_file.h) compares across runs.
 //
@@ -124,6 +124,8 @@ struct ResponseFrame {
   double server_seconds = 0.0;  // receive -> response write
   double queue_seconds = 0.0;   // service queue wait
   bool cache_hit = false;
+  /// Always 1: the service executes one request per dequeue. Kept on the
+  /// wire so existing clients that read it keep decoding.
   std::uint32_t batch_size = 1;
 };
 

@@ -267,7 +267,6 @@ std::unique_ptr<LoopbackServer> StartLoopbackServer(
   service::ServiceOptions service_options;
   service_options.num_threads = options.num_threads;
   service_options.queue_capacity = options.queue_capacity;
-  service_options.max_batch_size = options.max_batch_size;
   service_options.overflow_policy = options.reject_on_overflow
                                         ? service::OverflowPolicy::kReject
                                         : service::OverflowPolicy::kBlock;

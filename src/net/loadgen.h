@@ -123,7 +123,6 @@ struct LoopbackOptions {
   /// its own traffic unless the caller asks for it).
   int num_threads = 1;
   std::size_t queue_capacity = 4096;
-  std::size_t max_batch_size = 8;
   bool reject_on_overflow = false;
   std::size_t max_inflight_per_client = 1024;
 };

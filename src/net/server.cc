@@ -314,8 +314,7 @@ void Server::LogRequest(const Connection& connection,
   obs::WriteJsonDouble(out, seconds);
   out << ", \"queue_s\": ";
   obs::WriteJsonDouble(out, response.queue_seconds);
-  out << ", \"batch\": " << response.batch_size << ", \"version\": "
-      << response.snapshot_version;
+  out << ", \"version\": " << response.snapshot_version;
   if (!response.message.empty()) {
     out << ", \"message\": ";
     obs::WriteJsonString(out, response.message);

@@ -1,6 +1,6 @@
 // The front door: a framed-TCP server over a PlanningService, mapping
 // network admission control onto the serving layer's existing
-// priority / overflow / batching machinery instead of inventing new
+// priority / overflow machinery instead of inventing new
 // queues:
 //
 //   * Per-client in-flight quota — each connection may have at most

@@ -27,15 +27,6 @@ const char* const kPhaseNames[2][5] = {
      "service.latency.total.sweep"},
 };
 
-/// The batch identity of a request: everything its precompute resolution
-/// depends on, with snapshot_version taken *as submitted* (0 = "latest"
-/// stays 0, so only requests that will resolve "latest" together group
-/// together; pinned versions only group with the same pin).
-PrecomputeKey BatchKeyOf(const PlanRequest& request) {
-  return MakePrecomputeKey(request.dataset, request.snapshot_version,
-                           request.options);
-}
-
 }  // namespace
 
 PlanningService::PlanningService(const ServiceOptions& options)
@@ -47,7 +38,6 @@ PlanningService::PlanningService(const ServiceOptions& options)
       cache_(options.cache_capacity, options.cache_max_bytes,
              options.cache_spill_dir),
       queue_capacity_(std::max<std::size_t>(1, options.queue_capacity)),
-      max_batch_size_(std::max<std::size_t>(1, options.max_batch_size)),
       overflow_policy_(options.overflow_policy),
       paused_(options.start_paused) {
   if (metrics_enabled_) {
@@ -60,9 +50,6 @@ PlanningService::PlanningService(const ServiceOptions& options)
         metrics_.GetCounter("service.precompute.from_scratch");
     counters_.precomputes_derived =
         metrics_.GetCounter("service.precompute.derived");
-    counters_.batches = metrics_.GetCounter("service.batch.batches");
-    counters_.batched_requests =
-        metrics_.GetCounter("service.batch.batched_requests");
     counters_.commits = metrics_.GetCounter("service.commit.total");
     counters_.async_commits = metrics_.GetCounter("service.commit.async");
     counters_.snapshots_pruned =
@@ -196,9 +183,6 @@ std::future<ServiceResult> PlanningService::Submit(PlanRequest request) {
   Task task;
   task.request = std::move(request);
   task.submit_time = std::chrono::steady_clock::now();
-  if (task.request.priority == Priority::kSweep) {
-    task.batch_key = BatchKeyOf(task.request);  // outside the shard lock
-  }
   if (trace_.enabled()) {
     task.trace_id = trace_.NextTraceId();
     task.submit_trace_offset = trace_.Now();
@@ -233,7 +217,7 @@ std::future<ServiceResult> PlanningService::Submit(PlanRequest request) {
     }
     // Pin an explicitly requested version against retention while the
     // task waits in the queue ("latest" needs no pin — the latest version
-    // is never pruned). Released by ExecuteBatch.
+    // is never pruned). Released by Execute.
     if (task.request.snapshot_version != 0) {
       task.pinned_version = task.request.snapshot_version;
       ++shard->version_pins[task.pinned_version];
@@ -510,12 +494,11 @@ PlanningService::DatasetMemoryStats PlanningService::dataset_memory_stats(
 }
 
 void PlanningService::RecordRequestLatency(Priority priority,
-                                           const RequestStats& stats,
-                                           bool batch_leader) {
+                                           const RequestStats& stats) {
   if (!metrics_enabled_) return;
   PhaseHistograms& phases = latency_[static_cast<int>(priority)];
   phases.queue->Record(stats.queue_seconds);
-  if (batch_leader) phases.precompute->Record(stats.precompute_seconds);
+  phases.precompute->Record(stats.precompute_seconds);
   phases.context->Record(stats.context_seconds);
   phases.plan->Record(stats.plan_seconds);
   phases.total->Record(stats.queue_seconds + stats.precompute_seconds +
@@ -617,254 +600,166 @@ void PlanningService::Shutdown() {
 void PlanningService::WorkerLoop(Shard* shard, int worker_id) {
   BaseMemo memo;
   for (;;) {
-    std::vector<Task> batch;
-    double assembly_start = 0.0;
-    {
-      core::MutexLock lock(shard->mu);
-      while (!shutting_down_.load() &&
-             (paused_.load() || shard->queued() == 0)) {
-        shard->not_empty.Wait(shard->mu);
-      }
-      if (shard->queued() == 0) {  // shutting down and drained
-        --shard->live_workers;
-        if (shard->live_workers == 0) shard->workers_done.NotifyAll();
-        return;
-      }
-      if (trace_.enabled()) assembly_start = trace_.Now();
-      batch = NextBatchLocked(shard);
-      if (metrics_enabled_) {
-        shard->queue_depth_gauge->Set(
-            static_cast<std::int64_t>(shard->queued()));
-      }
+    core::MutexLock lock(shard->mu);
+    while (!shutting_down_.load() &&
+           (paused_.load() || shard->queued() == 0)) {
+      shard->not_empty.Wait(shard->mu);
     }
-    // The batch-assembly span carries the leader's trace id: it is the
-    // leader's dequeue that gathered the batch.
-    if (trace_.enabled() && batch.front().trace_id != 0) {
-      obs::Span span;
-      span.trace_id = batch.front().trace_id;
-      span.name = "batch-assembly";
-      span.detail = "size=" + std::to_string(batch.size());
-      span.start_seconds = assembly_start;
-      span.duration_seconds = trace_.Now() - assembly_start;
-      trace_.Record(std::move(span));
+    if (shard->queued() == 0) {  // shutting down and drained
+      --shard->live_workers;
+      if (shard->live_workers == 0) shard->workers_done.NotifyAll();
+      return;
     }
-    // A batch may have freed several queue slots at once.
-    if (batch.size() > 1) {
-      shard->not_full.NotifyAll();
-    } else {
-      shard->not_full.NotifyOne();
-    }
-    ExecuteBatch(shard, std::move(batch), worker_id, &memo);
-  }
-}
-
-std::vector<PlanningService::Task> PlanningService::NextBatchLocked(
-    Shard* shard) {
-  std::vector<Task> batch;
-  // Strict two-level priority: any queued interactive request preempts the
-  // whole sweep backlog. Interactive requests execute one per dequeue.
-  if (!shard->interactive.empty()) {
-    batch.push_back(std::move(shard->interactive.front()));
-    shard->interactive.pop_front();
-    return batch;
-  }
-  batch.push_back(std::move(shard->sweep.front()));
-  shard->sweep.pop_front();
-  if (max_batch_size_ <= 1) return batch;
-  // Gather every queued sweep request with the same batch key (computed
-  // once at Submit), preserving submission order among the gathered
-  // members (order within a batch does not affect results — each member
-  // plans in a private context — but keeps completion order intuitive).
-  // One copy, not a reference: push_back below may reallocate `batch`.
-  const PrecomputeKey key = batch.front().batch_key;
-  for (auto it = shard->sweep.begin();
-       it != shard->sweep.end() && batch.size() < max_batch_size_;) {
-    if (it->batch_key == key) {
-      batch.push_back(std::move(*it));
-      it = shard->sweep.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return batch;
-}
-
-void PlanningService::ExecuteBatch(Shard* shard, std::vector<Task> batch,
-                                   int worker_id, BaseMemo* memo) {
-  const auto pickup_time = std::chrono::steady_clock::now();
-  if (batch.size() > 1) {
+    // Strict two-level priority: any queued interactive request preempts
+    // the whole sweep backlog. One request per dequeue.
+    std::deque<Task>& queue =
+        shard->interactive.empty() ? shard->sweep : shard->interactive;
+    Task task = std::move(queue.front());
+    queue.pop_front();
     if (metrics_enabled_) {
-      counters_.batches->Add();
-      counters_.batched_requests->Add(batch.size() - 1);
+      shard->queue_depth_gauge->Set(
+          static_cast<std::int64_t>(shard->queued()));
     }
-    core::MutexLock lock(stats_mu_);
-    ++service_stats_.batches;
-    service_stats_.batched_requests += batch.size() - 1;
+    lock.Unlock();
+    shard->not_full.NotifyOne();
+    Execute(shard, std::move(task), worker_id, &memo);
+  }
+}
+
+void PlanningService::Execute(Shard* shard, Task task, int worker_id,
+                              BaseMemo* memo) {
+  const auto pickup_time = std::chrono::steady_clock::now();
+  const bool traced = trace_.enabled() && task.trace_id != 0;
+  ServiceResult result;
+  RequestStats& stats = result.stats;
+  stats.worker_id = worker_id;
+  stats.execute_sequence = execute_sequence_.fetch_add(1);
+  stats.trace_id = task.trace_id;
+  stats.queue_seconds =
+      std::chrono::duration<double>(pickup_time - task.submit_time).count();
+  if (traced) {
+    obs::Span span;
+    span.trace_id = task.trace_id;
+    span.name = "queue-wait";
+    span.start_seconds = task.submit_trace_offset;
+    span.duration_seconds = stats.queue_seconds;
+    trace_.Record(std::move(span));
   }
 
-  // Every member shares the same as-submitted version (it is part of the
-  // batch key), so one resolution pins the snapshot for the whole batch.
-  // In particular all "latest" members see the same latest, even if a
-  // commit lands while the batch is executing.
-  const std::uint64_t requested_version = batch.front().request.snapshot_version;
   SnapshotPtr snapshot;
   PrecomputeCache::PrecomputePtr precompute;
-  bool leader_hit = false;
-  bool leader_derived = false;
-  double precompute_seconds = 0.0;
   double resolve_start = 0.0;
   std::exception_ptr failure;
   try {
+    const std::uint64_t requested_version = task.request.snapshot_version;
     snapshot = requested_version == 0 ? shard->store->Latest()
                                       : shard->store->Get(requested_version);
     if (snapshot == nullptr) {
       throw std::invalid_argument("unknown snapshot version for dataset " +
-                                  batch.front().request.dataset);
+                                  task.request.dataset);
     }
-    if (trace_.enabled()) resolve_start = trace_.Now();
+    if (traced) resolve_start = trace_.Now();
     const Stopwatch resolve_timer;
-    precompute = ResolvePrecompute(*shard->store,
-                                   batch.front().request.dataset, *snapshot,
-                                   batch.front().request.options, &leader_hit,
-                                   &leader_derived);
-    precompute_seconds = resolve_timer.Seconds();
+    precompute = ResolvePrecompute(*shard->store, task.request.dataset,
+                                   *snapshot, task.request.options,
+                                   &stats.precompute_cache_hit,
+                                   &stats.precompute_derived);
+    stats.precompute_seconds = resolve_timer.Seconds();
   } catch (...) {
     failure = std::current_exception();
   }
-  // One resolution per batch, so one span: the leader's, annotated with
-  // how the precompute was obtained.
-  if (failure == nullptr && trace_.enabled() &&
-      batch.front().trace_id != 0) {
-    obs::Span span;
-    span.trace_id = batch.front().trace_id;
-    span.name = "precompute-resolve";
-    span.detail =
-        leader_hit ? "hit" : (leader_derived ? "derive" : "scratch");
-    span.start_seconds = resolve_start;
-    span.duration_seconds = precompute_seconds;
-    trace_.Record(std::move(span));
-  }
-  // Snapshot resolution is done (the shared_ptr keeps it alive from here,
-  // or the batch failed): release the members' queued-version pins.
-  {
-    core::MutexLock lock(shard->mu);
-    for (const Task& task : batch) {
-      UnpinVersionLocked(shard, task.pinned_version);
-    }
-  }
+  // Snapshot and precompute are resolved (the shared_ptrs keep them alive
+  // from here, or the request failed): release the queued-version pin.
+  UnpinVersion(shard, task.pinned_version);
 
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Task& task = batch[i];
+  try {
+    if (failure != nullptr) std::rethrow_exception(failure);
+    if (traced) {
+      obs::Span span;
+      span.trace_id = task.trace_id;
+      span.name = "precompute-resolve";
+      span.detail = stats.precompute_cache_hit
+                        ? "hit"
+                        : (stats.precompute_derived ? "derive" : "scratch");
+      span.start_seconds = resolve_start;
+      span.duration_seconds = stats.precompute_seconds;
+      trace_.Record(std::move(span));
+    }
+    result.request = task.request;
+    result.request.snapshot_version = snapshot->version;  // resolved
+    stats.snapshot_version = snapshot->version;
+    stats.precompute = precompute->stats;
+
+    // Private context per request over the worker's memoized base:
+    // queries share the immutable snapshot, precompute and base (by
+    // shared_ptr, no copy), never the mutable search scratch. The base
+    // is rebuilt only when one of its inputs changed; shared_ptr
+    // identity is exact here because the memo keeps the old snapshot
+    // and precompute alive, so their addresses cannot be reused.
+    double phase_start = traced ? trace_.Now() : 0.0;
+    Stopwatch phase_timer;
+    const connectivity::EstimatorOptions& online =
+        task.request.options.online_estimator;
+    if (memo->base == nullptr || memo->snapshot != snapshot ||
+        memo->base->precompute() != precompute ||
+        memo->base->online_estimator() != online) {
+      memo->base.reset();  // never hold two bases at once
+      memo->snapshot = snapshot;
+      memo->base = core::PlanningBase::Build(
+          *snapshot->road, *snapshot->transit, online, precompute);
+    }
+    core::PlanningContext context =
+        core::PlanningContext::Build(memo->base, task.request.options);
+    stats.context_seconds = phase_timer.Seconds();
+    if (traced) {
+      obs::Span span;
+      span.trace_id = task.trace_id;
+      span.name = "context-build";
+      span.start_seconds = phase_start;
+      span.duration_seconds = stats.context_seconds;
+      trace_.Record(std::move(span));
+      phase_start = trace_.Now();
+    }
+
+    phase_timer.Reset();
+    switch (task.request.planner) {
+      case core::Planner::kEta:
+        result.plan = core::RunEta(&context, core::SearchMode::kOnline);
+        break;
+      case core::Planner::kEtaPre:
+        result.plan = core::RunEta(&context, core::SearchMode::kPrecomputed);
+        break;
+      case core::Planner::kVkTsp:
+        result.plan = core::RunVkTsp(&context);
+        break;
+    }
+    stats.plan_seconds = phase_timer.Seconds();
+    if (traced) {
+      obs::Span span;
+      span.trace_id = task.trace_id;
+      span.name = "plan-search";
+      span.start_seconds = phase_start;
+      span.duration_seconds = stats.plan_seconds;
+      trace_.Record(std::move(span));
+    }
     // Count completion before fulfilling the promise, so a caller woken by
     // the future observes the counter already advanced.
-    if (failure != nullptr) {
-      if (metrics_enabled_) counters_.completed->Add();
-      {
-        core::MutexLock lock(stats_mu_);
-        ++service_stats_.completed;
-      }
-      task.promise.set_exception(failure);
-      continue;
+    if (metrics_enabled_) {
+      counters_.completed->Add();
+      RecordRequestLatency(task.request.priority, stats);
     }
-    try {
-      const bool traced = trace_.enabled() && task.trace_id != 0;
-      ServiceResult result;
-      result.request = task.request;
-      result.request.snapshot_version = snapshot->version;  // resolved
-      result.stats.snapshot_version = snapshot->version;
-      result.stats.worker_id = worker_id;
-      result.stats.batch_size = batch.size();
-      result.stats.execute_sequence = execute_sequence_.fetch_add(1);
-      result.stats.trace_id = task.trace_id;
-      result.stats.queue_seconds =
-          std::chrono::duration<double>(pickup_time - task.submit_time)
-              .count();
-      if (traced) {
-        obs::Span span;
-        span.trace_id = task.trace_id;
-        span.name = "queue-wait";
-        span.start_seconds = task.submit_trace_offset;
-        span.duration_seconds = result.stats.queue_seconds;
-        trace_.Record(std::move(span));
-      }
-      // The leader (first member) carries the true resolution provenance;
-      // members were fed by it without touching the cache, which is
-      // indistinguishable from a hit for accounting purposes.
-      result.stats.precompute_cache_hit = i == 0 ? leader_hit : true;
-      result.stats.precompute_derived = i == 0 ? leader_derived : false;
-      result.stats.precompute_seconds = i == 0 ? precompute_seconds : 0.0;
-      result.stats.precompute = precompute->stats;
-
-      // Private context per request over the worker's memoized base:
-      // queries share the immutable snapshot, precompute and base (by
-      // shared_ptr, no copy), never the mutable search scratch. The base
-      // is rebuilt only when one of its inputs changed; shared_ptr
-      // identity is exact here because the memo keeps the old snapshot
-      // and precompute alive, so their addresses cannot be reused.
-      double phase_start = traced ? trace_.Now() : 0.0;
-      Stopwatch phase_timer;
-      const connectivity::EstimatorOptions& online =
-          task.request.options.online_estimator;
-      if (memo->base == nullptr || memo->snapshot != snapshot ||
-          memo->base->precompute() != precompute ||
-          memo->base->online_estimator() != online) {
-        memo->base.reset();  // never hold two bases at once
-        memo->snapshot = snapshot;
-        memo->base = core::PlanningBase::Build(
-            *snapshot->road, *snapshot->transit, online, precompute);
-      }
-      core::PlanningContext context =
-          core::PlanningContext::Build(memo->base, task.request.options);
-      result.stats.context_seconds = phase_timer.Seconds();
-      if (traced) {
-        obs::Span span;
-        span.trace_id = task.trace_id;
-        span.name = "context-build";
-        span.start_seconds = phase_start;
-        span.duration_seconds = result.stats.context_seconds;
-        trace_.Record(std::move(span));
-        phase_start = trace_.Now();
-      }
-
-      phase_timer.Reset();
-      switch (task.request.planner) {
-        case core::Planner::kEta:
-          result.plan = core::RunEta(&context, core::SearchMode::kOnline);
-          break;
-        case core::Planner::kEtaPre:
-          result.plan = core::RunEta(&context, core::SearchMode::kPrecomputed);
-          break;
-        case core::Planner::kVkTsp:
-          result.plan = core::RunVkTsp(&context);
-          break;
-      }
-      result.stats.plan_seconds = phase_timer.Seconds();
-      if (traced) {
-        obs::Span span;
-        span.trace_id = task.trace_id;
-        span.name = "plan-search";
-        span.start_seconds = phase_start;
-        span.duration_seconds = result.stats.plan_seconds;
-        trace_.Record(std::move(span));
-      }
-      if (metrics_enabled_) {
-        counters_.completed->Add();
-        RecordRequestLatency(task.request.priority, result.stats,
-                             /*batch_leader=*/i == 0);
-      }
-      {
-        core::MutexLock lock(stats_mu_);
-        ++service_stats_.completed;
-      }
-      task.promise.set_value(std::move(result));
-    } catch (...) {
-      if (metrics_enabled_) counters_.completed->Add();
-      {
-        core::MutexLock lock(stats_mu_);
-        ++service_stats_.completed;
-      }
-      task.promise.set_exception(std::current_exception());
+    {
+      core::MutexLock lock(stats_mu_);
+      ++service_stats_.completed;
     }
+    task.promise.set_value(std::move(result));
+  } catch (...) {
+    if (metrics_enabled_) counters_.completed->Add();
+    {
+      core::MutexLock lock(stats_mu_);
+      ++service_stats_.completed;
+    }
+    task.promise.set_exception(std::current_exception());
   }
 }
 

@@ -1,16 +1,14 @@
-// Sharded, batched, priority-aware planning service: per-dataset worker
-// pools answering CT-Bus planning queries against versioned network
-// snapshots, with a shared precompute cache and an async commit pipeline.
+// Sharded, priority-aware planning service: per-dataset worker pools
+// answering CT-Bus planning queries against versioned network snapshots,
+// with a shared precompute cache and an async commit pipeline.
 //
 // Request lifecycle:
 //   Submit(PlanRequest) -> the request's *dataset shard* (its own bounded
 //   two-level priority queue + worker pool) -> a worker dequeues the
-//   highest-priority request and, for sweep traffic, gathers every queued
-//   request with the same batch key into one batch -> resolve snapshot
-//   (SnapshotStore) once per batch -> fetch/compute precompute
-//   (PrecomputeCache) once per batch -> reuse or rebuild the worker's
-//   memoized core::PlanningBase -> build a private PlanningContext over it
-//   per request -> run the requested planner -> fulfill each future with
+//   highest-priority request -> resolve snapshot (SnapshotStore) ->
+//   fetch/compute precompute (PrecomputeCache) -> reuse or rebuild the
+//   worker's memoized core::PlanningBase -> build a private PlanningContext
+//   over it -> run the requested planner -> fulfill the future with
 //   PlanResult + stats.
 //
 // Sharding: every dataset registered with RegisterDataset gets its own
@@ -21,16 +19,16 @@
 //
 // Priorities: requests are either interactive (default) or sweep
 // (ScenarioRunner submits at sweep priority). Workers always drain the
-// interactive queue first, and only sweep requests are batched, so an
-// interactive request is never stuck behind more than the sweep batches
-// already in flight (at most one per worker of its shard).
+// interactive queue first and take one request per dequeue, so an
+// interactive request waits behind at most the sweep requests already in
+// flight (at most one per worker of its shard).
 //
-// Batching: queued sweep requests whose precompute resolves identically —
-// same (dataset, snapshot version as submitted, tau, precompute-estimator
-// params) — execute as one batch on one worker: the snapshot and the
-// precompute are resolved once and feed every member, amortizing cache
-// misses even when the cache is disabled. Members still build private
-// PlanningContexts, so batched results are bit-identical to serial runs.
+// Amortization: the precompute cache is the one mechanism that shares
+// work across requests. Requests whose precompute resolves identically —
+// same (dataset, snapshot version, tau, precompute-estimator params) —
+// share one cache entry, and concurrent misses on it wait for a single
+// compute (PrecomputeCache's in-flight dedup). Every request still builds
+// a private PlanningContext, so results are bit-identical to serial runs.
 //
 // Commits: Commit applies a result synchronously; CommitAsync enqueues it
 // on a dedicated commit thread and returns a future of the new version.
@@ -46,20 +44,19 @@
 // versions with resident precompute-cache entries (warm-start donors,
 // in-flight derives), are never pruned and keep their lineage — so
 // budgets only ever change recompute cost and stats, never planning
-// results. Budgets are deliberately NOT part of PrecomputeKey or batch
-// keys: two services differing only in budgets produce bit-identical
-// plans.
+// results. Budgets are deliberately NOT part of PrecomputeKey: two
+// services differing only in budgets produce bit-identical plans.
 //
 // Observability: the service owns an obs::MetricsRegistry (counters that
 // mirror ServiceStats exactly, per-phase/per-priority latency histograms,
 // per-shard queue-depth gauges — all lock-free on the record path) and an
-// obs::TraceLog span recorder (queue-wait -> batch-assembly ->
-// precompute-resolve -> context-build -> plan-search -> commit, one trace
-// id per request, bounded ring, JSON-lines export). MetricsSnapshot()
-// merges the registry with read-time views of the precompute cache and
-// each shard's snapshot store; WriteMetricsJson serializes it. Tracing is
-// off by default and costs one branch when off; neither metrics nor
-// tracing ever changes a planning result.
+// obs::TraceLog span recorder (queue-wait -> precompute-resolve ->
+// context-build -> plan-search -> commit, one trace id per request,
+// bounded ring, JSON-lines export). MetricsSnapshot() merges the registry
+// with read-time views of the precompute cache and each shard's snapshot
+// store; WriteMetricsJson serializes it. Tracing is off by default and
+// costs one branch when off; neither metrics nor tracing ever changes a
+// planning result.
 //
 // Every request gets its own PlanningContext, so queries never share
 // mutable state: results are bit-identical to running the same requests
@@ -159,16 +156,10 @@ struct ServiceOptions {
   /// Shared across shards; see OverflowPolicy.
   /// ctbus-lint: key-exempt(admission control, never reaches the planner)
   OverflowPolicy overflow_policy = OverflowPolicy::kBlock;
-  /// Upper bound on how many same-key sweep requests one worker executes
-  /// per dequeue (1 disables batching). Interactive requests are never
-  /// batched: they are latency-critical, and concurrent same-key misses
-  /// are already deduplicated inside PrecomputeCache.
-  /// ctbus-lint: key-exempt(batching groups same-key requests; it cannot mix keys by construction)
-  std::size_t max_batch_size = 8;
   /// Construct the service with every shard's workers parked: queued
   /// requests only start executing after Start(). Lets tests (and bulk
   /// loaders) enqueue a deterministic backlog, then observe strict
-  /// priority/batch drain order.
+  /// priority drain order.
   /// ctbus-lint: key-exempt(lifecycle toggle, no effect on results)
   bool start_paused = false;
   /// On a precompute-cache miss, derive the precompute from a resident
@@ -195,10 +186,10 @@ struct ServiceOptions {
   /// planning results either way.
   /// ctbus-lint: key-exempt(observability toggle, result-neutral by contract)
   bool enable_metrics = true;
-  /// Record per-request phase spans (queue-wait, batch-assembly,
-  /// precompute-resolve, context-build, plan-search, commit) into a
-  /// bounded in-memory ring (trace_log().Dump exports JSON lines). Off by
-  /// default; when off the only cost is one branch per potential span.
+  /// Record per-request phase spans (queue-wait, precompute-resolve,
+  /// context-build, plan-search, commit) into a bounded in-memory ring
+  /// (trace_log().Dump exports JSON lines). Off by default; when off the
+  /// only cost is one branch per potential span.
   /// Flippable at runtime via trace_log().set_enabled(). Tracing NEVER
   /// affects planning results.
   /// ctbus-lint: key-exempt(observability toggle, result-neutral by contract)
@@ -212,10 +203,10 @@ struct PlanRequest {
   /// Name of a dataset previously registered with RegisterDataset.
   std::string dataset;
   /// Planner knobs, carried verbatim to the worker: the precompute fields
-  /// (tau, precompute estimator, perturbation toggle) feed the cache/batch
-  /// key, the sweepables (k, w, Tn, sn, planner variant toggles) stay free,
-  /// and the thread counts (precompute_threads, eta_threads — each request
-  /// may size its own frontier fan-out) are excluded from both keys because
+  /// (tau, precompute estimator, perturbation toggle) feed the cache key,
+  /// the sweepables (k, w, Tn, sn, planner variant toggles) stay free, and
+  /// the thread counts (precompute_threads, eta_threads — each request may
+  /// size its own frontier fan-out) are excluded from the key because
   /// results are bit-identical at any setting (core/options.h).
   core::CtBusOptions options;
   core::Planner planner = core::Planner::kEtaPre;
@@ -243,10 +234,6 @@ struct RequestStats {
   double context_seconds = 0.0;     // PlanningContext::BuildWithPrecompute
   double plan_seconds = 0.0;        // planner search
   int worker_id = -1;
-  /// Number of requests in the batch this one executed in (1 = unbatched).
-  /// Non-leader members report precompute_cache_hit = true: the leader's
-  /// resolution fed them without touching the cache.
-  std::size_t batch_size = 1;
   /// Service-wide execution pickup order (0-based): assigned when a worker
   /// starts the request, so tests can assert drain order (interactive
   /// before sweep) without racing on wall-clock time.
@@ -341,10 +328,6 @@ class PlanningService {
     /// version's precompute (Execute and Commit both count).
     std::uint64_t precomputes_from_scratch = 0;
     std::uint64_t precomputes_derived = 0;
-    /// Multi-request batches executed, and how many requests rode along in
-    /// them beyond their leaders (each saved one precompute resolution).
-    std::uint64_t batches = 0;
-    std::uint64_t batched_requests = 0;
     /// Commits applied by the async pipeline (CommitAsync only).
     std::uint64_t async_commits = 0;
     /// Snapshot versions pruned / lineage records trimmed by the
@@ -402,15 +385,10 @@ class PlanningService {
     PlanRequest request;
     std::promise<ServiceResult> promise;
     std::chrono::steady_clock::time_point submit_time;
-    /// Batch identity, precomputed at Submit for sweep requests only
-    /// (interactive requests never batch), so the worker's queue scan
-    /// under the shard mutex is a plain field comparison instead of
-    /// constructing keys per scanned task.
-    PrecomputeKey batch_key;
     /// Snapshot version pinned against retention while this task is
     /// queued (0 = none; only explicit-version requests pin — "latest"
-    /// can never be pruned). Released by ExecuteBatch once the snapshot
-    /// shared_ptr is resolved.
+    /// can never be pruned). Released by Execute once the snapshot
+    /// shared_ptr and the precompute are resolved.
     std::uint64_t pinned_version = 0;
     /// Span correlation (0 = tracing was off at Submit): the id every
     /// phase span of this request carries, and where on the trace
@@ -434,7 +412,7 @@ class PlanningService {
     core::CondVar not_full;
     core::CondVar workers_done;
     std::deque<Task> interactive CTBUS_GUARDED_BY(mu);  // drained first
-    std::deque<Task> sweep CTBUS_GUARDED_BY(mu);  // batched by key
+    std::deque<Task> sweep CTBUS_GUARDED_BY(mu);
     int live_workers CTBUS_GUARDED_BY(mu) = 0;
     std::vector<std::thread> workers CTBUS_GUARDED_BY(mu);
     /// version -> pin count for queued explicit-version requests and
@@ -478,16 +456,12 @@ class PlanningService {
 
   void WorkerLoop(Shard* shard, int worker_id) CTBUS_EXCLUDES(shard->mu);
   void CommitLoop() CTBUS_EXCLUDES(commit_mu_);
-  /// Dequeues the next batch from `shard` (caller holds shard->mu):
-  /// the front interactive task alone, or the front sweep task plus every
-  /// queued sweep task sharing its batch key (up to max_batch_size_).
-  std::vector<Task> NextBatchLocked(Shard* shard) CTBUS_REQUIRES(shard->mu);
-  /// Resolves snapshot + precompute once, then plans every task of the
-  /// batch with a private context over the worker's memoized base
-  /// (rebuilt into `memo` when the snapshot, precompute or online
-  /// estimator differs), fulfilling each task's promise.
-  void ExecuteBatch(Shard* shard, std::vector<Task> batch, int worker_id,
-                    BaseMemo* memo) CTBUS_EXCLUDES(shard->mu);
+  /// Resolves the task's snapshot + precompute, then plans it with a
+  /// private context over the worker's memoized base (rebuilt into `memo`
+  /// when the snapshot, precompute or online estimator differs), and
+  /// fulfills the task's promise.
+  void Execute(Shard* shard, Task task, int worker_id, BaseMemo* memo)
+      CTBUS_EXCLUDES(shard->mu);
   std::uint64_t CommitNow(const ServiceResult& result);
   std::shared_ptr<SnapshotStore> Store(const std::string& dataset) const
       CTBUS_EXCLUDES(datasets_mu_);
@@ -523,7 +497,7 @@ class PlanningService {
   /// latency histograms are indexed [phase][priority class].
   struct PhaseHistograms {
     obs::Histogram* queue = nullptr;
-    obs::Histogram* precompute = nullptr;  // batch leaders only
+    obs::Histogram* precompute = nullptr;
     obs::Histogram* context = nullptr;
     obs::Histogram* plan = nullptr;
     obs::Histogram* total = nullptr;  // queue + resolve + context + plan
@@ -534,8 +508,6 @@ class PlanningService {
     obs::Counter* rejected = nullptr;
     obs::Counter* precomputes_from_scratch = nullptr;
     obs::Counter* precomputes_derived = nullptr;
-    obs::Counter* batches = nullptr;
-    obs::Counter* batched_requests = nullptr;
     obs::Counter* commits = nullptr;  // CommitNow successes (sync + async)
     obs::Counter* async_commits = nullptr;
     obs::Counter* snapshots_pruned = nullptr;
@@ -543,11 +515,8 @@ class PlanningService {
   };
 
   /// Records one completed request's phase timings (no-op when metrics
-  /// are disabled). Only batch leaders record into the precompute
-  /// histogram — members ride on the leader's resolution and would skew
-  /// it with zeros.
-  void RecordRequestLatency(Priority priority, const RequestStats& stats,
-                            bool batch_leader);
+  /// are disabled).
+  void RecordRequestLatency(Priority priority, const RequestStats& stats);
 
   const bool warm_start_precompute_;
   const int max_warm_start_depth_;
@@ -560,7 +529,6 @@ class PlanningService {
   PhaseHistograms latency_[2];  // [static_cast<int>(Priority)]
   PrecomputeCache cache_;
   const std::size_t queue_capacity_;
-  const std::size_t max_batch_size_;
   const OverflowPolicy overflow_policy_;
   int threads_per_shard_ = 1;
 

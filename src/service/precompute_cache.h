@@ -60,15 +60,13 @@
 
 namespace ctbus::service {
 
-/// Everything RunPrecompute's output depends on. Doubles as the serving
-/// layer's *batch identity*: PlanningService groups queued sweep requests
-/// whose keys are equal (with snapshot_version taken as submitted) so one
-/// snapshot + precompute resolution feeds the whole batch.
+/// Everything RunPrecompute's output depends on: requests with equal keys
+/// share one cache entry, and so one precompute.
 ///
 /// Thread-count knobs (CtBusOptions::precompute_threads, eta_threads) are
 /// deliberately NOT key fields: both are bit-identical at any setting, so
-/// including them would only fragment the cache — and the batch grouping —
-/// across requests that provably produce the same precompute and plans.
+/// including them would only fragment the cache across requests that
+/// provably produce the same precompute and plans.
 /// The option fields are the io::PrecomputeProvenance every spill file
 /// records, normalized once by io::MakeProvenance.
 struct PrecomputeKey {
@@ -85,7 +83,7 @@ PrecomputeKey MakePrecomputeKey(const std::string& dataset,
                                 const core::CtBusOptions& options);
 
 /// Hash functor for PrecomputeKey, public so callers can build their own
-/// unordered containers over keys (batch accounting, bench bucketing).
+/// unordered containers over keys.
 struct PrecomputeKeyHash {
   std::size_t operator()(const PrecomputeKey& key) const;
 };

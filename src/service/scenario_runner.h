@@ -7,9 +7,9 @@
 // one precompute (the first cell misses, every other cell hits the cache).
 //
 // Cells are submitted at sweep priority by default (SweepSpec::priority):
-// the service batches them per precompute key and always serves
-// interactive requests first, so a long exploratory sweep cannot starve
-// interactive traffic sharing the dataset's shard.
+// the service always serves interactive requests first, so a long
+// exploratory sweep cannot starve interactive traffic sharing the
+// dataset's shard.
 //
 // Thread-safety: a ScenarioRunner is a thin stateless fan-out over the
 // (thread-safe) PlanningService it borrows; distinct runners may share one

@@ -84,7 +84,6 @@ TEST(NetSoak, ConcurrentClientsWithCommitsReplayBitIdentically) {
   ServiceOptions service_options;
   service_options.num_threads = 2;
   service_options.cache_capacity = 8;
-  service_options.max_batch_size = 4;
   // Perturbation warm starts derive bit-identically (docs/PRECOMPUTE.md),
   // so the from-scratch serial replay stays exact under commits.
   service_options.warm_start_precompute = true;

@@ -69,9 +69,6 @@ void ExpectReconciles(const PlanningService& service) {
             stats.precomputes_from_scratch);
   EXPECT_EQ(CounterValue(snapshot, "service.precompute.derived"),
             stats.precomputes_derived);
-  EXPECT_EQ(CounterValue(snapshot, "service.batch.batches"), stats.batches);
-  EXPECT_EQ(CounterValue(snapshot, "service.batch.batched_requests"),
-            stats.batched_requests);
   EXPECT_EQ(CounterValue(snapshot, "service.commit.async"),
             stats.async_commits);
   EXPECT_EQ(CounterValue(snapshot, "service.retention.snapshots_pruned"),
@@ -232,7 +229,6 @@ TEST(ServiceMetricsTest, TracingCoversRequestLifecycle) {
     EXPECT_GE(span.duration_seconds, 0.0);
   }
   EXPECT_EQ(by_name["queue-wait"], 2);
-  EXPECT_EQ(by_name["batch-assembly"], 2);
   EXPECT_EQ(by_name["precompute-resolve"], 2);
   EXPECT_EQ(by_name["context-build"], 2);
   EXPECT_EQ(by_name["plan-search"], 2);
@@ -297,31 +293,6 @@ TEST(ServiceMetricsTest, ObservabilityNeverChangesResults) {
       EXPECT_EQ(result.plan.iterations, reference.iterations);
     }
   }
-}
-
-TEST(ServiceMetricsTest, BatchingMetricsReconcileUnderSweepLoad) {
-  ServiceOptions options;
-  options.num_threads = 1;
-  options.start_paused = true;
-  options.max_batch_size = 8;
-  options.queue_capacity = 16;
-  PlanningService service(options);
-  service.RegisterPreset("midtown");
-
-  std::vector<std::future<ServiceResult>> futures;
-  for (int i = 0; i < 6; ++i) {
-    futures.push_back(service.Submit(MidtownRequest(Priority::kSweep)));
-  }
-  service.Start();
-  for (auto& future : futures) future.get();
-  ExpectReconciles(service);
-  // The whole backlog shares one batch key and was queued before Start, so
-  // one dequeue gathers all six: one batch, five riders, one resolution.
-  const obs::MetricsSnapshot snapshot = service.MetricsSnapshot();
-  EXPECT_EQ(CounterValue(snapshot, "service.batch.batches"), 1u);
-  EXPECT_EQ(CounterValue(snapshot, "service.batch.batched_requests"), 5u);
-  EXPECT_EQ(CounterValue(snapshot, "service.precompute.from_scratch"), 1u);
-  EXPECT_EQ(CounterValue(snapshot, "cache.hits"), 0u);
 }
 
 }  // namespace

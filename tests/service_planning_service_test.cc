@@ -298,23 +298,21 @@ TEST(PlanningServiceTest, SubmitAfterShutdownThrows) {
   EXPECT_THROW(service.Submit(MidtownRequest()), std::runtime_error);
 }
 
-TEST(PlanningServiceTest, PausedServiceBatchesSameKeySweeps) {
+TEST(PlanningServiceTest, PausedSameKeySweepsShareOnePrecompute) {
   const gen::Dataset d = gen::MakeMidtown();
   const core::PlanResult expected =
       SerialPlan(d, FastOptions(), core::Planner::kEtaPre);
 
   ServiceOptions service_options;
-  service_options.num_threads = 1;
+  service_options.num_threads = 3;
   service_options.start_paused = true;
-  service_options.cache_capacity = 0;  // batching must amortize on its own
-  service_options.max_batch_size = 8;
   PlanningService service(service_options);
   service.RegisterPreset("midtown");
 
-  // Enqueue 5 same-key sweep requests while the worker is parked, then
-  // release it: they must drain as ONE batch, sharing one precompute
-  // resolution even with the cache disabled.
-  constexpr int kRequests = 5;
+  // Enqueue 6 same-key sweep requests while the workers are parked, then
+  // release all three at once: concurrent misses on the one key must wait
+  // for a single compute inside the cache, and every later request hits.
+  constexpr int kRequests = 6;
   std::vector<std::future<ServiceResult>> futures;
   for (int i = 0; i < kRequests; ++i) {
     PlanRequest request = MidtownRequest();
@@ -323,39 +321,11 @@ TEST(PlanningServiceTest, PausedServiceBatchesSameKeySweeps) {
   }
   service.Start();
   for (auto& future : futures) {
-    const ServiceResult result = future.get();
-    ExpectBitIdentical(result.plan, expected);
-    EXPECT_EQ(result.stats.batch_size, static_cast<std::size_t>(kRequests));
+    ExpectBitIdentical(future.get().plan, expected);
   }
-  // One compute total: the cache (disabled) saw only the leader's miss.
   EXPECT_EQ(service.cache_stats().misses, 1u);
-  const auto stats = service.service_stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.batched_requests, static_cast<std::uint64_t>(kRequests - 1));
-}
-
-TEST(PlanningServiceTest, BatchSizeOneDisablesBatching) {
-  ServiceOptions service_options;
-  service_options.num_threads = 1;
-  service_options.start_paused = true;
-  service_options.max_batch_size = 1;
-  PlanningService service(service_options);
-  service.RegisterPreset("midtown");
-
-  std::vector<std::future<ServiceResult>> futures;
-  for (int i = 0; i < 3; ++i) {
-    PlanRequest request = MidtownRequest();
-    request.priority = Priority::kSweep;
-    futures.push_back(service.Submit(std::move(request)));
-  }
-  service.Start();
-  for (auto& future : futures) {
-    EXPECT_EQ(future.get().stats.batch_size, 1u);
-  }
-  EXPECT_EQ(service.service_stats().batches, 0u);
-  // Unbatched same-key traffic still amortizes through the cache instead.
-  EXPECT_EQ(service.cache_stats().misses, 1u);
-  EXPECT_EQ(service.cache_stats().hits, 2u);
+  EXPECT_EQ(service.cache_stats().hits, 5u);
+  EXPECT_EQ(service.service_stats().precomputes_from_scratch, 1u);
 }
 
 TEST(PlanningServiceTest, RejectPolicyShedsLoadBeyondCapacity) {

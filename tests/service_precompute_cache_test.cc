@@ -249,8 +249,7 @@ TEST(PrecomputeCacheTest, NanTauIsRejectedAtKeyConstruction) {
 
 TEST(PrecomputeCacheTest, ThreadCountKnobsStayOutOfTheKey) {
   // precompute_threads and eta_threads are bit-identical at any setting,
-  // so requests differing only in them must share one cache entry (and
-  // one serving-layer batch).
+  // so requests differing only in them must share one cache entry.
   core::CtBusOptions serial;
   core::CtBusOptions threaded;
   threaded.precompute_threads = 8;

@@ -1,7 +1,6 @@
 // Dedicated ScenarioRunner coverage: sweep fan-out over the axes,
 // pinned-snapshot isolation across commits, precompute sharing, and the
-// sweep-priority contract (sweeps yield to interactive traffic and ride in
-// batches).
+// sweep-priority contract (sweeps yield to interactive traffic).
 #include "service/scenario_runner.h"
 
 #include <gtest/gtest.h>
@@ -85,11 +84,10 @@ TEST(ScenarioRunnerTest, SweepMatchesSerialAndSharesOnePrecompute) {
     EXPECT_EQ(cell.result.request.priority, Priority::kSweep);
   }
   // k / w do not enter the precompute key: the whole sweep costs one
-  // compute. Every non-leader cell was served either by riding in the
-  // leader's batch or by hitting the cache — never by recomputing.
+  // compute. Every other cell hit the cache — never recomputed.
   const auto cache = service.cache_stats();
   EXPECT_EQ(cache.misses, 1u);
-  EXPECT_EQ(cache.hits + service.service_stats().batched_requests, 3u);
+  EXPECT_EQ(cache.hits, 3u);
 }
 
 TEST(ScenarioRunnerTest, FanOutCoversAllAxesInSubmissionOrder) {

@@ -41,8 +41,8 @@ void ExpectBitIdentical(const core::PlanResult& actual,
   if (!expected.found) return;
   EXPECT_EQ(actual.path.edges(), expected.path.edges());
   EXPECT_EQ(actual.path.stops(), expected.path.stops());
-  // Exact double equality on purpose: concurrency, sharding, batching, and
-  // warm starts must not perturb a single bit of the numbers.
+  // Exact double equality on purpose: concurrency, sharding, and warm
+  // starts must not perturb a single bit of the numbers.
   EXPECT_EQ(actual.objective, expected.objective);
   EXPECT_EQ(actual.demand, expected.demand);
   EXPECT_EQ(actual.connectivity_increment, expected.connectivity_increment);
@@ -50,7 +50,7 @@ void ExpectBitIdentical(const core::PlanResult& actual,
 }
 
 /// Serial ground truth for one executed request: plan from scratch (no
-/// cache, no warm start, no batch) against the snapshot the service
+/// cache, no warm start) against the snapshot the service
 /// actually resolved.
 core::PlanResult SerialReplay(const PlanningService& service,
                               const ServiceResult& result) {
@@ -87,7 +87,6 @@ TEST_P(ConcurrentStressTest, SubmitsAndCommitsMatchSerialReplay) {
   ServiceOptions service_options;
   service_options.num_threads = 2;   // per shard: 2 datasets -> 4 workers
   service_options.cache_capacity = 8;
-  service_options.max_batch_size = 4;
   service_options.warm_start_precompute = perturbation_warm_start;
   PlanningService service(service_options);
   const gen::Dataset midtown = gen::MakeMidtown();
@@ -173,14 +172,14 @@ INSTANTIATE_TEST_SUITE_P(FromScratchAndPerturbationWarmStart,
 
 TEST(ServiceStressTest, PausedBacklogDrainsDeterministically) {
   // Everything enqueued before Start() on a 1-worker shard: the drain
-  // order is fully deterministic (interactive FIFO, then sweep batches),
-  // so the execute sequence must be a permutation with all interactive
-  // first — and results must still replay bit-identically.
+  // order is fully deterministic (interactive FIFO, then sweeps FIFO), so
+  // the execute sequence must put all interactive first and then every
+  // sweep in submission order — and results must still replay
+  // bit-identically.
   ServiceOptions service_options;
   service_options.num_threads = 1;
   service_options.start_paused = true;
   service_options.queue_capacity = 64;
-  service_options.max_batch_size = 8;
   PlanningService service(service_options);
   service.RegisterPreset("midtown");
 
@@ -210,16 +209,15 @@ TEST(ServiceStressTest, PausedBacklogDrainsDeterministically) {
         std::max(max_interactive_sequence, result.stats.execute_sequence);
     ExpectBitIdentical(result.plan, SerialReplay(service, result));
   }
+  std::uint64_t previous_sweep_sequence = max_interactive_sequence;
   for (auto& future : sweep_futures) {
     const ServiceResult result = future.get();
-    // Sweeps enqueued first still executed after every interactive request.
-    EXPECT_GT(result.stats.execute_sequence, max_interactive_sequence);
-    // All six share one batch key -> one batch of six.
-    EXPECT_EQ(result.stats.batch_size, 6u);
+    // Sweeps enqueued first still executed after every interactive
+    // request, and one at a time in submission order.
+    EXPECT_GT(result.stats.execute_sequence, previous_sweep_sequence);
+    previous_sweep_sequence = result.stats.execute_sequence;
     ExpectBitIdentical(result.plan, SerialReplay(service, result));
   }
-  EXPECT_EQ(service.service_stats().batches, 1u);
-  EXPECT_EQ(service.service_stats().batched_requests, 5u);
 }
 
 TEST(ServiceStressTest, BlockingBackpressureNeverDropsRequests) {

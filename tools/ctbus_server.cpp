@@ -10,11 +10,13 @@
 //                 --road FILE --transit FILE [--trips FILE]]
 //                [--dataset NAME] [--scale X] [--snapshot FILE]
 //                [--spill-dir DIR] [--threads N] [--queue N]
-//                [--batch N] [--quota N] [--reject-on-overflow]
+//                [--quota N] [--reject-on-overflow]
 //                [--log-requests]
 //
 // Defaults: ephemeral port, preset "midtown", 1 worker, queue 1024,
-// batch 8, quota 64, OverflowPolicy::kBlock, request log off.
+// quota 64, OverflowPolicy::kBlock, request log off. --dataset names
+// fixture and file datasets only: a preset always serves under its own
+// name.
 // --reject-on-overflow switches the shard queues to kReject so a full
 // queue sheds load as kRejectedOverload instead of blocking the reader.
 //
@@ -59,7 +61,6 @@ struct Args {
   double scale = 1.0;
   int threads = 1;
   int queue = 1024;
-  int batch = 8;
   int quota = 64;
   bool reject_on_overflow = false;
   bool log_requests = false;
@@ -109,8 +110,6 @@ Args ParseArgs(int argc, char** argv) {
       args.threads = int_value(1);
     } else if (flag == "--queue") {
       args.queue = int_value(1);
-    } else if (flag == "--batch") {
-      args.batch = int_value(1);
     } else if (flag == "--quota") {
       args.quota = int_value(1);
     } else if (flag == "--reject-on-overflow") {
@@ -136,6 +135,10 @@ Args ParseArgs(int argc, char** argv) {
   if (sources == 0) {
     args.preset = "midtown";
   }
+  if (!args.dataset.empty() && !args.preset.empty()) {
+    Die("--dataset only names fixture and file datasets (preset " +
+        args.preset + " serves under its own name)");
+  }
   if (!args.snapshot_path.empty() && !args.preset.empty()) {
     Die("--snapshot only applies to file datasets (presets regenerate "
         "instantly)");
@@ -151,7 +154,6 @@ int main(int argc, char** argv) {
   ctbus::service::ServiceOptions service_options;
   service_options.num_threads = args.threads;
   service_options.queue_capacity = static_cast<std::size_t>(args.queue);
-  service_options.max_batch_size = static_cast<std::size_t>(args.batch);
   service_options.overflow_policy =
       args.reject_on_overflow ? ctbus::service::OverflowPolicy::kReject
                               : ctbus::service::OverflowPolicy::kBlock;
@@ -160,16 +162,11 @@ int main(int argc, char** argv) {
 
   std::string dataset;
   if (!args.preset.empty()) {
-    dataset = args.dataset.empty() ? args.preset : args.dataset;
+    dataset = args.preset;
     try {
       service.RegisterPreset(args.preset, args.scale);
     } catch (const std::exception& e) {
       Die(e.what());
-    }
-    if (dataset != args.preset) {
-      // RegisterPreset registers under the preset name; --dataset only
-      // renames fixture datasets.
-      dataset = args.preset;
     }
   } else {
     dataset = args.dataset.empty() ? "grid" : args.dataset;
