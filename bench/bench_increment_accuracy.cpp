@@ -5,11 +5,9 @@
 // two full dense eigensolves:
 //
 //   stochastic SxT   Hutchinson (S probes) x Lanczos (T steps), common
-//                    random numbers against the base estimate: 5x5 is the
-//                    precompute perfbench serves, 8x8 the default
+//                    random numbers against the base estimate: 5x5 and 8x8
+//                    are the shapes of perfbench's and the default
 //                    precompute estimator, 50x10 the paper's online one
-//   perturbation     first-order eigenpair model (single edges), summed
-//                    over the walk's edges for walks
 //   local r=3        exact local trace increments on the radius-3 ball,
 //                    telescoped along walks, anchored at the exact tr(e^A)
 //                    (the kernel's own error) and at the online
@@ -35,7 +33,6 @@
 #include "connectivity/edge_increment.h"
 #include "connectivity/local_increment.h"
 #include "connectivity/natural_connectivity.h"
-#include "connectivity/perturbation.h"
 #include "core/edge_universe.h"
 #include "gen/datasets.h"
 #include "linalg/rng.h"
@@ -269,18 +266,6 @@ int main() {
   const ctbus::connectivity::ConnectivityEstimator online(
       n, ctbus::connectivity::EstimatorOptions{});
   const double online_trace = online.EstimateTraceExp(adjacency);
-  const auto perturbation =
-      std::make_shared<const ctbus::connectivity::PerturbationIncrementModel>(
-          ctbus::connectivity::PerturbationIncrementModel::Build(
-              adjacency, online_trace, {}));
-  routes.push_back({"perturbation", "perturbation (sum over edges)",
-                    [perturbation](const StopPairs& pairs) {
-                      double total = 0.0;
-                      for (const auto& [u, v] : pairs) {
-                        total += perturbation->EdgeIncrement(u, v);
-                      }
-                      return total;
-                    }});
   const auto local_trace = [&adjacency](const StopPairs& pairs) {
     StopPairs staged;
     double total = 0.0;

@@ -3,12 +3,11 @@
 // bit-identity checks against the serial run; (2) warm-start derivation
 // across a snapshot commit (DerivePrecompute) versus a from-scratch
 // RunPrecompute, reporting the fraction of candidates recomputed and the
-// agreement with from-scratch for both estimator paths.
+// agreement with from-scratch.
 //
-// Acceptance targets (ISSUE 2): >= 2-core Delta(e) speedup > 1 when the
-// host has >= 2 cores, warm-start recompute fraction < 20% after a small
-// commit on the default synthetic dataset, derived == from-scratch
-// (bit-identical on the perturbation path).
+// Invariants: every line reads bit-identical=yes (trace increments, tr_0
+// and Delta(e) all equal the serial / from-scratch run); CI fails on any
+// "bit-identical=no". Delta(e) speedup > 1 needs >= 2 cores.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -34,8 +33,10 @@ double Checksum(const std::vector<double>& values) {
   return sum;
 }
 
-bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
-  return a == b;
+bool BitIdentical(const ctbus::core::Precompute& a,
+                  const ctbus::core::Precompute& b) {
+  return a.trace_increments == b.trace_increments &&
+         a.base_trace == b.base_trace && a.increments == b.increments;
 }
 
 double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
@@ -48,9 +49,8 @@ double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
 
 void ThreadScalingSection(const ctbus::gen::Dataset& city,
                           ctbus::core::CtBusOptions options,
-                          const char* label,
                           ctbus::bench::BenchReport* report) {
-  std::printf("-- thread scaling (%s path) --\n", label);
+  std::printf("-- thread scaling --\n");
   const int hw = ctbus::core::ResolveThreadCount(0);
   std::vector<int> thread_counts = {1, 2, 4};
   if (std::find(thread_counts.begin(), thread_counts.end(), hw) ==
@@ -58,7 +58,7 @@ void ThreadScalingSection(const ctbus::gen::Dataset& city,
     thread_counts.push_back(hw);
   }
   double serial_seconds = 0.0;
-  std::vector<double> serial_increments;
+  ctbus::core::Precompute serial;
   for (int threads : thread_counts) {
     options.precompute_threads = threads;
     const Stopwatch timer;
@@ -68,9 +68,9 @@ void ThreadScalingSection(const ctbus::gen::Dataset& city,
     const double total = timer.Seconds();
     if (threads == 1) {
       serial_seconds = pre.stats.increments_seconds;
-      serial_increments = pre.increments;
+      serial = pre;
     }
-    const bool identical = BitIdentical(pre.increments, serial_increments);
+    const bool identical = BitIdentical(pre, serial);
     std::printf(
         "threads=%-2d  universe=%.3fs  delta(e)=%.3fs  total=%.3fs  "
         "speedup(delta)=%.2fx  checksum=%.9f  bit-identical=%s\n",
@@ -79,14 +79,11 @@ void ThreadScalingSection(const ctbus::gen::Dataset& city,
         pre.stats.increments_seconds > 0.0
             ? serial_seconds / pre.stats.increments_seconds
             : 0.0,
-        Checksum(pre.increments), identical ? "yes" : "NO");
-    const std::string key =
-        std::string(label) + "_delta_seconds_threads_" +
-        std::to_string(threads);
-    report->AddMetric(key, pre.stats.increments_seconds, "lower");
+        Checksum(pre.increments), identical ? "yes" : "no");
+    report->AddMetric("delta_seconds_threads_" + std::to_string(threads),
+                      pre.stats.increments_seconds, "lower");
     if (threads == 1) {
-      report->AddChecksum(std::string(label) + "_increments",
-                          Checksum(pre.increments));
+      report->AddChecksum("increments", Checksum(pre.increments));
     }
   }
   if (hw < 2) {
@@ -98,9 +95,9 @@ void ThreadScalingSection(const ctbus::gen::Dataset& city,
 }
 
 void WarmStartSection(ctbus::gen::Dataset city,
-                      ctbus::core::CtBusOptions options, const char* label,
+                      ctbus::core::CtBusOptions options,
                       ctbus::bench::BenchReport* report) {
-  std::printf("-- warm start across a commit (%s path) --\n", label);
+  std::printf("-- warm start across a commit --\n");
   options.precompute_threads = 0;  // hardware concurrency
   ctbus::service::SnapshotStore store(std::move(city.road),
                                       std::move(city.transit));
@@ -158,17 +155,16 @@ void WarmStartSection(ctbus::gen::Dataset city,
               derived.stats.num_increments_recomputed,
               100.0 * recompute_fraction,
               derived.stats.num_increments_carried);
-  const bool identical = BitIdentical(derived.increments, scratch.increments);
+  const bool identical = BitIdentical(derived, scratch);
   std::printf("derived vs from-scratch: bit-identical=%s  max|diff|=%.3e  "
               "max increment=%.3e\n\n",
               identical ? "yes" : "no",
               MaxAbsDiff(derived.increments, scratch.increments),
               *std::max_element(scratch.increments.begin(),
                                 scratch.increments.end()));
-  const std::string prefix = std::string(label) + "_warm_start_";
-  report->AddMetric(prefix + "scratch_seconds", scratch_seconds, "lower");
-  report->AddMetric(prefix + "derived_seconds", derived_seconds, "lower");
-  report->AddMetric(prefix + "recompute_fraction", recompute_fraction,
+  report->AddMetric("warm_start_scratch_seconds", scratch_seconds, "lower");
+  report->AddMetric("warm_start_derived_seconds", derived_seconds, "lower");
+  report->AddMetric("warm_start_recompute_fraction", recompute_fraction,
                     "lower");
 }
 
@@ -187,24 +183,10 @@ int main() {
     report.AddDataset(city);
     std::printf("\n");
 
-    ctbus::core::CtBusOptions stochastic = ctbus::bench::BenchOptions();
-    ThreadScalingSection(city, stochastic, "stochastic", &report);
-
-    ctbus::core::CtBusOptions perturbation = ctbus::bench::BenchOptions();
-    perturbation.use_perturbation_precompute = true;
-    ThreadScalingSection(city, perturbation, "perturbation", &report);
+    ThreadScalingSection(city, ctbus::bench::BenchOptions(), &report);
   }
-
-  {
-    ctbus::core::CtBusOptions stochastic = ctbus::bench::BenchOptions();
-    WarmStartSection(ctbus::gen::MakeChicagoLike(scale), stochastic,
-                     "stochastic", &report);
-
-    ctbus::core::CtBusOptions perturbation = ctbus::bench::BenchOptions();
-    perturbation.use_perturbation_precompute = true;
-    WarmStartSection(ctbus::gen::MakeChicagoLike(scale), perturbation,
-                     "perturbation", &report);
-  }
+  WarmStartSection(ctbus::gen::MakeChicagoLike(scale),
+                   ctbus::bench::BenchOptions(), &report);
   report.WriteIfRequested();
   return 0;
 }

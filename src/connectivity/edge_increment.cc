@@ -13,19 +13,6 @@ double EdgeIncrement(linalg::SymmetricSparseMatrix* base, double base_lambda,
   return lambda_after - base_lambda;
 }
 
-std::vector<double> ComputeEdgeIncrements(
-    linalg::SymmetricSparseMatrix* base,
-    const ConnectivityEstimator& estimator,
-    const std::vector<std::pair<int, int>>& stop_pairs) {
-  const double base_lambda = estimator.Estimate(*base);
-  std::vector<double> increments;
-  increments.reserve(stop_pairs.size());
-  for (const auto& [u, v] : stop_pairs) {
-    increments.push_back(EdgeIncrement(base, base_lambda, estimator, u, v));
-  }
-  return increments;
-}
-
 double EdgeSetIncrement(linalg::SymmetricSparseMatrix* base,
                         double base_lambda,
                         const ConnectivityEstimator& estimator,

@@ -1,7 +1,8 @@
-// Per-edge connectivity increments Delta(e) = lambda(G_r + e) - lambda(G_r)
-// (Definition 7). Pre-computing Delta(e) for every candidate edge is the
-// heart of ETA-Pre (Section 6): the route search then treats connectivity as
-// a linear function of its edges.
+// Stochastic connectivity increments Delta(e) = lambda(G_r + e) - lambda(G_r)
+// (Definition 7), each from one whole-network trace estimate. The planners'
+// Delta(e) table uses exact local trace increments instead
+// (connectivity/local_increment.h); these estimates remain for the
+// baselines and the Figure 3 submodularity probe.
 //
 // Every lambda here is estimated with a single shared ConnectivityEstimator
 // (common random numbers), which is what makes the tiny increments
@@ -22,14 +23,6 @@ namespace ctbus::connectivity {
 /// own estimate of lambda(base).
 double EdgeIncrement(linalg::SymmetricSparseMatrix* base, double base_lambda,
                      const ConnectivityEstimator& estimator, int u, int v);
-
-/// Delta(e) for a batch of prospective edges (stop pairs). Pairs already
-/// present in `base` get increment 0 (adding an existing edge changes
-/// nothing in the unweighted adjacency).
-std::vector<double> ComputeEdgeIncrements(
-    linalg::SymmetricSparseMatrix* base,
-    const ConnectivityEstimator& estimator,
-    const std::vector<std::pair<int, int>>& stop_pairs);
 
 /// Increment of a whole edge set added at once:
 /// lambda(G + edges) - lambda(G). Used to probe (non-)submodularity

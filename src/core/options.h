@@ -17,8 +17,9 @@ struct CtBusOptions {
   double w = 0.5;
 
   /// Straight-line distance threshold tau between neighbor stops for
-  /// candidate new edges, meters (the paper fixes 0.5 km). Together with
-  /// precompute_estimator and use_perturbation_precompute, tau determines
+  /// candidate new edges, meters (the paper fixes 0.5 km). tau fixes the
+  /// plannable-edge universe and so which Delta(e) the precompute solves;
+  /// together with precompute_estimator (the tr_0 anchor) it determines
   /// the precompute output — the serving layer keys its precompute cache
   /// on exactly these fields (service/precompute_cache.h),
   /// while k / w / max_turns / seed_count / planner stay sweepable for free.
@@ -42,17 +43,20 @@ struct CtBusOptions {
   /// ctbus-lint: key-exempt(online estimator runs per query inside ETA; the precompute uses precompute_estimator)
   connectivity::EstimatorOptions online_estimator;
 
-  /// Estimator used for the Delta(e) pre-computation pass. Cheaper than the
-  /// online one because it runs once per candidate edge.
+  /// Estimator of the precompute's anchor tr_0 = tr(e^A): one estimate per
+  /// precompute turns every exact local trace increment into
+  /// Delta(e) = log1p(Delta tr(e) / tr_0). A uniform scale on the table, so
+  /// it never reorders L_lambda, but it does change the Delta(e) values,
+  /// which is why it stays on the wire and in the precompute cache key.
   connectivity::EstimatorOptions precompute_estimator = {
       /*probes=*/8, /*lanczos_steps=*/8, /*seed=*/11};
 
   /// Worker threads for the Delta(e) pre-computation loop (the dominant
   /// Table 4 cost). 1 = serial; 0 or negative = hardware concurrency. The
-  /// result is bit-identical at any thread count (the shards share one
-  /// immutable estimator and each owns a scratch adjacency; see
-  /// docs/PRECOMPUTE.md), so this knob is deliberately NOT part of the
-  /// precompute cache key.
+  /// result is bit-identical at any thread count (the shards share the
+  /// immutable adjacency and each local increment is a pure function of
+  /// its edge's ball; see docs/PRECOMPUTE.md), so this knob is
+  /// deliberately NOT part of the precompute cache key.
   /// ctbus-lint: key-exempt(bit-identical at any thread count — keying would fragment the cache)
   int precompute_threads = 1;
 
@@ -69,13 +73,6 @@ struct CtBusOptions {
   /// the serving layer's precompute cache key (service/precompute_cache.h).
   /// ctbus-lint: key-exempt(bit-identical at any thread count — keying would fragment the cache)
   int eta_threads = 1;
-
-  /// Use the first-order perturbation model for Delta(e) pre-computation
-  /// instead of per-edge stochastic trace estimation: one top-eigenpair
-  /// Lanczos run, then O(m) per candidate edge. Implements the paper's
-  /// Section 8 future work; see connectivity/perturbation.h and the
-  /// bench_ablation_precompute comparison.
-  bool use_perturbation_precompute = false;
 
   /// Algorithm 1 variant toggles (Section 4.2.2 / 4.2.3, Figure 11):
   /// false => ETA-AN: enqueue the path extended with *every* neighbor

@@ -8,9 +8,7 @@
 #include <utility>
 
 #include "connectivity/bounds.h"
-#include "connectivity/edge_increment.h"
 #include "connectivity/local_increment.h"
-#include "connectivity/perturbation.h"
 #include "core/parallel_for.h"
 #include "core/timing.h"
 #include "linalg/lanczos.h"
@@ -19,60 +17,6 @@
 namespace ctbus::core {
 
 namespace {
-
-/// Delta(e) via one stochastic trace estimate per edge, for the universe
-/// edges listed in `todo`, sharded over `num_threads` workers. One
-/// immutable estimator, its probes pinned from
-/// options.precompute_estimator.seed, serves the base estimate and every
-/// shard, so all edges see the same common random numbers; each shard owns
-/// only a fresh scratch adjacency. Each edge's result is therefore
-/// independent of sharding — bit-identical to a serial run.
-void ComputeStochasticIncrements(const graph::TransitNetwork& transit,
-                                 const CtBusOptions& options,
-                                 const EdgeUniverse& universe,
-                                 const std::vector<int>& todo,
-                                 int num_threads,
-                                 std::vector<double>* increments) {
-  const connectivity::ConnectivityEstimator estimator(
-      transit.num_stops(), options.precompute_estimator);
-  const double base = estimator.Estimate(transit.AdjacencyMatrix());
-  ParallelFor(static_cast<int>(todo.size()), num_threads,
-              [&](int /*shard*/, int begin, int end) {
-                linalg::SymmetricSparseMatrix adjacency =
-                    transit.AdjacencyMatrix();
-                for (int i = begin; i < end; ++i) {
-                  const PlannableEdge& edge = universe.edge(todo[i]);
-                  (*increments)[todo[i]] = std::max(
-                      0.0, connectivity::EdgeIncrement(
-                               &adjacency, base, estimator, edge.u, edge.v));
-                }
-              });
-}
-
-/// Delta(e) via the first-order perturbation model: one Lanczos eigenpair
-/// run on the calling thread, then the O(m)-per-edge evaluations sharded
-/// over `num_threads` workers (the model is immutable, so shards share it).
-void ComputePerturbationIncrements(const graph::TransitNetwork& transit,
-                                   const CtBusOptions& options,
-                                   const EdgeUniverse& universe,
-                                   const std::vector<int>& todo,
-                                   int num_threads,
-                                   std::vector<double>* increments) {
-  const linalg::SymmetricSparseMatrix adjacency = transit.AdjacencyMatrix();
-  const connectivity::ConnectivityEstimator estimator(
-      transit.num_stops(), options.precompute_estimator);
-  const double base_trace = estimator.EstimateTraceExp(adjacency);
-  const auto model = connectivity::PerturbationIncrementModel::Build(
-      adjacency, std::max(base_trace, 1e-12), {});
-  ParallelFor(static_cast<int>(todo.size()), num_threads,
-              [&](int /*shard*/, int begin, int end) {
-                for (int i = begin; i < end; ++i) {
-                  const PlannableEdge& edge = universe.edge(todo[i]);
-                  (*increments)[todo[i]] = std::max(
-                      0.0, model.EdgeIncrement(edge.u, edge.v));
-                }
-              });
-}
 
 /// Stop pairs of the path's new edges, in path order: the overlay the local
 /// kernel stages on the base adjacency.
@@ -96,27 +40,71 @@ std::vector<int> NewEdgeIds(const EdgeUniverse& universe) {
   return ids;
 }
 
-/// Runs the configured Delta(e) pass for `todo` and records its stats.
-void RunIncrementPass(const graph::TransitNetwork& transit,
-                      const CtBusOptions& options,
-                      const EdgeUniverse& universe,
-                      const std::vector<int>& todo, Precompute* pre) {
-  if (todo.empty()) return;
+/// Solves Delta tr(e) for the universe edges listed in `todo` on the
+/// shared adjacency, sharded over options.precompute_threads workers, then
+/// anchors the whole table: tr_0 from the precompute estimator, and
+/// Delta(e) via Precompute::FillIncrements. Each local increment is a pure
+/// function of its edge's ball, so the result is bit-identical to a serial
+/// run.
+void SolveAndAnchor(const linalg::SymmetricSparseMatrix& adjacency,
+                    const CtBusOptions& options, const std::vector<int>& todo,
+                    Precompute* pre) {
   const int threads =
       std::max(1, std::min(ResolveThreadCount(options.precompute_threads),
                            static_cast<int>(todo.size())));
-  if (options.use_perturbation_precompute) {
-    ComputePerturbationIncrements(transit, options, universe, todo, threads,
-                                  &pre->increments);
-  } else {
-    ComputeStochasticIncrements(transit, options, universe, todo, threads,
-                                &pre->increments);
-  }
+  const std::vector<std::pair<int, int>> none;
+  ParallelFor(static_cast<int>(todo.size()), threads,
+              [&](int /*shard*/, int begin, int end) {
+                for (int i = begin; i < end; ++i) {
+                  const PlannableEdge& edge = pre->universe.edge(todo[i]);
+                  pre->trace_increments[todo[i]] =
+                      connectivity::LocalTraceIncrement(adjacency, none,
+                                                        edge.u, edge.v);
+                }
+              });
   pre->stats.num_increments_recomputed = static_cast<int>(todo.size());
   pre->stats.threads_used = threads;
+  const connectivity::ConnectivityEstimator estimator(
+      adjacency.dim(), options.precompute_estimator);
+  pre->base_trace = estimator.EstimateTraceExp(adjacency);
+  pre->FillIncrements();
+}
+
+/// Stops within kLocalIncrementRadius hops of `sources` on `adjacency`.
+std::vector<char> StopsNear(const linalg::SymmetricSparseMatrix& adjacency,
+                            const std::vector<int>& sources) {
+  std::vector<char> near(adjacency.dim(), 0);
+  std::vector<int> frontier;
+  for (int s : sources) {
+    if (!near[s]) {
+      near[s] = 1;
+      frontier.push_back(s);
+    }
+  }
+  for (int hop = 0; hop < connectivity::kLocalIncrementRadius; ++hop) {
+    std::vector<int> next;
+    for (int x : frontier) {
+      for (const linalg::SymmetricSparseMatrix::Entry& e : adjacency.Row(x)) {
+        if (!near[e.col]) {
+          near[e.col] = 1;
+          next.push_back(e.col);
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+  return near;
 }
 
 }  // namespace
+
+void Precompute::FillIncrements() {
+  increments.resize(trace_increments.size());
+  for (std::size_t e = 0; e < trace_increments.size(); ++e) {
+    increments[e] =
+        std::max(0.0, std::log1p(trace_increments[e] / base_trace));
+  }
+}
 
 Precompute PlanningContext::RunPrecompute(
     const graph::RoadNetwork& road, const graph::TransitNetwork& transit,
@@ -133,13 +121,13 @@ Precompute PlanningContext::RunPrecompute(
   pre.stats.num_new_edges = pre.universe.num_new_edges();
 
   // Phase 2: Delta(e) for every new edge (Table 4's "Connectivity"
-  // column) — either one stochastic trace estimate per edge, or the
-  // perturbation model (one Lanczos eigenpair run, then O(m) per edge).
-  // Sharded over options.precompute_threads; bit-identical to serial.
+  // column): one exact local trace increment per edge, then the tr_0
+  // anchor. Sharded over options.precompute_threads; bit-identical to
+  // serial.
   stopwatch.Reset();
-  pre.increments.assign(pre.universe.num_edges(), 0.0);
-  RunIncrementPass(transit, options, pre.universe, NewEdgeIds(pre.universe),
-                   &pre);
+  pre.trace_increments.assign(pre.universe.num_edges(), 0.0);
+  SolveAndAnchor(transit.AdjacencyMatrix(), options, NewEdgeIds(pre.universe),
+                 &pre);
   pre.stats.increments_seconds = stopwatch.Seconds();
   return pre;
 }
@@ -151,7 +139,6 @@ Precompute PlanningContext::DerivePrecompute(const graph::RoadNetwork& road,
                                              const SnapshotDelta& delta) {
   Precompute pre;
   pre.stats.derived = true;
-  pre.stats.derivation_depth = prev.stats.derivation_depth + 1;
 
   // Phase 1 replacement: carry the shortest-path realizations over. The
   // derived universe is bit-identical to EdgeUniverse::Build on the new
@@ -162,51 +149,40 @@ Precompute PlanningContext::DerivePrecompute(const graph::RoadNetwork& road,
   pre.stats.universe_seconds = stopwatch.Seconds();
   pre.stats.num_new_edges = pre.universe.num_new_edges();
 
+  // Phase 2: re-solve the candidates whose ball may have changed (an
+  // endpoint within the radius of a touched stop, on the new adjacency),
+  // carry every other trace increment from the donor, then re-anchor.
   stopwatch.Reset();
-  pre.increments.assign(pre.universe.num_edges(), 0.0);
-  if (options.use_perturbation_precompute) {
-    // The perturbation model is global (eigenpairs of the new adjacency),
-    // so every candidate is re-evaluated — O(m) per edge after one Lanczos
-    // run — keeping the derived result bit-identical to RunPrecompute.
-    RunIncrementPass(transit, options, pre.universe, NewEdgeIds(pre.universe),
-                     &pre);
-  } else {
-    // Stochastic path: recompute Delta(e) only for candidates with an
-    // endpoint among the delta's touched stops (their increments see the
-    // added edges at zeroth order); carry the rest over from the donor.
-    // Recomputed values are bit-identical to from-scratch; carried values
-    // differ only by the second-order interaction with the added edges.
-    std::vector<char> touched(transit.num_stops(), 0);
-    for (int s : delta.touched_stops) touched[s] = 1;
-    std::unordered_map<std::uint64_t, double> prev_increment;
-    prev_increment.reserve(prev.universe.num_new_edges());
-    const auto pair_key = [](int u, int v) {
-      return (static_cast<std::uint64_t>(u) << 32) |
-             static_cast<std::uint32_t>(v);
-    };
-    for (int e = 0; e < prev.universe.num_edges(); ++e) {
-      const PlannableEdge& edge = prev.universe.edge(e);
-      if (!edge.is_new) continue;
-      prev_increment.emplace(pair_key(edge.u, edge.v), prev.increments[e]);
+  const linalg::SymmetricSparseMatrix adjacency = transit.AdjacencyMatrix();
+  const std::vector<char> near = StopsNear(adjacency, delta.touched_stops);
+  std::unordered_map<std::uint64_t, double> prev_trace;
+  prev_trace.reserve(prev.universe.num_new_edges());
+  const auto pair_key = [](int u, int v) {
+    return (static_cast<std::uint64_t>(u) << 32) |
+           static_cast<std::uint32_t>(v);
+  };
+  for (int e = 0; e < prev.universe.num_edges(); ++e) {
+    const PlannableEdge& edge = prev.universe.edge(e);
+    if (edge.is_new) {
+      prev_trace.emplace(pair_key(edge.u, edge.v), prev.trace_increments[e]);
     }
-    std::vector<int> todo;
-    int carried = 0;
-    for (int e = 0; e < pre.universe.num_edges(); ++e) {
-      const PlannableEdge& edge = pre.universe.edge(e);
-      if (!edge.is_new) continue;
-      const auto it = touched[edge.u] || touched[edge.v]
-                          ? prev_increment.end()
-                          : prev_increment.find(pair_key(edge.u, edge.v));
-      if (it == prev_increment.end()) {
-        todo.push_back(e);  // touched, or (defensively) unknown to the donor
-      } else {
-        pre.increments[e] = it->second;
-        ++carried;
-      }
-    }
-    RunIncrementPass(transit, options, pre.universe, todo, &pre);
-    pre.stats.num_increments_carried = carried;
   }
+  pre.trace_increments.assign(pre.universe.num_edges(), 0.0);
+  std::vector<int> todo;
+  for (int e = 0; e < pre.universe.num_edges(); ++e) {
+    const PlannableEdge& edge = pre.universe.edge(e);
+    if (!edge.is_new) continue;
+    const auto it = near[edge.u] || near[edge.v]
+                        ? prev_trace.end()
+                        : prev_trace.find(pair_key(edge.u, edge.v));
+    if (it == prev_trace.end()) {
+      todo.push_back(e);  // ball may have changed, or unknown to the donor
+    } else {
+      pre.trace_increments[e] = it->second;
+      ++pre.stats.num_increments_carried;
+    }
+  }
+  SolveAndAnchor(adjacency, options, todo, &pre);
   pre.stats.increments_seconds = stopwatch.Seconds();
   return pre;
 }

@@ -29,24 +29,18 @@ namespace ctbus::core {
 /// provenance of a warm-started run.
 struct PrecomputeStats {
   double universe_seconds = 0.0;     // shortest-path realization
-  double increments_seconds = 0.0;   // Delta(e) estimation
+  double increments_seconds = 0.0;   // Delta tr(e) pass + tr_0 anchor
   int num_new_edges = 0;
   /// True if this precompute was derived from a previous snapshot version
   /// (DerivePrecompute) instead of computed from scratch.
   bool derived = false;
-  /// Derivation chain length: 0 for a from-scratch precompute, donor's
-  /// depth + 1 for a derived one. On the stochastic path each hop can add
-  /// carry error, so the serving layer bounds this
-  /// (ServiceOptions::max_warm_start_depth) and prefers depth-0 donors.
-  int derivation_depth = 0;
-  /// Delta(e) evaluations actually executed in this run. From scratch this
-  /// equals num_new_edges; a warm start only evaluates the candidates
-  /// touched by the snapshot delta (stochastic path) or re-applies the
-  /// rebuilt O(m)-per-edge perturbation model (perturbation path).
+  /// Local trace increments actually solved in this run. From scratch this
+  /// equals num_new_edges; a warm start only solves the candidates within
+  /// kLocalIncrementRadius hops of the snapshot delta's touched stops.
   int num_increments_recomputed = 0;
-  /// Delta(e) values carried over verbatim from the donor precompute.
+  /// Trace increments carried over verbatim from the donor precompute.
   int num_increments_carried = 0;
-  /// Shards actually used for the Delta(e) loop (after clamping
+  /// Shards actually used for the Delta tr(e) loop (after clamping
   /// CtBusOptions::precompute_threads to the amount of work).
   int threads_used = 1;
 };
@@ -59,8 +53,9 @@ struct SnapshotDelta {
   /// Stop pairs whose transit edge became active between the versions
   /// (pairs that were already active-connected before are not listed).
   std::vector<std::pair<int, int>> added_stop_pairs;
-  /// Sorted, deduplicated endpoints of added_stop_pairs. Candidates with
-  /// neither endpoint in this set keep their Delta(e) on a warm start.
+  /// Sorted, deduplicated endpoints of added_stop_pairs. A warm start
+  /// re-solves the candidates with an endpoint within
+  /// kLocalIncrementRadius hops of this set and carries the rest.
   std::vector<int> touched_stops;
   /// Sorted, deduplicated road edges whose trip counts were zeroed
   /// (demand changes propagate to every universe edge crossing them).
@@ -69,21 +64,38 @@ struct SnapshotDelta {
 
 /// The expensive, parameter-sweep-invariant part of context construction:
 /// the plannable-edge universe (depends on tau) and the Delta(e)
-/// pre-computation (depends on the precompute estimator). Reusable across
-/// contexts with different k / w / Tn / sn. Immutable once built; the
-/// serving layer shares it across threads via shared_ptr<const Precompute>
-/// without further synchronization.
+/// pre-computation (exact local trace increments, anchored by the
+/// precompute estimator's tr(e^A)). Reusable across contexts with
+/// different k / w / Tn / sn. Immutable once built; the serving layer
+/// shares it across threads via shared_ptr<const Precompute> without
+/// further synchronization.
 struct Precompute {
   EdgeUniverse universe;
+  /// Delta tr(e^A) per universe edge: connectivity::LocalTraceIncrement of
+  /// each new edge against the snapshot's adjacency, 0 for existing edges.
+  /// A pure function of the edge's kLocalIncrementRadius-hop ball, which is
+  /// what lets a warm start carry it exactly. CTBS stores this table.
+  std::vector<double> trace_increments;
+  /// tr_0 = tr(e^A) of the snapshot, one precompute-estimator estimate:
+  /// the anchor that turns trace increments into Delta(e).
+  double base_trace = 1.0;
+  /// Delta(e) = log1p(trace_increments[e] / base_trace), clamped at 0.
+  /// Always filled by FillIncrements, never stored.
   std::vector<double> increments;
   PrecomputeStats stats;
 
-  /// Approximate resident footprint in bytes (universe + Delta(e) table).
-  /// This is the unit the serving layer's byte-budgeted PrecomputeCache
-  /// charges per entry. Deterministic; O(universe edges).
+  /// Recomputes `increments` from trace_increments and base_trace. The one
+  /// place Delta(e) is derived: RunPrecompute, DerivePrecompute and the
+  /// CTBS decoder all call it, so every route yields the same bits.
+  void FillIncrements();
+
+  /// Approximate resident footprint in bytes (universe + both per-edge
+  /// tables). This is the unit the serving layer's byte-budgeted
+  /// PrecomputeCache charges per entry. Deterministic; O(universe edges).
   std::size_t ApproxBytes() const {
     return sizeof(Precompute) - sizeof(EdgeUniverse) +
-           universe.ApproxBytes() + increments.size() * sizeof(double);
+           universe.ApproxBytes() +
+           (trace_increments.size() + increments.size()) * sizeof(double);
   }
 };
 
@@ -150,12 +162,13 @@ class PlanningBase {
 
 class PlanningContext {
  public:
-  /// Runs only the expensive pre-computation phases. The Delta(e) loop is
-  /// sharded over options.precompute_threads workers (1 = serial, <= 0 =
-  /// hardware concurrency); the shards share one immutable estimator and
-  /// each owns only a scratch adjacency, so the result is bit-identical at
-  /// any thread count for both estimator paths. Thread-safe for concurrent
-  /// callers (shares nothing but its const inputs).
+  /// Runs only the expensive pre-computation phases: the universe, one
+  /// exact local trace increment per new edge, and the tr_0 anchor. The
+  /// increment loop is sharded over options.precompute_threads workers
+  /// (1 = serial, <= 0 = hardware concurrency) that share the immutable
+  /// adjacency; each value is a pure function of its edge's ball, so the
+  /// result is bit-identical at any thread count. Thread-safe for
+  /// concurrent callers (shares nothing but its const inputs).
   static Precompute RunPrecompute(const graph::RoadNetwork& road,
                                   const graph::TransitNetwork& transit,
                                   const CtBusOptions& options);
@@ -163,18 +176,20 @@ class PlanningContext {
   /// Warm start: derives the precompute for the networks (road, transit)
   /// from `prev`, the precompute of an *ancestor* snapshot version, given
   /// the composed `delta` between the two versions. Requirements: same
-  /// city (stop set unchanged), same options (tau, detour, precompute
-  /// estimator), and the newer snapshot reachable from the older one by
-  /// CommitRoute steps only.
+  /// city (stop set unchanged), same options (tau, precompute estimator),
+  /// and the newer snapshot reachable from the older one by CommitRoute
+  /// steps only.
   ///
-  /// The carried-over work: the universe's shortest-path realizations are
-  /// reused wholesale (bit-identical to EdgeUniverse::Build on the new
-  /// networks), and on the stochastic path the Delta(e) of candidates not
-  /// touching delta.touched_stops is carried from `prev` (exact for
-  /// recomputed candidates, first-order-accurate for carried ones). On the
-  /// perturbation path every candidate is re-evaluated against a model
-  /// rebuilt on the new adjacency — O(m) per edge — so the result is
-  /// bit-identical to RunPrecompute. See docs/PRECOMPUTE.md.
+  /// The universe's shortest-path realizations are reused wholesale. A
+  /// breadth-first search of kLocalIncrementRadius hops from
+  /// delta.touched_stops on the new adjacency marks the stops whose balls
+  /// may have changed; new edges with an endpoint among them (or unknown to
+  /// `prev`) are re-solved, every other trace increment is carried from
+  /// `prev`, and tr_0 is re-estimated. Commits only add edges, so an edge
+  /// with neither endpoint within the radius of a touched stop has the same
+  /// ball and the same induced submatrix as before, and the sorted-ball
+  /// kernel returns the same bits: the result equals RunPrecompute on the
+  /// new networks bit for bit. See docs/PRECOMPUTE.md.
   static Precompute DerivePrecompute(const graph::RoadNetwork& road,
                                      const graph::TransitNetwork& transit,
                                      const CtBusOptions& options,

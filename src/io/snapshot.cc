@@ -312,15 +312,18 @@ bool DecodeUniverseBody(ByteReader* reader, core::EdgeUniverse* out) {
 
 void EncodePrecomputeBody(const core::Precompute& precompute,
                           std::vector<std::uint8_t>* out) {
+  // Delta tr(e) and tr_0, not Delta(e): increments are rebuilt on decode
+  // by the same Precompute::FillIncrements every other route uses.
   EncodeUniverseBody(precompute.universe, out);
-  AppendU32(out, static_cast<std::uint32_t>(precompute.increments.size()));
-  for (double inc : precompute.increments) AppendF64(out, inc);
+  AppendU32(out,
+            static_cast<std::uint32_t>(precompute.trace_increments.size()));
+  for (double inc : precompute.trace_increments) AppendF64(out, inc);
+  AppendF64(out, precompute.base_trace);
   const auto& stats = precompute.stats;
   AppendF64(out, stats.universe_seconds);
   AppendF64(out, stats.increments_seconds);
   AppendI32(out, stats.num_new_edges);
   AppendU8(out, stats.derived ? 1 : 0);
-  AppendI32(out, stats.derivation_depth);
   AppendI32(out, stats.num_increments_recomputed);
   AppendI32(out, stats.num_increments_carried);
   AppendI32(out, stats.threads_used);
@@ -330,16 +333,30 @@ bool DecodePrecomputeBody(ByteReader* reader, core::Precompute* out) {
   core::Precompute precompute;
   if (!DecodeUniverseBody(reader, &precompute.universe)) return false;
   std::uint32_t num_increments = 0;
-  if (!reader->ReadCount("num_increments", 8, &num_increments)) return false;
+  if (!reader->ReadCount("num_trace_increments", 8, &num_increments)) {
+    return false;
+  }
   if (static_cast<int>(num_increments) != precompute.universe.num_edges()) {
-    return reader->Fail("num_increments",
+    return reader->Fail("num_trace_increments",
                         "increment table does not match universe edge count");
   }
-  precompute.increments.reserve(num_increments);
+  precompute.trace_increments.reserve(num_increments);
   for (std::uint32_t i = 0; i < num_increments; ++i) {
     double inc = 0.0;
-    if (!reader->ReadFiniteF64("increment", &inc)) return false;
-    precompute.increments.push_back(inc);
+    if (!reader->ReadFiniteF64("trace_increment", &inc)) return false;
+    precompute.trace_increments.push_back(inc);
+  }
+  if (!reader->ReadFiniteF64("base_trace", &precompute.base_trace)) {
+    return false;
+  }
+  if (!(precompute.base_trace > 0.0)) {
+    return reader->Fail("base_trace", "not positive");
+  }
+  precompute.FillIncrements();
+  for (double inc : precompute.increments) {
+    if (!std::isfinite(inc)) {
+      return reader->Fail("trace_increment", "Delta(e) not finite");
+    }
   }
   auto& stats = precompute.stats;
   if (!reader->ReadFiniteF64("stats_universe_seconds",
@@ -348,7 +365,6 @@ bool DecodePrecomputeBody(ByteReader* reader, core::Precompute* out) {
                              &stats.increments_seconds) ||
       !reader->ReadI32("stats_num_new_edges", &stats.num_new_edges) ||
       !reader->ReadBool("stats_derived", &stats.derived) ||
-      !reader->ReadI32("stats_derivation_depth", &stats.derivation_depth) ||
       !reader->ReadI32("stats_recomputed",
                        &stats.num_increments_recomputed) ||
       !reader->ReadI32("stats_carried", &stats.num_increments_carried) ||
@@ -392,7 +408,6 @@ void EncodeProvenanceBody(const PrecomputeProvenance& provenance,
   AppendI32(out, provenance.lanczos_steps);
   AppendU64(out, provenance.seed);
   AppendI32(out, provenance.probe_kind);
-  AppendU8(out, provenance.use_perturbation ? 1 : 0);
 }
 
 bool DecodeProvenanceBody(ByteReader* reader,
@@ -402,9 +417,7 @@ bool DecodeProvenanceBody(ByteReader* reader,
       !reader->ReadI32("provenance_probes", &p.probes) ||
       !reader->ReadI32("provenance_lanczos_steps", &p.lanczos_steps) ||
       !reader->ReadU64("provenance_seed", &p.seed) ||
-      !reader->ReadI32("provenance_probe_kind", &p.probe_kind) ||
-      !reader->ReadBool("provenance_use_perturbation",
-                        &p.use_perturbation)) {
+      !reader->ReadI32("provenance_probe_kind", &p.probe_kind)) {
     return false;
   }
   *out = p;
@@ -552,8 +565,7 @@ bool PrecomputeProvenance::operator==(
     const PrecomputeProvenance& other) const {
   return tau == other.tau && probes == other.probes &&
          lanczos_steps == other.lanczos_steps && seed == other.seed &&
-         probe_kind == other.probe_kind &&
-         use_perturbation == other.use_perturbation;
+         probe_kind == other.probe_kind;
 }
 
 PrecomputeProvenance MakeProvenance(const core::CtBusOptions& options) {
@@ -570,7 +582,6 @@ PrecomputeProvenance MakeProvenance(const core::CtBusOptions& options) {
   p.lanczos_steps = options.precompute_estimator.lanczos_steps;
   p.seed = options.precompute_estimator.seed;
   p.probe_kind = static_cast<int>(options.precompute_estimator.probe_kind);
-  p.use_perturbation = options.use_perturbation_precompute;
   return p;
 }
 

@@ -1,9 +1,10 @@
 // Checksummed binary snapshots: the millisecond cold-start path. A CTBS
 // file carries a whole city — road network, transit network, and
-// optionally the Delta(e) precompute (universe + increments + stats) and
-// the aggregated demand ranking — in a versioned, section-tagged,
-// length-prefixed container, so a process restart loads in milliseconds
-// instead of re-parsing TSV text and re-running all-pairs Dijkstras.
+// optionally the Delta(e) precompute (universe + per-edge trace increments
+// + the tr_0 anchor + stats) and the aggregated demand ranking — in a
+// versioned, section-tagged, length-prefixed container, so a process
+// restart loads in milliseconds instead of re-parsing TSV text and
+// re-running all-pairs Dijkstras.
 //
 // Container layout (all integers little-endian):
 //   u32 magic "CTBS"        (kSnapshotMagic)
@@ -53,7 +54,7 @@ namespace ctbus::io {
 inline constexpr std::uint32_t kSnapshotMagic = 0x53425443u;
 /// Bumped on any layout or checksum change; loaders reject every other
 /// value (stale formats: a diagnostic for Load, a plain miss for the spill).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 /// Hard bound on the section table, checked before it is walked.
 inline constexpr std::uint32_t kMaxSnapshotSections = 16;
 
@@ -67,7 +68,6 @@ struct PrecomputeProvenance {
   int lanczos_steps = 0;
   std::uint64_t seed = 0;
   int probe_kind = 0;
-  bool use_perturbation = false;
 
   bool operator==(const PrecomputeProvenance& other) const;
 };

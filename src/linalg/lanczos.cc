@@ -307,39 +307,6 @@ std::vector<double> TopEigenvalues(const MatVec& a, int k, int iters,
   return top;
 }
 
-TopEigenpairsResult TopEigenpairs(const MatVec& a, int k, int iters,
-                                  Rng* rng) {
-  const int n = a.dim();
-  TopEigenpairsResult result;
-  assert(k >= 0);
-  if (k == 0 || n == 0) return result;
-  k = std::min(k, n);
-  iters = std::min(std::max(iters, k), n);
-
-  std::vector<double> v0(n);
-  FillGaussian(rng, &v0);
-  LanczosOptions options;
-  options.steps = iters;
-  options.full_reorthogonalize = true;
-  const LanczosResult lanczos = LanczosTridiagonalize(a, v0, options);
-  const SymmetricEigenResult tri =
-      TridiagonalEigen(lanczos.alpha, lanczos.beta, /*compute_vectors=*/true);
-  const int t = static_cast<int>(tri.eigenvalues.size());
-  const int available = std::min(k, t);
-  for (int i = 0; i < available; ++i) {
-    const int idx = t - 1 - i;  // ascending -> take from the top
-    result.eigenvalues.push_back(tri.eigenvalues[idx]);
-    // Ritz vector: z = V * y.
-    std::vector<double> ritz(n, 0.0);
-    for (int row = 0; row < t; ++row) {
-      Axpy(tri.eigenvectors.At(row, idx), lanczos.basis[row], &ritz);
-    }
-    Normalize(&ritz);
-    result.eigenvectors.push_back(std::move(ritz));
-  }
-  return result;
-}
-
 double SpectralNormEstimate(const MatVec& a, int iters, Rng* rng) {
   const int n = a.dim();
   if (n == 0) return 0.0;

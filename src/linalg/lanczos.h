@@ -78,20 +78,6 @@ std::vector<double> LanczosExpQuadratureBatch(
 std::vector<double> TopEigenvalues(const MatVec& a, int k, int iters,
                                    Rng* rng);
 
-/// Top eigenpairs: eigenvalues descending plus the matching Ritz vectors.
-struct TopEigenpairsResult {
-  /// Largest eigenvalues, descending.
-  std::vector<double> eigenvalues;
-  /// eigenvectors[j] is the unit Ritz vector for eigenvalues[j].
-  std::vector<std::vector<double>> eigenvectors;
-};
-
-/// Largest `k` eigenpairs of `a`, via Lanczos with full
-/// reorthogonalization. Ritz vectors are V * y_j for the tridiagonal
-/// eigenvectors y_j. Used by the perturbation-theory increment model.
-TopEigenpairsResult TopEigenpairs(const MatVec& a, int k, int iters,
-                                  Rng* rng);
-
 /// Estimate of the spectral norm ||A||_2 = max(|lambda_max|, |lambda_min|).
 double SpectralNormEstimate(const MatVec& a, int iters, Rng* rng);
 

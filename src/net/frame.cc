@@ -10,7 +10,6 @@ namespace ctbus::net {
 
 std::uint8_t PackFlags(const core::CtBusOptions& options) {
   std::uint8_t flags = 0;
-  if (options.use_perturbation_precompute) flags |= 1u << 0;
   if (options.best_neighbor_only) flags |= 1u << 1;
   if (options.use_domination_table) flags |= 1u << 2;
   if (options.seed_all_edges) flags |= 1u << 3;
@@ -18,8 +17,13 @@ std::uint8_t PackFlags(const core::CtBusOptions& options) {
   return flags;
 }
 
+const char* FlagsError(std::uint8_t flags) {
+  // Bits 1-4. Bit 0 (a retired precompute toggle) and bits 5-7 are unknown.
+  constexpr std::uint8_t kKnownBits = 0x1e;
+  return (flags & ~kKnownBits) != 0 ? "unknown flag bit set" : nullptr;
+}
+
 void UnpackFlags(std::uint8_t flags, core::CtBusOptions* options) {
-  options->use_perturbation_precompute = (flags & (1u << 0)) != 0;
   options->best_neighbor_only = (flags & (1u << 1)) != 0;
   options->use_domination_table = (flags & (1u << 2)) != 0;
   options->seed_all_edges = (flags & (1u << 3)) != 0;
@@ -273,6 +277,8 @@ bool DecodeRequestPayload(const std::uint8_t* data, std::size_t size,
       ok = reader.Fail("planner", "unknown planner");
     } else if (const char* reason = RequestOptionsError(options, &field)) {
       ok = reader.Fail(field, reason);
+    } else if (const char* flags_reason = FlagsError(flags)) {
+      ok = reader.Fail("flags", flags_reason);
     }
   }
   if (!ok) {

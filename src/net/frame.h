@@ -165,8 +165,12 @@ const char* EstimatorRangeError(
 const char* RequestOptionsError(const core::CtBusOptions& options,
                                 const char** field);
 
-/// The one-byte encoding of the boolean CtBusOptions, in frames and traces.
+/// The one-byte encoding of the boolean CtBusOptions, in frames and traces:
+/// bit 1 best_neighbor_only, 2 use_domination_table, 3 seed_all_edges,
+/// 4 new_edges_only. FlagsError is the shared check both decoders run
+/// before UnpackFlags: nullptr, or the reason when any other bit is set.
 std::uint8_t PackFlags(const core::CtBusOptions& options);
+const char* FlagsError(std::uint8_t flags);
 void UnpackFlags(std::uint8_t flags, core::CtBusOptions* options);
 
 /// Builds a response from an executed service result (status kOk) —

@@ -294,6 +294,9 @@ bool ReadTraceFile(const std::string& path, TraceFile* trace,
         record_ok = t.Fail("deadline_ms", "above the u32 wire range");
       } else if (const char* reason = RequestOptionsError(options, &field)) {
         record_ok = t.Fail(field, reason);
+      } else if (const char* flags_reason =
+                     FlagsError(static_cast<std::uint8_t>(flags))) {
+        record_ok = t.Fail("flags", flags_reason);
       }
     }
     if (!record_ok) {

@@ -30,9 +30,7 @@ const char* const kPhaseNames[2][5] = {
 }  // namespace
 
 PlanningService::PlanningService(const ServiceOptions& options)
-    : warm_start_precompute_(options.warm_start_precompute),
-      max_warm_start_depth_(std::max(1, options.max_warm_start_depth)),
-      default_retention_(options.retention),
+    : default_retention_(options.retention),
       metrics_enabled_(options.enable_metrics),
       trace_(options.trace_capacity, options.enable_tracing),
       cache_(options.cache_capacity, options.cache_max_bytes,
@@ -419,31 +417,19 @@ PrecomputeCache::PrecomputePtr PlanningService::ResolvePrecompute(
   const auto precompute = cache_.GetOrCompute(
       key,
       [&]() -> core::Precompute {
-        if (warm_start_precompute_) {
-          // Donor choice: a from-scratch (depth-0) precompute anchors the
-          // derivation exactly, so prefer the nearest one even over a
-          // closer derived donor; deriving from derived donors is allowed
-          // up to max_warm_start_depth_ so stochastic carry error cannot
-          // compound without bound. ReadySiblings sorts by descending
-          // version; DeltaBetween rejects non-ancestors.
-          const auto siblings = cache_.ReadySiblings(key);
-          for (const bool scratch_only : {true, false}) {
-            for (const auto& [donor_version, donor] : siblings) {
-              if (donor_version >= snapshot.version) continue;
-              const int depth = donor->stats.derivation_depth;
-              if (scratch_only ? depth != 0
-                               : depth >= max_warm_start_depth_) {
-                continue;
-              }
-              const auto delta =
-                  store.DeltaBetween(donor_version, snapshot.version);
-              if (!delta.has_value()) continue;
-              was_derived = true;
-              return core::PlanningContext::DerivePrecompute(
-                  *snapshot.road, *snapshot.transit, options, *donor,
-                  *delta);
-            }
-          }
+        // Warm start from the nearest resident ancestor: derivation is
+        // exact (DerivePrecompute equals RunPrecompute bit for bit), so
+        // the only criterion is the smallest delta, i.e. the closest donor.
+        // ReadySiblings sorts by descending version; DeltaBetween rejects
+        // non-ancestors.
+        for (const auto& [donor_version, donor] : cache_.ReadySiblings(key)) {
+          if (donor_version >= snapshot.version) continue;
+          const auto delta =
+              store.DeltaBetween(donor_version, snapshot.version);
+          if (!delta.has_value()) continue;
+          was_derived = true;
+          return core::PlanningContext::DerivePrecompute(
+              *snapshot.road, *snapshot.transit, options, *donor, *delta);
         }
         return core::PlanningContext::RunPrecompute(
             *snapshot.road, *snapshot.transit, options);

@@ -60,7 +60,8 @@
 //
 // Every request gets its own PlanningContext, so queries never share
 // mutable state: results are bit-identical to running the same requests
-// serially (the estimators are deterministic by construction). Snapshots
+// serially (the estimators are deterministic by construction, and a
+// warm-started precompute equals a scratch one bit for bit). Snapshots
 // are held via shared_ptr for the duration of a query, so commits can
 // advance the city underneath without blocking or corrupting in-flight
 // work.
@@ -162,20 +163,6 @@ struct ServiceOptions {
   /// priority drain order.
   /// ctbus-lint: key-exempt(lifecycle toggle, no effect on results)
   bool start_paused = false;
-  /// On a precompute-cache miss, derive the precompute from a resident
-  /// ancestor version (PlanningContext::DerivePrecompute) instead of
-  /// recomputing from scratch, when the snapshot store can produce the
-  /// delta. Disable to force every miss down the from-scratch path (A/B
-  /// measurement, paranoia).
-  /// ctbus-lint: key-exempt(derive-vs-scratch produces the same precompute for deterministic estimators; stochastic carry error is bounded by max_warm_start_depth)
-  bool warm_start_precompute = true;
-  /// Bound on the stochastic path's carry-error compounding: a donor whose
-  /// derivation chain is already this deep is not derived from again (the
-  /// service falls back to an older shallower donor, or from scratch).
-  /// From-scratch donors are always preferred when resident, so chains
-  /// normally stay at depth 1; must be >= 1.
-  /// ctbus-lint: key-exempt(derivation-chain bound, not a precompute input)
-  int max_warm_start_depth = 8;
   /// Record service metrics (counters mirroring ServiceStats, per-phase /
   /// per-priority latency histograms, shard queue-depth gauges) into the
   /// service's MetricsRegistry. The record path is lock-free atomics; the
@@ -203,7 +190,7 @@ struct PlanRequest {
   /// Name of a dataset previously registered with RegisterDataset.
   std::string dataset;
   /// Planner knobs, carried verbatim to the worker: the precompute fields
-  /// (tau, precompute estimator, perturbation toggle) feed the cache key,
+  /// (tau and the precompute estimator) feed the cache key,
   /// the sweepables (k, w, Tn, sn, planner variant toggles) stay free, and
   /// the thread counts (precompute_threads, eta_threads — each request may
   /// size its own frontier fan-out) are excluded from the key because
@@ -226,8 +213,8 @@ struct RequestStats {
   /// (always false on a cache hit).
   bool precompute_derived = false;
   /// Provenance and phase timings of the precompute this request planned
-  /// over (shared with every other request on the same key): derivation
-  /// depth, recomputed/carried Delta(e) counts, threads used.
+  /// over (shared with every other request on the same key): whether it
+  /// was derived, recomputed/carried trace-increment counts, threads used.
   core::PrecomputeStats precompute;
   double queue_seconds = 0.0;       // Submit -> worker pickup
   double precompute_seconds = 0.0;  // cache lookup incl. compute on miss
@@ -518,8 +505,6 @@ class PlanningService {
   /// are disabled).
   void RecordRequestLatency(Priority priority, const RequestStats& stats);
 
-  const bool warm_start_precompute_;
-  const int max_warm_start_depth_;
   /// Retention for datasets registered without a per-dataset policy.
   const SnapshotRetentionPolicy default_retention_;
   const bool metrics_enabled_;

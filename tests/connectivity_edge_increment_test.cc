@@ -102,22 +102,6 @@ TEST(EdgeIncrementTest, TracksExactIncrement) {
   }
 }
 
-TEST(EdgeIncrementTest, BatchMatchesIndividualCalls) {
-  linalg::Rng rng(5);
-  auto a = RandomGraph(40, 3.0, &rng);
-  std::vector<std::pair<int, int>> pairs;
-  for (int i = 0; i < 6; ++i) pairs.push_back(FindAbsentEdge(a, &rng));
-  const ConnectivityEstimator est(a.dim(), TestOptions());
-  const double base = est.Estimate(a);
-  const auto batch = ComputeEdgeIncrements(&a, est, pairs);
-  ASSERT_EQ(batch.size(), pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i],
-                     EdgeIncrement(&a, base, est, pairs[i].first,
-                                   pairs[i].second));
-  }
-}
-
 TEST(EdgeIncrementTest, EdgeSetIncrementRestoresMatrix) {
   linalg::Rng rng(6);
   auto a = RandomGraph(40, 3.0, &rng);

@@ -1,6 +1,6 @@
 // The determinism contract of the sharded Delta(e) loop: RunPrecompute
-// must produce bit-identical output at any precompute_threads setting,
-// for both estimator paths (see docs/PRECOMPUTE.md).
+// must produce bit-identical output at any precompute_threads setting
+// (see docs/PRECOMPUTE.md).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -11,11 +11,10 @@
 namespace ctbus::core {
 namespace {
 
-CtBusOptions TestOptions(bool perturbation) {
+CtBusOptions TestOptions() {
   CtBusOptions options;
   options.precompute_estimator = {/*probes=*/6, /*lanczos_steps=*/6,
                                   /*seed=*/6};
-  options.use_perturbation_precompute = perturbation;
   return options;
 }
 
@@ -36,11 +35,9 @@ void ExpectUniversesIdentical(const EdgeUniverse& a, const EdgeUniverse& b) {
   }
 }
 
-class PrecomputeParallelTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(PrecomputeParallelTest, AnyThreadCountIsBitIdenticalToSerial) {
+TEST(PrecomputeParallelTest, AnyThreadCountIsBitIdenticalToSerial) {
   const gen::Dataset d = gen::MakeMidtown();
-  CtBusOptions options = TestOptions(GetParam());
+  CtBusOptions options = TestOptions();
 
   options.precompute_threads = 1;
   const Precompute serial =
@@ -57,9 +54,12 @@ TEST_P(PrecomputeParallelTest, AnyThreadCountIsBitIdenticalToSerial) {
         PlanningContext::RunPrecompute(d.road, d.transit, options);
     ExpectUniversesIdentical(parallel.universe, serial.universe);
     ASSERT_EQ(parallel.increments.size(), serial.increments.size());
+    EXPECT_EQ(parallel.base_trace, serial.base_trace);
     for (std::size_t e = 0; e < serial.increments.size(); ++e) {
-      // Exact double equality on purpose: each shard owns an estimator
-      // pinned to the same seed, so sharding must not move a single bit.
+      // Exact double equality on purpose: each local increment is a pure
+      // function of its edge's ball, so sharding must not move a single bit.
+      EXPECT_EQ(parallel.trace_increments[e], serial.trace_increments[e])
+          << "threads=" << threads << " edge=" << e;
       EXPECT_EQ(parallel.increments[e], serial.increments[e])
           << "threads=" << threads << " edge=" << e;
     }
@@ -68,24 +68,19 @@ TEST_P(PrecomputeParallelTest, AnyThreadCountIsBitIdenticalToSerial) {
   }
 }
 
-TEST_P(PrecomputeParallelTest, HardwareConcurrencySettingRuns) {
+TEST(PrecomputeParallelTest, HardwareConcurrencySettingRuns) {
   const gen::Dataset d = gen::MakeMidtown();
-  CtBusOptions options = TestOptions(GetParam());
+  CtBusOptions options = TestOptions();
   options.precompute_threads = 1;
   const Precompute serial =
       PlanningContext::RunPrecompute(d.road, d.transit, options);
   options.precompute_threads = 0;  // hardware concurrency
   const Precompute hw = PlanningContext::RunPrecompute(d.road, d.transit,
                                                        options);
+  EXPECT_EQ(hw.trace_increments, serial.trace_increments);
   EXPECT_EQ(hw.increments, serial.increments);
   EXPECT_GE(hw.stats.threads_used, 1);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothEstimatorPaths, PrecomputeParallelTest,
-                         ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Perturbation" : "Stochastic";
-                         });
 
 }  // namespace
 }  // namespace ctbus::core

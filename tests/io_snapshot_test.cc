@@ -130,7 +130,6 @@ TEST(SnapshotObjectsTest, PrecomputeRoundTripsBitIdentically) {
   const core::Precompute precompute = core::PlanningContext::DerivePrecompute(
       road, transit, options, scratch, delta);
   ASSERT_TRUE(precompute.stats.derived);
-  ASSERT_EQ(precompute.stats.derivation_depth, 1);
   ASSERT_GT(precompute.stats.num_increments_carried, 0);
 
   std::vector<std::uint8_t> bytes;
@@ -143,9 +142,10 @@ TEST(SnapshotObjectsTest, PrecomputeRoundTripsBitIdentically) {
   EXPECT_EQ(decoded.universe.num_new_edges(),
             precompute.universe.num_new_edges());
   EXPECT_EQ(decoded.universe.num_stops(), precompute.universe.num_stops());
+  EXPECT_EQ(decoded.trace_increments, precompute.trace_increments);
+  EXPECT_EQ(decoded.base_trace, precompute.base_trace);
   EXPECT_EQ(decoded.increments, precompute.increments);
   EXPECT_TRUE(decoded.stats.derived);
-  EXPECT_EQ(decoded.stats.derivation_depth, 1);
   EXPECT_EQ(decoded.stats.num_increments_recomputed,
             precompute.stats.num_increments_recomputed);
   EXPECT_EQ(decoded.stats.num_increments_carried,
@@ -155,6 +155,23 @@ TEST(SnapshotObjectsTest, PrecomputeRoundTripsBitIdentically) {
               precompute.universe.IncidentEdges(s));
   }
   ExpectSameBytes(precompute, decoded, EncodePrecompute);
+}
+
+TEST(SnapshotObjectsTest, PrecomputeAnchorMustBePositive) {
+  // Delta(e) is rebuilt from the stored trace increments on decode, so a
+  // hostile tr_0 must fail by name before it can reach a log1p.
+  core::Precompute precompute = core::PlanningContext::RunPrecompute(
+      GridRoad(), GridTransit(), GridOptions());
+  for (double base_trace : {0.0, -1.0}) {
+    precompute.base_trace = base_trace;
+    std::vector<std::uint8_t> bytes;
+    EncodePrecompute(precompute, &bytes);
+    core::Precompute decoded;
+    std::string error;
+    EXPECT_FALSE(
+        DecodePrecompute(bytes.data(), bytes.size(), &decoded, &error));
+    EXPECT_NE(error.find("base_trace"), std::string::npos) << error;
+  }
 }
 
 TEST(SnapshotObjectsTest, EdgeUniverseFromEdgesMatchesBuild) {
@@ -308,6 +325,9 @@ TEST(SnapshotCorruptionTest, BadMagicAndVersion) {
   auto bad_version = bytes;
   bad_version[4] = 0xfe;
   ExpectRejected(std::move(bad_version), "unsupported format version");
+  auto stale_version = bytes;
+  stale_version[4] = 3;  // PREC stored Delta(e) itself before version 4
+  ExpectRejected(std::move(stale_version), "unsupported format version 3");
 }
 
 TEST(SnapshotCorruptionTest, FlippedPayloadByteNamesItsSection) {

@@ -194,52 +194,6 @@ TEST(LanczosTest, TopEigenvaluesKLargerThanDim) {
   EXPECT_EQ(top.size(), 3u);
 }
 
-TEST(LanczosTest, TopEigenpairsMatchDenseDecomposition) {
-  Rng rng(55);
-  const auto a = RandomGraph(60, 5.0, &rng);
-  const auto exact =
-      SymmetricEigen(DenseMatrix::FromSparse(a), /*compute_vectors=*/true);
-  Rng eig_rng(6);
-  const auto pairs = TopEigenpairs(a, 4, 55, &eig_rng);
-  ASSERT_EQ(pairs.eigenvalues.size(), 4u);
-  ASSERT_EQ(pairs.eigenvectors.size(), 4u);
-  const int n = a.dim();
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_NEAR(pairs.eigenvalues[i],
-                exact.eigenvalues[exact.eigenvalues.size() - 1 - i], 1e-6);
-    // Ritz vector must satisfy A z = lambda z.
-    std::vector<double> az(n);
-    a.Apply(pairs.eigenvectors[i], &az);
-    for (int row = 0; row < n; ++row) {
-      EXPECT_NEAR(az[row], pairs.eigenvalues[i] * pairs.eigenvectors[i][row],
-                  1e-5);
-    }
-    EXPECT_NEAR(Norm2(pairs.eigenvectors[i]), 1.0, 1e-9);
-  }
-}
-
-TEST(LanczosTest, TopEigenpairsOrthogonal) {
-  Rng rng(56);
-  const auto a = RandomGraph(50, 4.0, &rng);
-  Rng eig_rng(7);
-  const auto pairs = TopEigenpairs(a, 5, 45, &eig_rng);
-  for (std::size_t i = 0; i < pairs.eigenvectors.size(); ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      EXPECT_NEAR(Dot(pairs.eigenvectors[i], pairs.eigenvectors[j]), 0.0,
-                  1e-6);
-    }
-  }
-}
-
-TEST(LanczosTest, TopEigenpairsEmptyRequests) {
-  SymmetricSparseMatrix a(5);
-  a.Set(0, 1, 1.0);
-  Rng rng(1);
-  EXPECT_TRUE(TopEigenpairs(a, 0, 10, &rng).eigenvalues.empty());
-  SymmetricSparseMatrix empty(0);
-  EXPECT_TRUE(TopEigenpairs(empty, 3, 10, &rng).eigenvalues.empty());
-}
-
 TEST(LanczosTest, SpectralNormEstimateMatchesDense) {
   Rng rng(66);
   const auto a = RandomGraph(60, 4.0, &rng);

@@ -77,7 +77,6 @@ void ExpectRequestsEqual(const RequestFrame& a, const RequestFrame& b) {
   EXPECT_EQ(x.online_estimator.probe_kind, y.online_estimator.probe_kind);
   EXPECT_EQ(x.precompute_estimator.probes, y.precompute_estimator.probes);
   EXPECT_EQ(x.precompute_estimator.seed, y.precompute_estimator.seed);
-  EXPECT_EQ(x.use_perturbation_precompute, y.use_perturbation_precompute);
   EXPECT_EQ(x.best_neighbor_only, y.best_neighbor_only);
   EXPECT_EQ(x.use_domination_table, y.use_domination_table);
   EXPECT_EQ(x.seed_all_edges, y.seed_all_edges);
@@ -176,7 +175,6 @@ TEST(NetFrame, RandomizedRequestRoundTrip) {
     options.precompute_estimator.seed = rng();
     options.precompute_estimator.probe_kind =
         static_cast<connectivity::ProbeKind>(rng() % 2);
-    options.use_perturbation_precompute = rng() % 2 == 0;
     options.best_neighbor_only = rng() % 2 == 0;
     options.use_domination_table = rng() % 2 == 0;
     options.seed_all_edges = rng() % 2 == 0;
@@ -408,6 +406,27 @@ TEST(NetFrame, InvalidFieldValuesRejected) {
     RequestFrame frame = MakeRequest();
     frame.request.options.precompute_estimator.lanczos_steps = 100001;
     ExpectRequestRejected(frame, "precompute_estimator");
+  }
+}
+
+TEST(NetFrame, UnknownFlagBitsRejected) {
+  // The flags byte closes the payload. Bits 1-4 are the four planner
+  // toggles; bit 0 (retired) and bits 5-7 must fail with a named field
+  // instead of being dropped silently.
+  const std::vector<std::uint8_t> encoded = EncodeRequestFrame(MakeRequest());
+  for (int bit : {0, 5, 6, 7}) {
+    std::vector<std::uint8_t> payload(encoded.begin() + kHeaderBytes,
+                                      encoded.end());
+    payload.back() |= static_cast<std::uint8_t>(1u << bit);
+    RequestFrame decoded;
+    std::string error;
+    EXPECT_FALSE(DecodeRequestPayload(payload.data(), payload.size(),
+                                      &decoded, &error))
+        << "flag bit " << bit << " accepted";
+    EXPECT_NE(error.find("flags"), std::string::npos) << error;
+  }
+  for (std::uint8_t flags = 0; flags < 32; flags += 2) {
+    EXPECT_EQ(FlagsError(flags), nullptr) << static_cast<int>(flags);
   }
 }
 

@@ -260,6 +260,19 @@ TEST(NetReplay, MalformedTraceFilesRejectedWithDiagnostics) {
                             "6 0 0000000000000000 extra\n")
                 .find("trailing"),
             std::string::npos);
+  // Unknown option flag bits: bit 0 (retired) in 7, bit 5 in 38, bit 7 in
+  // 128.
+  for (const char* flags : {"7", "38", "128"}) {
+    EXPECT_NE(write_and_parse(std::string(
+                                  "ctbus-trace-v1 dataset=grid records=1\n"
+                                  "0 0 0 1 1 4 0.3 500 3 100 100 "
+                                  "12 6 0000000000000003 0 5 5 "
+                                  "0000000000000007 0 ") +
+                              flags + " 0 0000000000000000\n")
+                  .find("flags"),
+              std::string::npos)
+        << flags;
+  }
   std::remove(path.c_str());
 }
 

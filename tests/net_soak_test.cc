@@ -42,7 +42,6 @@ core::CtBusOptions SoakOptions(int client, int index) {
   options.online_estimator = {/*probes=*/12, /*lanczos_steps=*/6, /*seed=*/3};
   options.precompute_estimator = {/*probes=*/5, /*lanczos_steps=*/5,
                                   /*seed=*/7};
-  options.use_perturbation_precompute = true;
   return options;
 }
 
@@ -84,9 +83,8 @@ TEST(NetSoak, ConcurrentClientsWithCommitsReplayBitIdentically) {
   ServiceOptions service_options;
   service_options.num_threads = 2;
   service_options.cache_capacity = 8;
-  // Perturbation warm starts derive bit-identically (docs/PRECOMPUTE.md),
-  // so the from-scratch serial replay stays exact under commits.
-  service_options.warm_start_precompute = true;
+  // Warm starts derive bit-identically (docs/PRECOMPUTE.md), so the
+  // from-scratch serial replay stays exact under commits.
   PlanningService service(service_options);
   const gen::Dataset midtown = gen::MakeMidtown();
   service.RegisterDataset("alpha", midtown.road, midtown.transit);

@@ -110,7 +110,6 @@ TEST(DatasetCatalogTest, FileRoundTripServesCommitAndWarmStartQueries) {
   ASSERT_TRUE(second.plan.found);
   EXPECT_EQ(second.stats.snapshot_version, 2u);
   EXPECT_TRUE(second.stats.precompute_derived);  // warm-started from v1
-  EXPECT_EQ(second.stats.precompute.derivation_depth, 1);
   // Every candidate is either recomputed (touched by the commit) or
   // carried; on a 9-stop city the commit may touch them all.
   EXPECT_EQ(second.stats.precompute.num_increments_recomputed +
@@ -266,15 +265,14 @@ TEST(DatasetCatalogTest, TightBudgetsNeverChangePlanningResults) {
   // The acceptance criterion: a roomy service and a tightly budgeted one
   // (cache byte budget ~1 entry, keep-latest-1 retention) must produce
   // bit-identical plans for the same request sequence — only stats (cache
-  // hits, evictions, prunes) may differ. Warm starts are disabled so the
-  // stochastic derive approximation cannot blur the comparison
-  // (docs/PRECOMPUTE.md); budgets are exercised on the miss path instead.
+  // hits, evictions, prunes, derived vs scratch) may differ. A derived
+  // precompute equals a scratch one bit for bit (docs/PRECOMPUTE.md), so
+  // the roomy run's warm starts must not move a result either.
   const auto run = [](std::size_t cache_max_bytes,
                       std::size_t keep_latest) {
     ServiceOptions service_options;
     service_options.cache_capacity = 8;
     service_options.cache_max_bytes = cache_max_bytes;
-    service_options.warm_start_precompute = false;
     service_options.retention.keep_latest = keep_latest;
     PlanningService service(service_options);
     DatasetCatalog catalog(&service);
@@ -294,9 +292,14 @@ TEST(DatasetCatalogTest, TightBudgetsNeverChangePlanningResults) {
   const auto roomy = run(/*cache_max_bytes=*/0, /*keep_latest=*/0);
   const auto tight = run(/*cache_max_bytes=*/1, /*keep_latest=*/1);
   ASSERT_EQ(roomy.size(), tight.size());
+  EXPECT_TRUE(roomy.back().stats.precompute_derived);
   for (std::size_t i = 0; i < roomy.size(); ++i) {
     EXPECT_EQ(roomy[i].plan.objective, tight[i].plan.objective) << i;
     EXPECT_EQ(roomy[i].plan.demand, tight[i].plan.demand) << i;
+    EXPECT_EQ(roomy[i].plan.connectivity_increment,
+              tight[i].plan.connectivity_increment)
+        << i;
+    EXPECT_EQ(roomy[i].plan.path.edges(), tight[i].plan.path.edges()) << i;
     EXPECT_EQ(roomy[i].plan.path.stops(), tight[i].plan.path.stops()) << i;
   }
 }

@@ -194,11 +194,10 @@ TEST(PlanningServiceTest, WorkerBaseMemoNeverServesStaleState) {
   // One worker, so every request runs through the same base memo. The
   // online seed alternates (memo misses on the estimator) and a commit
   // lands midway (misses on the snapshot, then an explicit-version request
-  // back on v1). Warm start is off so each version's precompute is the
-  // from-scratch one the in-process reference builds.
+  // back on v1). The v2 precompute is warm-started from v1, and must still
+  // equal the from-scratch one the in-process reference builds.
   ServiceOptions service_options;
   service_options.num_threads = 1;
-  service_options.warm_start_precompute = false;
   PlanningService service(service_options);
   service.RegisterPreset("midtown");
 
@@ -254,6 +253,7 @@ TEST(PlanningServiceTest, WorkerBaseMemoNeverServesStaleState) {
 
   std::vector<ServiceResult> after;
   after.push_back(service.Plan(request_for(2, core::Planner::kEtaPre, 0)));
+  EXPECT_TRUE(after[0].stats.precompute_derived);
   after.push_back(service.Plan(request_for(2, core::Planner::kVkTsp, 0)));
   after.push_back(service.Plan(request_for(1, core::Planner::kEtaPre, 0)));
   after.push_back(service.Plan(request_for(1, core::Planner::kEtaPre, 1)));

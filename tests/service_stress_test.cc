@@ -70,16 +70,10 @@ core::PlanResult SerialReplay(const PlanningService& service,
   return {};
 }
 
-/// Warm-start handling: the stochastic Delta(e) estimator's derive path is
-/// deliberately NOT bit-identical to a from-scratch precompute (see
-/// docs/PRECOMPUTE.md), so a from-scratch serial replay can only be exact
-/// if the service either (a) never warm-starts, or (b) warm-starts over
-/// the perturbation model, whose derivation IS bit-identical. The stress
-/// test runs both flavors.
-class ConcurrentStressTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(ConcurrentStressTest, SubmitsAndCommitsMatchSerialReplay) {
-  const bool perturbation_warm_start = GetParam();
+/// Warm starts stay on: a derived precompute equals a from-scratch one bit
+/// for bit (docs/PRECOMPUTE.md), so the from-scratch serial replay is exact
+/// even for requests that resolved to a derived precompute.
+TEST(ConcurrentStressTest, SubmitsAndCommitsMatchSerialReplay) {
   constexpr int kSubmitters = 4;
   constexpr int kRequestsPerSubmitter = 8;
   constexpr int kCommits = 3;
@@ -87,7 +81,6 @@ TEST_P(ConcurrentStressTest, SubmitsAndCommitsMatchSerialReplay) {
   ServiceOptions service_options;
   service_options.num_threads = 2;   // per shard: 2 datasets -> 4 workers
   service_options.cache_capacity = 8;
-  service_options.warm_start_precompute = perturbation_warm_start;
   PlanningService service(service_options);
   const gen::Dataset midtown = gen::MakeMidtown();
   service.RegisterDataset("alpha", midtown.road, midtown.transit);
@@ -99,12 +92,11 @@ TEST_P(ConcurrentStressTest, SubmitsAndCommitsMatchSerialReplay) {
   std::vector<std::thread> submitters;
   submitters.reserve(kSubmitters);
   for (int s = 0; s < kSubmitters; ++s) {
-    submitters.emplace_back([&service, &futures, s, perturbation_warm_start] {
+    submitters.emplace_back([&service, &futures, s] {
       for (int i = 0; i < kRequestsPerSubmitter; ++i) {
         PlanRequest request;
         request.dataset = (s + i) % 2 == 0 ? "alpha" : "beta";
         request.options = StressOptions();
-        request.options.use_perturbation_precompute = perturbation_warm_start;
         request.options.k = 4 + (i % 3);
         request.options.w = 0.3 + 0.2 * (s % 3);
         request.planner = i % 3 == 0 ? core::Planner::kVkTsp
@@ -124,7 +116,6 @@ TEST_P(ConcurrentStressTest, SubmitsAndCommitsMatchSerialReplay) {
     PlanRequest request;
     request.dataset = "alpha";
     request.options = StressOptions();
-    request.options.use_perturbation_precompute = perturbation_warm_start;
     const ServiceResult result = service.Plan(request);
     ASSERT_TRUE(result.plan.found);
     service.CommitAsync(result).get();
@@ -156,19 +147,10 @@ TEST_P(ConcurrentStressTest, SubmitsAndCommitsMatchSerialReplay) {
   for (std::uint64_t v = 1; v <= 1 + kCommits; ++v) {
     EXPECT_NE(service.Snapshot("alpha", v), nullptr);
   }
-  if (perturbation_warm_start) {
-    // With commits advancing alpha, at least one miss should have been
-    // answered by deriving from an ancestor — and still replayed exactly.
-    EXPECT_GT(service.service_stats().precomputes_derived, 0u);
-  }
+  // With commits advancing alpha, at least one miss was answered by
+  // deriving from an ancestor — and still replayed exactly.
+  EXPECT_GT(service.service_stats().precomputes_derived, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(FromScratchAndPerturbationWarmStart,
-                         ConcurrentStressTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "PerturbationWarmStart"
-                                             : "FromScratchOnly";
-                         });
 
 TEST(ServiceStressTest, PausedBacklogDrainsDeterministically) {
   // Everything enqueued before Start() on a 1-worker shard: the drain

@@ -1,8 +1,8 @@
 // Warm-start correctness: a precompute derived across snapshot versions
-// (SnapshotStore lineage + PlanningContext::DerivePrecompute) must match a
-// from-scratch RunPrecompute on the new snapshot — bit-identically for the
-// universe and the perturbation estimator path, within second-order error
-// for carried stochastic Delta(e) (see docs/PRECOMPUTE.md).
+// (SnapshotStore lineage + PlanningContext::DerivePrecompute) must equal a
+// from-scratch RunPrecompute on the new snapshot bit for bit — universe,
+// trace increments, tr_0 and Delta(e) — whether derived from the parent,
+// from an older ancestor, or through a chain (see docs/PRECOMPUTE.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,17 +20,7 @@
 namespace ctbus::service {
 namespace {
 
-/// Carried stochastic increments differ from from-scratch by the
-/// interaction between a candidate and the committed edges, which shrinks
-/// with network size. Midtown is the worst case the contract must bound —
-/// two stacked k=6 commits perturb a ~50-edge network, giving carry errors
-/// up to ~40% of the largest increment (the chicago-scale bench measures
-/// ~12% worst-case after a commit; see bench_precompute_scaling). The
-/// tolerance is therefore expressed as a fraction of the from-scratch
-/// increment scale.
-constexpr double kCarryToleranceFraction = 0.5;
-
-core::CtBusOptions FastOptions(bool perturbation = false) {
+core::CtBusOptions FastOptions() {
   core::CtBusOptions options;
   options.k = 6;
   options.seed_count = 150;
@@ -38,7 +28,6 @@ core::CtBusOptions FastOptions(bool perturbation = false) {
   options.online_estimator = {/*probes=*/16, /*lanczos_steps=*/8, /*seed=*/5};
   options.precompute_estimator = {/*probes=*/6, /*lanczos_steps=*/6,
                                   /*seed=*/6};
-  options.use_perturbation_precompute = perturbation;
   return options;
 }
 
@@ -74,39 +63,18 @@ void ExpectUniversesIdentical(const core::EdgeUniverse& actual,
   }
 }
 
-/// Derived vs from-scratch increments: exact where the contract is exact,
-/// within a fraction of the increment scale for carried stochastic values.
-void ExpectIncrementsMatch(const core::Precompute& derived,
-                           const core::Precompute& scratch,
-                           const core::SnapshotDelta& delta,
-                           bool perturbation) {
+/// Derived vs from-scratch: every per-edge table and the anchor, exactly.
+void ExpectPrecomputesIdentical(const core::Precompute& derived,
+                                const core::Precompute& scratch,
+                                int num_stops) {
+  ExpectUniversesIdentical(derived.universe, scratch.universe, num_stops);
+  EXPECT_EQ(derived.base_trace, scratch.base_trace);
+  ASSERT_EQ(derived.trace_increments.size(), scratch.trace_increments.size());
   ASSERT_EQ(derived.increments.size(), scratch.increments.size());
-  const double carry_tolerance =
-      kCarryToleranceFraction *
-      *std::max_element(scratch.increments.begin(), scratch.increments.end());
-  std::vector<char> touched;
-  if (!delta.touched_stops.empty()) {
-    touched.assign(1 + *std::max_element(delta.touched_stops.begin(),
-                                         delta.touched_stops.end()),
-                   0);
-    for (int s : delta.touched_stops) touched[s] = 1;
-  }
-  const auto stop_touched = [&](int s) {
-    return s < static_cast<int>(touched.size()) && touched[s];
-  };
-  for (int e = 0; e < derived.universe.num_edges(); ++e) {
-    const core::PlannableEdge& edge = derived.universe.edge(e);
-    if (perturbation || !edge.is_new || stop_touched(edge.u) ||
-        stop_touched(edge.v)) {
-      // Bit-identical: the perturbation path re-evaluates everything
-      // against the same rebuilt model, and touched stochastic candidates
-      // are recomputed with the same estimator and base.
-      EXPECT_EQ(derived.increments[e], scratch.increments[e]) << "edge " << e;
-    } else {
-      EXPECT_NEAR(derived.increments[e], scratch.increments[e],
-                  carry_tolerance)
-          << "edge " << e;
-    }
+  for (std::size_t e = 0; e < scratch.increments.size(); ++e) {
+    EXPECT_EQ(derived.trace_increments[e], scratch.trace_increments[e])
+        << "edge " << e;
+    EXPECT_EQ(derived.increments[e], scratch.increments[e]) << "edge " << e;
   }
 }
 
@@ -175,14 +143,14 @@ TEST(SnapshotDeltaTest, CommitRecordsLineageAndEdgeDiff) {
   EXPECT_FALSE(store.DeltaBetween(99, 2).has_value());
 }
 
-class WarmStartTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(WarmStartTest, DerivedMatchesFromScratchAfterOneCommit) {
-  const bool perturbation = GetParam();
-  gen::Dataset d = gen::MakeMidtown();
+// The exactness tests run on ChicagoLike at scale 0.5 (387 stops): large
+// enough that a commit leaves most balls untouched, so both the re-solved
+// and the carried halves of the derivation are exercised.
+TEST(WarmStartTest, DerivedMatchesFromScratchAfterOneCommit) {
+  gen::Dataset d = gen::MakeChicagoLike(0.5);
   const int num_stops = d.transit.num_stops();
   SnapshotStore store(std::move(d.road), std::move(d.transit));
-  const core::CtBusOptions options = FastOptions(perturbation);
+  const core::CtBusOptions options = FastOptions();
 
   const SnapshotPtr v1 = store.Get(1);
   const core::Precompute pre1 =
@@ -195,30 +163,23 @@ TEST_P(WarmStartTest, DerivedMatchesFromScratchAfterOneCommit) {
       *v2.snapshot->road, *v2.snapshot->transit, options, pre1,
       v2.delta_from_parent);
 
-  ExpectUniversesIdentical(derived.universe, scratch.universe, num_stops);
-  ExpectIncrementsMatch(derived, scratch, v2.delta_from_parent, perturbation);
+  ExpectPrecomputesIdentical(derived, scratch, num_stops);
 
   EXPECT_TRUE(derived.stats.derived);
   EXPECT_FALSE(scratch.stats.derived);
-  if (perturbation) {
-    EXPECT_EQ(derived.stats.num_increments_recomputed,
-              derived.universe.num_new_edges());
-  } else {
-    EXPECT_EQ(derived.stats.num_increments_recomputed +
-                  derived.stats.num_increments_carried,
-              derived.universe.num_new_edges());
-    EXPECT_GT(derived.stats.num_increments_carried, 0);
-    EXPECT_LT(derived.stats.num_increments_recomputed,
-              derived.universe.num_new_edges());
-  }
+  EXPECT_EQ(derived.stats.num_increments_recomputed +
+                derived.stats.num_increments_carried,
+            derived.universe.num_new_edges());
+  EXPECT_GT(derived.stats.num_increments_carried, 0);
+  EXPECT_LT(derived.stats.num_increments_recomputed,
+            derived.universe.num_new_edges());
 }
 
-TEST_P(WarmStartTest, StackedCommitsDeriveDirectlyAndThroughTheChain) {
-  const bool perturbation = GetParam();
-  gen::Dataset d = gen::MakeMidtown();
+TEST(WarmStartTest, StackedCommitsDeriveDirectlyAndThroughTheChain) {
+  gen::Dataset d = gen::MakeChicagoLike(0.5);
   const int num_stops = d.transit.num_stops();
   SnapshotStore store(std::move(d.road), std::move(d.transit));
-  const core::CtBusOptions options = FastOptions(perturbation);
+  const core::CtBusOptions options = FastOptions();
 
   const SnapshotPtr v1 = store.Get(1);
   const core::Precompute pre1 =
@@ -240,27 +201,17 @@ TEST_P(WarmStartTest, StackedCommitsDeriveDirectlyAndThroughTheChain) {
             v2.delta_from_parent.added_stop_pairs.size());
   const core::Precompute direct = core::PlanningContext::DerivePrecompute(
       *v3.snapshot->road, *v3.snapshot->transit, options, pre1, *composed);
-  ExpectUniversesIdentical(direct.universe, scratch3.universe, num_stops);
-  ExpectIncrementsMatch(direct, scratch3, *composed, perturbation);
+  ExpectPrecomputesIdentical(direct, scratch3, num_stops);
 
-  // Chained derivation: derive v3 from the already-derived v2 precompute.
-  // Only candidates touched by the *second* commit are recomputed here
-  // (edges touched solely by the first commit were recomputed at v2 and
-  // are carried in this step), so exactness is judged against the v2->v3
-  // delta, not the composed one.
+  // Chained derivation: derive v3 from the already-derived v2 precompute,
+  // re-solving only what the *second* commit can reach.
   const core::Precompute chained = core::PlanningContext::DerivePrecompute(
       *v3.snapshot->road, *v3.snapshot->transit, options, derived2,
       v3.delta_from_parent);
-  ExpectUniversesIdentical(chained.universe, scratch3.universe, num_stops);
-  ExpectIncrementsMatch(chained, scratch3, v3.delta_from_parent,
-                        perturbation);
+  ExpectPrecomputesIdentical(chained, scratch3, num_stops);
+  EXPECT_LE(chained.stats.num_increments_recomputed,
+            direct.stats.num_increments_recomputed);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothEstimatorPaths, WarmStartTest,
-                         ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Perturbation" : "Stochastic";
-                         });
 
 TEST(ServiceWarmStartTest, CommitThenLatestPlanDerivesInsteadOfRecomputing) {
   ServiceOptions service_options;
@@ -294,39 +245,57 @@ TEST(ServiceWarmStartTest, CommitThenLatestPlanDerivesInsteadOfRecomputing) {
   EXPECT_EQ(stats.precomputes_derived, 1u);
 }
 
-TEST(ServiceWarmStartTest, DerivationsAnchorToTheScratchDonor) {
-  // Stacked commits must not chain derivations when the from-scratch
-  // donor is still resident: depth stays at 1 (anchored to v1's exact
-  // precompute via the composed delta), bounding stochastic carry error.
+TEST(ServiceWarmStartTest, DerivesFromTheNearestResidentAncestor) {
+  // Stacked commits chain derivations: with v1 and v2 both resident, v3's
+  // precompute derives from v2 over the v2 -> v3 delta alone.
   ServiceOptions service_options;
   service_options.num_threads = 1;
   PlanningService service(service_options);
-  service.RegisterPreset("midtown");
+  service.RegisterPreset("chicago", 0.5);
 
   PlanRequest request;
-  request.dataset = "midtown";
+  request.dataset = "chicago";
   request.options = FastOptions();
 
   const ServiceResult r1 = service.Plan(request);
-  EXPECT_EQ(r1.stats.precompute.derivation_depth, 0);
   service.Commit(r1);
   const ServiceResult r2 = service.Plan(request);
   ASSERT_TRUE(r2.stats.precompute_derived);
-  EXPECT_EQ(r2.stats.precompute.derivation_depth, 1);
   service.Commit(r2);
   const ServiceResult r3 = service.Plan(request);
   ASSERT_TRUE(r3.stats.precompute_derived);
-  EXPECT_EQ(r3.stats.precompute.derivation_depth, 1);  // v1 donor, not v2
+  EXPECT_EQ(r3.stats.snapshot_version, 3u);
+
+  const SnapshotPtr v2 = service.Snapshot("chicago", 2);
+  const SnapshotPtr v3 = service.Snapshot("chicago", 3);
+  const core::Precompute pre2 = core::PlanningContext::RunPrecompute(
+      *v2->road, *v2->transit, request.options);
+  core::SnapshotDelta delta;  // v2 -> v3, read off the two networks
+  for (int e = 0; e < v3->transit->num_edges(); ++e) {
+    const graph::TransitNetwork::Edge& edge = v3->transit->edge(e);
+    if (v3->transit->EdgeActive(e) &&
+        !v2->transit->ActiveEdgeBetween(edge.u, edge.v).has_value()) {
+      delta.touched_stops.push_back(edge.u);
+      delta.touched_stops.push_back(edge.v);
+    }
+  }
+  ASSERT_FALSE(delta.touched_stops.empty());
+  const core::Precompute from_parent = core::PlanningContext::DerivePrecompute(
+      *v3->road, *v3->transit, request.options, pre2, delta);
+  EXPECT_EQ(r3.stats.precompute.num_increments_recomputed,
+            from_parent.stats.num_increments_recomputed);
+  EXPECT_EQ(r3.stats.precompute.num_increments_carried,
+            from_parent.stats.num_increments_carried);
   EXPECT_GT(r3.stats.precompute.num_increments_carried, 0);
 }
 
-TEST(ServiceWarmStartTest, PerturbationPathServesBitIdenticalPlans) {
+TEST(ServiceWarmStartTest, WarmAndColdServicesServeBitIdenticalPlans) {
   // Two services committing the same (deterministic) first route: one warm
-  // starts, one recomputes from scratch. On the perturbation path the
+  // starts, one has caching disabled and recomputes from scratch. The
   // post-commit plans must be bit-identical.
   PlanRequest request;
   request.dataset = "midtown";
-  request.options = FastOptions(/*perturbation=*/true);
+  request.options = FastOptions();
 
   ServiceOptions warm_options;
   warm_options.num_threads = 1;
@@ -335,10 +304,9 @@ TEST(ServiceWarmStartTest, PerturbationPathServesBitIdenticalPlans) {
 
   ServiceOptions cold_options;
   cold_options.num_threads = 1;
-  cold_options.warm_start_precompute = false;
+  cold_options.cache_capacity = 0;
   PlanningService cold(cold_options);
   cold.RegisterPreset("midtown");
-
   const ServiceResult warm_first = warm.Plan(request);
   const ServiceResult cold_first = cold.Plan(request);
   ASSERT_TRUE(warm_first.plan.found);

@@ -11,8 +11,7 @@
 //         (--preset NAME [--scale X] | --road R.tsv --transit T.tsv
 //          [--trips TRIPS.csv])
 //         [--with-precompute [--tau M] [--probes N] [--lanczos-steps N]
-//          [--seed N] [--perturbation]
-//          [--with-demand]]
+//          [--seed N] [--with-demand]]
 //
 //   Inspect — print the section table (tag, bytes, checksum, ok):
 //     ctbus_snapshot inspect city.ctbs
@@ -215,8 +214,6 @@ BuildArgs ParseBuildArgs(int argc, char** argv) {
     } else if (flag == "--seed") {
       args.options.precompute_estimator.seed =
           static_cast<std::uint64_t>(int_value(0));
-    } else if (flag == "--perturbation") {
-      args.options.use_perturbation_precompute = true;
     } else {
       Die("unknown build flag " + flag);
     }
