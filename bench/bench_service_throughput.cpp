@@ -2,7 +2,8 @@
 // over the ChicagoLike preset, with a warmed precompute cache
 // (steady-state serving, not cold start). Sections:
 //
-//   1. pool scaling   — queries/sec per worker-pool size
+//   1. pool scaling   — queries/sec per worker-pool size; fails unless
+//                       every pool size yields the same checksum
 //   2. sharding       — two datasets served by one shared shard's worth
 //                       of traffic vs per-dataset shards, plus proof that
 //                       a saturated hot shard cannot starve a cold one
@@ -30,6 +31,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <future>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -243,6 +245,7 @@ int main() {
   std::printf("%8s %12s %10s %10s\n", "threads", "queries/s", "speedup",
               "checksum");
   double baseline = 0.0;
+  std::optional<double> first_sum;
   for (int threads : ThreadCounts()) {
     double check_sum = 0.0;
     const double qps =
@@ -251,6 +254,14 @@ int main() {
     std::printf("%8d %12.2f %9.2fx %10.4f%s\n", threads, qps,
                 baseline > 0.0 ? qps / baseline : 1.0, check_sum,
                 threads == hardware ? "  (hardware)" : "");
+    if (!first_sum) first_sum = check_sum;
+    if (check_sum != *first_sum) {
+      std::fprintf(stderr,
+                   "FATAL: %d workers changed planning results "
+                   "(checksum %.17g vs %.17g)\n",
+                   threads, check_sum, *first_sum);
+      return 1;
+    }
     report.AddMetric("pool_qps_threads_" + std::to_string(threads), qps,
                      "higher");
     report.AddChecksum("pool_threads_" + std::to_string(threads), check_sum);

@@ -52,7 +52,8 @@ ConnectivityFirstResult RunConnectivityFirst(const PlanningContext* context,
   // network and take the best (the [22] greedy, with a re-scored shortlist
   // instead of the full candidate set for tractability).
   linalg::SymmetricSparseMatrix augmented = context->transit().AdjacencyMatrix();
-  const auto& estimator = context->estimator();
+  const connectivity::ConnectivityEstimator estimator(
+      augmented.dim(), context->options().online_estimator);
   double current_lambda = estimator.Estimate(augmented);
   const double base_lambda = current_lambda;
   std::vector<bool> taken(universe.num_edges(), false);

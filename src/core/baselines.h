@@ -44,7 +44,8 @@ struct ConnectivityFirstResult {
 
 /// Greedy augmentation of [22]: pick `l` discrete new edges one at a time,
 /// each maximizing the marginal connectivity increment. Marginal gains are
-/// re-estimated over the `rescore_pool` current best candidates per round.
+/// re-estimated over the `rescore_pool` current best candidates per round,
+/// with a ConnectivityEstimator built from options().online_estimator.
 ConnectivityFirstResult RunConnectivityFirst(const PlanningContext* context,
                                              int l, int rescore_pool = 48);
 

@@ -38,9 +38,12 @@ struct CtBusOptions {
   /// ctbus-lint: key-exempt(search-time iteration budget, precompute-invariant)
   int max_iterations = 100000;
 
-  /// Estimator used for online connectivity evaluation inside ETA
-  /// (the paper's s = 50, t = 10 defaults).
-  /// ctbus-lint: key-exempt(online estimator runs per query inside ETA; the precompute uses precompute_estimator)
+  /// The paper's s = 50, t = 10 online estimator. No plan increment reads
+  /// it: ETA scores candidates with exact local trace increments anchored
+  /// by the precompute's tr_0. Its seed starts the Lanczos run behind online
+  /// ETA's Lemma 4 bound, and the Figure 6 connectivity-first baseline
+  /// (RunConnectivityFirst) estimates its marginal gains with it.
+  /// ctbus-lint: key-exempt(read per query only, by the Lemma 4 eigenvalue run and the connectivity-first baseline; the precompute uses precompute_estimator)
   connectivity::EstimatorOptions online_estimator;
 
   /// Estimator of the precompute's anchor tr_0 = tr(e^A): one estimate per

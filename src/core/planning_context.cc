@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
 #include "connectivity/bounds.h"
 #include "connectivity/local_increment.h"
+#include "connectivity/natural_connectivity.h"
 #include "core/parallel_for.h"
 #include "core/timing.h"
 #include "linalg/lanczos.h"
@@ -98,11 +98,14 @@ std::vector<char> StopsNear(const linalg::SymmetricSparseMatrix& adjacency,
 
 }  // namespace
 
+double Precompute::ConnectivityFromTrace(double trace_increment) const {
+  return std::max(0.0, std::log1p(trace_increment / base_trace));
+}
+
 void Precompute::FillIncrements() {
   increments.resize(trace_increments.size());
   for (std::size_t e = 0; e < trace_increments.size(); ++e) {
-    increments[e] =
-        std::max(0.0, std::log1p(trace_increments[e] / base_trace));
+    increments[e] = ConnectivityFromTrace(trace_increments[e]);
   }
 }
 
@@ -194,31 +197,26 @@ PlanningContext PlanningContext::Build(const graph::RoadNetwork& road,
                              RunPrecompute(road, transit, options));
 }
 
-PlanningBase::PlanningBase(
-    const graph::RoadNetwork& road, const graph::TransitNetwork& transit,
-    const connectivity::EstimatorOptions& online_estimator,
-    std::shared_ptr<const Precompute> precompute)
+PlanningBase::PlanningBase(const graph::RoadNetwork& road,
+                           const graph::TransitNetwork& transit,
+                           std::shared_ptr<const Precompute> precompute)
     : road_(&road),
       transit_(&transit),
       precompute_(std::move(precompute)),
-      online_estimator_(online_estimator),
-      estimator_(transit.num_stops(), online_estimator),
       adjacency_(transit.AdjacencyMatrix()),
-      base_lambda_(estimator_.Estimate(adjacency_)),
+      base_lambda_(std::log(precompute_->base_trace / transit.num_stops())),
       demand_list_(precompute_->universe.DemandScores()),
       increment_list_(precompute_->increments) {}
 
 std::shared_ptr<const PlanningBase> PlanningBase::Build(
     const graph::RoadNetwork& road, const graph::TransitNetwork& transit,
-    const connectivity::EstimatorOptions& online_estimator,
     std::shared_ptr<const Precompute> precompute) {
   return std::shared_ptr<const PlanningBase>(
-      new PlanningBase(road, transit, online_estimator, std::move(precompute)));
+      new PlanningBase(road, transit, std::move(precompute)));
 }
 
 std::size_t PlanningBase::ApproxBytes() const {
   return sizeof(PlanningBase) + precompute_->ApproxBytes() +
-         estimator_.ApproxBytes() - sizeof(connectivity::ConnectivityEstimator) +
          adjacency_.ApproxBytes() - sizeof(linalg::SymmetricSparseMatrix) +
          demand_list_.ApproxBytes() - sizeof(demand::RankedList) +
          increment_list_.ApproxBytes() - sizeof(demand::RankedList);
@@ -236,18 +234,12 @@ PlanningContext PlanningContext::BuildWithPrecompute(
     const graph::RoadNetwork& road, const graph::TransitNetwork& transit,
     const CtBusOptions& options,
     std::shared_ptr<const Precompute> precompute) {
-  return Build(PlanningBase::Build(road, transit, options.online_estimator,
-                                   std::move(precompute)),
+  return Build(PlanningBase::Build(road, transit, std::move(precompute)),
                options);
 }
 
 PlanningContext PlanningContext::Build(
     std::shared_ptr<const PlanningBase> base, const CtBusOptions& options) {
-  if (options.online_estimator != base->online_estimator()) {
-    throw std::invalid_argument(
-        "PlanningContext::Build: options.online_estimator differs from the "
-        "base's online estimator");
-  }
   PlanningContext ctx;
   ctx.base_ = std::move(base);
   ctx.options_ = options;
@@ -300,11 +292,6 @@ double PlanningContext::EdgeTraceIncrement(const std::vector<int>& path_edges,
   if (!e.is_new) return 0.0;
   return connectivity::LocalTraceIncrement(
       base_->adjacency(), NewStopPairs(universe(), path_edges), e.u, e.v);
-}
-
-double PlanningContext::ConnectivityFromTrace(double trace_increment) const {
-  const double base_trace = transit().num_stops() * std::exp(base_lambda());
-  return std::log1p(trace_increment / base_trace);
 }
 
 double PlanningContext::OnlineConnectivityIncrement(

@@ -1,21 +1,23 @@
 // Everything the planners need, in two layers. PlanningBase is the
-// request-invariant part, built once per (snapshot, precompute, online
-// estimator) and shared immutably: the plannable-edge universe and Delta(e)
-// pre-computation, the ranked lists L_d and L_lambda, the base adjacency
-// and the online estimator's base-network estimate. PlanningContext is the
-// thin per-request part over a shared base: the options, the Equation 12
-// normalization constants and the integrated ranking L_e. It holds no
+// request-invariant part, built once per (snapshot, precompute) and shared
+// immutably: the plannable-edge universe and Delta(e) pre-computation, the
+// ranked lists L_d and L_lambda and the base adjacency. PlanningContext is
+// the thin per-request part over a shared base: the options, the Equation
+// 12 normalization constants and the integrated ranking L_e. It holds no
 // mutable state: online increments are exact local trace increments read
 // off the base's adjacency (connectivity/local_increment.h), so one
-// context may serve any number of threads. The top eigenvalues behind the
-// Lemma 4 bound are computed on demand, only by online ETA.
+// context may serve any number of threads. Every increment, linear or
+// online, is anchored by the one estimated number per snapshot, the
+// precompute's tr_0 (Precompute::ConnectivityFromTrace), so a one-edge
+// path's online increment is its Delta(e) bit for bit. The top
+// eigenvalues behind the Lemma 4 bound are computed on demand, only by
+// online ETA.
 #ifndef CTBUS_CORE_PLANNING_CONTEXT_H_
 #define CTBUS_CORE_PLANNING_CONTEXT_H_
 
 #include <memory>
 #include <vector>
 
-#include "connectivity/natural_connectivity.h"
 #include "core/edge_universe.h"
 #include "core/options.h"
 #include "demand/ranked_list.h"
@@ -77,12 +79,20 @@ struct Precompute {
   /// what lets a warm start carry it exactly. CTBS stores this table.
   std::vector<double> trace_increments;
   /// tr_0 = tr(e^A) of the snapshot, one precompute-estimator estimate:
-  /// the anchor that turns trace increments into Delta(e).
+  /// the only estimated quantity behind a plan. It turns every trace
+  /// increment into a connectivity increment (ConnectivityFromTrace) and
+  /// gives the base lambda(G_r) = log(tr_0 / n) of the Lemma 4 bound.
   double base_trace = 1.0;
-  /// Delta(e) = log1p(trace_increments[e] / base_trace), clamped at 0.
-  /// Always filled by FillIncrements, never stored.
+  /// Delta(e) = ConnectivityFromTrace(trace_increments[e]). Always filled
+  /// by FillIncrements, never stored.
   std::vector<double> increments;
   PrecomputeStats stats;
+
+  /// lambda(G + P) - lambda(G) of new edges that change tr(e^A) by
+  /// `trace_increment`: max(0, log1p(trace_increment / base_trace)). The
+  /// one conversion from trace to connectivity: Delta(e) and every online
+  /// increment go through it.
+  double ConnectivityFromTrace(double trace_increment) const;
 
   /// Recomputes `increments` from trace_increments and base_trace. The one
   /// place Delta(e) is derived: RunPrecompute, DerivePrecompute and the
@@ -100,19 +110,18 @@ struct Precompute {
 };
 
 /// The request-invariant planning state over one (road, transit,
-/// precompute, online estimator): everything a context reads that does not
-/// depend on k, w, Tn or sn. Immutable once built, so one instance may back
-/// any number of contexts on any threads; the serving layer keeps one per
-/// worker and rebuilds it only when the snapshot, the precompute or the
-/// online estimator changes (service/planning_service.h).
+/// precompute): everything a context reads that does not depend on k, w,
+/// Tn or sn. Immutable once built, so one instance may back any number of
+/// contexts on any threads; the serving layer keeps one per worker and
+/// rebuilds it only when the snapshot or the precompute changes
+/// (service/planning_service.h).
 class PlanningBase {
  public:
-  /// Estimates lambda(G_r) with the online estimator and sorts L_d and
-  /// L_lambda. `road` and `transit` must outlive the base; `precompute`
+  /// Builds the base adjacency and sorts L_d and L_lambda; estimates
+  /// nothing. `road` and `transit` must outlive the base; `precompute`
   /// must have been produced for the same (road, transit, tau).
   static std::shared_ptr<const PlanningBase> Build(
       const graph::RoadNetwork& road, const graph::TransitNetwork& transit,
-      const connectivity::EstimatorOptions& online_estimator,
       std::shared_ptr<const Precompute> precompute);
 
   const graph::RoadNetwork& road() const { return *road_; }
@@ -120,40 +129,29 @@ class PlanningBase {
   const std::shared_ptr<const Precompute>& precompute() const {
     return precompute_;
   }
-  const connectivity::EstimatorOptions& online_estimator() const {
-    return online_estimator_;
-  }
-  /// The shared (common-random-numbers) online estimator.
-  const connectivity::ConnectivityEstimator& estimator() const {
-    return estimator_;
-  }
   /// The transit network's adjacency matrix, built once. Every online
   /// increment and the Lemma 4 eigenvalues read it; nothing writes it.
   const linalg::SymmetricSparseMatrix& adjacency() const {
     return adjacency_;
   }
-  /// lambda(G_r) as seen by the online estimator.
+  /// lambda(G_r) = log(tr_0 / n), tr_0 the precompute's base_trace.
   double base_lambda() const { return base_lambda_; }
   /// L_d and L_lambda over universe edge ids.
   const demand::RankedList& demand_list() const { return demand_list_; }
   const demand::RankedList& increment_list() const { return increment_list_; }
 
   /// Approximate resident footprint in bytes: the adjacency, the ranked
-  /// lists, the estimator's probes and the (possibly shared) precompute it
-  /// holds alive.
+  /// lists and the (possibly shared) precompute it holds alive.
   std::size_t ApproxBytes() const;
 
  private:
   PlanningBase(const graph::RoadNetwork& road,
                const graph::TransitNetwork& transit,
-               const connectivity::EstimatorOptions& online_estimator,
                std::shared_ptr<const Precompute> precompute);
 
   const graph::RoadNetwork* road_;
   const graph::TransitNetwork* transit_;
   std::shared_ptr<const Precompute> precompute_;
-  connectivity::EstimatorOptions online_estimator_;
-  connectivity::ConnectivityEstimator estimator_;
   linalg::SymmetricSparseMatrix adjacency_;
   double base_lambda_;
   demand::RankedList demand_list_;
@@ -206,14 +204,13 @@ class PlanningContext {
   /// constants and L_e, O(universe edges). This is the hot path of the
   /// serving layer, whose workers reuse one base across requests. Any
   /// number of contexts (on any threads) may share one base, and a context
-  /// is itself immutable once built. Throws std::invalid_argument unless
-  /// options.online_estimator equals base->online_estimator().
+  /// is itself immutable once built.
   static PlanningContext Build(std::shared_ptr<const PlanningBase> base,
                                const CtBusOptions& options);
 
   /// Builds a context around an existing pre-computation (moved in).
   /// The precompute must have been produced for the same (road, transit,
-  /// tau); only k / w / Tn / sn / estimator seeds may differ. Same as
+  /// tau); only k / w / Tn / sn / the online estimator may differ. Same as
   /// Build(PlanningBase::Build(...), options).
   static PlanningContext BuildWithPrecompute(
       const graph::RoadNetwork& road, const graph::TransitNetwork& transit,
@@ -256,17 +253,12 @@ class PlanningContext {
   double d_max() const { return d_max_; }
   double lambda_max() const { return lambda_max_; }
 
-  /// lambda(G_r) as seen by the shared estimator.
+  /// lambda(G_r) = log(tr_0 / n), the base of the Lemma 4 bound.
   double base_lambda() const { return base_->base_lambda(); }
-
-  /// The shared (common-random-numbers) estimator.
-  const connectivity::ConnectivityEstimator& estimator() const {
-    return base_->estimator();
-  }
 
   /// Top eigenvalues of the base adjacency (descending), enough for the
   /// Lemma 3/4 bounds at options().k. Computed on every call (a 2k + 30
-  /// step Lanczos run seeded from the online estimator) on the base's
+  /// step Lanczos run seeded from options().online_estimator.seed) on the base's
   /// adjacency; thread-safe.
   std::vector<double> top_eigenvalues() const;
 
@@ -279,11 +271,6 @@ class PlanningContext {
   /// Contexts sharing one base each report its bytes — the serving layer
   /// accounts the shared precompute once, via the cache.
   std::size_t ApproxBytes() const;
-
-  /// Copies out this context's pre-computation for reuse in sibling
-  /// contexts (different k / w / Tn / sn over the same networks). Prefer
-  /// SharePrecompute when a copy is not required.
-  Precompute ExportPrecompute() const { return *base_->precompute(); }
 
   /// Shares this context's pre-computation without copying.
   std::shared_ptr<const Precompute> SharePrecompute() const {
@@ -308,10 +295,11 @@ class PlanningContext {
                             int edge) const;
 
   /// Connectivity increment lambda(G + P) - lambda(G) of a path whose new
-  /// edges change tr(e^A) by `trace_increment`:
-  /// log1p(trace_increment / tr_0), with tr_0 = n * exp(base_lambda()) the
-  /// online estimator's base trace.
-  double ConnectivityFromTrace(double trace_increment) const;
+  /// edges change tr(e^A) by `trace_increment`: the precompute's
+  /// Precompute::ConnectivityFromTrace, the same anchor as Delta(e).
+  double ConnectivityFromTrace(double trace_increment) const {
+    return base_->precompute()->ConnectivityFromTrace(trace_increment);
+  }
 
   /// Online connectivity increment of a path's *new* edges against the
   /// base network (lines 10/13 of Algorithm 1):

@@ -679,20 +679,17 @@ void PlanningService::Execute(Shard* shard, Task task, int worker_id,
     // Private context per request over the worker's memoized base:
     // queries share the immutable snapshot, precompute and base (by
     // shared_ptr, no copy), never the mutable search scratch. The base
-    // is rebuilt only when one of its inputs changed; shared_ptr
-    // identity is exact here because the memo keeps the old snapshot
-    // and precompute alive, so their addresses cannot be reused.
+    // is rebuilt only when the snapshot or the precompute changed;
+    // shared_ptr identity is exact here because the memo keeps the old
+    // snapshot and precompute alive, so their addresses cannot be reused.
     double phase_start = traced ? trace_.Now() : 0.0;
     Stopwatch phase_timer;
-    const connectivity::EstimatorOptions& online =
-        task.request.options.online_estimator;
     if (memo->base == nullptr || memo->snapshot != snapshot ||
-        memo->base->precompute() != precompute ||
-        memo->base->online_estimator() != online) {
+        memo->base->precompute() != precompute) {
       memo->base.reset();  // never hold two bases at once
       memo->snapshot = snapshot;
-      memo->base = core::PlanningBase::Build(
-          *snapshot->road, *snapshot->transit, online, precompute);
+      memo->base = core::PlanningBase::Build(*snapshot->road,
+                                             *snapshot->transit, precompute);
     }
     core::PlanningContext context =
         core::PlanningContext::Build(memo->base, task.request.options);

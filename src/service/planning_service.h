@@ -67,9 +67,10 @@
 // work.
 //
 // Base memo: each worker keeps the last core::PlanningBase it built (the
-// request-invariant base lambda and ranked lists L_d / L_lambda) together
-// with the snapshot it points into, and reuses it while the snapshot, the
-// precompute and the online estimator options all match. The memo pins at
+// request-invariant base adjacency and ranked lists L_d / L_lambda)
+// together with the snapshot it points into, and reuses it while the
+// snapshot and the precompute both match: the base estimates nothing, so
+// no request option is part of its identity. The memo pins at
 // most one snapshot and one precompute per worker until that worker
 // serves a request that needs another, beyond the byte budgets and
 // retention policy below; it never changes a result.
@@ -445,8 +446,8 @@ class PlanningService {
   void CommitLoop() CTBUS_EXCLUDES(commit_mu_);
   /// Resolves the task's snapshot + precompute, then plans it with a
   /// private context over the worker's memoized base (rebuilt into `memo`
-  /// when the snapshot, precompute or online estimator differs), and
-  /// fulfills the task's promise.
+  /// when the snapshot or the precompute differs), and fulfills the task's
+  /// promise.
   void Execute(Shard* shard, Task task, int worker_id, BaseMemo* memo)
       CTBUS_EXCLUDES(shard->mu);
   std::uint64_t CommitNow(const ServiceResult& result);

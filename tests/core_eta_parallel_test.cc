@@ -125,9 +125,8 @@ TEST_P(EtaParallelTest, ConcurrentContextsOverOneBaseMatchSerial) {
       plan_all(PlanningContext::BuildWithPrecompute(
           dataset_->road, dataset_->transit, options, *precompute_));
 
-  const std::shared_ptr<const PlanningBase> base = PlanningBase::Build(
-      dataset_->road, dataset_->transit, options.online_estimator,
-      *precompute_);
+  const std::shared_ptr<const PlanningBase> base =
+      PlanningBase::Build(dataset_->road, dataset_->transit, *precompute_);
   constexpr int kThreads = 4;
   std::vector<std::vector<PlanResult>> concurrent(kThreads);
   std::vector<std::thread> threads;

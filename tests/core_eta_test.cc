@@ -317,7 +317,7 @@ double ExactTraceExp(const linalg::SymmetricSparseMatrix& a) {
 // candidate edges and cannot see the connectivity term. At tau = 900 m it
 // can: both modes must report the route's increment as
 // log1p(exact Delta tr / tr_0), with Delta tr from dense eigensolves and
-// tr_0 the online estimator's base trace, within the local-increment
+// tr_0 the precompute's base_trace, within the local-increment
 // kernel test's telescoped tolerance (2e-5 of tr(e^A)).
 TEST(EtaGridFixtureTest, ReportedIncrementMatchesDenseExactAtTau900) {
   const std::string dir = CTBUS_TEST_DATA_DIR;
@@ -334,7 +334,7 @@ TEST(EtaGridFixtureTest, ReportedIncrementMatchesDenseExactAtTau900) {
 
   const linalg::SymmetricSparseMatrix base = transit->AdjacencyMatrix();
   const double base_trace = ExactTraceExp(base);
-  const double anchor = transit->num_stops() * std::exp(ctx.base_lambda());
+  const double anchor = ctx.SharePrecompute()->base_trace;
   for (const SearchMode mode : {SearchMode::kOnline, SearchMode::kPrecomputed}) {
     SCOPED_TRACE(mode == SearchMode::kOnline ? "online" : "precomputed");
     const PlanResult result = RunEta(&ctx, mode);

@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <cmath>
 #include <vector>
 
-#include "connectivity/natural_connectivity.h"
 #include "core/baselines.h"
 #include "core/eta.h"
 #include "gen/datasets.h"
@@ -90,10 +89,25 @@ TEST_F(PlanningContextTest, ObjectiveListMatchesEquation11) {
   }
 }
 
-TEST_F(PlanningContextTest, BaseLambdaMatchesEstimatorOnBaseNetwork) {
-  const auto base = dataset_->transit.AdjacencyMatrix();
-  EXPECT_DOUBLE_EQ(context_->base_lambda(),
-                   context_->estimator().Estimate(base));
+TEST_F(PlanningContextTest, BaseLambdaIsThePrecomputeAnchor) {
+  EXPECT_EQ(context_->base_lambda(),
+            std::log(context_->SharePrecompute()->base_trace /
+                     dataset_->transit.num_stops()));
+}
+
+// One anchor: a one-edge path's online increment is its Delta(e), bit for
+// bit, so online ETA compares linearly scored seeds and expansions on one
+// scale.
+TEST_F(PlanningContextTest, OneEdgeOnlineIncrementEqualsDeltaE) {
+  int checked = 0;
+  for (int e = 0; e < context_->universe().num_edges(); ++e) {
+    if (!context_->universe().edge(e).is_new) continue;
+    EXPECT_EQ(context_->OnlineConnectivityIncrement({e}),
+              context_->increments()[e])
+        << "edge " << e;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0);
 }
 
 TEST_F(PlanningContextTest, OnlineIncrementOfEmptyPathIsZero) {
@@ -145,25 +159,29 @@ TEST_F(PlanningContextTest, LinearIncrementSumsPrecomputedValues) {
 }
 
 TEST_F(PlanningContextTest, PathBoundDominatesOnlineIncrements) {
-  // The Lemma 4 bound for k edges must dominate the online increment of any
-  // path-shaped set of <= k new edges. Use the top increment edges as an
-  // adversarial (if not path-shaped, still covered by Lemma 3 <= Lemma 4
-  // violation check being conservative) sample of 2.
-  std::vector<int> new_edges;
-  for (int rank = 0; rank < context_->increment_list().size(); ++rank) {
-    const int e = context_->increment_list().EdgeAtRank(rank);
-    if (context_->universe().edge(e).is_new) {
-      new_edges.push_back(e);
-      if (new_edges.size() == 2) break;
+  // Lemma 4: no route of at most k edges gains more connectivity than
+  // PathConnectivityIncrementBound(k). Check it, with no slack, against
+  // the increments both search modes actually report.
+  for (int k : {2, 4, 8, 12}) {
+    for (double w : {0.0, 0.3, 0.7}) {
+      CtBusOptions options = FastOptions();
+      options.k = k;
+      options.w = w;
+      options.max_iterations = 40;  // online search is the expensive mode
+      const PlanningContext ctx =
+          PlanningContext::Build(context_->base(), options);
+      const double bound = ctx.PathConnectivityIncrementBound(k);
+      EXPECT_GT(bound, 0.0);
+      for (SearchMode mode : {SearchMode::kOnline, SearchMode::kPrecomputed}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "k=" << k << " w=" << w << " mode="
+                     << (mode == SearchMode::kOnline ? "online" : "pre"));
+        const PlanResult result = RunEta(&ctx, mode);
+        ASSERT_TRUE(result.found);
+        EXPECT_GE(bound, result.connectivity_increment);
+      }
     }
   }
-  ASSERT_EQ(new_edges.size(), 2u);
-  const double bound = context_->PathConnectivityIncrementBound(
-      context_->options().k);
-  EXPECT_GT(bound, 0.0);
-  // Pairs of edges are not necessarily a path, but a 2-edge increment is
-  // still far below the k-edge path bound in practice.
-  EXPECT_GE(bound, context_->OnlineConnectivityIncrement(new_edges) * 0.5);
 }
 
 TEST_F(PlanningContextTest, PrecomputeStatsPopulated) {
@@ -206,9 +224,8 @@ void ExpectPlansIdentical(const PlanResult& a, const PlanResult& b) {
 TEST_F(PlanningContextTest, SharedBaseIsBitIdenticalToPerRequestBuild) {
   const std::shared_ptr<const Precompute> precompute =
       context_->SharePrecompute();
-  const std::shared_ptr<const PlanningBase> base = PlanningBase::Build(
-      dataset_->road, dataset_->transit, FastOptions().online_estimator,
-      precompute);
+  const std::shared_ptr<const PlanningBase> base =
+      PlanningBase::Build(dataset_->road, dataset_->transit, precompute);
   const std::vector<int> route = TopNewEdges(*context_);
   ASSERT_FALSE(route.empty());
   for (int k : {4, 8, 12}) {
@@ -242,8 +259,7 @@ TEST_F(PlanningContextTest, PlannersAreBitIdenticalOnSharedBase) {
   CtBusOptions options = FastOptions();
   options.max_iterations = 40;  // online search is the expensive mode
   const std::shared_ptr<const PlanningBase> base = PlanningBase::Build(
-      dataset_->road, dataset_->transit, options.online_estimator,
-      context_->SharePrecompute());
+      dataset_->road, dataset_->transit, context_->SharePrecompute());
   const PlanningContext shared = PlanningContext::Build(base, options);
   const PlanningContext fresh = PlanningContext::BuildWithPrecompute(
       dataset_->road, dataset_->transit, options, context_->SharePrecompute());
@@ -255,15 +271,6 @@ TEST_F(PlanningContextTest, PlannersAreBitIdenticalOnSharedBase) {
   const PlanResult a = RunVkTsp(&shared);
   ASSERT_TRUE(a.found);
   ExpectPlansIdentical(a, RunVkTsp(&fresh));
-}
-
-TEST_F(PlanningContextTest, BaseRejectsAnotherOnlineEstimator) {
-  const std::shared_ptr<const PlanningBase> base = PlanningBase::Build(
-      dataset_->road, dataset_->transit, FastOptions().online_estimator,
-      context_->SharePrecompute());
-  CtBusOptions options = FastOptions();
-  options.online_estimator.seed += 1;
-  EXPECT_THROW(PlanningContext::Build(base, options), std::invalid_argument);
 }
 
 TEST_F(PlanningContextTest, ContextBytesIncludeItsBase) {

@@ -192,7 +192,7 @@ TEST(PlanningServiceTest, SequentialCommitsFromOneSnapshotStack) {
 
 TEST(PlanningServiceTest, WorkerBaseMemoNeverServesStaleState) {
   // One worker, so every request runs through the same base memo. The
-  // online seed alternates (memo misses on the estimator) and a commit
+  // precompute seed alternates (memo misses on the precompute) and a commit
   // lands midway (misses on the snapshot, then an explicit-version request
   // back on v1). The v2 precompute is warm-started from v1, and must still
   // equal the from-scratch one the in-process reference builds.
@@ -201,11 +201,11 @@ TEST(PlanningServiceTest, WorkerBaseMemoNeverServesStaleState) {
   PlanningService service(service_options);
   service.RegisterPreset("midtown");
 
-  const auto request_for = [](std::uint64_t online_seed,
+  const auto request_for = [](std::uint64_t precompute_seed,
                               core::Planner planner,
                               std::uint64_t version) {
     PlanRequest request = MidtownRequest(planner);
-    request.options.online_estimator.seed = online_seed;
+    request.options.precompute_estimator.seed = precompute_seed;
     request.snapshot_version = version;  // 0 = latest
     return request;
   };
@@ -243,10 +243,15 @@ TEST(PlanningServiceTest, WorkerBaseMemoNeverServesStaleState) {
     EXPECT_EQ(result.stats.snapshot_version, 1u);
     expect_matches_in_process(result);
   }
-  // Online seeds 1 and 2 share a precompute but not a base: the estimator
-  // alone distinguishes them, so their connectivity numbers differ.
+  // Precompute seeds 1 and 2 estimate different tr_0 anchors, so their
+  // connectivity numbers differ.
   EXPECT_NE(v1_results[0].plan.connectivity_increment,
             v1_results[1].plan.connectivity_increment);
+  // The online estimator is not part of the base: ETA-Pre never reads it,
+  // so another online seed serves the same bits.
+  PlanRequest other_online = request_for(1, core::Planner::kEtaPre, 0);
+  other_online.options.online_estimator.seed += 1;
+  ExpectBitIdentical(service.Plan(other_online).plan, v1_results[0].plan);
 
   ASSERT_TRUE(v1_results[0].plan.found);
   EXPECT_EQ(service.CommitAsync(v1_results[0]).get(), 2u);
