@@ -4,18 +4,17 @@
 // its per-edge increments, for growing edge counts. The paper finds theta
 // mostly small, trending positive with more edges => natural connectivity
 // is monotone but not submodular, yet well-approximated linearly (ETA-Pre's
-// foundation).
+// foundation). Both sides are the planners' own numbers: the joint
+// increment is OnlineConnectivityIncrement (exact local trace increments
+// telescoped over the set), the sum is LinearConnectivityIncrement (the
+// precomputed Delta(e) that ETA-Pre adds up), on one tr_0 anchor.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "connectivity/edge_increment.h"
-#include "connectivity/natural_connectivity.h"
-#include "core/edge_universe.h"
+#include "core/planning_context.h"
 #include "eval/table.h"
 #include "linalg/rng.h"
 
@@ -23,9 +22,9 @@ namespace {
 
 void RunCity(const ctbus::gen::Dataset& city) {
   ctbus::bench::PrintDataset(city);
-  ctbus::core::EdgeUniverseOptions universe_options;
-  const auto universe = ctbus::core::EdgeUniverse::Build(
-      city.road, city.transit, universe_options);
+  const auto ctx = ctbus::core::PlanningContext::Build(
+      city.road, city.transit, ctbus::bench::BenchOptions());
+  const ctbus::core::EdgeUniverse& universe = ctx.universe();
   std::vector<int> new_edges;
   for (int e = 0; e < universe.num_edges(); ++e) {
     if (universe.edge(e).is_new) new_edges.push_back(e);
@@ -35,48 +34,22 @@ void RunCity(const ctbus::gen::Dataset& city) {
     return;
   }
 
-  // Higher-fidelity estimator: theta is a ratio of small quantities.
-  ctbus::connectivity::EstimatorOptions est_options;
-  est_options.probes = 24;
-  est_options.lanczos_steps = 12;
-  est_options.seed = 11;
-  const ctbus::connectivity::ConnectivityEstimator estimator(
-      city.transit.num_stops(), est_options);
-  auto adjacency = city.transit.AdjacencyMatrix();
-  const double base = estimator.Estimate(adjacency);
-
-  // Delta(e) computed lazily, only for sampled edges.
-  std::unordered_map<int, double> increment_cache;
-  auto delta = [&](int e) {
-    const auto it = increment_cache.find(e);
-    if (it != increment_cache.end()) return it->second;
-    const double value = ctbus::connectivity::EdgeIncrement(
-        &adjacency, base, estimator, universe.edge(e).u, universe.edge(e).v);
-    increment_cache.emplace(e, value);
-    return value;
-  };
-
   ctbus::eval::Table table(
       {"edges", "theta_p25", "theta_median", "theta_p75"});
   ctbus::linalg::Rng rng(17);
   for (int count = 2; count <= 50; count += 8) {
     std::vector<double> thetas;
     for (int trial = 0; trial < 12; ++trial) {
-      std::vector<std::pair<int, int>> pairs;
       std::vector<int> chosen;
-      while (static_cast<int>(pairs.size()) < count) {
+      while (static_cast<int>(chosen.size()) < count) {
         const int e = new_edges[rng.NextIndex(new_edges.size())];
-        bool dup = false;
-        for (int c : chosen) dup = dup || c == e;
-        if (dup) continue;
-        chosen.push_back(e);
-        pairs.emplace_back(universe.edge(e).u, universe.edge(e).v);
+        if (std::find(chosen.begin(), chosen.end(), e) == chosen.end()) {
+          chosen.push_back(e);
+        }
       }
-      double sum_individual = 0.0;
-      for (int e : chosen) sum_individual += delta(e);
+      const double sum_individual = ctx.LinearConnectivityIncrement(chosen);
       if (sum_individual <= 0) continue;
-      const double joint = ctbus::connectivity::EdgeSetIncrement(
-          &adjacency, base, estimator, pairs);
+      const double joint = ctx.OnlineConnectivityIncrement(chosen);
       thetas.push_back((joint - sum_individual) / sum_individual);
     }
     std::sort(thetas.begin(), thetas.end());

@@ -1,6 +1,7 @@
 // Figure 6: the connectivity-first baseline [22] greedily picks the top-10
 // discrete edges for natural connectivity — and they are scattered across
-// the city, far from forming a smooth bus route.
+// the city, far from forming a smooth bus route. Exits 1 if a city's edge
+// set does form a simple path (the figure's shape is lost).
 #include <cstdio>
 #include <iostream>
 
@@ -10,7 +11,8 @@
 
 namespace {
 
-void RunCity(const ctbus::gen::Dataset& city) {
+/// Returns true iff the greedy edge set forms a plannable simple path.
+bool RunCity(const ctbus::gen::Dataset& city) {
   ctbus::bench::PrintDataset(city);
   auto ctx = ctbus::core::PlanningContext::Build(city.road, city.transit,
                                                  ctbus::bench::BenchOptions());
@@ -35,6 +37,7 @@ void RunCity(const ctbus::gen::Dataset& city) {
               result.num_components, result.max_stop_degree,
               result.forms_simple_path ? "YES" : "NO",
               result.stitch_gap_meters, result.connectivity_increment);
+  return result.forms_simple_path;
 }
 
 }  // namespace
@@ -45,10 +48,14 @@ int main() {
       "the chosen discrete edges are scattered and hard to connect into "
       "a smooth bus route (and the greedy takes hours at paper scale)");
   const double scale = ctbus::bench::GetScale();
-  RunCity(ctbus::gen::MakeChicagoLike(scale));
-  RunCity(ctbus::gen::MakeNycLike(scale));
+  const bool chicago_path = RunCity(ctbus::gen::MakeChicagoLike(scale));
+  const bool nyc_path = RunCity(ctbus::gen::MakeNycLike(scale));
   std::printf("shape check: the greedy edge set never forms a simple path "
               "(scattered fragments or hub stars) => not a plannable "
               "route, unlike ETA's output.\n");
+  if (chicago_path || nyc_path) {
+    std::printf("FATAL: a greedy edge set forms a simple path\n");
+    return 1;
+  }
   return 0;
 }

@@ -1,13 +1,9 @@
-// Accuracy of every connectivity-increment route against dense-exact
+// Accuracy of the connectivity-increment route against dense-exact
 // lambda. Samples a fixed-seed set of new universe edges and of 1-5-edge
 // walks of new edges (the shape of a planned route) on ChicagoLike, and
 // scores each route's lambda(G + P) - lambda(G) against the value from
 // two full dense eigensolves:
 //
-//   stochastic SxT   Hutchinson (S probes) x Lanczos (T steps), common
-//                    random numbers against the base estimate: 5x5 and 8x8
-//                    are the shapes of perfbench's and the default
-//                    precompute estimator, 50x10 the paper's online one
 //   local r=3        exact local trace increments on the radius-3 ball,
 //                    telescoped along walks, anchored at the exact tr(e^A)
 //                    (the kernel's own error) and at the default
@@ -23,7 +19,6 @@
 #include <cstdio>
 #include <functional>
 #include <iterator>
-#include <memory>
 #include <numeric>
 #include <string>
 #include <tuple>
@@ -31,7 +26,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "connectivity/edge_increment.h"
 #include "connectivity/local_increment.h"
 #include "connectivity/natural_connectivity.h"
 #include "core/edge_universe.h"
@@ -248,23 +242,6 @@ int main() {
               solves, n, n, exact_timer.Seconds());
 
   std::vector<Route> routes;
-  const auto add_stochastic = [&](int probes, int steps, std::uint64_t seed) {
-    const auto estimator =
-        std::make_shared<const ctbus::connectivity::ConnectivityEstimator>(
-            n, ctbus::connectivity::EstimatorOptions{probes, steps, seed});
-    const double base = estimator->Estimate(adjacency);
-    const std::string shape =
-        std::to_string(probes) + "x" + std::to_string(steps);
-    routes.push_back({"stochastic_" + shape, "stochastic " + shape,
-                      [=, scratch = adjacency](const StopPairs& pairs) mutable {
-                        return ctbus::connectivity::EdgeSetIncrement(
-                            &scratch, base, *estimator, pairs);
-                      }});
-  };
-  add_stochastic(5, 5, 1);
-  add_stochastic(8, 8, 11);
-  add_stochastic(50, 10, 1);
-
   const ctbus::connectivity::ConnectivityEstimator precompute(
       n, ctbus::core::CtBusOptions{}.precompute_estimator);
   const double anchor_trace = precompute.EstimateTraceExp(adjacency);

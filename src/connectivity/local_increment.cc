@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "linalg/dense_eigen.h"
 #include "linalg/dense_matrix.h"
@@ -33,31 +34,45 @@ void ForEachNeighbor(const linalg::SymmetricSparseMatrix& base,
 
 }  // namespace
 
+std::vector<char> StopsNear(const linalg::SymmetricSparseMatrix& base,
+                            const std::vector<std::pair<int, int>>& staged,
+                            const std::vector<int>& sources) {
+  std::vector<char> near(base.dim(), 0);
+  std::vector<int> frontier;
+  for (int s : sources) {
+    if (!near[s]) {
+      near[s] = 1;
+      frontier.push_back(s);
+    }
+  }
+  for (int hop = 0; hop < kLocalIncrementRadius; ++hop) {
+    std::vector<int> next;
+    for (int x : frontier) {
+      ForEachNeighbor(base, staged, x, [&](int y, double) {
+        if (!near[y]) {
+          near[y] = 1;
+          next.push_back(y);
+        }
+      });
+    }
+    frontier = std::move(next);
+  }
+  return near;
+}
+
 double LocalTraceIncrement(const linalg::SymmetricSparseMatrix& base,
                            const std::vector<std::pair<int, int>>& staged,
                            int u, int v) {
   if (u == v || base.Contains(u, v) || IsStaged(staged, u, v)) return 0.0;
 
-  // Breadth-first ball of radius kLocalIncrementRadius around {u, v}.
-  std::vector<char> in_ball(base.dim(), 0);
-  std::vector<int> ball = {u, v};
-  in_ball[u] = in_ball[v] = 1;
-  std::size_t layer_begin = 0;
-  for (int hop = 0; hop < kLocalIncrementRadius; ++hop) {
-    const std::size_t layer_end = ball.size();
-    for (std::size_t i = layer_begin; i < layer_end; ++i) {
-      ForEachNeighbor(base, staged, ball[i], [&](int y, double) {
-        if (!in_ball[y]) {
-          in_ball[y] = 1;
-          ball.push_back(y);
-        }
-      });
-    }
-    layer_begin = layer_end;
+  const std::vector<char> in_ball = StopsNear(base, staged, {u, v});
+  std::vector<int> ball;
+  for (int stop = 0; stop < base.dim(); ++stop) {
+    if (in_ball[stop]) ball.push_back(stop);
   }
 
-  // Canonical order: the dense matrix is a function of the ball's stop set.
-  std::sort(ball.begin(), ball.end());
+  // Ascending stop order: the dense matrix is a function of the ball's
+  // stop set.
   const auto local = [&ball](int stop) {
     return static_cast<int>(std::lower_bound(ball.begin(), ball.end(), stop) -
                             ball.begin());

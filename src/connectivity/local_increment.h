@@ -21,6 +21,19 @@ namespace ctbus::connectivity {
 /// Hop radius of the ball the local increment is solved on.
 inline constexpr int kLocalIncrementRadius = 3;
 
+/// Membership mask over stops: 1 for every stop within
+/// kLocalIncrementRadius hops of `sources` on `base` plus the unit-weight
+/// stop pairs in `staged`, 0 elsewhere. This is the locality lemma the
+/// kernel rests on: LocalTraceIncrement(base, staged, u, v) reads only
+/// the ball StopsNear(base, staged, {u, v}), so adding an edge with no
+/// endpoint in StopsNear(base, staged, {u, v}) leaves it unchanged. The
+/// warm start (core::PlanningContext::DerivePrecompute) and the
+/// connectivity-first greedy use that to re-solve only the candidates
+/// near a change.
+std::vector<char> StopsNear(const linalg::SymmetricSparseMatrix& base,
+                            const std::vector<std::pair<int, int>>& staged,
+                            const std::vector<int>& sources);
+
 /// Delta tr(e | staged): tr(e^{A + S + e_uv}) - tr(e^{A + S}), where A is
 /// `base` and S overlays the unit-weight stop pairs in `staged` (a path's
 /// earlier new edges). Solved exactly on the principal submatrix of

@@ -3,9 +3,10 @@
 //   * exact, via full dense eigendecomposition (the Table 2 baseline), and
 //   * estimated, via Hutchinson + Lanczos quadrature (Section 5.1).
 // The reusable ConnectivityEstimator pins its Gaussian probes at
-// construction, making estimates deterministic and — crucially — giving
-// common random numbers across matrices so connectivity *increments* can be
-// resolved well below the single-estimate noise floor. Every estimate runs
+// construction, so its estimates are deterministic. It estimates whole
+// networks only: the precompute's tr_0 anchor, Table 2 and Figure 1.
+// Connectivity increments are exact local trace increments
+// (local_increment.h), not differences of two estimates. Every estimate runs
 // on the adjacency matrix as-is through linalg's one lane-blocked
 // quadrature kernel (LanczosExpQuadratureBatch): freezing into a CSR copy
 // first measured slower, since the matvec is not where the time goes.
@@ -78,11 +79,6 @@ class ConnectivityEstimator {
   int dim() const { return dim_; }
   int probes() const { return static_cast<int>(probes_.size()); }
   int lanczos_steps() const { return lanczos_steps_; }
-
-  /// The pinned probe vectors (common random numbers across matrices).
-  const std::vector<std::vector<double>>& probe_vectors() const {
-    return probes_;
-  }
 
   /// Approximate resident footprint in bytes — dominated by the pinned
   /// probe vectors (probes() x dim() doubles). Deterministic, O(1).

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <numeric>
 #include <unordered_map>
+#include <utility>
 
-#include "connectivity/edge_increment.h"
+#include "connectivity/local_increment.h"
 #include "graph/geo.h"
 #include "graph/union_find.h"
 
@@ -34,54 +34,52 @@ PlanResult RunVkTsp(const PlanningContext* context) {
 }
 
 ConnectivityFirstResult RunConnectivityFirst(const PlanningContext* context,
-                                             int l, int rescore_pool) {
+                                             int l) {
   assert(l >= 1);
   const EdgeUniverse& universe = context->universe();
   ConnectivityFirstResult result;
 
-  // Candidate pool: new edges ranked by their precomputed Delta(e).
-  std::vector<int> pool;
-  for (int rank = 0; rank < context->increment_list().size(); ++rank) {
-    const int e = context->increment_list().EdgeAtRank(rank);
-    if (universe.edge(e).is_new) pool.push_back(e);
+  // The exact greedy of [22] over every new edge: each round takes the
+  // candidate with the largest Delta tr(e | picks), ties to the lowest
+  // universe id. Round 1's gains are the precompute's Delta tr(e). A pick
+  // only moves the gains of candidates with an endpoint within
+  // kLocalIncrementRadius hops of it (connectivity::StopsNear on the
+  // adjacency plus the picks); every other candidate keeps its ball and
+  // induced submatrix, so its cached gain is still exact and only the near
+  // ones are re-solved.
+  std::vector<double> gain = context->SharePrecompute()->trace_increments;
+  std::vector<bool> candidate(universe.num_edges());
+  for (int e = 0; e < universe.num_edges(); ++e) {
+    candidate[e] = universe.edge(e).is_new;
   }
-  if (pool.empty()) return result;
-
-  // Greedy: each round, re-estimate the marginal gain of the top
-  // `rescore_pool` remaining candidates against the current augmented
-  // network and take the best (the [22] greedy, with a re-scored shortlist
-  // instead of the full candidate set for tractability).
-  linalg::SymmetricSparseMatrix augmented = context->transit().AdjacencyMatrix();
-  const connectivity::ConnectivityEstimator estimator(
-      augmented.dim(), context->options().online_estimator);
-  double current_lambda = estimator.Estimate(augmented);
-  const double base_lambda = current_lambda;
-  std::vector<bool> taken(universe.num_edges(), false);
+  std::vector<std::pair<int, int>> picked_pairs;
+  double trace_increment = 0.0;
   for (int round = 0; round < l; ++round) {
-    int best_edge = -1;
-    double best_gain = -std::numeric_limits<double>::infinity();
-    int scored = 0;
-    for (int e : pool) {
-      if (taken[e]) continue;
-      const auto& edge = universe.edge(e);
-      if (augmented.Contains(edge.u, edge.v)) continue;
-      const double gain = connectivity::EdgeIncrement(
-          &augmented, current_lambda, estimator, edge.u, edge.v);
-      if (gain > best_gain) {
-        best_gain = gain;
-        best_edge = e;
-      }
-      if (++scored >= rescore_pool) break;
+    int best = -1;
+    for (int e = 0; e < universe.num_edges(); ++e) {
+      if (candidate[e] && (best < 0 || gain[e] > gain[best])) best = e;
     }
-    if (best_edge < 0) break;
-    const auto& edge = universe.edge(best_edge);
-    augmented.Set(edge.u, edge.v, 1.0);
-    current_lambda += best_gain;
-    taken[best_edge] = true;
-    result.edges.push_back(best_edge);
+    if (best < 0) break;
+    candidate[best] = false;
+    trace_increment += gain[best];
+    result.edges.push_back(best);
+    const PlannableEdge& pick = universe.edge(best);
+    picked_pairs.emplace_back(pick.u, pick.v);
+    if (round + 1 == l) break;
+    const std::vector<char> near = connectivity::StopsNear(
+        context->base()->adjacency(), picked_pairs, {pick.u, pick.v});
+    for (int e = 0; e < universe.num_edges(); ++e) {
+      const PlannableEdge& edge = universe.edge(e);
+      if (candidate[e] && (near[edge.u] || near[edge.v])) {
+        gain[e] = context->EdgeTraceIncrement(result.edges, e);
+      }
+    }
   }
+  if (result.edges.empty()) return result;  // no candidate edges at all
+  // The gains telescope along the picks in pick order, so this is
+  // OnlineConnectivityIncrement(result.edges) bit for bit.
   result.connectivity_increment =
-      estimator.Estimate(augmented) - base_lambda;
+      context->ConnectivityFromTrace(trace_increment);
 
   // How route-like is the chosen edge set? Count components among the
   // chosen edges (sharing a stop joins them), find the largest per-stop

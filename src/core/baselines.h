@@ -2,8 +2,10 @@
 //  * vk-TSP (demand-first): maximize demand alone (w = 1) with new edges
 //    only, implemented on the same expansion framework as ETA.
 //  * Connectivity-first (Chan et al. [22]): greedily add l discrete edges
-//    maximizing natural connectivity, then try to stitch them into a route
-//    (Figure 6 shows the stitching fails: the edges are scattered).
+//    maximizing natural connectivity, scored with the same exact local
+//    trace increments as ETA, then try to stitch them into a route
+//    (Figure 6 shows the stitching fails: the edges are scattered or star
+//    around a hub).
 #ifndef CTBUS_CORE_BASELINES_H_
 #define CTBUS_CORE_BASELINES_H_
 
@@ -25,7 +27,8 @@ PlanResult RunVkTsp(const PlanningContext* context);
 struct ConnectivityFirstResult {
   /// Chosen universe edge ids, in pick order.
   std::vector<int> edges;
-  /// Connectivity increment of the chosen edge set (estimated).
+  /// Connectivity increment of the chosen edge set:
+  /// context->OnlineConnectivityIncrement(edges), bit for bit.
   double connectivity_increment = 0.0;
   /// Number of connected components the chosen edges form among
   /// themselves — a route would need 1.
@@ -43,11 +46,15 @@ struct ConnectivityFirstResult {
 };
 
 /// Greedy augmentation of [22]: pick `l` discrete new edges one at a time,
-/// each maximizing the marginal connectivity increment. Marginal gains are
-/// re-estimated over the `rescore_pool` current best candidates per round,
-/// with a ConnectivityEstimator built from options().online_estimator.
+/// each maximizing the marginal connectivity increment over every
+/// remaining candidate, ties to the lowest universe id. Marginal gains are
+/// exact local trace increments against the edges picked so far
+/// (PlanningContext::EdgeTraceIncrement); after a pick only the candidates
+/// within kLocalIncrementRadius hops of it are re-solved, the rest keep
+/// their still-exact gains. Estimates nothing: the result is a pure
+/// function of the context's base.
 ConnectivityFirstResult RunConnectivityFirst(const PlanningContext* context,
-                                             int l, int rescore_pool = 48);
+                                             int l);
 
 }  // namespace ctbus::core
 

@@ -38,12 +38,11 @@ struct CtBusOptions {
   /// ctbus-lint: key-exempt(search-time iteration budget, precompute-invariant)
   int max_iterations = 100000;
 
-  /// The paper's s = 50, t = 10 online estimator. No plan increment reads
-  /// it: ETA scores candidates with exact local trace increments anchored
-  /// by the precompute's tr_0. Its seed starts the Lanczos run behind online
-  /// ETA's Lemma 4 bound, and the Figure 6 connectivity-first baseline
-  /// (RunConnectivityFirst) estimates its marginal gains with it.
-  /// ctbus-lint: key-exempt(read per query only, by the Lemma 4 eigenvalue run and the connectivity-first baseline; the precompute uses precompute_estimator)
+  /// The paper's s = 50, t = 10 online estimator. Nothing estimates with
+  /// it: every increment, in ETA and in the baselines, is an exact local
+  /// trace increment anchored by the precompute's tr_0. Its only reader is
+  /// the seed of the Lanczos run behind online ETA's Lemma 4 bound.
+  /// ctbus-lint: key-exempt(read per query only, as the seed of the Lemma 4 eigenvalue run; the precompute uses precompute_estimator)
   connectivity::EstimatorOptions online_estimator;
 
   /// Estimator of the precompute's anchor tr_0 = tr(e^A): one estimate per

@@ -70,32 +70,6 @@ void SolveAndAnchor(const linalg::SymmetricSparseMatrix& adjacency,
   pre->FillIncrements();
 }
 
-/// Stops within kLocalIncrementRadius hops of `sources` on `adjacency`.
-std::vector<char> StopsNear(const linalg::SymmetricSparseMatrix& adjacency,
-                            const std::vector<int>& sources) {
-  std::vector<char> near(adjacency.dim(), 0);
-  std::vector<int> frontier;
-  for (int s : sources) {
-    if (!near[s]) {
-      near[s] = 1;
-      frontier.push_back(s);
-    }
-  }
-  for (int hop = 0; hop < connectivity::kLocalIncrementRadius; ++hop) {
-    std::vector<int> next;
-    for (int x : frontier) {
-      for (const linalg::SymmetricSparseMatrix::Entry& e : adjacency.Row(x)) {
-        if (!near[e.col]) {
-          near[e.col] = 1;
-          next.push_back(e.col);
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  return near;
-}
-
 }  // namespace
 
 double Precompute::ConnectivityFromTrace(double trace_increment) const {
@@ -157,7 +131,8 @@ Precompute PlanningContext::DerivePrecompute(const graph::RoadNetwork& road,
   // carry every other trace increment from the donor, then re-anchor.
   stopwatch.Reset();
   const linalg::SymmetricSparseMatrix adjacency = transit.AdjacencyMatrix();
-  const std::vector<char> near = StopsNear(adjacency, delta.touched_stops);
+  const std::vector<char> near =
+      connectivity::StopsNear(adjacency, {}, delta.touched_stops);
   std::unordered_map<std::uint64_t, double> prev_trace;
   prev_trace.reserve(prev.universe.num_new_edges());
   const auto pair_key = [](int u, int v) {

@@ -5,10 +5,10 @@
 // `steps`-iteration Lanczos quadrature, so one estimate costs
 // O(probes * steps * nnz(A)).
 //
-// The `WithProbes` variant evaluates several matrices with the *same* probe
-// vectors (common random numbers). CT-Bus relies on this to estimate tiny
-// connectivity increments Delta(e) = lambda(G+e) - lambda(G): with shared
-// probes the stochastic error largely cancels in the difference.
+// The `WithProbes` variant takes caller-pinned probe vectors, so repeated
+// estimates are deterministic (connectivity::ConnectivityEstimator). CT-Bus
+// estimates whole networks only: the precompute's tr_0 anchor, Table 2 and
+// Figure 1.
 #ifndef CTBUS_LINALG_HUTCHINSON_H_
 #define CTBUS_LINALG_HUTCHINSON_H_
 
@@ -30,7 +30,7 @@ std::vector<std::vector<double>> MakeGaussianProbes(int dim, int probes,
 /// silent 0/0 NaN that poisons every cached Precompute entry built from it).
 double EstimateTraceExp(const MatVec& a, int probes, int steps, Rng* rng);
 
-/// Same estimator but with caller-supplied probes (common random numbers):
+/// Same estimator but with caller-supplied probes:
 /// all probes through one LanczosExpQuadratureBatch call, quadratures
 /// summed in probe order. Throws std::invalid_argument if `probes` is
 /// empty (same 0/0 hazard).

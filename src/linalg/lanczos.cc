@@ -23,7 +23,6 @@ LanczosResult LanczosTridiagonalize(const MatVec& a,
   const int n = a.dim();
   assert(static_cast<int>(v0.size()) == n);
   assert(options.steps >= 1);
-  const bool keep_basis = options.keep_basis || options.full_reorthogonalize;
 
   LanczosResult result;
   std::vector<double> v = v0;
@@ -31,7 +30,7 @@ LanczosResult LanczosTridiagonalize(const MatVec& a,
     // Zero start vector: T is the 1x1 zero matrix.
     result.alpha.push_back(0.0);
     result.broke_down = true;
-    if (keep_basis) result.basis.push_back(v);
+    if (options.full_reorthogonalize) result.basis.push_back(v);
     return result;
   }
 
@@ -40,7 +39,7 @@ LanczosResult LanczosTridiagonalize(const MatVec& a,
   double beta_prev = 0.0;
 
   for (int j = 0; j < options.steps; ++j) {
-    if (keep_basis) result.basis.push_back(v);
+    if (options.full_reorthogonalize) result.basis.push_back(v);
     a.Apply(v, &w);
     const double alpha = Dot(w, v);
     result.alpha.push_back(alpha);
@@ -70,37 +69,6 @@ LanczosResult LanczosTridiagonalize(const MatVec& a,
     beta_prev = beta;
   }
   return result;
-}
-
-std::vector<double> LanczosExpApply(const MatVec& a,
-                                    const std::vector<double>& v, int steps) {
-  const int n = a.dim();
-  const double v_norm = Norm2(v);
-  std::vector<double> s(n, 0.0);
-  if (v_norm == 0.0) return s;
-
-  LanczosOptions options;
-  options.steps = steps;
-  options.keep_basis = true;
-  const LanczosResult lanczos = LanczosTridiagonalize(a, v, options);
-  const int t = static_cast<int>(lanczos.alpha.size());
-
-  const SymmetricEigenResult tri =
-      TridiagonalEigen(lanczos.alpha, lanczos.beta, /*compute_vectors=*/true);
-  // exp(T) e1 = Z exp(diag(theta)) Z^T e1; coefficient of basis vector i is
-  // sum_j exp(theta_j) * Z[0][j] * Z[i][j].
-  std::vector<double> coeffs(t, 0.0);
-  for (int j = 0; j < t; ++j) {
-    const double weight =
-        std::exp(tri.eigenvalues[j]) * tri.eigenvectors.At(0, j);
-    for (int i = 0; i < t; ++i) {
-      coeffs[i] += weight * tri.eigenvectors.At(i, j);
-    }
-  }
-  for (int i = 0; i < t; ++i) {
-    Axpy(v_norm * coeffs[i], lanczos.basis[i], &s);
-  }
-  return s;
 }
 
 namespace {
@@ -305,22 +273,6 @@ std::vector<double> TopEigenvalues(const MatVec& a, int k, int iters,
     top.push_back(tri.eigenvalues[std::max(idx, 0)]);
   }
   return top;
-}
-
-double SpectralNormEstimate(const MatVec& a, int iters, Rng* rng) {
-  const int n = a.dim();
-  if (n == 0) return 0.0;
-  std::vector<double> v0(n);
-  FillGaussian(rng, &v0);
-  LanczosOptions options;
-  options.steps = std::min(iters, n);
-  options.full_reorthogonalize = true;
-  const LanczosResult lanczos = LanczosTridiagonalize(a, v0, options);
-  const SymmetricEigenResult tri =
-      TridiagonalEigen(lanczos.alpha, lanczos.beta, /*compute_vectors=*/false);
-  if (tri.eigenvalues.empty()) return 0.0;
-  return std::max(std::abs(tri.eigenvalues.front()),
-                  std::abs(tri.eigenvalues.back()));
 }
 
 }  // namespace ctbus::linalg

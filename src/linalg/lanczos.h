@@ -1,7 +1,7 @@
-// Lanczos method for symmetric operators: tridiagonalization, approximation
-// of exp(A)v, Gaussian quadrature for v^T exp(A) v, and top-k eigenvalue
-// extraction. Together with Hutchinson's estimator (hutchinson.h) this is the
-// fast connectivity machinery of Section 5.1 of the CT-Bus paper.
+// Lanczos method for symmetric operators: tridiagonalization, Gaussian
+// quadrature for v^T exp(A) v, and top-k eigenvalue extraction. Together
+// with Hutchinson's estimator (hutchinson.h) this is the fast connectivity
+// machinery of Section 5.1 of the CT-Bus paper.
 #ifndef CTBUS_LINALG_LANCZOS_H_
 #define CTBUS_LINALG_LANCZOS_H_
 
@@ -18,8 +18,8 @@ struct LanczosResult {
   std::vector<double> alpha;
   /// Subdiagonal of T; size == steps - 1.
   std::vector<double> beta;
-  /// Orthonormal Lanczos basis vectors v_0 .. v_{steps-1}; only populated
-  /// when requested (needed to reconstruct exp(A)v, not for quadrature).
+  /// Orthonormal Lanczos basis vectors v_0 .. v_{steps-1}; populated iff
+  /// LanczosOptions::full_reorthogonalize (quadrature never needs it).
   std::vector<std::vector<double>> basis;
   /// True if the iteration hit an invariant subspace (beta underflow), in
   /// which case the result is exact on that subspace.
@@ -30,10 +30,9 @@ struct LanczosResult {
 struct LanczosOptions {
   /// Number of iterations t. The paper's default for connectivity estimation.
   int steps = 10;
-  /// Keep the basis vectors (memory O(n * steps)).
-  bool keep_basis = false;
-  /// Re-orthogonalize each new vector against the whole basis. Required for
-  /// accurate extreme eigenvalues; implies keep_basis internally.
+  /// Re-orthogonalize each new vector against the whole basis, which is
+  /// kept in LanczosResult::basis (memory O(n * steps)). Required for
+  /// accurate extreme eigenvalues.
   bool full_reorthogonalize = false;
 };
 
@@ -41,13 +40,6 @@ struct LanczosOptions {
 LanczosResult LanczosTridiagonalize(const MatVec& a,
                                     const std::vector<double>& v0,
                                     const LanczosOptions& options);
-
-/// Approximates s = exp(A) v with `steps` Lanczos iterations:
-///   s = ||v|| * V * exp(T) * e1.
-/// Error bound (Lemma 2, after Musco et al.): after
-/// t = O(||A||_2 + log(1/eps)) steps, ||s - exp(A) v|| <= eps tr(e^A) ||v||.
-std::vector<double> LanczosExpApply(const MatVec& a,
-                                    const std::vector<double>& v, int steps);
 
 /// Approximates the quadratic form v^T exp(A) v by Lanczos quadrature:
 ///   ||v||^2 * (e1^T exp(T) e1).
@@ -77,9 +69,6 @@ std::vector<double> LanczosExpQuadratureBatch(
 /// need (Lemma 3 uses the top 2k, Lemma 4 the top floor((k+1)/2)).
 std::vector<double> TopEigenvalues(const MatVec& a, int k, int iters,
                                    Rng* rng);
-
-/// Estimate of the spectral norm ||A||_2 = max(|lambda_max|, |lambda_min|).
-double SpectralNormEstimate(const MatVec& a, int iters, Rng* rng);
 
 }  // namespace ctbus::linalg
 

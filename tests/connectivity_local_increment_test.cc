@@ -1,6 +1,7 @@
 // Exact local trace increments (connectivity/local_increment.h) against
 // dense-exact tr(e^{A + P}) - tr(e^A), on the midtown fixture and on a
-// seeded random sparse graph; plus the kernel's zero cases, Figure 1
+// seeded random sparse graph; plus the kernel's zero cases, the locality
+// lemma (staged edges beyond the radius change nothing), Figure 1
 // monotonicity of every telescoped term, independence from the base
 // adjacency's row order, and thread-safety of the context-level
 // OnlineConnectivityIncrement built on it.
@@ -234,6 +235,47 @@ TEST(LocalTraceIncrementTest, ExistingOrStagedEdgeAddsNothing) {
     EXPECT_EQ(LocalTraceIncrement(a, staged, v, u), 0.0);
     EXPECT_GT(LocalTraceIncrement(a, {}, u, v), 0.0);
   }
+}
+
+/// The locality lemma behind the warm start and the connectivity-first
+/// greedy: staging edges whose endpoints all lie beyond StopsNear's radius
+/// around {u, v} leaves the increment of (u, v) unchanged to the bit, and
+/// staging one edge inside the radius moves it.
+void ExpectFarStagingChangesNothing(const linalg::SymmetricSparseMatrix& a,
+                                    std::uint64_t seed) {
+  const StopPairs candidates = SampleNonEdges(a, 80, seed);
+  int checked = 0;
+  for (const auto& [u, v] : SampleNonEdges(a, 10, seed + 1)) {
+    const std::vector<char> near = StopsNear(a, {}, {u, v});
+    StopPairs far;
+    for (const auto& [x, y] : candidates) {
+      if (!near[x] && !near[y]) far.emplace_back(x, y);
+    }
+    int w = 0;
+    while (w < a.dim() &&
+           (!near[w] || w == u || w == v || a.Contains(u, w))) {
+      ++w;
+    }
+    if (far.empty() || w == a.dim()) continue;
+    ++checked;
+    SCOPED_TRACE(::testing::Message() << "edge (" << u << ", " << v << "), "
+                                      << far.size() << " far staged edges");
+    const double alone = LocalTraceIncrement(a, {}, u, v);
+    EXPECT_EQ(LocalTraceIncrement(a, far, u, v), alone);
+    StopPairs with_near = far;
+    with_near.emplace_back(u, w);
+    EXPECT_NE(LocalTraceIncrement(a, with_near, u, v), alone);
+  }
+  EXPECT_GE(checked, 3);
+}
+
+TEST(LocalTraceIncrementTest, StagedEdgesBeyondTheRadiusChangeNothing) {
+  ExpectFarStagingChangesNothing(
+      RandomTransitGraph(/*n=*/160, /*lines=*/14, /*stops_per_line=*/12,
+                         /*reach=*/6, /*seed=*/59),
+      /*seed=*/61);
+  ExpectFarStagingChangesNothing(
+      gen::MakeMidtown().transit.AdjacencyMatrix(), /*seed=*/67);
 }
 
 TEST(LocalTraceIncrementTest, EveryTelescopedTermIsPositive) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "gen/datasets.h"
 
 namespace ctbus::core {
@@ -97,6 +101,45 @@ TEST_F(BaselinesTest, ConnectivityFirstEdgesAreScattered) {
   // Either scattered fragments or a hub star — never a plannable path.
   EXPECT_FALSE(result.forms_simple_path);
   EXPECT_TRUE(result.num_components > 1 || result.max_stop_degree > 2);
+}
+
+/// The [22] greedy without the locality shortcut: every round re-solves
+/// every remaining new edge against the picks so far, ties to the lowest
+/// universe id.
+std::vector<int> ExhaustiveGreedy(const PlanningContext& ctx, int l) {
+  std::vector<int> picks;
+  for (int round = 0; round < l; ++round) {
+    int best = -1;
+    double best_gain = 0.0;
+    for (int e = 0; e < ctx.universe().num_edges(); ++e) {
+      if (!ctx.universe().edge(e).is_new ||
+          std::find(picks.begin(), picks.end(), e) != picks.end()) {
+        continue;
+      }
+      const double gain = ctx.EdgeTraceIncrement(picks, e);
+      if (best < 0 || gain > best_gain) {
+        best = e;
+        best_gain = gain;
+      }
+    }
+    if (best < 0) break;
+    picks.push_back(best);
+  }
+  return picks;
+}
+
+TEST_F(BaselinesTest, ConnectivityFirstMatchesExhaustiveGreedy) {
+  const gen::Dataset city = gen::MakeChicagoLike(0.12);
+  const PlanningContext chicago =
+      PlanningContext::Build(city.road, city.transit, FastOptions());
+  const PlanningContext* const contexts[] = {context_, &chicago};
+  for (const PlanningContext* ctx : contexts) {
+    const ConnectivityFirstResult result = RunConnectivityFirst(ctx, 10);
+    ASSERT_EQ(result.edges.size(), 10u);
+    EXPECT_EQ(result.edges, ExhaustiveGreedy(*ctx, 10));
+    EXPECT_EQ(result.connectivity_increment,
+              ctx->OnlineConnectivityIncrement(result.edges));
+  }
 }
 
 TEST_F(BaselinesTest, ConnectivityFirstSingleEdge) {

@@ -107,47 +107,6 @@ TEST(LanczosTest, ZeroStartVectorBreaksDownGracefully) {
   EXPECT_DOUBLE_EQ(lanczos.alpha[0], 0.0);
 }
 
-TEST(LanczosTest, ExpApplyMatchesDenseGroundTruth) {
-  Rng rng(21);
-  const auto a = RandomGraph(50, 4.0, &rng);
-  std::vector<double> v(50);
-  FillGaussian(&rng, &v);
-  const auto approx = LanczosExpApply(a, v, 30);
-  const auto exact = DenseExpApply(a, v);
-  std::vector<double> diff = exact;
-  Axpy(-1.0, approx, &diff);
-  EXPECT_LT(Norm2(diff), 1e-6 * Norm2(exact));
-}
-
-TEST(LanczosTest, ExpApplyTenStepsIsAccurateOnSparseGraph) {
-  // The paper uses t = 10; relative error should be far below 1% since
-  // ||A||_2 is small for sparse planar-ish graphs.
-  Rng rng(22);
-  const auto a = RandomGraph(80, 3.0, &rng);
-  std::vector<double> v(80);
-  FillGaussian(&rng, &v);
-  const auto approx = LanczosExpApply(a, v, 10);
-  const auto exact = DenseExpApply(a, v);
-  std::vector<double> diff = exact;
-  Axpy(-1.0, approx, &diff);
-  EXPECT_LT(Norm2(diff), 1e-2 * Norm2(exact));
-}
-
-TEST(LanczosTest, ExpApplyZeroVector) {
-  SymmetricSparseMatrix a(5);
-  a.Set(0, 1, 1.0);
-  const auto out = LanczosExpApply(a, std::vector<double>(5, 0.0), 5);
-  for (double x : out) EXPECT_DOUBLE_EQ(x, 0.0);
-}
-
-TEST(LanczosTest, ExpApplyOnEmptyGraphIsIdentityTimesE) {
-  // A = 0 => exp(A) = I... actually exp(0) = I so exp(A)v = v.
-  SymmetricSparseMatrix a(4);
-  const std::vector<double> v = {1.0, -2.0, 0.5, 3.0};
-  const auto out = LanczosExpApply(a, v, 4);
-  for (int i = 0; i < 4; ++i) EXPECT_NEAR(out[i], v[i], 1e-12);
-}
-
 TEST(LanczosTest, QuadratureMatchesExplicitForm) {
   Rng rng(23);
   const auto a = RandomGraph(40, 4.0, &rng);
@@ -192,16 +151,6 @@ TEST(LanczosTest, TopEigenvaluesKLargerThanDim) {
   Rng rng(2);
   const auto top = TopEigenvalues(a, 10, 10, &rng);
   EXPECT_EQ(top.size(), 3u);
-}
-
-TEST(LanczosTest, SpectralNormEstimateMatchesDense) {
-  Rng rng(66);
-  const auto a = RandomGraph(60, 4.0, &rng);
-  const auto exact = SymmetricEigenvalues(DenseMatrix::FromSparse(a));
-  const double norm_exact =
-      std::max(std::abs(exact.front()), std::abs(exact.back()));
-  Rng est_rng(3);
-  EXPECT_NEAR(SpectralNormEstimate(a, 40, &est_rng), norm_exact, 1e-6);
 }
 
 // Property sweep: Lanczos exp quadrature error decays with steps across
