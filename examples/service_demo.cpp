@@ -77,11 +77,11 @@ int main() {
     return 0;
   }
 
-  // 4. Commit the winning scenario off-thread: the async pipeline applies
-  //    it FIFO while readers keep serving v1; the future delivers the new
-  //    version id. Queries pinned to v1 still replay bit-identically;
-  //    latest-version queries see the new route's demand already served.
-  const std::uint64_t v2 = service.CommitAsync(best->result).get();
+  // 4. Commit the winning scenario: readers keep serving v1 until the new
+  //    version is published. Queries pinned to v1 still replay
+  //    bit-identically; latest-version queries see the new route's demand
+  //    already served.
+  const std::uint64_t v2 = service.Commit(best->result);
   std::printf("\ncommitted best route (k=%d, w=%.2f) -> snapshot v%llu\n",
               best->k, best->w, static_cast<unsigned long long>(v2));
 

@@ -38,22 +38,22 @@ PlanningService::PlanningService(const ServiceOptions& options)
       queue_capacity_(std::max<std::size_t>(1, options.queue_capacity)),
       overflow_policy_(options.overflow_policy),
       paused_(options.start_paused) {
+  // Resolve every instrument once; the hot path records through these raw
+  // pointers without ever touching the registry mutex again. The counters
+  // are the one tally service_stats() reads, so they always exist.
+  counters_.submitted = metrics_.GetCounter("service.submitted");
+  counters_.completed = metrics_.GetCounter("service.completed");
+  counters_.rejected = metrics_.GetCounter("service.rejected");
+  counters_.precomputes_from_scratch =
+      metrics_.GetCounter("service.precompute.from_scratch");
+  counters_.precomputes_derived =
+      metrics_.GetCounter("service.precompute.derived");
+  counters_.commits = metrics_.GetCounter("service.commit.total");
+  counters_.snapshots_pruned =
+      metrics_.GetCounter("service.retention.snapshots_pruned");
+  counters_.lineage_trimmed =
+      metrics_.GetCounter("service.retention.lineage_trimmed");
   if (metrics_enabled_) {
-    // Resolve every instrument once; the hot path records through these
-    // raw pointers without ever touching the registry mutex again.
-    counters_.submitted = metrics_.GetCounter("service.submitted");
-    counters_.completed = metrics_.GetCounter("service.completed");
-    counters_.rejected = metrics_.GetCounter("service.rejected");
-    counters_.precomputes_from_scratch =
-        metrics_.GetCounter("service.precompute.from_scratch");
-    counters_.precomputes_derived =
-        metrics_.GetCounter("service.precompute.derived");
-    counters_.commits = metrics_.GetCounter("service.commit.total");
-    counters_.async_commits = metrics_.GetCounter("service.commit.async");
-    counters_.snapshots_pruned =
-        metrics_.GetCounter("service.retention.snapshots_pruned");
-    counters_.lineage_trimmed =
-        metrics_.GetCounter("service.retention.lineage_trimmed");
     for (int p = 0; p < 2; ++p) {
       latency_[p].queue = metrics_.GetHistogram(kPhaseNames[p][0]);
       latency_[p].precompute = metrics_.GetHistogram(kPhaseNames[p][1]);
@@ -68,8 +68,6 @@ PlanningService::PlanningService(const ServiceOptions& options)
     if (threads <= 0) threads = 1;
   }
   threads_per_shard_ = threads;
-  core::MutexLock lock(commit_mu_);
-  commit_worker_ = std::thread([this] { CommitLoop(); });
 }
 
 PlanningService::~PlanningService() { Shutdown(); }
@@ -186,21 +184,12 @@ std::future<ServiceResult> PlanningService::Submit(PlanRequest request) {
     task.submit_trace_offset = trace_.Now();
   }
   std::future<ServiceResult> future = task.promise.get_future();
-  // Count the submission before the task becomes visible to workers, so
-  // completed can never be observed ahead of submitted.
-  {
-    core::MutexLock lock(stats_mu_);
-    ++service_stats_.submitted;
-  }
   {
     core::MutexLock lock(shard->mu);
     if (overflow_policy_ == OverflowPolicy::kReject &&
         shard->queued() >= queue_capacity_ && !shutting_down_.load()) {
       lock.Unlock();
-      if (metrics_enabled_) counters_.rejected->Add();
-      core::MutexLock stats_lock(stats_mu_);
-      --service_stats_.submitted;
-      ++service_stats_.rejected;
+      counters_.rejected->Add();
       throw std::runtime_error("PlanningService: shard queue full for " +
                                task.request.dataset);
     }
@@ -209,10 +198,13 @@ std::future<ServiceResult> PlanningService::Submit(PlanRequest request) {
     }
     if (shutting_down_.load()) {
       lock.Unlock();
-      core::MutexLock stats_lock(stats_mu_);
-      --service_stats_.submitted;
       throw std::runtime_error("PlanningService: Submit after Shutdown");
     }
+    // Admitted: count it before the push, under the lock a worker needs
+    // to dequeue it. The count then happens-before the task's completion,
+    // so a caller woken by its future never reads completed ahead of
+    // submitted, and the reject / shutdown paths have nothing to undo.
+    counters_.submitted->Add();
     // Pin an explicitly requested version against retention while the
     // task waits in the queue ("latest" needs no pin — the latest version
     // is never pruned). Released by Execute.
@@ -230,11 +222,6 @@ std::future<ServiceResult> PlanningService::Submit(PlanRequest request) {
           static_cast<std::int64_t>(shard->queued()));
     }
   }
-  // The metrics counter is monotonic, so it is only bumped after the
-  // enqueue is irrevocable — the reject/shutdown paths above never touch
-  // it — which is what lets it reconcile exactly with ServiceStats (whose
-  // decrement-on-failure pattern a monotonic counter cannot mirror).
-  if (metrics_enabled_) counters_.submitted->Add();
   shard->not_empty.NotifyOne();
   return future;
 }
@@ -244,35 +231,6 @@ ServiceResult PlanningService::Plan(PlanRequest request) {
 }
 
 std::uint64_t PlanningService::Commit(const ServiceResult& result) {
-  return CommitNow(result);
-}
-
-std::future<std::uint64_t> PlanningService::CommitAsync(ServiceResult result) {
-  CommitTask task;
-  task.result = std::move(result);
-  // Pin the planned-against version while the commit waits in the
-  // pipeline: retention passes triggered by earlier commits must not
-  // prune the snapshot this result's edge ids map through.
-  task.shard = FindShard(task.result.request.dataset);
-  task.pinned_version = task.result.stats.snapshot_version;
-  if (task.pinned_version != 0) {
-    core::MutexLock lock(task.shard->mu);
-    ++task.shard->version_pins[task.pinned_version];
-  }
-  std::future<std::uint64_t> future = task.promise.get_future();
-  {
-    core::MutexLock lock(commit_mu_);
-    if (commit_shutdown_) {
-      UnpinVersion(task.shard.get(), task.pinned_version);
-      throw std::runtime_error("PlanningService: CommitAsync after Shutdown");
-    }
-    commit_queue_.push_back(std::move(task));
-  }
-  commit_cv_.NotifyOne();
-  return future;
-}
-
-std::uint64_t PlanningService::CommitNow(const ServiceResult& result) {
   // The commit span reuses the request's trace id (when it was traced), so
   // a request's whole lifecycle joins on one id in the trace dump.
   const bool traced = trace_.enabled() && result.stats.trace_id != 0;
@@ -308,7 +266,7 @@ std::uint64_t PlanningService::CommitNow(const ServiceResult& result) {
       store->CommitRoute(result.plan, precompute->universe,
                          /*base_version=*/0);
   ApplyRetention(request.dataset, shard.get());
-  if (metrics_enabled_) counters_.commits->Add();
+  counters_.commits->Add();
   if (traced) {
     obs::Span span;
     span.trace_id = result.stats.trace_id;
@@ -321,63 +279,28 @@ std::uint64_t PlanningService::CommitNow(const ServiceResult& result) {
   return new_version;
 }
 
-void PlanningService::CommitLoop() {
-  for (;;) {
-    CommitTask task;
-    {
-      core::MutexLock lock(commit_mu_);
-      while (!commit_shutdown_ && commit_queue_.empty()) {
-        commit_cv_.Wait(commit_mu_);
-      }
-      if (commit_queue_.empty()) return;  // shutting down and drained
-      task = std::move(commit_queue_.front());
-      commit_queue_.pop_front();
-    }
-    try {
-      const std::uint64_t version = CommitNow(task.result);
-      UnpinVersion(task.shard.get(), task.pinned_version);
-      if (metrics_enabled_) counters_.async_commits->Add();
-      {
-        core::MutexLock lock(stats_mu_);
-        ++service_stats_.async_commits;
-      }
-      task.promise.set_value(version);
-    } catch (...) {
-      UnpinVersion(task.shard.get(), task.pinned_version);
-      task.promise.set_exception(std::current_exception());
-    }
-  }
-}
-
-void PlanningService::UnpinVersionLocked(Shard* shard,
-                                         std::uint64_t version) {
+void PlanningService::UnpinVersion(Shard* shard, std::uint64_t version) {
   if (version == 0) return;
+  core::MutexLock lock(shard->mu);
   const auto it = shard->version_pins.find(version);
   if (it == shard->version_pins.end()) return;
   if (--it->second <= 0) shard->version_pins.erase(it);
-}
-
-void PlanningService::UnpinVersion(Shard* shard, std::uint64_t version) {
-  if (shard == nullptr || version == 0) return;
-  core::MutexLock lock(shard->mu);
-  UnpinVersionLocked(shard, version);
 }
 
 void PlanningService::ApplyRetention(const std::string& dataset,
                                      Shard* shard) {
   const SnapshotRetentionPolicy& policy = shard->retention;
   if (policy.keep_latest == 0 && policy.max_bytes == 0) return;
-  // Protected set: versions pinned by queued requests / pending commits,
-  // plus every version with a resident cache entry for this dataset (a
-  // ready entry is a live warm-start donor whose lineage must survive;
-  // an in-flight entry is a derive in progress whose target version's
-  // lineage walk is happening right now). The cache keys are read first
-  // (cache lock), then shard->mu is held ACROSS the store call: pins are
-  // taken under shard->mu, so a concurrent Submit/CommitAsync pin either
-  // lands before the pass (and is protected) or after it (and sees the
-  // post-prune store, where a pruned version fails like any unknown
-  // version). Holding shard->mu while taking the store's index lock is
-  // safe: no path acquires them in the other order.
+  // Protected set: versions pinned by queued requests, plus every version
+  // with a resident cache entry for this dataset (a ready entry is a live
+  // warm-start donor whose lineage must survive; an in-flight entry is a
+  // derive in progress whose target version's lineage walk is happening
+  // right now). The cache keys are read first (cache lock), then shard->mu
+  // is held ACROSS the store call: pins are taken under shard->mu, so a
+  // concurrent Submit pin either lands before the pass (and is protected)
+  // or after it (and sees the post-prune store, where a pruned version
+  // fails like any unknown version). Holding shard->mu while taking the
+  // store's index lock is safe: no path acquires them in the other order.
   std::vector<std::uint64_t> protected_versions;
   for (const PrecomputeKey& key : cache_.KeysByRecency()) {
     if (key.dataset == dataset) {
@@ -396,14 +319,8 @@ void PlanningService::ApplyRetention(const std::string& dataset,
     shard->snapshots_pruned += result.versions_pruned;
     shard->lineage_trimmed += result.lineage_trimmed;
   }
-  if (result.versions_pruned == 0 && result.lineage_trimmed == 0) return;
-  if (metrics_enabled_) {
-    counters_.snapshots_pruned->Add(result.versions_pruned);
-    counters_.lineage_trimmed->Add(result.lineage_trimmed);
-  }
-  core::MutexLock lock(stats_mu_);
-  service_stats_.snapshots_pruned += result.versions_pruned;
-  service_stats_.lineage_trimmed += result.lineage_trimmed;
+  counters_.snapshots_pruned->Add(result.versions_pruned);
+  counters_.lineage_trimmed->Add(result.lineage_trimmed);
 }
 
 PrecomputeCache::PrecomputePtr PlanningService::ResolvePrecompute(
@@ -445,24 +362,23 @@ PrecomputeCache::PrecomputePtr PlanningService::ResolvePrecompute(
   if (cache_hit != nullptr) *cache_hit = was_hit;
   if (derived != nullptr) *derived = was_derived;
   if (!was_hit) {
-    if (metrics_enabled_) {
-      (was_derived ? counters_.precomputes_derived
-                   : counters_.precomputes_from_scratch)
-          ->Add();
-    }
-    core::MutexLock lock(stats_mu_);
-    if (was_derived) {
-      ++service_stats_.precomputes_derived;
-    } else {
-      ++service_stats_.precomputes_from_scratch;
-    }
+    (was_derived ? counters_.precomputes_derived
+                 : counters_.precomputes_from_scratch)
+        ->Add();
   }
   return precompute;
 }
 
 PlanningService::ServiceStats PlanningService::service_stats() const {
-  core::MutexLock lock(stats_mu_);
-  return service_stats_;
+  ServiceStats stats;
+  stats.submitted = counters_.submitted->Value();
+  stats.completed = counters_.completed->Value();
+  stats.rejected = counters_.rejected->Value();
+  stats.precomputes_from_scratch = counters_.precomputes_from_scratch->Value();
+  stats.precomputes_derived = counters_.precomputes_derived->Value();
+  stats.snapshots_pruned = counters_.snapshots_pruned->Value();
+  stats.lineage_trimmed = counters_.lineage_trimmed->Value();
+  return stats;
 }
 
 PlanningService::DatasetMemoryStats PlanningService::dataset_memory_stats(
@@ -570,17 +486,6 @@ void PlanningService::Shutdown() {
     core::MutexLock lock(shard->mu);
     while (shard->live_workers != 0) shard->workers_done.Wait(shard->mu);
   }
-  // Drain the commit pipeline after the plan queues: workers are gone, so
-  // no new CommitAsync producer is racing the drain from inside the
-  // service (external callers now get a throw).
-  std::thread commit_claimed;
-  {
-    core::MutexLock lock(commit_mu_);
-    commit_shutdown_ = true;
-    commit_claimed.swap(commit_worker_);
-  }
-  commit_cv_.NotifyAll();
-  if (commit_claimed.joinable()) commit_claimed.join();
 }
 
 void PlanningService::WorkerLoop(Shard* shard, int worker_id) {
@@ -727,21 +632,11 @@ void PlanningService::Execute(Shard* shard, Task task, int worker_id,
     }
     // Count completion before fulfilling the promise, so a caller woken by
     // the future observes the counter already advanced.
-    if (metrics_enabled_) {
-      counters_.completed->Add();
-      RecordRequestLatency(task.request.priority, stats);
-    }
-    {
-      core::MutexLock lock(stats_mu_);
-      ++service_stats_.completed;
-    }
+    counters_.completed->Add();
+    RecordRequestLatency(task.request.priority, stats);
     task.promise.set_value(std::move(result));
   } catch (...) {
-    if (metrics_enabled_) counters_.completed->Add();
-    {
-      core::MutexLock lock(stats_mu_);
-      ++service_stats_.completed;
-    }
+    counters_.completed->Add();
     task.promise.set_exception(std::current_exception());
   }
 }

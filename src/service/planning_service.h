@@ -1,6 +1,6 @@
 // Sharded, priority-aware planning service: per-dataset worker pools
 // answering CT-Bus planning queries against versioned network snapshots,
-// with a shared precompute cache and an async commit pipeline.
+// with a shared precompute cache and one synchronous commit path.
 //
 // Request lifecycle:
 //   Submit(PlanRequest) -> the request's *dataset shard* (its own bounded
@@ -30,31 +30,32 @@
 // compute (PrecomputeCache's in-flight dedup). Every request still builds
 // a private PlanningContext, so results are bit-identical to serial runs.
 //
-// Commits: Commit applies a result synchronously; CommitAsync enqueues it
-// on a dedicated commit thread and returns a future of the new version.
-// Either way readers keep serving the prior snapshot — SnapshotStore
-// publishes copy-on-write — and async commits apply in submission order,
-// so they stack exactly like sequential Commit calls.
+// Commits: Commit applies a result on the calling thread, from any
+// thread. Concurrent commits to one dataset serialize inside
+// SnapshotStore::CommitRoute and each stacks on the latest version, while
+// readers keep serving the prior snapshot (SnapshotStore publishes
+// copy-on-write).
 //
 // Memory governance: the precompute cache evicts by a byte budget
 // (ServiceOptions::cache_max_bytes, entry count as a secondary limit) and
 // every commit is followed by a SnapshotRetentionPolicy pass over the
 // dataset's snapshot store (keep-latest-K + byte budget). Versions pinned
-// by queued explicit-version requests or pending async commits, and
-// versions with resident precompute-cache entries (warm-start donors,
-// in-flight derives), are never pruned and keep their lineage — so
+// by queued explicit-version requests, and versions with resident
+// precompute-cache entries (warm-start donors, in-flight derives), are
+// never pruned and keep their lineage — so
 // budgets only ever change recompute cost and stats, never planning
 // results. Budgets are deliberately NOT part of PrecomputeKey: two
 // services differing only in budgets produce bit-identical plans.
 //
-// Observability: the service owns an obs::MetricsRegistry (counters that
-// mirror ServiceStats exactly, per-phase/per-priority latency histograms,
-// per-shard queue-depth gauges — all lock-free on the record path) and an
-// obs::TraceLog span recorder (queue-wait -> precompute-resolve ->
-// context-build -> plan-search -> commit, one trace id per request,
-// bounded ring, JSON-lines export). MetricsSnapshot() merges the registry
-// with read-time views of the precompute cache and each shard's snapshot
-// store; WriteMetricsJson serializes it. Tracing is off by default and
+// Observability: the service owns an obs::MetricsRegistry (the service
+// counters — the one tally service_stats() reads — plus per-phase /
+// per-priority latency histograms and per-shard queue-depth gauges, all
+// lock-free on the record path) and an obs::TraceLog span recorder
+// (queue-wait -> precompute-resolve -> context-build -> plan-search ->
+// commit, one trace id per request, bounded ring, JSON-lines export).
+// MetricsSnapshot() merges the registry with read-time views of the
+// precompute cache and each shard's snapshot store; WriteMetricsJson
+// serializes it. Tracing is off by default and
 // costs one branch when off; neither metrics nor tracing ever changes a
 // planning result.
 //
@@ -148,7 +149,7 @@ struct ServiceOptions {
   /// ctbus-lint: key-exempt(on-disk artifacts are keyed by PrecomputeKey content, not by path; the directory changes where bytes persist, never what a key computes to)
   std::string cache_spill_dir;
   /// Snapshot retention applied to a dataset's SnapshotStore after every
-  /// Commit / CommitAsync (defaults keep everything — prior behavior).
+  /// Commit (defaults keep everything — prior behavior).
   /// RegisterDataset can override per dataset. Pruning never changes
   /// planning results: pinned and cache-resident versions are protected,
   /// and a request against a genuinely pruned version fails the same way
@@ -164,13 +165,14 @@ struct ServiceOptions {
   /// priority drain order.
   /// ctbus-lint: key-exempt(lifecycle toggle, no effect on results)
   bool start_paused = false;
-  /// Record service metrics (counters mirroring ServiceStats, per-phase /
-  /// per-priority latency histograms, shard queue-depth gauges) into the
-  /// service's MetricsRegistry. The record path is lock-free atomics; the
-  /// hot-path overhead target is < 2% (bench_service_throughput's
-  /// "metrics overhead" section measures it). Disabling leaves every
-  /// registry instrument at zero — MetricsSnapshot() then reports only
-  /// the always-on cache / snapshot-store views. Metrics NEVER affect
+  /// Record per-phase / per-priority latency histograms and per-shard
+  /// queue-depth gauges into the service's MetricsRegistry. The record
+  /// path is lock-free atomics; the hot-path overhead target is < 2%
+  /// (bench_service_throughput's "metrics overhead" section measures it).
+  /// The `service.*` counters are not gated: they are the one tally
+  /// behind service_stats(), so they always count. Disabling drops the
+  /// histograms and gauges from MetricsSnapshot(); the counters and the
+  /// read-time cache / snapshot-store views stay. Metrics NEVER affect
   /// planning results either way.
   /// ctbus-lint: key-exempt(observability toggle, result-neutral by contract)
   bool enable_metrics = true;
@@ -294,36 +296,37 @@ class PlanningService {
   /// the same older snapshot. Returns the new version id. In-flight
   /// queries against older versions are unaffected; later latest-version
   /// requests see the new city.
+  ///
+  /// Safe to call from any thread: concurrent commits to one dataset
+  /// serialize inside SnapshotStore::CommitRoute, each stacking on the
+  /// version the previous one published. Throws std::invalid_argument
+  /// for an unknown dataset or a planned-against version that is neither
+  /// resident nor cached. Commit does not go through the worker queues,
+  /// so it keeps applying after Shutdown.
   std::uint64_t Commit(const ServiceResult& result);
-
-  /// Commit, but applied off the caller thread by the service's dedicated
-  /// commit worker. Async commits apply strictly in CommitAsync-call
-  /// order (FIFO), so a sequence of CommitAsync calls stacks exactly like
-  /// the same sequence of Commit calls; readers keep serving the prior
-  /// snapshot until each new version is published. Errors surface through
-  /// the returned future. Throws std::runtime_error after Shutdown.
-  std::future<std::uint64_t> CommitAsync(ServiceResult result);
 
   PrecomputeCache::Stats cache_stats() const { return cache_.stats(); }
 
+  /// A read of the `service.*` registry counters: each field is the value
+  /// of the counter named beside it, so there is no second tally.
   struct ServiceStats {
-    std::uint64_t submitted = 0;
-    std::uint64_t completed = 0;
+    std::uint64_t submitted = 0;  // service.submitted
+    std::uint64_t completed = 0;  // service.completed
     /// Submissions refused by OverflowPolicy::kReject (not counted in
     /// `submitted`).
-    std::uint64_t rejected = 0;
+    std::uint64_t rejected = 0;  // service.rejected
     /// Cache misses answered from scratch vs. derived from an ancestor
-    /// version's precompute (Execute and Commit both count).
+    /// version's precompute (Execute and Commit both count):
+    /// service.precompute.from_scratch / service.precompute.derived.
     std::uint64_t precomputes_from_scratch = 0;
     std::uint64_t precomputes_derived = 0;
-    /// Commits applied by the async pipeline (CommitAsync only).
-    std::uint64_t async_commits = 0;
     /// Snapshot versions pruned / lineage records trimmed by the
-    /// post-commit retention passes, summed across datasets.
+    /// post-commit retention passes, summed across datasets:
+    /// service.retention.snapshots_pruned / .lineage_trimmed.
     std::uint64_t snapshots_pruned = 0;
     std::uint64_t lineage_trimmed = 0;
   };
-  ServiceStats service_stats() const CTBUS_EXCLUDES(stats_mu_);
+  ServiceStats service_stats() const;
 
   /// Per-dataset memory accounting, read under the shard's lock.
   struct DatasetMemoryStats {
@@ -332,7 +335,7 @@ class PlanningService {
     std::size_t snapshot_bytes = 0;
     /// Lineage records currently resident in the store.
     std::size_t lineage_records = 0;
-    /// Distinct versions pinned by queued requests / pending commits.
+    /// Distinct versions pinned by queued explicit-version requests.
     std::size_t pinned_versions = 0;
     /// Cumulative retention-pass removals for this dataset.
     std::uint64_t snapshots_pruned = 0;
@@ -341,12 +344,12 @@ class PlanningService {
   DatasetMemoryStats dataset_memory_stats(const std::string& dataset) const;
 
   /// One deterministically ordered (name-sorted) view of every service
-  /// metric: the registry's counters / gauges / histograms (exactly
-  /// mirroring ServiceStats when metrics are enabled — reconciliation is
-  /// tested) plus always-on views computed at read time: `cache.*` from
-  /// the precompute cache and `dataset.<name>.*` from each shard's
-  /// snapshot store. Metric names are stable API — bench JSON, dashboards,
-  /// and tests key on them; rename only with a deprecation note.
+  /// metric: the registry's counters / gauges / histograms (the counters
+  /// are what service_stats() reads) plus always-on views computed at
+  /// read time: `cache.*` from the precompute cache and `dataset.<name>.*`
+  /// from each shard's snapshot store. Metric names are stable API —
+  /// bench JSON, dashboards, and tests key on them; rename only with a
+  /// deprecation note.
   obs::MetricsSnapshot MetricsSnapshot() const;
 
   /// MetricsSnapshot() serialized as one JSON object (see
@@ -363,9 +366,8 @@ class PlanningService {
   /// Total workers across all registered dataset shards.
   int num_workers() const;
 
-  /// Drains every shard's queue and the commit pipeline, waits for
-  /// in-flight work, joins all pools. Further Submits throw. Idempotent;
-  /// called by the destructor.
+  /// Drains every shard's queue, waits for in-flight work, joins all
+  /// pools. Further Submits throw. Idempotent; called by the destructor.
   void Shutdown();
 
  private:
@@ -403,8 +405,8 @@ class PlanningService {
     std::deque<Task> sweep CTBUS_GUARDED_BY(mu);
     int live_workers CTBUS_GUARDED_BY(mu) = 0;
     std::vector<std::thread> workers CTBUS_GUARDED_BY(mu);
-    /// version -> pin count for queued explicit-version requests and
-    /// pending async commits; pinned versions survive retention passes.
+    /// version -> pin count for queued explicit-version requests; pinned
+    /// versions survive retention passes.
     std::unordered_map<std::uint64_t, int> version_pins CTBUS_GUARDED_BY(mu);
     /// Cumulative retention removals for this dataset.
     std::uint64_t snapshots_pruned CTBUS_GUARDED_BY(mu) = 0;
@@ -420,17 +422,6 @@ class PlanningService {
     }
   };
 
-  struct CommitTask {
-    ServiceResult result;
-    std::promise<std::uint64_t> promise;
-    /// The planned-against version, pinned from CommitAsync until the
-    /// commit applies, so retention cannot prune the snapshot the
-    /// result's edge ids resolve through. The shard is captured so the
-    /// unpin cannot race a dataset lookup.
-    std::shared_ptr<Shard> shard;
-    std::uint64_t pinned_version = 0;
-  };
-
   /// One worker's memo of the request-invariant planning state it built
   /// last (core::PlanningBase). Owned by WorkerLoop and touched only by
   /// its worker, so it needs no lock. `snapshot` is held because the
@@ -443,14 +434,12 @@ class PlanningService {
   };
 
   void WorkerLoop(Shard* shard, int worker_id) CTBUS_EXCLUDES(shard->mu);
-  void CommitLoop() CTBUS_EXCLUDES(commit_mu_);
   /// Resolves the task's snapshot + precompute, then plans it with a
   /// private context over the worker's memoized base (rebuilt into `memo`
   /// when the snapshot or the precompute differs), and fulfills the task's
   /// promise.
   void Execute(Shard* shard, Task task, int worker_id, BaseMemo* memo)
       CTBUS_EXCLUDES(shard->mu);
-  std::uint64_t CommitNow(const ServiceResult& result);
   std::shared_ptr<SnapshotStore> Store(const std::string& dataset) const
       CTBUS_EXCLUDES(datasets_mu_);
   std::shared_ptr<Shard> FindShard(const std::string& dataset) const
@@ -459,9 +448,6 @@ class PlanningService {
   /// Decrements `version`'s pin count on `shard` (no-op for version 0).
   void UnpinVersion(Shard* shard, std::uint64_t version)
       CTBUS_EXCLUDES(shard->mu);
-  /// Same, with shard->mu already held by the caller.
-  void UnpinVersionLocked(Shard* shard, std::uint64_t version)
-      CTBUS_REQUIRES(shard->mu);
   /// Runs the shard's retention policy over its snapshot store,
   /// protecting pinned versions and every version with a resident
   /// precompute-cache entry for `dataset`. Called after each commit;
@@ -481,8 +467,10 @@ class PlanningService {
       bool* cache_hit, bool* derived);
 
   /// The registry instruments the hot path records through, resolved once
-  /// at construction. Counter names mirror ServiceStats field-for-field;
-  /// latency histograms are indexed [phase][priority class].
+  /// at construction. The counters are always registered and are the only
+  /// tally behind ServiceStats (plus `service.commit.total`); the latency
+  /// histograms, indexed [phase][priority class], exist only with
+  /// enable_metrics.
   struct PhaseHistograms {
     obs::Histogram* queue = nullptr;
     obs::Histogram* precompute = nullptr;
@@ -496,8 +484,7 @@ class PlanningService {
     obs::Counter* rejected = nullptr;
     obs::Counter* precomputes_from_scratch = nullptr;
     obs::Counter* precomputes_derived = nullptr;
-    obs::Counter* commits = nullptr;  // CommitNow successes (sync + async)
-    obs::Counter* async_commits = nullptr;
+    obs::Counter* commits = nullptr;  // successful Commit calls
     obs::Counter* snapshots_pruned = nullptr;
     obs::Counter* lineage_trimmed = nullptr;
   };
@@ -534,15 +521,6 @@ class PlanningService {
 
   std::atomic<std::uint64_t> execute_sequence_{0};
   std::atomic<int> next_worker_id_{0};
-
-  core::Mutex commit_mu_;
-  core::CondVar commit_cv_;
-  std::deque<CommitTask> commit_queue_ CTBUS_GUARDED_BY(commit_mu_);
-  bool commit_shutdown_ CTBUS_GUARDED_BY(commit_mu_) = false;
-  std::thread commit_worker_ CTBUS_GUARDED_BY(commit_mu_);
-
-  mutable core::Mutex stats_mu_;
-  ServiceStats service_stats_ CTBUS_GUARDED_BY(stats_mu_);
 };
 
 }  // namespace ctbus::service

@@ -1,6 +1,6 @@
 // Soak test of the front door: several client threads fire pipelined
 // bursts over real TCP connections at one server with a tight in-flight
-// quota while the main thread interleaves CommitAsync batches that
+// quota while the main thread interleaves Commit batches that
 // advance the dataset. Extends the service_stress_test discipline one
 // layer out: every kOk response is replayed serially (fresh
 // PlanningContext over the snapshot version the service resolved) and
@@ -140,13 +140,13 @@ TEST(NetSoak, ConcurrentClientsWithCommitsReplayBitIdentically) {
   }
 
   // Interleaved commits from the main thread while the clients hammer
-  // the front door: plan fresh, commit async, repeat.
+  // the front door: plan fresh, commit, repeat.
   for (int commit = 0; commit < 3; ++commit) {
     PlanRequest request = SoakRequest(0, 1);
     request.snapshot_version = 0;
     const service::ServiceResult result = service.Plan(request);
     ASSERT_TRUE(result.plan.found);
-    service.CommitAsync(result).get();
+    service.Commit(result);
   }
   for (std::thread& client : clients) client.join();
   server.Stop();

@@ -1,5 +1,5 @@
-// Service-level observability: MetricsSnapshot() reconciles exactly with
-// ServiceStats at quiescence, metric names are stable and sorted, spans
+// Service-level observability: ServiceStats reads the registry counters
+// under their stable names, metric names are sorted, spans
 // cover the request lifecycle, and metrics/tracing never change planning
 // results (bit-identity on or off). Run under TSan in CI.
 #include <gtest/gtest.h>
@@ -57,8 +57,8 @@ const obs::HistogramSnapshot* FindHistogram(
   return nullptr;
 }
 
-/// Every ServiceStats field must equal its registry counter at quiescence
-/// — counter-for-counter, which is what makes the metrics trustworthy.
+/// Every ServiceStats field must read the registry counter of its
+/// documented name — the counters are the only tally.
 void ExpectReconciles(const PlanningService& service) {
   const PlanningService::ServiceStats stats = service.service_stats();
   const obs::MetricsSnapshot snapshot = service.MetricsSnapshot();
@@ -69,8 +69,6 @@ void ExpectReconciles(const PlanningService& service) {
             stats.precomputes_from_scratch);
   EXPECT_EQ(CounterValue(snapshot, "service.precompute.derived"),
             stats.precomputes_derived);
-  EXPECT_EQ(CounterValue(snapshot, "service.commit.async"),
-            stats.async_commits);
   EXPECT_EQ(CounterValue(snapshot, "service.retention.snapshots_pruned"),
             stats.snapshots_pruned);
   EXPECT_EQ(CounterValue(snapshot, "service.retention.lineage_trimmed"),
@@ -91,14 +89,14 @@ TEST(ServiceMetricsTest, CountersReconcileWithServiceStats) {
   ServiceResult last;
   for (auto& future : futures) last = future.get();
   service.Commit(last);
-  service.CommitAsync(last).get();
+  service.Commit(last);
   ExpectReconciles(service);
 
   const PlanningService::ServiceStats stats = service.service_stats();
   EXPECT_EQ(stats.submitted, 6u);
   EXPECT_EQ(stats.completed, 6u);
   const obs::MetricsSnapshot snapshot = service.MetricsSnapshot();
-  // CommitNow ran twice: once sync, once via the async pipeline.
+  // Both commits count, each stacking on the latest version.
   EXPECT_EQ(CounterValue(snapshot, "service.commit.total"), 2u);
 }
 
@@ -187,7 +185,7 @@ TEST(ServiceMetricsTest, SnapshotIsSortedAndHasCacheAndDatasetViews) {
   EXPECT_NE(first.str().find("\"service.completed\": 1"), std::string::npos);
 }
 
-TEST(ServiceMetricsTest, DisabledMetricsLeaveRegistryEmptyButViewsOn) {
+TEST(ServiceMetricsTest, DisabledMetricsKeepCountersDropHistograms) {
   ServiceOptions options;
   options.num_threads = 1;
   options.enable_metrics = false;
@@ -195,12 +193,22 @@ TEST(ServiceMetricsTest, DisabledMetricsLeaveRegistryEmptyButViewsOn) {
   service.RegisterPreset("midtown");
   service.Plan(MidtownRequest());
 
+  // The counters are the tally behind service_stats(), so they count
+  // whatever enable_metrics says.
+  const PlanningService::ServiceStats stats = service.service_stats();
+  EXPECT_EQ(stats.submitted, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.precomputes_from_scratch, 1u);
+  ExpectReconciles(service);
+
   const obs::MetricsSnapshot snapshot = service.MetricsSnapshot();
-  for (const auto& [name, value] : snapshot.counters) {
-    EXPECT_EQ(name.rfind("service.", 0), std::string::npos)
-        << "registry counter " << name << " present with metrics disabled";
-  }
+  // enable_metrics gates only the latency histograms and the queue-depth
+  // gauges.
   EXPECT_TRUE(snapshot.histograms.empty());
+  for (const auto& [name, value] : snapshot.gauges) {
+    EXPECT_EQ(name.rfind("service.shard.", 0), std::string::npos)
+        << "gauge " << name << " present with metrics disabled";
+  }
   // The read-time cache / dataset views stay on regardless.
   EXPECT_EQ(CounterValue(snapshot, "cache.misses"), 1u);
 }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/planning_context.h"
@@ -254,7 +256,7 @@ TEST(PlanningServiceTest, WorkerBaseMemoNeverServesStaleState) {
   ExpectBitIdentical(service.Plan(other_online).plan, v1_results[0].plan);
 
   ASSERT_TRUE(v1_results[0].plan.found);
-  EXPECT_EQ(service.CommitAsync(v1_results[0]).get(), 2u);
+  EXPECT_EQ(service.Commit(v1_results[0]), 2u);
 
   std::vector<ServiceResult> after;
   after.push_back(service.Plan(request_for(2, core::Planner::kEtaPre, 0)));
@@ -392,55 +394,71 @@ TEST(PlanningServiceTest, PerDatasetShardsIsolateBacklogs) {
   }
 }
 
-TEST(PlanningServiceTest, AsyncCommitsApplyInOrderAndStack) {
+TEST(PlanningServiceTest, CommitOfUnknownVersionThrows) {
+  PlanningService service(ServiceOptions{});
+  service.RegisterPreset("midtown");
+  const ServiceResult eta = service.Plan(MidtownRequest());
+  ASSERT_TRUE(eta.plan.found);
+
+  ServiceResult bogus = eta;
+  bogus.stats.snapshot_version = 99;
+  bogus.request.snapshot_version = 99;
+  EXPECT_THROW(service.Commit(bogus), std::invalid_argument);
+
+  // Commit bypasses the worker queues, so it keeps applying after
+  // Shutdown.
+  service.Shutdown();
+  EXPECT_EQ(service.Commit(eta), 2u);
+}
+
+TEST(PlanningServiceTest, ConcurrentCommitsStack) {
   ServiceOptions service_options;
   service_options.num_threads = 2;
   PlanningService service(service_options);
   service.RegisterPreset("midtown");
 
-  const ServiceResult eta = service.Plan(MidtownRequest(core::Planner::kEtaPre));
-  const ServiceResult tsp = service.Plan(MidtownRequest(core::Planner::kVkTsp));
-  ASSERT_TRUE(eta.plan.found);
-  ASSERT_TRUE(tsp.plan.found);
-
-  // Both plans were computed against v1; the async pipeline must stack
-  // them FIFO: eta -> v2, tsp -> v3.
-  std::future<std::uint64_t> first = service.CommitAsync(eta);
-  std::future<std::uint64_t> second = service.CommitAsync(tsp);
-  EXPECT_EQ(first.get(), 2u);
-  EXPECT_EQ(second.get(), 3u);
-  EXPECT_EQ(service.LatestVersion("midtown"), 3u);
-  EXPECT_EQ(service.service_stats().async_commits, 2u);
-
-  const SnapshotPtr v1 = service.Snapshot("midtown", 1);
-  const SnapshotPtr v3 = service.Snapshot("midtown", 3);
-  ASSERT_NE(v1, nullptr);
-  ASSERT_NE(v3, nullptr);
-  EXPECT_EQ(v3->transit->num_active_routes(),
-            v1->transit->num_active_routes() + 2);
-
-  // A failed async commit surfaces through its future, not the service.
-  ServiceResult bogus = eta;
-  bogus.stats.snapshot_version = 99;
-  bogus.request.snapshot_version = 99;
-  auto failed = service.CommitAsync(bogus);
-  EXPECT_THROW(failed.get(), std::invalid_argument);
-}
-
-TEST(PlanningServiceTest, ShutdownDrainsPendingAsyncCommits) {
-  std::future<std::uint64_t> pending;
-  {
-    ServiceOptions service_options;
-    PlanningService service(service_options);
-    service.RegisterPreset("midtown");
-    const ServiceResult result = service.Plan(MidtownRequest());
-    ASSERT_TRUE(result.plan.found);
-    pending = service.CommitAsync(result);
-    service.Shutdown();
-    EXPECT_THROW(service.CommitAsync(result), std::runtime_error);
+  // Four distinct plans, all computed against v1.
+  std::vector<ServiceResult> plans;
+  for (const int k : {4, 6}) {
+    for (const core::Planner planner :
+         {core::Planner::kEtaPre, core::Planner::kVkTsp}) {
+      PlanRequest request = MidtownRequest(planner);
+      request.options.k = k;
+      plans.push_back(service.Plan(request));
+      ASSERT_TRUE(plans.back().plan.found);
+      ASSERT_EQ(plans.back().stats.snapshot_version, 1u);
+    }
   }
-  // The commit enqueued before Shutdown was applied, not dropped.
-  EXPECT_EQ(pending.get(), 2u);
+  std::set<std::vector<int>> routes;
+  for (const ServiceResult& result : plans) {
+    routes.insert(result.plan.path.stops());
+  }
+  ASSERT_EQ(routes.size(), plans.size());
+
+  // All four threads commit at once; each must stack on the version the
+  // previous commit published, whatever order they land in.
+  std::promise<void> go;
+  const std::shared_future<void> start = go.get_future().share();
+  std::vector<std::uint64_t> versions(plans.size(), 0);
+  std::vector<std::thread> committers;
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    committers.emplace_back([&, i] {
+      start.wait();
+      versions[i] = service.Commit(plans[i]);
+    });
+  }
+  go.set_value();
+  for (std::thread& committer : committers) committer.join();
+
+  EXPECT_EQ(std::set<std::uint64_t>(versions.begin(), versions.end()),
+            (std::set<std::uint64_t>{2, 3, 4, 5}));
+  EXPECT_EQ(service.LatestVersion("midtown"), 5u);
+  const SnapshotPtr v1 = service.Snapshot("midtown", 1);
+  const SnapshotPtr latest = service.Snapshot("midtown");
+  ASSERT_NE(v1, nullptr);
+  ASSERT_NE(latest, nullptr);
+  EXPECT_EQ(latest->transit->num_active_routes(),
+            v1->transit->num_active_routes() + 4);
 }
 
 }  // namespace

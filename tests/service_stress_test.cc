@@ -118,7 +118,7 @@ TEST(ConcurrentStressTest, SubmitsAndCommitsMatchSerialReplay) {
     request.options = StressOptions();
     const ServiceResult result = service.Plan(request);
     ASSERT_TRUE(result.plan.found);
-    service.CommitAsync(result).get();
+    service.Commit(result);
   }
   for (std::thread& submitter : submitters) submitter.join();
 
