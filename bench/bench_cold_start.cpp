@@ -1,10 +1,14 @@
-// Cold-start trajectory: text-parse + RunPrecompute vs checksummed binary
-// snapshot load (io/snapshot.h), on the chicago preset and the committed
-// grid fixture. The bench is also a correctness gate, not just a stopwatch:
-// the loaded objects must produce bit-identical planner results (route
-// edges, stops, objectives, ResponseChecksum) for all three planners, and
-// the chicago binary load must be >= 10x faster than the text cold start —
-// either failure exits 1.
+// Cold-start trajectory: text-parse + RunPrecompute vs what a restarted
+// `ctbus_server --snapshot F --spill-dir D` reads — the checksummed city
+// snapshot for the networks (io::LoadSnapshot) and the precompute cache's
+// spill entry for Delta(e) (PrecomputeCache's disk hit: the entry load plus
+// its io::NetworkFingerprint match) — on the chicago preset and the
+// committed grid fixture. The bench is also a correctness gate, not just a
+// stopwatch: the loaded precompute must be bit-identical to the computed
+// one, the loaded objects must produce bit-identical planner results
+// (route edges, stops, objectives, ResponseChecksum) for all three
+// planners, and the chicago binary restart must be >= 10x faster than the
+// text cold start — any failure exits 1.
 //
 // Emits BENCH_cold_start.json (ctbus-bench-v1) when CTBUS_BENCH_JSON_DIR
 // is set; tools/bench_diff.py tracks the speedup across commits.
@@ -22,6 +26,7 @@
 #include "io/snapshot.h"
 #include "net/frame.h"
 #include "service/planning_service.h"
+#include "service/precompute_cache.h"
 
 namespace {
 
@@ -102,29 +107,54 @@ double RunTrial(const std::string& name,
                                                   options);
   const double text_seconds = text_watch.Seconds();
 
-  // Stage the snapshot (not timed — this is the build the server does
-  // once), then the binary cold start: one checksummed load.
+  // Stage what a server leaves behind (not timed — the build happens
+  // once): the city snapshot, and the spill entry a cache over the
+  // networks writes when it is destroyed.
+  const std::string spill_dir = (dir / (name + "_spill")).string();
+  fs::remove_all(spill_dir);
+  const ctbus::service::PrecomputeKey key =
+      ctbus::service::MakePrecomputeKey(name, /*snapshot_version=*/1,
+                                        options);
   {
     ctbus::io::Snapshot snapshot;
     snapshot.road = *text_road;
     snapshot.transit = *text_transit;
-    snapshot.precompute = text_precompute;
-    snapshot.provenance = ctbus::io::MakeProvenance(options);
-    snapshot.has_precompute = true;
-    snapshot.demand = ctbus::demand::RankedList(
-        snapshot.precompute.universe.DemandScores());
-    snapshot.has_demand = true;
     std::string error;
     if (!ctbus::io::SaveSnapshot(snapshot, snapshot_path, &error)) {
       std::fprintf(stderr, "cold_start: %s\n", error.c_str());
       std::exit(1);
     }
+    const std::uint64_t fingerprint =
+        ctbus::io::NetworkFingerprint(*text_road, *text_transit);
+    ctbus::service::PrecomputeCache cache(/*capacity=*/1, /*max_bytes=*/0,
+                                          spill_dir);
+    cache.GetOrCompute(
+        key, [&] { return text_precompute; }, nullptr,
+        [fingerprint] { return fingerprint; });
   }
+
+  // The binary restart: load the networks, then answer the first miss
+  // from the spill entry. A compute here means the spill was not used.
+  ctbus::service::PrecomputeCache cache(/*capacity=*/1, /*max_bytes=*/0,
+                                        spill_dir);
   ctbus::bench::Stopwatch binary_watch;
   std::string error;
   auto loaded = ctbus::io::LoadSnapshot(snapshot_path, &error);
+  ctbus::service::PrecomputeCache::PrecomputePtr loaded_precompute;
+  if (loaded.has_value()) {
+    loaded_precompute = cache.GetOrCompute(
+        key,
+        []() -> ctbus::core::Precompute {
+          std::fprintf(stderr, "cold_start: spill entry was not loaded\n");
+          std::exit(1);
+        },
+        nullptr,
+        [&loaded] {
+          return ctbus::io::NetworkFingerprint(loaded->road, loaded->transit);
+        });
+  }
   const double binary_seconds = binary_watch.Seconds();
-  if (!loaded.has_value() || !loaded->has_precompute) {
+  if (!loaded.has_value()) {
     std::fprintf(stderr, "cold_start: snapshot load failed: %s\n",
                  error.c_str());
     std::exit(1);
@@ -134,7 +164,7 @@ double RunTrial(const std::string& name,
   std::vector<std::uint8_t> text_bytes;
   std::vector<std::uint8_t> loaded_bytes;
   ctbus::io::EncodePrecompute(text_precompute, &text_bytes);
-  ctbus::io::EncodePrecompute(loaded->precompute, &loaded_bytes);
+  ctbus::io::EncodePrecompute(*loaded_precompute, &loaded_bytes);
   if (text_bytes != loaded_bytes) {
     std::fprintf(stderr,
                  "cold_start: %s loaded precompute differs from computed\n",
@@ -148,7 +178,7 @@ double RunTrial(const std::string& name,
       *text_road, *text_transit, options, text_precompute);
   const auto loaded_context =
       ctbus::core::PlanningContext::BuildWithPrecompute(
-          loaded->road, loaded->transit, options, loaded->precompute);
+          loaded->road, loaded->transit, options, *loaded_precompute);
   for (const PlannerCase& pc : kPlanners) {
     const PlanResult text_plan = RunPlanner(text_context, pc.planner);
     const PlanResult loaded_plan = RunPlanner(loaded_context, pc.planner);
@@ -178,7 +208,7 @@ double RunTrial(const std::string& name,
       "%-10s text %8.2f ms   binary %8.3f ms   speedup %7.1fx   "
       "(%d stops, %d universe edges)\n",
       name.c_str(), text_seconds * 1e3, binary_seconds * 1e3, speedup,
-      loaded->transit.num_stops(), loaded->precompute.universe.num_edges());
+      loaded->transit.num_stops(), loaded_precompute->universe.num_edges());
   report->AddMetric(name + "_text_cold_ms", text_seconds * 1e3, "lower");
   report->AddMetric(name + "_binary_cold_ms", binary_seconds * 1e3, "lower");
   report->AddMetric(name + "_speedup", speedup, "higher");
@@ -189,7 +219,7 @@ double RunTrial(const std::string& name,
 
 int main() {
   ctbus::bench::PrintHeader(
-      "Cold start: text parse + precompute vs binary snapshot load",
+      "Cold start: text parse + precompute vs snapshot + spill load",
       "restart-to-first-query without a single Dijkstra or Lanczos call");
   ctbus::bench::BenchReport report("cold_start");
 
@@ -221,15 +251,15 @@ int main() {
   grid_options.max_iterations = 500;
   RunTrial("grid", *grid_road, *grid_transit, grid_options, &report);
 
-  // The acceptance gate: binary load must beat the text cold start by
-  // >= 10x on chicago (in practice it is orders of magnitude).
+  // The acceptance gate: the binary restart must beat the text cold start by
+  // >= 10x on chicago.
   if (chicago_speedup < 10.0) {
     std::fprintf(stderr,
                  "cold_start: chicago speedup %.1fx is below the 10x gate\n",
                  chicago_speedup);
     return 1;
   }
-  std::printf("\ncold-start gate: chicago binary load %.1fx faster than "
+  std::printf("\ncold-start gate: chicago binary restart %.1fx faster than "
               "text+precompute (>= 10x required)\n",
               chicago_speedup);
   report.WriteIfRequested();

@@ -32,20 +32,26 @@ PlanResult CtBusPlanner::PlanRoute(Planner planner) {
   return {};
 }
 
-int CtBusPlanner::CommitRoute(const PlanResult& result) {
-  assert(result.found);
-  const EdgeUniverse& universe = context().universe();
+int ApplyCommit(const PlanResult& result, const EdgeUniverse& universe,
+                graph::RoadNetwork* road, graph::TransitNetwork* transit) {
   // Realize the route in the transit network: create missing edges, then
   // register the stop sequence as a route.
   for (int e : result.path.edges()) {
     const PlannableEdge& edge = universe.edge(e);
-    transit_.AddEdge(edge.u, edge.v, edge.length, edge.road_edges);
+    transit->AddEdge(edge.u, edge.v, edge.length, edge.road_edges);
   }
-  const int route_id = transit_.AddRoute(result.path.stops());
+  const int route_id = transit->AddRoute(result.path.stops());
   // Covered road edges stop contributing demand (Section 6.3).
   for (int e : result.path.edges()) {
-    road_.ZeroTripCounts(universe.edge(e).road_edges);
+    road->ZeroTripCounts(universe.edge(e).road_edges);
   }
+  return route_id;
+}
+
+int CtBusPlanner::CommitRoute(const PlanResult& result) {
+  assert(result.found);
+  const int route_id =
+      ApplyCommit(result, context().universe(), &road_, &transit_);
   context_.reset();  // network changed; rebuild lazily
   return route_id;
 }

@@ -23,6 +23,14 @@ enum class Planner {
   kVkTsp,   // demand-first baseline
 };
 
+/// Section 6.3's commit, the one copy CtBusPlanner::CommitRoute and
+/// service::SnapshotStore::CommitRoute both apply: realizes the route's
+/// edges in `transit`, registers its stop sequence as a route, and zeroes
+/// the demand on the road edges it covers. `universe` must be the one
+/// `result` was planned over. Returns the new route id.
+int ApplyCommit(const PlanResult& result, const EdgeUniverse& universe,
+                graph::RoadNetwork* road, graph::TransitNetwork* transit);
+
 class CtBusPlanner {
  public:
   /// Copies the networks so multi-route planning can mutate them freely.

@@ -15,7 +15,6 @@ namespace {
 constexpr std::uint32_t kTagRoad = 0x44414F52u;        // "ROAD"
 constexpr std::uint32_t kTagTransit = 0x534E5254u;     // "TRNS"
 constexpr std::uint32_t kTagPrecompute = 0x43455250u;  // "PREC"
-constexpr std::uint32_t kTagDemand = 0x444E4D44u;      // "DMND"
 constexpr std::uint32_t kTagSpillKey = 0x59454B53u;    // "SKEY"
 
 /// Longest dataset name accepted in a spill-key section.
@@ -379,28 +378,6 @@ bool DecodePrecomputeBody(ByteReader* reader, core::Precompute* out) {
   return true;
 }
 
-void EncodeRankedListBody(const demand::RankedList& list,
-                          std::vector<std::uint8_t>* out) {
-  // Scores only: the ranking (order, ranks, prefix sums) is a pure
-  // function of them, rebuilt deterministically by the constructor.
-  AppendU32(out, static_cast<std::uint32_t>(list.size()));
-  for (int e = 0; e < list.size(); ++e) AppendF64(out, list.ValueOf(e));
-}
-
-bool DecodeRankedListBody(ByteReader* reader, demand::RankedList* out) {
-  std::uint32_t count = 0;
-  if (!reader->ReadCount("num_scores", 8, &count)) return false;
-  std::vector<double> scores;
-  scores.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    double score = 0.0;
-    if (!reader->ReadFiniteF64("score", &score)) return false;
-    scores.push_back(score);
-  }
-  *out = demand::RankedList(std::move(scores));
-  return true;
-}
-
 void EncodeProvenanceBody(const PrecomputeProvenance& provenance,
                           std::vector<std::uint8_t>* out) {
   AppendF64(out, provenance.tau);
@@ -625,7 +602,6 @@ CTBUS_SNAPSHOT_OBJECT_API(RoadNetwork, graph::RoadNetwork, RoadBody)
 CTBUS_SNAPSHOT_OBJECT_API(TransitNetwork, graph::TransitNetwork, TransitBody)
 CTBUS_SNAPSHOT_OBJECT_API(EdgeUniverse, core::EdgeUniverse, UniverseBody)
 CTBUS_SNAPSHOT_OBJECT_API(Precompute, core::Precompute, PrecomputeBody)
-CTBUS_SNAPSHOT_OBJECT_API(RankedList, demand::RankedList, RankedListBody)
 
 #undef CTBUS_SNAPSHOT_OBJECT_API
 
@@ -635,15 +611,6 @@ std::vector<std::uint8_t> EncodeSnapshot(const Snapshot& snapshot) {
   EncodeRoadBody(snapshot.road, &sections.back().payload);
   sections.push_back({kTagTransit, {}});
   EncodeTransitBody(snapshot.transit, &sections.back().payload);
-  if (snapshot.has_precompute) {
-    sections.push_back({kTagPrecompute, {}});
-    EncodeProvenanceBody(snapshot.provenance, &sections.back().payload);
-    EncodePrecomputeBody(snapshot.precompute, &sections.back().payload);
-  }
-  if (snapshot.has_demand) {
-    sections.push_back({kTagDemand, {}});
-    EncodeRankedListBody(snapshot.demand, &sections.back().payload);
-  }
   return EncodeContainer(sections);
 }
 
@@ -651,38 +618,25 @@ bool DecodeSnapshot(const std::uint8_t* data, std::size_t size,
                     Snapshot* out, std::string* error) {
   std::vector<SectionView> sections;
   if (!ParseContainer(data, size, &sections, error)) return false;
-  // Canonical order keeps the format byte-stable and lets each section
-  // validate against the ones before it.
-  static constexpr std::uint32_t kOrder[] = {kTagRoad, kTagTransit,
-                                             kTagPrecompute, kTagDemand};
-  std::size_t rank = 0;
-  for (const SectionView& section : sections) {
-    while (rank < 4 && kOrder[rank] != section.tag) ++rank;
-    if (rank == 4) {
+  // Canonical order keeps the format byte-stable and lets TRNS validate
+  // against ROAD. A city snapshot holds the networks only: the precompute
+  // lives in spill entries (EncodePrecomputeCacheEntry), never here.
+  static constexpr std::uint32_t kOrder[] = {kTagRoad, kTagTransit};
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    if (i >= 2 || sections[i].tag != kOrder[i]) {
       return FailContainer(
-          error, "section " + TagToAscii(section.tag) +
+          error, "section " + TagToAscii(sections[i].tag) +
                      ": unknown section or out of canonical order");
     }
-    ++rank;
   }
-  const auto find = [&](std::uint32_t tag) -> const SectionView* {
-    for (const SectionView& s : sections) {
-      if (s.tag == tag) return &s;
-    }
-    return nullptr;
-  };
-  const SectionView* road_section = find(kTagRoad);
-  const SectionView* transit_section = find(kTagTransit);
-  if (road_section == nullptr || transit_section == nullptr) {
+  if (sections.size() != 2) {
     return FailContainer(error,
                          "container: ROAD and TRNS sections are required");
   }
 
   Snapshot snapshot;
-  if (!DecodeSection(*road_section, &snapshot.road, error)) return false;
-  if (!DecodeSection(*transit_section, &snapshot.transit, error)) {
-    return false;
-  }
+  if (!DecodeSection(sections[0], &snapshot.road, error)) return false;
+  if (!DecodeSection(sections[1], &snapshot.transit, error)) return false;
   // Cross-section references: every id the transit network aims at the
   // road network must exist, same contract DatasetCatalog enforces on the
   // text path.
@@ -702,55 +656,6 @@ bool DecodeSnapshot(const std::uint8_t* data, std::size_t size,
                                         " crosses a missing road edge");
       }
     }
-  }
-
-  if (const SectionView* prec = find(kTagPrecompute)) {
-    if (!VerifySectionChecksum(*prec, error)) return false;
-    ByteReader reader(prec->data, prec->size, "section PREC: ");
-    if (!DecodeProvenanceBody(&reader, &snapshot.provenance) ||
-        !DecodePrecomputeBody(&reader, &snapshot.precompute) ||
-        !reader.ExpectEnd()) {
-      return FailContainer(error, reader.error());
-    }
-    if (snapshot.precompute.universe.num_stops() !=
-        snapshot.transit.num_stops()) {
-      return FailContainer(
-          error, "section PREC: universe stop count does not match TRNS");
-    }
-    for (int e = 0; e < snapshot.precompute.universe.num_edges(); ++e) {
-      const auto& edge = snapshot.precompute.universe.edge(e);
-      if (edge.transit_edge >= snapshot.transit.num_edges()) {
-        return FailContainer(error,
-                             "section PREC: universe edge " +
-                                 std::to_string(e) +
-                                 " names a missing transit edge");
-      }
-      for (int re : edge.road_edges) {
-        if (re >= num_road_edges) {
-          return FailContainer(error, "section PREC: universe edge " +
-                                          std::to_string(e) +
-                                          " crosses a missing road edge");
-        }
-      }
-    }
-    snapshot.has_precompute = true;
-  }
-  if (const SectionView* dmnd = find(kTagDemand)) {
-    if (!snapshot.has_precompute) {
-      return FailContainer(
-          error, "section DMND: demand ranking requires a PREC section");
-    }
-    if (!VerifySectionChecksum(*dmnd, error)) return false;
-    ByteReader reader(dmnd->data, dmnd->size, "section DMND: ");
-    if (!DecodeRankedListBody(&reader, &snapshot.demand) ||
-        !reader.ExpectEnd()) {
-      return FailContainer(error, reader.error());
-    }
-    if (snapshot.demand.size() != snapshot.precompute.universe.num_edges()) {
-      return FailContainer(
-          error, "section DMND: score count does not match universe edges");
-    }
-    snapshot.has_demand = true;
   }
   *out = std::move(snapshot);
   return true;

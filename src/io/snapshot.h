@@ -1,10 +1,17 @@
-// Checksummed binary snapshots: the millisecond cold-start path. A CTBS
-// file carries a whole city — road network, transit network, and
-// optionally the Delta(e) precompute (universe + per-edge trace increments
-// + the tr_0 anchor + stats) and the aggregated demand ranking — in a
-// versioned, section-tagged, length-prefixed container, so a process
-// restart loads in milliseconds instead of re-parsing TSV text and
-// re-running all-pairs Dijkstras.
+// Checksummed binary containers: the millisecond cold-start path. Two
+// kinds of file share one versioned, section-tagged, length-prefixed
+// container:
+//   - a city snapshot (ROAD + TRNS) holds the networks, trip demand
+//     already aggregated, so a restart skips TSV parsing, cross-reference
+//     validation and trip ingestion (DatasetCatalog's snapshot_path,
+//     `ctbus_server --snapshot`, `ctbus_snapshot build`);
+//   - a PrecomputeCache spill entry (SKEY + PREC) holds one Delta(e)
+//     precompute (universe + per-edge trace increments + the tr_0 anchor
+//     + stats) under its key identity (dataset, snapshot version, network
+//     fingerprint, option provenance), so a restart answers its first
+//     query without a Dijkstra or Lanczos call (`--spill-dir`).
+// The snapshot holds the networks, the spill holds the precompute: there
+// is no other on-disk route for either.
 //
 // Container layout (all integers little-endian):
 //   u32 magic "CTBS"        (kSnapshotMagic)
@@ -28,11 +35,6 @@
 // byte. Doubles are stored as their exact IEEE-754 bit patterns, which is
 // what makes a loaded precompute *bit-identical* to the one that was
 // saved — the planners produce identical results over either.
-//
-// The layer lives in io (below core's consumers, above graph) and is also
-// the wire format of the PrecomputeCache disk spill: a cache entry file is
-// the same container with a key section (dataset, snapshot version,
-// network fingerprint, provenance) plus the precompute section.
 #ifndef CTBUS_IO_SNAPSHOT_H_
 #define CTBUS_IO_SNAPSHOT_H_
 
@@ -43,7 +45,6 @@
 #include <vector>
 
 #include "core/planning_context.h"
-#include "demand/ranked_list.h"
 #include "graph/graph.h"
 #include "graph/road_network.h"
 #include "graph/transit_network.h"
@@ -76,15 +77,10 @@ struct PrecomputeProvenance {
 /// throws std::invalid_argument on a NaN tau.
 PrecomputeProvenance MakeProvenance(const core::CtBusOptions& options);
 
-/// One city snapshot: networks always, precompute + demand optionally.
+/// One city snapshot: the road and transit networks, nothing else.
 struct Snapshot {
   graph::RoadNetwork road;
   graph::TransitNetwork transit;
-  bool has_precompute = false;
-  core::Precompute precompute;      // valid when has_precompute
-  PrecomputeProvenance provenance;  // valid when has_precompute
-  bool has_demand = false;
-  demand::RankedList demand;        // valid when has_demand
 };
 
 /// A PrecomputeCache disk-spill record: the key identity (dataset,
@@ -139,19 +135,15 @@ void EncodePrecompute(const core::Precompute& precompute,
 bool DecodePrecompute(const std::uint8_t* data, std::size_t size,
                       core::Precompute* out, std::string* error);
 
-void EncodeRankedList(const demand::RankedList& list,
-                      std::vector<std::uint8_t>* out);
-bool DecodeRankedList(const std::uint8_t* data, std::size_t size,
-                      demand::RankedList* out, std::string* error);
-
 // --------------------------------------------------------- containers ----
 
 /// Canonical byte form of a snapshot (header + section table + payloads).
 std::vector<std::uint8_t> EncodeSnapshot(const Snapshot& snapshot);
 
-/// Strict decode of a whole file image. On failure returns false, sets
-/// *error (when non-null) to a diagnostic naming the failing section, and
-/// leaves *out untouched.
+/// Strict decode of a whole file image: exactly ROAD then TRNS (any other
+/// section is "unknown section or out of canonical order"). On failure
+/// returns false, sets *error (when non-null) to a diagnostic naming the
+/// failing section, and leaves *out untouched.
 bool DecodeSnapshot(const std::uint8_t* data, std::size_t size,
                     Snapshot* out, std::string* error);
 

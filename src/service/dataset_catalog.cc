@@ -96,7 +96,66 @@ bool ValidateCrossReferences(const graph::RoadNetwork& road,
   return true;
 }
 
+/// The exactly-one-source rule shared by Register and BuildDatasetNetworks.
+bool CheckOneSource(const DatasetDescriptor& descriptor, std::string* error) {
+  const bool from_preset = !descriptor.preset.empty();
+  const bool from_files =
+      !descriptor.road_path.empty() || !descriptor.transit_path.empty();
+  if (from_preset == from_files) {
+    return Fail(error,
+                "exactly one source required: either `preset` or the "
+                "road_path + transit_path file pair");
+  }
+  if (from_files &&
+      (descriptor.road_path.empty() || descriptor.transit_path.empty())) {
+    return Fail(error, "file datasets need both road_path and transit_path");
+  }
+  return true;
+}
+
 }  // namespace
+
+std::optional<DatasetNetworks> BuildDatasetNetworks(
+    const DatasetDescriptor& descriptor, std::string* error) {
+  if (!CheckOneSource(descriptor, error)) return std::nullopt;
+  DatasetNetworks networks;
+  if (!descriptor.preset.empty()) {
+    if (!gen::HasDataset(descriptor.preset)) {
+      Fail(error, "unknown preset '" + descriptor.preset +
+                      "' (see gen::DatasetNames())");
+      return std::nullopt;
+    }
+    gen::Dataset dataset =
+        gen::MakeDatasetByName(descriptor.preset, descriptor.preset_scale);
+    networks.road = std::move(dataset.road);
+    networks.transit = std::move(dataset.transit);
+    return networks;
+  }
+  std::string load_error;
+  auto road = io::LoadRoadNetwork(descriptor.road_path, &load_error);
+  if (!road.has_value()) {
+    Fail(error, "road network: " + load_error);
+    return std::nullopt;
+  }
+  auto transit = io::LoadTransitNetwork(descriptor.transit_path, &load_error);
+  if (!transit.has_value()) {
+    Fail(error, "transit network: " + load_error);
+    return std::nullopt;
+  }
+  networks.road = std::move(*road);
+  networks.transit = std::move(*transit);
+  if (!ValidateCrossReferences(networks.road, networks.transit,
+                               descriptor.transit_path, error)) {
+    return std::nullopt;
+  }
+  if (!descriptor.trips_path.empty() &&
+      !IngestTrips(descriptor.trips_path, &networks.road,
+                   &networks.trips_ingested, &load_error)) {
+    Fail(error, "trips: " + load_error);
+    return std::nullopt;
+  }
+  return networks;
+}
 
 std::optional<DatasetManifest> DatasetCatalog::Register(
     const DatasetDescriptor& descriptor, std::string* error) {
@@ -109,93 +168,50 @@ std::optional<DatasetManifest> DatasetCatalog::Register(
     Fail(error, prefix + "already registered");
     return std::nullopt;
   }
-  const bool from_preset = !descriptor.preset.empty();
-  const bool from_files =
-      !descriptor.road_path.empty() || !descriptor.transit_path.empty();
-  if (from_preset == from_files) {
-    Fail(error, prefix +
-                    "exactly one source required: either `preset` or the "
-                    "road_path + transit_path file pair");
+  std::string build_error;
+  if (!CheckOneSource(descriptor, &build_error)) {
+    Fail(error, prefix + build_error);
     return std::nullopt;
   }
 
-  graph::RoadNetwork road;
-  graph::TransitNetwork transit;
-  std::int64_t trips = 0;
+  DatasetNetworks networks;
   bool loaded_from_snapshot = false;
   bool snapshot_saved = false;
   // The binary accelerator first: a valid snapshot carries the networks
-  // with trip demand already aggregated, so the whole text path below
+  // with trip demand already aggregated, so the whole source build
   // (parse + cross-reference validation + trip ingestion) is skipped. A
   // missing, corrupt, or stale-format file falls through to the source
   // build — the snapshot is a cache of the source, never a source itself.
   if (!descriptor.snapshot_path.empty()) {
     if (auto snapshot = io::LoadSnapshot(descriptor.snapshot_path)) {
-      road = std::move(snapshot->road);
-      transit = std::move(snapshot->transit);
+      networks.road = std::move(snapshot->road);
+      networks.transit = std::move(snapshot->transit);
       loaded_from_snapshot = true;
     }
   }
   if (loaded_from_snapshot) {
     // Decode already bounds every cross-reference; re-assert the catalog's
     // own contract anyway so this path can never drift weaker than text.
-    std::string validate_error;
-    if (!ValidateCrossReferences(road, transit, descriptor.snapshot_path,
-                                 &validate_error)) {
-      Fail(error, prefix + validate_error);
+    if (!ValidateCrossReferences(networks.road, networks.transit,
+                                 descriptor.snapshot_path, &build_error)) {
+      Fail(error, prefix + build_error);
       return std::nullopt;
     }
-  } else if (from_preset) {
-    if (!gen::HasDataset(descriptor.preset)) {
-      Fail(error, prefix + "unknown preset '" + descriptor.preset +
-                      "' (see gen::DatasetNames())");
-      return std::nullopt;
-    }
-    gen::Dataset dataset =
-        gen::MakeDatasetByName(descriptor.preset, descriptor.preset_scale);
-    road = std::move(dataset.road);
-    transit = std::move(dataset.transit);
+  } else if (auto built = BuildDatasetNetworks(descriptor, &build_error)) {
+    networks = std::move(*built);
   } else {
-    if (descriptor.road_path.empty() || descriptor.transit_path.empty()) {
-      Fail(error, prefix + "file datasets need both road_path and "
-                           "transit_path");
-      return std::nullopt;
-    }
-    std::string load_error;
-    auto loaded_road = io::LoadRoadNetwork(descriptor.road_path, &load_error);
-    if (!loaded_road.has_value()) {
-      Fail(error, prefix + "road network: " + load_error);
-      return std::nullopt;
-    }
-    auto loaded_transit =
-        io::LoadTransitNetwork(descriptor.transit_path, &load_error);
-    if (!loaded_transit.has_value()) {
-      Fail(error, prefix + "transit network: " + load_error);
-      return std::nullopt;
-    }
-    road = std::move(*loaded_road);
-    transit = std::move(*loaded_transit);
-    if (!ValidateCrossReferences(road, transit, descriptor.transit_path,
-                                 &load_error)) {
-      Fail(error, prefix + load_error);
-      return std::nullopt;
-    }
-    if (!descriptor.trips_path.empty() &&
-        !IngestTrips(descriptor.trips_path, &road, &trips, &load_error)) {
-      Fail(error, prefix + "trips: " + load_error);
-      return std::nullopt;
-    }
+    Fail(error, prefix + build_error);
+    return std::nullopt;
   }
 
   if (!descriptor.snapshot_path.empty() && !loaded_from_snapshot) {
     // Built from source with an accelerator configured: write it now so
-    // the next start loads in milliseconds. The catalog stores networks
-    // only (it does not know planner options, so no precompute/demand
-    // sections). A write failure fails registration: a snapshot_path
-    // that can never materialize is a misconfiguration, not a warning.
+    // the next start loads in milliseconds. A write failure fails
+    // registration: a snapshot_path that can never materialize is a
+    // misconfiguration, not a warning.
     io::Snapshot snapshot;
-    snapshot.road = road;
-    snapshot.transit = transit;
+    snapshot.road = networks.road;
+    snapshot.transit = networks.transit;
     std::string save_error;
     if (!io::SaveSnapshot(snapshot, descriptor.snapshot_path, &save_error)) {
       Fail(error, prefix + "snapshot: " + save_error);
@@ -206,17 +222,19 @@ std::optional<DatasetManifest> DatasetCatalog::Register(
 
   DatasetManifest manifest;
   manifest.name = descriptor.name;
-  manifest.road_vertices = road.graph().num_vertices();
-  manifest.road_edges = road.graph().num_edges();
-  manifest.stops = transit.num_stops();
-  manifest.routes = transit.num_active_routes();
-  manifest.trips_ingested = trips;
-  manifest.snapshot_bytes = road.ApproxBytes() + transit.ApproxBytes();
+  manifest.road_vertices = networks.road.graph().num_vertices();
+  manifest.road_edges = networks.road.graph().num_edges();
+  manifest.stops = networks.transit.num_stops();
+  manifest.routes = networks.transit.num_active_routes();
+  manifest.trips_ingested = networks.trips_ingested;
+  manifest.snapshot_bytes =
+      networks.road.ApproxBytes() + networks.transit.ApproxBytes();
   manifest.loaded_from_snapshot = loaded_from_snapshot;
   manifest.snapshot_saved = snapshot_saved;
   try {
-    service_->RegisterDataset(descriptor.name, std::move(road),
-                              std::move(transit), descriptor.retention);
+    service_->RegisterDataset(descriptor.name, std::move(networks.road),
+                              std::move(networks.transit),
+                              descriptor.retention);
   } catch (const std::exception& e) {
     Fail(error, prefix + e.what());
     return std::nullopt;

@@ -6,7 +6,10 @@
 // validates every cross-reference (stop -> road vertex, transit edge ->
 // road edges, trip -> road path), aggregates trip demand onto the road
 // network, and registers the dataset — with its per-dataset snapshot
-// retention budget — into the service. Failures are reported as
+// retention budget — into the service. The build-and-validate half is
+// BuildDatasetNetworks, which `ctbus_snapshot build` shares, so an
+// offline-built CTBS snapshot passes exactly the checks a live
+// registration does. Failures are reported as
 // human-readable messages (file:line diagnostics from the io layer are
 // passed through) instead of bare nullopts, and a failed registration
 // leaves the service untouched.
@@ -29,6 +32,8 @@
 #include <optional>
 #include <string>
 
+#include "graph/road_network.h"
+#include "graph/transit_network.h"
 #include "service/planning_service.h"
 #include "service/snapshot_store.h"
 
@@ -94,6 +99,23 @@ struct DatasetManifest {
   /// True if this registration wrote (or rewrote) the snapshot file.
   bool snapshot_saved = false;
 };
+
+/// The networks a descriptor's source describes, built and validated.
+struct DatasetNetworks {
+  graph::RoadNetwork road;
+  graph::TransitNetwork transit;
+  /// Trips aggregated from DatasetDescriptor::trips_path.
+  std::int64_t trips_ingested = 0;
+};
+
+/// The build-and-validate half of DatasetCatalog::Register, shared with
+/// `ctbus_snapshot build`: the preset, or the road/transit files with
+/// every cross-reference checked and the optional trip CSV aggregated.
+/// Reads only the source fields (name, snapshot_path and retention are
+/// ignored). On failure returns nullopt and sets *error (when non-null)
+/// to a diagnostic.
+std::optional<DatasetNetworks> BuildDatasetNetworks(
+    const DatasetDescriptor& descriptor, std::string* error = nullptr);
 
 class DatasetCatalog {
  public:

@@ -76,10 +76,10 @@ PrecomputeCache::PrecomputePtr PrecomputeCache::TryLoadSpill(
       !(entry->provenance == key.provenance)) {
     return nullptr;  // filename collision or foreign file: wrong key = miss
   }
-  if (fingerprint != 0 && entry->network_fingerprint != 0 &&
-      entry->network_fingerprint != fingerprint) {
+  if (fingerprint != 0 && entry->network_fingerprint != fingerprint) {
     // Same version number over different network bytes — version counters
     // restart at 1 on every process start, so content is the tiebreaker.
+    // An unrecorded (0) fingerprint proves nothing, so it is a miss too.
     return nullptr;
   }
   return std::make_shared<const core::Precompute>(

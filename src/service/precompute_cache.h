@@ -110,7 +110,8 @@ class PrecomputeCache {
   /// Lazy network-content fingerprint (io::NetworkFingerprint of the
   /// snapshot the key refers to). Only invoked on a miss with the spill
   /// path enabled — encoding whole networks is too expensive for the hit
-  /// path. May be null: 0 means "unchecked" on both sides.
+  /// path. May be null (the load is then unchecked); when set, a spill
+  /// file loads only if it recorded this exact fingerprint.
   using FingerprintFn = std::function<std::uint64_t()>;
 
   /// `capacity` bounds resident entries (0 disables caching entirely,
@@ -217,8 +218,8 @@ class PrecomputeCache {
 
   /// Attempts to answer a miss from `key`'s spill file. Returns nullptr —
   /// a plain miss, never an error — when the file is absent, corrupt,
-  /// stale-format, or records a different key or an incompatible network
-  /// fingerprint.
+  /// stale-format, or records a different key, or — when `fingerprint`
+  /// is nonzero — any other network fingerprint (an unrecorded 0 too).
   PrecomputePtr TryLoadSpill(const PrecomputeKey& key,
                              std::uint64_t fingerprint) const;
 

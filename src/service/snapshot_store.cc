@@ -5,6 +5,8 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/planner.h"
+
 namespace ctbus::service {
 
 namespace {
@@ -84,14 +86,7 @@ std::uint64_t SnapshotStore::CommitRoute(const core::PlanResult& result,
   // Copy-on-write: mutate private copies, then publish atomically.
   graph::RoadNetwork road = *base->road;
   graph::TransitNetwork transit = *base->transit;
-  for (int e : result.path.edges()) {
-    const core::PlannableEdge& edge = universe.edge(e);
-    transit.AddEdge(edge.u, edge.v, edge.length, edge.road_edges);
-  }
-  transit.AddRoute(result.path.stops());
-  for (int e : result.path.edges()) {
-    road.ZeroTripCounts(universe.edge(e).road_edges);
-  }
+  core::ApplyCommit(result, universe, &road, &transit);
   return Publish(std::move(road), std::move(transit), base->version,
                  std::move(delta));
 }

@@ -1,7 +1,8 @@
 // The byte codec (io/bytes.h): FNV-1a known answers, ByteReader bounds
 // and diagnostics, and a pinned-seed sweep of every single-byte flip and
-// truncation over frames, the CTBS fixture and the golden trace: each
-// must decode or fail with a diagnostic (under ASan, never out of bounds).
+// truncation over frames, the CTBS fixture, a grid precompute spill entry
+// and the golden trace: each must decode or fail with a diagnostic (under
+// ASan, never out of bounds).
 #include "io/bytes.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "core/options.h"
+#include "core/planning_context.h"
+#include "io/network_io.h"
 #include "io/snapshot.h"
 #include "net/frame.h"
 #include "net/trace_file.h"
@@ -276,16 +280,50 @@ void RestampChecksums(Bytes* bytes) {
   }
 }
 
-TEST(ByteCodecMutationTest, CommittedCtbsFixture) {
-  const auto decode = [](Bytes bytes, std::string* error) {
-    Snapshot snapshot;
-    return DecodeSnapshot(bytes.data(), bytes.size(), &snapshot, error);
-  };
-  SweepMutations("grid.ctbs", ReadFixture("grid.ctbs"), decode);
-  SweepMutations("grid.ctbs, checksums restamped", ReadFixture("grid.ctbs"),
+/// Sweeps a CTBS container twice: as is (flips mostly stop at the
+/// checksum gate) and with checksums restamped after each mutation.
+void SweepContainer(const std::string& label, const Bytes& corpus,
+                    const Decoder& decode) {
+  SweepMutations(label.c_str(), corpus, decode);
+  SweepMutations((label + ", checksums restamped").c_str(), corpus,
                  [&decode](Bytes bytes, std::string* error) {
                    RestampChecksums(&bytes);
                    return decode(std::move(bytes), error);
+                 });
+}
+
+TEST(ByteCodecMutationTest, CommittedCtbsFixture) {
+  SweepContainer("grid.ctbs", ReadFixture("grid.ctbs"),
+                 [](Bytes bytes, std::string* error) {
+                   Snapshot snapshot;
+                   return DecodeSnapshot(bytes.data(), bytes.size(),
+                                         &snapshot, error);
+                 });
+}
+
+TEST(ByteCodecMutationTest, GridSpillEntry) {
+  // SKEY + PREC over the grid fixture: the precompute codec's only reader.
+  const std::string dir = CTBUS_TEST_DATA_DIR;
+  const auto road = LoadRoadNetwork(dir + "/grid_road.tsv");
+  const auto transit = LoadTransitNetwork(dir + "/grid_transit.tsv");
+  ASSERT_TRUE(road.has_value() && transit.has_value());
+  core::CtBusOptions options;
+  options.tau = 900.0;
+  options.precompute_estimator = {/*probes=*/6, /*lanczos_steps=*/6,
+                                  /*seed=*/6};
+  PrecomputeCacheEntry entry;
+  entry.dataset = "grid";
+  entry.snapshot_version = 1;
+  entry.network_fingerprint = NetworkFingerprint(*road, *transit);
+  entry.provenance = MakeProvenance(options);
+  entry.precompute =
+      core::PlanningContext::RunPrecompute(*road, *transit, options);
+  ASSERT_GT(entry.precompute.universe.num_new_edges(), 0);
+  SweepContainer("grid spill entry", EncodePrecomputeCacheEntry(entry),
+                 [](Bytes bytes, std::string* error) {
+                   PrecomputeCacheEntry decoded;
+                   return DecodePrecomputeCacheEntry(
+                       bytes.data(), bytes.size(), &decoded, error);
                  });
 }
 

@@ -1,22 +1,26 @@
-// Binary snapshot tests (src/io/snapshot.h): bit-identical round trips
+// Binary container tests (src/io/snapshot.h): bit-identical round trips
 // against text-loaded originals (networks, universe, a derived precompute
-// with non-default stats, demand ranking, inactive routes), byte-stable
-// re-encoding gated by a committed fixture (tests/data/grid.ctbs), the
-// malformed-file corpus (truncation at every section boundary, bad magic/version, flipped
-// checksum byte, oversized section length, trailing garbage — every
-// failure names its section, Load never returns a partial object), and
-// the PrecomputeCacheEntry spill-record container.
+// with non-default stats, inactive routes), byte-stable re-encoding gated
+// by a committed fixture (tests/data/grid.ctbs), the refusal of
+// precompute/demand sections in a city snapshot, the malformed-file
+// corpus over both containers — the city snapshot (ROAD + TRNS) and the
+// spill entry (SKEY + PREC): truncation at every section boundary, bad
+// magic/version, flipped payload or checksum bytes, oversized and shrunk
+// section lengths, trailing garbage, oversized list counts; every failure
+// names its section and never returns a partial object — and the
+// PrecomputeCacheEntry spill-record round trip.
 #include "io/snapshot.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/options.h"
 #include "core/planning_context.h"
-#include "demand/ranked_list.h"
 #include "io/bytes.h"
 #include "io/network_io.h"
 
@@ -188,54 +192,84 @@ TEST(SnapshotObjectsTest, EdgeUniverseFromEdgesMatchesBuild) {
   ExpectSameBytes(built, rebuilt, EncodeEdgeUniverse);
 }
 
-TEST(SnapshotObjectsTest, RankedListRoundTripsScoresAndRanking) {
-  const demand::RankedList list({3.0, 1.0, 4.0, 1.5, 9.0});
-  std::vector<std::uint8_t> bytes;
-  EncodeRankedList(list, &bytes);
-  demand::RankedList decoded;
-  std::string error;
-  ASSERT_TRUE(DecodeRankedList(bytes.data(), bytes.size(), &decoded, &error))
-      << error;
-  ASSERT_EQ(decoded.size(), list.size());
-  for (int e = 0; e < list.size(); ++e) {
-    EXPECT_EQ(decoded.ValueOf(e), list.ValueOf(e));
-    EXPECT_EQ(decoded.RankOf(e), list.RankOf(e));
-  }
-}
-
-/// A full four-section snapshot over the grid fixture.
-Snapshot MakeFullSnapshot() {
+/// A city snapshot over the grid fixture: ROAD + TRNS.
+Snapshot MakeCitySnapshot() {
   Snapshot snapshot;
   snapshot.road = GridRoad();
   snapshot.transit = GridTransit();
-  const core::CtBusOptions options = GridOptions();
-  snapshot.precompute = core::PlanningContext::RunPrecompute(
-      snapshot.road, snapshot.transit, options);
-  snapshot.provenance = MakeProvenance(options);
-  snapshot.has_precompute = true;
-  snapshot.demand =
-      demand::RankedList(snapshot.precompute.universe.DemandScores());
-  snapshot.has_demand = true;
   return snapshot;
 }
 
+/// A spill entry over the grid fixture: SKEY + PREC.
+PrecomputeCacheEntry MakeSpillEntry() {
+  PrecomputeCacheEntry entry;
+  entry.dataset = "grid";
+  entry.snapshot_version = 7;
+  const graph::RoadNetwork road = GridRoad();
+  const graph::TransitNetwork transit = GridTransit();
+  entry.network_fingerprint = NetworkFingerprint(road, transit);
+  const core::CtBusOptions options = GridOptions();
+  entry.provenance = MakeProvenance(options);
+  entry.precompute =
+      core::PlanningContext::RunPrecompute(road, transit, options);
+  return entry;
+}
+
+using Bytes = std::vector<std::uint8_t>;
+using Section = std::pair<std::uint32_t, Bytes>;
+
+/// The (tag, payload) list of a well-formed container.
+std::vector<Section> SplitContainer(const Bytes& bytes) {
+  const auto infos = InspectSnapshot(bytes.data(), bytes.size());
+  EXPECT_TRUE(infos.has_value());
+  std::vector<Section> sections;
+  std::size_t offset = 12 + 20 * infos->size();
+  for (std::size_t i = 0; i < infos->size(); ++i) {
+    std::uint32_t tag = 0;
+    for (int b = 0; b < 4; ++b) {
+      tag |= static_cast<std::uint32_t>(bytes[12 + 20 * i + b]) << (8 * b);
+    }
+    const std::size_t size = (*infos)[i].payload_bytes;
+    sections.emplace_back(tag, Bytes(bytes.begin() + offset,
+                                     bytes.begin() + offset + size));
+    offset += size;
+  }
+  return sections;
+}
+
+/// A current-format container over `sections` with valid checksums, so
+/// only the payloads (or the section list itself) can be hostile.
+Bytes JoinContainer(const std::vector<Section>& sections) {
+  Bytes out;
+  AppendU32(&out, kSnapshotMagic);
+  AppendU32(&out, kSnapshotFormatVersion);
+  AppendU32(&out, static_cast<std::uint32_t>(sections.size()));
+  for (const auto& [tag, payload] : sections) {
+    AppendU32(&out, tag);
+    AppendU64(&out, payload.size());
+    AppendU64(&out, Fnv1a64(payload.data(), payload.size()));
+  }
+  for (const auto& section : sections) {
+    out.insert(out.end(), section.second.begin(), section.second.end());
+  }
+  return out;
+}
+
 TEST(SnapshotContainerTest, FullSnapshotRoundTripsByteStably) {
-  const Snapshot snapshot = MakeFullSnapshot();
+  const Snapshot snapshot = MakeCitySnapshot();
   const std::vector<std::uint8_t> bytes = EncodeSnapshot(snapshot);
   Snapshot decoded;
   std::string error;
   ASSERT_TRUE(DecodeSnapshot(bytes.data(), bytes.size(), &decoded, &error))
       << error;
-  EXPECT_TRUE(decoded.has_precompute);
-  EXPECT_TRUE(decoded.has_demand);
-  EXPECT_TRUE(decoded.provenance == snapshot.provenance);
   // Byte stability: re-encoding the decoded snapshot reproduces the
   // input byte for byte — the load-save loop is the identity.
   EXPECT_EQ(EncodeSnapshot(decoded), bytes);
+  EXPECT_EQ(JoinContainer(SplitContainer(bytes)), bytes);
 }
 
 TEST(SnapshotContainerTest, SaveLoadThroughAFile) {
-  const Snapshot snapshot = MakeFullSnapshot();
+  const Snapshot snapshot = MakeCitySnapshot();
   const std::string path = ::testing::TempDir() + "/grid_roundtrip.ctbs";
   std::string error;
   ASSERT_TRUE(SaveSnapshot(snapshot, path, &error)) << error;
@@ -261,30 +295,99 @@ TEST(SnapshotContainerTest, CommittedFixtureBytesAreStable) {
   ASSERT_TRUE(
       DecodeSnapshot(committed.data(), committed.size(), &decoded, &error))
       << error;
-  EXPECT_FALSE(decoded.has_precompute);
+}
+
+TEST(SnapshotContainerTest, PrecomputeAndDemandSectionsAreRejected) {
+  // A city snapshot holds the networks only. A current-format file that
+  // also carries a precompute (PREC) or a demand ranking (DMND) section,
+  // checksums valid, is refused by name rather than half-read.
+  constexpr std::uint32_t kPrecomputeTag = 0x43455250u;  // "PREC"
+  constexpr std::uint32_t kDemandTag = 0x444E4D44u;      // "DMND"
+  const std::vector<Section> city =
+      SplitContainer(EncodeSnapshot(MakeCitySnapshot()));
+  Bytes precompute;
+  EncodePrecompute(MakeSpillEntry().precompute, &precompute);
+  Bytes scores;
+  AppendU32(&scores, 1);
+  AppendF64(&scores, 1.0);
+  for (const auto& [tag, payload] :
+       {Section{kPrecomputeTag, precompute}, Section{kDemandTag, scores}}) {
+    std::vector<Section> sections = city;
+    sections.emplace_back(tag, payload);
+    const Bytes bytes = JoinContainer(sections);
+    Snapshot out;
+    std::string error;
+    EXPECT_FALSE(DecodeSnapshot(bytes.data(), bytes.size(), &out, &error));
+    EXPECT_NE(error.find(": unknown section or out of canonical order"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(error.rfind("section PREC", 0) == 0, tag == kPrecomputeTag)
+        << error;
+  }
 }
 
 // ------------------------------------------------- malformed corpus ----
+// Run over both containers: the city snapshot (ROAD + TRNS) and a spill
+// entry (SKEY + PREC), the only reader of the precompute codec.
 
-/// Asserts decode fails, the diagnostic contains `needle`, and the
-/// output object is untouched (never partial).
-void ExpectRejected(std::vector<std::uint8_t> bytes,
-                    const std::string& needle) {
-  Snapshot out;
-  out.has_precompute = true;  // sentinel: decode must not clear it
-  std::string error;
-  EXPECT_FALSE(DecodeSnapshot(bytes.data(), bytes.size(), &out, &error));
-  EXPECT_NE(error.find(needle), std::string::npos)
-      << "diagnostic \"" << error << "\" should mention \"" << needle
-      << "\"";
-  EXPECT_TRUE(out.has_precompute) << "failed decode must not touch *out";
+struct ContainerKind {
+  std::string name;
+  std::function<Bytes()> encode;
+  /// Strict decode into an object pre-filled with a sentinel; sets
+  /// *untouched to whether the sentinel survived.
+  std::function<bool(const Bytes&, std::string*, bool*)> decode;
+};
+
+std::vector<ContainerKind> ContainerKinds() {
+  return {
+      {"City",
+       [] { return EncodeSnapshot(MakeCitySnapshot()); },
+       [](const Bytes& bytes, std::string* error, bool* untouched) {
+         Snapshot out;
+         out.transit.AddStop(0, {0.0, 0.0});  // sentinel
+         const bool ok =
+             DecodeSnapshot(bytes.data(), bytes.size(), &out, error);
+         *untouched = out.transit.num_stops() == 1 &&
+                      out.road.graph().num_vertices() == 0;
+         return ok;
+       }},
+      {"SpillEntry",
+       [] { return EncodePrecomputeCacheEntry(MakeSpillEntry()); },
+       [](const Bytes& bytes, std::string* error, bool* untouched) {
+         PrecomputeCacheEntry out;
+         out.dataset = "sentinel";
+         const bool ok = DecodePrecomputeCacheEntry(bytes.data(),
+                                                    bytes.size(), &out, error);
+         *untouched = out.dataset == "sentinel" &&
+                      out.precompute.universe.num_edges() == 0;
+         return ok;
+       }},
+  };
 }
 
-TEST(SnapshotCorruptionTest, TruncationAtEverySectionBoundary) {
-  const std::vector<std::uint8_t> bytes = EncodeSnapshot(MakeFullSnapshot());
+class SnapshotCorruptionTest
+    : public ::testing::TestWithParam<ContainerKind> {
+ protected:
+  Bytes Encode() const { return GetParam().encode(); }
+
+  /// Asserts decode fails, the diagnostic contains `needle`, and the
+  /// output object is untouched (never partial).
+  void ExpectRejected(const Bytes& bytes, const std::string& needle) const {
+    std::string error;
+    bool untouched = false;
+    EXPECT_FALSE(GetParam().decode(bytes, &error, &untouched));
+    EXPECT_NE(error.find(needle), std::string::npos)
+        << "diagnostic \"" << error << "\" should mention \"" << needle
+        << "\"";
+    EXPECT_TRUE(untouched) << "failed decode must not touch *out";
+  }
+};
+
+TEST_P(SnapshotCorruptionTest, TruncationAtEverySectionBoundary) {
+  const Bytes bytes = Encode();
   const auto sections = InspectSnapshot(bytes.data(), bytes.size());
   ASSERT_TRUE(sections.has_value());
-  ASSERT_EQ(sections->size(), 4u);
+  ASSERT_EQ(sections->size(), 2u);
   // Boundaries: end of header, end of section table, end of each payload.
   std::vector<std::size_t> boundaries = {0, 4, 8, 12,
                                          12 + sections->size() * 20};
@@ -296,113 +399,108 @@ TEST(SnapshotCorruptionTest, TruncationAtEverySectionBoundary) {
   ASSERT_EQ(boundaries.back(), bytes.size());
   for (std::size_t boundary : boundaries) {
     if (boundary == bytes.size()) continue;  // full file decodes fine
-    std::vector<std::uint8_t> truncated(bytes.begin(),
-                                        bytes.begin() + boundary);
-    Snapshot out;
-    std::string error;
-    EXPECT_FALSE(
-        DecodeSnapshot(truncated.data(), truncated.size(), &out, &error))
-        << "truncation at byte " << boundary << " must fail";
-    EXPECT_FALSE(error.empty());
+    ExpectRejected(Bytes(bytes.begin(), bytes.begin() + boundary), "");
   }
   // One byte short of each boundary too — mid-section truncation.
   for (std::size_t boundary : boundaries) {
     if (boundary == 0) continue;
-    std::vector<std::uint8_t> truncated(bytes.begin(),
-                                        bytes.begin() + boundary - 1);
-    Snapshot out;
-    std::string error;
-    EXPECT_FALSE(
-        DecodeSnapshot(truncated.data(), truncated.size(), &out, &error));
+    ExpectRejected(Bytes(bytes.begin(), bytes.begin() + boundary - 1), "");
   }
 }
 
-TEST(SnapshotCorruptionTest, BadMagicAndVersion) {
-  std::vector<std::uint8_t> bytes = EncodeSnapshot(MakeFullSnapshot());
+TEST_P(SnapshotCorruptionTest, BadMagicAndVersion) {
+  const Bytes bytes = Encode();
   auto bad_magic = bytes;
   bad_magic[0] ^= 0xff;
-  ExpectRejected(std::move(bad_magic), "bad magic");
+  ExpectRejected(bad_magic, "bad magic");
   auto bad_version = bytes;
   bad_version[4] = 0xfe;
-  ExpectRejected(std::move(bad_version), "unsupported format version");
+  ExpectRejected(bad_version, "unsupported format version");
   auto stale_version = bytes;
   stale_version[4] = 3;  // PREC stored Delta(e) itself before version 4
-  ExpectRejected(std::move(stale_version), "unsupported format version 3");
+  ExpectRejected(stale_version, "unsupported format version 3");
 }
 
-TEST(SnapshotCorruptionTest, FlippedPayloadByteNamesItsSection) {
-  const std::vector<std::uint8_t> bytes = EncodeSnapshot(MakeFullSnapshot());
+TEST_P(SnapshotCorruptionTest, FlippedPayloadByteNamesItsSection) {
+  const Bytes bytes = Encode();
   const auto sections = InspectSnapshot(bytes.data(), bytes.size());
   ASSERT_TRUE(sections.has_value());
   std::size_t offset = 12 + sections->size() * 20;
   for (const auto& section : *sections) {
     auto corrupt = bytes;
     corrupt[offset] ^= 0x01;  // first payload byte of this section
-    ExpectRejected(std::move(corrupt),
-                   "section " + section.tag + ": checksum mismatch");
+    ExpectRejected(corrupt, "section " + section.tag + ": checksum mismatch");
     offset += section.payload_bytes;
   }
 }
 
-TEST(SnapshotCorruptionTest, FlippedChecksumByteNamesItsSection) {
-  const std::vector<std::uint8_t> bytes = EncodeSnapshot(MakeFullSnapshot());
+TEST_P(SnapshotCorruptionTest, FlippedChecksumByteNamesItsSection) {
+  const Bytes bytes = Encode();
+  const auto sections = InspectSnapshot(bytes.data(), bytes.size());
+  ASSERT_TRUE(sections.has_value());
   // Section table rows start at 12; checksum is bytes 12..19 of each row.
-  auto corrupt = bytes;
-  corrupt[12 + 12] ^= 0x01;  // first row's stored checksum
-  ExpectRejected(std::move(corrupt), "section ROAD: checksum mismatch");
+  for (std::size_t i = 0; i < sections->size(); ++i) {
+    auto corrupt = bytes;
+    corrupt[12 + 20 * i + 12] ^= 0x01;
+    ExpectRejected(corrupt,
+                   "section " + (*sections)[i].tag + ": checksum mismatch");
+  }
 }
 
-TEST(SnapshotCorruptionTest, OversizedSectionLengthNeverReadsPastFile) {
-  const std::vector<std::uint8_t> bytes = EncodeSnapshot(MakeFullSnapshot());
+TEST_P(SnapshotCorruptionTest, OversizedSectionLengthNeverReadsPastFile) {
   // Bump the first section's declared payload length (bytes 4..11 of its
   // table row) far beyond the file: the table walk must reject it before
   // any payload pointer is formed or allocation sized from it.
-  auto corrupt = bytes;
-  corrupt[12 + 4 + 3] = 0x7f;  // declared ROAD length += 0x7f000000
-  ExpectRejected(std::move(corrupt), "declared length overruns file");
+  auto corrupt = Encode();
+  corrupt[12 + 4 + 3] = 0x7f;  // declared length += 0x7f000000
+  ExpectRejected(corrupt, "declared length overruns file");
 }
 
-TEST(SnapshotCorruptionTest, ShrunkSectionLengthIsTrailingBytes) {
-  const std::vector<std::uint8_t> bytes = EncodeSnapshot(MakeFullSnapshot());
-  auto corrupt = bytes;
-  ASSERT_GT(corrupt[12 + 4], 0);  // ROAD payload length low byte
+TEST_P(SnapshotCorruptionTest, ShrunkSectionLengthIsTrailingBytes) {
+  auto corrupt = Encode();
+  ASSERT_GT(corrupt[12 + 4], 0);  // first payload length, low byte
   corrupt[12 + 4] -= 1;  // one byte now unclaimed by any section
-  ExpectRejected(std::move(corrupt), "");
+  ExpectRejected(corrupt, "");
 }
 
-TEST(SnapshotCorruptionTest, TrailingGarbageRejected) {
-  std::vector<std::uint8_t> bytes = EncodeSnapshot(MakeFullSnapshot());
+TEST_P(SnapshotCorruptionTest, TrailingGarbageRejected) {
+  Bytes bytes = Encode();
   bytes.push_back(0x00);
-  ExpectRejected(std::move(bytes), "trailing bytes after last section");
+  ExpectRejected(bytes, "trailing bytes after last section");
 }
 
-TEST(SnapshotCorruptionTest, OversizedListCountInsideSectionIsBounded) {
-  // Hand-build a ROAD+TRNS container whose ROAD payload declares 2^31
-  // vertices with no bytes behind them, with a *valid* checksum — the
-  // bounded reader must reject the count against the real payload size
-  // instead of allocating.
-  std::vector<std::uint8_t> road_payload = {0xff, 0xff, 0xff, 0x7f};
-  graph::TransitNetwork transit;
-  std::vector<std::uint8_t> transit_payload;
-  EncodeTransitNetwork(transit, &transit_payload);
-  std::vector<std::uint8_t> file;
-  AppendU32(&file, kSnapshotMagic);
-  AppendU32(&file, kSnapshotFormatVersion);
-  AppendU32(&file, 2);
-  AppendU32(&file, 0x44414F52u);  // "ROAD"
-  AppendU64(&file, road_payload.size());
-  AppendU64(&file, Fnv1a64(road_payload.data(), road_payload.size()));
-  AppendU32(&file, 0x534E5254u);  // "TRNS"
-  AppendU64(&file, transit_payload.size());
-  AppendU64(&file, Fnv1a64(transit_payload.data(), transit_payload.size()));
-  file.insert(file.end(), road_payload.begin(), road_payload.end());
-  file.insert(file.end(), transit_payload.begin(), transit_payload.end());
-  ExpectRejected(std::move(file), "section ROAD");
+TEST_P(SnapshotCorruptionTest, OversizedListCountInsideSectionIsBounded) {
+  // Each section in turn gets a payload declaring an empty first list and
+  // then 2^31 - 1 elements with no bytes behind them, under a *valid*
+  // checksum: the bounded reader must reject the count (SKEY: the short
+  // read) against the real payload size instead of allocating, and name
+  // the section.
+  const Bytes bytes = Encode();
+  const std::vector<Section> sections = SplitContainer(bytes);
+  const auto infos = InspectSnapshot(bytes.data(), bytes.size());
+  ASSERT_TRUE(infos.has_value());
+  Bytes hostile;
+  AppendU32(&hostile, 0);
+  AppendU32(&hostile, 0x7fffffffu);
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    std::vector<Section> mutated = sections;
+    mutated[i].second = hostile;
+    ExpectRejected(JoinContainer(mutated), "section " + (*infos)[i].tag);
+  }
 }
 
-TEST(SnapshotCorruptionTest, MissingFileIsADiagnosedLoadFailure) {
+INSTANTIATE_TEST_SUITE_P(
+    Containers, SnapshotCorruptionTest, ::testing::ValuesIn(ContainerKinds()),
+    [](const ::testing::TestParamInfo<ContainerKind>& info) {
+      return info.param.name;
+    });
+
+TEST(SnapshotContainerTest, MissingFileIsADiagnosedLoadFailure) {
   std::string error;
   EXPECT_FALSE(LoadSnapshot("/nonexistent/no.ctbs", &error).has_value());
+  EXPECT_NE(error.find("no.ctbs"), std::string::npos);
+  EXPECT_FALSE(
+      LoadPrecomputeCacheEntry("/nonexistent/no.ctbs", &error).has_value());
   EXPECT_NE(error.find("no.ctbs"), std::string::npos);
 }
 

@@ -1,8 +1,9 @@
 // Differential harness for "a response is a pure function of (snapshot
 // content, request)": one fixed stream of plan requests and commits is
 // replayed under varied serving settings — cache capacity, byte budget,
-// disk spill with a restart midway, snapshot retention, worker and kernel
-// thread counts — and every response's ResponseChecksum must equal the
+// disk spill with a restart midway (intact or with every spill file
+// truncated mid-payload), snapshot retention, worker and kernel thread
+// counts — and every response's ResponseChecksum must equal the
 // reference run's. The stream commits routes, so later requests resolve
 // warm-started (derived) precomputes in some settings and from-scratch or
 // disk-loaded ones in others; all of them must agree bit for bit.
@@ -34,6 +35,9 @@ struct Setting {
   /// Tear the service down before kRestartBeforeSegment and bring up a
   /// fresh one over the same spill directory, re-applying the commits.
   bool restart = false;
+  /// Before that restart, truncate every spill file mid-payload (a write
+  /// cut short): each must read as a miss, never as a precompute.
+  bool truncate_spill = false;
 };
 
 core::CtBusOptions BaseOptions() {
@@ -74,7 +78,19 @@ std::vector<PlanRequest> SegmentRequests(std::uint64_t latest,
 struct Replay {
   std::vector<std::uint64_t> checksums;
   int derived = 0;
+  std::uint64_t spill_loads = 0;
 };
+
+/// Cuts every file in `dir` to half its size: past the header and the key
+/// section, inside the precompute payload.
+void TruncateSpillFiles(const std::string& dir) {
+  int truncated = 0;
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    std::filesystem::resize_file(file.path(), file.file_size() / 2);
+    ++truncated;
+  }
+  EXPECT_GT(truncated, 0) << "the restart had no spill file to damage";
+}
 
 Replay RunStream(const Setting& setting) {
   const auto start = [&setting] {
@@ -88,6 +104,9 @@ Replay RunStream(const Setting& setting) {
   for (int segment = 0; segment < kSegments; ++segment) {
     if (setting.restart && segment == kRestartBeforeSegment) {
       service.reset();  // flushes ready cache entries to the spill dir
+      if (setting.truncate_spill) {
+        TruncateSpillFiles(setting.service.cache_spill_dir);
+      }
       service = start();
       for (const ServiceResult& result : committed) service->Commit(result);
     }
@@ -111,6 +130,7 @@ Replay RunStream(const Setting& setting) {
   }
   EXPECT_EQ(service->LatestVersion("midtown"),
             static_cast<std::uint64_t>(kSegments));
+  replay.spill_loads = service->cache_stats().spill_loads;
   return replay;
 }
 
@@ -125,7 +145,10 @@ std::vector<Setting> Settings() {
   };
   const std::string spill_dir =
       ::testing::TempDir() + "/service_differential_spill";
+  const std::string truncated_dir =
+      ::testing::TempDir() + "/service_differential_truncated_spill";
   std::filesystem::remove_all(spill_dir);
+  std::filesystem::remove_all(truncated_dir);
   return {
       with("capacity 0", [](Setting* s) { s->service.cache_capacity = 0; }),
       with("capacity 1", [](Setting* s) { s->service.cache_capacity = 1; }),
@@ -136,6 +159,15 @@ std::vector<Setting> Settings() {
              s->service.cache_capacity = 1;
              s->service.cache_spill_dir = spill_dir;
              s->restart = true;
+           }),
+      // Capacity 8 evicts nothing after the restart, so every spill read
+      // is of a damaged pre-restart file (the re-applied commits resolve
+      // versions 1 and 2): intact files would make two disk hits.
+      with("truncated spill + restart",
+           [&truncated_dir](Setting* s) {
+             s->service.cache_spill_dir = truncated_dir;
+             s->restart = true;
+             s->truncate_spill = true;
            }),
       with("keep_latest 1",
            [](Setting* s) { s->service.retention.keep_latest = 1; }),
@@ -175,6 +207,9 @@ TEST(ServiceDifferentialTest, ResponsesIndependentOfServingSettings) {
     }
     if (setting.service.cache_capacity == 0) {
       EXPECT_EQ(actual.derived, 0);  // nothing resident to derive from
+    }
+    if (setting.truncate_spill) {
+      EXPECT_EQ(actual.spill_loads, 0u);  // every damaged file was a miss
     }
   }
 }

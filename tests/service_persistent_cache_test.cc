@@ -277,6 +277,32 @@ TEST(PrecomputeCacheSpillTest, FingerprintMismatchIsAMiss) {
                                   [&] { return real_fingerprint; }),
             nullptr);
   EXPECT_TRUE(was_hit);
+
+  // A well-formed entry under the right key that recorded no fingerprint
+  // (0) proves nothing about the networks: a caller with a fingerprint
+  // must compute rather than serve it.
+  const std::string unrecorded_dir = FreshSpillDir("spill_fingerprint_zero");
+  PrecomputeCache unrecorded(/*capacity=*/4, /*max_bytes=*/0, unrecorded_dir);
+  io::PrecomputeCacheEntry entry;
+  entry.dataset = key.dataset;
+  entry.snapshot_version = key.snapshot_version;
+  entry.network_fingerprint = 0;
+  entry.provenance = key.provenance;
+  entry.precompute = core::PlanningContext::RunPrecompute(
+      networks.road, networks.transit, options);
+  std::string error;
+  ASSERT_TRUE(io::SavePrecomputeCacheEntry(entry, unrecorded.SpillPath(key),
+                                           &error))
+      << error;
+  calls = 0;
+  was_hit = true;
+  ASSERT_NE(unrecorded.GetOrCompute(key, ComputeFor(networks, options, &calls),
+                                    &was_hit,
+                                    [&] { return real_fingerprint; }),
+            nullptr);
+  EXPECT_EQ(calls, 1) << "an unrecorded fingerprint must be a plain miss";
+  EXPECT_FALSE(was_hit);
+  EXPECT_EQ(unrecorded.stats().spill_loads, 0u);
 }
 
 TEST(PrecomputeCacheSpillTest, CapacityZeroDisablesSpillEntirely) {

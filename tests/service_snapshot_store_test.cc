@@ -2,7 +2,9 @@
 // Prune(keep_latest) clamps to keeping at least one version, so
 // Get(latest_version()) and Latest() always agree — Prune(0) used to erase
 // every version including the latest, after which Get(latest_version())
-// returned nullptr while Latest() still handed out the snapshot.
+// returned nullptr while Latest() still handed out the snapshot. Also:
+// a store commit applies the same Section 6.3 rule as the CtBusPlanner
+// facade, byte for byte.
 #include "service/snapshot_store.h"
 
 #include <gtest/gtest.h>
@@ -13,8 +15,10 @@
 #include <vector>
 
 #include "core/eta.h"
+#include "core/planner.h"
 #include "core/planning_context.h"
 #include "gen/datasets.h"
+#include "io/snapshot.h"
 
 namespace ctbus::service {
 namespace {
@@ -161,6 +165,33 @@ TEST_F(SnapshotStorePruneTest, UnlimitedRetentionIsANoOpOnResidentStores) {
   EXPECT_EQ(result.lineage_trimmed, 0u);
   EXPECT_EQ(store_->num_versions(), 3u);
   EXPECT_EQ(store_->num_lineage_records(), 2u);
+}
+
+TEST(SnapshotStoreCommitTest, StoreAndFacadeCommitTheSameNetworks) {
+  // Two stacked rounds: each plan is committed once through the facade
+  // and once through the store; the resulting networks must encode to
+  // the same bytes.
+  gen::Dataset d = gen::MakeMidtown();
+  const core::CtBusOptions options = FastOptions();
+  core::CtBusPlanner facade(d.road, d.transit, options);
+  SnapshotStore store(std::move(d.road), std::move(d.transit));
+  for (int round = 0; round < 2; ++round) {
+    const SnapshotPtr snap = store.Latest();
+    const auto ctx =
+        core::PlanningContext::Build(*snap->road, *snap->transit, options);
+    const core::PlanResult plan =
+        core::RunEta(&ctx, core::SearchMode::kPrecomputed);
+    ASSERT_TRUE(plan.found);
+    facade.CommitRoute(plan);
+    store.CommitRoute(plan, ctx.universe());
+    const SnapshotPtr committed = store.Latest();
+    EXPECT_NE(io::NetworkFingerprint(*committed->road, *committed->transit),
+              io::NetworkFingerprint(*snap->road, *snap->transit))
+        << "round " << round;
+    EXPECT_EQ(io::NetworkFingerprint(facade.road(), facade.transit()),
+              io::NetworkFingerprint(*committed->road, *committed->transit))
+        << "round " << round;
+  }
 }
 
 }  // namespace

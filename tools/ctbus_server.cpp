@@ -20,11 +20,13 @@
 // --reject-on-overflow switches the shard queues to kReject so a full
 // queue sheds load as kRejectedOverload instead of blocking the reader.
 //
-// Cold-start accelerators (io/snapshot.h): --snapshot loads the dataset
-// from a CTBS binary snapshot when the file is valid (and writes it there
-// after a text build otherwise); --spill-dir persists evicted precompute
-// cache entries so a restarted server answers its first query without
-// recomputing. See docs/ARCHITECTURE.md, "Persistence".
+// Cold-start accelerators (io/snapshot.h): the snapshot holds the
+// networks, the spill holds the precompute. --snapshot loads the dataset
+// from a CTBS city snapshot when the file is valid (and writes it there
+// after a text build otherwise); --spill-dir persists precompute cache
+// entries (on eviction and shutdown) so a restarted server answers its
+// first query without recomputing. See docs/ARCHITECTURE.md,
+// "Persistence".
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
