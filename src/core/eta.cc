@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <optional>
 #include <queue>
 #include <utility>
 
 #include "core/domination_table.h"
-#include "core/parallel_for.h"
 #include "demand/demand_bound.h"
 
 namespace ctbus::core {
@@ -42,16 +40,7 @@ class EtaSearch {
         // integrated objective via L_e (Section 6.2).
         bound_(mode == SearchMode::kOnline ? &ctx->demand_list()
                                            : &ctx->objective_list(),
-               options_.k) {
-    // Frontier evaluation forks only in kOnline mode, where each candidate
-    // costs one local eigensolve pair; ETA-Pre's ranked-list lookups would
-    // be swamped by any synchronization. eta_threads <= 1 keeps the serial
-    // loop with no pool at all.
-    if (mode_ == SearchMode::kOnline) {
-      const int threads = ResolveThreadCount(options_.eta_threads);
-      if (threads > 1) pool_ = std::make_unique<WorkerPool>(threads);
-    }
-  }
+               options_.k) {}
 
   PlanResult Run() {
     const auto start = std::chrono::steady_clock::now();
@@ -148,7 +137,7 @@ class EtaSearch {
     std::vector<int> result;
     for (int e : ctx_->universe().IncidentEdges(at_stop)) {
       if (!EdgeAllowed(e)) continue;
-      if (path.CanExtend(ctx_->universe(), ctx_->transit(), e, at_stop)) {
+      if (path.CanExtend(ctx_->universe(), e, at_stop)) {
         result.push_back(e);
       }
     }
@@ -226,11 +215,10 @@ class EtaSearch {
       std::vector<double> trace_terms;
       EvaluateExtensions(entry, at_stop, extensions, &children, &objectives,
                          &trace_terms);
-      // The pruning pass stays serial and in candidate order: objectives
-      // never depend on the incumbent, so evaluating them up front (and,
-      // with a pool, concurrently) leaves best_objective_'s evolution —
-      // and therefore every bound/domination decision — exactly as the
-      // classic one-candidate-at-a-time loop had it.
+      // Objectives never depend on the incumbent, so evaluating them up
+      // front leaves best_objective_'s evolution (and therefore every
+      // bound/domination decision) exactly as the classic
+      // one-candidate-at-a-time loop had it.
       for (std::size_t i = 0; i < extensions.size(); ++i) {
         QueueEntry child;
         child.path = std::move(children[i]);
@@ -247,8 +235,7 @@ class EtaSearch {
 
   // Returns the feasible extension edge with the highest resulting
   // objective, or -1, and (kOnline) its trace term in `trace_term`. Ties go
-  // to the earliest feasible candidate, matching the serial scan order at
-  // any eta_threads setting.
+  // to the earliest feasible candidate.
   int BestExtension(const QueueEntry& entry, int at_stop,
                     double* trace_term) {
     const std::vector<int> extensions = FeasibleExtensions(entry.path, at_stop);
@@ -264,7 +251,7 @@ class EtaSearch {
       }
       return extensions[best];
     }
-    // Line 10: one local trace increment per neighbor, fanned over the pool.
+    // Line 10: one local trace increment per neighbor.
     std::vector<double> values;
     std::vector<double> terms;
     EvaluateExtensions(entry, at_stop, extensions, /*children=*/nullptr,
@@ -282,9 +269,7 @@ class EtaSearch {
   // `children`, when requested). kOnline scores each candidate e as
   // Objective(demand + d(e), ConnectivityFromTrace(Delta tr(P) +
   // Delta tr(e | P))) and writes the terms Delta tr(e | P) into
-  // `trace_terms`. With a pool (kOnline, eta_threads > 1) the evaluations
-  // fan out over the workers; each is a pure function of (base, path, edge)
-  // landing in its own index, so the output does not depend on eta_threads.
+  // `trace_terms`.
   void EvaluateExtensions(const QueueEntry& entry, int at_stop,
                           const std::vector<int>& extensions,
                           std::vector<CandidatePath>* children,
@@ -294,7 +279,7 @@ class EtaSearch {
     objectives->resize(n);
     trace_terms->assign(n, 0.0);
     if (children != nullptr) children->resize(n);
-    const auto evaluate_one = [&](int i) {
+    for (int i = 0; i < n; ++i) {
       CandidatePath extended = entry.path;
       extended.Extend(ctx_->universe(), ctx_->transit(), extensions[i],
                       at_stop);
@@ -309,13 +294,6 @@ class EtaSearch {
                                         (*trace_terms)[i]));
       }
       if (children != nullptr) (*children)[i] = std::move(extended);
-    };
-    if (pool_ != nullptr && n > 1) {
-      pool_->Run(n, [&](int /*shard*/, int begin, int end) {
-        for (int i = begin; i < end; ++i) evaluate_one(i);
-      });
-    } else {
-      for (int i = 0; i < n; ++i) evaluate_one(i);
     }
   }
 
@@ -350,9 +328,6 @@ class EtaSearch {
   const PlanningContext* ctx_;
   SearchMode mode_;
   const CtBusOptions& options_;
-  /// Persistent frontier-evaluation pool; null in kPrecomputed mode and
-  /// whenever eta_threads resolves to 1 (the serial fast path).
-  std::unique_ptr<WorkerPool> pool_;
   demand::IncrementalDemandBound bound_;
   DominationTable domination_;
   std::priority_queue<QueueEntry> queue_;

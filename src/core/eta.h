@@ -14,9 +14,8 @@
 //    (connectivity/local_increment.h), scored as
 //    log1p((Delta tr(P) + Delta tr(e | P)) / tr_0); the chosen edge's term
 //    is added to the entry, so re-evaluating the extended path is free.
-//    With CtBusOptions::eta_threads > 1 the per-frontier terms fan out over
-//    a persistent WorkerPool and are reduced in serial order, so results
-//    are bit-identical at any thread count.
+//    The frontier is evaluated serially, one candidate after another;
+//    requests run in parallel one level up (one search per service worker).
 //  * kPrecomputed (ETA-Pre): the objective is linear in the edges via the
 //    integrated ranking L_e (Equation 11); no estimator calls during the
 //    search. The winner's true connectivity is re-estimated once at the end.

@@ -62,20 +62,6 @@ struct CtBusOptions {
   /// ctbus-lint: key-exempt(bit-identical at any thread count — keying would fragment the cache)
   int precompute_threads = 1;
 
-  /// Worker threads for ETA's online frontier evaluation — the
-  /// per-neighbor local trace increments on lines 7-16 of Algorithm 1,
-  /// the dominant per-query cost of SearchMode::kOnline (ETA-Pre ranks
-  /// neighbors by L_e and never forks). 1 = serial, exactly the classic
-  /// loop; 0 or negative = hardware concurrency. Results are bit-identical
-  /// at any setting: every term is a pure function of the base adjacency,
-  /// the path and the edge (see PlanningContext::EdgeTraceIncrement), and
-  /// candidates are reduced in serial order (argmax, lowest index wins
-  /// ties). Like
-  /// precompute_threads, this knob is therefore deliberately NOT part of
-  /// the serving layer's precompute cache key (service/precompute_cache.h).
-  /// ctbus-lint: key-exempt(bit-identical at any thread count — keying would fragment the cache)
-  int eta_threads = 1;
-
   /// Algorithm 1 variant toggles (Section 4.2.2 / 4.2.3, Figure 11):
   /// false => ETA-AN: enqueue the path extended with *every* neighbor
   /// instead of only the best pair.

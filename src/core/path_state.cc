@@ -17,9 +17,8 @@ CandidatePath::CandidatePath(const EdgeUniverse& universe, int edge) {
   num_new_edges_ = e.is_new ? 1 : 0;
 }
 
-bool CandidatePath::CanExtend(const EdgeUniverse& universe,
-                              const graph::TransitNetwork& /*transit*/,
-                              int edge, int at_stop) const {
+bool CandidatePath::CanExtend(const EdgeUniverse& universe, int edge,
+                              int at_stop) const {
   if (closed_) return false;
   assert(at_stop == begin_stop() || at_stop == end_stop());
   const PlannableEdge& e = universe.edge(edge);

@@ -40,9 +40,7 @@ class CandidatePath {
   ///    the opposite end is allowed, after which the path is closed),
   ///  * no road edge is crossed twice,
   ///  * the edge itself is not already used.
-  bool CanExtend(const EdgeUniverse& universe,
-                 const graph::TransitNetwork& transit, int edge,
-                 int at_stop) const;
+  bool CanExtend(const EdgeUniverse& universe, int edge, int at_stop) const;
 
   /// Extends at `at_stop` (front or back). Requires CanExtend. Updates the
   /// turn count per Algorithm 2: deviation angle > pi/4 adds a turn;

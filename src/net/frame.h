@@ -30,10 +30,11 @@
 // ResponseChecksum hashes ONLY the deterministic section, which is what
 // the record/replay harness (net/trace_file.h) compares across runs.
 //
-// The thread knobs (precompute_threads / eta_threads) and trace_every
-// are deliberately NOT on the wire: results are bit-identical at any
-// thread count (core/options.h), so they are server-side policy — a
-// client cannot make two servers disagree by sending different values.
+// precompute_threads and trace_every are deliberately NOT on the wire:
+// the precompute is bit-identical at any thread count (core/options.h),
+// so a client cannot make two servers disagree by sending different
+// values. The server runs each precompute with the default
+// precompute_threads (serial) and never records a convergence trace.
 #ifndef CTBUS_NET_FRAME_H_
 #define CTBUS_NET_FRAME_H_
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/baselines.h"
+#include "core/parallel_for.h"
 #include "core/timing.h"
 #include "gen/datasets.h"
 #include "io/snapshot.h"
@@ -62,12 +63,7 @@ PlanningService::PlanningService(const ServiceOptions& options)
       latency_[p].total = metrics_.GetHistogram(kPhaseNames[p][4]);
     }
   }
-  int threads = options.num_threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  threads_per_shard_ = threads;
+  threads_per_shard_ = core::ResolveThreadCount(options.num_threads);
 }
 
 PlanningService::~PlanningService() { Shutdown(); }

@@ -195,9 +195,8 @@ struct PlanRequest {
   /// Planner knobs, carried verbatim to the worker: the precompute fields
   /// (tau and the precompute estimator) feed the cache key,
   /// the sweepables (k, w, Tn, sn, planner variant toggles) stay free, and
-  /// the thread counts (precompute_threads, eta_threads — each request may
-  /// size its own frontier fan-out) are excluded from the key because
-  /// results are bit-identical at any setting (core/options.h).
+  /// precompute_threads is excluded from the key because the precompute is
+  /// bit-identical at any thread count (core/options.h).
   core::CtBusOptions options;
   core::Planner planner = core::Planner::kEtaPre;
   /// Snapshot to plan against; 0 = latest at execution time.

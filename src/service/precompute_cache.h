@@ -63,10 +63,10 @@ namespace ctbus::service {
 /// Everything RunPrecompute's output depends on: requests with equal keys
 /// share one cache entry, and so one precompute.
 ///
-/// Thread-count knobs (CtBusOptions::precompute_threads, eta_threads) are
-/// deliberately NOT key fields: both are bit-identical at any setting, so
-/// including them would only fragment the cache across requests that
-/// provably produce the same precompute and plans.
+/// CtBusOptions::precompute_threads is deliberately NOT a key field: the
+/// precompute is bit-identical at any thread count, so including it would
+/// only fragment the cache across requests that provably produce the same
+/// precompute and plans.
 /// The option fields are the io::PrecomputeProvenance every spill file
 /// records, normalized once by io::MakeProvenance.
 struct PrecomputeKey {

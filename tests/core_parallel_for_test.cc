@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -92,103 +91,6 @@ TEST(ResolveThreadCountTest, PositivePassesThroughZeroMeansHardware) {
   EXPECT_EQ(ResolveThreadCount(5), 5);
   EXPECT_GE(ResolveThreadCount(0), 1);
   EXPECT_GE(ResolveThreadCount(-3), 1);
-}
-
-TEST(WorkerPoolTest, PartitionMatchesParallelForAcrossRepeatedRuns) {
-  // The pool's whole point is reusing threads over many small forks with
-  // the exact ParallelFor partition, so per-shard scratch state keyed off
-  // shard ids stays valid across Runs.
-  WorkerPool pool(3);
-  EXPECT_EQ(pool.num_threads(), 3);
-  for (int n : {1, 2, 3, 7, 64}) {
-    std::vector<std::pair<int, int>> reference(3, {-1, -1});
-    ParallelFor(n, 3, [&](int shard, int begin, int end) {
-      reference[shard] = {begin, end};
-    });
-    for (int repeat = 0; repeat < 3; ++repeat) {
-      std::vector<std::pair<int, int>> pooled(3, {-1, -1});
-      std::vector<std::atomic<int>> visits(n);
-      for (auto& v : visits) v.store(0);
-      pool.Run(n, [&](int shard, int begin, int end) {
-        pooled[shard] = {begin, end};
-        for (int i = begin; i < end; ++i) visits[i].fetch_add(1);
-      });
-      EXPECT_EQ(pooled, reference) << "n=" << n << " repeat=" << repeat;
-      for (int i = 0; i < n; ++i) {
-        EXPECT_EQ(visits[i].load(), 1) << "n=" << n << " index=" << i;
-      }
-    }
-  }
-}
-
-TEST(WorkerPoolTest, StableShardToThreadMapping) {
-  // Shard s must always land on the same thread, so per-slot scratch
-  // (adjacency copies) is never shared across threads.
-  WorkerPool pool(4);
-  std::vector<std::thread::id> owner(4);
-  pool.Run(4, [&](int shard, int /*begin*/, int /*end*/) {
-    owner[shard] = std::this_thread::get_id();
-  });
-  EXPECT_EQ(owner[0], std::this_thread::get_id());  // caller runs shard 0
-  for (int repeat = 0; repeat < 5; ++repeat) {
-    pool.Run(4, [&](int shard, int /*begin*/, int /*end*/) {
-      EXPECT_EQ(owner[shard], std::this_thread::get_id())
-          << "shard " << shard << " migrated on repeat " << repeat;
-    });
-  }
-}
-
-TEST(WorkerPoolTest, SmallRunsDegradeToFewerShardsThenRecover) {
-  WorkerPool pool(8);
-  std::atomic<int> calls{0};
-  pool.Run(2, [&](int /*shard*/, int begin, int end) {
-    EXPECT_EQ(end - begin, 1);
-    calls.fetch_add(1);
-  });
-  EXPECT_EQ(calls.load(), 2);
-  // A bigger Run after a degenerate one still uses every thread.
-  std::vector<std::atomic<int>> shard_calls(8);
-  for (auto& c : shard_calls) c.store(0);
-  pool.Run(64, [&](int shard, int /*begin*/, int /*end*/) {
-    shard_calls[shard].fetch_add(1);
-  });
-  for (int s = 0; s < 8; ++s) {
-    EXPECT_EQ(shard_calls[s].load(), 1) << "shard " << s;
-  }
-}
-
-TEST(WorkerPoolTest, SingleIndexRunsInlineOnCaller) {
-  WorkerPool pool(4);
-  const auto caller = std::this_thread::get_id();
-  pool.Run(1, [&](int shard, int begin, int end) {
-    EXPECT_EQ(shard, 0);
-    EXPECT_EQ(begin, 0);
-    EXPECT_EQ(end, 1);
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-  });
-  pool.Run(0, [&](int, int, int) { FAIL() << "n = 0 must not call body"; });
-}
-
-TEST(WorkerPoolTest, FirstShardExceptionWinsAndPoolSurvives) {
-  WorkerPool pool(4);
-  std::atomic<int> completed{0};
-  try {
-    pool.Run(8, [&](int shard, int /*begin*/, int /*end*/) {
-      if (shard == 2) throw std::runtime_error("shard 2");
-      if (shard == 1) throw std::runtime_error("shard 1");
-      completed.fetch_add(1);
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "shard 1");  // lowest throwing shard id
-  }
-  EXPECT_EQ(completed.load(), 2);
-  // The pool is intact: the next Run executes normally.
-  std::atomic<int> calls{0};
-  pool.Run(4, [&](int, int begin, int end) {
-    calls.fetch_add(end - begin);
-  });
-  EXPECT_EQ(calls.load(), 4);
 }
 
 }  // namespace

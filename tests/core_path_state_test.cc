@@ -85,7 +85,7 @@ TEST(CandidatePathTest, ExtendAtEndGrowsPath) {
   const int e12 = UniverseEdgeBetween(u, 1, 2);
   CandidatePath path(u, e01);
   const int end = path.end_stop() == 1 ? 1 : path.begin_stop();
-  ASSERT_TRUE(path.CanExtend(u, transit, e12, end));
+  ASSERT_TRUE(path.CanExtend(u, e12, end));
   path.Extend(u, transit, e12, end);
   EXPECT_EQ(path.num_edges(), 2);
   EXPECT_EQ(path.turns(), 0);  // straight line
@@ -102,7 +102,7 @@ TEST(CandidatePathTest, StraightLineHasNoTurns) {
     const int e = UniverseEdgeBetween(u, from, to);
     const int at = path.end_stop() == from ? path.end_stop()
                                            : path.begin_stop();
-    ASSERT_TRUE(path.CanExtend(u, transit, e, at));
+    ASSERT_TRUE(path.CanExtend(u, e, at));
     path.Extend(u, transit, e, at);
   }
   EXPECT_EQ(path.turns(), 0);
@@ -118,7 +118,7 @@ TEST(CandidatePathTest, SteepTurnCountsOne) {
   // Orient: make sure end is stop 2.
   int at = path.end_stop() == 2 ? path.end_stop() : path.begin_stop();
   const int e24 = UniverseEdgeBetween(u, 2, 4);
-  ASSERT_TRUE(path.CanExtend(u, transit, e24, at));
+  ASSERT_TRUE(path.CanExtend(u, e24, at));
   path.Extend(u, transit, e24, at);
   EXPECT_GE(path.turns(), 1);
   EXPECT_LT(path.turns(), CandidatePath::kSharpTurnPenalty);
@@ -132,7 +132,7 @@ TEST(CandidatePathTest, ShallowDeviationIsNotATurn) {
   CandidatePath path(u, UniverseEdgeBetween(u, 2, 3));
   const int at = path.end_stop() == 3 ? path.end_stop() : path.begin_stop();
   const int e35 = UniverseEdgeBetween(u, 3, 5);
-  ASSERT_TRUE(path.CanExtend(u, transit, e35, at));
+  ASSERT_TRUE(path.CanExtend(u, e35, at));
   path.Extend(u, transit, e35, at);
   EXPECT_EQ(path.turns(), 0);
 }
@@ -143,8 +143,8 @@ TEST(CandidatePathTest, CannotReuseEdge) {
   const auto u = LineUniverse(road, transit);
   const int e01 = UniverseEdgeBetween(u, 0, 1);
   const CandidatePath path(u, e01);
-  EXPECT_FALSE(path.CanExtend(u, transit, e01, path.end_stop()));
-  EXPECT_FALSE(path.CanExtend(u, transit, e01, path.begin_stop()));
+  EXPECT_FALSE(path.CanExtend(u, e01, path.end_stop()));
+  EXPECT_FALSE(path.CanExtend(u, e01, path.begin_stop()));
 }
 
 TEST(CandidatePathTest, CannotRevisitStop) {
@@ -157,7 +157,7 @@ TEST(CandidatePathTest, CannotRevisitStop) {
   int at = path.end_stop() == 1 ? path.end_stop() : path.begin_stop();
   path.Extend(u, transit, UniverseEdgeBetween(u, 1, 2), at);
   // Try to extend the 2-end back toward 1 via edge 1-2: edge reuse, blocked.
-  EXPECT_FALSE(path.CanExtend(u, transit, UniverseEdgeBetween(u, 1, 2),
+  EXPECT_FALSE(path.CanExtend(u, UniverseEdgeBetween(u, 1, 2),
                               path.end_stop() == 2 ? path.end_stop()
                                                    : path.begin_stop()));
 }
@@ -171,7 +171,7 @@ TEST(CandidatePathTest, ExtendAtBeginPrepends) {
   // Extend toward 0 at whichever end is stop 1.
   const int e01 = UniverseEdgeBetween(u, 0, 1);
   const int at = path.begin_stop() == 1 ? path.begin_stop() : path.end_stop();
-  ASSERT_TRUE(path.CanExtend(u, transit, e01, at));
+  ASSERT_TRUE(path.CanExtend(u, e01, at));
   path.Extend(u, transit, e01, at);
   EXPECT_EQ(path.num_edges(), 2);
   // Stops must be a contiguous chain 0-1-2 (in either direction).
@@ -207,7 +207,7 @@ TEST(CandidatePathTest, RoadEdgeConflictBlocksExtension) {
   ASSERT_GE(e12, 0);
   const CandidatePath path(u, e01);
   const int at = path.end_stop() == 1 ? path.end_stop() : path.begin_stop();
-  EXPECT_FALSE(path.CanExtend(u, transit, e12, at));
+  EXPECT_FALSE(path.CanExtend(u, e12, at));
 }
 
 }  // namespace

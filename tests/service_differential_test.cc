@@ -2,13 +2,15 @@
 // content, request)": one fixed stream of plan requests and commits is
 // replayed under varied serving settings — cache capacity, byte budget,
 // disk spill with a restart midway (intact or with every spill file
-// truncated mid-payload), snapshot retention, worker and kernel thread
-// counts — and every response's ResponseChecksum must equal the
-// reference run's. The stream commits routes, so later requests resolve
-// warm-started (derived) precomputes in some settings and from-scratch or
-// disk-loaded ones in others; all of them must agree bit for bit.
+// truncated mid-payload) or at every segment boundary, snapshot
+// retention, worker and precompute thread counts — and every response's
+// ResponseChecksum must equal the reference run's. The stream commits
+// routes, so later requests resolve warm-started (derived) precomputes in
+// some settings and from-scratch or disk-loaded ones in others; all of
+// them must agree bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <future>
@@ -31,11 +33,10 @@ struct Setting {
   std::string name;
   ServiceOptions service;
   int precompute_threads = 1;
-  int eta_threads = 1;
-  /// Tear the service down before kRestartBeforeSegment and bring up a
-  /// fresh one over the same spill directory, re-applying the commits.
-  bool restart = false;
-  /// Before that restart, truncate every spill file mid-payload (a write
+  /// Segments before which the service is torn down and a fresh one is
+  /// brought up over the same spill directory, re-applying the commits.
+  std::vector<int> restart_before;
+  /// Before each restart, truncate every spill file mid-payload (a write
   /// cut short): each must read as a miss, never as a precompute.
   bool truncate_spill = false;
 };
@@ -61,7 +62,6 @@ std::vector<PlanRequest> SegmentRequests(std::uint64_t latest,
     request.dataset = "midtown";
     request.options = BaseOptions();
     request.options.precompute_threads = setting.precompute_threads;
-    request.options.eta_threads = setting.eta_threads;
   }
   requests[1].planner = core::Planner::kVkTsp;
   requests[1].options.k = 5;
@@ -78,6 +78,7 @@ std::vector<PlanRequest> SegmentRequests(std::uint64_t latest,
 struct Replay {
   std::vector<std::uint64_t> checksums;
   int derived = 0;
+  /// Disk hits, summed over every service instance of the run.
   std::uint64_t spill_loads = 0;
 };
 
@@ -102,7 +103,10 @@ Replay RunStream(const Setting& setting) {
   std::vector<ServiceResult> committed;
   Replay replay;
   for (int segment = 0; segment < kSegments; ++segment) {
-    if (setting.restart && segment == kRestartBeforeSegment) {
+    if (std::find(setting.restart_before.begin(),
+                  setting.restart_before.end(),
+                  segment) != setting.restart_before.end()) {
+      replay.spill_loads += service->cache_stats().spill_loads;
       service.reset();  // flushes ready cache entries to the spill dir
       if (setting.truncate_spill) {
         TruncateSpillFiles(setting.service.cache_spill_dir);
@@ -130,7 +134,7 @@ Replay RunStream(const Setting& setting) {
   }
   EXPECT_EQ(service->LatestVersion("midtown"),
             static_cast<std::uint64_t>(kSegments));
-  replay.spill_loads = service->cache_stats().spill_loads;
+  replay.spill_loads += service->cache_stats().spill_loads;
   return replay;
 }
 
@@ -147,8 +151,12 @@ std::vector<Setting> Settings() {
       ::testing::TempDir() + "/service_differential_spill";
   const std::string truncated_dir =
       ::testing::TempDir() + "/service_differential_truncated_spill";
-  std::filesystem::remove_all(spill_dir);
-  std::filesystem::remove_all(truncated_dir);
+  const std::string every_boundary_dir =
+      ::testing::TempDir() + "/service_differential_every_boundary_spill";
+  for (const std::string& dir :
+       {spill_dir, truncated_dir, every_boundary_dir}) {
+    std::filesystem::remove_all(dir);
+  }
   return {
       with("capacity 0", [](Setting* s) { s->service.cache_capacity = 0; }),
       with("capacity 1", [](Setting* s) { s->service.cache_capacity = 1; }),
@@ -158,7 +166,7 @@ std::vector<Setting> Settings() {
            [&spill_dir](Setting* s) {
              s->service.cache_capacity = 1;
              s->service.cache_spill_dir = spill_dir;
-             s->restart = true;
+             s->restart_before = {kRestartBeforeSegment};
            }),
       // Capacity 8 evicts nothing after the restart, so every spill read
       // is of a damaged pre-restart file (the re-applied commits resolve
@@ -166,22 +174,30 @@ std::vector<Setting> Settings() {
       with("truncated spill + restart",
            [&truncated_dir](Setting* s) {
              s->service.cache_spill_dir = truncated_dir;
-             s->restart = true;
+             s->restart_before = {kRestartBeforeSegment};
              s->truncate_spill = true;
+           }),
+      // Every segment after the first starts on a fresh service that
+      // knows the earlier versions only through the spill directory.
+      with("restart at every boundary",
+           [&every_boundary_dir](Setting* s) {
+             s->service.cache_capacity = 1;
+             s->service.cache_spill_dir = every_boundary_dir;
+             for (int segment = 1; segment < kSegments; ++segment) {
+               s->restart_before.push_back(segment);
+             }
            }),
       with("keep_latest 1",
            [](Setting* s) { s->service.retention.keep_latest = 1; }),
       with("3 workers", [](Setting* s) { s->service.num_threads = 3; }),
       with("precompute_threads 4",
            [](Setting* s) { s->precompute_threads = 4; }),
-      with("eta_threads 4", [](Setting* s) { s->eta_threads = 4; }),
       with("all knobs",
            [](Setting* s) {
              s->service.num_threads = 3;
              s->service.cache_capacity = 1;
              s->service.retention.keep_latest = 1;
              s->precompute_threads = 4;
-             s->eta_threads = 4;
            }),
   };
 }
@@ -210,6 +226,8 @@ TEST(ServiceDifferentialTest, ResponsesIndependentOfServingSettings) {
     }
     if (setting.truncate_spill) {
       EXPECT_EQ(actual.spill_loads, 0u);  // every damaged file was a miss
+    } else if (!setting.restart_before.empty()) {
+      EXPECT_GT(actual.spill_loads, 0u);  // a restart read the spill back
     }
   }
 }

@@ -248,12 +248,11 @@ TEST(PrecomputeCacheTest, NanTauIsRejectedAtKeyConstruction) {
 }
 
 TEST(PrecomputeCacheTest, ThreadCountKnobsStayOutOfTheKey) {
-  // precompute_threads and eta_threads are bit-identical at any setting,
-  // so requests differing only in them must share one cache entry.
+  // The precompute is bit-identical at any precompute_threads, so
+  // requests differing only in it must share one cache entry.
   core::CtBusOptions serial;
   core::CtBusOptions threaded;
   threaded.precompute_threads = 8;
-  threaded.eta_threads = 16;
   const PrecomputeKey a = MakePrecomputeKey("a", 1, serial);
   const PrecomputeKey b = MakePrecomputeKey("a", 1, threaded);
   EXPECT_TRUE(a == b);
