@@ -1,0 +1,146 @@
+// Per-request search time of the three planners a request can name:
+// ETA-Pre and VK-TSP at it_max 500, and online ETA at it_max 2 (its time
+// is local ball solves and the Lemma 4 eigenvalue run, so two iterations
+// already show its cost). Every run plans over one shared PlanningBase on
+// ChicagoLike at CTBUS_SCALE, with perfbench's estimator shapes (online
+// 50x10, precompute 5x5) and the paper's sn = 5000, at k = 4 / 8 / 12 and
+// w = 0.5. The context is built outside the stopwatch; VK-TSP's time
+// includes the sibling context it builds.
+//
+// Each time is the median of kRuns calls, reported with its quartiles.
+// The objective and the iteration count of every (planner, k) are
+// checksums: every run must return the same bits (the bench exits 1 if
+// not), and tools/bench_diff.py compares them exactly against
+// bench/baselines/BENCH_search.json.
+#include <algorithm>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "bench/bench_util.h"
+#include "core/baselines.h"
+#include "core/eta.h"
+#include "core/planning_context.h"
+#include "gen/datasets.h"
+
+namespace {
+
+using ctbus::bench::Stopwatch;
+using ctbus::core::CtBusOptions;
+using ctbus::core::PlanningContext;
+using ctbus::core::PlanResult;
+
+constexpr int kRuns = 9;
+constexpr int kKs[] = {4, 8, 12};
+
+enum class Search { kEtaPre, kVkTsp, kEtaOnline };
+
+struct SearchCase {
+  Search search;
+  const char* name;
+  int max_iterations;
+};
+
+constexpr SearchCase kSearches[] = {
+    {Search::kEtaPre, "eta_pre", 500},
+    {Search::kVkTsp, "vk_tsp", 500},
+    {Search::kEtaOnline, "eta_online", 2},
+};
+
+CtBusOptions SearchOptions(int k, int max_iterations) {
+  CtBusOptions options;
+  options.k = k;
+  options.w = 0.5;
+  options.seed_count = 5000;
+  options.max_iterations = max_iterations;
+  options.online_estimator = {/*probes=*/50, /*lanczos_steps=*/10,
+                              /*seed=*/1};
+  options.precompute_estimator = {/*probes=*/5, /*lanczos_steps=*/5,
+                                  /*seed=*/11};
+  return options;
+}
+
+PlanResult RunSearch(const PlanningContext& context, Search search) {
+  switch (search) {
+    case Search::kEtaPre:
+      return ctbus::core::RunEta(&context,
+                                 ctbus::core::SearchMode::kPrecomputed);
+    case Search::kVkTsp:
+      return ctbus::core::RunVkTsp(&context);
+    case Search::kEtaOnline:
+      return ctbus::core::RunEta(&context, ctbus::core::SearchMode::kOnline);
+  }
+  return {};
+}
+
+// Sorted copy's value at quantile q (nearest rank).
+double Quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const std::size_t index =
+      static_cast<std::size_t>(q * (values.size() - 1) + 0.5);
+  return values[index];
+}
+
+}  // namespace
+
+int main() {
+  ctbus::bench::PrintHeader(
+      "Search time per request (ETA-Pre, VK-TSP, online ETA)",
+      "Table 7: ETA-Pre's search time grows mildly with k once Delta(e) "
+      "is precomputed");
+  const ctbus::gen::Dataset city =
+      ctbus::gen::MakeChicagoLike(ctbus::bench::GetScale());
+  ctbus::bench::PrintDataset(city);
+  ctbus::bench::BenchReport report("search");
+  report.AddDataset(city);
+
+  const auto precompute =
+      std::make_shared<const ctbus::core::Precompute>(
+          PlanningContext::RunPrecompute(city.road, city.transit,
+                                         SearchOptions(4, 500)));
+  const auto base = ctbus::core::PlanningBase::Build(city.road, city.transit,
+                                                     precompute);
+  std::printf("\n%-10s %3s %10s %10s %10s %6s %22s\n", "search", "k",
+              "p25 ms", "median ms", "p75 ms", "iters", "objective");
+
+  bool identical = true;
+  for (const SearchCase& sc : kSearches) {
+    for (const int k : kKs) {
+      const PlanningContext context =
+          PlanningContext::Build(base, SearchOptions(k, sc.max_iterations));
+      std::vector<double> ms;
+      PlanResult first;
+      for (int run = 0; run < kRuns; ++run) {
+        Stopwatch watch;
+        PlanResult result = RunSearch(context, sc.search);
+        ms.push_back(watch.Seconds() * 1e3);
+        if (run == 0) {
+          first = std::move(result);
+        } else if (result.objective != first.objective ||
+                   result.iterations != first.iterations ||
+                   result.path.edges() != first.path.edges()) {
+          identical = false;
+        }
+      }
+      const std::string key = std::string(sc.name) + "_k" + std::to_string(k);
+      const double median = Quantile(ms, 0.5);
+      std::printf("%-10s %3d %10.2f %10.2f %10.2f %6d %22.17g\n", sc.name, k,
+                  Quantile(ms, 0.25), median, Quantile(ms, 0.75),
+                  first.iterations, first.objective);
+      report.AddMetric(key + "_ms", median, "lower");
+      report.AddMetric(key + "_ms_p25", Quantile(ms, 0.25), "lower");
+      report.AddMetric(key + "_ms_p75", Quantile(ms, 0.75), "lower");
+      report.AddChecksum(key + "_objective", first.objective);
+      report.AddChecksum(key + "_iterations", first.iterations);
+    }
+  }
+  if (!identical) {
+    std::fprintf(stderr,
+                 "FATAL: repeated searches over one context returned "
+                 "different results\n");
+    return 1;
+  }
+  report.WriteIfRequested();
+  return 0;
+}

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
-#include <queue>
 #include <utility>
+#include <vector>
 
 #include "core/domination_table.h"
 #include "demand/demand_bound.h"
@@ -16,6 +16,9 @@ namespace {
 struct QueueEntry {
   double upper_bound = 0.0;
   double objective = 0.0;
+  /// A seed's edge while its path is unbuilt: Initialize leaves `path`
+  /// empty and Run builds it on the pop. -1 once `path` holds the route.
+  int seed_edge = -1;
   CandidatePath path;
   demand::BoundState bound_state;
   /// kOnline: Delta tr(e^A) of the path's new edges, carried along the
@@ -47,12 +50,17 @@ class EtaSearch {
     Initialize();
     int it = 0;
     while (!queue_.empty()) {
-      QueueEntry entry = queue_.top();
-      queue_.pop();
+      std::pop_heap(queue_.begin(), queue_.end());
+      QueueEntry entry = std::move(queue_.back());
+      queue_.pop_back();
       if (entry.upper_bound <= best_objective_ || it >= options_.max_iterations) {
         break;  // Line 5-6 of Algorithm 1
       }
       ++it;
+      if (entry.seed_edge >= 0) {
+        entry.path = CandidatePath(ctx_->universe(), entry.seed_edge);
+        entry.seed_edge = -1;
+      }
       if (options_.best_neighbor_only) {
         ExpandBestNeighbor(std::move(entry));
       } else {
@@ -79,11 +87,23 @@ class EtaSearch {
                            ctx_->ConnectivityFromTrace(*entry.trace_increment));
   }
 
-  // Linearized objective (used for seeds in both modes; for online mode the
-  // seed increments are themselves estimated during pre-computation).
+  // Linearized objective of a kPrecomputed path.
   double EvaluateLinear(const CandidatePath& path) const {
     return ctx_->Objective(path.demand(),
                            ctx_->LinearConnectivityIncrement(path.edges()));
+  }
+
+  // LinearConnectivityIncrement of `parent` extended by `edge` at its end
+  // (or begin), summed in the extended path's edge order so the bits equal
+  // the built child's.
+  double ExtendedLinearIncrement(const CandidatePath& parent, int edge,
+                                 bool at_end) const {
+    const std::vector<double>& delta = ctx_->increments();
+    double total = 0.0;
+    if (!at_end) total += delta[edge];
+    for (int e : parent.edges()) total += delta[e];
+    if (at_end) total += delta[edge];
+    return total;
   }
 
   // Upper bound of a path state (Algorithm 1 lines 26/31; Section 6.2 for
@@ -98,50 +118,71 @@ class EtaSearch {
     return !options_.new_edges_only || ctx_->universe().edge(edge).is_new;
   }
 
+  // True if a route of this shape and objective would replace the
+  // incumbent: within the turn threshold and the edge budget, and better.
+  bool BeatsIncumbent(int turns, int num_edges, double objective) const {
+    return turns <= options_.max_turns && num_edges <= options_.k &&
+           objective > best_objective_;
+  }
+
+  void SetIncumbent(CandidatePath path, double objective) {
+    best_objective_ = objective;
+    result_.found = true;
+    result_.path = std::move(path);
+    result_.objective = objective;
+  }
+
   void MaybeUpdateBest(const CandidatePath& path, double objective) {
-    if (path.turns() > options_.max_turns) return;  // infeasible as a route
-    if (path.num_edges() > options_.k) return;      // over the edge budget
-    if (objective > best_objective_) {
-      best_objective_ = objective;
-      result_.found = true;
-      result_.path = path;
-      result_.objective = objective;
+    if (BeatsIncumbent(path.turns(), path.num_edges(), objective)) {
+      SetIncumbent(path, objective);
     }
   }
 
+  // std::priority_queue::push on queue_ (see eta.h): same heap, same ties.
+  void Push(QueueEntry entry) {
+    queue_.push_back(std::move(entry));
+    std::push_heap(queue_.begin(), queue_.end());
+  }
+
   // Initialization (Algorithm 1, lines 18-27): seed single-edge paths from
-  // the integrated ranking (top-sn, or all edges for ETA-ALL).
+  // the integrated ranking (top-sn, or all edges for ETA-ALL). A seed is
+  // linearly scored in both modes and enters the queue as its edge id; a
+  // request pops only a few hundred of the sn seeds, so the path is built
+  // on the pop (or here, if the seed becomes the incumbent).
   void Initialize() {
     const demand::RankedList& seeds = ctx_->objective_list();
     const int seed_limit = options_.seed_all_edges
                                ? seeds.size()
                                : std::min(options_.seed_count, seeds.size());
+    const std::vector<double>& delta = ctx_->increments();
+    queue_.reserve(seed_limit);
     for (int rank = 0; rank < seed_limit; ++rank) {
       const int edge = seeds.EdgeAtRank(rank);
       if (!EdgeAllowed(edge)) continue;
       QueueEntry entry;
-      entry.path = CandidatePath(ctx_->universe(), edge);
-      entry.objective = EvaluateLinear(entry.path);
-      MaybeUpdateBest(entry.path, entry.objective);
+      entry.seed_edge = edge;
+      // EvaluateLinear of the one-edge path, bit for bit.
+      entry.objective = ctx_->Objective(ctx_->universe().edge(edge).demand,
+                                        0.0 + delta[edge]);
+      if (BeatsIncumbent(/*turns=*/0, /*num_edges=*/1, entry.objective)) {
+        SetIncumbent(CandidatePath(ctx_->universe(), edge), entry.objective);
+      }
       entry.bound_state = bound_.SeedState(edge);
       entry.upper_bound = UpperBound(entry.bound_state);
-      if (entry.upper_bound > best_objective_) {
-        queue_.push(std::move(entry));
-      }
+      if (entry.upper_bound > best_objective_) Push(std::move(entry));
     }
   }
 
-  // Feasible extensions of `path` at `at_stop`, restricted to allowed edges.
-  std::vector<int> FeasibleExtensions(const CandidatePath& path,
-                                      int at_stop) const {
-    std::vector<int> result;
+  // Feasible extensions of `path` at `at_stop`, restricted to allowed
+  // edges, into extensions_.
+  void FeasibleExtensions(const CandidatePath& path, int at_stop) {
+    extensions_.clear();
     for (int e : ctx_->universe().IncidentEdges(at_stop)) {
       if (!EdgeAllowed(e)) continue;
       if (path.CanExtend(ctx_->universe(), e, at_stop)) {
-        result.push_back(e);
+        extensions_.push_back(e);
       }
     }
-    return result;
   }
 
   // A seed enters the queue linearly scored; kOnline computes its trace
@@ -206,26 +247,34 @@ class EtaSearch {
   // See EtaAllNeighborsTest.ExpandsBeginSideOfSingleEdgeSeeds.
   void ExpandAllNeighbors(QueueEntry entry) {
     EnsureTraceIncrement(&entry);
+    const int child_edges = entry.path.num_edges() + 1;
     for (const int at_stop :
          {entry.path.end_stop(), entry.path.begin_stop()}) {
-      const std::vector<int> extensions =
-          FeasibleExtensions(entry.path, at_stop);
-      std::vector<CandidatePath> children;
-      std::vector<double> objectives;
-      std::vector<double> trace_terms;
-      EvaluateExtensions(entry, at_stop, extensions, &children, &objectives,
-                         &trace_terms);
+      FeasibleExtensions(entry.path, at_stop);
+      EvaluateExtensions(entry, at_stop);
       // Objectives never depend on the incumbent, so evaluating them up
       // front leaves best_objective_'s evolution (and therefore every
       // bound/domination decision) exactly as the classic
       // one-candidate-at-a-time loop had it.
-      for (std::size_t i = 0; i < extensions.size(); ++i) {
+      for (std::size_t i = 0; i < extensions_.size(); ++i) {
+        const int edge = extensions_[i];
+        const demand::BoundState bound_state =
+            bound_.Append(entry.bound_state, edge);
+        // A child that cannot beat the incumbent and cannot pass
+        // FurtherExpansion's edge-budget and bound gates is one both
+        // MaybeUpdateBest and FurtherExpansion drop: skip building it.
+        const bool may_lead =
+            child_edges <= options_.k && objectives_[i] > best_objective_;
+        const bool may_grow = child_edges < options_.k &&
+                              UpperBound(bound_state) > best_objective_;
+        if (!may_lead && !may_grow) continue;
         QueueEntry child;
-        child.path = std::move(children[i]);
-        child.bound_state = bound_.Append(entry.bound_state, extensions[i]);
-        child.objective = objectives[i];
+        child.path = entry.path;
+        child.path.Extend(ctx_->universe(), ctx_->transit(), edge, at_stop);
+        child.bound_state = bound_state;
+        child.objective = objectives_[i];
         if (entry.trace_increment) {
-          child.trace_increment = *entry.trace_increment + trace_terms[i];
+          child.trace_increment = *entry.trace_increment + trace_terms_[i];
         }
         MaybeUpdateBest(child.path, child.objective);
         FurtherExpansion(std::move(child));
@@ -238,62 +287,54 @@ class EtaSearch {
   // to the earliest feasible candidate.
   int BestExtension(const QueueEntry& entry, int at_stop,
                     double* trace_term) {
-    const std::vector<int> extensions = FeasibleExtensions(entry.path, at_stop);
-    if (extensions.empty()) return -1;
+    FeasibleExtensions(entry.path, at_stop);
+    if (extensions_.empty()) return -1;
     if (mode_ == SearchMode::kPrecomputed) {
       // Section 6.2: rank neighbors directly by L_e.
       int best = 0;
-      for (std::size_t i = 1; i < extensions.size(); ++i) {
-        if (ctx_->objective_list().ValueOf(extensions[i]) >
-            ctx_->objective_list().ValueOf(extensions[best])) {
+      for (std::size_t i = 1; i < extensions_.size(); ++i) {
+        if (ctx_->objective_list().ValueOf(extensions_[i]) >
+            ctx_->objective_list().ValueOf(extensions_[best])) {
           best = static_cast<int>(i);
         }
       }
-      return extensions[best];
+      return extensions_[best];
     }
     // Line 10: one local trace increment per neighbor.
-    std::vector<double> values;
-    std::vector<double> terms;
-    EvaluateExtensions(entry, at_stop, extensions, /*children=*/nullptr,
-                       &values, &terms);
+    EvaluateExtensions(entry, at_stop);
     int best = 0;
-    for (std::size_t i = 1; i < values.size(); ++i) {
-      if (values[i] > values[best]) best = static_cast<int>(i);
+    for (std::size_t i = 1; i < objectives_.size(); ++i) {
+      if (objectives_[i] > objectives_[best]) best = static_cast<int>(i);
     }
-    *trace_term = terms[best];
-    return extensions[best];
+    *trace_term = trace_terms_[best];
+    return extensions_[best];
   }
 
-  // Objectives of `entry`'s path extended by each edge of `extensions` at
-  // `at_stop`, written into `objectives` (and the extended paths into
-  // `children`, when requested). kOnline scores each candidate e as
-  // Objective(demand + d(e), ConnectivityFromTrace(Delta tr(P) +
-  // Delta tr(e | P))) and writes the terms Delta tr(e | P) into
-  // `trace_terms`.
-  void EvaluateExtensions(const QueueEntry& entry, int at_stop,
-                          const std::vector<int>& extensions,
-                          std::vector<CandidatePath>* children,
-                          std::vector<double>* objectives,
-                          std::vector<double>* trace_terms) {
-    const int n = static_cast<int>(extensions.size());
-    objectives->resize(n);
-    trace_terms->assign(n, 0.0);
-    if (children != nullptr) children->resize(n);
-    for (int i = 0; i < n; ++i) {
-      CandidatePath extended = entry.path;
-      extended.Extend(ctx_->universe(), ctx_->transit(), extensions[i],
-                      at_stop);
+  // Objectives of `entry`'s path extended by each edge of extensions_ at
+  // `at_stop`, into objectives_. Each is scored from (parent, edge) without
+  // building the child: demand is demand(P) + d(e), as Extend sums it.
+  // kPrecomputed sums Delta over the child's edge order; kOnline scores
+  // Objective(demand, ConnectivityFromTrace(Delta tr(P) + Delta tr(e | P)))
+  // and writes the terms Delta tr(e | P) into trace_terms_.
+  void EvaluateExtensions(const QueueEntry& entry, int at_stop) {
+    const CandidatePath& parent = entry.path;
+    const bool at_end = at_stop == parent.end_stop();
+    const std::size_t n = extensions_.size();
+    objectives_.resize(n);
+    trace_terms_.assign(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const int edge = extensions_[i];
+      const double demand =
+          parent.demand() + ctx_->universe().edge(edge).demand;
       if (mode_ == SearchMode::kPrecomputed) {
-        (*objectives)[i] = EvaluateLinear(extended);
+        objectives_[i] = ctx_->Objective(
+            demand, ExtendedLinearIncrement(parent, edge, at_end));
       } else {
-        (*trace_terms)[i] =
-            ctx_->EdgeTraceIncrement(entry.path.edges(), extensions[i]);
-        (*objectives)[i] = ctx_->Objective(
-            extended.demand(),
-            ctx_->ConnectivityFromTrace(*entry.trace_increment +
-                                        (*trace_terms)[i]));
+        trace_terms_[i] = ctx_->EdgeTraceIncrement(parent.edges(), edge);
+        objectives_[i] = ctx_->Objective(
+            demand, ctx_->ConnectivityFromTrace(*entry.trace_increment +
+                                                trace_terms_[i]));
       }
-      if (children != nullptr) (*children)[i] = std::move(extended);
     }
   }
 
@@ -309,7 +350,7 @@ class EtaSearch {
                                     entry.path.end_edge(), entry.objective)) {
       return;
     }
-    queue_.push(std::move(entry));
+    Push(std::move(entry));
   }
 
   // Re-evaluate the winner's connectivity from scratch (both modes report
@@ -330,7 +371,12 @@ class EtaSearch {
   const CtBusOptions& options_;
   demand::IncrementalDemandBound bound_;
   DominationTable domination_;
-  std::priority_queue<QueueEntry> queue_;
+  std::vector<QueueEntry> queue_;
+  /// Scratch of FeasibleExtensions / EvaluateExtensions, reused across
+  /// expansions: the feasible edges at one end and their scores.
+  std::vector<int> extensions_;
+  std::vector<double> objectives_;
+  std::vector<double> trace_terms_;
   PlanResult result_;
   double best_objective_ = 0.0;
   /// Lemma 4's connectivity term of UpperBound; only kOnline reads it, so

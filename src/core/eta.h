@@ -2,10 +2,17 @@
 // pre-computation variant ETA-Pre (Section 6).
 //
 // The search keeps a priority queue of candidate paths ordered by their
-// objective upper bound O_up. Each iteration polls the most promising
-// candidate, extends it at both ends with the best feasible neighbor edges,
-// re-evaluates the objective, and re-enqueues the extension if its bound
-// still beats the incumbent and it survives the domination table.
+// objective upper bound O_up: a vector driven by std::push_heap /
+// std::pop_heap, the same operations std::priority_queue performs, so equal
+// bounds pop in the same order. Each iteration moves the most promising
+// candidate out, extends it at both ends with the best feasible neighbor
+// edges, re-evaluates the objective, and re-enqueues the extension if its
+// bound still beats the incumbent and it survives the domination table.
+// Seeds enter the queue as bare edge ids (a request pops only a few
+// hundred of the sn seeds) and build their path when popped; candidate
+// extensions are scored from (parent, edge) without building the child,
+// and ETA-AN builds a child only when it can become the incumbent or be
+// re-enqueued.
 //
 // Two evaluation modes:
 //  * kOnline (ETA): every queue entry carries Delta tr(P), the change in

@@ -1,5 +1,6 @@
 #include "core/path_state.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -11,8 +12,8 @@ CandidatePath::CandidatePath(const EdgeUniverse& universe, int edge) {
   const PlannableEdge& e = universe.edge(edge);
   edges_.push_back(edge);
   stops_ = {e.u, e.v};
-  visited_stops_ = {e.u, e.v};
-  used_road_edges_.insert(e.road_edges.begin(), e.road_edges.end());
+  used_road_edges_ = e.road_edges;
+  std::sort(used_road_edges_.begin(), used_road_edges_.end());
   demand_ = e.demand;
   num_new_edges_ = e.is_new ? 1 : 0;
 }
@@ -27,7 +28,9 @@ bool CandidatePath::CanExtend(const EdgeUniverse& universe, int edge,
   // Circle-free in the transit network: the far stop may not be revisited,
   // except to close a loop back to the opposite end of the path.
   const int opposite = at_stop == end_stop() ? begin_stop() : end_stop();
-  if ((visited_stops_.count(far) > 0) && !(far == opposite && num_edges() >= 2)) {
+  const bool visited =
+      std::find(stops_.begin(), stops_.end(), far) != stops_.end();
+  if (visited && !(far == opposite && num_edges() >= 2)) {
     return false;
   }
   // Edge reuse (also covers the 1-edge path closing onto itself).
@@ -36,7 +39,10 @@ bool CandidatePath::CanExtend(const EdgeUniverse& universe, int edge,
   }
   // Circle-free in the road network: no road edge crossed twice.
   for (int re : e.road_edges) {
-    if ((used_road_edges_.count(re) > 0)) return false;
+    if (std::binary_search(used_road_edges_.begin(), used_road_edges_.end(),
+                           re)) {
+      return false;
+    }
   }
   return true;
 }
@@ -61,6 +67,11 @@ void CandidatePath::Extend(const EdgeUniverse& universe,
     turns_ += 1;
   }
 
+  // Loop closure back to the opposite end: the far stop is already on the
+  // path (CanExtend admits no other revisit).
+  if (std::find(stops_.begin(), stops_.end(), far) != stops_.end()) {
+    closed_ = true;
+  }
   if (at_end) {
     edges_.push_back(edge);
     stops_.push_back(far);
@@ -68,11 +79,11 @@ void CandidatePath::Extend(const EdgeUniverse& universe,
     edges_.insert(edges_.begin(), edge);
     stops_.insert(stops_.begin(), far);
   }
-  if ((visited_stops_.count(far) > 0)) {
-    closed_ = true;  // loop closure back to the opposite end
-  }
-  visited_stops_.insert(far);
-  used_road_edges_.insert(e.road_edges.begin(), e.road_edges.end());
+  const auto appended = used_road_edges_.insert(
+      used_road_edges_.end(), e.road_edges.begin(), e.road_edges.end());
+  std::sort(appended, used_road_edges_.end());
+  std::inplace_merge(used_road_edges_.begin(), appended,
+                     used_road_edges_.end());
   demand_ += e.demand;
   if (e.is_new) ++num_new_edges_;
 }

@@ -5,7 +5,6 @@
 #ifndef CTBUS_CORE_PATH_STATE_H_
 #define CTBUS_CORE_PATH_STATE_H_
 
-#include <unordered_set>
 #include <vector>
 
 #include "core/edge_universe.h"
@@ -13,8 +12,9 @@
 
 namespace ctbus::core {
 
-/// A candidate route under construction. Value-semantic: expansions copy
-/// the parent path and extend one end.
+/// A candidate route under construction: value-semantic, three flat
+/// vectors. The search moves paths through its queue and copies one only
+/// for an ETA-AN child it keeps or a new incumbent.
 class CandidatePath {
  public:
   CandidatePath() = default;
@@ -59,8 +59,9 @@ class CandidatePath {
  private:
   std::vector<int> edges_;
   std::vector<int> stops_;
-  std::unordered_set<int> used_road_edges_;
-  std::unordered_set<int> visited_stops_;
+  /// Road edges crossed by the path, sorted. The visited stops need no
+  /// second container: stops_ holds at most k + 1 of them.
+  std::vector<int> used_road_edges_;
   int turns_ = 0;
   double demand_ = 0.0;
   int num_new_edges_ = 0;

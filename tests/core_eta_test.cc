@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "connectivity/natural_connectivity.h"
+#include "core/baselines.h"
 #include "gen/datasets.h"
 #include "graph/graph.h"
 #include "graph/road_network.h"
@@ -352,6 +353,77 @@ TEST(EtaGridFixtureTest, ReportedIncrementMatchesDenseExactAtTau900) {
     EXPECT_NEAR(result.objective,
                 ctx.Objective(result.demand, result.connectivity_increment),
                 1e-12);
+  }
+}
+
+
+// Search results on ChicagoLike at scale 0.5, recorded before the search
+// stopped copying candidate paths (sorted-vector path state, a vector heap
+// and seeds that build their path only when popped). Expansion order, queue
+// tie-breaking and the summation order of the objective all show in these,
+// so the doubles are compared exactly.
+enum class PinnedPlanner { kEtaPre, kVkTsp, kEtaOnline, kEtaAn };
+
+struct PinnedRun {
+  PinnedPlanner planner;
+  int k;
+  std::vector<int> edges;
+  int iterations;
+  double objective;
+};
+
+CtBusOptions PinnedOptions(const PinnedRun& run) {
+  CtBusOptions options;
+  options.k = run.k;
+  options.w = 0.5;
+  options.max_iterations = run.planner == PinnedPlanner::kEtaOnline ? 2 : 500;
+  options.best_neighbor_only = run.planner != PinnedPlanner::kEtaAn;
+  options.precompute_estimator = {/*probes=*/5, /*lanczos_steps=*/5,
+                                  /*seed=*/11};
+  options.online_estimator = {/*probes=*/50, /*lanczos_steps=*/10,
+                              /*seed=*/1};
+  return options;
+}
+
+TEST(EtaPinnedResultsTest, ChicagoHalfScaleSearchesAreUnchanged) {
+  using P = PinnedPlanner;
+  const std::vector<PinnedRun> pinned = {
+      {P::kEtaPre, 4, {1385, 1384, 698, 689}, 500, 0.61515657503213228},
+      {P::kEtaPre, 8, {1393, 1395, 2248, 2318, 2344}, 500,
+       0.39950438867892019},
+      {P::kEtaPre, 12, {910, 1355, 1363, 1385, 1054}, 500,
+       0.29163041431177483},
+      {P::kVkTsp, 4, {1395, 2248, 2318, 2344}, 500, 0.60756864544861344},
+      {P::kVkTsp, 8, {695, 686, 1395, 2248, 2318}, 500, 0.38674778252899156},
+      {P::kVkTsp, 12, {1025, 695, 686, 1395, 2248, 2318, 2344}, 500,
+       0.36624447297234108},
+      {P::kEtaOnline, 4, {1393, 1395, 1370}, 2, 0.48025012718893079},
+      {P::kEtaOnline, 8, {1393, 1390, 1368}, 2, 0.29411371049400342},
+      {P::kEtaOnline, 12, {1393, 1390, 1368}, 2, 0.20546241356398329},
+      {P::kEtaAn, 4, {1368, 1390, 686, 695}, 500, 0.68326979845353608},
+      {P::kEtaAn, 8, {1368, 1390, 686, 695}, 500, 0.3638989945078791},
+      {P::kEtaAn, 12, {1368, 1390, 686, 695, 1025}, 500,
+       0.29678416244620226},
+  };
+  const gen::Dataset city = gen::MakeChicagoLike(0.5);
+  const auto precompute = std::make_shared<const Precompute>(
+      PlanningContext::RunPrecompute(city.road, city.transit,
+                                     PinnedOptions(pinned[0])));
+  const auto base = PlanningBase::Build(city.road, city.transit, precompute);
+  for (const PinnedRun& run : pinned) {
+    SCOPED_TRACE("planner " + std::to_string(static_cast<int>(run.planner)) +
+                 " k " + std::to_string(run.k));
+    const PlanningContext ctx = PlanningContext::Build(base, PinnedOptions(run));
+    const PlanResult result =
+        run.planner == P::kVkTsp
+            ? RunVkTsp(&ctx)
+            : RunEta(&ctx, run.planner == P::kEtaOnline
+                               ? SearchMode::kOnline
+                               : SearchMode::kPrecomputed);
+    ASSERT_TRUE(result.found);
+    EXPECT_EQ(result.path.edges(), run.edges);
+    EXPECT_EQ(result.iterations, run.iterations);
+    EXPECT_EQ(result.objective, run.objective);
   }
 }
 

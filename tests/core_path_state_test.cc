@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "gen/datasets.h"
+#include "graph/geo.h"
 #include "graph/transit_network.h"
+#include "linalg/rng.h"
 
 namespace ctbus::core {
 namespace {
@@ -208,6 +217,181 @@ TEST(CandidatePathTest, RoadEdgeConflictBlocksExtension) {
   const CandidatePath path(u, e01);
   const int at = path.end_stop() == 1 ? path.end_stop() : path.begin_stop();
   EXPECT_FALSE(path.CanExtend(u, e12, at));
+}
+
+
+// Brute-force reference for a CandidatePath, recomputed from its edge and
+// stop sequences alone: the visited stops are the stop list, and the road
+// edges are the multiset of every path edge's road edges.
+struct ReferencePath {
+  const EdgeUniverse* universe;
+  const graph::TransitNetwork* transit;
+  const CandidatePath* path;
+
+  bool Closed() const {
+    return path->num_edges() >= 2 &&
+           path->stops().front() == path->stops().back();
+  }
+
+  std::vector<int> RoadEdges() const {
+    std::vector<int> road_edges;
+    for (int e : path->edges()) {
+      const auto& crossed = universe->edge(e).road_edges;
+      road_edges.insert(road_edges.end(), crossed.begin(), crossed.end());
+    }
+    return road_edges;
+  }
+
+  bool CanExtend(int edge, int at_stop) const {
+    if (Closed()) return false;
+    const PlannableEdge& e = universe->edge(edge);
+    if (e.u != at_stop && e.v != at_stop) return false;
+    const int far = e.u == at_stop ? e.v : e.u;
+    const std::vector<int>& stops = path->stops();
+    const int opposite =
+        at_stop == stops.back() ? stops.front() : stops.back();
+    const bool visited =
+        std::count(stops.begin(), stops.end(), far) > 0;
+    if (visited && !(far == opposite && path->num_edges() >= 2)) return false;
+    if (std::count(path->edges().begin(), path->edges().end(), edge) > 0) {
+      return false;
+    }
+    const std::vector<int> road_edges = RoadEdges();
+    for (int re : e.road_edges) {
+      if (std::count(road_edges.begin(), road_edges.end(), re) > 0) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Algorithm 2's turn count over every interior junction of the stop
+  // sequence (a loop's closing stop is not a junction).
+  int Turns() const {
+    const std::vector<int>& stops = path->stops();
+    int turns = 0;
+    for (std::size_t i = 1; i + 1 < stops.size(); ++i) {
+      const double angle = graph::TurnAngle(
+          transit->stop(stops[i - 1]).position,
+          transit->stop(stops[i]).position,
+          transit->stop(stops[i + 1]).position);
+      if (angle > M_PI / 2) {
+        turns += CandidatePath::kSharpTurnPenalty;
+      } else if (angle > M_PI / 4) {
+        turns += 1;
+      }
+    }
+    return turns;
+  }
+
+  double Demand() const {
+    double demand = 0.0;
+    for (int e : path->edges()) demand += universe->edge(e).demand;
+    return demand;
+  }
+
+  int NumNewEdges() const {
+    int count = 0;
+    for (int e : path->edges()) count += universe->edge(e).is_new ? 1 : 0;
+    return count;
+  }
+};
+
+// Which rule decided a rejected extension, for the coverage counts.
+struct WalkCoverage {
+  int extensions = 0;
+  int begin_extensions = 0;
+  int loop_closures = 0;
+  int road_overlap_rejections = 0;
+  int stop_revisit_rejections = 0;
+};
+
+void ExpectAgreesWithReference(const ReferencePath& ref) {
+  const CandidatePath& path = *ref.path;
+  ASSERT_EQ(path.stops().size(),
+            static_cast<std::size_t>(path.num_edges()) + 1);
+  EXPECT_EQ(path.closed(), ref.Closed());
+  EXPECT_EQ(path.turns(), ref.Turns());
+  EXPECT_NEAR(path.demand(), ref.Demand(), 1e-9 * (1.0 + ref.Demand()));
+  EXPECT_EQ(path.num_new_edges(), ref.NumNewEdges());
+}
+
+// One pinned-seed random walk: grows a seed path at a random end, checks
+// CanExtend against the reference for every incident edge at that end,
+// and takes a random feasible one (a loop closure when one is feasible and
+// a coin says so), until the path is closed, stuck or max_edges long.
+void RandomWalk(const EdgeUniverse& universe,
+                const graph::TransitNetwork& transit, linalg::Rng* rng,
+                int max_edges, WalkCoverage* coverage) {
+  CandidatePath path(universe, static_cast<int>(rng->NextIndex(
+                                   universe.num_edges())));
+  const ReferencePath ref{&universe, &transit, &path};
+  ExpectAgreesWithReference(ref);
+  while (path.num_edges() < max_edges && !path.closed()) {
+    const bool at_end = rng->NextIndex(2) == 0;
+    const int at_stop = at_end ? path.end_stop() : path.begin_stop();
+    std::vector<int> feasible;
+    std::vector<int> closing;
+    const int opposite = at_end ? path.begin_stop() : path.end_stop();
+    for (int e : universe.IncidentEdges(at_stop)) {
+      const bool can = path.CanExtend(universe, e, at_stop);
+      ASSERT_EQ(can, ref.CanExtend(e, at_stop))
+          << "edge " << e << " at stop " << at_stop;
+      const int far = universe.edge(e).u == at_stop ? universe.edge(e).v
+                                                    : universe.edge(e).u;
+      if (can) {
+        feasible.push_back(e);
+        if (far == opposite) closing.push_back(e);
+        continue;
+      }
+      const bool revisits =
+          std::count(path.stops().begin(), path.stops().end(), far) > 0;
+      const bool reused = std::count(path.edges().begin(),
+                                     path.edges().end(), e) > 0;
+      if (revisits && !reused) {
+        ++coverage->stop_revisit_rejections;
+      } else if (!revisits && !reused) {
+        ++coverage->road_overlap_rejections;
+      }
+    }
+    if (feasible.empty()) break;
+    const bool close = !closing.empty() && rng->NextIndex(2) == 0;
+    const std::vector<int>& pool = close ? closing : feasible;
+    const int edge = pool[rng->NextIndex(pool.size())];
+    path.Extend(universe, transit, edge, at_stop);
+    ++coverage->extensions;
+    if (!at_end) ++coverage->begin_extensions;
+    if (path.closed()) ++coverage->loop_closures;
+    ExpectAgreesWithReference(ref);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+void RunRandomWalks(const gen::Dataset& city, std::uint64_t seed) {
+  const EdgeUniverse universe =
+      EdgeUniverse::Build(city.road, city.transit, EdgeUniverseOptions{});
+  ASSERT_GT(universe.num_new_edges(), 0);
+  linalg::Rng rng(seed);
+  WalkCoverage coverage;
+  for (int walk = 0; walk < 400; ++walk) {
+    SCOPED_TRACE("walk " + std::to_string(walk));
+    RandomWalk(universe, city.transit, &rng, /*max_edges=*/12, &coverage);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // The walks must reach every rule they check.
+  EXPECT_GT(coverage.extensions, 1000);
+  EXPECT_GT(coverage.begin_extensions, 300);
+  EXPECT_GT(coverage.loop_closures, 0);
+  EXPECT_GT(coverage.road_overlap_rejections, 0);
+  EXPECT_GT(coverage.stop_revisit_rejections, 0);
+}
+
+TEST(CandidatePathPropertyTest, RandomWalksOnMidtownMatchReference) {
+  RunRandomWalks(gen::MakeMidtown(), /*seed=*/17);
+}
+
+TEST(CandidatePathPropertyTest, RandomWalksOnChicagoMatchReference) {
+  RunRandomWalks(gen::MakeChicagoLike(0.12), /*seed=*/29);
 }
 
 }  // namespace
