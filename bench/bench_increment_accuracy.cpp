@@ -46,11 +46,17 @@ constexpr int kMaxWalkLength = 5;
 constexpr int kEdgeTopK = 50;
 constexpr int kWalkTopK = 25;
 
+/// `a` plus unit entries on `pairs`, none of them already in `a`.
 SymmetricSparseMatrix WithPairs(const SymmetricSparseMatrix& a,
                                 const StopPairs& pairs) {
-  SymmetricSparseMatrix with = a;
-  for (const auto& [u, v] : pairs) with.Set(u, v, 1.0);
-  return with;
+  std::vector<SymmetricSparseMatrix::Triplet> entries;
+  for (int u = 0; u < a.dim(); ++u) {
+    for (const auto& e : a.Row(u)) {
+      if (u < e.col) entries.push_back({u, e.col, e.value});
+    }
+  }
+  for (const auto& [u, v] : pairs) entries.push_back({u, v, 1.0});
+  return SymmetricSparseMatrix(a.dim(), entries);
 }
 
 /// Ranks with ties averaged (1-based).

@@ -79,11 +79,13 @@ void CandidatePath::Extend(const EdgeUniverse& universe,
     edges_.insert(edges_.begin(), edge);
     stops_.insert(stops_.begin(), far);
   }
-  const auto appended = used_road_edges_.insert(
-      used_road_edges_.end(), e.road_edges.begin(), e.road_edges.end());
-  std::sort(appended, used_road_edges_.end());
-  std::inplace_merge(used_road_edges_.begin(), appended,
-                     used_road_edges_.end());
+  // One in-place insert per road edge: the vector stays sorted and no
+  // temporary buffer is taken (std::inplace_merge would take one).
+  for (int re : e.road_edges) {
+    used_road_edges_.insert(
+        std::upper_bound(used_road_edges_.begin(), used_road_edges_.end(), re),
+        re);
+  }
   demand_ += e.demand;
   if (e.is_new) ++num_new_edges_;
 }

@@ -129,8 +129,10 @@ class PlanningBase {
   const std::shared_ptr<const Precompute>& precompute() const {
     return precompute_;
   }
-  /// The transit network's adjacency matrix, built once. Every online
-  /// increment and the Lemma 4 eigenvalues read it; nothing writes it.
+  /// The transit network's adjacency matrix, built once; it has no
+  /// mutator. Every online increment and the Lemma 4 eigenvalues read it,
+  /// and its rows are sorted by column, so they depend on the active edge
+  /// set, not on the order the transit network added its edges.
   const linalg::SymmetricSparseMatrix& adjacency() const {
     return adjacency_;
   }

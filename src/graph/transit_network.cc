@@ -111,11 +111,12 @@ std::vector<int> TransitNetwork::RoutesAtStop(int stop) const {
 }
 
 linalg::SymmetricSparseMatrix TransitNetwork::AdjacencyMatrix() const {
-  linalg::SymmetricSparseMatrix a(num_stops());
+  std::vector<linalg::SymmetricSparseMatrix::Triplet> entries;
+  entries.reserve(static_cast<std::size_t>(num_active_edges_));
   for (const Edge& edge : edges_) {
-    if (!edge.routes.empty()) a.Set(edge.u, edge.v, 1.0);
+    if (!edge.routes.empty()) entries.push_back({edge.u, edge.v, 1.0});
   }
-  return a;
+  return linalg::SymmetricSparseMatrix(num_stops(), entries);
 }
 
 std::size_t TransitNetwork::ApproxBytes() const {

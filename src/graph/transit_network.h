@@ -91,6 +91,8 @@ class TransitNetwork {
   std::vector<int> RoutesAtStop(int stop) const;
 
   /// Unweighted adjacency matrix over active edges; dimension num_stops().
+  /// Rows are sorted by column, so the matrix depends on the active edge
+  /// set, not on the order the edges were added in.
   linalg::SymmetricSparseMatrix AdjacencyMatrix() const;
 
   /// Average number of stops per active route (len(R) in Table 5).

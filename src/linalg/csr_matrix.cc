@@ -37,8 +37,8 @@ void CsrMatrix::AssignFrom(const SymmetricSparseMatrix& a) {
   std::int64_t out = 0;
   for (int i = 0; i < n; ++i) {
     // Stored entry order within each row is preserved exactly: Apply's
-    // accumulation order (and therefore its FP result) matches the
-    // adjacency-list Apply bit for bit.
+    // accumulation order (and therefore its FP result) matches
+    // SymmetricSparseMatrix::Apply bit for bit.
     for (const SymmetricSparseMatrix::Entry& e : a.Row(i)) {
       col_[static_cast<std::size_t>(out)] = e.col;
       value_[static_cast<std::size_t>(out)] = e.value;
@@ -62,8 +62,8 @@ void CsrMatrix::Apply(const std::vector<double>& x,
     const std::int64_t end = row_ptr[i + 1];
     // Single sequential accumulator chain in stored order — the unroll
     // only widens the load stream; it must NOT split `acc` into partial
-    // sums or the FP order (and bit-identity with the adjacency path)
-    // would change.
+    // sums or the FP order (and bit-identity with
+    // SymmetricSparseMatrix::Apply) would change.
     double acc = 0.0;
     std::int64_t j = begin;
     for (; j + 4 <= end; j += 4) {

@@ -1,19 +1,17 @@
-// Frozen CSR (compressed sparse row) copy of a SymmetricSparseMatrix.
+// CSR (compressed sparse row) copy of a SymmetricSparseMatrix in three
+// split arrays (row_ptr / col / value), traversed by an unrolled Apply and
+// a lane-chunked multi-RHS ApplyBatch.
 //
-// Three contiguous arrays (row_ptr / col / value) built by
-// SymmetricSparseMatrix::Freeze(), traversed by a blocked, unrolled Apply
-// and a multi-RHS ApplyBatch. The connectivity estimator no longer uses
-// it: freezing per estimate plus a wide lane-outermost batch measured
-// slower than running the quadrature kernel on the adjacency lists
-// directly, because the matvec is a minor share of an estimate's time.
-// CsrMatrix remains only for bench_matvec and the serving benchmark's
-// kernel rows.
+// No planner or estimator reads it: SymmetricSparseMatrix is itself an
+// immutable row-sorted layout and runs every matvec on the request path.
+// CsrMatrix remains only for the serving benchmark's kernel rows and its
+// own test.
 //
-// Determinism contract: Freeze preserves the per-row entry order of the
-// source matrix, Apply accumulates each row in that order through a single
-// dependency chain, and ApplyBatch keeps each lane's accumulation in its
-// own register — so CSR results are bit-identical to the adjacency-list
-// Apply, lane by lane.
+// Determinism contract: FromSparse/AssignFrom copy each row in the source's
+// stored (ascending column) order, Apply accumulates each row in that order
+// through a single dependency chain, and ApplyBatch keeps each lane's
+// accumulation in its own register — so CSR results are bit-identical to
+// SymmetricSparseMatrix::Apply, lane by lane.
 #ifndef CTBUS_LINALG_CSR_MATRIX_H_
 #define CTBUS_LINALG_CSR_MATRIX_H_
 
@@ -31,10 +29,10 @@ class CsrMatrix : public MatVec {
  public:
   CsrMatrix() = default;
 
-  /// Builds a CSR copy of `a`, preserving per-row entry order.
+  /// Builds a CSR copy of `a`, preserving its per-row entry order.
   static CsrMatrix FromSparse(const SymmetricSparseMatrix& a);
 
-  /// Re-freezes `a` into this matrix, reusing existing capacity.
+  /// Copies `a` into this matrix, reusing existing capacity.
   void AssignFrom(const SymmetricSparseMatrix& a);
 
   int dim() const override { return n_; }
@@ -45,8 +43,8 @@ class CsrMatrix : public MatVec {
   }
 
   /// y = A x, rows accumulated in stored order (single dependency chain,
-  /// unrolled by 4 — no reassociation, so bit-identical to the
-  /// adjacency-list Apply).
+  /// unrolled by 4 — no reassociation, so bit-identical to
+  /// SymmetricSparseMatrix::Apply).
   void Apply(const std::vector<double>& x,
              std::vector<double>* y) const override;
 

@@ -1,9 +1,11 @@
-// Symmetric sparse matrix stored as per-row adjacency lists.
+// Immutable symmetric sparse matrix in one compressed-row layout.
 //
-// This is the adjacency-matrix representation used for transit networks: the
-// CT-Bus search adds and removes candidate edges thousands of times, so the
-// storage is optimized for O(deg) edge insertion/removal plus fast
-// matrix-vector products, rather than for a frozen CSR layout.
+// This is the adjacency matrix of a transit network. Every whole-network
+// Lanczos run (the precompute's tr_0 anchor, Lemma 4's eigenvalues) and
+// every local-increment ball walk reads it. It is built once from an entry
+// list and never changes: each row is stored in ascending column order, so
+// the matrix, and the floating-point order of every matvec over it, is a
+// function of the entry set alone, not of the order the entries arrived in.
 #ifndef CTBUS_LINALG_SPARSE_MATRIX_H_
 #define CTBUS_LINALG_SPARSE_MATRIX_H_
 
@@ -15,55 +17,70 @@
 
 namespace ctbus::linalg {
 
-class CsrMatrix;
-
 /// Symmetric matrix with zero diagonal (a weighted undirected adjacency
 /// matrix). Entries are stored twice, once per incident row.
 class SymmetricSparseMatrix : public MatVec {
  public:
+  /// One stored entry of a row.
   struct Entry {
     int col = 0;
     double value = 0.0;
   };
 
-  SymmetricSparseMatrix() = default;
-  explicit SymmetricSparseMatrix(int n) : rows_(n) {}
+  /// One input pair: A[u][v] = A[v][u] = value.
+  struct Triplet {
+    int u;
+    int v;
+    double value;
+  };
 
-  int dim() const override { return static_cast<int>(rows_.size()); }
+  /// Read-only view of one row's entries, in ascending column order.
+  class RowView {
+   public:
+    RowView(const Entry* begin, const Entry* end) : begin_(begin), end_(end) {}
+    const Entry* begin() const { return begin_; }
+    const Entry* end() const { return end_; }
+    int size() const { return static_cast<int>(end_ - begin_); }
+    const Entry& operator[](std::size_t i) const { return begin_[i]; }
+
+   private:
+    const Entry* begin_;
+    const Entry* end_;
+  };
+
+  /// Builds the n x n matrix holding `entries`, each pair listed once in
+  /// either orientation, and sorts every row by column. Every entry is
+  /// validated before anything is stored: throws std::invalid_argument for
+  /// n < 0, a diagonal entry (u == v), a non-finite value, or a pair listed
+  /// twice (as (u, v) and (u, v), or as (u, v) and (v, u)), and
+  /// std::out_of_range for an index outside [0, n).
+  SymmetricSparseMatrix(int n, const std::vector<Triplet>& entries);
+
+  int dim() const override { return static_cast<int>(row_start_.size()) - 1; }
 
   /// Number of stored symmetric entries (each off-diagonal pair counts once).
-  std::int64_t num_entries() const { return num_entries_; }
+  std::int64_t num_entries() const {
+    return static_cast<std::int64_t>(entries_.size() / 2);
+  }
 
-  /// Sets A[u][v] = A[v][u] = value. Overwrites an existing entry.
-  /// Throws std::invalid_argument if u == v (a diagonal entry would
-  /// silently break the zero-diagonal invariant that Remove and
-  /// num_entries() rely on) and std::out_of_range if either index is
-  /// outside [0, dim()). Validation is always on — asserts compile out in
-  /// release builds, and a corrupted matrix poisons every cached
-  /// Precompute table built from it.
-  void Set(int u, int v, double value);
-
-  /// Adds `delta` to A[u][v] (creating the entry if absent). Same
-  /// always-on precondition validation as Set.
-  void Add(int u, int v, double delta);
-
-  /// Removes the (u, v) entry if present; returns true if it existed.
-  /// Same always-on precondition validation as Set.
-  bool Remove(int u, int v);
-
-  /// Returns A[u][v] (0.0 if no stored entry).
+  /// Returns A[u][v] (0.0 if no stored entry). Binary search of row u.
   double At(int u, int v) const;
 
-  /// True if a (u, v) entry is stored.
+  /// True if a (u, v) entry is stored. Binary search of row u.
   bool Contains(int u, int v) const;
 
   /// Number of stored entries in row u.
-  int RowDegree(int u) const { return static_cast<int>(rows_[u].size()); }
+  int RowDegree(int u) const {
+    return static_cast<int>(row_start_[u + 1] - row_start_[u]);
+  }
 
-  /// Stored entries of row u.
-  const std::vector<Entry>& Row(int u) const { return rows_[u]; }
+  /// Stored entries of row u, ascending by column.
+  RowView Row(int u) const {
+    return {entries_.data() + row_start_[u],
+            entries_.data() + row_start_[u + 1]};
+  }
 
-  /// y = A x.
+  /// y = A x, each row accumulated in ascending column order.
   void Apply(const std::vector<double>& x,
              std::vector<double>* y) const override;
 
@@ -73,30 +90,19 @@ class SymmetricSparseMatrix : public MatVec {
   /// stored entry order, so every lane is bit-identical to Apply.
   void ApplyBatch(const double* x, int batch, double* y) const override;
 
-  /// Freezes the current contents into a contiguous CSR matrix (see
-  /// csr_matrix.h for its remaining users). Per-row entry order is
-  /// preserved, so CSR matvec results are bit-identical to Apply.
-  CsrMatrix Freeze() const;
-
-  /// Cheap upper bound on the spectral norm: max over rows of the row sum of
-  /// absolute values (the infinity norm, which dominates ||A||_2 for
-  /// symmetric A).
-  double SpectralNormUpperBound() const;
-
-  /// Approximate resident footprint in bytes (rows + stored entries),
-  /// deterministic and O(1) — each symmetric entry is stored twice.
+  /// Approximate resident footprint in bytes (row offsets + stored
+  /// entries), deterministic and O(1) — each symmetric entry is stored
+  /// twice.
   std::size_t ApproxBytes() const {
     return sizeof(SymmetricSparseMatrix) +
-           rows_.size() * sizeof(std::vector<Entry>) +
-           2 * static_cast<std::size_t>(num_entries_) * sizeof(Entry);
+           row_start_.size() * sizeof(std::size_t) +
+           entries_.size() * sizeof(Entry);
   }
 
  private:
-  // Returns the index of `col` in rows_[row], or -1.
-  int FindInRow(int row, int col) const;
-
-  std::vector<std::vector<Entry>> rows_;
-  std::int64_t num_entries_ = 0;
+  // Row u is entries_[row_start_[u], row_start_[u + 1]).
+  std::vector<std::size_t> row_start_;
+  std::vector<Entry> entries_;
 };
 
 }  // namespace ctbus::linalg

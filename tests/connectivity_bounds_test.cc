@@ -1,6 +1,9 @@
 #include "connectivity/bounds.h"
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,21 +13,13 @@
 #include "linalg/dense_matrix.h"
 #include "linalg/rng.h"
 #include "linalg/sparse_matrix.h"
+#include "tests/matrix_builders.h"
 
 namespace ctbus::connectivity {
 namespace {
 
-linalg::SymmetricSparseMatrix RandomGraph(int n, double avg_degree,
-                                          linalg::Rng* rng) {
-  linalg::SymmetricSparseMatrix a(n);
-  const int edges = static_cast<int>(n * avg_degree / 2.0);
-  for (int i = 0; i < edges; ++i) {
-    const int u = static_cast<int>(rng->NextIndex(n));
-    const int v = static_cast<int>(rng->NextIndex(n));
-    if (u != v) a.Set(u, v, 1.0);
-  }
-  return a;
-}
+using testutil::RandomGraph;
+using testutil::WithEdges;
 
 std::vector<double> TopEigs(const linalg::SymmetricSparseMatrix& a,
                             int count) {
@@ -37,26 +32,25 @@ std::vector<double> TopEigs(const linalg::SymmetricSparseMatrix& a,
   return top;
 }
 
-// Adds a random simple path of k new edges over fresh vertices order.
-// Returns the endpoints used.
-void AddRandomPath(linalg::SymmetricSparseMatrix* a, int k,
-                   linalg::Rng* rng) {
-  const int n = a->dim();
+// `a` plus a random simple path of k new edges over fresh vertices.
+linalg::SymmetricSparseMatrix WithRandomPath(
+    const linalg::SymmetricSparseMatrix& a, int k, linalg::Rng* rng) {
+  const int n = a.dim();
   std::vector<int> visited;
+  std::vector<std::pair<int, int>> path;
   int current = static_cast<int>(rng->NextIndex(n));
   visited.push_back(current);
-  int added = 0;
   int guard = 0;
-  while (added < k && ++guard < 100000) {
+  while (static_cast<int>(path.size()) < k && ++guard < 100000) {
     const int next = static_cast<int>(rng->NextIndex(n));
-    bool used = next == current || a->Contains(current, next);
+    bool used = next == current || a.Contains(current, next);
     for (int v : visited) used = used || (v == next);
     if (used) continue;
-    a->Set(current, next, 1.0);
+    path.push_back({current, next});
     visited.push_back(next);
     current = next;
-    ++added;
   }
+  return WithEdges(a, path);
 }
 
 TEST(BoundsTest, PathGraphEigenvaluesClosedForm) {
@@ -85,46 +79,47 @@ TEST(BoundsTest, EstradaBoundDominatesAnyGraph) {
   // graph for any choice of k added edges.
   linalg::Rng rng(21);
   for (int trial = 0; trial < 10; ++trial) {
-    auto a = RandomGraph(40, 3.0, &rng);
+    const auto a = RandomGraph(40, 3.0, &rng);
     const int k = 5;
     const int edges_before = static_cast<int>(a.num_entries());
     const double bound = EstradaUpperBound(a.dim(), edges_before, k);
-    AddRandomPath(&a, k, &rng);
-    EXPECT_GE(bound, NaturalConnectivityExact(a) - 1e-9);
+    EXPECT_GE(bound, NaturalConnectivityExact(WithRandomPath(a, k, &rng)) -
+                         1e-9);
   }
 }
 
 TEST(BoundsTest, GeneralBoundDominatesArbitraryEdgeAdditions) {
   linalg::Rng rng(22);
   for (int trial = 0; trial < 10; ++trial) {
-    auto a = RandomGraph(40, 3.0, &rng);
+    const auto a = RandomGraph(40, 3.0, &rng);
     const int k = 4;
     const double lambda_g = NaturalConnectivityExact(a);
     const auto top = TopEigs(a, 2 * k);
     const double bound = GeneralUpperBound(lambda_g, top, k, a.dim());
     // Add k arbitrary (non-path) edges.
-    int added = 0;
-    while (added < k) {
+    std::set<std::pair<int, int>> added;
+    while (static_cast<int>(added.size()) < k) {
       const int u = static_cast<int>(rng.NextIndex(40));
       const int v = static_cast<int>(rng.NextIndex(40));
       if (u == v || a.Contains(u, v)) continue;
-      a.Set(u, v, 1.0);
-      ++added;
+      added.insert({std::min(u, v), std::max(u, v)});
     }
-    EXPECT_GE(bound, NaturalConnectivityExact(a) - 1e-9);
+    EXPECT_GE(bound, NaturalConnectivityExact(WithEdges(
+                         a, {added.begin(), added.end()})) -
+                         1e-9);
   }
 }
 
 TEST(BoundsTest, PathBoundDominatesPathAdditions) {
   linalg::Rng rng(23);
   for (int trial = 0; trial < 10; ++trial) {
-    auto a = RandomGraph(40, 3.0, &rng);
+    const auto a = RandomGraph(40, 3.0, &rng);
     const int k = 6;
     const double lambda_g = NaturalConnectivityExact(a);
     const auto top = TopEigs(a, (k + 1) / 2);
     const double bound = PathUpperBound(lambda_g, top, k, a.dim());
-    AddRandomPath(&a, k, &rng);
-    EXPECT_GE(bound, NaturalConnectivityExact(a) - 1e-9);
+    EXPECT_GE(bound, NaturalConnectivityExact(WithRandomPath(a, k, &rng)) -
+                         1e-9);
   }
 }
 
@@ -164,11 +159,10 @@ TEST(BoundsTest, MissingEigenvaluesTreatedAsZeroStillValid) {
   // e^{lambda_i}; replacing missing lambda_i with 0 gives e^0 = 1 > 0, so the
   // bound stays finite and valid.
   linalg::Rng rng(26);
-  auto a = RandomGraph(40, 3.0, &rng);
+  const auto a = RandomGraph(40, 3.0, &rng);
   const int k = 8;
   const double lambda_g = NaturalConnectivityExact(a);
   const double bound_no_info = PathUpperBound(lambda_g, {}, k, a.dim());
-  AddRandomPath(&a, k, &rng);
   // Not guaranteed to dominate with zero eigen-info in general, but for
   // sparse graphs with lambda_1 > 0 it must (e^{lambda_i} >= 1 for the top
   // ones that matter). Verify on this family.
@@ -274,12 +268,12 @@ class PathBoundSweep : public ::testing::TestWithParam<int> {};
 TEST_P(PathBoundSweep, DominanceAcrossK) {
   const int k = GetParam();
   linalg::Rng rng(300 + k);
-  auto a = RandomGraph(50, 3.0, &rng);
+  const auto a = RandomGraph(50, 3.0, &rng);
   const double lambda_g = NaturalConnectivityExact(a);
   const auto top = TopEigs(a, (k + 1) / 2);
   const double bound = PathUpperBound(lambda_g, top, k, a.dim());
-  AddRandomPath(&a, k, &rng);
-  EXPECT_GE(bound, NaturalConnectivityExact(a) - 1e-9);
+  EXPECT_GE(bound,
+            NaturalConnectivityExact(WithRandomPath(a, k, &rng)) - 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ks, PathBoundSweep,

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "gen/datasets.h"
 #include "linalg/rng.h"
 #include "linalg/sparse_matrix.h"
+#include "tests/matrix_builders.h"
 
 namespace ctbus::connectivity {
 namespace {
@@ -34,9 +36,7 @@ double ExactTraceExp(const linalg::SymmetricSparseMatrix& a) {
 /// tr(e^{A + P}) - tr(e^A) by two full dense eigensolves.
 double ExactTraceIncrement(const linalg::SymmetricSparseMatrix& a,
                            const StopPairs& pairs) {
-  linalg::SymmetricSparseMatrix with = a;
-  for (const auto& [u, v] : pairs) with.Set(u, v, 1.0);
-  return ExactTraceExp(with) - ExactTraceExp(a);
+  return ExactTraceExp(testutil::WithEdges(a, pairs)) - ExactTraceExp(a);
 }
 
 /// `count` distinct stop pairs absent from `a`, drawn from a fixed seed.
@@ -132,17 +132,17 @@ linalg::SymmetricSparseMatrix RandomTransitGraph(int n, int lines,
                                                  int reach,
                                                  std::uint64_t seed) {
   linalg::Rng rng(seed);
-  linalg::SymmetricSparseMatrix a(n);
+  std::set<std::pair<int, int>> pairs;
   for (int line = 0; line < lines; ++line) {
     int at = static_cast<int>(rng.NextIndex(n));
     for (int s = 1; s < stops_per_line; ++s) {
       const int next =
           (at + 1 + static_cast<int>(rng.NextIndex(reach))) % n;
-      a.Set(at, next, 1.0);
+      pairs.insert({std::min(at, next), std::max(at, next)});
       at = next;
     }
   }
-  return a;
+  return testutil::FromPairs(n, {pairs.begin(), pairs.end()});
 }
 
 // Truncating to the ball only drops closed walks (all of positive weight
@@ -300,14 +300,14 @@ TEST(LocalTraceIncrementTest, IndependentOfRowInsertionOrder) {
       if (u < entry.col) edges.emplace_back(u, entry.col);
     }
   }
-  // Same edge set, inserted in a shuffled order with flipped endpoints:
-  // every row lists its neighbors in a different order.
+  // Same edge set, listed in a shuffled order with flipped endpoints.
   linalg::Rng rng(43);
   for (int i = static_cast<int>(edges.size()) - 1; i > 0; --i) {
     std::swap(edges[i], edges[rng.NextIndex(i + 1)]);
   }
-  linalg::SymmetricSparseMatrix permuted(a.dim());
-  for (const auto& [u, v] : edges) permuted.Set(v, u, 1.0);
+  for (auto& [u, v] : edges) std::swap(u, v);
+  const linalg::SymmetricSparseMatrix permuted =
+      testutil::FromPairs(a.dim(), edges);
 
   const StopPairs walk = SampleNewEdgeWalk(a, 5, /*seed=*/47);
   EXPECT_EQ(TelescopedTerms(a, walk), TelescopedTerms(permuted, walk));

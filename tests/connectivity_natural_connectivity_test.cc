@@ -1,39 +1,32 @@
 #include "connectivity/natural_connectivity.h"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "linalg/rng.h"
 #include "linalg/sparse_matrix.h"
+#include "tests/matrix_builders.h"
 
 namespace ctbus::connectivity {
 namespace {
 
-linalg::SymmetricSparseMatrix RandomGraph(int n, double avg_degree,
-                                          linalg::Rng* rng) {
-  linalg::SymmetricSparseMatrix a(n);
-  const int edges = static_cast<int>(n * avg_degree / 2.0);
-  for (int i = 0; i < edges; ++i) {
-    const int u = static_cast<int>(rng->NextIndex(n));
-    const int v = static_cast<int>(rng->NextIndex(n));
-    if (u != v) a.Set(u, v, 1.0);
-  }
-  return a;
-}
+using testutil::FromPairs;
+using testutil::RandomGraph;
+using testutil::WithEdges;
 
 TEST(NaturalConnectivityTest, EmptyGraphAllZeros) {
   // A = 0 on n vertices: all eigenvalues 0, lambda = ln(n * 1 / n) = 0.
-  linalg::SymmetricSparseMatrix a(7);
+  const linalg::SymmetricSparseMatrix a(7, {});
   EXPECT_NEAR(NaturalConnectivityExact(a), 0.0, 1e-12);
 }
 
 TEST(NaturalConnectivityTest, SingleEdgeClosedForm) {
   // K2 plus isolated vertices: eigenvalues {1, -1, 0...}.
   const int n = 5;
-  linalg::SymmetricSparseMatrix a(n);
-  a.Set(0, 1, 1.0);
+  const linalg::SymmetricSparseMatrix a = FromPairs(n, {{0, 1}});
   const double expected =
       std::log((std::exp(1.0) + std::exp(-1.0) + (n - 2)) / n);
   EXPECT_NEAR(NaturalConnectivityExact(a), expected, 1e-12);
@@ -42,10 +35,11 @@ TEST(NaturalConnectivityTest, SingleEdgeClosedForm) {
 TEST(NaturalConnectivityTest, CompleteGraphClosedForm) {
   // K_n: eigenvalues {n-1, -1 x (n-1)}.
   const int n = 6;
-  linalg::SymmetricSparseMatrix a(n);
+  std::vector<std::pair<int, int>> pairs;
   for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) a.Set(i, j, 1.0);
+    for (int j = i + 1; j < n; ++j) pairs.push_back({i, j});
   }
+  const linalg::SymmetricSparseMatrix a = FromPairs(n, pairs);
   const double expected =
       std::log((std::exp(n - 1.0) + (n - 1) * std::exp(-1.0)) / n);
   EXPECT_NEAR(NaturalConnectivityExact(a), expected, 1e-10);
@@ -62,7 +56,7 @@ TEST(NaturalConnectivityTest, MonotoneUnderEdgeAddition) {
       u = static_cast<int>(rng.NextIndex(30));
       v = static_cast<int>(rng.NextIndex(30));
     } while (u == v || a.Contains(u, v));
-    a.Set(u, v, 1.0);
+    a = WithEdges(a, {{u, v}});
     const double next = NaturalConnectivityExact(a);
     EXPECT_GE(next, prev - 1e-12);
     prev = next;
@@ -160,7 +154,7 @@ TEST(NaturalConnectivityTest, CrnIncrementMatchesExactIncrement) {
   options.seed = 5;
   const ConnectivityEstimator est(a.dim(), options);
   const double est_before = est.Estimate(a);
-  a.Set(u, v, 1.0);
+  a = WithEdges(a, {{u, v}});
   const double exact_after = NaturalConnectivityExact(a);
   const double est_after = est.Estimate(a);
   const double exact_inc = exact_after - exact_before;

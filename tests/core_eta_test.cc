@@ -3,6 +3,8 @@
 #include <cmath>
 #include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include "graph/road_network.h"
 #include "graph/transit_network.h"
 #include "io/network_io.h"
+#include "tests/matrix_builders.h"
 
 #ifndef CTBUS_TEST_DATA_DIR
 #define CTBUS_TEST_DATA_DIR "tests/data"
@@ -341,12 +344,13 @@ TEST(EtaGridFixtureTest, ReportedIncrementMatchesDenseExactAtTau900) {
     const PlanResult result = RunEta(&ctx, mode);
     ExpectFeasible(ctx, result);
     ASSERT_GT(result.path.num_new_edges(), 0);
-    linalg::SymmetricSparseMatrix with = base;
+    std::vector<std::pair<int, int>> added;
     for (int e : result.path.edges()) {
       const PlannableEdge& edge = ctx.universe().edge(e);
-      if (edge.is_new) with.Set(edge.u, edge.v, 1.0);
+      if (edge.is_new) added.emplace_back(edge.u, edge.v);
     }
-    const double exact_trace_increment = ExactTraceExp(with) - base_trace;
+    const double exact_trace_increment =
+        ExactTraceExp(testutil::WithEdges(base, added)) - base_trace;
     EXPECT_NEAR(result.connectivity_increment,
                 std::log1p(exact_trace_increment / anchor),
                 2e-5 * base_trace / anchor);

@@ -6,19 +6,15 @@
 
 #include "linalg/rng.h"
 #include "linalg/sparse_matrix.h"
+#include "tests/matrix_builders.h"
 
 namespace ctbus::linalg {
 namespace {
 
 SymmetricSparseMatrix RandomGraph(int n, double avg_degree, Rng* rng) {
-  SymmetricSparseMatrix a(n);
-  const int edges = static_cast<int>(n * avg_degree / 2.0);
-  for (int i = 0; i < edges; ++i) {
-    const int u = static_cast<int>(rng->NextIndex(n));
-    const int v = static_cast<int>(rng->NextIndex(n));
-    if (u != v) a.Set(u, v, rng->NextDouble(-2.0, 2.0));
-  }
-  return a;
+  return testutil::RandomGraph(n, avg_degree, rng, [](Rng* r) {
+    return r->NextDouble(-2.0, 2.0);
+  });
 }
 
 std::vector<double> RandomVector(int n, Rng* rng) {
@@ -27,25 +23,25 @@ std::vector<double> RandomVector(int n, Rng* rng) {
   return x;
 }
 
-TEST(CsrMatrixTest, FreezePreservesShape) {
+TEST(CsrMatrixTest, FromSparsePreservesShape) {
   Rng rng(1);
   const auto a = RandomGraph(50, 4.0, &rng);
-  const CsrMatrix csr = a.Freeze();
+  const CsrMatrix csr = CsrMatrix::FromSparse(a);
   EXPECT_EQ(csr.dim(), a.dim());
   // Symmetric pairs are stored twice in CSR (once per row).
   EXPECT_EQ(csr.num_values(),
             static_cast<std::int64_t>(2 * a.num_entries()));
 }
 
-TEST(CsrMatrixTest, ApplyBitIdenticalToAdjacencyList) {
+TEST(CsrMatrixTest, ApplyBitIdenticalToSparseApply) {
   // The determinism contract: CSR accumulates each row in stored entry
-  // order through one dependency chain, so results match the
-  // adjacency-list Apply bit for bit — not just approximately.
+  // order through one dependency chain, so results match
+  // SymmetricSparseMatrix::Apply bit for bit — not just approximately.
   for (int seed = 0; seed < 8; ++seed) {
     Rng rng(100 + seed);
     const int n = 10 + static_cast<int>(rng.NextIndex(120));
     const auto a = RandomGraph(n, 5.0, &rng);
-    const CsrMatrix csr = a.Freeze();
+    const CsrMatrix csr = CsrMatrix::FromSparse(a);
     const auto x = RandomVector(n, &rng);
     std::vector<double> y_sparse(n), y_csr(n);
     a.Apply(x, &y_sparse);
@@ -60,7 +56,7 @@ TEST(CsrMatrixTest, ApplyBatchMatchesIndependentAppliesBitForBit) {
     Rng rng(200 + batch);
     const int n = 64;
     const auto a = RandomGraph(n, 4.0, &rng);
-    const CsrMatrix csr = a.Freeze();
+    const CsrMatrix csr = CsrMatrix::FromSparse(a);
     std::vector<std::vector<double>> lanes;
     for (int b = 0; b < batch; ++b) lanes.push_back(RandomVector(n, &rng));
     // SoA interleave: element (i, b) at x[i * batch + b].
@@ -82,8 +78,8 @@ TEST(CsrMatrixTest, ApplyBatchMatchesIndependentAppliesBitForBit) {
 }
 
 TEST(CsrMatrixTest, AssignFromReusesAcrossShapes) {
-  // The estimator freezes a new adjacency into the same scratch object on
-  // every call; growing and shrinking must both produce correct results.
+  // Copying a new matrix into the same object must give correct results
+  // whether the storage grows or shrinks.
   Rng rng(7);
   CsrMatrix csr;
   for (int n : {30, 80, 20}) {
@@ -99,8 +95,8 @@ TEST(CsrMatrixTest, AssignFromReusesAcrossShapes) {
 }
 
 TEST(CsrMatrixTest, EmptyMatrixApplies) {
-  SymmetricSparseMatrix a(5);  // no entries
-  const CsrMatrix csr = a.Freeze();
+  const SymmetricSparseMatrix a(5, {});  // no entries
+  const CsrMatrix csr = CsrMatrix::FromSparse(a);
   EXPECT_EQ(csr.num_values(), 0);
   std::vector<double> y(5, 1.0);
   csr.Apply(std::vector<double>(5, 3.0), &y);
@@ -108,8 +104,8 @@ TEST(CsrMatrixTest, EmptyMatrixApplies) {
 }
 
 TEST(CsrMatrixTest, ZeroDimensionalMatrix) {
-  SymmetricSparseMatrix a(0);
-  const CsrMatrix csr = a.Freeze();
+  const SymmetricSparseMatrix a(0, {});
+  const CsrMatrix csr = CsrMatrix::FromSparse(a);
   EXPECT_EQ(csr.dim(), 0);
   std::vector<double> x, y;
   csr.Apply(x, &y);

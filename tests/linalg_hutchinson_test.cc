@@ -12,20 +12,14 @@
 #include "linalg/rng.h"
 #include "linalg/sparse_matrix.h"
 #include "linalg/vector_ops.h"
+#include "tests/matrix_builders.h"
 
 namespace ctbus::linalg {
 namespace {
 
-SymmetricSparseMatrix RandomGraph(int n, double avg_degree, Rng* rng) {
-  SymmetricSparseMatrix a(n);
-  const int edges = static_cast<int>(n * avg_degree / 2.0);
-  for (int i = 0; i < edges; ++i) {
-    const int u = static_cast<int>(rng->NextIndex(n));
-    const int v = static_cast<int>(rng->NextIndex(n));
-    if (u != v) a.Set(u, v, 1.0);
-  }
-  return a;
-}
+using testutil::FromPairs;
+using testutil::RandomGraph;
+using testutil::WithEdges;
 
 double DenseTraceExp(const SymmetricSparseMatrix& a) {
   const auto values = SymmetricEigenvalues(DenseMatrix::FromSparse(a));
@@ -70,7 +64,7 @@ TEST(HutchinsonTest, ErrorShrinksWithMoreProbes) {
 TEST(HutchinsonTest, ExactOnIdentityLikeEmptyGraph) {
   // A = 0 (empty graph): tr(exp(0)) = n exactly; the quadrature is exact and
   // Hutchinson is unbiased with E[v^T v] = n.
-  SymmetricSparseMatrix a(30);
+  const SymmetricSparseMatrix a(30, {});
   Rng rng(5);
   const double est = EstimateTraceExp(a, 200, 2, &rng);
   EXPECT_NEAR(est, 30.0, 2.0);
@@ -91,7 +85,7 @@ TEST(HutchinsonTest, CommonRandomNumbersReduceIncrementVariance) {
   // with the same probes must give far lower variance than independent
   // probes. This is the engineering linchpin of Delta(e) pre-computation.
   Rng rng(45);
-  auto a = RandomGraph(80, 4.0, &rng);
+  const auto a = RandomGraph(80, 4.0, &rng);
   // Choose an absent edge to add.
   int u = -1, v = -1;
   for (int i = 0; i < 80 && u < 0; ++i) {
@@ -104,10 +98,9 @@ TEST(HutchinsonTest, CommonRandomNumbersReduceIncrementVariance) {
     }
   }
   ASSERT_GE(u, 0);
+  const SymmetricSparseMatrix with = WithEdges(a, {{u, v}});
   const double exact_before = DenseTraceExp(a);
-  a.Set(u, v, 1.0);
-  const double exact_after = DenseTraceExp(a);
-  a.Remove(u, v);
+  const double exact_after = DenseTraceExp(with);
   const double exact_increment = exact_after - exact_before;
 
   double crn_sq_err = 0.0;
@@ -117,13 +110,11 @@ TEST(HutchinsonTest, CommonRandomNumbersReduceIncrementVariance) {
     Rng probe_rng(1000 + trial);
     const auto probes = MakeGaussianProbes(a.dim(), 30, &probe_rng);
     const double before = EstimateTraceExpWithProbes(a, probes, 12);
-    a.Set(u, v, 1.0);
-    const double after_crn = EstimateTraceExpWithProbes(a, probes, 12);
+    const double after_crn = EstimateTraceExpWithProbes(with, probes, 12);
     Rng other_rng(5000 + trial);
     const auto other_probes = MakeGaussianProbes(a.dim(), 30, &other_rng);
     const double after_indep =
-        EstimateTraceExpWithProbes(a, other_probes, 12);
-    a.Remove(u, v);
+        EstimateTraceExpWithProbes(with, other_probes, 12);
     const double crn_err = (after_crn - before) - exact_increment;
     const double indep_err = (after_indep - before) - exact_increment;
     crn_sq_err += crn_err * crn_err;
@@ -138,7 +129,7 @@ TEST(HutchinsonTest, RejectsNonPositiveProbeCount) {
   Rng rng(3);
   EXPECT_THROW(MakeGaussianProbes(10, 0, &rng), std::invalid_argument);
   EXPECT_THROW(MakeGaussianProbes(10, -3, &rng), std::invalid_argument);
-  const SymmetricSparseMatrix a(10);
+  const SymmetricSparseMatrix a(10, {});
   EXPECT_THROW(EstimateTraceExp(a, 0, 5, &rng), std::invalid_argument);
   EXPECT_THROW(EstimateTraceExpWithProbes(a, {}, 5), std::invalid_argument);
   EXPECT_THROW(EstimateTraceExpBatched(a, {}, 5), std::invalid_argument);
@@ -189,13 +180,8 @@ TEST(HutchinsonTest, EstimateBitIdenticalToPerProbeReference) {
 TEST(HutchinsonTest, EstimateBitIdenticalWithZeroProbeAndBreakdown) {
   // A zero probe, and a graph whose isolated vertices and tiny components
   // break lanes down early, inside otherwise healthy blocks.
-  SymmetricSparseMatrix a(12);
-  a.Set(0, 1, 1.0);
-  a.Set(1, 2, 1.0);
-  a.Set(3, 4, 1.0);
-  a.Set(5, 6, 1.0);
-  a.Set(6, 7, 1.0);
-  a.Set(7, 8, 1.0);
+  const SymmetricSparseMatrix a =
+      FromPairs(12, {{0, 1}, {1, 2}, {3, 4}, {5, 6}, {6, 7}, {7, 8}});
   Rng probe_rng(47);
   auto vs = MakeGaussianProbes(a.dim(), 6, &probe_rng);
   vs[2].assign(12, 0.0);

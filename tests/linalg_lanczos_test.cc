@@ -1,6 +1,9 @@
 #include "linalg/lanczos.h"
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,21 +14,13 @@
 #include "linalg/rng.h"
 #include "linalg/sparse_matrix.h"
 #include "linalg/vector_ops.h"
+#include "tests/matrix_builders.h"
 
 namespace ctbus::linalg {
 namespace {
 
-// Random sparse graph adjacency with unit weights and ~avg_degree per vertex.
-SymmetricSparseMatrix RandomGraph(int n, double avg_degree, Rng* rng) {
-  SymmetricSparseMatrix a(n);
-  const int edges = static_cast<int>(n * avg_degree / 2.0);
-  for (int i = 0; i < edges; ++i) {
-    const int u = static_cast<int>(rng->NextIndex(n));
-    const int v = static_cast<int>(rng->NextIndex(n));
-    if (u != v) a.Set(u, v, 1.0);
-  }
-  return a;
-}
+using testutil::FromPairs;
+using testutil::RandomGraph;
 
 // exp(A) v via the dense eigendecomposition (ground truth).
 std::vector<double> DenseExpApply(const SymmetricSparseMatrix& a,
@@ -53,13 +48,9 @@ TEST(LanczosTest, TridiagonalizeRecoversSpectrumOfSmallMatrix) {
   // On an n-dimensional space, n full-reorthogonalized steps give T with
   // exactly A's spectrum.
   Rng rng(5);
-  SymmetricSparseMatrix a(6);
-  a.Set(0, 1, 1.0);
-  a.Set(1, 2, 1.0);
-  a.Set(2, 3, 1.0);
-  a.Set(3, 4, 1.0);
-  a.Set(4, 5, 1.0);
-  a.Set(5, 0, 1.0);  // cycle C6: eigenvalues 2cos(2 pi k / 6)
+  // Cycle C6: eigenvalues 2cos(2 pi k / 6).
+  const SymmetricSparseMatrix a =
+      FromPairs(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}});
   std::vector<double> v0(6);
   FillGaussian(&rng, &v0);
   LanczosOptions options;
@@ -96,8 +87,7 @@ TEST(LanczosTest, BasisIsOrthonormal) {
 }
 
 TEST(LanczosTest, ZeroStartVectorBreaksDownGracefully) {
-  SymmetricSparseMatrix a(4);
-  a.Set(0, 1, 1.0);
+  const SymmetricSparseMatrix a = FromPairs(4, {{0, 1}});
   const std::vector<double> v0(4, 0.0);
   LanczosOptions options;
   options.steps = 3;
@@ -118,8 +108,7 @@ TEST(LanczosTest, QuadratureMatchesExplicitForm) {
 }
 
 TEST(LanczosTest, QuadratureZeroVectorIsZero) {
-  SymmetricSparseMatrix a(5);
-  a.Set(0, 1, 1.0);
+  const SymmetricSparseMatrix a = FromPairs(5, {{0, 1}});
   EXPECT_DOUBLE_EQ(LanczosExpQuadrature(a, std::vector<double>(5, 0.0), 5),
                    0.0);
 }
@@ -139,15 +128,13 @@ TEST(LanczosTest, TopEigenvaluesMatchDense) {
 }
 
 TEST(LanczosTest, TopEigenvaluesKZero) {
-  SymmetricSparseMatrix a(5);
+  const SymmetricSparseMatrix a(5, {});
   Rng rng(1);
   EXPECT_TRUE(TopEigenvalues(a, 0, 10, &rng).empty());
 }
 
 TEST(LanczosTest, TopEigenvaluesKLargerThanDim) {
-  SymmetricSparseMatrix a(3);
-  a.Set(0, 1, 1.0);
-  a.Set(1, 2, 1.0);
+  const SymmetricSparseMatrix a = FromPairs(3, {{0, 1}, {1, 2}});
   Rng rng(2);
   const auto top = TopEigenvalues(a, 10, 10, &rng);
   EXPECT_EQ(top.size(), 3u);
@@ -230,12 +217,14 @@ TEST(LanczosBatchTest, QuadratureBatchHandlesDegenerateLanes) {
   // isolated vertex) share blocks with healthy probes; each must drop out
   // on its own without disturbing its neighbours.
   Rng rng(55);
-  SymmetricSparseMatrix a(20);
+  std::set<std::pair<int, int>> pairs;
   for (int i = 0; i < 15; ++i) {
     const int u = static_cast<int>(rng.NextIndex(19));
     const int v = static_cast<int>(rng.NextIndex(19));
-    if (u != v) a.Set(u, v, 1.0);
+    if (u != v) pairs.insert({std::min(u, v), std::max(u, v)});
   }
+  const SymmetricSparseMatrix a =
+      FromPairs(20, {pairs.begin(), pairs.end()});
   // Vertex 19 stays isolated.
   std::vector<double> isolated(20, 0.0);
   isolated[19] = 2.0;  // A e_19 = 0
@@ -260,15 +249,8 @@ TEST(LanczosBatchTest, QuadratureBatchBreakdownOnDisconnectedAndTinyGraphs) {
   // Two triangles plus a path: probes supported on one small component
   // exhaust their Krylov space after a few steps while their lane-mates
   // run on; and on a 3-vertex graph n < steps breaks every lane down.
-  SymmetricSparseMatrix a(9);
-  a.Set(0, 1, 1.0);
-  a.Set(1, 2, 1.0);
-  a.Set(2, 0, 1.0);
-  a.Set(3, 4, 1.0);
-  a.Set(4, 5, 1.0);
-  a.Set(5, 3, 1.0);
-  a.Set(6, 7, 1.0);
-  a.Set(7, 8, 1.0);
+  const SymmetricSparseMatrix a = FromPairs(
+      9, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {6, 7}, {7, 8}});
   Rng rng(91);
   std::vector<std::vector<double>> vs(6, std::vector<double>(9));
   for (auto& v : vs) FillGaussian(&rng, &v);
@@ -276,9 +258,7 @@ TEST(LanczosBatchTest, QuadratureBatchBreakdownOnDisconnectedAndTinyGraphs) {
   for (int i = 0; i < 6; ++i) vs[4][i] = 0.0;  // path {6, 7, 8} only
   ExpectMatchesReference(a, vs, 10);
 
-  SymmetricSparseMatrix tiny(3);
-  tiny.Set(0, 1, 1.0);
-  tiny.Set(1, 2, 0.5);
+  const SymmetricSparseMatrix tiny(3, {{0, 1, 1.0}, {1, 2, 0.5}});
   std::vector<std::vector<double>> tiny_vs(5, std::vector<double>(3));
   for (auto& v : tiny_vs) FillGaussian(&rng, &v);
   ExpectMatchesReference(tiny, tiny_vs, 10);
@@ -295,11 +275,11 @@ TEST(LanczosBatchTest, QuadratureBatchOnDenseOperator) {
 }
 
 TEST(LanczosBatchTest, QuadratureBatchMatchesAcrossCsrAndAdjacency) {
-  // The frozen CSR copy feeds identical bits through the kernel.
+  // The CSR copy feeds identical bits through the kernel.
   Rng rng(66);
   const int n = 45;
   const auto a = RandomGraph(n, 4.0, &rng);
-  const auto csr = a.Freeze();
+  const auto csr = CsrMatrix::FromSparse(a);
   std::vector<std::vector<double>> vs(6, std::vector<double>(n));
   for (auto& v : vs) FillGaussian(&rng, &v);
   const auto via_adj = LanczosExpQuadratureBatch(a, vs, 9);
@@ -370,11 +350,8 @@ TEST(TridiagonalExpQuadratureTest, RepeatedEigenvaluesTieBreakIdentically) {
 
 TEST(LanczosTest, DenseTraceExpSanity) {
   // Cross-check helper used in other tests: C4 cycle eigenvalues 2,0,0,-2.
-  SymmetricSparseMatrix a(4);
-  a.Set(0, 1, 1.0);
-  a.Set(1, 2, 1.0);
-  a.Set(2, 3, 1.0);
-  a.Set(3, 0, 1.0);
+  const SymmetricSparseMatrix a =
+      FromPairs(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
   const double expected = std::exp(2.0) + 2.0 + std::exp(-2.0);
   EXPECT_NEAR(DenseTraceExp(a), expected, 1e-10);
 }

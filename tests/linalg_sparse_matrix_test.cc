@@ -1,80 +1,88 @@
 #include "linalg/sparse_matrix.h"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "linalg/dense_matrix.h"
 #include "linalg/rng.h"
+#include "tests/matrix_builders.h"
 
 namespace ctbus::linalg {
 namespace {
 
+using Triplet = SymmetricSparseMatrix::Triplet;
+
 TEST(SparseMatrixTest, EmptyMatrix) {
-  SymmetricSparseMatrix m;
+  const SymmetricSparseMatrix m(0, {});
   EXPECT_EQ(m.dim(), 0);
   EXPECT_EQ(m.num_entries(), 0);
 }
 
-TEST(SparseMatrixTest, SetStoresSymmetrically) {
-  SymmetricSparseMatrix m(4);
-  m.Set(0, 2, 3.5);
+TEST(SparseMatrixTest, StoresSymmetrically) {
+  const SymmetricSparseMatrix m(4, {{0, 2, 3.5}});
   EXPECT_DOUBLE_EQ(m.At(0, 2), 3.5);
   EXPECT_DOUBLE_EQ(m.At(2, 0), 3.5);
+  EXPECT_TRUE(m.Contains(2, 0));
   EXPECT_EQ(m.num_entries(), 1);
-}
-
-TEST(SparseMatrixTest, SetOverwrites) {
-  SymmetricSparseMatrix m(3);
-  m.Set(0, 1, 1.0);
-  m.Set(1, 0, 2.0);
-  EXPECT_DOUBLE_EQ(m.At(0, 1), 2.0);
-  EXPECT_EQ(m.num_entries(), 1);
-}
-
-TEST(SparseMatrixTest, AddCreatesAndAccumulates) {
-  SymmetricSparseMatrix m(3);
-  m.Add(0, 1, 1.5);
-  m.Add(0, 1, 1.5);
-  EXPECT_DOUBLE_EQ(m.At(1, 0), 3.0);
-  EXPECT_EQ(m.num_entries(), 1);
-}
-
-TEST(SparseMatrixTest, RemoveExistingEntry) {
-  SymmetricSparseMatrix m(3);
-  m.Set(0, 1, 1.0);
-  m.Set(1, 2, 2.0);
-  EXPECT_TRUE(m.Remove(0, 1));
-  EXPECT_FALSE(m.Contains(0, 1));
-  EXPECT_FALSE(m.Contains(1, 0));
-  EXPECT_DOUBLE_EQ(m.At(1, 2), 2.0);
-  EXPECT_EQ(m.num_entries(), 1);
-}
-
-TEST(SparseMatrixTest, RemoveMissingEntryReturnsFalse) {
-  SymmetricSparseMatrix m(3);
-  EXPECT_FALSE(m.Remove(0, 1));
 }
 
 TEST(SparseMatrixTest, AtMissingIsZero) {
-  SymmetricSparseMatrix m(3);
+  const SymmetricSparseMatrix m(3, {{0, 2, 1.0}});
   EXPECT_DOUBLE_EQ(m.At(0, 1), 0.0);
+  EXPECT_FALSE(m.Contains(0, 1));
 }
 
 TEST(SparseMatrixTest, RowDegreeCounts) {
-  SymmetricSparseMatrix m(4);
-  m.Set(0, 1, 1.0);
-  m.Set(0, 2, 1.0);
-  m.Set(0, 3, 1.0);
+  const SymmetricSparseMatrix m(4, {{0, 1, 1.0}, {0, 2, 1.0}, {0, 3, 1.0}});
   EXPECT_EQ(m.RowDegree(0), 3);
   EXPECT_EQ(m.RowDegree(1), 1);
+  EXPECT_EQ(m.Row(0).size(), 3);
+}
+
+TEST(SparseMatrixTest, RowsAreSortedWhateverTheInputOrder) {
+  // The same entry set listed in every order, and in either orientation,
+  // gives the same rows: ascending column order, bit-identical values.
+  const auto by_pair = [](const Triplet& a, const Triplet& b) {
+    return std::tie(a.u, a.v) < std::tie(b.u, b.v);
+  };
+  std::vector<Triplet> entries = {
+      {3, 0, 0.5}, {1, 4, -1.25}, {0, 1, 2.0}, {4, 0, 0.75}, {2, 3, 1.5}};
+  std::sort(entries.begin(), entries.end(), by_pair);
+  const SymmetricSparseMatrix reference(5, entries);
+  for (int u = 0; u < reference.dim(); ++u) {
+    const auto row = reference.Row(u);
+    for (int j = 1; j < row.size(); ++j) EXPECT_LT(row[j - 1].col, row[j].col);
+  }
+  int permutations = 0;
+  do {
+    std::vector<Triplet> flipped = entries;
+    for (std::size_t i = 0; i < flipped.size(); i += 2) {
+      std::swap(flipped[i].u, flipped[i].v);
+    }
+    for (const auto& list : {entries, flipped}) {
+      const SymmetricSparseMatrix m(5, list);
+      for (int u = 0; u < m.dim(); ++u) {
+        ASSERT_EQ(m.RowDegree(u), reference.RowDegree(u));
+        for (int j = 0; j < m.RowDegree(u); ++j) {
+          EXPECT_EQ(m.Row(u)[j].col, reference.Row(u)[j].col);
+          EXPECT_EQ(m.Row(u)[j].value, reference.Row(u)[j].value);
+        }
+      }
+    }
+    ++permutations;
+  } while (std::next_permutation(entries.begin(), entries.end(), by_pair));
+  EXPECT_EQ(permutations, 120);
 }
 
 TEST(SparseMatrixTest, ApplyMatchesManualProduct) {
-  SymmetricSparseMatrix m(3);
-  m.Set(0, 1, 2.0);
-  m.Set(1, 2, -1.0);
+  const SymmetricSparseMatrix m(3, {{0, 1, 2.0}, {1, 2, -1.0}});
   const std::vector<double> x = {1.0, 2.0, 3.0};
   std::vector<double> y(3);
   m.Apply(x, &y);
@@ -87,13 +95,8 @@ TEST(SparseMatrixTest, ApplyMatchesManualProduct) {
 TEST(SparseMatrixTest, ApplyMatchesDenseOnRandomGraph) {
   Rng rng(99);
   const int n = 40;
-  SymmetricSparseMatrix sparse(n);
-  for (int trial = 0; trial < 200; ++trial) {
-    const int u = static_cast<int>(rng.NextIndex(n));
-    const int v = static_cast<int>(rng.NextIndex(n));
-    if (u == v) continue;
-    sparse.Set(u, v, rng.NextDouble(-2.0, 2.0));
-  }
+  const SymmetricSparseMatrix sparse = testutil::RandomGraph(
+      n, 10.0, &rng, [](Rng* r) { return r->NextDouble(-2.0, 2.0); });
   const DenseMatrix dense = DenseMatrix::FromSparse(sparse);
   std::vector<double> x(n);
   for (double& val : x) val = rng.NextGaussian();
@@ -103,43 +106,49 @@ TEST(SparseMatrixTest, ApplyMatchesDenseOnRandomGraph) {
   for (int i = 0; i < n; ++i) EXPECT_NEAR(ys[i], yd[i], 1e-12);
 }
 
-TEST(SparseMatrixTest, SpectralNormUpperBoundDominates) {
-  // For the path graph P3, ||A||_2 = sqrt(2) ~ 1.414; inf-norm bound is 2.
-  SymmetricSparseMatrix m(3);
-  m.Set(0, 1, 1.0);
-  m.Set(1, 2, 1.0);
-  EXPECT_DOUBLE_EQ(m.SpectralNormUpperBound(), 2.0);
-}
-
 TEST(SparseMatrixTest, RejectsDiagonalEntriesInAnyBuildMode) {
-  // These used to be plain asserts, which compile out under -DNDEBUG (the
-  // release tier) and let a diagonal Set silently corrupt the symmetric
-  // invariant. The preconditions are now always-on throws, so this test
-  // passes in every build mode.
-  SymmetricSparseMatrix m(4);
-  EXPECT_THROW(m.Set(2, 2, 1.0), std::invalid_argument);
-  EXPECT_THROW(m.Add(0, 0, 1.0), std::invalid_argument);
-  EXPECT_THROW(m.Remove(3, 3), std::invalid_argument);
-  EXPECT_EQ(m.num_entries(), 0u);
+  // A diagonal entry would break the zero-diagonal invariant and the
+  // store-twice entry count. The check throws in every build mode, so this
+  // test passes under -DNDEBUG too.
+  EXPECT_THROW(SymmetricSparseMatrix(4, {{2, 2, 1.0}}), std::invalid_argument);
+  EXPECT_THROW(SymmetricSparseMatrix(4, {{0, 1, 1.0}, {3, 3, 1.0}}),
+               std::invalid_argument);
 }
 
 TEST(SparseMatrixTest, RejectsOutOfRangeIndices) {
-  SymmetricSparseMatrix m(4);
-  EXPECT_THROW(m.Set(0, 4, 1.0), std::out_of_range);
-  EXPECT_THROW(m.Set(-1, 2, 1.0), std::out_of_range);
-  EXPECT_THROW(m.Add(4, 0, 1.0), std::out_of_range);
-  EXPECT_THROW(m.Remove(0, 7), std::out_of_range);
-  EXPECT_EQ(m.num_entries(), 0u);
-  // A failed mutation must leave prior state untouched.
-  m.Set(0, 1, 2.0);
-  EXPECT_THROW(m.Set(0, 9, 1.0), std::out_of_range);
-  EXPECT_DOUBLE_EQ(m.At(0, 1), 2.0);
-  EXPECT_EQ(m.num_entries(), 1u);
+  EXPECT_THROW(SymmetricSparseMatrix(4, {{0, 4, 1.0}}), std::out_of_range);
+  EXPECT_THROW(SymmetricSparseMatrix(4, {{-1, 2, 1.0}}), std::out_of_range);
+  EXPECT_THROW(SymmetricSparseMatrix(4, {{0, 1, 2.0}, {4, 0, 1.0}}),
+               std::out_of_range);
+  EXPECT_THROW(SymmetricSparseMatrix(0, {{0, 1, 1.0}}), std::out_of_range);
+  EXPECT_THROW(SymmetricSparseMatrix(-1, {}), std::invalid_argument);
+}
+
+TEST(SparseMatrixTest, RejectsDuplicatePairsInEitherOrientation) {
+  EXPECT_THROW(SymmetricSparseMatrix(4, {{0, 1, 1.0}, {0, 1, 1.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(SymmetricSparseMatrix(4, {{0, 1, 1.0}, {2, 3, 1.0}, {1, 0, 2.0}}),
+               std::invalid_argument);
+  try {
+    SymmetricSparseMatrix(5, {{3, 4, 1.0}, {1, 2, 1.0}, {4, 3, 1.0}});
+    FAIL() << "duplicate pair accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("(3, 4)"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(SparseMatrixTest, RejectsNonFiniteValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(SymmetricSparseMatrix(4, {{0, 1, nan}}), std::invalid_argument);
+  EXPECT_THROW(SymmetricSparseMatrix(4, {{0, 1, 1.0}, {1, 2, inf}}),
+               std::invalid_argument);
+  EXPECT_THROW(SymmetricSparseMatrix(4, {{2, 3, -inf}}), std::invalid_argument);
 }
 
 TEST(SparseMatrixTest, DenseFromSparseRoundTrip) {
-  SymmetricSparseMatrix m(3);
-  m.Set(0, 1, 5.0);
+  const SymmetricSparseMatrix m(3, {{0, 1, 5.0}});
   const DenseMatrix d = DenseMatrix::FromSparse(m);
   EXPECT_DOUBLE_EQ(d.At(0, 1), 5.0);
   EXPECT_DOUBLE_EQ(d.At(1, 0), 5.0);
@@ -151,12 +160,8 @@ TEST(SparseMatrixTest, ApplyBatchBitIdenticalToApplyPerLane) {
   // plus a partial one: lane b must equal Apply on lane b bit for bit.
   Rng rng(31);
   const int n = 40;
-  SymmetricSparseMatrix m(n);
-  for (int e = 0; e < 90; ++e) {
-    const int u = static_cast<int>(rng.NextIndex(n));
-    const int v = static_cast<int>(rng.NextIndex(n));
-    if (u != v) m.Set(u, v, rng.NextDouble(-2.0, 2.0));
-  }
+  const SymmetricSparseMatrix m = testutil::RandomGraph(
+      n, 4.5, &rng, [](Rng* r) { return r->NextDouble(-2.0, 2.0); });
   for (int batch = 1; batch <= 9; ++batch) {
     std::vector<double> x(static_cast<std::size_t>(n) * batch);
     for (double& value : x) value = rng.NextGaussian();
