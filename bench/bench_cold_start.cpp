@@ -19,8 +19,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/baselines.h"
-#include "core/eta.h"
 #include "core/planner.h"
 #include "io/network_io.h"
 #include "io/snapshot.h"
@@ -43,20 +41,6 @@ constexpr PlannerCase kPlanners[] = {
     {Planner::kEtaPre, "eta_pre"},
     {Planner::kVkTsp, "vk_tsp"},
 };
-
-PlanResult RunPlanner(const ctbus::core::PlanningContext& context,
-                      Planner planner) {
-  switch (planner) {
-    case Planner::kEta:
-      return ctbus::core::RunEta(&context, ctbus::core::SearchMode::kOnline);
-    case Planner::kEtaPre:
-      return ctbus::core::RunEta(&context,
-                                 ctbus::core::SearchMode::kPrecomputed);
-    case Planner::kVkTsp:
-      return ctbus::core::RunVkTsp(&context);
-  }
-  return {};
-}
 
 /// The full wire-visible identity of a plan: net::ResponseChecksum over
 /// the deterministic response section (found, version, edges, stops,
@@ -180,8 +164,10 @@ double RunTrial(const std::string& name,
       ctbus::core::PlanningContext::BuildWithPrecompute(
           loaded->road, loaded->transit, options, *loaded_precompute);
   for (const PlannerCase& pc : kPlanners) {
-    const PlanResult text_plan = RunPlanner(text_context, pc.planner);
-    const PlanResult loaded_plan = RunPlanner(loaded_context, pc.planner);
+    const PlanResult text_plan =
+        ctbus::core::RunPlanner(&text_context, pc.planner);
+    const PlanResult loaded_plan =
+        ctbus::core::RunPlanner(&loaded_context, pc.planner);
     const std::uint64_t text_checksum =
         PlanChecksum(name, options, text_plan);
     const std::uint64_t loaded_checksum =

@@ -5,6 +5,9 @@
 // RunPrecompute, reporting the fraction of candidates recomputed and the
 // agreement with from-scratch.
 //
+// universe_seconds is the median EdgeUniverse::Build time (bounded Dijkstra
+// plus spatial-grid queries) over the thread sweep.
+//
 // Invariants: every line reads bit-identical=yes (trace increments, tr_0
 // and Delta(e) all equal the serial / from-scratch run); CI fails on any
 // "bit-identical=no". Delta(e) speedup > 1 needs >= 2 cores.
@@ -59,6 +62,7 @@ void ThreadScalingSection(const ctbus::gen::Dataset& city,
   }
   double serial_seconds = 0.0;
   ctbus::core::Precompute serial;
+  std::vector<double> universe_seconds;
   for (int threads : thread_counts) {
     options.precompute_threads = threads;
     const Stopwatch timer;
@@ -66,6 +70,7 @@ void ThreadScalingSection(const ctbus::gen::Dataset& city,
         ctbus::core::PlanningContext::RunPrecompute(city.road, city.transit,
                                                     options);
     const double total = timer.Seconds();
+    universe_seconds.push_back(pre.stats.universe_seconds);
     if (threads == 1) {
       serial_seconds = pre.stats.increments_seconds;
       serial = pre;
@@ -86,6 +91,9 @@ void ThreadScalingSection(const ctbus::gen::Dataset& city,
       report->AddChecksum("increments", Checksum(pre.increments));
     }
   }
+  // EdgeUniverse::Build is serial: each thread count is one more sample.
+  report->AddMetric("universe_seconds",
+                    ctbus::bench::Quantile(universe_seconds, 0.5), "lower");
   if (hw < 2) {
     std::printf("note: host has %d core(s); >= 2 cores are needed to "
                 "demonstrate parallel speedup\n",

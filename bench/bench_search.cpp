@@ -12,40 +12,38 @@
 // checksums: every run must return the same bits (the bench exits 1 if
 // not), and tools/bench_diff.py compares them exactly against
 // bench/baselines/BENCH_search.json.
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/baselines.h"
-#include "core/eta.h"
+#include "core/planner.h"
 #include "core/planning_context.h"
 #include "gen/datasets.h"
 
 namespace {
 
+using ctbus::bench::Quantile;
 using ctbus::bench::Stopwatch;
 using ctbus::core::CtBusOptions;
+using ctbus::core::Planner;
 using ctbus::core::PlanningContext;
 using ctbus::core::PlanResult;
 
 constexpr int kRuns = 9;
 constexpr int kKs[] = {4, 8, 12};
 
-enum class Search { kEtaPre, kVkTsp, kEtaOnline };
-
 struct SearchCase {
-  Search search;
+  Planner planner;
   const char* name;
   int max_iterations;
 };
 
 constexpr SearchCase kSearches[] = {
-    {Search::kEtaPre, "eta_pre", 500},
-    {Search::kVkTsp, "vk_tsp", 500},
-    {Search::kEtaOnline, "eta_online", 2},
+    {Planner::kEtaPre, "eta_pre", 500},
+    {Planner::kVkTsp, "vk_tsp", 500},
+    {Planner::kEta, "eta_online", 2},
 };
 
 CtBusOptions SearchOptions(int k, int max_iterations) {
@@ -59,27 +57,6 @@ CtBusOptions SearchOptions(int k, int max_iterations) {
   options.precompute_estimator = {/*probes=*/5, /*lanczos_steps=*/5,
                                   /*seed=*/11};
   return options;
-}
-
-PlanResult RunSearch(const PlanningContext& context, Search search) {
-  switch (search) {
-    case Search::kEtaPre:
-      return ctbus::core::RunEta(&context,
-                                 ctbus::core::SearchMode::kPrecomputed);
-    case Search::kVkTsp:
-      return ctbus::core::RunVkTsp(&context);
-    case Search::kEtaOnline:
-      return ctbus::core::RunEta(&context, ctbus::core::SearchMode::kOnline);
-  }
-  return {};
-}
-
-// Sorted copy's value at quantile q (nearest rank).
-double Quantile(std::vector<double> values, double q) {
-  std::sort(values.begin(), values.end());
-  const std::size_t index =
-      static_cast<std::size_t>(q * (values.size() - 1) + 0.5);
-  return values[index];
 }
 
 }  // namespace
@@ -113,7 +90,7 @@ int main() {
       PlanResult first;
       for (int run = 0; run < kRuns; ++run) {
         Stopwatch watch;
-        PlanResult result = RunSearch(context, sc.search);
+        PlanResult result = ctbus::core::RunPlanner(&context, sc.planner);
         ms.push_back(watch.Seconds() * 1e3);
         if (run == 0) {
           first = std::move(result);

@@ -43,6 +43,7 @@
 
 namespace {
 
+using ctbus::bench::Quantile;
 using ctbus::service::PlanRequest;
 using ctbus::service::PlanningService;
 using ctbus::service::Priority;
@@ -86,13 +87,6 @@ std::vector<int> ThreadCounts() {
   }
   if (counts.empty()) counts.push_back(1);
   return counts;
-}
-
-/// Nearest-rank quantile of `values` (p in [0, 1]); 0 when empty.
-double Quantile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  return values[static_cast<std::size_t>(p * (values.size() - 1))];
 }
 
 PlanRequest MakeRequest(const std::string& dataset,

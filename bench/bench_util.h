@@ -13,6 +13,8 @@
 #ifndef CTBUS_BENCH_BENCH_UTIL_H_
 #define CTBUS_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -61,6 +63,15 @@ inline double GetScale() { return GetEnvDouble("CTBUS_SCALE", 1.0); }
 
 inline int GetEtaIterations() {
   return static_cast<int>(GetEnvDouble("CTBUS_ETA_ITERS", 100));
+}
+
+/// Value of `values` at quantile q in [0, 1], by nearest rank: the sorted
+/// index q * (n - 1) rounded half up, so the median of an even count is
+/// the upper middle value. 0 when empty.
+inline double Quantile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  return values[static_cast<std::size_t>(q * (values.size() - 1) + 0.5)];
 }
 
 /// Planner options tuned so the full bench suite reruns in minutes.

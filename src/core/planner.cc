@@ -20,16 +20,20 @@ PlanningContext& CtBusPlanner::context() {
   return *context_;
 }
 
-PlanResult CtBusPlanner::PlanRoute(Planner planner) {
+PlanResult RunPlanner(const PlanningContext* context, Planner planner) {
   switch (planner) {
     case Planner::kEta:
-      return RunEta(&context(), SearchMode::kOnline);
+      return RunEta(context, SearchMode::kOnline);
     case Planner::kEtaPre:
-      return RunEta(&context(), SearchMode::kPrecomputed);
+      return RunEta(context, SearchMode::kPrecomputed);
     case Planner::kVkTsp:
-      return RunVkTsp(&context());
+      return RunVkTsp(context);
   }
   return {};
+}
+
+PlanResult CtBusPlanner::PlanRoute(Planner planner) {
+  return RunPlanner(&context(), planner);
 }
 
 int ApplyCommit(const PlanResult& result, const EdgeUniverse& universe,

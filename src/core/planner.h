@@ -23,6 +23,11 @@ enum class Planner {
   kVkTsp,   // demand-first baseline
 };
 
+/// The one mapping from a request's planner to a search (Section 7.2.1,
+/// Table 7): kEta is RunEta online, kEtaPre is RunEta over the precomputed
+/// Delta(e), kVkTsp is RunVkTsp. Every in-tree caller plans through this.
+PlanResult RunPlanner(const PlanningContext* context, Planner planner);
+
 /// Section 6.3's commit, the one copy CtBusPlanner::CommitRoute and
 /// service::SnapshotStore::CommitRoute both apply: realizes the route's
 /// edges in `transit`, registers its stop sequence as a route, and zeroes

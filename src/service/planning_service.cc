@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/baselines.h"
 #include "core/parallel_for.h"
 #include "core/timing.h"
 #include "gen/datasets.h"
@@ -606,17 +605,7 @@ void PlanningService::Execute(Shard* shard, Task task, int worker_id,
     }
 
     phase_timer.Reset();
-    switch (task.request.planner) {
-      case core::Planner::kEta:
-        result.plan = core::RunEta(&context, core::SearchMode::kOnline);
-        break;
-      case core::Planner::kEtaPre:
-        result.plan = core::RunEta(&context, core::SearchMode::kPrecomputed);
-        break;
-      case core::Planner::kVkTsp:
-        result.plan = core::RunVkTsp(&context);
-        break;
-    }
+    result.plan = core::RunPlanner(&context, task.request.planner);
     stats.plan_seconds = phase_timer.Seconds();
     if (traced) {
       obs::Span span;

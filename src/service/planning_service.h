@@ -220,7 +220,9 @@ struct RequestStats {
   core::PrecomputeStats precompute;
   double queue_seconds = 0.0;       // Submit -> worker pickup
   double precompute_seconds = 0.0;  // cache lookup incl. compute on miss
-  double context_seconds = 0.0;     // PlanningContext::BuildWithPrecompute
+  /// PlanningBase::Build on a worker-memo miss, then
+  /// PlanningContext::Build(base, options).
+  double context_seconds = 0.0;
   double plan_seconds = 0.0;        // planner search
   int worker_id = -1;
   /// Service-wide execution pickup order (0-based): assigned when a worker

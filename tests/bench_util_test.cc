@@ -1,6 +1,7 @@
 // bench_util.h helpers tested like library code: strict env parsing
-// (malformed values fall back instead of silently truncating) and the
-// ctbus-bench-v1 JSON report shape tools/bench_diff.py consumes.
+// (malformed values fall back instead of silently truncating), the
+// nearest-rank Quantile, and the ctbus-bench-v1 JSON report shape
+// tools/bench_diff.py consumes.
 #include "bench/bench_util.h"
 
 #include <gtest/gtest.h>
@@ -48,6 +49,17 @@ TEST(GetEnvDoubleTest, TrailingGarbageFallsBack) {
   EXPECT_DOUBLE_EQ(GetEnvDouble("CTBUS_TEST_ENV_DOUBLE", 7.0), 7.0);
   guard.Set("");
   EXPECT_DOUBLE_EQ(GetEnvDouble("CTBUS_TEST_ENV_DOUBLE", 7.0), 7.0);
+}
+
+TEST(QuantileTest, RoundsToNearestRank) {
+  // Unsorted input; index q * (n - 1) rounds half up, so the median of an
+  // even count is the upper middle value, not the lower one.
+  EXPECT_EQ(Quantile({4.0, 1.0, 3.0, 2.0}, 0.5), 3.0);
+  EXPECT_EQ(Quantile({4.0, 1.0, 3.0, 2.0}, 0.25), 2.0);
+  EXPECT_EQ(Quantile({4.0, 1.0, 3.0, 2.0}, 0.0), 1.0);
+  EXPECT_EQ(Quantile({4.0, 1.0, 3.0, 2.0}, 1.0), 4.0);
+  EXPECT_EQ(Quantile({5.0, 1.0, 3.0}, 0.5), 3.0);
+  EXPECT_EQ(Quantile({}, 0.5), 0.0);
 }
 
 TEST(BenchReportTest, WritesSchemaAndSortedSections) {

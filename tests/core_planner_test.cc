@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "gen/datasets.h"
 
 namespace ctbus::core {
@@ -98,6 +101,43 @@ TEST(CtBusPlannerTest, VkTspThroughFacade) {
   for (int e : result.path.edges()) {
     EXPECT_TRUE(planner.context().universe().edge(e).is_new);
   }
+}
+
+/// What two plans must share to count as the same result.
+using PlanFingerprint =
+    std::tuple<double, double, double, int, std::vector<int>>;
+
+PlanFingerprint Fingerprint(const PlanResult& result) {
+  return {result.objective, result.demand, result.connectivity_increment,
+          result.iterations, result.path.edges()};
+}
+
+// RunPlanner is the only planner -> search mapping: the server and every
+// test oracle plan through it, so this test is what pins the mapping.
+TEST(RunPlannerTest, RunPlannerMatchesEachSearch) {
+  const gen::Dataset d = gen::MakeMidtown();
+  CtBusOptions options = FastOptions();
+  // At w = 0.2 the three searches end on three different routes on
+  // midtown; at the default 0.5, online ETA and ETA-Pre agree there.
+  options.w = 0.2;
+  const PlanningContext context =
+      PlanningContext::Build(d.road, d.transit, options);
+  const PlanResult eta = RunEta(&context, SearchMode::kOnline);
+  const PlanResult eta_pre = RunEta(&context, SearchMode::kPrecomputed);
+  const PlanResult vk_tsp = RunVkTsp(&context);
+  ASSERT_TRUE(eta.found && eta_pre.found && vk_tsp.found);
+
+  EXPECT_EQ(Fingerprint(RunPlanner(&context, Planner::kEta)),
+            Fingerprint(eta));
+  EXPECT_EQ(Fingerprint(RunPlanner(&context, Planner::kEtaPre)),
+            Fingerprint(eta_pre));
+  EXPECT_EQ(Fingerprint(RunPlanner(&context, Planner::kVkTsp)),
+            Fingerprint(vk_tsp));
+
+  // Pairwise distinct, so swapping any two cases of the mapping fails.
+  EXPECT_NE(Fingerprint(eta), Fingerprint(eta_pre));
+  EXPECT_NE(Fingerprint(eta), Fingerprint(vk_tsp));
+  EXPECT_NE(Fingerprint(eta_pre), Fingerprint(vk_tsp));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/planner.h"
 #include "core/planning_context.h"
 #include "gen/datasets.h"
 #include "net/client.h"
@@ -68,15 +69,7 @@ core::PlanResult SerialReplay(const PlanningService& service,
   EXPECT_NE(snapshot, nullptr);
   core::PlanningContext context = core::PlanningContext::Build(
       *snapshot->road, *snapshot->transit, request.options);
-  switch (request.planner) {
-    case core::Planner::kEta:
-      return core::RunEta(&context, core::SearchMode::kOnline);
-    case core::Planner::kEtaPre:
-      return core::RunEta(&context, core::SearchMode::kPrecomputed);
-    case core::Planner::kVkTsp:
-      return core::RunVkTsp(&context);
-  }
-  return {};
+  return core::RunPlanner(&context, request.planner);
 }
 
 TEST(NetSoak, ConcurrentClientsWithCommitsReplayBitIdentically) {

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/planner.h"
 #include "core/planning_context.h"
 #include "gen/datasets.h"
 #include "service/scenario_runner.h"
@@ -33,15 +34,7 @@ core::PlanResult SerialPlan(const gen::Dataset& d,
                             core::Planner planner) {
   core::PlanningContext context =
       core::PlanningContext::Build(d.road, d.transit, options);
-  switch (planner) {
-    case core::Planner::kEta:
-      return core::RunEta(&context, core::SearchMode::kOnline);
-    case core::Planner::kEtaPre:
-      return core::RunEta(&context, core::SearchMode::kPrecomputed);
-    case core::Planner::kVkTsp:
-      return core::RunVkTsp(&context);
-  }
-  return {};
+  return core::RunPlanner(&context, planner);
 }
 
 void ExpectBitIdentical(const core::PlanResult& actual,
@@ -220,19 +213,8 @@ TEST(PlanningServiceTest, WorkerBaseMemoNeverServesStaleState) {
         *snapshot->road, *snapshot->transit, options,
         core::PlanningContext::RunPrecompute(*snapshot->road,
                                              *snapshot->transit, options));
-    core::PlanResult expected;
-    switch (result.request.planner) {
-      case core::Planner::kEta:
-        expected = core::RunEta(&context, core::SearchMode::kOnline);
-        break;
-      case core::Planner::kEtaPre:
-        expected = core::RunEta(&context, core::SearchMode::kPrecomputed);
-        break;
-      case core::Planner::kVkTsp:
-        expected = core::RunVkTsp(&context);
-        break;
-    }
-    ExpectBitIdentical(result.plan, expected);
+    ExpectBitIdentical(result.plan,
+                       core::RunPlanner(&context, result.request.planner));
   };
 
   std::vector<ServiceResult> v1_results;

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/planner.h"
 #include "core/planning_context.h"
 #include "gen/datasets.h"
 #include "service/planning_service.h"
@@ -34,15 +35,7 @@ core::PlanResult SerialPlan(const gen::Dataset& d,
                             core::Planner planner) {
   core::PlanningContext context =
       core::PlanningContext::Build(d.road, d.transit, options);
-  switch (planner) {
-    case core::Planner::kEta:
-      return core::RunEta(&context, core::SearchMode::kOnline);
-    case core::Planner::kEtaPre:
-      return core::RunEta(&context, core::SearchMode::kPrecomputed);
-    case core::Planner::kVkTsp:
-      return core::RunVkTsp(&context);
-  }
-  return {};
+  return core::RunPlanner(&context, planner);
 }
 
 void ExpectBitIdentical(const core::PlanResult& actual,

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/planner.h"
 #include "core/planning_context.h"
 #include "gen/datasets.h"
 #include "service/planning_service.h"
@@ -59,15 +60,7 @@ core::PlanResult SerialReplay(const PlanningService& service,
   EXPECT_NE(snapshot, nullptr);
   core::PlanningContext context = core::PlanningContext::Build(
       *snapshot->road, *snapshot->transit, result.request.options);
-  switch (result.request.planner) {
-    case core::Planner::kEta:
-      return core::RunEta(&context, core::SearchMode::kOnline);
-    case core::Planner::kEtaPre:
-      return core::RunEta(&context, core::SearchMode::kPrecomputed);
-    case core::Planner::kVkTsp:
-      return core::RunVkTsp(&context);
-  }
-  return {};
+  return core::RunPlanner(&context, result.request.planner);
 }
 
 /// Warm starts stay on: a derived precompute equals a from-scratch one bit
