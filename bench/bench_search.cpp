@@ -4,14 +4,16 @@
 // already show its cost). Every run plans over one shared PlanningBase on
 // ChicagoLike at CTBUS_SCALE, with perfbench's estimator shapes (online
 // 50x10, precompute 5x5) and the paper's sn = 5000, at k = 4 / 8 / 12 and
-// w = 0.5. The context is built outside the stopwatch; VK-TSP's time
-// includes the sibling context it builds.
+// w = 0.5. The per-request context, PlanningContext::Build(base, options)
+// (the options and the normalization constants), is timed as its own
+// context_k* row; a search's time excludes it but includes the L_e the
+// search builds, and VK-TSP's the sibling context it builds.
 //
 // Each time is the median of kRuns calls, reported with its quartiles.
-// The objective and the iteration count of every (planner, k) are
-// checksums: every run must return the same bits (the bench exits 1 if
-// not), and tools/bench_diff.py compares them exactly against
-// bench/baselines/BENCH_search.json.
+// The objective, the iteration count and the number of seeds pushed of
+// every (planner, k) are checksums: every run must return the same bits
+// (the bench exits 1 if not), and tools/bench_diff.py compares them
+// exactly against bench/baselines/BENCH_search.json.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -78,8 +80,26 @@ int main() {
                                          SearchOptions(4, 500)));
   const auto base = ctbus::core::PlanningBase::Build(city.road, city.transit,
                                                      precompute);
-  std::printf("\n%-10s %3s %10s %10s %10s %6s %22s\n", "search", "k",
-              "p25 ms", "median ms", "p75 ms", "iters", "objective");
+  std::printf("\n%-10s %3s %10s %10s %10s\n", "context", "k", "p25 ms",
+              "median ms", "p75 ms");
+  for (const int k : kKs) {
+    std::vector<double> ms;
+    for (int run = 0; run < kRuns; ++run) {
+      Stopwatch watch;
+      const PlanningContext context =
+          PlanningContext::Build(base, SearchOptions(k, 500));
+      ms.push_back(watch.Seconds() * 1e3);
+    }
+    const std::string key = "context_k" + std::to_string(k);
+    std::printf("%-10s %3d %10.4f %10.4f %10.4f\n", "build", k,
+                Quantile(ms, 0.25), Quantile(ms, 0.5), Quantile(ms, 0.75));
+    report.AddMetric(key + "_ms", Quantile(ms, 0.5), "lower");
+    report.AddMetric(key + "_ms_p25", Quantile(ms, 0.25), "lower");
+    report.AddMetric(key + "_ms_p75", Quantile(ms, 0.75), "lower");
+  }
+
+  std::printf("\n%-10s %3s %10s %10s %10s %6s %6s %22s\n", "search", "k",
+              "p25 ms", "median ms", "p75 ms", "iters", "seeds", "objective");
 
   bool identical = true;
   for (const SearchCase& sc : kSearches) {
@@ -96,20 +116,22 @@ int main() {
           first = std::move(result);
         } else if (result.objective != first.objective ||
                    result.iterations != first.iterations ||
+                   result.seeds_pushed != first.seeds_pushed ||
                    result.path.edges() != first.path.edges()) {
           identical = false;
         }
       }
       const std::string key = std::string(sc.name) + "_k" + std::to_string(k);
       const double median = Quantile(ms, 0.5);
-      std::printf("%-10s %3d %10.2f %10.2f %10.2f %6d %22.17g\n", sc.name, k,
-                  Quantile(ms, 0.25), median, Quantile(ms, 0.75),
-                  first.iterations, first.objective);
+      std::printf("%-10s %3d %10.2f %10.2f %10.2f %6d %6d %22.17g\n",
+                  sc.name, k, Quantile(ms, 0.25), median, Quantile(ms, 0.75),
+                  first.iterations, first.seeds_pushed, first.objective);
       report.AddMetric(key + "_ms", median, "lower");
       report.AddMetric(key + "_ms_p25", Quantile(ms, 0.25), "lower");
       report.AddMetric(key + "_ms_p75", Quantile(ms, 0.75), "lower");
       report.AddChecksum(key + "_objective", first.objective);
       report.AddChecksum(key + "_iterations", first.iterations);
+      report.AddChecksum(key + "_seeds_pushed", first.seeds_pushed);
     }
   }
   if (!identical) {

@@ -16,8 +16,9 @@ PlanResult RunVkTsp(const PlanningContext* context) {
   // The baseline is Algorithm 1 with w = 1 and new edges only
   // (Section 7.2.1). A sibling context is built over the caller's shared
   // base (same universe, Delta(e), ranked lists L_d/L_lambda and base
-  // lambda), so only the per-request part — L_e under the new weight — is
-  // rebuilt.
+  // lambda), so only the normalization constants are rebuilt, and its
+  // search builds the one L_e the request reads, under w = 1. Neither
+  // context holds an L_e of its own.
   CtBusOptions options = context->options();
   options.w = 1.0;
   options.new_edges_only = true;

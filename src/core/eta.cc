@@ -16,20 +16,29 @@ namespace {
 struct QueueEntry {
   double upper_bound = 0.0;
   double objective = 0.0;
-  /// A seed's edge while its path is unbuilt: Initialize leaves `path`
-  /// empty and Run builds it on the pop. -1 once `path` holds the route.
-  int seed_edge = -1;
   CandidatePath path;
   demand::BoundState bound_state;
   /// kOnline: Delta tr(e^A) of the path's new edges, carried along the
   /// search by adding each chosen extension's term. Empty for a seed until
   /// its first expansion (seeds are scored linearly, lines 18-27).
   std::optional<double> trace_increment;
-
-  bool operator<(const QueueEntry& other) const {
-    return upper_bound < other.upper_bound;  // max-heap on O_up
-  }
 };
+
+// One element of the queue's heap: an entry's bound and where the entry
+// is. The heap moves these 16-byte slots, never the entries.
+struct QueueSlot {
+  double upper_bound = 0.0;
+  /// >= 0: the entry is entries_[ref]. < 0: a seed, the edge -ref - 1,
+  /// whose path and bound state are built when it is popped (a request
+  /// pops only a few hundred of the sn seeds).
+  int ref = 0;
+};
+
+// The heap order: a max-heap on O_up, equal bounds in the order the heap
+// operations leave them (see eta.h).
+bool BoundLess(const QueueSlot& a, const QueueSlot& b) {
+  return a.upper_bound < b.upper_bound;
+}
 
 // The search engine shared by ETA and ETA-Pre; mode selects the objective
 // evaluation and bound machinery.
@@ -39,28 +48,23 @@ class EtaSearch {
       : ctx_(ctx),
         mode_(mode),
         options_(ctx->options()),
+        objective_list_(ctx->BuildObjectiveList()),
         // ETA bounds demand via L_d (Algorithm 2); ETA-Pre bounds the
         // integrated objective via L_e (Section 6.2).
         bound_(mode == SearchMode::kOnline ? &ctx->demand_list()
-                                           : &ctx->objective_list(),
+                                           : &objective_list_,
                options_.k) {}
 
   PlanResult Run() {
     const auto start = std::chrono::steady_clock::now();
     Initialize();
     int it = 0;
-    while (!queue_.empty()) {
-      std::pop_heap(queue_.begin(), queue_.end());
-      QueueEntry entry = std::move(queue_.back());
-      queue_.pop_back();
+    QueueEntry entry;
+    while (Pop(&entry)) {
       if (entry.upper_bound <= best_objective_ || it >= options_.max_iterations) {
         break;  // Line 5-6 of Algorithm 1
       }
       ++it;
-      if (entry.seed_edge >= 0) {
-        entry.path = CandidatePath(ctx_->universe(), entry.seed_edge);
-        entry.seed_edge = -1;
-      }
       if (options_.best_neighbor_only) {
         ExpandBestNeighbor(std::move(entry));
       } else {
@@ -138,38 +142,68 @@ class EtaSearch {
     }
   }
 
-  // std::priority_queue::push on queue_ (see eta.h): same heap, same ties.
+  // std::priority_queue::push (see eta.h), with the entry parked in
+  // entries_ and only its slot in the heap.
   void Push(QueueEntry entry) {
-    queue_.push_back(std::move(entry));
-    std::push_heap(queue_.begin(), queue_.end());
+    int ref;
+    if (free_refs_.empty()) {
+      ref = static_cast<int>(entries_.size());
+      entries_.push_back(std::move(entry));
+    } else {
+      ref = free_refs_.back();
+      free_refs_.pop_back();
+      entries_[ref] = std::move(entry);
+    }
+    queue_.push_back({entries_[ref].upper_bound, ref});
+    std::push_heap(queue_.begin(), queue_.end(), BoundLess);
+  }
+
+  // std::priority_queue::top + pop into `entry`; false if the queue is
+  // empty. A seed becomes an entry here.
+  bool Pop(QueueEntry* entry) {
+    if (queue_.empty()) return false;
+    std::pop_heap(queue_.begin(), queue_.end(), BoundLess);
+    const QueueSlot slot = queue_.back();
+    queue_.pop_back();
+    if (slot.ref >= 0) {
+      *entry = std::move(entries_[slot.ref]);
+      free_refs_.push_back(slot.ref);
+      return true;
+    }
+    const int edge = -slot.ref - 1;
+    *entry = QueueEntry();
+    entry->upper_bound = slot.upper_bound;
+    entry->path = CandidatePath(ctx_->universe(), edge);
+    entry->bound_state = bound_.SeedState(edge);
+    return true;
   }
 
   // Initialization (Algorithm 1, lines 18-27): seed single-edge paths from
   // the integrated ranking (top-sn, or all edges for ETA-ALL). A seed is
-  // linearly scored in both modes and enters the queue as its edge id; a
-  // request pops only a few hundred of the sn seeds, so the path is built
-  // on the pop (or here, if the seed becomes the incumbent).
+  // linearly scored in both modes and enters the queue as its edge id; its
+  // path is built on the pop (or here, if the seed becomes the incumbent).
   void Initialize() {
-    const demand::RankedList& seeds = ctx_->objective_list();
-    const int seed_limit = options_.seed_all_edges
-                               ? seeds.size()
-                               : std::min(options_.seed_count, seeds.size());
+    const int seed_limit =
+        options_.seed_all_edges
+            ? objective_list_.size()
+            : std::min(options_.seed_count, objective_list_.size());
     const std::vector<double>& delta = ctx_->increments();
     queue_.reserve(seed_limit);
     for (int rank = 0; rank < seed_limit; ++rank) {
-      const int edge = seeds.EdgeAtRank(rank);
+      const int edge = objective_list_.EdgeAtRank(rank);
       if (!EdgeAllowed(edge)) continue;
-      QueueEntry entry;
-      entry.seed_edge = edge;
       // EvaluateLinear of the one-edge path, bit for bit.
-      entry.objective = ctx_->Objective(ctx_->universe().edge(edge).demand,
-                                        0.0 + delta[edge]);
-      if (BeatsIncumbent(/*turns=*/0, /*num_edges=*/1, entry.objective)) {
-        SetIncumbent(CandidatePath(ctx_->universe(), edge), entry.objective);
+      const double objective = ctx_->Objective(
+          ctx_->universe().edge(edge).demand, 0.0 + delta[edge]);
+      if (BeatsIncumbent(/*turns=*/0, /*num_edges=*/1, objective)) {
+        SetIncumbent(CandidatePath(ctx_->universe(), edge), objective);
       }
-      entry.bound_state = bound_.SeedState(edge);
-      entry.upper_bound = UpperBound(entry.bound_state);
-      if (entry.upper_bound > best_objective_) Push(std::move(entry));
+      const double upper_bound = UpperBound(bound_.SeedState(edge));
+      if (upper_bound > best_objective_) {
+        ++result_.seeds_pushed;
+        queue_.push_back({upper_bound, -edge - 1});
+        std::push_heap(queue_.begin(), queue_.end(), BoundLess);
+      }
     }
   }
 
@@ -293,8 +327,8 @@ class EtaSearch {
       // Section 6.2: rank neighbors directly by L_e.
       int best = 0;
       for (std::size_t i = 1; i < extensions_.size(); ++i) {
-        if (ctx_->objective_list().ValueOf(extensions_[i]) >
-            ctx_->objective_list().ValueOf(extensions_[best])) {
+        if (objective_list_.ValueOf(extensions_[i]) >
+            objective_list_.ValueOf(extensions_[best])) {
           best = static_cast<int>(i);
         }
       }
@@ -369,9 +403,16 @@ class EtaSearch {
   const PlanningContext* ctx_;
   SearchMode mode_;
   const CtBusOptions& options_;
+  /// L_e, built for this search (BuildObjectiveList): the seed order and
+  /// ETA-Pre's bound and neighbor ranking.
+  const demand::RankedList objective_list_;
   demand::IncrementalDemandBound bound_;
   DominationTable domination_;
-  std::vector<QueueEntry> queue_;
+  /// The priority queue: a heap of slots over the parked entries, and the
+  /// entries_ indices free for reuse.
+  std::vector<QueueSlot> queue_;
+  std::vector<QueueEntry> entries_;
+  std::vector<int> free_refs_;
   /// Scratch of FeasibleExtensions / EvaluateExtensions, reused across
   /// expansions: the feasible edges at one end and their scores.
   std::vector<int> extensions_;

@@ -4,15 +4,26 @@
 // The search keeps a priority queue of candidate paths ordered by their
 // objective upper bound O_up: a vector driven by std::push_heap /
 // std::pop_heap, the same operations std::priority_queue performs, so equal
-// bounds pop in the same order. Each iteration moves the most promising
+// bounds pop in the same order. The heap holds 16-byte (bound, reference)
+// slots and the entries sit beside it, so the heap moves no paths; the
+// operations compare the same bounds, so the slots pop in the order the
+// entries themselves would. Each iteration moves the most promising
 // candidate out, extends it at both ends with the best feasible neighbor
 // edges, re-evaluates the objective, and re-enqueues the extension if its
 // bound still beats the incumbent and it survives the domination table.
-// Seeds enter the queue as bare edge ids (a request pops only a few
-// hundred of the sn seeds) and build their path when popped; candidate
-// extensions are scored from (parent, edge) without building the child,
-// and ETA-AN builds a child only when it can become the incumbent or be
-// re-enqueued.
+// The search builds the L_e it reads (PlanningContext::BuildObjectiveList)
+// and pushes every top-sn seed that beats the incumbent, as a bare edge id
+// (a request pops only a few hundred of them) that builds its path when
+// popped; candidate extensions are scored from (parent, edge) without
+// building the child, and ETA-AN builds a child only when it can become
+// the incumbent or be re-enqueued.
+//
+// Equal bounds are common (the top-k seeds all share the bound
+// sum_{i<k} L(i)), so which of them pops first decides which route an
+// it_max-truncated search ends on. That tie order is the heap's, over every
+// pushed seed: a queue that admitted seeds lazily, or broke ties by a key,
+// would pop them in another order and, on a few requests, end on another
+// route.
 //
 // Two evaluation modes:
 //  * kOnline (ETA): every queue entry carries Delta tr(P), the change in
@@ -58,7 +69,12 @@ struct PlanResult {
   double connectivity_increment = 0.0;
   /// Iterations executed (polls surviving the termination check).
   int iterations = 0;
-  /// Wall-clock search time, excluding context construction.
+  /// Seeds pushed into the queue (the top-sn edges allowed and with a
+  /// bound above the first incumbent): a work counter, not part of a
+  /// response.
+  int seeds_pushed = 0;
+  /// Wall-clock search time, excluding context construction and the
+  /// search's set-up (its L_e and, online, the Lemma 4 bound).
   double seconds = 0.0;
   /// (iteration, incumbent objective) samples, if tracing was enabled.
   std::vector<std::pair<int, double>> trace;

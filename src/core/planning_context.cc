@@ -222,17 +222,17 @@ PlanningContext PlanningContext::Build(
   // Equation 12 normalization over the base's ranked lists.
   ctx.d_max_ = std::max(ctx.demand_list().TopSum(options.k), 1e-12);
   ctx.lambda_max_ = std::max(ctx.increment_list().TopSum(options.k), 1e-12);
-
-  // Integrated per-edge objective scores L_e (Equation 11).
-  const EdgeUniverse& universe = ctx.universe();
-  const std::vector<double>& increments = ctx.increments();
-  std::vector<double> objective_scores(universe.num_edges());
-  for (int e = 0; e < universe.num_edges(); ++e) {
-    objective_scores[e] =
-        ctx.Objective(universe.edge(e).demand, increments[e]);
-  }
-  ctx.objective_list_ = demand::RankedList(std::move(objective_scores));
   return ctx;
+}
+
+demand::RankedList PlanningContext::BuildObjectiveList() const {
+  const EdgeUniverse& universe = this->universe();
+  const std::vector<double>& delta = increments();
+  std::vector<double> scores(universe.num_edges());
+  for (int e = 0; e < universe.num_edges(); ++e) {
+    scores[e] = Objective(universe.edge(e).demand, delta[e]);
+  }
+  return demand::RankedList(std::move(scores));
 }
 
 std::vector<double> PlanningContext::top_eigenvalues() const {
@@ -275,8 +275,7 @@ double PlanningContext::OnlineConnectivityIncrement(
 }
 
 std::size_t PlanningContext::ApproxBytes() const {
-  return sizeof(PlanningContext) + base_->ApproxBytes() +
-         objective_list_.ApproxBytes();
+  return sizeof(PlanningContext) + base_->ApproxBytes();
 }
 
 double PlanningContext::LinearConnectivityIncrement(

@@ -2,9 +2,11 @@
 // request-invariant part, built once per (snapshot, precompute) and shared
 // immutably: the plannable-edge universe and Delta(e) pre-computation, the
 // ranked lists L_d and L_lambda and the base adjacency. PlanningContext is
-// the thin per-request part over a shared base: the options, the Equation
-// 12 normalization constants and the integrated ranking L_e. It holds no
-// mutable state: online increments are exact local trace increments read
+// the thin per-request part over a shared base: the options and the
+// Equation 12 normalization constants. The integrated ranking L_e is built
+// by the search that reads it (BuildObjectiveList), so a request whose
+// search runs under other options (VK-TSP) builds only the one it reads.
+// A context holds no mutable state: online increments are exact local trace increments read
 // off the base's adjacency (connectivity/local_increment.h), so one
 // context may serve any number of threads. Every increment, linear or
 // online, is anchored by the one estimated number per snapshot, the
@@ -202,9 +204,10 @@ class PlanningContext {
                                const graph::TransitNetwork& transit,
                                const CtBusOptions& options);
 
-  /// Builds the per-request part over a shared base: the normalization
-  /// constants and L_e, O(universe edges). This is the hot path of the
-  /// serving layer, whose workers reuse one base across requests. Any
+  /// Builds the per-request part over a shared base: the options and the
+  /// normalization constants, O(1) (two prefix-sum reads; L_e is built by
+  /// the search, BuildObjectiveList). This is the hot path of the serving
+  /// layer, whose workers reuse one base across requests. Any
   /// number of contexts (on any threads) may share one base, and a context
   /// is itself immutable once built.
   static PlanningContext Build(std::shared_ptr<const PlanningBase> base,
@@ -237,14 +240,19 @@ class PlanningContext {
     return base_->precompute()->universe;
   }
 
-  /// L_d, L_lambda, L_e over universe edge ids.
+  /// L_d, L_lambda over universe edge ids (the base's).
   const demand::RankedList& demand_list() const {
     return base_->demand_list();
   }
   const demand::RankedList& increment_list() const {
     return base_->increment_list();
   }
-  const demand::RankedList& objective_list() const { return objective_list_; }
+
+  /// Builds L_e over universe edge ids: every edge's integrated score
+  /// Objective(d(e), Delta(e)) (Equation 11), ranked. O(universe edges)
+  /// per call; the context keeps no copy, so ETA builds it once per search
+  /// and a context nobody searches never pays for it.
+  demand::RankedList BuildObjectiveList() const;
 
   /// Delta(e) per universe edge (0 for existing edges).
   const std::vector<double>& increments() const {
@@ -269,7 +277,7 @@ class PlanningContext {
   }
 
   /// Approximate resident footprint in bytes of this context's own state
-  /// (L_e) plus the base it holds alive.
+  /// (the options and constants) plus the base it holds alive.
   /// Contexts sharing one base each report its bytes — the serving layer
   /// accounts the shared precompute once, via the cache.
   std::size_t ApproxBytes() const;
@@ -323,7 +331,6 @@ class PlanningContext {
 
   std::shared_ptr<const PlanningBase> base_;
   CtBusOptions options_;
-  demand::RankedList objective_list_;
   double d_max_ = 1.0;
   double lambda_max_ = 1.0;
 };

@@ -18,7 +18,7 @@ BoundState IncrementalDemandBound::SeedState(int edge) const {
   state.cursor = k_;
   // If the seed is outside the top-k it replaces the k-th best edge
   // (Algorithm 1, lines 23-25; ranks there are 1-based).
-  if (list_->RankOf(edge) >= k_) {
+  if (!list_->InTop(edge, k_)) {
     state.cursor = k_ - 1;
     state.bound -= list_->ValueAtRank(k_ - 1) - list_->ValueOf(edge);
   }

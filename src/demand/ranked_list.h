@@ -11,16 +11,25 @@
 
 namespace ctbus::demand {
 
-/// Immutable descending ranking of edges by score. Edge ids must be dense
-/// 0-based indices into the score vector supplied at construction.
+/// Immutable descending ranking of edges by score: higher score first, ties
+/// to the lower edge id. Edge ids must be dense 0-based indices into the
+/// score vector supplied at construction; scores must not be NaN.
 class RankedList {
  public:
   RankedList() : RankedList(std::vector<double>{}) {}
 
-  /// Builds the ranking; scores[e] is the score of edge e.
+  /// Builds the ranking; scores[e] is the score of edge e. O(size()): a
+  /// least-significant-digit radix sort over the scores' bit patterns,
+  /// stable over ascending edge ids, so ties keep Precedes' order.
   explicit RankedList(std::vector<double> scores);
 
   int size() const { return static_cast<int>(scores_.size()); }
+
+  /// True if edge `a` ranks before edge `b`: a higher score, or an equal
+  /// score and a lower id. The list's order.
+  bool Precedes(int a, int b) const {
+    return scores_[a] != scores_[b] ? scores_[a] > scores_[b] : a < b;
+  }
 
   /// Score of the i-th best edge, 0-based (the paper's L(i+1)).
   /// Out-of-range ranks score 0 (an exhausted list contributes nothing).
@@ -32,25 +41,24 @@ class RankedList {
   /// Score of edge e (the paper's L[e]).
   double ValueOf(int edge) const { return scores_[edge]; }
 
-  /// Rank of edge e (0-based; 0 is best).
-  int RankOf(int edge) const { return rank_of_[edge]; }
+  /// True if edge e ranks among the top `count` (its 0-based rank is
+  /// < count). O(1): one comparison against the count-th edge.
+  bool InTop(int edge, int count) const;
 
-  /// Sum of the top `count` scores: the paper's sum_{i=1..k} L(i).
-  /// Counts beyond size() saturate.
+  /// Sum of the top `count` scores in rank order: the paper's
+  /// sum_{i=1..k} L(i). Counts beyond size() saturate.
   double TopSum(int count) const;
 
-  /// Approximate resident footprint in bytes (scores, order, ranks and
-  /// prefix sums). Deterministic, O(1).
+  /// Approximate resident footprint in bytes (scores, order and prefix
+  /// sums). Deterministic, O(1).
   std::size_t ApproxBytes() const {
-    return sizeof(RankedList) +
-           scores_.size() * (2 * sizeof(double) + 2 * sizeof(int)) +
-           sizeof(double);  // prefix_ holds size() + 1 entries
+    return sizeof(RankedList) + scores_.size() * sizeof(double) +
+           order_.size() * sizeof(int) + prefix_.size() * sizeof(double);
   }
 
  private:
   std::vector<double> scores_;
   std::vector<int> order_;       // order_[rank] = edge
-  std::vector<int> rank_of_;     // rank_of_[edge] = rank
   std::vector<double> prefix_;   // prefix_[i] = sum of top i scores
 };
 

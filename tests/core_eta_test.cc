@@ -1,6 +1,8 @@
 #include "core/eta.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -429,6 +431,58 @@ TEST(EtaPinnedResultsTest, ChicagoHalfScaleSearchesAreUnchanged) {
     EXPECT_EQ(result.iterations, run.iterations);
     EXPECT_EQ(result.objective, run.objective);
   }
+}
+
+// FNV-1a-64 over the eight little-endian bytes of `value`.
+std::uint64_t FoldFnv(std::uint64_t hash, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xffU;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// A hit-mix-shaped sweep beyond the pinned rows: ETA-Pre and VK-TSP at
+// it_max 500 over every k in 4..12 and w in 0.3..0.7 on one shared base,
+// folded into one FNV-1a-64 value of (route edges, iterations, objective
+// bits), recorded from the search whose heap held whole entries and whose
+// context held L_e. Queue order, seeding and summation order all show here.
+TEST(EtaPinnedResultsTest, ChicagoHalfScaleHitMixSweepIsUnchanged) {
+  constexpr std::uint64_t kExpectedFold = 0x9d0615a138c28b3eULL;
+  const double weights[] = {0.3, 0.4, 0.5, 0.6, 0.7};
+  const gen::Dataset city = gen::MakeChicagoLike(0.5);
+  PinnedRun shape{PinnedPlanner::kEtaPre, 4, {}, 0, 0.0};
+  const auto precompute = std::make_shared<const Precompute>(
+      PlanningContext::RunPrecompute(city.road, city.transit,
+                                     PinnedOptions(shape)));
+  const auto base = PlanningBase::Build(city.road, city.transit, precompute);
+  std::uint64_t fold = 0xcbf29ce484222325ULL;
+  for (const PinnedPlanner planner :
+       {PinnedPlanner::kEtaPre, PinnedPlanner::kVkTsp}) {
+    for (int k = 4; k <= 12; ++k) {
+      for (const double w : weights) {
+        shape.planner = planner;
+        shape.k = k;
+        CtBusOptions options = PinnedOptions(shape);
+        options.w = w;
+        const PlanningContext ctx = PlanningContext::Build(base, options);
+        const PlanResult result =
+            planner == PinnedPlanner::kVkTsp
+                ? RunVkTsp(&ctx)
+                : RunEta(&ctx, SearchMode::kPrecomputed);
+        // Every allowed top-sn seed above the first incumbent is pushed.
+        EXPECT_GE(result.seeds_pushed, 1) << "w " << w;
+        EXPECT_LE(result.seeds_pushed, options.seed_count) << "w " << w;
+        fold = FoldFnv(fold, result.path.edges().size());
+        for (const int e : result.path.edges()) fold = FoldFnv(fold, e);
+        fold = FoldFnv(fold, result.iterations);
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &result.objective, sizeof(bits));
+        fold = FoldFnv(fold, bits);
+      }
+    }
+  }
+  EXPECT_EQ(fold, kExpectedFold) << std::hex << "fold 0x" << fold;
 }
 
 }  // namespace

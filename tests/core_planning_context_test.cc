@@ -48,7 +48,7 @@ TEST_F(PlanningContextTest, RankedListsCoverUniverse) {
   const int n = context_->universe().num_edges();
   EXPECT_EQ(context_->demand_list().size(), n);
   EXPECT_EQ(context_->increment_list().size(), n);
-  EXPECT_EQ(context_->objective_list().size(), n);
+  EXPECT_EQ(context_->BuildObjectiveList().size(), n);
   EXPECT_EQ(static_cast<int>(context_->increments().size()), n);
 }
 
@@ -82,10 +82,16 @@ TEST_F(PlanningContextTest, ObjectiveIsWeightedSum) {
 }
 
 TEST_F(PlanningContextTest, ObjectiveListMatchesEquation11) {
+  const demand::RankedList objective_list = context_->BuildObjectiveList();
   for (int e = 0; e < context_->universe().num_edges(); ++e) {
     const double expected = context_->Objective(
         context_->universe().edge(e).demand, context_->increments()[e]);
-    EXPECT_DOUBLE_EQ(context_->objective_list().ValueOf(e), expected);
+    EXPECT_EQ(objective_list.ValueOf(e), expected);
+  }
+  // Each call builds the same list.
+  const demand::RankedList again = context_->BuildObjectiveList();
+  for (int rank = 0; rank < again.size(); ++rank) {
+    ASSERT_EQ(again.EdgeAtRank(rank), objective_list.EdgeAtRank(rank));
   }
 }
 
@@ -241,9 +247,10 @@ TEST_F(PlanningContextTest, SharedBaseIsBitIdenticalToPerRequestBuild) {
       EXPECT_EQ(shared.base_lambda(), fresh.base_lambda());
       EXPECT_EQ(shared.d_max(), fresh.d_max());
       EXPECT_EQ(shared.lambda_max(), fresh.lambda_max());
+      const demand::RankedList shared_list = shared.BuildObjectiveList();
+      const demand::RankedList fresh_list = fresh.BuildObjectiveList();
       for (int e = 0; e < shared.universe().num_edges(); ++e) {
-        ASSERT_EQ(shared.objective_list().ValueOf(e),
-                  fresh.objective_list().ValueOf(e))
+        ASSERT_EQ(shared_list.ValueOf(e), fresh_list.ValueOf(e))
             << "edge " << e;
       }
       EXPECT_EQ(shared.top_eigenvalues(), fresh.top_eigenvalues());
@@ -276,7 +283,10 @@ TEST_F(PlanningContextTest, PlannersAreBitIdenticalOnSharedBase) {
 TEST_F(PlanningContextTest, ContextBytesIncludeItsBase) {
   const std::shared_ptr<const PlanningBase>& base = context_->base();
   EXPECT_GT(base->ApproxBytes(), context_->SharePrecompute()->ApproxBytes());
-  EXPECT_GT(context_->ApproxBytes(), base->ApproxBytes());
+  // The context holds no ranked list of its own: only its options and
+  // constants on top of the base.
+  EXPECT_EQ(context_->ApproxBytes(),
+            sizeof(PlanningContext) + base->ApproxBytes());
 }
 
 }  // namespace
