@@ -10,10 +10,11 @@
 // search builds, and VK-TSP's the sibling context it builds.
 //
 // Each time is the median of kRuns calls, reported with its quartiles.
-// The objective, the iteration count and the number of seeds pushed of
-// every (planner, k) are checksums: every run must return the same bits
-// (the bench exits 1 if not), and tools/bench_diff.py compares them
-// exactly against bench/baselines/BENCH_search.json.
+// The objective, the iteration count, the number of seeds pushed and the
+// number of local trace increment solves of every (planner, k) are
+// checksums: every run must return the same bits (the bench exits 1 if
+// not), and tools/bench_diff.py compares them exactly against
+// bench/baselines/BENCH_search.json.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -98,8 +99,9 @@ int main() {
     report.AddMetric(key + "_ms_p75", Quantile(ms, 0.75), "lower");
   }
 
-  std::printf("\n%-10s %3s %10s %10s %10s %6s %6s %22s\n", "search", "k",
-              "p25 ms", "median ms", "p75 ms", "iters", "seeds", "objective");
+  std::printf("\n%-10s %3s %10s %10s %10s %6s %6s %6s %22s\n", "search",
+              "k", "p25 ms", "median ms", "p75 ms", "iters", "seeds",
+              "solves", "objective");
 
   bool identical = true;
   for (const SearchCase& sc : kSearches) {
@@ -117,21 +119,24 @@ int main() {
         } else if (result.objective != first.objective ||
                    result.iterations != first.iterations ||
                    result.seeds_pushed != first.seeds_pushed ||
+                   result.local_solves != first.local_solves ||
                    result.path.edges() != first.path.edges()) {
           identical = false;
         }
       }
       const std::string key = std::string(sc.name) + "_k" + std::to_string(k);
       const double median = Quantile(ms, 0.5);
-      std::printf("%-10s %3d %10.2f %10.2f %10.2f %6d %6d %22.17g\n",
+      std::printf("%-10s %3d %10.2f %10.2f %10.2f %6d %6d %6d %22.17g\n",
                   sc.name, k, Quantile(ms, 0.25), median, Quantile(ms, 0.75),
-                  first.iterations, first.seeds_pushed, first.objective);
+                  first.iterations, first.seeds_pushed, first.local_solves,
+                  first.objective);
       report.AddMetric(key + "_ms", median, "lower");
       report.AddMetric(key + "_ms_p25", Quantile(ms, 0.25), "lower");
       report.AddMetric(key + "_ms_p75", Quantile(ms, 0.75), "lower");
       report.AddChecksum(key + "_objective", first.objective);
       report.AddChecksum(key + "_iterations", first.iterations);
       report.AddChecksum(key + "_seeds_pushed", first.seeds_pushed);
+      report.AddChecksum(key + "_local_solves", first.local_solves);
     }
   }
   if (!identical) {

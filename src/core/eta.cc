@@ -221,9 +221,10 @@ class EtaSearch {
 
   // A seed enters the queue linearly scored; kOnline computes its trace
   // increment (one local solve) on its first expansion.
-  void EnsureTraceIncrement(QueueEntry* entry) const {
+  void EnsureTraceIncrement(QueueEntry* entry) {
     if (mode_ == SearchMode::kOnline && !entry->trace_increment) {
-      entry->trace_increment = ctx_->TraceIncrement(entry->path.edges());
+      entry->trace_increment =
+          ctx_->TraceIncrement(entry->path.edges(), &result_.local_solves);
     }
   }
 
@@ -364,7 +365,8 @@ class EtaSearch {
         objectives_[i] = ctx_->Objective(
             demand, ExtendedLinearIncrement(parent, edge, at_end));
       } else {
-        trace_terms_[i] = ctx_->EdgeTraceIncrement(parent.edges(), edge);
+        trace_terms_[i] = ctx_->EdgeTraceIncrement(parent.edges(), edge,
+                                                   &result_.local_solves);
         objectives_[i] = ctx_->Objective(
             demand, ctx_->ConnectivityFromTrace(*entry.trace_increment +
                                                 trace_terms_[i]));
@@ -394,8 +396,8 @@ class EtaSearch {
   void FinalizeResult() {
     if (!result_.found) return;
     result_.demand = result_.path.demand();
-    result_.connectivity_increment =
-        ctx_->OnlineConnectivityIncrement(result_.path.edges());
+    result_.connectivity_increment = ctx_->ConnectivityFromTrace(
+        ctx_->TraceIncrement(result_.path.edges(), &result_.local_solves));
     result_.objective =
         ctx_->Objective(result_.demand, result_.connectivity_increment);
   }

@@ -73,6 +73,10 @@ struct PlanResult {
   /// bound above the first incumbent): a work counter, not part of a
   /// response.
   int seeds_pushed = 0;
+  /// connectivity::LocalTraceIncrement calls the request ran, in the
+  /// search (online ETA's seeds and frontier) and in the final
+  /// re-evaluation of the winner: a work counter, not part of a response.
+  int local_solves = 0;
   /// Wall-clock search time, excluding context construction and the
   /// search's set-up (its L_e and, online, the Lemma 4 bound).
   double seconds = 0.0;

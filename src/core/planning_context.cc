@@ -249,22 +249,32 @@ double PlanningContext::Objective(double demand,
          (1.0 - options_.w) * connectivity_increment / lambda_max_;
 }
 
-double PlanningContext::TraceIncrement(
-    const std::vector<int>& path_edges) const {
+double PlanningContext::TraceIncrement(const std::vector<int>& path_edges,
+                                       int* local_solves) const {
   std::vector<std::pair<int, int>> staged;
   double total = 0.0;
-  for (const auto& [u, v] : NewStopPairs(universe(), path_edges)) {
-    total += connectivity::LocalTraceIncrement(base_->adjacency(), staged,
-                                               u, v);
-    staged.emplace_back(u, v);
+  for (int e : path_edges) {
+    const PlannableEdge& edge = universe().edge(e);
+    if (!edge.is_new) continue;
+    if (staged.empty()) {
+      // LocalTraceIncrement(adjacency, {}, u, v): the precompute solved
+      // exactly this call on the same adjacency.
+      total += base_->precompute()->trace_increments[e];
+    } else {
+      total += connectivity::LocalTraceIncrement(base_->adjacency(), staged,
+                                                 edge.u, edge.v);
+      if (local_solves != nullptr) ++*local_solves;
+    }
+    staged.emplace_back(edge.u, edge.v);
   }
   return total;
 }
 
 double PlanningContext::EdgeTraceIncrement(const std::vector<int>& path_edges,
-                                           int edge) const {
+                                           int edge, int* local_solves) const {
   const PlannableEdge& e = universe().edge(edge);
   if (!e.is_new) return 0.0;
+  if (local_solves != nullptr) ++*local_solves;
   return connectivity::LocalTraceIncrement(
       base_->adjacency(), NewStopPairs(universe(), path_edges), e.u, e.v);
 }

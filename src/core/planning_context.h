@@ -294,15 +294,21 @@ class PlanningContext {
   /// Delta tr(e^A) of a path's *new* edges: the exact local increment of
   /// each new edge (connectivity::LocalTraceIncrement on the base
   /// adjacency), telescoped in path order with the path's earlier new
-  /// edges staged. Existing and repeated edges add 0. Thread-safe.
-  double TraceIncrement(const std::vector<int>& path_edges) const;
+  /// edges staged. The first new edge meets nothing staged, so its term is
+  /// read from the precompute's trace_increments (the same call's bits)
+  /// instead of solved. Existing and repeated edges add 0. Adds the
+  /// LocalTraceIncrement calls it makes to `*local_solves` if given.
+  /// Thread-safe.
+  double TraceIncrement(const std::vector<int>& path_edges,
+                        int* local_solves = nullptr) const;
 
   /// Delta tr(e^A) of adding universe edge `edge` to the network that
   /// already holds the new edges of `path_edges`: the one telescoped term
   /// ETA pays per frontier candidate. 0 unless `edge` is new and not
-  /// already on the path. Thread-safe.
-  double EdgeTraceIncrement(const std::vector<int>& path_edges,
-                            int edge) const;
+  /// already on the path. Adds its LocalTraceIncrement call (one, if
+  /// `edge` is new) to `*local_solves` if given. Thread-safe.
+  double EdgeTraceIncrement(const std::vector<int>& path_edges, int edge,
+                            int* local_solves = nullptr) const;
 
   /// Connectivity increment lambda(G + P) - lambda(G) of a path whose new
   /// edges change tr(e^A) by `trace_increment`: the precompute's

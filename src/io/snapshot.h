@@ -53,9 +53,15 @@ namespace ctbus::io {
 
 /// "CTBS" as a little-endian u32.
 inline constexpr std::uint32_t kSnapshotMagic = 0x53425443u;
-/// Bumped on any layout or checksum change; loaders reject every other
-/// value (stale formats: a diagnostic for Load, a plain miss for the spill).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
+/// Bumped on any layout or checksum change, and also when the bits a spill
+/// stores change for the same inputs (a new kernel behind the PREC trace
+/// increments or tr_0): an older spill would otherwise be served as if this
+/// binary had computed it. Loaders reject every other value (stale
+/// formats: a diagnostic for Load, a plain miss for the spill). Version 5:
+/// the trace increments come from the eigenvalues-only root-free QL
+/// (linalg/dense_eigen.h), and planning reads a path's first term from them
+/// in place of a solve (PlanningContext::TraceIncrement).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
 /// Hard bound on the section table, checked before it is walked.
 inline constexpr std::uint32_t kMaxSnapshotSections = 16;
 

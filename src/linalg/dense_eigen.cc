@@ -106,12 +106,14 @@ void Tred2(DenseMatrix* v, std::vector<double>* d_out,
 }
 
 // Implicit-shift QL iteration on the tridiagonal matrix (d, e[1..n-1]).
-// On exit `d` holds the eigenvalues, unsorted. When `v` is non-null the
-// rotations are accumulated into it (columns become eigenvectors of the
-// original matrix that produced v's initial content).
+// On exit `d` holds the eigenvalues, unsorted, and the rotations have been
+// accumulated into the rows of `v` (columns become eigenvectors of the
+// original matrix that produced v's initial content). The eigenvalues-only
+// path is Tqlrat.
 // Port of the EISPACK tql2 routine (via JAMA).
 void Tql2(std::vector<double>* d_inout, std::vector<double>* e_inout,
           DenseMatrix* v) {
+  assert(v != nullptr);
   std::vector<double>& d = *d_inout;
   std::vector<double>& e = *e_inout;
   const int n = static_cast<int>(d.size());
@@ -165,13 +167,11 @@ void Tql2(std::vector<double>* d_inout, std::vector<double>* e_inout,
           c = p / r;
           p = c * d[i] - s * g;
           d[i + 1] = h + s * (c * g + s * d[i]);
-          if (v != nullptr) {
-            const int vn = v->rows();
-            for (int k = 0; k < vn; ++k) {
-              h = v->At(k, i + 1);
-              v->Set(k, i + 1, s * v->At(k, i) + c * h);
-              v->Set(k, i, c * v->At(k, i) - s * h);
-            }
+          const int vn = v->rows();
+          for (int k = 0; k < vn; ++k) {
+            h = v->At(k, i + 1);
+            v->Set(k, i + 1, s * v->At(k, i) + c * h);
+            v->Set(k, i, c * v->At(k, i) - s * h);
           }
         }
         p = -s * s2 * c3 * el1 * e[l] / dl1;
@@ -181,6 +181,87 @@ void Tql2(std::vector<double>* d_inout, std::vector<double>* e_inout,
     }
     d[l] += f;
     e[l] = 0.0;
+  }
+}
+
+// Eigenvalues of the tridiagonal matrix (d, e[1..n-1]) by the root-free
+// (rational) QL iteration: Tql2's shifts and convergence test, but the
+// sweep runs on the squared subdiagonal and forms no rotation, so its
+// inner loop takes no square root. On exit `d` holds the eigenvalues,
+// unsorted (callers sort), and `e` is destroyed.
+// Port of the EISPACK tqlrat routine (Reinsch, CACM Algorithm 464, 1973),
+// without its final insertion sort.
+void Tqlrat(std::vector<double>* d_inout, std::vector<double>* e_inout) {
+  std::vector<double>& d = *d_inout;
+  std::vector<double>& e2 = *e_inout;
+  const int n = static_cast<int>(d.size());
+  for (int i = 1; i < n; ++i) e2[i - 1] = e2[i] * e2[i];
+  e2[n - 1] = 0.0;
+
+  double f = 0.0;
+  double t = 0.0;
+  double b = 0.0;  // the splitting tolerance on |e|: eps * t
+  double c = 0.0;  // ... and on e^2
+  const double eps = std::ldexp(1.0, -52);
+  for (int l = 0; l < n; ++l) {
+    double h = std::abs(d[l]) + std::sqrt(e2[l]);
+    if (t <= h) {
+      t = h;
+      b = eps * t;
+      c = b * b;
+      if (c == 0.0) {
+        // The tolerance underflowed: take the largest remaining row.
+        for (int i = l; i < n; ++i) {
+          t = std::max(t, std::abs(d[i]) + std::sqrt(e2[i]));
+        }
+        b = eps * t;
+        c = b * b;
+      }
+    }
+    // e2[n - 1] is 0, so the scan stops by n - 1.
+    int m = l;
+    while (e2[m] > c) ++m;
+    if (m > l) {
+      int iter = 0;
+      while (true) {
+        ++iter;
+        // As in Tql2: far beyond what a well-conditioned tridiagonal
+        // problem needs; hitting it indicates corrupted input.
+        assert(iter < 50 && "tqlrat failed to converge");
+        double s = std::sqrt(e2[l]);
+        double g = d[l];
+        double p = (d[l + 1] - g) / (2.0 * s);
+        double r = std::hypot(p, 1.0);
+        if (p < 0) r = -r;
+        d[l] = s / (p + r);
+        h = g - d[l];
+        for (int i = l + 1; i < n; ++i) d[i] -= h;
+        f += h;
+
+        g = d[m];
+        if (g == 0.0) g = b;
+        h = g;
+        s = 0.0;
+        for (int i = m - 1; i >= l; --i) {
+          p = g * h;
+          r = p + e2[i];
+          e2[i + 1] = s * r;
+          s = e2[i] / r;
+          d[i + 1] = h + s * (h + d[i]);
+          g = d[i] - e2[i] / g;
+          if (g == 0.0) g = b;
+          h = g * p / r;
+        }
+        e2[l] = s * g;
+        d[l] = h;
+        // The new e[l]^2 is h * e2[l]. Testing it against c as
+        // |e2[l]| <= |c / h| keeps the convergence test from underflowing.
+        if (h == 0.0 || std::abs(e2[l]) <= std::abs(c / h)) break;
+        e2[l] *= h;
+        if (e2[l] == 0.0) break;
+      }
+    }
+    d[l] += f;
   }
 }
 
@@ -213,8 +294,8 @@ void SortAscending(std::vector<double>* values, DenseMatrix* vectors) {
   *values = std::move(sorted_values);
 }
 
-// Loads the tridiagonal (diag, off) into Tql2's input layout: the
-// subdiagonal goes in e[1..n-1], ahead of Tql2's internal shift.
+// Loads the tridiagonal (diag, off) into Tql2's and Tqlrat's input layout:
+// the subdiagonal goes in e[1..n-1], ahead of their internal shift.
 void LoadTridiagonal(const std::vector<double>& diag,
                      const std::vector<double>& off, std::vector<double>* d,
                      std::vector<double>* e) {
@@ -237,9 +318,13 @@ SymmetricEigenResult SymmetricEigen(const DenseMatrix& a,
   std::vector<double> d;
   std::vector<double> e;
   Tred2(&v, &d, &e, compute_vectors);
-  Tql2(&d, &e, compute_vectors ? &v : nullptr);
+  if (compute_vectors) {
+    Tql2(&d, &e, &v);
+    result.eigenvectors = std::move(v);
+  } else {
+    Tqlrat(&d, &e);
+  }
   result.eigenvalues = std::move(d);
-  if (compute_vectors) result.eigenvectors = std::move(v);
   SortAscending(&result.eigenvalues,
                 compute_vectors ? &result.eigenvectors : nullptr);
   return result;
@@ -258,11 +343,14 @@ SymmetricEigenResult TridiagonalEigen(const std::vector<double>& diag,
   std::vector<double> d;
   std::vector<double> e;
   LoadTridiagonal(diag, off, &d, &e);
-  DenseMatrix v;
-  if (compute_vectors) v = DenseMatrix::Identity(n);
-  Tql2(&d, &e, compute_vectors ? &v : nullptr);
+  if (compute_vectors) {
+    DenseMatrix v = DenseMatrix::Identity(n);
+    Tql2(&d, &e, &v);
+    result.eigenvectors = std::move(v);
+  } else {
+    Tqlrat(&d, &e);
+  }
   result.eigenvalues = std::move(d);
-  if (compute_vectors) result.eigenvectors = std::move(v);
   SortAscending(&result.eigenvalues,
                 compute_vectors ? &result.eigenvectors : nullptr);
   return result;

@@ -367,7 +367,10 @@ TEST(EtaGridFixtureTest, ReportedIncrementMatchesDenseExactAtTau900) {
 // stopped copying candidate paths (sorted-vector path state, a vector heap
 // and seeds that build their path only when popped). Expansion order, queue
 // tie-breaking and the summation order of the objective all show in these,
-// so the doubles are compared exactly.
+// so the doubles are compared exactly. The objectives were re-recorded once
+// when the local trace increments moved to the eigenvalues-only QL: every
+// edge list and iteration count stayed, and no objective moved by more than
+// 1.4e-14 relative.
 enum class PinnedPlanner { kEtaPre, kVkTsp, kEtaOnline, kEtaAn };
 
 struct PinnedRun {
@@ -394,22 +397,22 @@ CtBusOptions PinnedOptions(const PinnedRun& run) {
 TEST(EtaPinnedResultsTest, ChicagoHalfScaleSearchesAreUnchanged) {
   using P = PinnedPlanner;
   const std::vector<PinnedRun> pinned = {
-      {P::kEtaPre, 4, {1385, 1384, 698, 689}, 500, 0.61515657503213228},
+      {P::kEtaPre, 4, {1385, 1384, 698, 689}, 500, 0.61515657503213927},
       {P::kEtaPre, 8, {1393, 1395, 2248, 2318, 2344}, 500,
-       0.39950438867892019},
+       0.39950438867892435},
       {P::kEtaPre, 12, {910, 1355, 1363, 1385, 1054}, 500,
-       0.29163041431177483},
-      {P::kVkTsp, 4, {1395, 2248, 2318, 2344}, 500, 0.60756864544861344},
-      {P::kVkTsp, 8, {695, 686, 1395, 2248, 2318}, 500, 0.38674778252899156},
+       0.29163041431177478},
+      {P::kVkTsp, 4, {1395, 2248, 2318, 2344}, 500, 0.60756864544861655},
+      {P::kVkTsp, 8, {695, 686, 1395, 2248, 2318}, 500, 0.38674778252898978},
       {P::kVkTsp, 12, {1025, 695, 686, 1395, 2248, 2318, 2344}, 500,
-       0.36624447297234108},
-      {P::kEtaOnline, 4, {1393, 1395, 1370}, 2, 0.48025012718893079},
-      {P::kEtaOnline, 8, {1393, 1390, 1368}, 2, 0.29411371049400342},
-      {P::kEtaOnline, 12, {1393, 1390, 1368}, 2, 0.20546241356398329},
-      {P::kEtaAn, 4, {1368, 1390, 686, 695}, 500, 0.68326979845353608},
-      {P::kEtaAn, 8, {1368, 1390, 686, 695}, 500, 0.3638989945078791},
+       0.36624447297233964},
+      {P::kEtaOnline, 4, {1393, 1395, 1370}, 2, 0.4802501271889339},
+      {P::kEtaOnline, 8, {1393, 1390, 1368}, 2, 0.29411371049400581},
+      {P::kEtaOnline, 12, {1393, 1390, 1368}, 2, 0.20546241356398487},
+      {P::kEtaAn, 4, {1368, 1390, 686, 695}, 500, 0.68326979845352698},
+      {P::kEtaAn, 8, {1368, 1390, 686, 695}, 500, 0.36389899450787438},
       {P::kEtaAn, 12, {1368, 1390, 686, 695, 1025}, 500,
-       0.29678416244620226},
+       0.2967841624461986},
   };
   const gen::Dataset city = gen::MakeChicagoLike(0.5);
   const auto precompute = std::make_shared<const Precompute>(
@@ -446,9 +449,11 @@ std::uint64_t FoldFnv(std::uint64_t hash, std::uint64_t value) {
 // it_max 500 over every k in 4..12 and w in 0.3..0.7 on one shared base,
 // folded into one FNV-1a-64 value of (route edges, iterations, objective
 // bits), recorded from the search whose heap held whole entries and whose
-// context held L_e. Queue order, seeding and summation order all show here.
+// context held L_e, and re-recorded when the eigenvalues-only QL moved the
+// objectives' last bits (routes and iterations unchanged). Queue order,
+// seeding and summation order all show here.
 TEST(EtaPinnedResultsTest, ChicagoHalfScaleHitMixSweepIsUnchanged) {
-  constexpr std::uint64_t kExpectedFold = 0x9d0615a138c28b3eULL;
+  constexpr std::uint64_t kExpectedFold = 0xc28148dcd6663033ULL;
   const double weights[] = {0.3, 0.4, 0.5, 0.6, 0.7};
   const gen::Dataset city = gen::MakeChicagoLike(0.5);
   PinnedRun shape{PinnedPlanner::kEtaPre, 4, {}, 0, 0.0};

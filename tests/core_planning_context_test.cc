@@ -116,6 +116,35 @@ TEST_F(PlanningContextTest, OneEdgeOnlineIncrementEqualsDeltaE) {
   EXPECT_GT(checked, 0);
 }
 
+// TraceIncrement reads a path's first term from the precompute instead of
+// solving it; that is sound only because the precompute's Delta tr(e) is
+// the unstaged solve on the same adjacency, bit for bit. Later terms are
+// solved, one LocalTraceIncrement call each.
+TEST_F(PlanningContextTest, FirstTraceTermIsThePrecomputesSolve) {
+  const std::vector<double>& trace =
+      context_->SharePrecompute()->trace_increments;
+  std::vector<int> new_edges;
+  for (int e = 0; e < context_->universe().num_edges(); ++e) {
+    if (!context_->universe().edge(e).is_new) continue;
+    new_edges.push_back(e);
+    int solves = 0;
+    EXPECT_EQ(context_->EdgeTraceIncrement({}, e, &solves), trace[e])
+        << "edge " << e;
+    EXPECT_EQ(solves, 1);
+    EXPECT_EQ(context_->TraceIncrement({e}, &solves), trace[e]);
+    EXPECT_EQ(solves, 1) << "a one-edge path solves nothing";
+  }
+  ASSERT_GE(new_edges.size(), 2u);
+  const int first = new_edges.front();
+  const int second = new_edges.back();
+  int solves = 0;
+  const double second_term =
+      context_->EdgeTraceIncrement({first}, second, &solves);
+  EXPECT_EQ(context_->TraceIncrement({first, second}, &solves),
+            0.0 + trace[first] + second_term);
+  EXPECT_EQ(solves, 2);
+}
+
 TEST_F(PlanningContextTest, OnlineIncrementOfEmptyPathIsZero) {
   EXPECT_DOUBLE_EQ(context_->OnlineConnectivityIncrement({}), 0.0);
 }

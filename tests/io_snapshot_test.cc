@@ -419,6 +419,8 @@ TEST_P(SnapshotCorruptionTest, BadMagicAndVersion) {
   auto stale_version = bytes;
   stale_version[4] = 3;  // PREC stored Delta(e) itself before version 4
   ExpectRejected(stale_version, "unsupported format version 3");
+  stale_version[4] = 4;  // PREC held tql2 trace increments before version 5
+  ExpectRejected(stale_version, "unsupported format version 4");
 }
 
 TEST_P(SnapshotCorruptionTest, FlippedPayloadByteNamesItsSection) {

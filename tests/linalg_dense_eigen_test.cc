@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,6 +13,7 @@
 #include "linalg/rng.h"
 #include "linalg/sparse_matrix.h"
 #include "linalg/vector_ops.h"
+#include "matrix_builders.h"
 
 namespace ctbus::linalg {
 namespace {
@@ -35,6 +39,49 @@ DenseMatrix PathGraphAdjacency(int n) {
     a.Set(i + 1, i, 1.0);
   }
   return a;
+}
+
+// Block-diagonal matrix: a disjoint union of the blocks' graphs.
+DenseMatrix BlockDiagonal(const std::vector<DenseMatrix>& blocks) {
+  int n = 0;
+  for (const DenseMatrix& block : blocks) n += block.rows();
+  DenseMatrix a(n, n);
+  int offset = 0;
+  for (const DenseMatrix& block : blocks) {
+    for (int i = 0; i < block.rows(); ++i) {
+      for (int j = 0; j < block.cols(); ++j) {
+        a.Set(offset + i, offset + j, block.At(i, j));
+      }
+    }
+    offset += block.rows();
+  }
+  return a;
+}
+
+// Adjacency of K_{p,q}: eigenvalues +-sqrt(pq) and 0 (p + q - 2 times).
+// K_{1,q} is the star on q + 1 stops.
+DenseMatrix CompleteBipartite(int p, int q) {
+  DenseMatrix a(p + q, p + q);
+  for (int i = 0; i < p; ++i) {
+    for (int j = p; j < p + q; ++j) {
+      a.Set(i, j, 1.0);
+      a.Set(j, i, 1.0);
+    }
+  }
+  return a;
+}
+
+// The values-only solve must return the eigenvector solve's spectrum to
+// within 1e-12 of its scale max(1, max |lambda|).
+void ExpectSameSpectrum(const std::vector<double>& with_vectors,
+                        const std::vector<double>& values_only) {
+  ASSERT_EQ(with_vectors.size(), values_only.size());
+  double scale = 1.0;
+  for (double v : with_vectors) scale = std::max(scale, std::abs(v));
+  for (std::size_t i = 0; i < values_only.size(); ++i) {
+    EXPECT_NEAR(values_only[i], with_vectors[i], 1e-12 * scale)
+        << "eigenvalue " << i;
+  }
 }
 
 TEST(DenseEigenTest, EmptyMatrix) {
@@ -147,6 +194,44 @@ TEST(DenseEigenTest, ValuesOnlyMatchesFullSolve) {
   for (std::size_t i = 0; i < values_only.size(); ++i) {
     EXPECT_NEAR(full.eigenvalues[i], values_only[i], 1e-10);
   }
+
+  // Pinned-seed graph adjacencies (the matrices a local trace increment
+  // solves) at every n up to 120, then inputs with heavy multiplicity:
+  // disjoint unions, zero matrices, stars and complete bipartite graphs.
+  std::vector<std::pair<std::string, DenseMatrix>> inputs;
+  Rng graph_rng(36);
+  for (int n = 1; n <= 120; ++n) {
+    inputs.emplace_back(
+        "random graph n=" + std::to_string(n),
+        DenseMatrix::FromSparse(
+            testutil::RandomGraph(n, 1.0 + n % 6, &graph_rng)));
+  }
+  const DenseMatrix block =
+      DenseMatrix::FromSparse(testutil::RandomGraph(12, 3.0, &graph_rng));
+  inputs.emplace_back("three copies of one graph",
+                      BlockDiagonal({block, block, block}));
+  inputs.emplace_back("graph plus stars and isolated stops",
+                      BlockDiagonal({block, CompleteBipartite(1, 6),
+                                     DenseMatrix(3, 3), CompleteBipartite(1, 6),
+                                     block}));
+  for (const int n : {1, 2, 7, 40}) {
+    inputs.emplace_back("zero n=" + std::to_string(n), DenseMatrix(n, n));
+  }
+  for (const int leaves : {1, 2, 5, 30, 90}) {
+    inputs.emplace_back("star leaves=" + std::to_string(leaves),
+                        CompleteBipartite(1, leaves));
+  }
+  for (const auto& [p, q] :
+       std::vector<std::pair<int, int>>{{2, 2}, {3, 5}, {7, 7}, {10, 40}}) {
+    inputs.emplace_back(
+        "K_" + std::to_string(p) + "," + std::to_string(q),
+        CompleteBipartite(p, q));
+  }
+  for (const auto& [label, matrix] : inputs) {
+    SCOPED_TRACE(label);
+    ExpectSameSpectrum(SymmetricEigen(matrix, true).eigenvalues,
+                       SymmetricEigenvalues(matrix));
+  }
 }
 
 TEST(DenseEigenTest, TridiagonalMatchesDense) {
@@ -172,6 +257,42 @@ TEST(DenseEigenTest, TridiagonalMatchesDense) {
     for (int i = 0; i < n; ++i) {
       EXPECT_NEAR(ax[i], tri.eigenvalues[j] * x[i], 1e-10);
     }
+  }
+
+  // Pinned-seed tridiagonals at every n up to 120: Gaussian entries, path
+  // subgraphs (0/1 subdiagonal, so a disjoint union of paths with heavy
+  // multiplicity), copies of one block split by zero couplings, and zero.
+  std::vector<std::tuple<std::string, std::vector<double>,
+                         std::vector<double>>>
+      inputs;
+  Rng tri_rng(37);
+  for (int m = 1; m <= 120; ++m) {
+    std::vector<double> gauss_diag(m), gauss_off(m - 1);
+    for (double& v : gauss_diag) v = tri_rng.NextGaussian();
+    for (double& v : gauss_off) v = tri_rng.NextGaussian();
+    inputs.emplace_back("gaussian n=" + std::to_string(m), gauss_diag,
+                        gauss_off);
+    std::vector<double> path_off(m - 1);
+    for (double& v : path_off) v = tri_rng.NextIndex(4) == 0 ? 0.0 : 1.0;
+    inputs.emplace_back("path subgraph n=" + std::to_string(m),
+                        std::vector<double>(m, 0.0), path_off);
+  }
+  std::vector<double> block_diag, block_off;
+  for (int copy = 0; copy < 4; ++copy) {
+    if (copy > 0) block_off.push_back(0.0);
+    for (int i = 0; i < n; ++i) block_diag.push_back(diag[i]);
+    for (int i = 0; i + 1 < n; ++i) block_off.push_back(off[i]);
+  }
+  inputs.emplace_back("four copies of one block", block_diag, block_off);
+  for (const int m : {1, 2, 9, 60}) {
+    inputs.emplace_back("zero n=" + std::to_string(m),
+                        std::vector<double>(m, 0.0),
+                        std::vector<double>(m - 1, 0.0));
+  }
+  for (const auto& [label, d, e] : inputs) {
+    SCOPED_TRACE(label);
+    ExpectSameSpectrum(TridiagonalEigen(d, e, true).eigenvalues,
+                       TridiagonalEigen(d, e, false).eigenvalues);
   }
 }
 

@@ -217,6 +217,61 @@ TEST(PrecomputeCacheSpillTest, CorruptOrStaleFilesAreMissesNotErrors) {
   EXPECT_EQ(stale.stats().spill_loads, 0u);
 }
 
+// A spill written by a format-4 binary holds trace increments from another
+// eigenvalue kernel. Planning reads a path's first trace term straight
+// from that table, so serving it would make a one-edge path's increment
+// differ from the solve this binary runs. It must be a plain miss that is
+// recomputed, even though every other byte of the record is valid.
+TEST(PrecomputeCacheSpillTest, FormatFourSpillIsRecomputed) {
+  const GridNetworks networks = LoadGrid();
+  const core::CtBusOptions options = GridOptions();
+  const PrecomputeKey key = MakePrecomputeKey("grid", 1, options);
+  const core::Precompute fresh = core::PlanningContext::RunPrecompute(
+      networks.road, networks.transit, options);
+  // Stand-in for the other kernel's bits: a table this binary never
+  // computes.
+  io::PrecomputeCacheEntry entry;
+  entry.dataset = "grid";
+  entry.snapshot_version = 1;
+  entry.provenance = io::MakeProvenance(options);
+  entry.precompute = fresh;
+  for (double& trace : entry.precompute.trace_increments) trace *= 2.0;
+  entry.precompute.FillIncrements();
+  std::vector<std::uint8_t> bytes = io::EncodePrecomputeCacheEntry(entry);
+  ASSERT_EQ(bytes[4], io::kSnapshotFormatVersion);
+
+  const auto current = static_cast<std::uint8_t>(io::kSnapshotFormatVersion);
+  ASSERT_GT(current, 4) << "format 4 must stay a previous format";
+  for (const std::uint8_t version : {current, std::uint8_t{4}}) {
+    SCOPED_TRACE("format version " + std::to_string(version));
+    bytes[4] = version;
+    const std::string dir =
+        FreshSpillDir("spill_format_" + std::to_string(version));
+    PrecomputeCache cache(/*capacity=*/4, /*max_bytes=*/0, dir);
+    std::string error;
+    ASSERT_TRUE(io::WriteFileBytes(cache.SpillPath(key), bytes, &error))
+        << error;
+    int calls = 0;
+    bool was_hit = false;
+    const PrecomputeCache::PrecomputePtr served = cache.GetOrCompute(
+        key, ComputeFor(networks, options, &calls), &was_hit);
+    ASSERT_NE(served, nullptr);
+    if (version == current) {
+      // Control: the same record at this format is served from disk.
+      EXPECT_EQ(calls, 0);
+      EXPECT_TRUE(was_hit);
+      EXPECT_EQ(cache.stats().spill_loads, 1u);
+      EXPECT_EQ(served->trace_increments,
+                entry.precompute.trace_increments);
+    } else {
+      EXPECT_EQ(calls, 1) << "a format-4 spill must fall through to compute";
+      EXPECT_FALSE(was_hit);
+      EXPECT_EQ(cache.stats().spill_loads, 0u);
+      EXPECT_EQ(served->trace_increments, fresh.trace_increments);
+    }
+  }
+}
+
 TEST(PrecomputeCacheSpillTest, WrongKeyOnDiskIsAMiss) {
   const std::string dir = FreshSpillDir("spill_wrong_key");
   const GridNetworks networks = LoadGrid();

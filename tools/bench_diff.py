@@ -16,8 +16,11 @@ which way a change is a regression without a side table:
 
 Checksums are planning-result fingerprints and must match EXACTLY —
 any drift is a correctness failure, not a perf regression, and fails the
-diff regardless of threshold. Metrics present on only one side are
-reported as added/removed but do not fail (benches evolve).
+diff regardless of threshold. So does a baseline checksum, or (for
+directories) a baseline BENCH_*.json, with no counterpart in CURRENT:
+a fingerprint renamed away or not run is not a match. Checksums and files
+present only in CURRENT, and metrics present on only one side, are
+reported but do not fail (benches evolve).
 
 Exit status: 0 = clean, 1 = regression or checksum mismatch,
 2 = usage/schema error.
@@ -27,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 
 SCHEMA = "ctbus-bench-v1"
 
@@ -78,8 +82,14 @@ def diff_reports(baseline, current, threshold):
 
     base_sums = baseline.get("checksums", {})
     cur_sums = current.get("checksums", {})
-    for key in sorted(set(base_sums) & set(cur_sums)):
-        if base_sums[key] != cur_sums[key]:
+    for key in sorted(set(base_sums) | set(cur_sums)):
+        if key not in base_sums:
+            lines.append(f"  {name}/checksum {key}: added (no baseline)")
+        elif key not in cur_sums:
+            failures.append(
+                f"{name}/checksum {key} MISSING: the baseline has it, the "
+                f"run does not")
+        elif base_sums[key] != cur_sums[key]:
             failures.append(
                 f"{name}/checksum {key} DRIFTED: {base_sums[key]!r} -> "
                 f"{cur_sums[key]!r} (planning results changed)")
@@ -94,18 +104,24 @@ def diff_reports(baseline, current, threshold):
     return lines, failures
 
 
+def bench_files(directory):
+    return set(n for n in os.listdir(directory)
+               if n.startswith("BENCH_") and n.endswith(".json"))
+
+
 def collect_pairs(baseline_path, current_path):
+    """Returns (pairs, missing): the (baseline, current) report paths to
+    diff, and the baseline file names with no counterpart in CURRENT."""
     if os.path.isdir(baseline_path) and os.path.isdir(current_path):
-        names = sorted(
-            set(n for n in os.listdir(baseline_path)
-                if n.startswith("BENCH_") and n.endswith(".json")) &
-            set(n for n in os.listdir(current_path)
-                if n.startswith("BENCH_") and n.endswith(".json")))
+        base_names = bench_files(baseline_path)
+        cur_names = bench_files(current_path)
+        names = sorted(base_names & cur_names)
         if not names:
             raise ValueError("no matching BENCH_*.json files in both dirs")
-        return [(os.path.join(baseline_path, n), os.path.join(current_path, n))
-                for n in names]
-    return [(baseline_path, current_path)]
+        pairs = [(os.path.join(baseline_path, n),
+                  os.path.join(current_path, n)) for n in names]
+        return pairs, sorted(base_names - cur_names)
+    return [(baseline_path, current_path)], []
 
 
 def self_check():
@@ -157,6 +173,27 @@ def self_check():
     cur["metrics"]["new_metric"] = {"value": 1.0, "better": "lower"}
     _, fails = diff_reports(base, cur, 0.10)
     checks.append(("added metric does not fail", not fails))
+    cur = json.loads(json.dumps(base))
+    cur["checksums"]["renamed_sum"] = cur["checksums"].pop("sum")
+    _, fails = diff_reports(base, cur, 0.10)
+    checks.append(("baseline checksum missing from the run fails by name",
+                   len(fails) == 1 and "checksum sum MISSING" in fails[0]))
+    cur = json.loads(json.dumps(base))
+    cur["checksums"]["new_sum"] = 1.0
+    _, fails = diff_reports(base, cur, 0.10)
+    checks.append(("checksum only in the run does not fail", not fails))
+    with tempfile.TemporaryDirectory() as root:
+        base_dir = os.path.join(root, "base")
+        cur_dir = os.path.join(root, "cur")
+        for directory, names in ((base_dir, ("BENCH_a.json", "BENCH_b.json")),
+                                 (cur_dir, ("BENCH_a.json", "BENCH_c.json"))):
+            os.mkdir(directory)
+            for file_name in names:
+                with open(os.path.join(directory, file_name), "w") as f:
+                    json.dump(base, f)
+        pairs, missing = collect_pairs(base_dir, cur_dir)
+    checks.append(("baseline file missing from the run is named",
+                   missing == ["BENCH_b.json"] and len(pairs) == 1))
 
     ok = True
     for label, passed in checks:
@@ -182,8 +219,10 @@ def main():
         parser.error("baseline and current are required (or --self-check)")
 
     try:
-        pairs = collect_pairs(args.baseline, args.current)
-        all_failures = []
+        pairs, missing = collect_pairs(args.baseline, args.current)
+        all_failures = [
+            f"{args.baseline}/{file_name} MISSING: the baseline has it, "
+            f"{args.current} does not" for file_name in missing]
         for base_path, cur_path in pairs:
             baseline = load_report(base_path)
             current = load_report(cur_path)
