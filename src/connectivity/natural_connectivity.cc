@@ -43,12 +43,7 @@ ConnectivityEstimator::ConnectivityEstimator(int dim,
         "ConnectivityEstimator: lanczos_steps must be >= 1");
   }
   linalg::Rng rng(options.seed);
-  if (options.probe_kind == ProbeKind::kRademacher) {
-    probes_.assign(options.probes, std::vector<double>(dim));
-    for (auto& probe : probes_) linalg::FillRademacher(&rng, &probe);
-  } else {
-    probes_ = linalg::MakeGaussianProbes(dim, options.probes, &rng);
-  }
+  probes_ = linalg::MakeGaussianProbes(dim, options.probes, &rng);
 }
 
 double ConnectivityEstimator::EstimateTraceExp(const linalg::MatVec& a) const {

@@ -23,28 +23,18 @@
 
 namespace ctbus::connectivity {
 
-/// Probe distribution for Hutchinson's estimator. Both are unbiased;
-/// Rademacher (+/-1 entries, Hutchinson's original choice) has lower
-/// variance for trace estimation, Gaussian matches the paper's analysis
-/// (Equation 6/7 and the Roosta-Khorasani/Ascher sample bound).
-enum class ProbeKind {
-  kGaussian,
-  kRademacher,
-};
-
 /// Tuning knobs for the stochastic estimator. Defaults are the paper's
 /// (s = 50 Hutchinson repetitions, t = 10 Lanczos iterations).
 struct EstimatorOptions {
   int probes = 50;
   int lanczos_steps = 10;
   std::uint64_t seed = 1;
-  ProbeKind probe_kind = ProbeKind::kGaussian;
 
   /// Field-wise equality: two estimators built from equal options on one
   /// dimension pin the same probes, so they return the same bits.
   friend bool operator==(const EstimatorOptions& a, const EstimatorOptions& b) {
-    return std::tie(a.probes, a.lanczos_steps, a.seed, a.probe_kind) ==
-           std::tie(b.probes, b.lanczos_steps, b.seed, b.probe_kind);
+    return std::tie(a.probes, a.lanczos_steps, a.seed) ==
+           std::tie(b.probes, b.lanczos_steps, b.seed);
   }
   friend bool operator!=(const EstimatorOptions& a, const EstimatorOptions& b) {
     return !(a == b);

@@ -384,7 +384,6 @@ void EncodeProvenanceBody(const PrecomputeProvenance& provenance,
   AppendI32(out, provenance.probes);
   AppendI32(out, provenance.lanczos_steps);
   AppendU64(out, provenance.seed);
-  AppendI32(out, provenance.probe_kind);
 }
 
 bool DecodeProvenanceBody(ByteReader* reader,
@@ -393,8 +392,7 @@ bool DecodeProvenanceBody(ByteReader* reader,
   if (!reader->ReadFiniteF64("provenance_tau", &p.tau) ||
       !reader->ReadI32("provenance_probes", &p.probes) ||
       !reader->ReadI32("provenance_lanczos_steps", &p.lanczos_steps) ||
-      !reader->ReadU64("provenance_seed", &p.seed) ||
-      !reader->ReadI32("provenance_probe_kind", &p.probe_kind)) {
+      !reader->ReadU64("provenance_seed", &p.seed)) {
     return false;
   }
   *out = p;
@@ -541,8 +539,7 @@ bool DecodeSection(const SectionView& section, graph::TransitNetwork* out,
 bool PrecomputeProvenance::operator==(
     const PrecomputeProvenance& other) const {
   return tau == other.tau && probes == other.probes &&
-         lanczos_steps == other.lanczos_steps && seed == other.seed &&
-         probe_kind == other.probe_kind;
+         lanczos_steps == other.lanczos_steps && seed == other.seed;
 }
 
 PrecomputeProvenance MakeProvenance(const core::CtBusOptions& options) {
@@ -558,7 +555,6 @@ PrecomputeProvenance MakeProvenance(const core::CtBusOptions& options) {
   p.probes = options.precompute_estimator.probes;
   p.lanczos_steps = options.precompute_estimator.lanczos_steps;
   p.seed = options.precompute_estimator.seed;
-  p.probe_kind = static_cast<int>(options.precompute_estimator.probe_kind);
   return p;
 }
 

@@ -57,11 +57,11 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x53425443u;
 /// stores change for the same inputs (a new kernel behind the PREC trace
 /// increments or tr_0): an older spill would otherwise be served as if this
 /// binary had computed it. Loaders reject every other value (stale
-/// formats: a diagnostic for Load, a plain miss for the spill). Version 5:
-/// the trace increments come from the eigenvalues-only root-free QL
-/// (linalg/dense_eigen.h), and planning reads a path's first term from them
-/// in place of a solve (PlanningContext::TraceIncrement).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
+/// formats: a diagnostic for Load, a plain miss for the spill). Version 6:
+/// the SKEY provenance lost its probe-kind field (every estimator draws
+/// Gaussian probes). Version 5: the trace increments come from the
+/// eigenvalues-only root-free QL (linalg/dense_eigen.h).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 6;
 /// Hard bound on the section table, checked before it is walked.
 inline constexpr std::uint32_t kMaxSnapshotSections = 16;
 
@@ -74,7 +74,6 @@ struct PrecomputeProvenance {
   int probes = 0;
   int lanczos_steps = 0;
   std::uint64_t seed = 0;
-  int probe_kind = 0;
 
   bool operator==(const PrecomputeProvenance& other) const;
 };

@@ -27,10 +27,6 @@ void FillGaussian(Rng* rng, std::vector<double>* x) {
   for (double& v : *x) v = rng->NextGaussian();
 }
 
-void FillRademacher(Rng* rng, std::vector<double>* x) {
-  for (double& v : *x) v = rng->NextBool(0.5) ? 1.0 : -1.0;
-}
-
 double Normalize(std::vector<double>* x) {
   const double norm = Norm2(*x);
   if (norm > 0.0) Scale(1.0 / norm, x);

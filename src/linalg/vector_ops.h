@@ -24,9 +24,6 @@ void Scale(double alpha, std::vector<double>* x);
 /// Fills x with i.i.d. standard Gaussian entries drawn from rng.
 void FillGaussian(Rng* rng, std::vector<double>* x);
 
-/// Fills x with i.i.d. Rademacher (+/-1) entries drawn from rng.
-void FillRademacher(Rng* rng, std::vector<double>* x);
-
 /// Normalizes x to unit Euclidean norm; returns the original norm.
 /// If ||x|| == 0 the vector is left unchanged and 0 is returned.
 double Normalize(std::vector<double>* x);

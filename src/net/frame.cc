@@ -1,78 +1,8 @@
 #include "net/frame.h"
 
-#include <cmath>
-
 #include "io/bytes.h"
 
 namespace ctbus::net {
-
-// ----------------------------------------------- options (de)coding ----
-
-std::uint8_t PackFlags(const core::CtBusOptions& options) {
-  std::uint8_t flags = 0;
-  if (options.best_neighbor_only) flags |= 1u << 1;
-  if (options.use_domination_table) flags |= 1u << 2;
-  if (options.seed_all_edges) flags |= 1u << 3;
-  if (options.new_edges_only) flags |= 1u << 4;
-  return flags;
-}
-
-const char* FlagsError(std::uint8_t flags) {
-  // Bits 1-4. Bit 0 (a retired precompute toggle) and bits 5-7 are unknown.
-  constexpr std::uint8_t kKnownBits = 0x1e;
-  return (flags & ~kKnownBits) != 0 ? "unknown flag bit set" : nullptr;
-}
-
-void UnpackFlags(std::uint8_t flags, core::CtBusOptions* options) {
-  options->best_neighbor_only = (flags & (1u << 1)) != 0;
-  options->use_domination_table = (flags & (1u << 2)) != 0;
-  options->seed_all_edges = (flags & (1u << 3)) != 0;
-  options->new_edges_only = (flags & (1u << 4)) != 0;
-}
-
-const char* EstimatorRangeError(
-    const connectivity::EstimatorOptions& estimator) {
-  if (estimator.probes < 1 || estimator.probes > 100000) {
-    return "probes out of [1, 100000]";
-  }
-  if (estimator.lanczos_steps < 1 || estimator.lanczos_steps > 10000) {
-    return "lanczos_steps out of [1, 10000]";
-  }
-  const int kind = static_cast<int>(estimator.probe_kind);
-  if (kind < 0 ||
-      kind > static_cast<int>(connectivity::ProbeKind::kRademacher)) {
-    return "unknown probe kind";
-  }
-  return nullptr;
-}
-
-const char* RequestOptionsError(const core::CtBusOptions& options,
-                                const char** field) {
-  const char* online = EstimatorRangeError(options.online_estimator);
-  const char* precompute = EstimatorRangeError(options.precompute_estimator);
-  const struct {
-    const char* field;
-    bool bad;
-    const char* reason;
-  } checks[] = {
-      {"k", options.k < 1 || options.k > 1000000, "out of [1, 1000000]"},
-      {"w", !(options.w >= 0.0 && options.w <= 1.0), "out of [0, 1]"},
-      {"tau", !std::isfinite(options.tau), "non-finite value"},
-      {"tau", options.tau < 0.0, "negative"},
-      {"max_turns", options.max_turns < 0, "negative"},
-      {"seed_count", options.seed_count < 0, "negative"},
-      {"max_iterations", options.max_iterations < 1, "non-positive"},
-      {"online_estimator", online != nullptr, online},
-      {"precompute_estimator", precompute != nullptr, precompute},
-  };
-  for (const auto& check : checks) {
-    if (check.bad) {
-      *field = check.field;
-      return check.reason;
-    }
-  }
-  return nullptr;
-}
 
 namespace {
 
@@ -85,26 +15,52 @@ using io::AppendU32;
 using io::AppendU64;
 using io::AppendU8;
 
+// ------------------------------------------------- request contract ----
+// The request's fields and their bounds are written out here only: a
+// trace record (net/trace_file.h) carries this same payload and reads it
+// back through DecodeRequestPayload.
+
+/// The one-byte encoding of the boolean CtBusOptions: bit 1
+/// best_neighbor_only, 2 use_domination_table, 3 seed_all_edges,
+/// 4 new_edges_only. Bit 0 (a retired precompute toggle) and bits 5-7 are
+/// unknown and rejected.
+constexpr std::uint8_t kKnownFlagBits = 0x1e;
+
+std::uint8_t PackFlags(const core::CtBusOptions& options) {
+  std::uint8_t flags = 0;
+  if (options.best_neighbor_only) flags |= 1u << 1;
+  if (options.use_domination_table) flags |= 1u << 2;
+  if (options.seed_all_edges) flags |= 1u << 3;
+  if (options.new_edges_only) flags |= 1u << 4;
+  return flags;
+}
+
+void UnpackFlags(std::uint8_t flags, core::CtBusOptions* options) {
+  options->best_neighbor_only = (flags & (1u << 1)) != 0;
+  options->use_domination_table = (flags & (1u << 2)) != 0;
+  options->seed_all_edges = (flags & (1u << 3)) != 0;
+  options->new_edges_only = (flags & (1u << 4)) != 0;
+}
+
 void AppendEstimator(std::vector<std::uint8_t>* out,
                      const connectivity::EstimatorOptions& estimator) {
   AppendI32(out, estimator.probes);
   AppendI32(out, estimator.lanczos_steps);
   AppendU64(out, estimator.seed);
-  AppendU8(out, static_cast<std::uint8_t>(estimator.probe_kind));
 }
 
 bool ReadEstimator(io::ByteReader* reader, const char* field,
                    connectivity::EstimatorOptions* estimator) {
-  std::uint8_t probe_kind = 0;
   if (!reader->ReadI32(field, &estimator->probes) ||
       !reader->ReadI32(field, &estimator->lanczos_steps) ||
-      !reader->ReadU64(field, &estimator->seed) ||
-      !reader->ReadU8(field, &probe_kind)) {
+      !reader->ReadU64(field, &estimator->seed)) {
     return false;
   }
-  estimator->probe_kind = static_cast<connectivity::ProbeKind>(probe_kind);
-  if (const char* reason = EstimatorRangeError(*estimator)) {
-    return reader->Fail(field, reason);
+  if (estimator->probes < 1 || estimator->probes > 100000) {
+    return reader->Fail(field, "probes out of [1, 100000]");
+  }
+  if (estimator->lanczos_steps < 1 || estimator->lanczos_steps > 10000) {
+    return reader->Fail(field, "lanczos_steps out of [1, 10000]");
   }
   return true;
 }
@@ -267,18 +223,30 @@ bool DecodeRequestPayload(const std::uint8_t* data, std::size_t size,
                     &options.precompute_estimator) &&
       reader.ReadU8("flags", &flags) && reader.ExpectEnd();
   if (ok) {
-    const char* field = nullptr;
-    if (plan.dataset.empty()) {
-      ok = reader.Fail("dataset", "empty dataset name");
-    } else if (priority > static_cast<std::uint8_t>(
-                              service::Priority::kSweep)) {
-      ok = reader.Fail("priority", "unknown priority");
-    } else if (planner > static_cast<std::uint8_t>(core::Planner::kVkTsp)) {
-      ok = reader.Fail("planner", "unknown planner");
-    } else if (const char* reason = RequestOptionsError(options, &field)) {
-      ok = reader.Fail(field, reason);
-    } else if (const char* flags_reason = FlagsError(flags)) {
-      ok = reader.Fail("flags", flags_reason);
+    const struct {
+      const char* field;
+      bool bad;
+      const char* reason;
+    } checks[] = {
+        {"dataset", plan.dataset.empty(), "empty dataset name"},
+        {"priority",
+         priority > static_cast<std::uint8_t>(service::Priority::kSweep),
+         "unknown priority"},
+        {"planner", planner > static_cast<std::uint8_t>(core::Planner::kVkTsp),
+         "unknown planner"},
+        {"k", options.k < 1 || options.k > 1000000, "out of [1, 1000000]"},
+        {"w", !(options.w >= 0.0 && options.w <= 1.0), "out of [0, 1]"},
+        {"tau", options.tau < 0.0, "negative"},
+        {"max_turns", options.max_turns < 0, "negative"},
+        {"seed_count", options.seed_count < 0, "negative"},
+        {"max_iterations", options.max_iterations < 1, "non-positive"},
+        {"flags", (flags & ~kKnownFlagBits) != 0, "unknown flag bit set"},
+    };
+    for (const auto& check : checks) {
+      if (check.bad) {
+        ok = reader.Fail(check.field, check.reason);
+        break;
+      }
     }
   }
   if (!ok) {

@@ -48,7 +48,9 @@
 namespace ctbus::net {
 
 inline constexpr std::uint32_t kMagic = 0x43544231u;  // "CTB1"
-inline constexpr std::uint16_t kProtocolVersion = 1;
+/// Version 2: an estimator's options are probes, lanczos_steps and seed
+/// (version 1 also carried a probe-kind byte).
+inline constexpr std::uint16_t kProtocolVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 16;
 /// Upper bound on a declared payload: a hostile length field can never
 /// make the receiver allocate more than this.
@@ -149,30 +151,15 @@ bool DecodeFrameHeader(const std::uint8_t* data, std::size_t size,
 /// Payload decoders: strict and bounded — every field read is checked
 /// against the payload size, strings/lists are length-validated against
 /// the kMax* bounds, enums and numeric options are range-checked (w in
-/// [0,1], tau finite and >= 0, positive probe/step counts, ...), and
-/// trailing bytes after the last field are an error. On failure *error
-/// names the offending field; the output is unspecified.
+/// [0,1], tau finite and >= 0, positive probe/step counts, no unknown
+/// option flag bits, ...), and trailing bytes after the last field are an
+/// error. On failure *error names the offending field; the output is
+/// unspecified. DecodeRequestPayload is the one reader of a request: the
+/// trace files (net/trace_file.h) store the same payload.
 bool DecodeRequestPayload(const std::uint8_t* data, std::size_t size,
                           RequestFrame* request, std::string* error);
 bool DecodeResponsePayload(const std::uint8_t* data, std::size_t size,
                            ResponseFrame* response, std::string* error);
-
-/// The request contract of the wire decoder and the trace reader, so any
-/// request the server accepts can be recorded and replayed. Each returns
-/// nullptr when in range, else the reason; RequestOptionsError checks
-/// the wire-visible CtBusOptions and sets *field to the first bad one.
-const char* EstimatorRangeError(
-    const connectivity::EstimatorOptions& estimator);
-const char* RequestOptionsError(const core::CtBusOptions& options,
-                                const char** field);
-
-/// The one-byte encoding of the boolean CtBusOptions, in frames and traces:
-/// bit 1 best_neighbor_only, 2 use_domination_table, 3 seed_all_edges,
-/// 4 new_edges_only. FlagsError is the shared check both decoders run
-/// before UnpackFlags: nullptr, or the reason when any other bit is set.
-std::uint8_t PackFlags(const core::CtBusOptions& options);
-const char* FlagsError(std::uint8_t flags);
-void UnpackFlags(std::uint8_t flags, core::CtBusOptions* options);
 
 /// Builds a response from an executed service result (status kOk) —
 /// the single place the ServiceResult -> wire mapping lives, used by the

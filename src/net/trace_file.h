@@ -1,28 +1,30 @@
 // Workload trace files for the record-and-replay load harness: a
 // deterministic, diffable text format holding one planning request per
-// line — its intended submit offset on the workload timeline, the full
-// wire-visible request, and the recorded outcome (response status +
+// line — its intended submit offset on the workload timeline, the request
+// as the wire carries it, and the recorded outcome (response status +
 // deterministic-section checksum, net/frame.h). Replaying a trace
 // against a server at any speed must reproduce every status and
 // checksum bit-for-bit; the committed golden trace under tests/data/
 // turns that into a regression gate.
 //
-// Format (version line, then one record per line, space-separated):
+// Format (header line, then one record per line, space-separated):
 //
-//   ctbus-trace-v1 dataset=<name> records=<count>
-//   <offset_s> <deadline_ms> <priority> <planner> <version> <k> <w>
-//     <tau> <max_turns> <seed_count> <max_iterations>
-//     <probes> <lanczos> <seed> <kind>          (online estimator)
-//     <probes> <lanczos> <seed> <kind>          (precompute estimator)
-//     <flags> <status> <checksum>
+//   ctbus-trace-v2 protocol=<kProtocolVersion> dataset=<name> records=<n>
+//   <offset_s> <status> <checksum> <payload>
+//
+// <payload> is the lowercase hex of the request frame's payload exactly as
+// EncodeRequestFrame writes it (request_id 0), and it is read back only
+// through DecodeRequestPayload: the request's fields and bounds live in
+// net/frame.cc alone, so a trace loads iff the server would accept its
+// requests. A trace of another protocol version is refused (the payload
+// layout is the protocol's). <status> is the ResponseStatus number and
+// <checksum> the 16-hex-digit ResponseChecksum.
 //
 // Offsets are the INTENDED schedule (deterministic by construction),
 // not measured wall-clock times — so a recorded trace is byte-stable
-// across machines and re-recordings. u64 values (seeds, checksum) are
-// lowercase hex; doubles are written with round-trip precision; every
-// field parses through the strict io::Parse* discipline (whole-token,
-// no silent truncation) and failures carry "path:line: reason"
-// diagnostics via io::LineError.
+// across machines and re-recordings. Offsets are written with round-trip
+// precision. Every failure carries a "path:line: field <name>: reason"
+// diagnostic via io::LineError.
 #ifndef CTBUS_NET_TRACE_FILE_H_
 #define CTBUS_NET_TRACE_FILE_H_
 
@@ -34,7 +36,7 @@
 
 namespace ctbus::net {
 
-inline constexpr char kTraceFormatName[] = "ctbus-trace-v1";
+inline constexpr char kTraceFormatName[] = "ctbus-trace-v2";
 
 /// One recorded request + its outcome.
 struct TraceRecord {
@@ -42,7 +44,7 @@ struct TraceRecord {
   /// by the speedup factor).
   double offset_seconds = 0.0;
   std::uint32_t deadline_ms = 0;
-  /// The request as sent (dataset comes from the trace header).
+  /// The request as sent (the writer encodes the trace's dataset).
   service::PlanRequest request;
   /// Recorded outcome: replay must reproduce both exactly.
   ResponseStatus status = ResponseStatus::kOk;
@@ -59,10 +61,10 @@ struct TraceFile {
 bool WriteTraceFile(const std::string& path, const TraceFile& trace,
                     std::string* error);
 
-/// Strict parse of `path` into `*trace`: header line validated, every
-/// record field bounds-checked exactly like the wire decoder (a trace
-/// file is untrusted input too). False with a "path:line: reason"
-/// diagnostic on the first malformed line.
+/// Strict parse of `path` into `*trace`: header validated, every payload
+/// decoded by the wire decoder (a trace file is untrusted input too) and
+/// its dataset checked against the header's. False with a
+/// "path:line: reason" diagnostic on the first malformed line.
 bool ReadTraceFile(const std::string& path, TraceFile* trace,
                    std::string* error);
 

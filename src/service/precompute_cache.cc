@@ -29,7 +29,6 @@ std::size_t PrecomputeKeyHash::operator()(const PrecomputeKey& key) const {
   h = mix(h, static_cast<std::size_t>(key.provenance.probes));
   h = mix(h, static_cast<std::size_t>(key.provenance.lanczos_steps));
   h = mix(h, std::hash<std::uint64_t>()(key.provenance.seed));
-  h = mix(h, static_cast<std::size_t>(key.provenance.probe_kind));
   return h;
 }
 

@@ -107,11 +107,10 @@ TEST(NaturalConnectivityTest, OptionsEqualityCoversEveryFieldOfTheResult) {
   EXPECT_FALSE(base != EstimatorOptions{});
   const double base_estimate = ConnectivityEstimator(a.dim(), base).Estimate(a);
 
-  std::vector<EstimatorOptions> variants(4, base);
+  std::vector<EstimatorOptions> variants(3, base);
   variants[0].probes = 20;
   variants[1].lanczos_steps = 6;
   variants[2].seed = 2;
-  variants[3].probe_kind = ProbeKind::kRademacher;
   for (std::size_t i = 0; i < variants.size(); ++i) {
     EXPECT_FALSE(variants[i] == base) << "field " << i;
     EXPECT_TRUE(variants[i] != base) << "field " << i;
@@ -160,39 +159,6 @@ TEST(NaturalConnectivityTest, CrnIncrementMatchesExactIncrement) {
   const double exact_inc = exact_after - exact_before;
   const double est_inc = est_after - est_before;
   EXPECT_NEAR(est_inc, exact_inc, 0.8 * exact_inc + 5e-3);
-}
-
-TEST(NaturalConnectivityTest, RademacherProbesAlsoAccurate) {
-  linalg::Rng rng(15);
-  const auto a = RandomGraph(120, 4.0, &rng);
-  const double exact = NaturalConnectivityExact(a);
-  EstimatorOptions options;
-  options.probe_kind = ProbeKind::kRademacher;
-  options.seed = 4;
-  EXPECT_NEAR(NaturalConnectivityEstimate(a, options), exact, 0.05);
-}
-
-TEST(NaturalConnectivityTest, RademacherVarianceNotWorseThanGaussian) {
-  // Hutchinson's original Rademacher probes have provably minimal variance
-  // among i.i.d. sign-symmetric probes; over several seeds their mean
-  // absolute error must not exceed the Gaussian probes' by much.
-  linalg::Rng rng(16);
-  const auto a = RandomGraph(100, 4.0, &rng);
-  const double exact = NaturalConnectivityExact(a);
-  double err_rademacher = 0.0;
-  double err_gaussian = 0.0;
-  for (int seed = 0; seed < 10; ++seed) {
-    EstimatorOptions r;
-    r.probe_kind = ProbeKind::kRademacher;
-    r.probes = 20;
-    r.seed = 100 + seed;
-    EstimatorOptions g;
-    g.probes = 20;
-    g.seed = 100 + seed;
-    err_rademacher += std::abs(NaturalConnectivityEstimate(a, r) - exact);
-    err_gaussian += std::abs(NaturalConnectivityEstimate(a, g) - exact);
-  }
-  EXPECT_LT(err_rademacher, 1.5 * err_gaussian);
 }
 
 class ConnectivityFamilyTest : public ::testing::TestWithParam<double> {};

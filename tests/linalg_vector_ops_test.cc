@@ -58,18 +58,5 @@ TEST(VectorOpsTest, FillGaussianHasUnitVarianceEntries) {
   EXPECT_NEAR(Dot(x, x) / static_cast<double>(x.size()), 1.0, 0.03);
 }
 
-TEST(VectorOpsTest, FillRademacherOnlyPlusMinusOne) {
-  Rng rng(17);
-  std::vector<double> x(1000);
-  FillRademacher(&rng, &x);
-  int plus = 0;
-  for (double v : x) {
-    EXPECT_TRUE(v == 1.0 || v == -1.0);
-    if (v == 1.0) ++plus;
-  }
-  EXPECT_GT(plus, 400);
-  EXPECT_LT(plus, 600);
-}
-
 }  // namespace
 }  // namespace ctbus::linalg

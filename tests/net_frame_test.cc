@@ -74,7 +74,6 @@ void ExpectRequestsEqual(const RequestFrame& a, const RequestFrame& b) {
   EXPECT_EQ(x.online_estimator.lanczos_steps,
             y.online_estimator.lanczos_steps);
   EXPECT_EQ(x.online_estimator.seed, y.online_estimator.seed);
-  EXPECT_EQ(x.online_estimator.probe_kind, y.online_estimator.probe_kind);
   EXPECT_EQ(x.precompute_estimator.probes, y.precompute_estimator.probes);
   EXPECT_EQ(x.precompute_estimator.seed, y.precompute_estimator.seed);
   EXPECT_EQ(x.best_neighbor_only, y.best_neighbor_only);
@@ -166,15 +165,11 @@ TEST(NetFrame, RandomizedRequestRoundTrip) {
     options.online_estimator.lanczos_steps =
         1 + static_cast<int>(rng() % 10000);
     options.online_estimator.seed = rng();
-    options.online_estimator.probe_kind =
-        static_cast<connectivity::ProbeKind>(rng() % 2);
     options.precompute_estimator.probes =
         1 + static_cast<int>(rng() % 100000);
     options.precompute_estimator.lanczos_steps =
         1 + static_cast<int>(rng() % 10000);
     options.precompute_estimator.seed = rng();
-    options.precompute_estimator.probe_kind =
-        static_cast<connectivity::ProbeKind>(rng() % 2);
     options.best_neighbor_only = rng() % 2 == 0;
     options.use_domination_table = rng() % 2 == 0;
     options.seed_all_edges = rng() % 2 == 0;
@@ -425,8 +420,21 @@ TEST(NetFrame, UnknownFlagBitsRejected) {
         << "flag bit " << bit << " accepted";
     EXPECT_NE(error.find("flags"), std::string::npos) << error;
   }
+  // Every combination of the four known bits decodes.
   for (std::uint8_t flags = 0; flags < 32; flags += 2) {
-    EXPECT_EQ(FlagsError(flags), nullptr) << static_cast<int>(flags);
+    std::vector<std::uint8_t> payload(encoded.begin() + kHeaderBytes,
+                                      encoded.end());
+    payload.back() = flags;
+    RequestFrame decoded;
+    std::string error;
+    EXPECT_TRUE(DecodeRequestPayload(payload.data(), payload.size(), &decoded,
+                                     &error))
+        << static_cast<int>(flags) << ": " << error;
+    const core::CtBusOptions& options = decoded.request.options;
+    EXPECT_EQ(options.best_neighbor_only, (flags & 2) != 0);
+    EXPECT_EQ(options.use_domination_table, (flags & 4) != 0);
+    EXPECT_EQ(options.seed_all_edges, (flags & 8) != 0);
+    EXPECT_EQ(options.new_edges_only, (flags & 16) != 0);
   }
 }
 

@@ -224,55 +224,100 @@ TEST(NetReplay, EveryWireAcceptedRequestRoundTripsThroughATrace) {
   EXPECT_EQ(EncodeRequestFrame(replayed), wire);
 }
 
+/// A v2 record line carrying `frame`'s payload.
+std::string RecordLine(const RequestFrame& frame) {
+  const std::vector<std::uint8_t> wire = EncodeRequestFrame(frame);
+  std::string line = "0.5 0 0123456789abcdef ";
+  for (std::size_t i = kHeaderBytes; i < wire.size(); ++i) {
+    const std::uint8_t byte = wire[i];
+    static const char digits[] = "0123456789abcdef";
+    line += digits[byte >> 4];
+    line += digits[byte & 0xf];
+  }
+  return line + "\n";
+}
+
 TEST(NetReplay, MalformedTraceFilesRejectedWithDiagnostics) {
   const std::string path = ::testing::TempDir() + "net_replay_bad.trace";
-  auto write_and_parse = [&path](const std::string& content) {
+  const std::string header = "ctbus-trace-v2 protocol=" +
+                             std::to_string(kProtocolVersion) +
+                             " dataset=grid records=1\n";
+  RequestFrame valid;
+  valid.request.dataset = "grid";
+  const std::string good_line = RecordLine(valid);
+  auto expect_rejected = [&path](const std::string& content, int line,
+                                 const std::string& field) {
     std::ofstream out(path);
     out << content;
     out.close();
     TraceFile trace;
     std::string error;
-    EXPECT_FALSE(ReadTraceFile(path, &trace, &error));
-    EXPECT_NE(error.find(path), std::string::npos) << error;
-    return error;
+    EXPECT_FALSE(ReadTraceFile(path, &trace, &error)) << content;
+    EXPECT_NE(error.find(path + ":" + std::to_string(line) + ":"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("field " + field), std::string::npos)
+        << "want field " << field << ": " << error;
   };
 
-  EXPECT_NE(write_and_parse("ctbus-trace-v2 dataset=grid records=0\n")
-                .find("unknown trace format"),
-            std::string::npos);
-  EXPECT_NE(write_and_parse("ctbus-trace-v1 records=0\n")
-                .find("missing dataset"),
-            std::string::npos);
-  EXPECT_NE(write_and_parse("ctbus-trace-v1 dataset=grid records=2\n")
-                .find("declares 2 records"),
-            std::string::npos);
-  // A record with a malformed double offset.
-  EXPECT_NE(write_and_parse("ctbus-trace-v1 dataset=grid records=1\n"
-                            "zero 0 0 1 1 4 0.3 500 3 100 100 "
-                            "12 6 0000000000000003 0 5 5 0000000000000007 0 "
-                            "6 0 0000000000000000\n")
-                .find("offset_seconds"),
-            std::string::npos);
-  // A record with trailing garbage.
-  EXPECT_NE(write_and_parse("ctbus-trace-v1 dataset=grid records=1\n"
-                            "0 0 0 1 1 4 0.3 500 3 100 100 "
-                            "12 6 0000000000000003 0 5 5 0000000000000007 0 "
-                            "6 0 0000000000000000 extra\n")
-                .find("trailing"),
-            std::string::npos);
-  // Unknown option flag bits: bit 0 (retired) in 7, bit 5 in 38, bit 7 in
-  // 128.
-  for (const char* flags : {"7", "38", "128"}) {
-    EXPECT_NE(write_and_parse(std::string(
-                                  "ctbus-trace-v1 dataset=grid records=1\n"
-                                  "0 0 0 1 1 4 0.3 500 3 100 100 "
-                                  "12 6 0000000000000003 0 5 5 "
-                                  "0000000000000007 0 ") +
-                              flags + " 0 0000000000000000\n")
-                  .find("flags"),
-              std::string::npos)
-        << flags;
+  // The well-formed baseline loads, so each case below fails for its edit.
+  {
+    std::ofstream out(path);
+    out << header << good_line;
+    out.close();
+    TraceFile trace;
+    std::string error;
+    ASSERT_TRUE(ReadTraceFile(path, &trace, &error)) << error;
+    ASSERT_EQ(trace.records.size(), 1u);
   }
+
+  // Header: a v1 file, a wrong protocol, a missing dataset, a wrong count.
+  expect_rejected(
+      "ctbus-trace-v1 dataset=grid records=1\n"
+      "0 0 0 1 1 4 0.3 500 3 100 100 12 6 0000000000000003 0 5 5 "
+      "0000000000000007 0 6 0 0000000000000000\n",
+      1, "format");
+  expect_rejected("ctbus-trace-v2 protocol=1 dataset=grid records=1\n" +
+                      good_line,
+                  1, "protocol");
+  expect_rejected("ctbus-trace-v2 protocol=" +
+                      std::to_string(kProtocolVersion) + " records=1\n" +
+                      good_line,
+                  1, "dataset");
+  expect_rejected("ctbus-trace-v2 protocol=" +
+                      std::to_string(kProtocolVersion) +
+                      " dataset=grid records=2\n" + good_line,
+                  2, "records");
+
+  // Record tokens around the payload.
+  expect_rejected(header + "zero" + good_line.substr(3), 2, "offset_seconds");
+  expect_rejected(header + good_line.substr(0, good_line.size() - 1) +
+                      " extra\n",
+                  2, "line");
+
+  // The payload's hex: odd length, then a non-hex digit.
+  expect_rejected(header + good_line.substr(0, good_line.size() - 2) + "\n",
+                  2, "payload");
+  std::string non_hex = good_line;
+  non_hex[non_hex.size() - 2] = 'g';
+  expect_rejected(header + non_hex, 2, "payload");
+
+  // Payloads that decode to bytes but that the wire decoder refuses.
+  RequestFrame bad_w = valid;
+  bad_w.request.options.w = 2.5;
+  expect_rejected(header + RecordLine(bad_w), 2, "w");
+  RequestFrame other_dataset = valid;
+  other_dataset.request.dataset = "midtown";
+  expect_rejected(header + RecordLine(other_dataset), 2, "dataset");
+  RequestFrame bad_priority = valid;
+  bad_priority.request.priority = static_cast<service::Priority>(7);
+  expect_rejected(header + RecordLine(bad_priority), 2, "priority");
+  RequestFrame bad_planner = valid;
+  bad_planner.request.planner = static_cast<core::Planner>(9);
+  expect_rejected(header + RecordLine(bad_planner), 2, "planner");
+  std::string bad_flags = good_line;  // the payload ends with the flags byte
+  bad_flags.replace(bad_flags.size() - 3, 2, "80");
+  expect_rejected(header + bad_flags, 2, "flags");
   std::remove(path.c_str());
 }
 

@@ -12,6 +12,12 @@
 //     ctbus_loadgen --replay in.trace [--speedup X] [--connections C]
 //                   [--p50 S] [--p95 S] [--p99 S] [target flags below]
 //
+//   Validate traces and print a summary (dataset, timeline, status /
+//   priority / planner mix, distinct checksums), with --records one row
+//   per record (exit 1 on any malformed trace, naming path:line and the
+//   field; no server is started):
+//     ctbus_loadgen --inspect TRACE [TRACE...] [--records]
+//
 //   Target: --port N replays against a running server; otherwise an
 //   in-process loopback server is stood up from --preset NAME
 //   [--scale X] or --fixture-dir DIR [--dataset NAME]. Recording over a
@@ -19,10 +25,14 @@
 //
 // Replayed traces must reproduce recorded statuses and checksums
 // bit-for-bit at any speedup — see docs/ARCHITECTURE.md "Front door".
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "io/parse.h"
 #include "net/loadgen.h"
@@ -37,6 +47,8 @@ namespace {
 struct Args {
   std::string record_path;
   std::string replay_path;
+  std::vector<std::string> inspect_paths;
+  bool records = false;
   int port = 0;  // 0 = self-hosted loopback server
   std::string preset;
   double scale = 1.0;
@@ -75,6 +87,13 @@ Args ParseArgs(int argc, char** argv) {
       args.record_path = value();
     } else if (flag == "--replay") {
       args.replay_path = value();
+    } else if (flag == "--inspect") {
+      args.inspect_paths.push_back(value());
+      while (i + 1 < argc && argv[i + 1][0] != '-') {
+        args.inspect_paths.push_back(argv[++i]);
+      }
+    } else if (flag == "--records") {
+      args.records = true;
     } else if (flag == "--port") {
       args.port = int_value(1);
       if (args.port > 65535) Die("--port out of range");
@@ -109,8 +128,14 @@ Args ParseArgs(int argc, char** argv) {
       Die("unknown flag " + flag);
     }
   }
-  if (args.record_path.empty() == args.replay_path.empty()) {
-    Die("exactly one of --record PATH / --replay PATH is required");
+  const int modes = !args.record_path.empty() + !args.replay_path.empty() +
+                    !args.inspect_paths.empty();
+  if (modes != 1) {
+    Die("exactly one of --record PATH / --replay PATH / --inspect PATH... "
+        "is required");
+  }
+  if (args.records && args.inspect_paths.empty()) {
+    Die("--records needs --inspect");
   }
   if (args.port != 0 && (!args.preset.empty() || !args.fixture_dir.empty())) {
     Die("--port and --preset/--fixture-dir are mutually exclusive");
@@ -143,10 +168,98 @@ void PrintReport(const ctbus::net::ReplayReport& report,
   }
 }
 
+const char* PriorityName(ctbus::service::Priority priority) {
+  return priority == ctbus::service::Priority::kSweep ? "sweep"
+                                                      : "interactive";
+}
+
+const char* PlannerName(ctbus::core::Planner planner) {
+  switch (planner) {
+    case ctbus::core::Planner::kEta:
+      return "eta";
+    case ctbus::core::Planner::kEtaPre:
+      return "eta-pre";
+    case ctbus::core::Planner::kVkTsp:
+      return "vk-tsp";
+  }
+  return "?";
+}
+
+/// "name=count, ..." in name order.
+std::string Mix(const std::map<std::string, int>& counts) {
+  std::string out;
+  for (const auto& [name, count] : counts) {
+    if (!out.empty()) out += ", ";
+    out += name + "=" + std::to_string(count);
+  }
+  return out;
+}
+
+void PrintInspection(const std::string& path,
+                     const ctbus::net::TraceFile& trace, bool records) {
+  std::printf("%s: %s protocol=%u dataset=%s records=%zu\n", path.c_str(),
+              ctbus::net::kTraceFormatName,
+              static_cast<unsigned>(ctbus::net::kProtocolVersion),
+              trace.dataset.c_str(), trace.records.size());
+  if (trace.records.empty()) return;
+  double first = trace.records.front().offset_seconds;
+  double last = first;
+  std::map<std::string, int> statuses, priorities, planners;
+  std::set<std::uint64_t> checksums;
+  for (const ctbus::net::TraceRecord& record : trace.records) {
+    first = std::min(first, record.offset_seconds);
+    last = std::max(last, record.offset_seconds);
+    ++statuses[ctbus::net::ResponseStatusName(record.status)];
+    ++priorities[PriorityName(record.request.priority)];
+    ++planners[PlannerName(record.request.planner)];
+    checksums.insert(record.response_checksum);
+  }
+  std::printf("  timeline: %.3fs .. %.3fs\n", first, last);
+  std::printf("  status:   %s\n", Mix(statuses).c_str());
+  std::printf("  priority: %s\n", Mix(priorities).c_str());
+  std::printf("  planner:  %s\n", Mix(planners).c_str());
+  std::printf("  checksums: %zu distinct:", checksums.size());
+  int shown = 0;
+  for (std::uint64_t checksum : checksums) {
+    if (shown++ == 8) break;
+    std::printf("%s %016llx", shown > 1 ? "," : "",
+                static_cast<unsigned long long>(checksum));
+  }
+  if (checksums.size() > 8) std::printf(" (+%zu more)", checksums.size() - 8);
+  std::printf("\n");
+  if (!records) return;
+  std::printf("  %3s %8s %11s %8s %3s %5s %17s %16s\n", "#", "offset", "prio",
+              "planner", "k", "w", "status", "checksum");
+  for (std::size_t i = 0; i < trace.records.size(); ++i) {
+    const ctbus::net::TraceRecord& record = trace.records[i];
+    std::printf("  %3zu %8.3f %11s %8s %3d %5.2f %17s %016llx\n", i,
+                record.offset_seconds, PriorityName(record.request.priority),
+                PlannerName(record.request.planner), record.request.options.k,
+                record.request.options.w,
+                ctbus::net::ResponseStatusName(record.status),
+                static_cast<unsigned long long>(record.response_checksum));
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args = ParseArgs(argc, argv);
+
+  if (!args.inspect_paths.empty()) {
+    bool failed = false;
+    for (const std::string& path : args.inspect_paths) {
+      ctbus::net::TraceFile trace;
+      std::string error;
+      if (ctbus::net::ReadTraceFile(path, &trace, &error)) {
+        PrintInspection(path, trace, args.records);
+      } else {
+        std::fprintf(stderr, "MALFORMED %s\n", error.c_str());
+        failed = true;
+      }
+    }
+    return failed ? 1 : 0;
+  }
 
   // Resolve the target: external server or self-hosted loopback.
   std::unique_ptr<ctbus::net::LoopbackServer> loopback;
