@@ -11,7 +11,10 @@
 // text cold start — any failure exits 1.
 //
 // Emits BENCH_cold_start.json (ctbus-bench-v1) when CTBUS_BENCH_JSON_DIR
-// is set; tools/bench_diff.py tracks the speedup across commits.
+// is set. tools/bench_diff.py tracks the binary restart's time
+// (*_binary_cold_ms, lower is better). The speedup is reported as neutral:
+// it is text time over binary time, so a faster precompute lowers it, and
+// it is gated here as a bound (>= 10x on chicago), not as a trajectory.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -197,7 +200,7 @@ double RunTrial(const std::string& name,
       loaded->transit.num_stops(), loaded_precompute->universe.num_edges());
   report->AddMetric(name + "_text_cold_ms", text_seconds * 1e3, "lower");
   report->AddMetric(name + "_binary_cold_ms", binary_seconds * 1e3, "lower");
-  report->AddMetric(name + "_speedup", speedup, "higher");
+  report->AddMetric(name + "_speedup", speedup, "neutral");
   return speedup;
 }
 

@@ -1,13 +1,14 @@
 // Per-request search time of the three planners a request can name:
 // ETA-Pre and VK-TSP at it_max 500, and online ETA at it_max 2 (its time
-// is local ball solves and the Lemma 4 eigenvalue run, so two iterations
-// already show its cost). Every run plans over one shared PlanningBase on
-// ChicagoLike at CTBUS_SCALE, with perfbench's estimator shapes (online
-// 50x10, precompute 5x5) and the paper's sn = 5000, at k = 4 / 8 / 12 and
-// w = 0.5. The per-request context, PlanningContext::Build(base, options)
-// (the options and the normalization constants), is timed as its own
-// context_k* row; a search's time excludes it but includes the L_e the
-// search builds, and VK-TSP's the sibling context it builds.
+// is local ball solves; its Lemma 4 bound reads the base's spectral radius
+// cap, so two iterations already show its cost). Every run plans over one
+// shared PlanningBase on ChicagoLike at CTBUS_SCALE, with perfbench's
+// estimator shapes (online 50x10, precompute 5x5) and the paper's
+// sn = 5000, at k = 4 / 8 / 12 and w = 0.5. The per-request context,
+// PlanningContext::Build(base, options) (the options and the normalization
+// constants), is timed as its own context_k* row; a search's time excludes
+// it but includes the L_e the search builds, and VK-TSP's the sibling
+// context it builds.
 //
 // Each time is the median of kRuns calls, reported with its quartiles.
 // The objective, the iteration count, the number of seeds pushed and the

@@ -3,8 +3,13 @@
 //   * the Estrada-index bound of De La Peña et al. (loose; Table 3),
 //   * the general bound of Lemma 3 (k arbitrary edges), and
 //   * the path bound of Lemma 4 (k edges forming a simple path).
-// All bounds are expressed in terms of lambda(G_r) and the top eigenvalues
-// of the current adjacency matrix, which Lanczos provides cheaply.
+// Lemmas 3 and 4 are expressed in terms of lambda(G_r) and the top
+// eigenvalues of the current adjacency matrix. Lemma 4 is increasing in
+// each eigenvalue it reads, so it stays an upper bound when they are
+// replaced by upper bounds on them: online ETA feeds it one certified cap
+// on lambda_1 per snapshot (core::SpectralRadiusCap). Lanczos Ritz values
+// sit below the eigenvalues they approximate, so on them either lemma is
+// an estimate of its bound, not a bound (Table 3).
 //
 // Every bound is evaluated in log space (log-sum-exp around the dominant
 // exponent), so the results stay finite and correct when lambda_g or

@@ -422,8 +422,7 @@ class EtaSearch {
   std::vector<double> trace_terms_;
   PlanResult result_;
   double best_objective_ = 0.0;
-  /// Lemma 4's connectivity term of UpperBound; only kOnline reads it, so
-  /// only kOnline pays for its eigenvalue run.
+  /// Lemma 4's connectivity term of UpperBound; only kOnline reads it.
   const double lambda_increment_bound_ =
       mode_ == SearchMode::kOnline
           ? ctx_->PathConnectivityIncrementBound(options_.k)

@@ -1,8 +1,10 @@
 #include "core/planning_context.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -11,8 +13,6 @@
 #include "connectivity/natural_connectivity.h"
 #include "core/parallel_for.h"
 #include "core/timing.h"
-#include "linalg/lanczos.h"
-#include "linalg/rng.h"
 
 namespace ctbus::core {
 
@@ -71,6 +71,63 @@ void SolveAndAnchor(const linalg::SymmetricSparseMatrix& adjacency,
 }
 
 }  // namespace
+
+double SpectralRadiusCap(const linalg::SymmetricSparseMatrix& adjacency) {
+  // Power iteration of (|A| + I) from the all-ones vector: deterministic,
+  // and the shift keeps every iterate strictly positive and makes the
+  // iteration converge on bipartite components too. Any x > 0 certifies
+  // lambda_i(A) <= rho(|A|) <= max_u (|A| x)_u / x_u (Collatz-Wielandt). In
+  // exact arithmetic that maximum never increases along the iteration; the
+  // smallest one seen is kept.
+  constexpr int kMaxIterations = 300;
+  // Stop once the cap is within this relative distance of the Rayleigh
+  // quotient x^T |A| x / x^T x <= rho(|A|): the cap cannot get much tighter.
+  constexpr double kConvergence = 1e-9;
+  // 2^-500 floors x after each renormalization, so an entry that decays
+  // fastest (an isolated stop's) stays a normal, strictly positive number
+  // and never turns a ratio into 0 / 0.
+  const double min_entry = std::ldexp(1.0, -500);
+  const int n = adjacency.dim();
+  int max_degree = 0;
+  for (int u = 0; u < n; ++u) {
+    max_degree = std::max(max_degree, adjacency.RowDegree(u));
+  }
+  std::vector<double> x(n, 1.0);
+  std::vector<double> y(n);
+  double cap = std::numeric_limits<double>::infinity();
+  for (int iteration = 0; iteration < kMaxIterations; ++iteration) {
+    double ratio = 0.0;
+    double xy = 0.0;
+    double xx = 0.0;
+    for (int u = 0; u < n; ++u) {
+      double sum = 0.0;
+      for (const auto& entry : adjacency.Row(u)) {
+        sum += std::abs(entry.value) * x[entry.col];
+      }
+      y[u] = sum;
+      ratio = std::max(ratio, sum / x[u]);
+      xy += x[u] * sum;
+      xx += x[u] * x[u];
+    }
+    cap = std::min(cap, ratio);
+    const double rayleigh = xx > 0.0 ? xy / xx : 0.0;
+    if (cap - rayleigh <= kConvergence * cap) break;
+    double top = 0.0;
+    for (int u = 0; u < n; ++u) {
+      y[u] += x[u];
+      top = std::max(top, y[u]);
+    }
+    const double scale = 1.0 / top;
+    for (int u = 0; u < n; ++u) x[u] = std::max(y[u] * scale, min_entry);
+  }
+  // Round outward. A row's sum of at most max_degree nonnegative products
+  // and the division by x_u carry a relative error below
+  // (max_degree + 1) * DBL_EPSILON / 2; the margin covers it twice over,
+  // and nextafter covers the rounding of the product itself.
+  const double margin = (max_degree + 2) * DBL_EPSILON;
+  return std::nextafter(cap * (1.0 + margin),
+                        std::numeric_limits<double>::infinity());
+}
 
 double Precompute::ConnectivityFromTrace(double trace_increment) const {
   return std::max(0.0, std::log1p(trace_increment / base_trace));
@@ -180,6 +237,7 @@ PlanningBase::PlanningBase(const graph::RoadNetwork& road,
       precompute_(std::move(precompute)),
       adjacency_(transit.AdjacencyMatrix()),
       base_lambda_(std::log(precompute_->base_trace / transit.num_stops())),
+      spectral_radius_cap_(SpectralRadiusCap(adjacency_)),
       demand_list_(precompute_->universe.DemandScores()),
       increment_list_(precompute_->increments) {}
 
@@ -233,14 +291,6 @@ demand::RankedList PlanningContext::BuildObjectiveList() const {
     scores[e] = Objective(universe.edge(e).demand, delta[e]);
   }
   return demand::RankedList(std::move(scores));
-}
-
-std::vector<double> PlanningContext::top_eigenvalues() const {
-  const int n = transit().num_stops();
-  const int needed = std::max(2 * options_.k, 2);
-  linalg::Rng eig_rng(options_.online_estimator.seed ^ 0x9e3779b9ULL);
-  return linalg::TopEigenvalues(base_->adjacency(), std::min(needed, n),
-                                std::min(n, needed + 30), &eig_rng);
 }
 
 double PlanningContext::Objective(double demand,
@@ -297,8 +347,12 @@ double PlanningContext::LinearConnectivityIncrement(
 }
 
 double PlanningContext::PathConnectivityIncrementBound(int k) const {
+  // Lemma 4 weighs e^{lambda_i}, i < (k + 1) / 2, by e^{sigma_i} - 1 > 0, so
+  // capping every such lambda_i at the certified lambda_1 cap keeps the
+  // bound an upper bound.
+  const std::vector<double> capped((k + 1) / 2, base_->spectral_radius_cap());
   const double bound = connectivity::PathUpperBound(
-      base_lambda(), top_eigenvalues(), k, transit().num_stops());
+      base_lambda(), capped, k, transit().num_stops());
   return bound - base_lambda();
 }
 

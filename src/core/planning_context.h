@@ -11,9 +11,10 @@
 // context may serve any number of threads. Every increment, linear or
 // online, is anchored by the one estimated number per snapshot, the
 // precompute's tr_0 (Precompute::ConnectivityFromTrace), so a one-edge
-// path's online increment is its Delta(e) bit for bit. The top
-// eigenvalues behind the Lemma 4 bound are computed on demand, only by
-// online ETA.
+// path's online increment is its Delta(e) bit for bit. The eigenvalue
+// input of online ETA's Lemma 4 bound is one certified cap on lambda_1 per
+// base (SpectralRadiusCap), so a request's bound costs O(k) and runs no
+// eigensolver.
 #ifndef CTBUS_CORE_PLANNING_CONTEXT_H_
 #define CTBUS_CORE_PLANNING_CONTEXT_H_
 
@@ -111,6 +112,16 @@ struct Precompute {
   }
 };
 
+/// A certified upper bound on every eigenvalue of the symmetric
+/// `adjacency` (on rho(|A|), so on lambda_1 of a nonnegative A):
+/// the smallest Collatz-Wielandt ratio max_u (|A| x)_u / x_u over the
+/// positive iterates x of a power iteration of (|A| + I) from the all-ones
+/// vector, rounded outward to cover the floating-point error of the ratios.
+/// Deterministic (no RNG), a pure function of the matrix; stops once the
+/// cap is within 1e-9 relative of the Rayleigh quotient, or after 300
+/// iterations. The smallest positive double for a matrix with no entries.
+double SpectralRadiusCap(const linalg::SymmetricSparseMatrix& adjacency);
+
 /// The request-invariant planning state over one (road, transit,
 /// precompute): everything a context reads that does not depend on k, w,
 /// Tn or sn. Immutable once built, so one instance may back any number of
@@ -119,9 +130,10 @@ struct Precompute {
 /// (service/planning_service.h).
 class PlanningBase {
  public:
-  /// Builds the base adjacency and sorts L_d and L_lambda; estimates
-  /// nothing. `road` and `transit` must outlive the base; `precompute`
-  /// must have been produced for the same (road, transit, tau).
+  /// Builds the base adjacency and its spectral radius cap, and sorts L_d
+  /// and L_lambda; estimates nothing. `road` and `transit` must outlive the
+  /// base; `precompute` must have been produced for the same (road,
+  /// transit, tau).
   static std::shared_ptr<const PlanningBase> Build(
       const graph::RoadNetwork& road, const graph::TransitNetwork& transit,
       std::shared_ptr<const Precompute> precompute);
@@ -132,7 +144,7 @@ class PlanningBase {
     return precompute_;
   }
   /// The transit network's adjacency matrix, built once; it has no
-  /// mutator. Every online increment and the Lemma 4 eigenvalues read it,
+  /// mutator. Every online increment and the spectral radius cap read it,
   /// and its rows are sorted by column, so they depend on the active edge
   /// set, not on the order the transit network added its edges.
   const linalg::SymmetricSparseMatrix& adjacency() const {
@@ -140,6 +152,10 @@ class PlanningBase {
   }
   /// lambda(G_r) = log(tr_0 / n), tr_0 the precompute's base_trace.
   double base_lambda() const { return base_lambda_; }
+  /// SpectralRadiusCap(adjacency()): a proven upper bound on every
+  /// eigenvalue of the base adjacency, computed once per base. Lemma 4's
+  /// eigenvalue input.
+  double spectral_radius_cap() const { return spectral_radius_cap_; }
   /// L_d and L_lambda over universe edge ids.
   const demand::RankedList& demand_list() const { return demand_list_; }
   const demand::RankedList& increment_list() const { return increment_list_; }
@@ -158,6 +174,7 @@ class PlanningBase {
   std::shared_ptr<const Precompute> precompute_;
   linalg::SymmetricSparseMatrix adjacency_;
   double base_lambda_;
+  double spectral_radius_cap_;
   demand::RankedList demand_list_;
   demand::RankedList increment_list_;
 };
@@ -266,12 +283,6 @@ class PlanningContext {
   /// lambda(G_r) = log(tr_0 / n), the base of the Lemma 4 bound.
   double base_lambda() const { return base_->base_lambda(); }
 
-  /// Top eigenvalues of the base adjacency (descending), enough for the
-  /// Lemma 3/4 bounds at options().k. Computed on every call (a 2k + 30
-  /// step Lanczos run seeded from options().online_estimator.seed) on the base's
-  /// adjacency; thread-safe.
-  std::vector<double> top_eigenvalues() const;
-
   const PrecomputeStats& precompute_stats() const {
     return base_->precompute()->stats;
   }
@@ -328,8 +339,10 @@ class PlanningContext {
   double LinearConnectivityIncrement(const std::vector<int>& path_edges) const;
 
   /// Upper bound on the connectivity increment of any path completed to at
-  /// most k edges (Lemma 4, normalized to an increment). Runs
-  /// top_eigenvalues(), so it costs one Lanczos eigenvalue run per call.
+  /// most k edges (Lemma 4, normalized to an increment), with each of its
+  /// (k + 1) / 2 eigenvalues capped at the base's spectral_radius_cap().
+  /// Every term is monotone in its eigenvalue, so the result is at least
+  /// Lemma 4 on the exact eigenvalues. O(k), no eigensolver; thread-safe.
   double PathConnectivityIncrementBound(int k) const;
 
  private:

@@ -2,8 +2,8 @@
 // edges were added in. Chicago at scale 0.5 is rebuilt twice, with its
 // transit edges added in generation order and in reverse; the stops, edge
 // set and routes are the same. The adjacency rows, the precompute's tr_0
-// anchor, the Lemma 4 eigenvalues and the ETA-Pre, VK-TSP and online-ETA
-// routes must then agree bit for bit.
+// anchor, the spectral radius cap and Lemma 4 bound, and the ETA-Pre,
+// VK-TSP and online-ETA routes must then agree bit for bit.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -108,7 +108,12 @@ TEST(EdgeOrderPurityTest, ChicagoPlansDependOnEdgeSetNotEdgeOrder) {
 
   const PlanningContext ctx_a = PlanningContext::Build(base_a, options);
   const PlanningContext ctx_b = PlanningContext::Build(base_b, options);
-  EXPECT_EQ(ctx_a.top_eigenvalues(), ctx_b.top_eigenvalues());
+  EXPECT_EQ(base_a->spectral_radius_cap(), base_b->spectral_radius_cap());
+  for (int k : {2, 8, 30}) {
+    EXPECT_EQ(ctx_a.PathConnectivityIncrementBound(k),
+              ctx_b.PathConnectivityIncrementBound(k))
+        << "k=" << k;
+  }
   {
     SCOPED_TRACE("ETA-Pre");
     ExpectSamePlan(ctx_a, RunEta(&ctx_a, SearchMode::kPrecomputed), ctx_b,

@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <limits>
+#include <utility>
 #include <vector>
 
+#include "connectivity/bounds.h"
 #include "core/baselines.h"
 #include "core/eta.h"
 #include "gen/datasets.h"
+#include "linalg/dense_eigen.h"
+#include "linalg/dense_matrix.h"
+#include "linalg/rng.h"
+#include "tests/matrix_builders.h"
 
 namespace ctbus::core {
 namespace {
@@ -226,11 +235,189 @@ TEST_F(PlanningContextTest, PrecomputeStatsPopulated) {
   EXPECT_GE(stats.increments_seconds, 0.0);
 }
 
-TEST_F(PlanningContextTest, TopEigenvaluesDescending) {
-  const std::vector<double> top = context_->top_eigenvalues();
-  ASSERT_FALSE(top.empty());
-  for (std::size_t i = 0; i + 1 < top.size(); ++i) {
-    EXPECT_GE(top[i], top[i + 1] - 1e-9);
+TEST_F(PlanningContextTest, SpectralRadiusCapFeedsPathBound) {
+  const PlanningBase& base = *context_->base();
+  EXPECT_EQ(base.spectral_radius_cap(), SpectralRadiusCap(base.adjacency()));
+  const int n = context_->transit().num_stops();
+  double previous = 0.0;
+  for (int k = 1; k <= 30; ++k) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    const std::vector<double> capped((k + 1) / 2, base.spectral_radius_cap());
+    const double bound = context_->PathConnectivityIncrementBound(k);
+    EXPECT_EQ(bound, connectivity::PathUpperBound(base.base_lambda(), capped,
+                                                  k, n) -
+                         base.base_lambda());
+    EXPECT_GE(bound, previous);  // a longer path may gain more
+    previous = bound;
+  }
+}
+
+/// Eigenvalues of `a`, descending, from the dense solver, each lowered by
+/// n * DBL_EPSILON * ||A||_inf: a backward-stable solve can land a few ulps
+/// of ||A|| above the true eigenvalue (midtown's lambda_1 comes out one ulp
+/// above the certified cap), and a certified bound need not cover that.
+std::vector<double> DenseDescending(const linalg::SymmetricSparseMatrix& a) {
+  std::vector<double> values =
+      linalg::SymmetricEigenvalues(linalg::DenseMatrix::FromSparse(a));
+  double norm = 0.0;
+  for (int u = 0; u < a.dim(); ++u) {
+    double row = 0.0;
+    for (const auto& entry : a.Row(u)) row += std::abs(entry.value);
+    norm = std::max(norm, row);
+  }
+  const double slack = a.dim() * DBL_EPSILON * norm;
+  for (double& value : values) value -= slack;
+  return {values.rbegin(), values.rend()};
+}
+
+/// A lower bound on lambda_1 of a nonnegative `a`, sharper than the dense
+/// solve: the Rayleigh quotient x^T A x / x^T x <= lambda_1 of 2000 power
+/// iterations, accumulated in long double and lowered by its own rounding
+/// bound. Once the iteration converges it sits a fraction of a double ulp
+/// below lambda_1, so a cap that skipped its outward rounding (midtown's
+/// lands 4e-17 below lambda_1) compares below it in long double.
+long double ExtendedPrecisionLowerBound(
+    const linalg::SymmetricSparseMatrix& a) {
+  const int n = a.dim();
+  std::vector<long double> x(n, 1.0L);
+  std::vector<long double> y(n);
+  long double quotient = 0.0L;
+  for (int iteration = 0; iteration < 2000; ++iteration) {
+    long double xy = 0.0L;
+    long double xx = 0.0L;
+    long double top = 0.0L;
+    for (int u = 0; u < n; ++u) {
+      long double sum = 0.0L;
+      for (const auto& entry : a.Row(u)) sum += entry.value * x[entry.col];
+      xy += x[u] * sum;
+      xx += x[u] * x[u];
+      y[u] = sum + x[u];
+      top = std::max(top, y[u]);
+    }
+    quotient = xy / xx;
+    for (int u = 0; u < n; ++u) x[u] = y[u] / top;
+  }
+  return quotient * (1.0L - 4 * n * LDBL_EPSILON);
+}
+
+/// Lemma 4 on the dense-exact eigenvalues is the value the certified bound
+/// must never undercut, at every k.
+void ExpectPathBoundCertified(const PlanningContext& context) {
+  const PlanningBase& base = *context.base();
+  const std::vector<double> exact = DenseDescending(base.adjacency());
+  ASSERT_FALSE(exact.empty());
+  EXPECT_GE(base.spectral_radius_cap(), exact.front());
+  EXPECT_GE(static_cast<long double>(base.spectral_radius_cap()),
+            ExtendedPrecisionLowerBound(base.adjacency()));
+  for (int k : {2, 4, 8, 12, 30}) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    const double lemma4 =
+        connectivity::PathUpperBound(base.base_lambda(), exact, k,
+                                     base.adjacency().dim()) -
+        base.base_lambda();
+    EXPECT_GE(context.PathConnectivityIncrementBound(k), lemma4);
+  }
+}
+
+TEST_F(PlanningContextTest, PathBoundIsCertifiedAgainstDenseEigenvalues) {
+  ExpectPathBoundCertified(*context_);
+}
+
+TEST(PlanningBoundTest, PathBoundIsCertifiedOnChicago) {
+  const gen::Dataset city = gen::MakeChicagoLike(0.5);
+  const PlanningContext context =
+      PlanningContext::Build(city.road, city.transit, FastOptions());
+  ExpectPathBoundCertified(context);
+}
+
+TEST_F(PlanningContextTest, PathBoundIgnoresTheOnlineEstimatorSeed) {
+  CtBusOptions first = FastOptions();
+  CtBusOptions second = FastOptions();
+  second.online_estimator.seed = first.online_estimator.seed + 1000;
+  const PlanningContext a = PlanningContext::BuildWithPrecompute(
+      dataset_->road, dataset_->transit, first, context_->SharePrecompute());
+  const PlanningContext b = PlanningContext::BuildWithPrecompute(
+      dataset_->road, dataset_->transit, second, context_->SharePrecompute());
+  ASSERT_NE(a.base(), b.base());
+  EXPECT_EQ(a.base()->spectral_radius_cap(), b.base()->spectral_radius_cap());
+  for (int k : {2, 4, 8, 12, 30}) {
+    EXPECT_EQ(a.PathConnectivityIncrementBound(k),
+              b.PathConnectivityIncrementBound(k))
+        << "k=" << k;
+  }
+}
+
+/// Pairs of the path over stops first, first + 1, ..., first + stops - 1.
+std::vector<std::pair<int, int>> PathPairs(int first, int stops) {
+  std::vector<std::pair<int, int>> pairs;
+  for (int i = 0; i + 1 < stops; ++i) {
+    pairs.emplace_back(first + i, first + i + 1);
+  }
+  return pairs;
+}
+
+/// Pairs of the star with centre `centre` and `leaves` leaves after it.
+std::vector<std::pair<int, int>> StarPairs(int centre, int leaves) {
+  std::vector<std::pair<int, int>> pairs;
+  for (int i = 1; i <= leaves; ++i) pairs.emplace_back(centre, centre + i);
+  return pairs;
+}
+
+TEST(SpectralRadiusCapTest, BoundsKnownSpectraTightly) {
+  const double pi = std::acos(-1.0);
+  struct Case {
+    const char* name;
+    linalg::SymmetricSparseMatrix matrix;
+    double lambda_1;
+  };
+  std::vector<std::pair<int, int>> cycle8 = PathPairs(0, 8);
+  cycle8.emplace_back(7, 0);
+  std::vector<std::pair<int, int>> cycle7 = PathPairs(0, 7);
+  cycle7.emplace_back(6, 0);
+  // P_6 on stops 0-5, K_{1,3} on stops 6-9, stop 10 isolated.
+  std::vector<std::pair<int, int>> parts = PathPairs(0, 6);
+  for (const auto& pair : StarPairs(6, 3)) parts.push_back(pair);
+  const std::vector<Case> cases = {
+      {"path P_8", testutil::FromPairs(8, PathPairs(0, 8)),
+       2.0 * std::cos(pi / 9.0)},
+      {"path P_2", testutil::FromPairs(2, PathPairs(0, 2)), 1.0},
+      {"star K_{1,5}", testutil::FromPairs(6, StarPairs(0, 5)),
+       std::sqrt(5.0)},
+      {"even cycle C_8", testutil::FromPairs(8, cycle8), 2.0},
+      {"odd cycle C_7", testutil::FromPairs(7, cycle7), 2.0},
+      {"P_6 + K_{1,3} + an isolated stop", testutil::FromPairs(11, parts),
+       2.0 * std::cos(pi / 7.0)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const double cap = SpectralRadiusCap(c.matrix);
+    EXPECT_TRUE(std::isfinite(cap));
+    EXPECT_GE(cap, c.lambda_1);
+    EXPECT_LE(cap, c.lambda_1 * (1.0 + 1e-6));
+  }
+}
+
+TEST(SpectralRadiusCapTest, EdgelessAndEmptyGraphsCapAtZero) {
+  for (int n : {0, 1, 5}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    const double cap = SpectralRadiusCap(testutil::FromPairs(n, {}));
+    EXPECT_GE(cap, 0.0);
+    EXPECT_LE(cap, std::numeric_limits<double>::denorm_min());
+  }
+}
+
+TEST(SpectralRadiusCapTest, BoundsRandomGraphsAtTheIterationCap) {
+  // Sparse random graphs with many components and isolated stops: the
+  // iteration need not converge, the cap must still hold.
+  linalg::Rng rng(17);
+  for (double degree : {0.8, 2.0, 4.0}) {
+    SCOPED_TRACE(::testing::Message() << "degree=" << degree);
+    const linalg::SymmetricSparseMatrix a =
+        testutil::RandomGraph(300, degree, &rng);
+    const std::vector<double> exact = DenseDescending(a);
+    const double cap = SpectralRadiusCap(a);
+    EXPECT_TRUE(std::isfinite(cap));
+    EXPECT_GE(cap, exact.front());
   }
 }
 
@@ -282,7 +469,8 @@ TEST_F(PlanningContextTest, SharedBaseIsBitIdenticalToPerRequestBuild) {
         ASSERT_EQ(shared_list.ValueOf(e), fresh_list.ValueOf(e))
             << "edge " << e;
       }
-      EXPECT_EQ(shared.top_eigenvalues(), fresh.top_eigenvalues());
+      EXPECT_EQ(shared.base()->spectral_radius_cap(),
+                fresh.base()->spectral_radius_cap());
       EXPECT_EQ(shared.PathConnectivityIncrementBound(k),
                 fresh.PathConnectivityIncrementBound(k));
       EXPECT_EQ(shared.OnlineConnectivityIncrement(route),
