@@ -15,6 +15,14 @@
 // (*_binary_cold_ms, lower is better). The speedup is reported as neutral:
 // it is text time over binary time, so a faster precompute lowers it, and
 // it is gated here as a bound (>= 10x on chicago), not as a trajectory.
+//
+// Set-up starts before any of that: the server generates its preset.
+// chicago_generate_ms_threads_{1,2} time gen::MakeChicagoLike at 1 and 2
+// threads (median of kGenerateRuns, with _p25/_p75), and every run must
+// rebuild the same city bit for bit (exit 1 otherwise). The city itself is
+// pinned by two checksums: its trip total and bench::DatasetFingerprint
+// folded to 32 bits, so the value is exact in a JSON double.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -57,6 +65,39 @@ std::uint64_t PlanChecksum(const std::string& dataset,
   result.request.options = options;
   result.stats.snapshot_version = 1;
   return ctbus::net::ResponseChecksum(ctbus::net::MakeOkResponse(1, result));
+}
+
+constexpr int kGenerateRuns = 5;
+
+/// Times kGenerateRuns gen::MakeChicagoLike builds at `threads` into
+/// chicago_generate_ms_threads_<threads> (median, _p25, _p75). Exits 1 if
+/// a build's fingerprint differs from `fingerprint`.
+void TimeGeneration(double scale, int threads, std::uint64_t fingerprint,
+                    ctbus::bench::BenchReport* report) {
+  std::vector<double> ms;
+  for (int run = 0; run < kGenerateRuns; ++run) {
+    ctbus::bench::Stopwatch watch;
+    const ctbus::gen::Dataset city =
+        ctbus::gen::MakeChicagoLike(scale, threads);
+    ms.push_back(watch.Seconds() * 1e3);
+    if (ctbus::bench::DatasetFingerprint(city) != fingerprint) {
+      std::fprintf(stderr,
+                   "cold_start: chicago generated at %d threads differs "
+                   "from the 1-thread city\n",
+                   threads);
+      std::exit(1);
+    }
+  }
+  using ctbus::bench::Quantile;
+  std::printf("generate  chicago at %d thread(s): p25 %8.2f  median %8.2f  "
+              "p75 %8.2f ms\n",
+              threads, Quantile(ms, 0.25), Quantile(ms, 0.5),
+              Quantile(ms, 0.75));
+  const std::string key =
+      "chicago_generate_ms_threads_" + std::to_string(threads);
+  report->AddMetric(key, Quantile(ms, 0.5), "lower");
+  report->AddMetric(key + "_p25", Quantile(ms, 0.25), "lower");
+  report->AddMetric(key + "_p75", Quantile(ms, 0.75), "lower");
 }
 
 /// One dataset's cold-start trial. Returns the binary-vs-text speedup, or
@@ -217,6 +258,15 @@ int main() {
       ctbus::gen::MakeChicagoLike(ctbus::bench::GetScale());
   ctbus::bench::PrintDataset(chicago);
   report.AddDataset(chicago);
+  const std::uint64_t fingerprint = ctbus::bench::DatasetFingerprint(chicago);
+  report.AddChecksum("chicago_generate_trips",
+                     static_cast<double>(chicago.num_trips));
+  report.AddChecksum(
+      "chicago_generate_fnv32",
+      static_cast<double>((fingerprint ^ (fingerprint >> 32)) & 0xffffffffu));
+  for (const int threads : {1, 2}) {
+    TimeGeneration(ctbus::bench::GetScale(), threads, fingerprint, &report);
+  }
   ctbus::core::CtBusOptions chicago_options = ctbus::bench::BenchOptions();
   const double chicago_speedup = RunTrial(
       "chicago", chicago.road, chicago.transit, chicago_options, &report);

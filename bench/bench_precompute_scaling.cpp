@@ -21,9 +21,9 @@
 
 #include "bench/bench_util.h"
 #include "core/eta.h"
-#include "core/parallel_for.h"
 #include "core/planning_context.h"
 #include "gen/datasets.h"
+#include "linalg/parallel_for.h"
 #include "service/snapshot_store.h"
 
 namespace {
@@ -54,7 +54,7 @@ void ThreadScalingSection(const ctbus::gen::Dataset& city,
                           ctbus::core::CtBusOptions options,
                           ctbus::bench::BenchReport* report) {
   std::printf("-- thread scaling --\n");
-  const int hw = ctbus::core::ResolveThreadCount(0);
+  const int hw = ctbus::linalg::ResolveThreadCount(0);
   std::vector<int> thread_counts = {1, 2, 4};
   if (std::find(thread_counts.begin(), thread_counts.end(), hw) ==
       thread_counts.end()) {

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -29,6 +30,8 @@
 #include "core/planning_context.h"
 #include "core/timing.h"
 #include "gen/datasets.h"
+#include "graph/transit_network.h"
+#include "io/bytes.h"
 #include "io/parse.h"
 #include "obs/json.h"
 
@@ -116,6 +119,26 @@ inline void PrintHeader(const char* experiment, const char* paper_claim) {
   std::printf("=== %s ===\n", experiment);
   std::printf("paper: %s\n", paper_claim);
   std::printf("scale: %.2f (set CTBUS_SCALE to change)\n\n", GetScale());
+}
+
+/// FNV-1a-64 over what trip and transit generation decide: every road
+/// edge's trip count, then every transit edge's stop pair and road edges.
+/// Pins a generated city bit for bit (gen_datasets_test, bench_cold_start).
+inline std::uint64_t DatasetFingerprint(const gen::Dataset& d) {
+  std::vector<std::uint8_t> bytes;
+  for (int e = 0; e < d.road.graph().num_edges(); ++e) {
+    io::AppendI64(&bytes, d.road.trip_count(e));
+  }
+  for (int e = 0; e < d.transit.num_edges(); ++e) {
+    const graph::TransitNetwork::Edge& edge = d.transit.edge(e);
+    io::AppendI32(&bytes, edge.u);
+    io::AppendI32(&bytes, edge.v);
+    io::AppendU32(&bytes, static_cast<std::uint32_t>(edge.road_edges.size()));
+    for (const int road_edge : edge.road_edges) {
+      io::AppendI32(&bytes, road_edge);
+    }
+  }
+  return io::Fnv1a64(bytes.data(), bytes.size());
 }
 
 inline void PrintDataset(const gen::Dataset& d) {

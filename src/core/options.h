@@ -60,7 +60,9 @@ struct CtBusOptions {
   /// result is bit-identical at any thread count (the shards share the
   /// immutable adjacency and each local increment is a pure function of
   /// its edge's ball; see docs/PRECOMPUTE.md), so this knob is
-  /// deliberately NOT part of the precompute cache key.
+  /// deliberately NOT part of the precompute cache key. It is not on the
+  /// wire: service::PlanningService sets it to its per-shard worker count
+  /// on every cache miss.
   /// ctbus-lint: key-exempt(bit-identical at any thread count — keying would fragment the cache)
   int precompute_threads = 1;
 

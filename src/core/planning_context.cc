@@ -11,8 +11,8 @@
 #include "connectivity/bounds.h"
 #include "connectivity/local_increment.h"
 #include "connectivity/natural_connectivity.h"
-#include "core/parallel_for.h"
 #include "core/timing.h"
+#include "linalg/parallel_for.h"
 
 namespace ctbus::core {
 
@@ -50,18 +50,20 @@ void SolveAndAnchor(const linalg::SymmetricSparseMatrix& adjacency,
                     const CtBusOptions& options, const std::vector<int>& todo,
                     Precompute* pre) {
   const int threads =
-      std::max(1, std::min(ResolveThreadCount(options.precompute_threads),
-                           static_cast<int>(todo.size())));
+      std::max(1, std::min(linalg::ResolveThreadCount(
+                                   options.precompute_threads),
+                               static_cast<int>(todo.size())));
   const std::vector<std::pair<int, int>> none;
-  ParallelFor(static_cast<int>(todo.size()), threads,
-              [&](int /*shard*/, int begin, int end) {
-                for (int i = begin; i < end; ++i) {
-                  const PlannableEdge& edge = pre->universe.edge(todo[i]);
-                  pre->trace_increments[todo[i]] =
-                      connectivity::LocalTraceIncrement(adjacency, none,
-                                                        edge.u, edge.v);
-                }
-              });
+  linalg::ParallelFor(
+      static_cast<int>(todo.size()), threads,
+      [&](int /*shard*/, int begin, int end) {
+        for (int i = begin; i < end; ++i) {
+          const PlannableEdge& edge = pre->universe.edge(todo[i]);
+          pre->trace_increments[todo[i]] =
+              connectivity::LocalTraceIncrement(adjacency, none, edge.u,
+                                                edge.v);
+        }
+      });
   pre->stats.num_increments_recomputed = static_cast<int>(todo.size());
   pre->stats.threads_used = threads;
   const connectivity::ConnectivityEstimator estimator(

@@ -17,12 +17,13 @@ namespace {
 
 Dataset Assemble(std::string name, const CityOptions& city,
                  const TransitOptions& transit_options,
-                 const TripOptions& trip_options) {
+                 const TripOptions& trip_options, int num_threads) {
   Dataset dataset;
   dataset.name = std::move(name);
   dataset.road = GenerateCity(city);
   dataset.transit = GenerateTransit(dataset.road, transit_options);
-  dataset.num_trips = GenerateDemand(trip_options, &dataset.road);
+  dataset.num_trips =
+      GenerateDemand(trip_options, &dataset.road, num_threads);
   return dataset;
 }
 
@@ -32,7 +33,7 @@ int Scaled(int base, double scale) {
 
 }  // namespace
 
-Dataset MakeMidtown() {
+Dataset MakeMidtown(int num_threads) {
   CityOptions city;
   city.grid_width = 10;
   city.grid_height = 10;
@@ -52,10 +53,10 @@ Dataset MakeMidtown() {
   trips.hotspot_stddev = 200.0;
   trips.seed = 103;
 
-  return Assemble("midtown", city, transit, trips);
+  return Assemble("midtown", city, transit, trips, num_threads);
 }
 
-Dataset MakeChicagoLike(double scale) {
+Dataset MakeChicagoLike(double scale, int num_threads) {
   const double side = std::sqrt(scale);
   CityOptions city;
   city.grid_width = Scaled(76, side);
@@ -80,10 +81,10 @@ Dataset MakeChicagoLike(double scale) {
   trips.hotspot_weight = 0.75;
   trips.seed = 203;
 
-  return Assemble("chicago_like", city, transit, trips);
+  return Assemble("chicago_like", city, transit, trips, num_threads);
 }
 
-Dataset MakeNycLike(double scale) {
+Dataset MakeNycLike(double scale, int num_threads) {
   const double side = std::sqrt(scale);
   CityOptions city;
   city.grid_width = Scaled(88, side);
@@ -108,10 +109,10 @@ Dataset MakeNycLike(double scale) {
   trips.hotspot_weight = 0.7;
   trips.seed = 303;
 
-  return Assemble("nyc_like", city, transit, trips);
+  return Assemble("nyc_like", city, transit, trips, num_threads);
 }
 
-Dataset MakeBorough(Borough borough, double scale) {
+Dataset MakeBorough(Borough borough, double scale, int num_threads) {
   const double side = std::sqrt(scale);
   CityOptions city;
   TransitOptions transit;
@@ -195,7 +196,7 @@ Dataset MakeBorough(Borough borough, double scale) {
       trips.seed = 443;
       break;
   }
-  return Assemble(std::move(name), city, transit, trips);
+  return Assemble(std::move(name), city, transit, trips, num_threads);
 }
 
 std::vector<Dataset> AllBoroughs(double scale) {
@@ -230,23 +231,33 @@ namespace {
 // HasDataset, and MakeDatasetByName all read this table.
 struct PresetEntry {
   const char* name;
-  Dataset (*make)(double scale);
+  Dataset (*make)(double scale, int num_threads);
 };
 
 constexpr PresetEntry kPresets[] = {
-    {"midtown", [](double) { return MakeMidtown(); }},
-    {"chicago", [](double scale) { return MakeChicagoLike(scale); }},
-    {"nyc", [](double scale) { return MakeNycLike(scale); }},
+    {"midtown", [](double, int threads) { return MakeMidtown(threads); }},
+    {"chicago", MakeChicagoLike},
+    {"nyc", MakeNycLike},
     {"manhattan",
-     [](double scale) { return MakeBorough(Borough::kManhattan, scale); }},
+     [](double scale, int threads) {
+       return MakeBorough(Borough::kManhattan, scale, threads);
+     }},
     {"queens",
-     [](double scale) { return MakeBorough(Borough::kQueens, scale); }},
+     [](double scale, int threads) {
+       return MakeBorough(Borough::kQueens, scale, threads);
+     }},
     {"brooklyn",
-     [](double scale) { return MakeBorough(Borough::kBrooklyn, scale); }},
+     [](double scale, int threads) {
+       return MakeBorough(Borough::kBrooklyn, scale, threads);
+     }},
     {"staten_island",
-     [](double scale) { return MakeBorough(Borough::kStatenIsland, scale); }},
+     [](double scale, int threads) {
+       return MakeBorough(Borough::kStatenIsland, scale, threads);
+     }},
     {"bronx",
-     [](double scale) { return MakeBorough(Borough::kBronx, scale); }},
+     [](double scale, int threads) {
+       return MakeBorough(Borough::kBronx, scale, threads);
+     }},
 };
 
 }  // namespace
@@ -265,9 +276,10 @@ bool HasDataset(const std::string& name) {
   return false;
 }
 
-Dataset MakeDatasetByName(const std::string& name, double scale) {
+Dataset MakeDatasetByName(const std::string& name, double scale,
+                          int num_threads) {
   for (const PresetEntry& preset : kPresets) {
-    if (name == preset.name) return preset.make(scale);
+    if (name == preset.name) return preset.make(scale, num_threads);
   }
   throw std::invalid_argument("unknown dataset preset: " + name);
 }

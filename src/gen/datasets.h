@@ -6,6 +6,10 @@
 // 12.3k stops; the presets default to roughly 1/20 of that so the entire
 // bench suite reruns in minutes. Pass `scale` > 1 (or set the CTBUS_SCALE
 // environment variable in the benches) to grow toward paper scale.
+//
+// `num_threads` (default 1; <= 0 means hardware concurrency) bounds the trip
+// generator's tree fan-out (gen/trip_generator.h). A preset is
+// bit-identical at any value; the planning service passes its worker count.
 #ifndef CTBUS_GEN_DATASETS_H_
 #define CTBUS_GEN_DATASETS_H_
 
@@ -30,13 +34,13 @@ struct Dataset {
 
 /// Tiny fixture (~100 road vertices, 4 routes) for unit tests and the
 /// quickstart example. Finishes any algorithm in milliseconds.
-Dataset MakeMidtown();
+Dataset MakeMidtown(int num_threads = 1);
 
 /// Chicago-like preset: compact, lakeside-biased route structure.
-Dataset MakeChicagoLike(double scale = 1.0);
+Dataset MakeChicagoLike(double scale = 1.0, int num_threads = 1);
 
 /// NYC-like preset: larger, denser, more routes.
-Dataset MakeNycLike(double scale = 1.0);
+Dataset MakeNycLike(double scale = 1.0, int num_threads = 1);
 
 /// The five NYC boroughs of Table 6, as independent sub-city presets with
 /// distinct densities and route counts.
@@ -48,7 +52,8 @@ enum class Borough {
   kBronx,
 };
 
-Dataset MakeBorough(Borough borough, double scale = 1.0);
+Dataset MakeBorough(Borough borough, double scale = 1.0,
+                    int num_threads = 1);
 
 /// All five boroughs in Table 6 order.
 std::vector<Dataset> AllBoroughs(double scale = 1.0);
@@ -67,7 +72,8 @@ bool HasDataset(const std::string& name);
 
 /// Builds the named preset (throws std::invalid_argument for an unknown
 /// name). `scale` is ignored by "midtown", which has a fixed size.
-Dataset MakeDatasetByName(const std::string& name, double scale = 1.0);
+Dataset MakeDatasetByName(const std::string& name, double scale = 1.0,
+                          int num_threads = 1);
 
 }  // namespace ctbus::gen
 

@@ -1,11 +1,14 @@
-// Shortest-path algorithms over Graph: Dijkstra (full tree and early-exit
-// point-to-point) and BFS hop counts. Used to realize candidate transit
+// Shortest-path algorithms over Graph: Dijkstra (full tree, bounded,
+// early-exit point-to-point, and a reusable search that stops once a set of
+// targets is settled) and BFS hop counts. Used to realize candidate transit
 // edges as road paths, to convert trips into trajectories, and by the
 // transfer-convenience metrics.
 #ifndef CTBUS_GRAPH_SHORTEST_PATH_H_
 #define CTBUS_GRAPH_SHORTEST_PATH_H_
 
+#include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -28,6 +31,38 @@ struct Path {
   std::vector<int> vertices;
   std::vector<int> edges;
   double length = 0.0;
+};
+
+/// Single-source Dijkstra over one graph that keeps its tree storage from
+/// run to run, so a caller growing many trees (one per trip origin) sizes
+/// it once, on the constructing thread. Every Dijkstra entry point below
+/// runs on it.
+/// Not thread-safe: give each thread its own search.
+class DijkstraSearch {
+ public:
+  explicit DijkstraSearch(const Graph& g);
+
+  /// Grows the tree from `source`, settling vertices in order of distance,
+  /// and stops once every vertex in `targets` is settled (an empty list
+  /// settles the whole component) or the next vertex to settle lies
+  /// beyond `max_dist`. A settled vertex's dist and parents are final and
+  /// equal Dijkstra(g, source)'s: a full run performs the same heap
+  /// operations up to that point, ties included. Vertices left unsettled
+  /// keep a tentative distance or +inf.
+  void Run(int source, const std::vector<int>& targets = {},
+           double max_dist = std::numeric_limits<double>::infinity());
+
+  /// The tree of the last Run.
+  const ShortestPathTree& tree() const { return tree_; }
+  /// Moves the last Run's tree out; Run may be called again afterwards.
+  ShortestPathTree TakeTree() { return std::move(tree_); }
+
+ private:
+  const Graph* graph_;
+  ShortestPathTree tree_;
+  /// pending_[v] != 0 while target v is unsettled; all zero between runs.
+  /// Sized by the first run that has targets.
+  std::vector<char> pending_;
 };
 
 /// Full Dijkstra from `source` using edge lengths.

@@ -1,4 +1,4 @@
-// Deterministic fork-join parallelism for the planner's precompute loop.
+// Deterministic fork-join parallelism for the precompute and trip loops.
 //
 // ParallelFor statically partitions [0, n) into min(num_threads, n)
 // contiguous shards, runs shard 0 on the caller and every other shard on
@@ -6,11 +6,14 @@
 // returning. The partition depends only on (n, num_threads), never on
 // scheduling, so a caller that gives every shard its own scratch state
 // and writes each result into its own slot gets output that is
-// bit-identical to a serial run at any thread count. Its one user is
-// PlanningContext::RunPrecompute's Delta(e) loop (see docs/PRECOMPUTE.md
-// for the determinism contract); the ETA search itself is serial.
-#ifndef CTBUS_CORE_PARALLEL_FOR_H_
-#define CTBUS_CORE_PARALLEL_FOR_H_
+// bit-identical to a serial run at any thread count. Its two users are the
+// Delta(e) loop of PlanningContext::RunPrecompute / DerivePrecompute (see
+// docs/PRECOMPUTE.md for the determinism contract) and the trip trees of
+// gen::GenerateTrips / GenerateDemand (see gen/trip_generator.h). It lives
+// in linalg, the bottom layer, so both ctbus_core and ctbus_gen reach it;
+// the ETA search itself is serial.
+#ifndef CTBUS_LINALG_PARALLEL_FOR_H_
+#define CTBUS_LINALG_PARALLEL_FOR_H_
 
 #include <algorithm>
 #include <exception>
@@ -18,12 +21,13 @@
 #include <thread>
 #include <vector>
 
-namespace ctbus::core {
+namespace ctbus::linalg {
 
 /// Resolves a user-facing thread-count knob: values >= 1 pass through,
 /// anything else (0 or negative) means std::thread::hardware_concurrency()
 /// (minimum 1). Every thread count in the repo (ServiceOptions::num_threads,
-/// CtBusOptions::precompute_threads) resolves through this one rule.
+/// CtBusOptions::precompute_threads, the trip generator's num_threads)
+/// resolves through this one rule.
 inline int ResolveThreadCount(int requested) {
   if (requested >= 1) return requested;
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
@@ -68,6 +72,6 @@ inline void ParallelFor(int n, int num_threads,
   }
 }
 
-}  // namespace ctbus::core
+}  // namespace ctbus::linalg
 
-#endif  // CTBUS_CORE_PARALLEL_FOR_H_
+#endif  // CTBUS_LINALG_PARALLEL_FOR_H_

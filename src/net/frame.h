@@ -33,8 +33,9 @@
 // precompute_threads and trace_every are deliberately NOT on the wire:
 // the precompute is bit-identical at any thread count (core/options.h),
 // so a client cannot make two servers disagree by sending different
-// values. The server runs each precompute with the default
-// precompute_threads (serial) and never records a convergence trace.
+// values. The server runs each precompute on as many threads as a dataset
+// shard has workers (--threads, ServiceOptions::num_threads) and never
+// records a convergence trace.
 #ifndef CTBUS_NET_FRAME_H_
 #define CTBUS_NET_FRAME_H_
 

@@ -116,7 +116,8 @@ bool CheckOneSource(const DatasetDescriptor& descriptor, std::string* error) {
 }  // namespace
 
 std::optional<DatasetNetworks> BuildDatasetNetworks(
-    const DatasetDescriptor& descriptor, std::string* error) {
+    const DatasetDescriptor& descriptor, std::string* error,
+    int num_threads) {
   if (!CheckOneSource(descriptor, error)) return std::nullopt;
   DatasetNetworks networks;
   if (!descriptor.preset.empty()) {
@@ -125,8 +126,8 @@ std::optional<DatasetNetworks> BuildDatasetNetworks(
                       "' (see gen::DatasetNames())");
       return std::nullopt;
     }
-    gen::Dataset dataset =
-        gen::MakeDatasetByName(descriptor.preset, descriptor.preset_scale);
+    gen::Dataset dataset = gen::MakeDatasetByName(
+        descriptor.preset, descriptor.preset_scale, num_threads);
     networks.road = std::move(dataset.road);
     networks.transit = std::move(dataset.transit);
     return networks;
@@ -197,7 +198,8 @@ std::optional<DatasetManifest> DatasetCatalog::Register(
       Fail(error, prefix + build_error);
       return std::nullopt;
     }
-  } else if (auto built = BuildDatasetNetworks(descriptor, &build_error)) {
+  } else if (auto built = BuildDatasetNetworks(descriptor, &build_error,
+                                               service_->num_threads())) {
     networks = std::move(*built);
   } else {
     Fail(error, prefix + build_error);

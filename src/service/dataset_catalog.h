@@ -112,17 +112,20 @@ struct DatasetNetworks {
 /// `ctbus_snapshot build`: the preset, or the road/transit files with
 /// every cross-reference checked and the optional trip CSV aggregated.
 /// Reads only the source fields (name, snapshot_path and retention are
-/// ignored). On failure returns nullopt and sets *error (when non-null)
-/// to a diagnostic.
+/// ignored). A preset's trip trees fan out over `num_threads`
+/// (gen::MakeDatasetByName; the networks do not depend on it). On failure
+/// returns nullopt and sets *error (when non-null) to a diagnostic.
 std::optional<DatasetNetworks> BuildDatasetNetworks(
-    const DatasetDescriptor& descriptor, std::string* error = nullptr);
+    const DatasetDescriptor& descriptor, std::string* error = nullptr,
+    int num_threads = 1);
 
 class DatasetCatalog {
  public:
   /// The service must outlive the catalog.
   explicit DatasetCatalog(PlanningService* service) : service_(service) {}
 
-  /// Builds, validates and registers `descriptor` into the service.
+  /// Builds, validates and registers `descriptor` into the service. A
+  /// preset is generated on the service's per-shard thread count.
   /// Returns the manifest on success; on failure returns nullopt, sets
   /// *error (when non-null) to a diagnostic message, and leaves the
   /// service unchanged.

@@ -4,10 +4,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/parallel_for.h"
 #include "core/timing.h"
 #include "gen/datasets.h"
 #include "io/snapshot.h"
+#include "linalg/parallel_for.h"
 
 namespace ctbus::service {
 
@@ -62,7 +62,7 @@ PlanningService::PlanningService(const ServiceOptions& options)
       latency_[p].total = metrics_.GetHistogram(kPhaseNames[p][4]);
     }
   }
-  threads_per_shard_ = core::ResolveThreadCount(options.num_threads);
+  threads_per_shard_ = linalg::ResolveThreadCount(options.num_threads);
 }
 
 PlanningService::~PlanningService() { Shutdown(); }
@@ -110,7 +110,8 @@ void PlanningService::RegisterDataset(
 }
 
 void PlanningService::RegisterPreset(const std::string& name, double scale) {
-  gen::Dataset dataset = gen::MakeDatasetByName(name, scale);
+  gen::Dataset dataset =
+      gen::MakeDatasetByName(name, scale, threads_per_shard_);
   RegisterDataset(name, std::move(dataset.road), std::move(dataset.transit));
 }
 
@@ -329,6 +330,10 @@ PrecomputeCache::PrecomputePtr PlanningService::ResolvePrecompute(
   const auto precompute = cache_.GetOrCompute(
       key,
       [&]() -> core::Precompute {
+        // A miss fans out over as many threads as the shard has workers;
+        // the precompute is bit-identical at any thread count.
+        core::CtBusOptions sharded = options;
+        sharded.precompute_threads = threads_per_shard_;
         // Warm start from the nearest resident ancestor: derivation is
         // exact (DerivePrecompute equals RunPrecompute bit for bit), so
         // the only criterion is the smallest delta, i.e. the closest donor.
@@ -341,10 +346,10 @@ PrecomputeCache::PrecomputePtr PlanningService::ResolvePrecompute(
           if (!delta.has_value()) continue;
           was_derived = true;
           return core::PlanningContext::DerivePrecompute(
-              *snapshot.road, *snapshot.transit, options, *donor, *delta);
+              *snapshot.road, *snapshot.transit, sharded, *donor, *delta);
         }
         return core::PlanningContext::RunPrecompute(
-            *snapshot.road, *snapshot.transit, options);
+            *snapshot.road, *snapshot.transit, sharded);
       },
       &was_hit,
       // Lazy content fingerprint for the disk-spill path: snapshot

@@ -122,7 +122,11 @@ enum class OverflowPolicy {
 struct ServiceOptions {
   /// Worker pool size *per dataset shard*. Every RegisterDataset call
   /// spawns this many dedicated workers for that dataset. 0 means
-  /// std::thread::hardware_concurrency().
+  /// std::thread::hardware_concurrency(). The same count bounds set-up:
+  /// RegisterPreset (and DatasetCatalog's preset path) grows the trip
+  /// trees on this many threads, and a precompute cache miss runs with
+  /// CtBusOptions::precompute_threads set to it. Results do not depend on
+  /// it.
   /// ctbus-lint: key-exempt(service topology knob; requests are keyed per dataset+options, not per pool size)
   int num_threads = 1;
   /// Bounded request queue per shard (interactive + sweep combined);
@@ -196,7 +200,8 @@ struct PlanRequest {
   /// (tau and the precompute estimator) feed the cache key,
   /// the sweepables (k, w, Tn, sn, planner variant toggles) stay free, and
   /// precompute_threads is excluded from the key because the precompute is
-  /// bit-identical at any thread count (core/options.h).
+  /// bit-identical at any thread count (core/options.h); the service
+  /// replaces it with ServiceOptions::num_threads.
   core::CtBusOptions options;
   core::Planner planner = core::Planner::kEtaPre;
   /// Snapshot to plan against; 0 = latest at execution time.
@@ -263,7 +268,8 @@ class PlanningService {
                        graph::TransitNetwork transit,
                        const SnapshotRetentionPolicy& retention);
 
-  /// Registers a gen:: preset by registry name (see gen::DatasetNames()).
+  /// Registers a gen:: preset by registry name (see gen::DatasetNames()),
+  /// generated on num_threads() threads.
   void RegisterPreset(const std::string& name, double scale = 1.0);
 
   bool HasDataset(const std::string& name) const CTBUS_EXCLUDES(datasets_mu_);

@@ -1,4 +1,4 @@
-#include "core/parallel_for.h"
+#include "linalg/parallel_for.h"
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-namespace ctbus::core {
+namespace ctbus::linalg {
 namespace {
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
@@ -94,4 +94,4 @@ TEST(ResolveThreadCountTest, PositivePassesThroughZeroMeansHardware) {
 }
 
 }  // namespace
-}  // namespace ctbus::core
+}  // namespace ctbus::linalg

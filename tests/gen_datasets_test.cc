@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+
+#include "bench/bench_util.h"
+
 namespace ctbus::gen {
 namespace {
 
@@ -68,6 +73,38 @@ TEST(DatasetsTest, ScaleGrowsNetworks) {
             small.road.graph().num_vertices());
   EXPECT_GT(large.transit.num_routes(), small.transit.num_routes());
   EXPECT_GT(large.num_trips, small.num_trips);
+}
+
+// bench::DatasetFingerprint and trip total of every preset at scale 0.5,
+// recorded with the generator that grew one full tree per origin on one
+// thread. The trip trees may fan out, but no preset may move.
+struct PinnedPreset {
+  const char* name;
+  std::uint64_t fingerprint;
+  std::int64_t trips;
+};
+
+constexpr PinnedPreset kPinned[] = {
+    {"midtown", 0x1013b44fbf27c508ULL, 400},
+    {"chicago", 0x93429961bb2e55b2ULL, 25000},
+    {"nyc", 0x7347f301daf5dfb5ULL, 20000},
+    {"manhattan", 0x20c8e81645c91d74ULL, 8000},
+    {"queens", 0x487624923c645b50ULL, 7000},
+    {"brooklyn", 0x2dea03055be7f3b9ULL, 7500},
+    {"staten_island", 0x6f2c3cf63e49f5c0ULL, 4000},
+    {"bronx", 0x519d5a48cf33989aULL, 5000},
+};
+
+TEST(DatasetsTest, PresetsMatchTheirPinnedFingerprintsAtAnyThreadCount) {
+  ASSERT_EQ(DatasetNames().size(), std::size(kPinned));
+  for (const PinnedPreset& pin : kPinned) {
+    for (const int threads : {1, 2, 3}) {
+      const Dataset d = MakeDatasetByName(pin.name, 0.5, threads);
+      EXPECT_EQ(bench::DatasetFingerprint(d), pin.fingerprint)
+          << pin.name << " at " << threads << " threads";
+      EXPECT_EQ(d.num_trips, pin.trips) << pin.name;
+    }
+  }
 }
 
 }  // namespace

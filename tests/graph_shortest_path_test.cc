@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -107,6 +108,56 @@ TEST(ShortestPathTest, BoundedDijkstraStopsAtRadius) {
   const auto tree = DijkstraBounded(g, 0, 3.0);
   EXPECT_DOUBLE_EQ(tree.dist[3], 3.0);            // on the boundary
   EXPECT_EQ(tree.dist[9 * 10 + 9], kInf);         // far corner untouched
+}
+
+TEST(ShortestPathTest, SearchStopsAtItsTargetsWithDijkstrasPaths) {
+  // Unit edges tie everywhere, so a parent depends on the heap's tie order:
+  // an early stop must not change it for a settled vertex.
+  const Graph g = MakeGrid(12, 9);
+  const int n = g.num_vertices();
+  DijkstraSearch search(g);
+  linalg::Rng rng(17);
+  int stopped_early = 0;
+  for (int run = 0; run < 40; ++run) {
+    const int source = static_cast<int>(rng.NextIndex(n));
+    std::vector<int> targets;
+    for (int i = 0; i < 3; ++i) {
+      targets.push_back(static_cast<int>(rng.NextIndex(n)));
+    }
+    search.Run(source, targets);
+    const ShortestPathTree full = Dijkstra(g, source);
+    for (const int t : targets) {
+      EXPECT_EQ(search.tree().dist[t], full.dist[t]);
+      const auto early = ExtractPath(search.tree(), source, t);
+      const auto reference = ExtractPath(full, source, t);
+      ASSERT_TRUE(early.has_value() && reference.has_value());
+      EXPECT_EQ(early->vertices, reference->vertices);
+      EXPECT_EQ(early->edges, reference->edges);
+    }
+    for (int v = 0; v < n; ++v) {
+      if (search.tree().dist[v] == kInf) {
+        ++stopped_early;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(stopped_early, 0);
+}
+
+TEST(ShortestPathTest, SearchForgetsAnUnreachableTarget) {
+  // Two components: the detour triangle {0, 1, 2} and the path 3 - 4 - 5.
+  Graph g = MakeDetourGraph();
+  for (int i = 3; i < 6; ++i) g.AddVertex({static_cast<double>(i), 1});
+  g.AddEdge(3, 4, 1.0);
+  g.AddEdge(4, 5, 1.0);
+  DijkstraSearch search(g);
+  search.Run(0, {4, 2});
+  EXPECT_EQ(search.tree().dist[2], 2.0);
+  EXPECT_EQ(search.tree().dist[4], kInf);
+  // A later run passes through 4 without counting it as a target.
+  search.Run(3, {5});
+  EXPECT_EQ(search.tree().dist[5], 2.0);
+  EXPECT_EQ(search.tree().dist[0], kInf);
 }
 
 TEST(ShortestPathTest, BfsHopsOnGrid) {

@@ -3,8 +3,8 @@
 // replayed under varied serving settings — cache capacity, byte budget,
 // disk spill with a restart midway (intact or with every spill file
 // truncated mid-payload) or at every segment boundary, snapshot
-// retention, worker and precompute thread counts — and every response's
-// ResponseChecksum must equal the reference run's. The stream commits
+// retention, worker counts (which also set each precompute's fan-out) —
+// and every response's ResponseChecksum must equal the reference run's. The stream commits
 // routes, so later requests resolve warm-started (derived) precomputes in
 // some settings and from-scratch or disk-loaded ones in others; all of
 // them must agree bit for bit.
@@ -20,8 +20,11 @@
 #include <vector>
 
 #include "core/options.h"
+#include "core/planning_context.h"
+#include "io/snapshot.h"
 #include "net/frame.h"
 #include "service/planning_service.h"
+#include "service/precompute_cache.h"
 
 namespace ctbus::service {
 namespace {
@@ -32,7 +35,6 @@ constexpr int kRestartBeforeSegment = 2;
 struct Setting {
   std::string name;
   ServiceOptions service;
-  int precompute_threads = 1;
   /// Segments before which the service is torn down and a fresh one is
   /// brought up over the same spill directory, re-applying the commits.
   std::vector<int> restart_before;
@@ -55,13 +57,11 @@ core::CtBusOptions BaseOptions() {
 /// The requests of one segment, all submitted before any completes. Two
 /// precompute keys per version (estimator seeds 6 and 7), all three
 /// planners, and one explicit-version request.
-std::vector<PlanRequest> SegmentRequests(std::uint64_t latest,
-                                         const Setting& setting) {
+std::vector<PlanRequest> SegmentRequests(std::uint64_t latest) {
   std::vector<PlanRequest> requests(5);
   for (PlanRequest& request : requests) {
     request.dataset = "midtown";
     request.options = BaseOptions();
-    request.options.precompute_threads = setting.precompute_threads;
   }
   requests[1].planner = core::Planner::kVkTsp;
   requests[1].options.k = 5;
@@ -116,7 +116,7 @@ Replay RunStream(const Setting& setting) {
     }
     std::vector<std::future<ServiceResult>> futures;
     for (PlanRequest& request :
-         SegmentRequests(service->LatestVersion("midtown"), setting)) {
+         SegmentRequests(service->LatestVersion("midtown"))) {
       futures.push_back(service->Submit(std::move(request)));
     }
     std::vector<ServiceResult> results;
@@ -190,14 +190,11 @@ std::vector<Setting> Settings() {
       with("keep_latest 1",
            [](Setting* s) { s->service.retention.keep_latest = 1; }),
       with("3 workers", [](Setting* s) { s->service.num_threads = 3; }),
-      with("precompute_threads 4",
-           [](Setting* s) { s->precompute_threads = 4; }),
       with("all knobs",
            [](Setting* s) {
              s->service.num_threads = 3;
              s->service.cache_capacity = 1;
              s->service.retention.keep_latest = 1;
-             s->precompute_threads = 4;
            }),
   };
 }
@@ -230,6 +227,48 @@ TEST(ServiceDifferentialTest, ResponsesIndependentOfServingSettings) {
       EXPECT_GT(actual.spill_loads, 0u);  // a restart read the spill back
     }
   }
+}
+
+// A miss fans the precompute out over the shard's workers: the warm-up
+// request's precompute on 3 workers must equal the serial RunPrecompute bit
+// for bit, and its response must equal a 1-worker service's. The bits are
+// read back from the spill entry the 3-worker service leaves on shutdown.
+TEST(ServiceDifferentialTest, WarmPrecomputeOnThreeWorkersEqualsSerial) {
+  const std::string dir = ::testing::TempDir() + "/service_differential_warm";
+  std::filesystem::remove_all(dir);
+  PlanRequest request = SegmentRequests(/*latest=*/1)[0];
+
+  ServiceOptions serial_options;
+  serial_options.num_threads = 1;
+  PlanningService serial(serial_options);
+  serial.RegisterPreset("midtown");
+  const ServiceResult expected = serial.Plan(request);
+  EXPECT_EQ(expected.stats.precompute.threads_used, 1);
+
+  ServiceOptions sharded_options;
+  sharded_options.num_threads = 3;
+  sharded_options.cache_spill_dir = dir;
+  auto sharded = std::make_unique<PlanningService>(sharded_options);
+  sharded->RegisterPreset("midtown");
+  const ServiceResult actual = sharded->Plan(request);
+  EXPECT_FALSE(actual.stats.precompute_cache_hit);
+  EXPECT_EQ(actual.stats.precompute.threads_used, 3);
+  EXPECT_EQ(net::ResponseChecksum(net::MakeOkResponse(0, actual)),
+            net::ResponseChecksum(net::MakeOkResponse(0, expected)));
+  const SnapshotPtr snapshot = sharded->Snapshot("midtown", 1);
+  sharded.reset();  // spills the ready entry
+
+  const core::Precompute reference = core::PlanningContext::RunPrecompute(
+      *snapshot->road, *snapshot->transit, request.options);
+  EXPECT_EQ(reference.stats.threads_used, 1);
+  const PrecomputeCache reader(/*capacity=*/1, /*max_bytes=*/0, dir);
+  std::string error;
+  const auto entry = io::LoadPrecomputeCacheEntry(
+      reader.SpillPath(MakePrecomputeKey("midtown", 1, request.options)),
+      &error);
+  ASSERT_TRUE(entry.has_value()) << error;
+  EXPECT_EQ(entry->precompute.base_trace, reference.base_trace);
+  EXPECT_EQ(entry->precompute.trace_increments, reference.trace_increments);
 }
 
 }  // namespace

@@ -14,7 +14,9 @@
 //                [--log-requests]
 //
 // Defaults: ephemeral port, preset "midtown", 1 worker, queue 1024,
-// quota 64, OverflowPolicy::kBlock, request log off. --dataset names
+// quota 64, OverflowPolicy::kBlock, request log off. --threads N also
+// bounds set-up: a preset's trip trees and every precompute fan out over
+// N threads, and both are bit-identical at any N. --dataset names
 // fixture and file datasets only: a preset always serves under its own
 // name.
 // --reject-on-overflow switches the shard queues to kReject so a full
