@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -27,7 +29,14 @@ Dataset Assemble(std::string name, const CityOptions& city,
   return dataset;
 }
 
+// The largest count any preset scales (chicago's trips). Scaled checks
+// it, so MakeDatasetByName's scale bound keeps every scaled count in int.
+constexpr int kLargestScaledBase = 50000;
+constexpr double kMaxScale =
+    std::numeric_limits<int>::max() / kLargestScaledBase;
+
 int Scaled(int base, double scale) {
+  assert(base <= kLargestScaledBase);
   return std::max(2, static_cast<int>(std::lround(base * scale)));
 }
 
@@ -278,6 +287,15 @@ bool HasDataset(const std::string& name) {
 
 Dataset MakeDatasetByName(const std::string& name, double scale,
                           int num_threads) {
+  // Written so that NaN fails it too.
+  if (!(scale > 0.0 && scale <= kMaxScale)) {
+    char text[64];
+    std::snprintf(text, sizeof(text), "%g", scale);
+    throw std::invalid_argument("preset scale " + std::string(text) +
+                                " is not in (0, " +
+                                std::to_string(static_cast<int>(kMaxScale)) +
+                                "]");
+  }
   for (const PresetEntry& preset : kPresets) {
     if (name == preset.name) return preset.make(scale, num_threads);
   }

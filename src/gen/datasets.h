@@ -70,8 +70,11 @@ std::vector<std::string> DatasetNames();
 /// True if `name` is a registry name.
 bool HasDataset(const std::string& name);
 
-/// Builds the named preset (throws std::invalid_argument for an unknown
-/// name). `scale` is ignored by "midtown", which has a fixed size.
+/// Builds the named preset. Throws std::invalid_argument, before anything
+/// is built, for an unknown name or a `scale` that is not a finite number
+/// in (0, 42949]: the bound keeps every scaled count (chicago's 50000 trips
+/// at scale 1 is the largest) within int. "midtown" has a fixed size and
+/// otherwise ignores `scale`.
 Dataset MakeDatasetByName(const std::string& name, double scale = 1.0,
                           int num_threads = 1);
 

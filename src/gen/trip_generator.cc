@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "graph/geo.h"
@@ -17,9 +15,8 @@ namespace ctbus::gen {
 
 namespace {
 
-// Plans drawn per shard before their trees grow. It bounds the paths a
-// block holds (about 25 KB per shard at chicago 1.0) and keeps each
-// spawned thread busy for several trees.
+// Plans drawn per shard before their trees grow. It keeps each spawned
+// thread busy for several trees while the block's plans stay small.
 constexpr int kPlansPerShard = 8;
 
 // One sampled origin and the destinations of its successful trips, in draw
@@ -31,50 +28,25 @@ struct Plan {
   int count;
 };
 
-// One shard's state for the whole generation: its search, and the trips
-// of the plans it grew in the current block, in draw order. A trip keeps
-// only its origin, edges and length; the calling thread walks the edges
-// back into vertices, so a spawned thread holds half the bytes.
+// One shard's state for the whole generation: its search and the trip
+// counts of every tree it grew. A shortest path crosses an edge at most
+// once, so a count never exceeds num_trips and fits in int.
 struct Shard {
-  explicit Shard(const graph::Graph& g) : search(g) {}
-
-  void Clear() {
-    edges.clear();
-    origins.clear();
-    num_edges.clear();
-    lengths.clear();
-  }
-
-  // Appends the tree path to a settled `target`.
-  void AppendTrip(int origin, int target) {
-    const graph::ShortestPathTree& tree = search.tree();
-    const std::size_t begin = edges.size();
-    for (int v = target; v != origin; v = tree.parent_vertex[v]) {
-      edges.push_back(tree.parent_edge[v]);
-    }
-    std::reverse(edges.begin() + begin, edges.end());
-    origins.push_back(origin);
-    num_edges.push_back(static_cast<int>(edges.size() - begin));
-    lengths.push_back(tree.dist[target]);
-  }
+  explicit Shard(const graph::Graph& g)
+      : search(g), counts(g.num_edges(), 0) {}
 
   graph::DijkstraSearch search;
   std::vector<int> targets;
-  std::vector<int> edges;  // trip i: num_edges[i] entries
-  std::vector<int> origins;
-  std::vector<int> num_edges;
-  std::vector<double> lengths;
+  std::vector<int> counts;
 };
 
-// Shared sampling machinery for both entry points. Calls `sink` on the
-// calling thread, in draw order, with the shortest-path tree's path for
-// every generated trip.
-std::int64_t ForEachTrip(
-    const graph::RoadNetwork& road, const TripOptions& options,
-    int num_threads, const std::function<void(const graph::Path&)>& sink) {
+}  // namespace
+
+std::int64_t GenerateDemand(const TripOptions& options,
+                            graph::RoadNetwork* road, int num_threads) {
   assert(options.num_trips >= 0);
   assert(options.trips_per_origin >= 1);
-  const graph::Graph& g = road.graph();
+  const graph::Graph& g = road->graph();
   if (g.num_vertices() < 2 || options.num_trips == 0) return 0;
   linalg::Rng rng(options.seed);
 
@@ -115,7 +87,6 @@ std::int64_t ForEachTrip(
   for (int s = 0; s < threads; ++s) shards.emplace_back(g);
   std::vector<Plan> plans;
   std::vector<int> destinations;
-  graph::Path trip;
 
   std::int64_t generated = 0;
   std::int64_t failures = 0;
@@ -147,11 +118,11 @@ std::int64_t ForEachTrip(
       plans.push_back(plan);
     }
 
-    for (Shard& shard : shards) shard.Clear();
     linalg::ParallelFor(
         static_cast<int>(plans.size()), threads,
         [&](int s, int begin, int end) {
           Shard& shard = shards[s];
+          const graph::ShortestPathTree& tree = shard.search.tree();
           for (int p = begin; p < end; ++p) {
             const Plan& plan = plans[p];
             if (plan.count == 0) continue;
@@ -160,56 +131,21 @@ std::int64_t ForEachTrip(
                                      plan.count);
             shard.search.Run(plan.origin, shard.targets);
             for (const int target : shard.targets) {
-              shard.AppendTrip(plan.origin, target);
+              for (int v = target; v != plan.origin;
+                   v = tree.parent_vertex[v]) {
+                ++shard.counts[tree.parent_edge[v]];
+              }
             }
           }
         });
+  }
 
-    // Shard s grew the s-th contiguous run of plans, so shard order is
-    // draw order. The vertices are graph::ExtractPath's: each tree edge
-    // leads from its parent to its child.
-    for (const Shard& shard : shards) {
-      std::size_t edge_at = 0;
-      for (std::size_t i = 0; i < shard.num_edges.size(); ++i) {
-        trip.edges.assign(shard.edges.begin() + edge_at,
-                          shard.edges.begin() + edge_at + shard.num_edges[i]);
-        edge_at += shard.num_edges[i];
-        trip.vertices.assign(1, shard.origins[i]);
-        for (const int e : trip.edges) {
-          trip.vertices.push_back(g.OtherEnd(e, trip.vertices.back()));
-        }
-        trip.length = shard.lengths[i];
-        sink(trip);
-      }
+  for (const Shard& shard : shards) {
+    for (int e = 0; e < g.num_edges(); ++e) {
+      road->AddTripCount(e, shard.counts[e]);
     }
   }
   return generated;
-}
-
-}  // namespace
-
-std::vector<demand::Trajectory> GenerateTrips(const graph::RoadNetwork& road,
-                                              const TripOptions& options,
-                                              int num_threads) {
-  std::vector<demand::Trajectory> trajectories;
-  trajectories.reserve(options.num_trips);
-  double start_time = 0.0;
-  ForEachTrip(road, options, num_threads, [&](const graph::Path& path) {
-    auto t = demand::Trajectory::FromVertices(road.graph(), path.vertices,
-                                              start_time, options.speed);
-    assert(t.has_value());
-    trajectories.push_back(std::move(*t));
-    start_time += 60.0;  // trips depart a minute apart
-  });
-  return trajectories;
-}
-
-std::int64_t GenerateDemand(const TripOptions& options,
-                            graph::RoadNetwork* road, int num_threads) {
-  return ForEachTrip(*road, options, num_threads,
-                     [road](const graph::Path& path) {
-                       for (int e : path.edges) road->AddTripCount(e);
-                     });
 }
 
 }  // namespace ctbus::gen

@@ -1,7 +1,8 @@
 // Synthetic commuting-trip generator: a gravity-style demand model with
-// hotspot zones. Each trip's trajectory is its shortest road path, which is
-// exactly how the paper converts raw taxi trip records (pickup/drop-off
-// pairs) into network-constrained trajectories.
+// hotspot zones. Each trip follows its shortest road path, which is exactly
+// how the paper converts raw taxi trip records (pickup/drop-off pairs) into
+// network-constrained trips, and only the road-edge trip counts f_e
+// (Equation 4) are kept.
 //
 // Trips are generated origin-batched: one Dijkstra tree per sampled origin
 // serves many destinations, so millions of trips aggregate in seconds.
@@ -12,17 +13,16 @@
 // known at draw time: it fails exactly when its destination is its origin
 // or lies in another road component (a graph::UnionFind answers that). So
 // the trees of a bounded block of plans can grow on `num_threads` threads
-// (linalg::ParallelFor, each shard with its own reused search buffers),
-// each stopping once its destinations are settled, while the paths still
-// reach the caller on the calling thread in draw order. The output is
-// bit-identical at any thread count; 1 runs inline with no spawn.
+// (linalg::ParallelFor), each shard with its own reused search and its own
+// integer edge counts, each tree stopping once its destinations are
+// settled. The shard counts are added into the road network after the last
+// block; integer addition makes f_e bit-identical at any thread count. 1
+// runs inline with no spawn.
 #ifndef CTBUS_GEN_TRIP_GENERATOR_H_
 #define CTBUS_GEN_TRIP_GENERATOR_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "demand/trajectory.h"
 #include "graph/road_network.h"
 
 namespace ctbus::gen {
@@ -37,23 +37,14 @@ struct TripOptions {
   double hotspot_stddev = 500.0;
   /// Probability that a trip endpoint is hotspot-based (vs uniform).
   double hotspot_weight = 0.7;
-  /// Travel speed used for trajectory timestamps (m/s).
-  double speed = 8.0;
   std::uint64_t seed = 3;
 };
 
-/// Generates trips and returns their trajectories (use for small datasets /
-/// tests; memory is O(total path length)). `num_threads` bounds the tree
-/// fan-out (<= 0 means hardware concurrency); the result does not depend
-/// on it.
-std::vector<demand::Trajectory> GenerateTrips(const graph::RoadNetwork& road,
-                                              const TripOptions& options,
-                                              int num_threads = 1);
-
-/// Generates trips and folds them directly into `road`'s trip counts
-/// without materializing trajectories. Returns the number of trips
-/// aggregated (trips whose endpoints coincide are skipped). `num_threads`
-/// as in GenerateTrips.
+/// Generates trips and adds each one's shortest road path to `road`'s trip
+/// counts. Returns the number of trips aggregated (draws whose endpoints
+/// coincide or lie in different road components are skipped).
+/// `num_threads` bounds the tree fan-out (<= 0 means hardware concurrency);
+/// the counts do not depend on it.
 std::int64_t GenerateDemand(const TripOptions& options,
                             graph::RoadNetwork* road, int num_threads = 1);
 

@@ -20,11 +20,22 @@ struct QueueItem {
 using MinHeap =
     std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>>;
 
-ShortestPathTree RunDijkstra(const Graph& g, int source,
-                             const std::vector<int>& targets,
-                             double max_dist) {
+// Kept out of DijkstraSearch::Run on purpose: inlined there, the sift-down
+// and sift-up loops crowd the hot loop's registers and a tree took ~40%
+// longer (GCC inlines them once Run is their only caller).
+[[gnu::noinline]] void HeapPush(MinHeap* heap, QueueItem item) {
+  heap->push(item);
+}
+
+[[gnu::noinline]] QueueItem HeapPop(MinHeap* heap) {
+  const QueueItem top = heap->top();
+  heap->pop();
+  return top;
+}
+
+ShortestPathTree RunDijkstra(const Graph& g, int source, double max_dist) {
   DijkstraSearch search(g);
-  search.Run(source, targets, max_dist);
+  search.Run(source, /*targets=*/{}, max_dist);
   return search.TakeTree();
 }
 
@@ -63,10 +74,9 @@ void DijkstraSearch::Run(int source, const std::vector<int>& targets,
   }
 
   MinHeap heap;
-  heap.push({0.0, source});
+  HeapPush(&heap, {0.0, source});
   while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
+    const auto [d, v] = HeapPop(&heap);
     if (d > dist[v]) continue;  // stale entry
     if (unsettled > 0 && pending[v] != 0) {
       pending[v] = 0;
@@ -79,7 +89,7 @@ void DijkstraSearch::Run(int source, const std::vector<int>& targets,
         dist[entry.vertex] = candidate;
         parent_vertex[entry.vertex] = v;
         parent_edge[entry.vertex] = entry.edge;
-        heap.push({candidate, entry.vertex});
+        HeapPush(&heap, {candidate, entry.vertex});
       }
     }
   }
@@ -87,19 +97,12 @@ void DijkstraSearch::Run(int source, const std::vector<int>& targets,
 }
 
 ShortestPathTree Dijkstra(const Graph& g, int source) {
-  return RunDijkstra(g, source, /*targets=*/{}, kInf);
+  return RunDijkstra(g, source, kInf);
 }
 
 ShortestPathTree DijkstraBounded(const Graph& g, int source,
                                  double max_dist) {
-  return RunDijkstra(g, source, /*targets=*/{}, max_dist);
-}
-
-std::optional<Path> ShortestPathBetween(const Graph& g, int source,
-                                        int target) {
-  assert(target >= 0 && target < g.num_vertices());
-  const ShortestPathTree tree = RunDijkstra(g, source, {target}, kInf);
-  return ExtractPath(tree, source, target);
+  return RunDijkstra(g, source, max_dist);
 }
 
 std::optional<Path> ExtractPath(const ShortestPathTree& tree, int source,
@@ -116,97 +119,6 @@ std::optional<Path> ExtractPath(const ShortestPathTree& tree, int source,
   path.vertices.push_back(source);
   std::reverse(path.vertices.begin(), path.vertices.end());
   std::reverse(path.edges.begin(), path.edges.end());
-  return path;
-}
-
-std::optional<Path> BidirectionalShortestPath(const Graph& g, int source,
-                                              int target) {
-  assert(source >= 0 && source < g.num_vertices());
-  assert(target >= 0 && target < g.num_vertices());
-  if (source == target) {
-    Path path;
-    path.vertices.push_back(source);
-    return path;
-  }
-  const int n = g.num_vertices();
-  // Index 0: forward search from source; 1: backward from target.
-  std::vector<double> dist[2] = {std::vector<double>(n, kInf),
-                                 std::vector<double>(n, kInf)};
-  std::vector<int> parent_vertex[2] = {std::vector<int>(n, -1),
-                                       std::vector<int>(n, -1)};
-  std::vector<int> parent_edge[2] = {std::vector<int>(n, -1),
-                                     std::vector<int>(n, -1)};
-  std::vector<bool> settled[2] = {std::vector<bool>(n, false),
-                                  std::vector<bool>(n, false)};
-  MinHeap heap[2];
-  dist[0][source] = 0.0;
-  dist[1][target] = 0.0;
-  heap[0].push({0.0, source});
-  heap[1].push({0.0, target});
-
-  double best = kInf;
-  int meet = -1;
-  while (!heap[0].empty() || !heap[1].empty()) {
-    // Termination: every remaining frontier entry on both sides already
-    // exceeds the best meeting point, so no better path can appear (any
-    // unexplored meeting vertex costs at least the unsettled side's top).
-    if (best < kInf &&
-        (heap[0].empty() || heap[0].top().dist > best) &&
-        (heap[1].empty() || heap[1].top().dist > best)) {
-      break;
-    }
-    // Expand the side with the smaller frontier distance.
-    int side;
-    if (heap[0].empty()) {
-      side = 1;
-    } else if (heap[1].empty()) {
-      side = 0;
-    } else {
-      side = heap[0].top().dist <= heap[1].top().dist ? 0 : 1;
-    }
-    const auto [d, v] = heap[side].top();
-    heap[side].pop();
-    if (d > dist[side][v]) continue;
-    settled[side][v] = true;
-    if (settled[1 - side][v] || dist[1 - side][v] < kInf) {
-      const double through = dist[0][v] + dist[1][v];
-      if (through < best) {
-        best = through;
-        meet = v;
-      }
-    }
-    for (const Graph::AdjEntry& entry : g.Neighbors(v)) {
-      const double candidate = d + g.edge(entry.edge).length;
-      if (candidate < dist[side][entry.vertex]) {
-        dist[side][entry.vertex] = candidate;
-        parent_vertex[side][entry.vertex] = v;
-        parent_edge[side][entry.vertex] = entry.edge;
-        heap[side].push({candidate, entry.vertex});
-      }
-    }
-  }
-  if (meet < 0) return std::nullopt;
-
-  // Stitch: source -> meet (forward parents), meet -> target (backward).
-  Path path;
-  path.length = best;
-  std::vector<int> forward_vertices;
-  std::vector<int> forward_edges;
-  for (int v = meet; v != source; v = parent_vertex[0][v]) {
-    forward_vertices.push_back(v);
-    forward_edges.push_back(parent_edge[0][v]);
-  }
-  forward_vertices.push_back(source);
-  std::reverse(forward_vertices.begin(), forward_vertices.end());
-  std::reverse(forward_edges.begin(), forward_edges.end());
-  path.vertices = std::move(forward_vertices);
-  path.edges = std::move(forward_edges);
-  for (int v = meet; v != target;) {
-    const int next = parent_vertex[1][v];
-    path.edges.push_back(parent_edge[1][v]);
-    path.vertices.push_back(next);
-    v = next;
-  }
   return path;
 }
 

@@ -1,8 +1,9 @@
-// Shortest-path algorithms over Graph: Dijkstra (full tree, bounded,
-// early-exit point-to-point, and a reusable search that stops once a set of
-// targets is settled) and BFS hop counts. Used to realize candidate transit
-// edges as road paths, to convert trips into trajectories, and by the
-// transfer-convenience metrics.
+// Shortest-path algorithms over Graph: Dijkstra (full tree, bounded, and a
+// reusable search that stops once a set of targets is settled), path
+// extraction from a tree, and BFS hop counts. Used to realize candidate
+// transit edges as road paths, to fold generated trips into road-edge trip
+// counts, and by the transfer-convenience metrics; BfsHops is the unit-weight
+// reference Dijkstra is tested against.
 #ifndef CTBUS_GRAPH_SHORTEST_PATH_H_
 #define CTBUS_GRAPH_SHORTEST_PATH_H_
 
@@ -71,16 +72,6 @@ ShortestPathTree Dijkstra(const Graph& g, int source);
 /// Dijkstra limited to vertices within `max_dist` of the source (others keep
 /// dist = +inf). Cheaper for localized queries.
 ShortestPathTree DijkstraBounded(const Graph& g, int source, double max_dist);
-
-/// Point-to-point shortest path with early exit; nullopt if unreachable.
-std::optional<Path> ShortestPathBetween(const Graph& g, int source,
-                                        int target);
-
-/// Point-to-point shortest path via bidirectional Dijkstra. Produces the
-/// same distance as ShortestPathBetween while settling roughly half the
-/// vertices on metric graphs; nullopt if unreachable.
-std::optional<Path> BidirectionalShortestPath(const Graph& g, int source,
-                                              int target);
 
 /// Reconstructs the path to `target` from a shortest-path tree; nullopt if
 /// the target is unreachable.

@@ -9,7 +9,8 @@
 // bit-identical to a serial run at any thread count. Its two users are the
 // Delta(e) loop of PlanningContext::RunPrecompute / DerivePrecompute (see
 // docs/PRECOMPUTE.md for the determinism contract) and the trip trees of
-// gen::GenerateTrips / GenerateDemand (see gen/trip_generator.h). It lives
+// gen::GenerateDemand, whose shards each keep their own edge counts (see
+// gen/trip_generator.h). It lives
 // in linalg, the bottom layer, so both ctbus_core and ctbus_gen reach it;
 // the ETA search itself is serial.
 #ifndef CTBUS_LINALG_PARALLEL_FOR_H_

@@ -126,8 +126,14 @@ std::optional<DatasetNetworks> BuildDatasetNetworks(
                       "' (see gen::DatasetNames())");
       return std::nullopt;
     }
-    gen::Dataset dataset = gen::MakeDatasetByName(
-        descriptor.preset, descriptor.preset_scale, num_threads);
+    gen::Dataset dataset;
+    try {
+      dataset = gen::MakeDatasetByName(descriptor.preset,
+                                       descriptor.preset_scale, num_threads);
+    } catch (const std::invalid_argument& e) {
+      Fail(error, e.what());
+      return std::nullopt;
+    }
     networks.road = std::move(dataset.road);
     networks.transit = std::move(dataset.transit);
     return networks;

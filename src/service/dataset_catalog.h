@@ -49,7 +49,9 @@ struct DatasetDescriptor {
   /// Synthetic source: a gen:: preset registry name (gen::DatasetNames()).
   /// ctbus-lint: key-exempt(source selector; the built networks are keyed by dataset name + snapshot version, not by how they were built)
   std::string preset;
-  /// Scale factor for the preset ("midtown" ignores it).
+  /// Scale factor for the preset. A value gen::MakeDatasetByName refuses
+  /// (not a finite number in (0, 42949]) fails the build; "midtown" has a
+  /// fixed size.
   /// ctbus-lint: key-exempt(build-time input baked into the registered networks; requests key on the resulting dataset)
   double preset_scale = 1.0;
 

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -73,6 +79,31 @@ TEST(DatasetsTest, ScaleGrowsNetworks) {
             small.road.graph().num_vertices());
   EXPECT_GT(large.transit.num_routes(), small.transit.num_routes());
   EXPECT_GT(large.num_trips, small.num_trips);
+}
+
+// Any of these would build a city from a NaN, negative or overflowing
+// count, so the refusal has to come before anything is built.
+TEST(DatasetsTest, MakeDatasetByNameRefusesABadScale) {
+  const std::vector<std::pair<double, std::string>> bad = {
+      {std::nan(""), "nan"},
+      {std::numeric_limits<double>::infinity(), "inf"},
+      {-1.0, "-1"},
+      {0.0, "0"},
+      {1e300, "1e+300"},
+      {42950.0, "42950"},
+  };
+  for (const auto& [scale, text] : bad) {
+    for (const char* name : {"midtown", "chicago"}) {
+      try {
+        MakeDatasetByName(name, scale);
+        ADD_FAILURE() << name << " built at scale " << text;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("preset scale " + text + " "),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 // bench::DatasetFingerprint and trip total of every preset at scale 0.5,

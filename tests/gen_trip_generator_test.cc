@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "demand/demand_index.h"
 #include "gen/city_generator.h"
 #include "graph/shortest_path.h"
 
@@ -22,70 +21,79 @@ graph::RoadNetwork TestCity() {
   return GenerateCity(options);
 }
 
+std::uint64_t DemandFingerprint(graph::RoadNetwork road) {
+  Dataset d;
+  d.road = std::move(road);
+  return bench::DatasetFingerprint(d);
+}
+
 TEST(TripGeneratorTest, GeneratesRequestedTrips) {
-  const auto road = TestCity();
+  auto road = TestCity();
   TripOptions options;
   options.num_trips = 200;
-  const auto trips = GenerateTrips(road, options);
-  EXPECT_EQ(trips.size(), 200u);
+  EXPECT_EQ(GenerateDemand(options, &road), 200);
+  // Every trip crosses at least one edge.
+  EXPECT_GE(road.TotalTripCount(), 200);
 }
 
-TEST(TripGeneratorTest, TrajectoriesAreValidWalks) {
-  const auto road = TestCity();
-  TripOptions options;
-  options.num_trips = 100;
-  const auto trips = GenerateTrips(road, options);
-  for (const auto& t : trips) {
-    ASSERT_GE(t.num_points(), 2);
-    EXPECT_EQ(t.edges().size(), static_cast<std::size_t>(t.num_points() - 1));
-    EXPECT_GT(t.Length(road.graph()), 0.0);
-    EXPECT_GT(t.Duration(), 0.0);
-  }
-}
+TEST(TripGeneratorTest, TripsFollowShortestPaths) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(seed);
+    auto road = TestCity();
+    const graph::Graph& g = road.graph();
+    TripOptions options;
+    options.num_trips = 1;
+    options.seed = seed;
+    ASSERT_EQ(GenerateDemand(options, &road), 1);
 
-TEST(TripGeneratorTest, TrajectoriesAreShortestPaths) {
-  const auto road = TestCity();
-  TripOptions options;
-  options.num_trips = 30;
-  const auto trips = GenerateTrips(road, options);
-  for (const auto& t : trips) {
-    const int origin = t.points().front().vertex;
-    const int destination = t.points().back().vertex;
-    const auto sp =
-        graph::ShortestPathBetween(road.graph(), origin, destination);
-    ASSERT_TRUE(sp.has_value());
-    EXPECT_NEAR(t.Length(road.graph()), sp->length, 1e-9);
+    // The marked edges must form one simple path: every count is 0 or 1,
+    // two vertices have degree 1, the others degree 0 or 2, and a walk
+    // from one end crosses every marked edge.
+    std::vector<int> degree(g.num_vertices(), 0);
+    int marked = 0;
+    for (int e = 0; e < g.num_edges(); ++e) {
+      ASSERT_LE(road.trip_count(e), 1);
+      if (road.trip_count(e) == 0) continue;
+      ++marked;
+      ++degree[g.edge(e).u];
+      ++degree[g.edge(e).v];
+    }
+    std::vector<int> ends;
+    for (int v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_LE(degree[v], 2);
+      if (degree[v] == 1) ends.push_back(v);
+    }
+    ASSERT_EQ(ends.size(), 2u);
+    double length = 0.0;
+    int walked = 0;
+    for (int v = ends[0], from_edge = -1; v != ends[1]; ++walked) {
+      int next_edge = -1;
+      for (const graph::Graph::AdjEntry& entry : g.Neighbors(v)) {
+        if (entry.edge != from_edge && road.trip_count(entry.edge) == 1) {
+          next_edge = entry.edge;
+        }
+      }
+      ASSERT_GE(next_edge, 0);
+      length += g.edge(next_edge).length;
+      v = g.OtherEnd(next_edge, v);
+      from_edge = next_edge;
+    }
+    EXPECT_EQ(walked, marked);
+    EXPECT_NEAR(length, graph::Dijkstra(g, ends[0]).dist[ends[1]],
+                1e-9 * length);
   }
 }
 
 TEST(TripGeneratorTest, DeterministicPerSeed) {
-  const auto road = TestCity();
   TripOptions options;
   options.num_trips = 50;
   options.seed = 5;
-  const auto a = GenerateTrips(road, options);
-  const auto b = GenerateTrips(road, options);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].num_points(), b[i].num_points());
-    EXPECT_EQ(a[i].points().front().vertex, b[i].points().front().vertex);
-    EXPECT_EQ(a[i].points().back().vertex, b[i].points().back().vertex);
-  }
-}
-
-TEST(TripGeneratorTest, GenerateDemandMatchesTrajectoryAccumulation) {
   auto road_a = TestCity();
   auto road_b = TestCity();
-  TripOptions options;
-  options.num_trips = 150;
-  options.seed = 9;
-  const auto trips = GenerateTrips(road_a, options);
-  demand::AccumulateTrajectories(trips, &road_a);
-  const auto count = GenerateDemand(options, &road_b);
-  EXPECT_EQ(count, 150);
-  for (int e = 0; e < road_a.graph().num_edges(); ++e) {
-    EXPECT_EQ(road_a.trip_count(e), road_b.trip_count(e));
-  }
+  EXPECT_EQ(GenerateDemand(options, &road_a), 50);
+  EXPECT_EQ(GenerateDemand(options, &road_b), 50);
+  EXPECT_EQ(DemandFingerprint(std::move(road_a)),
+            DemandFingerprint(std::move(road_b)));
 }
 
 TEST(TripGeneratorTest, HotspotsConcentrateDemand) {
@@ -113,7 +121,7 @@ TEST(TripGeneratorTest, ZeroTripsRequested) {
   TripOptions options;
   options.num_trips = 0;
   EXPECT_EQ(GenerateDemand(options, &road), 0);
-  EXPECT_TRUE(GenerateTrips(road, options).empty());
+  EXPECT_EQ(road.TotalTripCount(), 0);
 }
 
 TEST(TripGeneratorTest, TinyGraphDoesNotHang) {
@@ -149,53 +157,30 @@ graph::RoadNetwork Components(const std::vector<int>& sides, int isolated) {
   return graph::RoadNetwork(std::move(g));
 }
 
-std::uint64_t DemandFingerprint(graph::RoadNetwork road) {
-  Dataset d;
-  d.road = std::move(road);
-  return bench::DatasetFingerprint(d);
-}
-
-// Every trajectory field, flattened: the vertex path, its timestamps (the
-// start time encodes the trip's position in the output) and its edges.
-std::vector<double> Flatten(const std::vector<demand::Trajectory>& trips) {
-  std::vector<double> out;
-  for (const demand::Trajectory& t : trips) {
-    out.push_back(t.num_points());
-    for (const demand::TrajectoryPoint& p : t.points()) {
-      out.push_back(p.vertex);
-      out.push_back(p.timestamp);
-    }
-    for (const int e : t.edges()) out.push_back(e);
-  }
-  return out;
-}
-
-TEST(TripGeneratorTest, TrajectoriesAreIdenticalAtAnyThreadCount) {
-  const auto road = TestCity();
+// The fingerprint was recorded with the generator that replayed every
+// trip's path on the calling thread in draw order.
+TEST(TripGeneratorTest, DemandIsIdenticalAtAnyThreadCount) {
   TripOptions options;
   options.num_trips = 310;  // the last origin's batch is truncated to 10
   options.seed = 13;
-  const auto serial = GenerateTrips(road, options, 1);
-  ASSERT_EQ(serial.size(), 310u);
-  for (const int threads : {2, 3, 8}) {
-    EXPECT_EQ(Flatten(GenerateTrips(road, options, threads)),
-              Flatten(serial))
+  for (const int threads : {1, 2, 3, 8}) {
+    auto road = TestCity();
+    EXPECT_EQ(GenerateDemand(options, &road, threads), 310) << threads;
+    EXPECT_EQ(DemandFingerprint(std::move(road)), 0xb24e8f0a50fa920cULL)
         << threads << " threads";
   }
 }
 
 TEST(TripGeneratorTest, MoreThreadsThanOrigins) {
-  const auto road = TestCity();
   TripOptions options;
   options.num_trips = 30;  // two origins
   options.seed = 5;
-  const auto serial = GenerateTrips(road, options, 1);
-  EXPECT_EQ(Flatten(GenerateTrips(road, options, 8)), Flatten(serial));
   auto road_a = TestCity();
   auto road_b = TestCity();
   EXPECT_EQ(GenerateDemand(options, &road_a, 1),
             GenerateDemand(options, &road_b, 8));
-  EXPECT_EQ(DemandFingerprint(road_a), DemandFingerprint(road_b));
+  EXPECT_EQ(DemandFingerprint(std::move(road_a)),
+            DemandFingerprint(std::move(road_b)));
 }
 
 // The counts and fingerprints below were recorded with the generator that

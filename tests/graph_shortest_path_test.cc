@@ -65,12 +65,12 @@ TEST(ShortestPathTest, UnreachableVertexIsInfinite) {
   g.AddEdge(0, 1, 1.0);
   const auto tree = Dijkstra(g, 0);
   EXPECT_EQ(tree.dist[2], kInf);
-  EXPECT_FALSE(ShortestPathBetween(g, 0, 2).has_value());
+  EXPECT_FALSE(ExtractPath(tree, 0, 2).has_value());
 }
 
 TEST(ShortestPathTest, PathExtractionOrdersVerticesAndEdges) {
   const Graph g = MakeDetourGraph();
-  const auto path = ShortestPathBetween(g, 0, 2);
+  const auto path = ExtractPath(Dijkstra(g, 0), 0, 2);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->vertices, (std::vector<int>{0, 1, 2}));
   ASSERT_EQ(path->edges.size(), 2u);
@@ -86,7 +86,7 @@ TEST(ShortestPathTest, PathExtractionOrdersVerticesAndEdges) {
 
 TEST(ShortestPathTest, PathToSelfIsTrivial) {
   const Graph g = MakeDetourGraph();
-  const auto path = ShortestPathBetween(g, 1, 1);
+  const auto path = ExtractPath(Dijkstra(g, 1), 1, 1);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->vertices, std::vector<int>{1});
   EXPECT_TRUE(path->edges.empty());

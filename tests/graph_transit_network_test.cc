@@ -151,6 +151,8 @@ TEST(RoadNetworkTest, DemandAccumulationAndWeights) {
   EXPECT_DOUBLE_EQ(road.DemandWeight(0), 200.0);
   EXPECT_DOUBLE_EQ(road.DemandWeight(1), 150.0);
   EXPECT_DOUBLE_EQ(road.PathDemand({0, 1}), 350.0);
+  // A transit edge with no road path meets no demand.
+  EXPECT_DOUBLE_EQ(road.PathDemand({}), 0.0);
   EXPECT_EQ(road.TotalTripCount(), 5);
 }
 

@@ -8,7 +8,6 @@
 
 #include "connectivity/natural_connectivity.h"
 #include "core/planner.h"
-#include "demand/demand_index.h"
 #include "eval/transfer_metrics.h"
 #include "gen/city_generator.h"
 #include "gen/datasets.h"
@@ -48,8 +47,7 @@ TEST(IntegrationTest, FullPipelineFromScratch) {
   gen::TripOptions trip_options;
   trip_options.num_trips = 800;
   trip_options.seed = 79;
-  const auto trips = gen::GenerateTrips(road, trip_options);
-  demand::AccumulateTrajectories(trips, &road);
+  ASSERT_EQ(gen::GenerateDemand(trip_options, &road), 800);
   ASSERT_GT(road.TotalTripCount(), 0);
 
   core::CtBusPlanner planner(road, transit, FastOptions());

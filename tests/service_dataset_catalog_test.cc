@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -211,6 +212,13 @@ TEST(DatasetCatalogTest, ReportsLoadFailuresAsMessages) {
   EXPECT_FALSE(catalog.Register(unknown, &error).has_value());
   EXPECT_NE(error.find("unknown preset"), std::string::npos) << error;
 
+  DatasetDescriptor nan_scale;
+  nan_scale.name = "nan_scale";
+  nan_scale.preset = "chicago";
+  nan_scale.preset_scale = std::nan("");
+  EXPECT_FALSE(catalog.Register(nan_scale, &error).has_value());
+  EXPECT_NE(error.find("preset scale nan"), std::string::npos) << error;
+
   ASSERT_TRUE(catalog.Register(GridDescriptor(), &error).has_value())
       << error;
   EXPECT_FALSE(catalog.Register(GridDescriptor(), &error).has_value());
@@ -220,6 +228,7 @@ TEST(DatasetCatalogTest, ReportsLoadFailuresAsMessages) {
   EXPECT_FALSE(service.HasDataset("missing"));
   EXPECT_FALSE(service.HasDataset("malformed"));
   EXPECT_FALSE(service.HasDataset("teleporting"));
+  EXPECT_FALSE(service.HasDataset("nan_scale"));
 }
 
 TEST(DatasetCatalogTest, RetentionProtectsWarmStartDonorsAcrossCommits) {

@@ -107,7 +107,8 @@ Args ParseArgs(int argc, char** argv) {
       args.dataset = value();
     } else if (flag == "--scale") {
       const std::string token = value();
-      if (!ctbus::io::ParseDouble(token, &args.scale) || args.scale <= 0.0) {
+      // The range is gen::MakeDatasetByName's; RegisterPreset throws it.
+      if (!ctbus::io::ParseDouble(token, &args.scale)) {
         Die("flag --scale: bad value \"" + token + "\"");
       }
     } else if (flag == "--threads") {

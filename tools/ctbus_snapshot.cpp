@@ -27,7 +27,6 @@
 // a corrupt, truncated or stale-format file, checksum mismatch — the
 // diagnostic names the failing section), 2 usage. CI injects a flipped
 // byte and requires `verify` to exit 1.
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -90,9 +89,8 @@ BuildArgs ParseBuildArgs(int argc, char** argv) {
       source.preset = value();
     } else if (flag == "--scale") {
       const std::string token = value();
-      // NaN compares false against the bound, so finiteness is explicit.
-      if (!ctbus::io::ParseDouble(token, &source.preset_scale) ||
-          !std::isfinite(source.preset_scale) || source.preset_scale < 0.0) {
+      // The range is gen::MakeDatasetByName's, reported as a build error.
+      if (!ctbus::io::ParseDouble(token, &source.preset_scale)) {
         Die("flag " + flag + ": bad value \"" + token + "\"");
       }
     } else if (flag == "--road") {
