@@ -16,6 +16,13 @@
 // checksums: every run must return the same bits (the bench exits 1 if
 // not), and tools/bench_diff.py compares them exactly against
 // bench/baselines/BENCH_search.json.
+//
+// Online ETA and ETA-Pre are timed again with their local solves fanned
+// out over 2 workers (CtBusOptions::precompute_threads = 2, the width the
+// server gives a request at --threads 2): the *_threads2_ms rows. Online
+// ETA fans out its frontier and final re-evaluation, ETA-Pre only the
+// final re-evaluation. Every width-2 run must return the width-1 bits
+// (the bench exits 1 if not).
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -42,13 +49,51 @@ struct SearchCase {
   Planner planner;
   const char* name;
   int max_iterations;
+  /// Also timed at precompute_threads = 2.
+  bool timed_at_width2;
 };
 
 constexpr SearchCase kSearches[] = {
-    {Planner::kEtaPre, "eta_pre", 500},
-    {Planner::kVkTsp, "vk_tsp", 500},
-    {Planner::kEta, "eta_online", 2},
+    {Planner::kEtaPre, "eta_pre", 500, true},
+    {Planner::kVkTsp, "vk_tsp", 500, false},
+    {Planner::kEta, "eta_online", 2, true},
 };
+
+// Every field a checksum or the response reads, compared bit for bit.
+bool SameResult(const PlanResult& a, const PlanResult& b) {
+  return a.objective == b.objective &&
+         a.connectivity_increment == b.connectivity_increment &&
+         a.iterations == b.iterations && a.seeds_pushed == b.seeds_pushed &&
+         a.local_solves == b.local_solves && a.path.edges() == b.path.edges();
+}
+
+// Runs `planner` kRuns times over `context`, timing each run, into `ms`.
+// With first_is_reference, every run is compared with `*first`; without,
+// `*first` receives the first run and the others are compared with it.
+// Returns false if any run differs.
+bool TimeRuns(const PlanningContext& context, Planner planner,
+              PlanResult* first, bool first_is_reference,
+              std::vector<double>* ms) {
+  bool identical = true;
+  for (int run = 0; run < kRuns; ++run) {
+    Stopwatch watch;
+    PlanResult result = ctbus::core::RunPlanner(&context, planner);
+    ms->push_back(watch.Seconds() * 1e3);
+    if (run == 0 && !first_is_reference) {
+      *first = std::move(result);
+    } else if (!SameResult(result, *first)) {
+      identical = false;
+    }
+  }
+  return identical;
+}
+
+void AddTimes(ctbus::bench::BenchReport* report, const std::string& key,
+              const std::vector<double>& ms) {
+  report->AddMetric(key + "_ms", Quantile(ms, 0.5), "lower");
+  report->AddMetric(key + "_ms_p25", Quantile(ms, 0.25), "lower");
+  report->AddMetric(key + "_ms_p75", Quantile(ms, 0.75), "lower");
+}
 
 CtBusOptions SearchOptions(int k, int max_iterations) {
   CtBusOptions options;
@@ -105,45 +150,47 @@ int main() {
               "solves", "objective");
 
   bool identical = true;
+  bool width_identical = true;
   for (const SearchCase& sc : kSearches) {
     for (const int k : kKs) {
-      const PlanningContext context =
-          PlanningContext::Build(base, SearchOptions(k, sc.max_iterations));
+      CtBusOptions options = SearchOptions(k, sc.max_iterations);
       std::vector<double> ms;
       PlanResult first;
-      for (int run = 0; run < kRuns; ++run) {
-        Stopwatch watch;
-        PlanResult result = ctbus::core::RunPlanner(&context, sc.planner);
-        ms.push_back(watch.Seconds() * 1e3);
-        if (run == 0) {
-          first = std::move(result);
-        } else if (result.objective != first.objective ||
-                   result.iterations != first.iterations ||
-                   result.seeds_pushed != first.seeds_pushed ||
-                   result.local_solves != first.local_solves ||
-                   result.path.edges() != first.path.edges()) {
-          identical = false;
-        }
-      }
+      identical &= TimeRuns(PlanningContext::Build(base, options), sc.planner,
+                            &first, /*first_is_reference=*/false, &ms);
       const std::string key = std::string(sc.name) + "_k" + std::to_string(k);
-      const double median = Quantile(ms, 0.5);
       std::printf("%-10s %3d %10.2f %10.2f %10.2f %6d %6d %6d %22.17g\n",
-                  sc.name, k, Quantile(ms, 0.25), median, Quantile(ms, 0.75),
-                  first.iterations, first.seeds_pushed, first.local_solves,
-                  first.objective);
-      report.AddMetric(key + "_ms", median, "lower");
-      report.AddMetric(key + "_ms_p25", Quantile(ms, 0.25), "lower");
-      report.AddMetric(key + "_ms_p75", Quantile(ms, 0.75), "lower");
+                  sc.name, k, Quantile(ms, 0.25), Quantile(ms, 0.5),
+                  Quantile(ms, 0.75), first.iterations, first.seeds_pushed,
+                  first.local_solves, first.objective);
+      AddTimes(&report, key, ms);
       report.AddChecksum(key + "_objective", first.objective);
       report.AddChecksum(key + "_iterations", first.iterations);
       report.AddChecksum(key + "_seeds_pushed", first.seeds_pushed);
       report.AddChecksum(key + "_local_solves", first.local_solves);
+      if (!sc.timed_at_width2) continue;
+
+      options.precompute_threads = 2;
+      std::vector<double> ms2;
+      width_identical &=
+          TimeRuns(PlanningContext::Build(base, options), sc.planner, &first,
+                   /*first_is_reference=*/true, &ms2);
+      std::printf("%-10s %3d %10.2f %10.2f %10.2f  (2 workers)\n", sc.name, k,
+                  Quantile(ms2, 0.25), Quantile(ms2, 0.5),
+                  Quantile(ms2, 0.75));
+      AddTimes(&report, key + "_threads2", ms2);
     }
   }
   if (!identical) {
     std::fprintf(stderr,
                  "FATAL: repeated searches over one context returned "
                  "different results\n");
+    return 1;
+  }
+  if (!width_identical) {
+    std::fprintf(stderr,
+                 "FATAL: a search at precompute_threads = 2 returned "
+                 "different bits than at 1\n");
     return 1;
   }
   report.WriteIfRequested();

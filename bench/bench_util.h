@@ -14,6 +14,7 @@
 #define CTBUS_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -41,17 +42,24 @@ namespace ctbus::bench {
 /// same type the serving layer and the obs span recorder time with.
 using core::Stopwatch;
 
-/// Strict env parsing: the whole value must parse (io::ParseDouble), so
-/// "1.5x" or "fast" fall back to the default with a warning instead of
-/// silently truncating to 1.5 / 0.0 the way strtod-based parsing did.
+/// Warns that env var `name` holds `value`, which is not usable, and that
+/// `fallback` is used instead.
+inline void WarnMalformedEnv(const char* name, const char* value,
+                             double fallback) {
+  std::fprintf(stderr, "warning: ignoring malformed %s=\"%s\" (using %g)\n",
+               name, value, fallback);
+}
+
+/// Strict env parsing: the whole value must parse (io::ParseDouble) to a
+/// finite number, so "1.5x", "fast", "nan" or "inf" fall back to the
+/// default with a warning instead of silently truncating to 1.5 / 0.0 the
+/// way strtod-based parsing did, or reaching a generator as a non-number.
 inline double GetEnvDouble(const char* name, double fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr) return fallback;
   double parsed = 0.0;
-  if (!io::ParseDouble(value, &parsed)) {
-    std::fprintf(stderr,
-                 "warning: ignoring malformed %s=\"%s\" (using %g)\n", name,
-                 value, fallback);
+  if (!io::ParseDouble(value, &parsed) || !std::isfinite(parsed)) {
+    WarnMalformedEnv(name, value, fallback);
     return fallback;
   }
   return parsed;
@@ -62,7 +70,15 @@ inline std::string GetEnvString(const char* name, const std::string& fallback) {
   return value == nullptr ? fallback : std::string(value);
 }
 
-inline double GetScale() { return GetEnvDouble("CTBUS_SCALE", 1.0); }
+/// CTBUS_SCALE, which must be positive: a scale of 0 or below builds no
+/// city, so it falls back to 1.0 with the same warning.
+inline double GetScale() {
+  constexpr double kDefault = 1.0;
+  const double scale = GetEnvDouble("CTBUS_SCALE", kDefault);
+  if (scale > 0.0) return scale;
+  WarnMalformedEnv("CTBUS_SCALE", std::getenv("CTBUS_SCALE"), kDefault);
+  return kDefault;
+}
 
 inline int GetEtaIterations() {
   return static_cast<int>(GetEnvDouble("CTBUS_ETA_ITERS", 100));

@@ -8,6 +8,7 @@
 
 #include "core/domination_table.h"
 #include "demand/demand_bound.h"
+#include "linalg/parallel_for.h"
 
 namespace ctbus::core {
 
@@ -350,13 +351,26 @@ class EtaSearch {
   // building the child: demand is demand(P) + d(e), as Extend sums it.
   // kPrecomputed sums Delta over the child's edge order; kOnline scores
   // Objective(demand, ConnectivityFromTrace(Delta tr(P) + Delta tr(e | P)))
-  // and writes the terms Delta tr(e | P) into trace_terms_.
+  // and writes the terms Delta tr(e | P) into trace_terms_. The terms are
+  // independent local solves, so they fan out over width_ workers, each
+  // into its own slot; the objectives (and the caller's argmax) stay
+  // serial in candidate order, so the result is bit-identical at any width.
   void EvaluateExtensions(const QueueEntry& entry, int at_stop) {
     const CandidatePath& parent = entry.path;
     const bool at_end = at_stop == parent.end_stop();
     const std::size_t n = extensions_.size();
     objectives_.resize(n);
     trace_terms_.assign(n, 0.0);
+    if (mode_ == SearchMode::kOnline) {
+      linalg::ParallelFor(
+          static_cast<int>(n), width_,
+          [&](int /*worker*/, int begin, int end) {
+            for (int i = begin; i < end; ++i) {
+              trace_terms_[i] =
+                  ctx_->EdgeTraceIncrement(parent.edges(), extensions_[i]);
+            }
+          });
+    }
     for (std::size_t i = 0; i < n; ++i) {
       const int edge = extensions_[i];
       const double demand =
@@ -365,8 +379,9 @@ class EtaSearch {
         objectives_[i] = ctx_->Objective(
             demand, ExtendedLinearIncrement(parent, edge, at_end));
       } else {
-        trace_terms_[i] = ctx_->EdgeTraceIncrement(parent.edges(), edge,
-                                                   &result_.local_solves);
+        // Counted here, on the calling thread: EdgeTraceIncrement solves
+        // exactly the new candidates.
+        if (ctx_->universe().edge(edge).is_new) ++result_.local_solves;
         objectives_[i] = ctx_->Objective(
             demand, ctx_->ConnectivityFromTrace(*entry.trace_increment +
                                                 trace_terms_[i]));
@@ -422,6 +437,8 @@ class EtaSearch {
   std::vector<double> trace_terms_;
   PlanResult result_;
   double best_objective_ = 0.0;
+  /// Fan-out width of the frontier's local solves.
+  const int width_ = linalg::ResolveThreadCount(options_.precompute_threads);
   /// Lemma 4's connectivity term of UpperBound; only kOnline reads it.
   const double lambda_increment_bound_ =
       mode_ == SearchMode::kOnline

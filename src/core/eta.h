@@ -32,8 +32,10 @@
 //    (connectivity/local_increment.h), scored as
 //    log1p((Delta tr(P) + Delta tr(e | P)) / tr_0); the chosen edge's term
 //    is added to the entry, so re-evaluating the extended path is free.
-//    The frontier is evaluated serially, one candidate after another;
-//    requests run in parallel one level up (one search per service worker).
+//    A frontier's candidates are independent solves: they fan out over
+//    CtBusOptions::precompute_threads workers (linalg::ParallelFor), each
+//    into its own slot, and are scored serially in candidate order, so the
+//    route is bit-identical at any width.
 //  * kPrecomputed (ETA-Pre): the objective is linear in the edges via the
 //    integrated ranking L_e (Equation 11); no estimator calls during the
 //    search. The winner's true connectivity is re-estimated once at the end.

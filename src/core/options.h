@@ -55,14 +55,18 @@ struct CtBusOptions {
   connectivity::EstimatorOptions precompute_estimator = {
       /*probes=*/8, /*lanczos_steps=*/8, /*seed=*/11};
 
-  /// Worker threads for the Delta(e) pre-computation loop (the dominant
-  /// Table 4 cost). 1 = serial; 0 or negative = hardware concurrency. The
-  /// result is bit-identical at any thread count (the shards share the
-  /// immutable adjacency and each local increment is a pure function of
-  /// its edge's ball; see docs/PRECOMPUTE.md), so this knob is
-  /// deliberately NOT part of the precompute cache key. It is not on the
-  /// wire: service::PlanningService sets it to its per-shard worker count
-  /// on every cache miss.
+  /// Width of every fan-out in core (linalg::ParallelFor on its parked
+  /// helper threads): the Delta(e) pre-computation loop (the dominant
+  /// Table 4 cost), online ETA's frontier (one local solve per candidate)
+  /// and PlanningContext::TraceIncrement's telescoped terms, which every
+  /// planner's final re-evaluation runs. The name predates the last two.
+  /// 1 = serial; 0 or negative = hardware concurrency. Every result is
+  /// bit-identical at any width (each local increment is a pure function
+  /// of its ball, written to its own slot and combined in a fixed order;
+  /// see docs/PRECOMPUTE.md), so this knob is deliberately NOT part of the
+  /// precompute cache key. It is not on the wire:
+  /// service::PlanningService sets it to its per-shard worker count on
+  /// every request.
   /// ctbus-lint: key-exempt(bit-identical at any thread count — keying would fragment the cache)
   int precompute_threads = 1;
 

@@ -41,7 +41,8 @@ std::vector<int> NewEdgeIds(const EdgeUniverse& universe) {
 }
 
 /// Solves Delta tr(e) for the universe edges listed in `todo` on the
-/// shared adjacency, sharded over options.precompute_threads workers, then
+/// shared adjacency, fanned out over options.precompute_threads workers
+/// (each edge's term into its own slot), then
 /// anchors the whole table: tr_0 from the precompute estimator, and
 /// Delta(e) via Precompute::FillIncrements. Each local increment is a pure
 /// function of its edge's ball, so the result is bit-identical to a serial
@@ -56,7 +57,7 @@ void SolveAndAnchor(const linalg::SymmetricSparseMatrix& adjacency,
   const std::vector<std::pair<int, int>> none;
   linalg::ParallelFor(
       static_cast<int>(todo.size()), threads,
-      [&](int /*shard*/, int begin, int end) {
+      [&](int /*worker*/, int begin, int end) {
         for (int i = begin; i < end; ++i) {
           const PlannableEdge& edge = pre->universe.edge(todo[i]);
           pre->trace_increments[todo[i]] =
@@ -158,7 +159,7 @@ Precompute PlanningContext::RunPrecompute(
 
   // Phase 2: Delta(e) for every new edge (Table 4's "Connectivity"
   // column): one exact local trace increment per edge, then the tr_0
-  // anchor. Sharded over options.precompute_threads; bit-identical to
+  // anchor. Fanned out over options.precompute_threads; bit-identical to
   // serial.
   stopwatch.Reset();
   pre.trace_increments.assign(pre.universe.num_edges(), 0.0);
@@ -303,22 +304,37 @@ double PlanningContext::Objective(double demand,
 
 double PlanningContext::TraceIncrement(const std::vector<int>& path_edges,
                                        int* local_solves) const {
+  // Term i is Delta tr(e_i | e_0 .. e_{i-1}) over the path's new edges.
   std::vector<std::pair<int, int>> staged;
-  double total = 0.0;
+  int first_new = -1;
   for (int e : path_edges) {
     const PlannableEdge& edge = universe().edge(e);
     if (!edge.is_new) continue;
-    if (staged.empty()) {
-      // LocalTraceIncrement(adjacency, {}, u, v): the precompute solved
-      // exactly this call on the same adjacency.
-      total += base_->precompute()->trace_increments[e];
-    } else {
-      total += connectivity::LocalTraceIncrement(base_->adjacency(), staged,
-                                                 edge.u, edge.v);
-      if (local_solves != nullptr) ++*local_solves;
-    }
+    if (staged.empty()) first_new = e;
     staged.emplace_back(edge.u, edge.v);
   }
+  if (staged.empty()) return 0.0;
+  std::vector<double> terms(staged.size());
+  // LocalTraceIncrement(adjacency, {}, u, v): the precompute solved exactly
+  // this call on the same adjacency.
+  terms[0] = base_->precompute()->trace_increments[first_new];
+  // The other terms are independent solves: fan-out index j writes term
+  // j + 1 into its own slot.
+  const int solves = static_cast<int>(staged.size()) - 1;
+  linalg::ParallelFor(
+      solves, linalg::ResolveThreadCount(options_.precompute_threads),
+      [&](int /*worker*/, int begin, int end) {
+        for (int i = begin + 1; i <= end; ++i) {
+          const std::vector<std::pair<int, int>> earlier(
+              staged.begin(), staged.begin() + i);
+          terms[i] = connectivity::LocalTraceIncrement(
+              base_->adjacency(), earlier, staged[i].first, staged[i].second);
+        }
+      });
+  if (local_solves != nullptr) *local_solves += solves;
+  // Summed in path order, as the serial telescoping did.
+  double total = 0.0;
+  for (double term : terms) total += term;
   return total;
 }
 

@@ -45,8 +45,8 @@ struct PrecomputeStats {
   int num_increments_recomputed = 0;
   /// Trace increments carried over verbatim from the donor precompute.
   int num_increments_carried = 0;
-  /// Shards actually used for the Delta tr(e) loop (after clamping
-  /// CtBusOptions::precompute_threads to the amount of work).
+  /// Width of the Delta tr(e) fan-out (CtBusOptions::precompute_threads
+  /// clamped to the amount of work).
   int threads_used = 1;
 };
 
@@ -183,7 +183,7 @@ class PlanningContext {
  public:
   /// Runs only the expensive pre-computation phases: the universe, one
   /// exact local trace increment per new edge, and the tr_0 anchor. The
-  /// increment loop is sharded over options.precompute_threads workers
+  /// increment loop fans out over options.precompute_threads workers
   /// (1 = serial, <= 0 = hardware concurrency) that share the immutable
   /// adjacency; each value is a pure function of its edge's ball, so the
   /// result is bit-identical at any thread count. Thread-safe for
@@ -307,9 +307,11 @@ class PlanningContext {
   /// adjacency), telescoped in path order with the path's earlier new
   /// edges staged. The first new edge meets nothing staged, so its term is
   /// read from the precompute's trace_increments (the same call's bits)
-  /// instead of solved. Existing and repeated edges add 0. Adds the
-  /// LocalTraceIncrement calls it makes to `*local_solves` if given.
-  /// Thread-safe.
+  /// instead of solved. Existing and repeated edges add 0. The other terms
+  /// are independent solves: they fan out over options().precompute_threads
+  /// workers (linalg::ParallelFor) and are summed in path order, so the
+  /// value is bit-identical at any width. Adds the LocalTraceIncrement
+  /// calls it makes to `*local_solves` if given. Thread-safe.
   double TraceIncrement(const std::vector<int>& path_edges,
                         int* local_solves = nullptr) const;
 

@@ -15,9 +15,9 @@ namespace ctbus::gen {
 
 namespace {
 
-// Plans drawn per shard before their trees grow. It keeps each spawned
-// thread busy for several trees while the block's plans stay small.
-constexpr int kPlansPerShard = 8;
+// Plans drawn per worker before their trees grow. It keeps each worker
+// busy for several trees while the block's plans stay small.
+constexpr int kPlansPerWorker = 8;
 
 // One sampled origin and the destinations of its successful trips, in draw
 // order; the destinations are `count` entries of the block's list from
@@ -28,11 +28,11 @@ struct Plan {
   int count;
 };
 
-// One shard's state for the whole generation: its search and the trip
-// counts of every tree it grew. A shortest path crosses an edge at most
-// once, so a count never exceeds num_trips and fits in int.
-struct Shard {
-  explicit Shard(const graph::Graph& g)
+// One ParallelFor worker's state for the whole generation: its search and
+// the trip counts of every tree it grew. A shortest path crosses an edge
+// at most once, so a count never exceeds num_trips and fits in int.
+struct Worker {
+  explicit Worker(const graph::Graph& g)
       : search(g), counts(g.num_edges(), 0) {}
 
   graph::DijkstraSearch search;
@@ -82,9 +82,9 @@ std::int64_t GenerateDemand(const TripOptions& options,
   }
 
   const int threads = linalg::ResolveThreadCount(num_threads);
-  std::vector<Shard> shards;
-  shards.reserve(threads);
-  for (int s = 0; s < threads; ++s) shards.emplace_back(g);
+  std::vector<Worker> workers;
+  workers.reserve(threads);
+  for (int w = 0; w < threads; ++w) workers.emplace_back(g);
   std::vector<Plan> plans;
   std::vector<int> destinations;
 
@@ -98,7 +98,7 @@ std::int64_t GenerateDemand(const TripOptions& options,
     // would.
     plans.clear();
     destinations.clear();
-    while (static_cast<int>(plans.size()) < kPlansPerShard * threads &&
+    while (static_cast<int>(plans.size()) < kPlansPerWorker * threads &&
            generated < options.num_trips && failures < failure_budget) {
       Plan plan{sample_vertex(), static_cast<int>(destinations.size()), 0};
       const int batch = static_cast<int>(
@@ -120,29 +120,29 @@ std::int64_t GenerateDemand(const TripOptions& options,
 
     linalg::ParallelFor(
         static_cast<int>(plans.size()), threads,
-        [&](int s, int begin, int end) {
-          Shard& shard = shards[s];
-          const graph::ShortestPathTree& tree = shard.search.tree();
+        [&](int w, int begin, int end) {
+          Worker& worker = workers[w];
+          const graph::ShortestPathTree& tree = worker.search.tree();
           for (int p = begin; p < end; ++p) {
             const Plan& plan = plans[p];
             if (plan.count == 0) continue;
-            shard.targets.assign(destinations.begin() + plan.first,
-                                 destinations.begin() + plan.first +
-                                     plan.count);
-            shard.search.Run(plan.origin, shard.targets);
-            for (const int target : shard.targets) {
+            worker.targets.assign(destinations.begin() + plan.first,
+                                  destinations.begin() + plan.first +
+                                      plan.count);
+            worker.search.Run(plan.origin, worker.targets);
+            for (const int target : worker.targets) {
               for (int v = target; v != plan.origin;
                    v = tree.parent_vertex[v]) {
-                ++shard.counts[tree.parent_edge[v]];
+                ++worker.counts[tree.parent_edge[v]];
               }
             }
           }
         });
   }
 
-  for (const Shard& shard : shards) {
+  for (const Worker& worker : workers) {
     for (int e = 0; e < g.num_edges(); ++e) {
-      road->AddTripCount(e, shard.counts[e]);
+      road->AddTripCount(e, worker.counts[e]);
     }
   }
   return generated;

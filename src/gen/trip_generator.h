@@ -12,12 +12,12 @@
 // same stream because no tree consumes a draw, and a trip's success is
 // known at draw time: it fails exactly when its destination is its origin
 // or lies in another road component (a graph::UnionFind answers that). So
-// the trees of a bounded block of plans can grow on `num_threads` threads
-// (linalg::ParallelFor), each shard with its own reused search and its own
-// integer edge counts, each tree stopping once its destinations are
-// settled. The shard counts are added into the road network after the last
-// block; integer addition makes f_e bit-identical at any thread count. 1
-// runs inline with no spawn.
+// the trees of a bounded block of plans can grow on `num_threads` workers
+// (linalg::ParallelFor), each worker with its own reused search and its
+// own integer edge counts, each tree stopping once its destinations are
+// settled. The worker counts are added into the road network after the
+// last block; integer addition makes f_e bit-identical at any thread count
+// and whichever worker grew which tree. 1 runs inline.
 #ifndef CTBUS_GEN_TRIP_GENERATOR_H_
 #define CTBUS_GEN_TRIP_GENERATOR_H_
 

@@ -1,26 +1,36 @@
-// Deterministic fork-join parallelism for the precompute and trip loops.
+// Deterministic fork-join on a process-wide set of parked helper threads.
 //
-// ParallelFor statically partitions [0, n) into min(num_threads, n)
-// contiguous shards, runs shard 0 on the caller and every other shard on
-// a thread spawned for this one call, and joins them all before
-// returning. The partition depends only on (n, num_threads), never on
-// scheduling, so a caller that gives every shard its own scratch state
-// and writes each result into its own slot gets output that is
-// bit-identical to a serial run at any thread count. Its two users are the
-// Delta(e) loop of PlanningContext::RunPrecompute / DerivePrecompute (see
-// docs/PRECOMPUTE.md for the determinism contract) and the trip trees of
-// gen::GenerateDemand, whose shards each keep their own edge counts (see
-// gen/trip_generator.h). It lives
-// in linalg, the bottom layer, so both ctbus_core and ctbus_gen reach it;
-// the ETA search itself is serial.
+// ParallelFor runs a body over every index of [0, n) on up to
+// `num_threads` workers: the calling thread is worker 0, and helper s
+// (s = 0, 1, ...) only ever serves worker s + 1. Helpers start lazily, the
+// first time a fan-out that wide is asked for, and then park on a
+// condition variable between calls; every later call, from any thread,
+// reuses them, so no call spawns a thread once its helpers exist. Workers
+// claim indices one at a time from a shared counter, so items of unequal
+// cost balance. The caller always takes part and runs every index no
+// helper has claimed: a call never waits for a busy helper to come free,
+// only for the indices helpers are already running. Two threads fanning
+// out at once, or a caller whose helpers are stuck in another call's long
+// index, therefore still finish.
+//
+// Which worker runs which index depends on scheduling; which indices run
+// does not. A caller that keeps scratch per worker id, writes each index's
+// result into its own slot and combines the slots in index order gets
+// output bit-identical to a serial run at any width. The users:
+//  * the Delta(e) loop of core::PlanningContext::RunPrecompute /
+//    DerivePrecompute (docs/PRECOMPUTE.md);
+//  * the trip trees of gen::GenerateDemand, each worker with its own
+//    integer edge counts (gen/trip_generator.h);
+//  * online ETA's frontier, one local solve per candidate
+//    (core/eta.h), and PlanningContext::TraceIncrement's telescoped terms.
+// The core callers take their width from CtBusOptions::precompute_threads,
+// which the service sets to its per-shard worker count. The pool lives in
+// linalg, the bottom layer, so both ctbus_core and ctbus_gen reach it.
 #ifndef CTBUS_LINALG_PARALLEL_FOR_H_
 #define CTBUS_LINALG_PARALLEL_FOR_H_
 
-#include <algorithm>
-#include <exception>
 #include <functional>
 #include <thread>
-#include <vector>
 
 namespace ctbus::linalg {
 
@@ -35,43 +45,17 @@ inline int ResolveThreadCount(int requested) {
   return hw >= 1 ? hw : 1;
 }
 
-/// One-shot fork-join. Partitions [0, n) into S = min(num_threads, n)
-/// contiguous shards: shard s covers [s*n/S, (s+1)*n/S), so every index
-/// is covered exactly once and shards are within 1 of equal size. The
-/// calling thread runs shard 0 and a fresh thread runs each other shard;
-/// S == 1 (num_threads <= 1 or n == 1) runs inline with no spawn.
-/// Exceptions thrown by shards are captured per shard; after every shard
-/// has finished, the lowest shard id's exception is rethrown on the
-/// calling thread.
-inline void ParallelFor(int n, int num_threads,
-                        const std::function<void(int shard, int begin,
-                                                 int end)>& body) {
-  if (n <= 0) return;
-  const int shards = std::max(1, std::min(num_threads, n));
-  if (shards == 1) {
-    body(0, 0, n);
-    return;
-  }
-  const auto begin_of = [n, shards](int s) {
-    return static_cast<int>(static_cast<long long>(s) * n / shards);
-  };
-  std::vector<std::exception_ptr> errors(shards);
-  const auto run_shard = [&](int s) {
-    try {
-      body(s, begin_of(s), begin_of(s + 1));
-    } catch (...) {
-      errors[s] = std::current_exception();
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(shards - 1);
-  for (int s = 1; s < shards; ++s) threads.emplace_back(run_shard, s);
-  run_shard(0);
-  for (std::thread& t : threads) t.join();
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-}
+/// Fork-join over [0, n) at width W = min(num_threads, n). W <= 1 runs
+/// body(0, 0, n) inline on the caller. Otherwise every index i runs
+/// exactly once as body(worker, i, i + 1), with worker in [0, W): 0 is
+/// the caller, and no two threads hold the same worker id within one call,
+/// so per-worker scratch needs no lock. The call returns after every index
+/// has finished. An index that throws does not stop the others; once all
+/// have run, the exception of the lowest throwing index is rethrown on the
+/// caller. The body may itself call ParallelFor.
+void ParallelFor(int n, int num_threads,
+                 const std::function<void(int worker, int begin, int end)>&
+                     body);
 
 }  // namespace ctbus::linalg
 

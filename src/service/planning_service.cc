@@ -330,10 +330,6 @@ PrecomputeCache::PrecomputePtr PlanningService::ResolvePrecompute(
   const auto precompute = cache_.GetOrCompute(
       key,
       [&]() -> core::Precompute {
-        // A miss fans out over as many threads as the shard has workers;
-        // the precompute is bit-identical at any thread count.
-        core::CtBusOptions sharded = options;
-        sharded.precompute_threads = threads_per_shard_;
         // Warm start from the nearest resident ancestor: derivation is
         // exact (DerivePrecompute equals RunPrecompute bit for bit), so
         // the only criterion is the smallest delta, i.e. the closest donor.
@@ -346,10 +342,10 @@ PrecomputeCache::PrecomputePtr PlanningService::ResolvePrecompute(
           if (!delta.has_value()) continue;
           was_derived = true;
           return core::PlanningContext::DerivePrecompute(
-              *snapshot.road, *snapshot.transit, sharded, *donor, *delta);
+              *snapshot.road, *snapshot.transit, options, *donor, *delta);
         }
         return core::PlanningContext::RunPrecompute(
-            *snapshot.road, *snapshot.transit, sharded);
+            *snapshot.road, *snapshot.transit, options);
       },
       &was_hit,
       // Lazy content fingerprint for the disk-spill path: snapshot
@@ -537,6 +533,11 @@ void PlanningService::Execute(Shard* shard, Task task, int worker_id,
     trace_.Record(std::move(span));
   }
 
+  // Every fan-out of the request (a precompute miss, the search's frontier,
+  // the final re-evaluation) runs as wide as the shard has workers; the
+  // results are bit-identical at any width.
+  core::CtBusOptions options = task.request.options;
+  options.precompute_threads = threads_per_shard_;
   SnapshotPtr snapshot;
   PrecomputeCache::PrecomputePtr precompute;
   double resolve_start = 0.0;
@@ -552,7 +553,7 @@ void PlanningService::Execute(Shard* shard, Task task, int worker_id,
     if (traced) resolve_start = trace_.Now();
     const Stopwatch resolve_timer;
     precompute = ResolvePrecompute(*shard->store, task.request.dataset,
-                                   *snapshot, task.request.options,
+                                   *snapshot, options,
                                    &stats.precompute_cache_hit,
                                    &stats.precompute_derived);
     stats.precompute_seconds = resolve_timer.Seconds();
@@ -597,7 +598,7 @@ void PlanningService::Execute(Shard* shard, Task task, int worker_id,
                                              *snapshot->transit, precompute);
     }
     core::PlanningContext context =
-        core::PlanningContext::Build(memo->base, task.request.options);
+        core::PlanningContext::Build(memo->base, options);
     stats.context_seconds = phase_timer.Seconds();
     if (traced) {
       obs::Span span;

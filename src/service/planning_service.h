@@ -122,11 +122,14 @@ enum class OverflowPolicy {
 struct ServiceOptions {
   /// Worker pool size *per dataset shard*. Every RegisterDataset call
   /// spawns this many dedicated workers for that dataset. 0 means
-  /// std::thread::hardware_concurrency(). The same count bounds set-up:
-  /// RegisterPreset (and DatasetCatalog's preset path) grows the trip
-  /// trees on this many threads, and a precompute cache miss runs with
-  /// CtBusOptions::precompute_threads set to it. Results do not depend on
-  /// it.
+  /// std::thread::hardware_concurrency(). The same count is the width of
+  /// every fan-out: RegisterPreset (and DatasetCatalog's preset path) grows
+  /// the trip trees on this many threads, and every request runs with
+  /// CtBusOptions::precompute_threads set to it (a precompute miss, online
+  /// ETA's frontier, the final re-evaluation of the route), on
+  /// linalg::ParallelFor's process-wide parked helpers. A worker that fans
+  /// out takes part itself and runs whatever no free helper claims, so
+  /// busy workers never wait on one another. Results do not depend on it.
   /// ctbus-lint: key-exempt(service topology knob; requests are keyed per dataset+options, not per pool size)
   int num_threads = 1;
   /// Bounded request queue per shard (interactive + sweep combined);
@@ -201,7 +204,7 @@ struct PlanRequest {
   /// the sweepables (k, w, Tn, sn, planner variant toggles) stay free, and
   /// precompute_threads is excluded from the key because the precompute is
   /// bit-identical at any thread count (core/options.h); the service
-  /// replaces it with ServiceOptions::num_threads.
+  /// replaces it with ServiceOptions::num_threads on every request.
   core::CtBusOptions options;
   core::Planner planner = core::Planner::kEtaPre;
   /// Snapshot to plan against; 0 = latest at execution time.

@@ -51,6 +51,27 @@ TEST(GetEnvDoubleTest, TrailingGarbageFallsBack) {
   EXPECT_DOUBLE_EQ(GetEnvDouble("CTBUS_TEST_ENV_DOUBLE", 7.0), 7.0);
 }
 
+TEST(GetEnvDoubleTest, NonFiniteFallsBack) {
+  EnvGuard guard("CTBUS_TEST_ENV_DOUBLE");
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    guard.Set(value);
+    EXPECT_DOUBLE_EQ(GetEnvDouble("CTBUS_TEST_ENV_DOUBLE", 7.0), 7.0)
+        << value;
+  }
+}
+
+TEST(GetScaleTest, RefusesNonPositiveAndNonFinite) {
+  EnvGuard guard("CTBUS_SCALE");
+  EXPECT_DOUBLE_EQ(GetScale(), 1.0);
+  guard.Set("0.5");
+  EXPECT_DOUBLE_EQ(GetScale(), 0.5);
+  // Each of these used to reach the generator and build a 4-vertex city.
+  for (const char* value : {"nan", "inf", "0", "-1"}) {
+    guard.Set(value);
+    EXPECT_DOUBLE_EQ(GetScale(), 1.0) << value;
+  }
+}
+
 TEST(QuantileTest, RoundsToNearestRank) {
   // Unsorted input; index q * (n - 1) rounds half up, so the median of an
   // even count is the upper middle value, not the lower one.

@@ -3,8 +3,11 @@
 // planning on concurrent threads must match per-request builds run
 // serially, bit for bit, for both expansion variants (best-neighbor and
 // ETA-AN). This is how the service runs requests (one search per worker
-// over a memoized base), and the TSan job runs this binary to keep the
-// shared base race-free.
+// over a memoized base). Each search also fans its own local solves out
+// over CtBusOptions::precompute_threads workers (online ETA's frontier,
+// every planner's final re-evaluation), and must return the same result
+// at every width, alone or beside another search doing the same. The TSan
+// job runs this binary to keep the shared base and the fan-out race-free.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -43,7 +46,23 @@ void ExpectResultsIdentical(const PlanResult& a, const PlanResult& b) {
   EXPECT_EQ(a.demand, b.demand);
   EXPECT_EQ(a.connectivity_increment, b.connectivity_increment);
   EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.seeds_pushed, b.seeds_pushed);
+  EXPECT_EQ(a.local_solves, b.local_solves);
   EXPECT_EQ(a.trace, b.trace);
+}
+
+std::vector<PlanResult> PlanAll(const PlanningContext& ctx) {
+  return {RunEta(&ctx, SearchMode::kOnline),
+          RunEta(&ctx, SearchMode::kPrecomputed), RunVkTsp(&ctx)};
+}
+
+void ExpectAllIdentical(const std::vector<PlanResult>& a,
+                        const std::vector<PlanResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t p = 0; p < a.size(); ++p) {
+    SCOPED_TRACE(::testing::Message() << "planner " << p);
+    ExpectResultsIdentical(a[p], b[p]);
+  }
 }
 
 class EtaParallelTest : public ::testing::TestWithParam<bool> {
@@ -75,13 +94,8 @@ TEST_P(EtaParallelTest, ConcurrentContextsOverOneBaseMatchSerial) {
   // threads planning at once must reproduce per-request builds run one
   // after another.
   const CtBusOptions options = TestOptions(GetParam());
-  const auto plan_all = [](const PlanningContext& ctx) {
-    return std::vector<PlanResult>{RunEta(&ctx, SearchMode::kOnline),
-                                   RunEta(&ctx, SearchMode::kPrecomputed),
-                                   RunVkTsp(&ctx)};
-  };
   const std::vector<PlanResult> serial =
-      plan_all(PlanningContext::BuildWithPrecompute(
+      PlanAll(PlanningContext::BuildWithPrecompute(
           dataset_->road, dataset_->transit, options, *precompute_));
 
   const std::shared_ptr<const PlanningBase> base =
@@ -91,16 +105,49 @@ TEST_P(EtaParallelTest, ConcurrentContextsOverOneBaseMatchSerial) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      concurrent[t] = plan_all(PlanningContext::Build(base, options));
+      concurrent[t] = PlanAll(PlanningContext::Build(base, options));
     });
   }
   for (std::thread& thread : threads) thread.join();
 
   for (int t = 0; t < kThreads; ++t) {
-    ASSERT_EQ(concurrent[t].size(), serial.size());
-    for (std::size_t p = 0; p < serial.size(); ++p) {
-      SCOPED_TRACE(::testing::Message() << "thread " << t << " planner " << p);
-      ExpectResultsIdentical(concurrent[t][p], serial[p]);
+    SCOPED_TRACE(::testing::Message() << "thread " << t);
+    ExpectAllIdentical(concurrent[t], serial);
+  }
+}
+
+TEST_P(EtaParallelTest, EveryFanOutWidthMatchesSerial) {
+  // The width only decides which thread solves which candidate; each
+  // solve lands in its own slot and is combined in a fixed order, so
+  // every result, work counters included, must equal the width-1 one.
+  // Two searches fanning out at once share the parked helpers; each
+  // caller runs what no helper claims, so neither waits on the other.
+  const std::shared_ptr<const PlanningBase> base =
+      PlanningBase::Build(dataset_->road, dataset_->transit, *precompute_);
+  CtBusOptions options = TestOptions(GetParam());
+  options.precompute_threads = 1;
+  const std::vector<PlanResult> serial =
+      PlanAll(PlanningContext::Build(base, options));
+  ASSERT_TRUE(serial[0].found);
+  ASSERT_GT(serial[0].local_solves, 0);
+
+  for (const int width : {1, 2, 3, 8}) {
+    SCOPED_TRACE(::testing::Message() << "width " << width);
+    options.precompute_threads = width;
+    ExpectAllIdentical(PlanAll(PlanningContext::Build(base, options)),
+                       serial);
+
+    std::vector<std::vector<PlanResult>> concurrent(2);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        concurrent[t] = PlanAll(PlanningContext::Build(base, options));
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < 2; ++t) {
+      SCOPED_TRACE(::testing::Message() << "concurrent search " << t);
+      ExpectAllIdentical(concurrent[t], serial);
     }
   }
 }
