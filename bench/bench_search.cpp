@@ -23,7 +23,17 @@
 // ETA fans out its frontier and final re-evaluation, ETA-Pre only the
 // final re-evaluation. Every width-2 run must return the width-1 bits
 // (the bench exits 1 if not).
+//
+// A precompute memoizes every staged term a search solves
+// (Precompute::term_memo), so a repeated request reads its terms instead
+// of solving them. Every row above plans over a fresh copy of the
+// precompute (same tables, empty memo) per timed run, so it measures the
+// ball solves a request runs on a cold memo. The eta_online_k*_warm rows
+// time online ETA over one memo that an untimed run of the same request
+// has filled: the cost of a request the server has seen before. A warm run
+// must return the cold bits (the bench exits 1 if not).
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,7 +49,9 @@ using ctbus::bench::Quantile;
 using ctbus::bench::Stopwatch;
 using ctbus::core::CtBusOptions;
 using ctbus::core::Planner;
+using ctbus::core::PlanningBase;
 using ctbus::core::PlanningContext;
+using ctbus::core::Precompute;
 using ctbus::core::PlanResult;
 
 constexpr int kRuns = 9;
@@ -67,15 +79,17 @@ bool SameResult(const PlanResult& a, const PlanResult& b) {
          a.local_solves == b.local_solves && a.path.edges() == b.path.edges();
 }
 
-// Runs `planner` kRuns times over `context`, timing each run, into `ms`.
-// With first_is_reference, every run is compared with `*first`; without,
+// Runs `planner` kRuns times, each over a context from `make_context`
+// (built before the stopwatch starts), timing each run, into `ms`. With
+// first_is_reference, every run is compared with `*first`; without,
 // `*first` receives the first run and the others are compared with it.
 // Returns false if any run differs.
-bool TimeRuns(const PlanningContext& context, Planner planner,
-              PlanResult* first, bool first_is_reference,
+bool TimeRuns(const std::function<PlanningContext()>& make_context,
+              Planner planner, PlanResult* first, bool first_is_reference,
               std::vector<double>* ms) {
   bool identical = true;
   for (int run = 0; run < kRuns; ++run) {
+    const PlanningContext context = make_context();
     Stopwatch watch;
     PlanResult result = ctbus::core::RunPlanner(&context, planner);
     ms->push_back(watch.Seconds() * 1e3);
@@ -122,11 +136,19 @@ int main() {
   report.AddDataset(city);
 
   const auto precompute =
-      std::make_shared<const ctbus::core::Precompute>(
+      std::make_shared<const Precompute>(
           PlanningContext::RunPrecompute(city.road, city.transit,
                                          SearchOptions(4, 500)));
-  const auto base = ctbus::core::PlanningBase::Build(city.road, city.transit,
-                                                     precompute);
+  const auto base = PlanningBase::Build(city.road, city.transit, precompute);
+  // A context over a copy of the precompute: its tables, an empty memo.
+  const auto cold_context = [&](const CtBusOptions& options) {
+    return [&city, &precompute, options] {
+      return PlanningContext::Build(
+          PlanningBase::Build(city.road, city.transit,
+                              std::make_shared<const Precompute>(*precompute)),
+          options);
+    };
+  };
   std::printf("\n%-10s %3s %10s %10s %10s\n", "context", "k", "p25 ms",
               "median ms", "p75 ms");
   for (const int k : kKs) {
@@ -151,13 +173,14 @@ int main() {
 
   bool identical = true;
   bool width_identical = true;
+  bool warm_identical = true;
   for (const SearchCase& sc : kSearches) {
     for (const int k : kKs) {
       CtBusOptions options = SearchOptions(k, sc.max_iterations);
       std::vector<double> ms;
       PlanResult first;
-      identical &= TimeRuns(PlanningContext::Build(base, options), sc.planner,
-                            &first, /*first_is_reference=*/false, &ms);
+      identical &= TimeRuns(cold_context(options), sc.planner, &first,
+                            /*first_is_reference=*/false, &ms);
       const std::string key = std::string(sc.name) + "_k" + std::to_string(k);
       std::printf("%-10s %3d %10.2f %10.2f %10.2f %6d %6d %6d %22.17g\n",
                   sc.name, k, Quantile(ms, 0.25), Quantile(ms, 0.5),
@@ -168,13 +191,29 @@ int main() {
       report.AddChecksum(key + "_iterations", first.iterations);
       report.AddChecksum(key + "_seeds_pushed", first.seeds_pushed);
       report.AddChecksum(key + "_local_solves", first.local_solves);
+
+      if (sc.planner == Planner::kEta) {
+        // One memo, filled by an untimed run of the same request.
+        const PlanningContext warm = cold_context(options)();
+        ctbus::core::RunPlanner(&warm, sc.planner);
+        std::vector<double> warm_ms;
+        warm_identical &= TimeRuns([&warm] { return warm; }, sc.planner,
+                                   &first, /*first_is_reference=*/true,
+                                   &warm_ms);
+        const int hits = ctbus::core::RunPlanner(&warm, sc.planner).memo_hits;
+        std::printf("%-10s %3d %10.2f %10.2f %10.2f  (warm memo: %d of %d "
+                    "terms read)\n",
+                    sc.name, k, Quantile(warm_ms, 0.25),
+                    Quantile(warm_ms, 0.5), Quantile(warm_ms, 0.75), hits,
+                    first.local_solves);
+        AddTimes(&report, key + "_warm", warm_ms);
+      }
       if (!sc.timed_at_width2) continue;
 
       options.precompute_threads = 2;
       std::vector<double> ms2;
-      width_identical &=
-          TimeRuns(PlanningContext::Build(base, options), sc.planner, &first,
-                   /*first_is_reference=*/true, &ms2);
+      width_identical &= TimeRuns(cold_context(options), sc.planner, &first,
+                                  /*first_is_reference=*/true, &ms2);
       std::printf("%-10s %3d %10.2f %10.2f %10.2f  (2 workers)\n", sc.name, k,
                   Quantile(ms2, 0.25), Quantile(ms2, 0.5),
                   Quantile(ms2, 0.75));
@@ -185,6 +224,12 @@ int main() {
     std::fprintf(stderr,
                  "FATAL: repeated searches over one context returned "
                  "different results\n");
+    return 1;
+  }
+  if (!warm_identical) {
+    std::fprintf(stderr,
+                 "FATAL: a search over a warm term memo returned different "
+                 "bits than over a cold one\n");
     return 1;
   }
   if (!width_identical) {

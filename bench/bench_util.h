@@ -70,14 +70,22 @@ inline std::string GetEnvString(const char* name, const std::string& fallback) {
   return value == nullptr ? fallback : std::string(value);
 }
 
-/// CTBUS_SCALE, which must be positive: a scale of 0 or below builds no
-/// city, so it falls back to 1.0 with the same warning.
-inline double GetScale() {
+/// Parses CTBUS_SCALE now, which must be positive: a scale of 0 or below
+/// builds no city, so it falls back to 1.0 with the same warning.
+inline double ReadScale() {
   constexpr double kDefault = 1.0;
   const double scale = GetEnvDouble("CTBUS_SCALE", kDefault);
   if (scale > 0.0) return scale;
   WarnMalformedEnv("CTBUS_SCALE", std::getenv("CTBUS_SCALE"), kDefault);
   return kDefault;
+}
+
+/// CTBUS_SCALE as ReadScale parsed it on the first call: read once per
+/// process, so a bench that asks for the scale in several places (header,
+/// dataset, report) warns about a malformed value once.
+inline double GetScale() {
+  static const double scale = ReadScale();
+  return scale;
 }
 
 inline int GetEtaIterations() {

@@ -224,8 +224,8 @@ class EtaSearch {
   // increment (one local solve) on its first expansion.
   void EnsureTraceIncrement(QueueEntry* entry) {
     if (mode_ == SearchMode::kOnline && !entry->trace_increment) {
-      entry->trace_increment =
-          ctx_->TraceIncrement(entry->path.edges(), &result_.local_solves);
+      entry->trace_increment = ctx_->TraceIncrement(
+          entry->path.edges(), &result_.local_solves, &result_.memo_hits);
     }
   }
 
@@ -352,22 +352,25 @@ class EtaSearch {
   // kPrecomputed sums Delta over the child's edge order; kOnline scores
   // Objective(demand, ConnectivityFromTrace(Delta tr(P) + Delta tr(e | P)))
   // and writes the terms Delta tr(e | P) into trace_terms_. The terms are
-  // independent local solves, so they fan out over width_ workers, each
-  // into its own slot; the objectives (and the caller's argmax) stay
-  // serial in candidate order, so the result is bit-identical at any width.
+  // independent local solves (or memo reads), so they fan out over width_
+  // workers, each into its own slot; the objectives (and the caller's
+  // argmax) stay serial in candidate order, so the result is bit-identical
+  // at any width.
   void EvaluateExtensions(const QueueEntry& entry, int at_stop) {
     const CandidatePath& parent = entry.path;
     const bool at_end = at_stop == parent.end_stop();
     const std::size_t n = extensions_.size();
     objectives_.resize(n);
     trace_terms_.assign(n, 0.0);
+    term_hits_.assign(n, 0);
     if (mode_ == SearchMode::kOnline) {
       linalg::ParallelFor(
           static_cast<int>(n), width_,
           [&](int /*worker*/, int begin, int end) {
             for (int i = begin; i < end; ++i) {
-              trace_terms_[i] =
-                  ctx_->EdgeTraceIncrement(parent.edges(), extensions_[i]);
+              trace_terms_[i] = ctx_->EdgeTraceIncrement(
+                  parent.edges(), extensions_[i], /*local_solves=*/nullptr,
+                  &term_hits_[i]);
             }
           });
     }
@@ -379,9 +382,11 @@ class EtaSearch {
         objectives_[i] = ctx_->Objective(
             demand, ExtendedLinearIncrement(parent, edge, at_end));
       } else {
-        // Counted here, on the calling thread: EdgeTraceIncrement solves
-        // exactly the new candidates.
+        // Counted here, on the calling thread: EdgeTraceIncrement needs a
+        // term for exactly the new candidates, and term_hits_ says which
+        // of them it read instead of solved.
         if (ctx_->universe().edge(edge).is_new) ++result_.local_solves;
+        result_.memo_hits += term_hits_[i];
         objectives_[i] = ctx_->Objective(
             demand, ctx_->ConnectivityFromTrace(*entry.trace_increment +
                                                 trace_terms_[i]));
@@ -412,7 +417,8 @@ class EtaSearch {
     if (!result_.found) return;
     result_.demand = result_.path.demand();
     result_.connectivity_increment = ctx_->ConnectivityFromTrace(
-        ctx_->TraceIncrement(result_.path.edges(), &result_.local_solves));
+        ctx_->TraceIncrement(result_.path.edges(), &result_.local_solves,
+                             &result_.memo_hits));
     result_.objective =
         ctx_->Objective(result_.demand, result_.connectivity_increment);
   }
@@ -435,6 +441,7 @@ class EtaSearch {
   std::vector<int> extensions_;
   std::vector<double> objectives_;
   std::vector<double> trace_terms_;
+  std::vector<int> term_hits_;
   PlanResult result_;
   double best_objective_ = 0.0;
   /// Fan-out width of the frontier's local solves.

@@ -35,7 +35,9 @@
 //    A frontier's candidates are independent solves: they fan out over
 //    CtBusOptions::precompute_threads workers (linalg::ParallelFor), each
 //    into its own slot, and are scored serially in candidate order, so the
-//    route is bit-identical at any width.
+//    route is bit-identical at any width. A term an earlier request solved
+//    is read from the precompute's term memo (core/term_memo.h) instead,
+//    with the same bits.
 //  * kPrecomputed (ETA-Pre): the objective is linear in the edges via the
 //    integrated ranking L_e (Equation 11); no estimator calls during the
 //    search. The winner's true connectivity is re-estimated once at the end.
@@ -75,10 +77,18 @@ struct PlanResult {
   /// bound above the first incumbent): a work counter, not part of a
   /// response.
   int seeds_pushed = 0;
-  /// connectivity::LocalTraceIncrement calls the request ran, in the
-  /// search (online ETA's seeds and frontier) and in the final
-  /// re-evaluation of the winner: a work counter, not part of a response.
+  /// Local trace increments (connectivity::LocalTraceIncrement terms) the
+  /// request needed, in the search (online ETA's seeds and frontier) and in
+  /// the final re-evaluation of the winner, whether solved or read from the
+  /// precompute: a work counter and a pure function of the request, not
+  /// part of a response.
   int local_solves = 0;
+  /// Of local_solves, the terms read from the precompute (its Delta tr(e)
+  /// table or its term memo) instead of solved, counted on the calling
+  /// thread. It depends on what earlier requests over the same precompute
+  /// solved, so it is history, not a function of the request: no response,
+  /// checksum or identity check reads it.
+  int memo_hits = 0;
   /// Wall-clock search time, excluding context construction and the
   /// search's set-up (its L_e and, online, the Lemma 4 bound).
   double seconds = 0.0;

@@ -302,8 +302,23 @@ double PlanningContext::Objective(double demand,
          (1.0 - options_.w) * connectivity_increment / lambda_max_;
 }
 
+double PlanningContext::StagedTerm(
+    const std::vector<std::pair<int, int>>& staged, int u, int v,
+    bool* memo_hit) const {
+  const Precompute& pre = *base_->precompute();
+  TermMemo::Key key = TermMemo::MakeKey(staged, u, v);
+  double term = 0.0;
+  *memo_hit = pre.term_memo.Find(key, &term);
+  if (!*memo_hit) {
+    term = connectivity::LocalTraceIncrement(base_->adjacency(), staged, u, v);
+    pre.term_memo.Insert(std::move(key), term, pre.term_memo_max_pairs());
+  }
+  return term;
+}
+
 double PlanningContext::TraceIncrement(const std::vector<int>& path_edges,
-                                       int* local_solves) const {
+                                       int* local_solves,
+                                       int* memo_hits) const {
   // Term i is Delta tr(e_i | e_0 .. e_{i-1}) over the path's new edges.
   std::vector<std::pair<int, int>> staged;
   int first_new = -1;
@@ -315,11 +330,12 @@ double PlanningContext::TraceIncrement(const std::vector<int>& path_edges,
   }
   if (staged.empty()) return 0.0;
   std::vector<double> terms(staged.size());
+  std::vector<char> hits(staged.size(), 0);
   // LocalTraceIncrement(adjacency, {}, u, v): the precompute solved exactly
   // this call on the same adjacency.
   terms[0] = base_->precompute()->trace_increments[first_new];
-  // The other terms are independent solves: fan-out index j writes term
-  // j + 1 into its own slot.
+  // The other terms are independent: fan-out index j writes term j + 1
+  // (and whether the memo held it) into its own slot.
   const int solves = static_cast<int>(staged.size()) - 1;
   linalg::ParallelFor(
       solves, linalg::ResolveThreadCount(options_.precompute_threads),
@@ -327,11 +343,16 @@ double PlanningContext::TraceIncrement(const std::vector<int>& path_edges,
         for (int i = begin + 1; i <= end; ++i) {
           const std::vector<std::pair<int, int>> earlier(
               staged.begin(), staged.begin() + i);
-          terms[i] = connectivity::LocalTraceIncrement(
-              base_->adjacency(), earlier, staged[i].first, staged[i].second);
+          bool hit = false;
+          terms[i] = StagedTerm(earlier, staged[i].first, staged[i].second,
+                                &hit);
+          hits[i] = hit;
         }
       });
   if (local_solves != nullptr) *local_solves += solves;
+  if (memo_hits != nullptr) {
+    *memo_hits += static_cast<int>(std::count(hits.begin(), hits.end(), 1));
+  }
   // Summed in path order, as the serial telescoping did.
   double total = 0.0;
   for (double term : terms) total += term;
@@ -339,12 +360,20 @@ double PlanningContext::TraceIncrement(const std::vector<int>& path_edges,
 }
 
 double PlanningContext::EdgeTraceIncrement(const std::vector<int>& path_edges,
-                                           int edge, int* local_solves) const {
+                                           int edge, int* local_solves,
+                                           int* memo_hits) const {
   const PlannableEdge& e = universe().edge(edge);
   if (!e.is_new) return 0.0;
   if (local_solves != nullptr) ++*local_solves;
-  return connectivity::LocalTraceIncrement(
-      base_->adjacency(), NewStopPairs(universe(), path_edges), e.u, e.v);
+  const std::vector<std::pair<int, int>> staged =
+      NewStopPairs(universe(), path_edges);
+  bool hit = true;
+  // Nothing staged: the precompute solved exactly this call.
+  const double term = staged.empty()
+                          ? base_->precompute()->trace_increments[edge]
+                          : StagedTerm(staged, e.u, e.v, &hit);
+  if (hit && memo_hits != nullptr) ++*memo_hits;
+  return term;
 }
 
 double PlanningContext::OnlineConnectivityIncrement(

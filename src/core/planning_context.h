@@ -7,8 +7,10 @@
 // by the search that reads it (BuildObjectiveList), so a request whose
 // search runs under other options (VK-TSP) builds only the one it reads.
 // A context holds no mutable state: online increments are exact local trace increments read
-// off the base's adjacency (connectivity/local_increment.h), so one
-// context may serve any number of threads. Every increment, linear or
+// off the base's adjacency (connectivity/local_increment.h), each staged
+// term solved once per precompute and then read from its term memo
+// (core/term_memo.h) with the same bits, so one context may serve any
+// number of threads. Every increment, linear or
 // online, is anchored by the one estimated number per snapshot, the
 // precompute's tr_0 (Precompute::ConnectivityFromTrace), so a one-edge
 // path's online increment is its Delta(e) bit for bit. The eigenvalue
@@ -18,11 +20,14 @@
 #ifndef CTBUS_CORE_PLANNING_CONTEXT_H_
 #define CTBUS_CORE_PLANNING_CONTEXT_H_
 
+#include <cstddef>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/edge_universe.h"
 #include "core/options.h"
+#include "core/term_memo.h"
 #include "demand/ranked_list.h"
 #include "graph/road_network.h"
 #include "graph/transit_network.h"
@@ -71,9 +76,10 @@ struct SnapshotDelta {
 /// the plannable-edge universe (depends on tau) and the Delta(e)
 /// pre-computation (exact local trace increments, anchored by the
 /// precompute estimator's tr(e^A)). Reusable across contexts with
-/// different k / w / Tn / sn. Immutable once built; the serving layer
-/// shares it across threads via shared_ptr<const Precompute> without
-/// further synchronization.
+/// different k / w / Tn / sn. Its tables are immutable once built; the
+/// serving layer shares it across threads via shared_ptr<const Precompute>.
+/// The one thing that changes after that is term_memo, which guards itself
+/// with its own mutex and never changes an answer.
 struct Precompute {
   EdgeUniverse universe;
   /// Delta tr(e^A) per universe edge: connectivity::LocalTraceIncrement of
@@ -90,6 +96,18 @@ struct Precompute {
   /// by FillIncrements, never stored.
   std::vector<double> increments;
   PrecomputeStats stats;
+  /// The staged terms Delta tr(e | S), S != {}, that requests over this
+  /// precompute have solved (PlanningContext::TraceIncrement and
+  /// EdgeTraceIncrement read and fill it), up to term_memo_max_pairs()
+  /// stop pairs. Not stored in CTBS: a loaded, derived or copied
+  /// precompute starts with an empty memo.
+  TermMemo term_memo;
+
+  /// The memo's cap: its keys hold at most as many stop pairs as the
+  /// S = {} table has keys, universe.num_new_edges(), so it needs no knob.
+  std::size_t term_memo_max_pairs() const {
+    return static_cast<std::size_t>(universe.num_new_edges());
+  }
 
   /// lambda(G + P) - lambda(G) of new edges that change tr(e^A) by
   /// `trace_increment`: max(0, log1p(trace_increment / base_trace)). The
@@ -103,12 +121,15 @@ struct Precompute {
   void FillIncrements();
 
   /// Approximate resident footprint in bytes (universe + both per-edge
-  /// tables). This is the unit the serving layer's byte-budgeted
-  /// PrecomputeCache charges per entry. Deterministic; O(universe edges).
+  /// tables + the term memo at its cap). This is the unit the serving
+  /// layer's byte-budgeted PrecomputeCache charges per entry once, when it
+  /// becomes resident; the memo fills later, so it is charged its worst
+  /// case. Deterministic; O(universe edges).
   std::size_t ApproxBytes() const {
     return sizeof(Precompute) - sizeof(EdgeUniverse) +
            universe.ApproxBytes() +
-           (trace_increments.size() + increments.size()) * sizeof(double);
+           (trace_increments.size() + increments.size()) * sizeof(double) +
+           TermMemo::CapacityBytes(term_memo_max_pairs());
   }
 };
 
@@ -307,21 +328,30 @@ class PlanningContext {
   /// adjacency), telescoped in path order with the path's earlier new
   /// edges staged. The first new edge meets nothing staged, so its term is
   /// read from the precompute's trace_increments (the same call's bits)
-  /// instead of solved. Existing and repeated edges add 0. The other terms
-  /// are independent solves: they fan out over options().precompute_threads
-  /// workers (linalg::ParallelFor) and are summed in path order, so the
-  /// value is bit-identical at any width. Adds the LocalTraceIncrement
-  /// calls it makes to `*local_solves` if given. Thread-safe.
+  /// instead of solved. Existing and repeated edges add 0. Each other term
+  /// is read from the precompute's term memo if an earlier call solved it,
+  /// else solved and stored there (the same bits either way). They are
+  /// independent: they fan out over options().precompute_threads workers
+  /// (linalg::ParallelFor) and are summed in path order, so the value is
+  /// bit-identical at any width and any memo state. Adds the terms it
+  /// needed beyond the first (LocalTraceIncrement calls, solved or read)
+  /// to `*local_solves`, and those read from the memo to `*memo_hits`, if
+  /// given. Thread-safe.
   double TraceIncrement(const std::vector<int>& path_edges,
-                        int* local_solves = nullptr) const;
+                        int* local_solves = nullptr,
+                        int* memo_hits = nullptr) const;
 
   /// Delta tr(e^A) of adding universe edge `edge` to the network that
   /// already holds the new edges of `path_edges`: the one telescoped term
-  /// ETA pays per frontier candidate. 0 unless `edge` is new and not
-  /// already on the path. Adds its LocalTraceIncrement call (one, if
-  /// `edge` is new) to `*local_solves` if given. Thread-safe.
+  /// ETA pays per frontier candidate, read from the precompute (its
+  /// Delta tr(e) table if nothing is staged, else its term memo) or solved
+  /// and stored in the memo. 0 unless `edge` is new and not already on the
+  /// path. Adds one to `*local_solves` if `edge` is new, and one to
+  /// `*memo_hits` if the term was read instead of solved, if given.
+  /// Thread-safe.
   double EdgeTraceIncrement(const std::vector<int>& path_edges, int edge,
-                            int* local_solves = nullptr) const;
+                            int* local_solves = nullptr,
+                            int* memo_hits = nullptr) const;
 
   /// Connectivity increment lambda(G + P) - lambda(G) of a path whose new
   /// edges change tr(e^A) by `trace_increment`: the precompute's
@@ -349,6 +379,12 @@ class PlanningContext {
 
  private:
   PlanningContext() = default;
+
+  /// connectivity::LocalTraceIncrement(adjacency(), staged, u, v) for a
+  /// non-empty `staged`: read from the precompute's term memo, or solved
+  /// and stored there. Sets `*memo_hit`.
+  double StagedTerm(const std::vector<std::pair<int, int>>& staged, int u,
+                    int v, bool* memo_hit) const;
 
   std::shared_ptr<const PlanningBase> base_;
   CtBusOptions options_;

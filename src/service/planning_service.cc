@@ -53,6 +53,8 @@ PlanningService::PlanningService(const ServiceOptions& options)
       metrics_.GetCounter("service.retention.snapshots_pruned");
   counters_.lineage_trimmed =
       metrics_.GetCounter("service.retention.lineage_trimmed");
+  counters_.term_memo_hits = metrics_.GetCounter("core.term_memo.hits");
+  counters_.term_memo_misses = metrics_.GetCounter("core.term_memo.misses");
   if (metrics_enabled_) {
     for (int p = 0; p < 2; ++p) {
       latency_[p].queue = metrics_.GetHistogram(kPhaseNames[p][0]);
@@ -414,6 +416,14 @@ obs::MetricsSnapshot PlanningService::MetricsSnapshot() const {
   snapshot.counters.emplace_back("cache.misses", cache.misses);
   snapshot.gauges.emplace_back(
       "cache.resident_bytes", static_cast<std::int64_t>(cache.resident_bytes));
+  std::size_t memo_entries = 0;
+  for (const PrecomputeKey& key : cache_.KeysByRecency()) {
+    if (const auto precompute = cache_.Peek(key)) {
+      memo_entries += precompute->term_memo.size();
+    }
+  }
+  snapshot.gauges.emplace_back("core.term_memo.entries",
+                               static_cast<std::int64_t>(memo_entries));
   std::vector<std::string> names = DatasetNames();
   std::sort(names.begin(), names.end());
   for (const std::string& name : names) {
@@ -613,6 +623,9 @@ void PlanningService::Execute(Shard* shard, Task task, int worker_id,
     phase_timer.Reset();
     result.plan = core::RunPlanner(&context, task.request.planner);
     stats.plan_seconds = phase_timer.Seconds();
+    counters_.term_memo_hits->Add(result.plan.memo_hits);
+    counters_.term_memo_misses->Add(result.plan.local_solves -
+                                    result.plan.memo_hits);
     if (traced) {
       obs::Span span;
       span.trace_id = task.trace_id;

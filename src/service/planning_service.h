@@ -59,8 +59,10 @@
 // costs one branch when off; neither metrics nor tracing ever changes a
 // planning result.
 //
-// Every request gets its own PlanningContext, so queries never share
-// mutable state: results are bit-identical to running the same requests
+// Every request gets its own PlanningContext, so queries share no mutable
+// state that can change a result (the precompute's staged-term memo, which
+// every request over it reads and fills, returns only the bits a solve
+// would): results are bit-identical to running the same requests
 // serially (the estimators are deterministic by construction, and a
 // warm-started precompute equals a scratch one bit for bit). Snapshots
 // are held via shared_ptr for the duration of a query, so commits can
@@ -356,8 +358,13 @@ class PlanningService {
   /// One deterministically ordered (name-sorted) view of every service
   /// metric: the registry's counters / gauges / histograms (the counters
   /// are what service_stats() reads) plus always-on views computed at
-  /// read time: `cache.*` from the precompute cache and `dataset.<name>.*`
-  /// from each shard's snapshot store. Metric names are stable API —
+  /// read time: `cache.*` from the precompute cache, the gauge
+  /// `core.term_memo.entries` (staged terms held by the resident
+  /// precomputes' term memos) and `dataset.<name>.*` from each shard's
+  /// snapshot store. The counters `core.term_memo.hits` / `.misses` count,
+  /// over every completed request, the local trace increments read from a
+  /// precompute (PlanResult::memo_hits) and the ones solved. Metric names
+  /// are stable API —
   /// bench JSON, dashboards, and tests key on them; rename only with a
   /// deprecation note.
   obs::MetricsSnapshot MetricsSnapshot() const;
@@ -497,6 +504,8 @@ class PlanningService {
     obs::Counter* commits = nullptr;  // successful Commit calls
     obs::Counter* snapshots_pruned = nullptr;
     obs::Counter* lineage_trimmed = nullptr;
+    obs::Counter* term_memo_hits = nullptr;    // terms read, not solved
+    obs::Counter* term_memo_misses = nullptr;  // terms solved
   };
 
   /// Records one completed request's phase timings (no-op when metrics

@@ -62,14 +62,33 @@ TEST(GetEnvDoubleTest, NonFiniteFallsBack) {
 
 TEST(GetScaleTest, RefusesNonPositiveAndNonFinite) {
   EnvGuard guard("CTBUS_SCALE");
-  EXPECT_DOUBLE_EQ(GetScale(), 1.0);
+  EXPECT_DOUBLE_EQ(ReadScale(), 1.0);
   guard.Set("0.5");
-  EXPECT_DOUBLE_EQ(GetScale(), 0.5);
+  EXPECT_DOUBLE_EQ(ReadScale(), 0.5);
   // Each of these used to reach the generator and build a 4-vertex city.
   for (const char* value : {"nan", "inf", "0", "-1"}) {
     guard.Set(value);
-    EXPECT_DOUBLE_EQ(GetScale(), 1.0) << value;
+    EXPECT_DOUBLE_EQ(ReadScale(), 1.0) << value;
   }
+}
+
+TEST(GetScaleTest, ReadsTheEnvironmentOncePerProcess) {
+  // A fresh process (the death test re-executes this binary), so the
+  // first GetScale call below is the process's first: it warns once, and
+  // neither the later calls nor a changed environment read it again.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("CTBUS_SCALE", "nan", /*overwrite=*/1);
+        const double first = GetScale();
+        PrintHeader("experiment", "claim");
+        setenv("CTBUS_SCALE", "0.5", /*overwrite=*/1);
+        const bool same = GetScale() == first && first == 1.0;
+        std::fflush(stdout);
+        std::_Exit(same ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0),
+      "^warning: ignoring malformed CTBUS_SCALE=\"nan\" \\(using 1\\)\n$");
 }
 
 TEST(QuantileTest, RoundsToNearestRank) {

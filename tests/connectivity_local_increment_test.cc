@@ -3,7 +3,8 @@
 // seeded random sparse graph; plus the kernel's zero cases, the locality
 // lemma (staged edges beyond the radius change nothing), Figure 1
 // monotonicity of every telescoped term, independence from the base
-// adjacency's row order, and thread-safety of the context-level
+// adjacency's row order and from the order and orientation of the staged
+// pairs (what the term memo's key rests on), and thread-safety of the context-level
 // OnlineConnectivityIncrement built on it.
 #include "connectivity/local_increment.h"
 
@@ -315,6 +316,62 @@ TEST(LocalTraceIncrementTest, IndependentOfRowInsertionOrder) {
     EXPECT_EQ(LocalTraceIncrement(a, walk, u, v),
               LocalTraceIncrement(permuted, walk, u, v));
   }
+}
+
+/// The term memo's key (core::TermMemo::MakeKey) sorts the staged pairs
+/// and stores each, and the candidate, as (min, max). That is sound only if
+/// the kernel reads `staged` as a set of unordered pairs and is symmetric
+/// in (u, v): every order and orientation of a staged set must give the
+/// same bits. Staged sets are 3-4 edge prefixes of universe walks, so they
+/// lie inside the candidate's ball and do move its term.
+void ExpectStagedOrderAndOrientationChangeNothing(const gen::Dataset& city,
+                                                  std::uint64_t seed) {
+  const core::EdgeUniverse universe =
+      core::EdgeUniverse::Build(city.road, city.transit, {});
+  const linalg::SymmetricSparseMatrix a = city.transit.AdjacencyMatrix();
+  linalg::Rng rng(seed);
+  int checked = 0;
+  for (int e = 0; e < universe.num_edges() && checked < 6; ++e) {
+    if (!universe.edge(e).is_new || rng.NextIndex(8) != 0) continue;
+    const int staged_size = 3 + checked % 2;
+    const StopPairs walk =
+        SampleUniverseWalk(universe, e, staged_size + 1, &rng);
+    if (static_cast<int>(walk.size()) != staged_size + 1) continue;
+    ++checked;
+    StopPairs staged(walk.begin(), walk.end() - 1);
+    const auto [u, v] = walk.back();
+    SCOPED_TRACE(::testing::Message() << staged.size() << " staged, edge ("
+                                      << u << ", " << v << ")");
+    const double reference = LocalTraceIncrement(a, staged, u, v);
+    EXPECT_NE(reference, LocalTraceIncrement(a, {}, u, v));
+    std::sort(staged.begin(), staged.end());
+    int orders = 0;
+    do {
+      for (int flips = 0; flips < (2 << staged.size()); ++flips) {
+        StopPairs oriented = staged;
+        for (std::size_t i = 0; i < oriented.size(); ++i) {
+          if (flips & (1 << i)) {
+            std::swap(oriented[i].first, oriented[i].second);
+          }
+        }
+        const bool flip_edge = flips & (1 << staged.size());
+        const double term = flip_edge ? LocalTraceIncrement(a, oriented, v, u)
+                                      : LocalTraceIncrement(a, oriented, u, v);
+        ASSERT_EQ(term, reference) << "order " << orders << ", flips "
+                                   << flips;
+      }
+      ++orders;
+    } while (std::next_permutation(staged.begin(), staged.end()));
+    EXPECT_EQ(orders, staged_size == 3 ? 6 : 24);
+  }
+  EXPECT_EQ(checked, 6);
+}
+
+TEST(LocalTraceIncrementTest, StagedOrderAndOrientationChangeNothing) {
+  ExpectStagedOrderAndOrientationChangeNothing(gen::MakeMidtown(),
+                                               /*seed=*/71);
+  ExpectStagedOrderAndOrientationChangeNothing(gen::MakeChicagoLike(0.5),
+                                               /*seed=*/73);
 }
 
 TEST(LocalTraceIncrementTest, ConcurrentContextCallsMatchSerialBits) {

@@ -185,6 +185,50 @@ TEST(ServiceMetricsTest, SnapshotIsSortedAndHasCacheAndDatasetViews) {
   EXPECT_NE(first.str().find("\"service.completed\": 1"), std::string::npos);
 }
 
+std::int64_t GaugeValue(const obs::MetricsSnapshot& snapshot,
+                        const std::string& name) {
+  for (const auto& [metric_name, value] : snapshot.gauges) {
+    if (metric_name == name) return value;
+  }
+  ADD_FAILURE() << "missing gauge " << name;
+  return 0;
+}
+
+TEST(ServiceMetricsTest, TermMemoCountersSumTheRequestsWorkCounters) {
+  // core.term_memo.hits / .misses add up each request's memo_hits and its
+  // solved terms (local_solves - memo_hits); the entries gauge reads the
+  // resident precompute's memo. The same online request twice: the second
+  // reads every term the first solved.
+  ServiceOptions options;
+  options.num_threads = 2;
+  options.enable_metrics = false;  // the views and counters stay on
+  PlanningService service(options);
+  service.RegisterPreset("midtown");
+  PlanRequest request = MidtownRequest();
+  request.planner = core::Planner::kEta;
+  request.options.max_iterations = 2;
+  const ServiceResult first = service.Plan(request);
+  const ServiceResult second = service.Plan(request);
+  ASSERT_GT(first.plan.local_solves, 0);
+  EXPECT_EQ(second.plan.local_solves, first.plan.local_solves);
+  EXPECT_EQ(second.plan.memo_hits, second.plan.local_solves);
+  EXPECT_EQ(second.plan.objective, first.plan.objective);
+  EXPECT_EQ(second.plan.path.edges(), first.plan.path.edges());
+
+  const obs::MetricsSnapshot snapshot = service.MetricsSnapshot();
+  const std::uint64_t hits = CounterValue(snapshot, "core.term_memo.hits");
+  const std::uint64_t misses = CounterValue(snapshot, "core.term_memo.misses");
+  EXPECT_EQ(hits, static_cast<std::uint64_t>(first.plan.memo_hits +
+                                             second.plan.memo_hits));
+  EXPECT_EQ(hits + misses, static_cast<std::uint64_t>(
+                               first.plan.local_solves +
+                               second.plan.local_solves));
+  EXPECT_GT(misses, 0u);
+  const std::int64_t entries = GaugeValue(snapshot, "core.term_memo.entries");
+  EXPECT_GT(entries, 0);
+  EXPECT_LE(entries, static_cast<std::int64_t>(misses));
+}
+
 TEST(ServiceMetricsTest, DisabledMetricsKeepCountersDropHistograms) {
   ServiceOptions options;
   options.num_threads = 1;
